@@ -14,10 +14,10 @@ from math import factorial
 
 from kzlab.invariants import (
     check_recursion, class_sum, crossing_circles, flip_crossing,
-    recursion_term, smoothing_shift_reports,
+    smoothing_shift_reports,
 )
 from kzlab.qtangle.corpus import load_corpus_word
-from kzlab.qtangle.engine import crossing_info, integrate
+from kzlab.qtangle.engine import crossing_info, crossing_term, integrate
 from kzlab.qtangle.words import linking_matrix, render_word
 
 failures = 0
@@ -54,14 +54,14 @@ S = ((0, 1), (1, 0))
 print()
 print("class sums of the k-chord block at the mixed cell:")
 for k in range(4):
-    block = recursion_term(word, crossing, k, 3)
+    block = crossing_term(word, crossing, k, 3)
     for s12 in range(3):
         cell = ((0, s12), (s12, 0))
         value = class_sum(block, cell)
         if value:
             print(f"  k={k}: type s12={s12} -> {value}")
 require("blocks above the cell vanish",
-        class_sum(recursion_term(word, crossing, 2, 3), S) == 0)
+        class_sum(crossing_term(word, crossing, 2, 3), S) == 0)
 
 # == 3. The variation series ================================================
 
@@ -71,7 +71,7 @@ jump = class_sum(plus, S) - class_sum(minus, S)
 series = Fraction(0)
 j = 0
 while 2 * j + 1 <= 2:
-    term = class_sum(recursion_term(word, crossing, 2 * j + 1, 3), S)
+    term = class_sum(crossing_term(word, crossing, 2 * j + 1, 3), S)
     series += term / (factorial(2 * j + 1) * 4 ** j)
     j += 1
 print()

@@ -26,7 +26,7 @@ from .errors import (
 from .invariants import (
     VerificationReport, check_recursion, class_sum, degree_class_sum,
     degree_sum_identity, kinked_unknot_series, linking_monomial,
-    recursion_term, variation_match, verify_theorem,
+    variation_match, verify_theorem,
 )
 from .qtangle import (
     Slice, TangleResult, corpus_names, integrate, linking_matrix,
@@ -48,7 +48,7 @@ __all__ = [
     "WordParseError", "WordValidationError",
     "VerificationReport", "check_recursion", "class_sum", "degree_class_sum",
     "degree_sum_identity", "kinked_unknot_series", "linking_monomial",
-    "recursion_term", "variation_match", "verify_theorem",
+    "variation_match", "verify_theorem",
     "Slice", "TangleResult", "corpus_names", "integrate", "linking_matrix",
     "load_corpus_word", "parse_word", "validate_word",
     "run_selftest", "section_names",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .diagrams import ChordDiagram, connected_sum
+from .diagrams import ChordDiagram, _relabel, connected_sum
 from .errors import TruncationUnsupportedError
 
 Word = tuple[int, ...]
@@ -40,26 +40,15 @@ MAX_TRUNCATION = 4
 # -- Linear words ------------------------------------------------------------
 
 
-def normalize_word(word: Sequence[object]) -> Word:
-    """Rename chord ids to 1, 2, ... in order of first appearance."""
-    names: dict[object, int] = {}
-    out = []
-    for label in word:
-        if label not in names:
-            names[label] = len(names) + 1
-        out.append(names[label])
-    return tuple(out)
-
-
 def concat_words(left: Sequence[int], right: Sequence[int]) -> Word:
     """Concatenate two words, keeping the right factor's chords distinct."""
     shift = max(left, default=0)
-    return normalize_word(tuple(left) + tuple(x + shift for x in right))
+    return _relabel([tuple(left) + tuple(x + shift for x in right)])[0]
 
 
 def reverse_word(word: Sequence[int]) -> Word:
     """Read a word from the other end of the interval."""
-    return normalize_word(tuple(reversed(word)))
+    return _relabel([tuple(reversed(word))])[0]
 
 
 def close_word(word: Sequence[int]) -> ChordDiagram:
@@ -246,10 +235,10 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
 
     out: dict[ChordDiagram, Fraction] = {}
     fresh = itertools.count()
-    stack: list[tuple[list[object], dict[int, list[object]], int, int]] = [
+    pending: list[tuple[list[object], dict[int, list[object]], int, int]] = [
         (sites, ends, 0, 1)]
-    while stack:
-        sites, ends, step, sign = stack.pop()
+    while pending:
+        sites, ends, step, sign = pending.pop()
         if step == len(order):
             label_of = {}
             for edge, endpoints in ends.items():
@@ -273,7 +262,7 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
             first, second = (ra, rb) if flip == 1 else (rb, ra)
             new_ends[before][new_ends[before].index(("v", vertex))] = first
             new_ends[after][new_ends[after].index(("v", vertex))] = second
-            stack.append((new_sites, new_ends, step + 1, sign * flip))
+            pending.append((new_sites, new_ends, step + 1, sign * flip))
     return out
 
 

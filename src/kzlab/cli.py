@@ -31,7 +31,7 @@ from .invariants import (
 )
 from .qtangle.corpus import corpus_names, corpus_path, load_corpus_word
 from .qtangle.engine import integrate
-from .qtangle.words import Slice, parse_word
+from .qtangle.words import Slice, linking_matrix, parse_word
 from .selftest import run_selftest, section_names
 from .diagrams import all_type_matrices
 
@@ -158,7 +158,7 @@ def cmd_verify(config: RunConfig) -> int:
             raise WordValidationError("verify recursion needs --crossing")
         if config.all_S:
             matrices = [S for k in range(config.max_degree + 1)
-                        for S in all_type_matrices(_circle_count(word), k)]
+                        for S in all_type_matrices(len(linking_matrix(word)), k)]
         elif config.S is not None:
             matrices = [config.S]
         else:
@@ -175,12 +175,6 @@ def cmd_verify(config: RunConfig) -> int:
         for r in reports:
             print(r.render())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
-
-
-def _circle_count(word: Sequence[Slice]) -> int:
-    from .qtangle.words import linking_matrix
-
-    return len(linking_matrix(word))
 
 
 def cmd_enumerate(config: RunConfig) -> int:

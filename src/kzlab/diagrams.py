@@ -29,8 +29,9 @@ Code = tuple[tuple[int, ...], ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _relabel(words: Sequence[tuple[object, ...]]) -> Code:
-    """Rename chord ids to 1, 2, ... by first appearance across all circles."""
+def _relabel(words: Sequence[Sequence[object]]) -> Code:
+    """Rename chord ids to 1, 2, ... by first appearance, scanning the
+    words (circles, strands or intervals) in order."""
     names: dict[object, int] = {}
     out = []
     for word in words:

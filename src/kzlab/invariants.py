@@ -195,13 +195,6 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
 # -- Crossing-change identities ----------------------------------------------
 
 
-def recursion_term(word: Sequence[Slice], crossing: int, k: int,
-                   cutoff: int) -> TangleResult:
-    """Integrate with the designated crossing replaced by a bare k-chord
-    block of coefficient 1."""
-    return crossing_term(word, crossing, k, cutoff)
-
-
 def flip_crossing(word: Sequence[Slice], crossing: int) -> tuple[Slice, ...]:
     """The same word with the designated crossing's sign reversed."""
     flipped = list(word)

@@ -9,7 +9,6 @@ from .words import (
     BoundaryState,
 )
 from .engine import (
-    TangleDiagramSum,
     TangleResult,
     integrate,
     evaluate_fragment,
@@ -17,10 +16,6 @@ from .engine import (
     finalize,
     crossing_term,
     max_truncation,
-    generator_value,
-    cable,
-    reverse_strand,
-    stack,
     associator_sign,
     pentagon_identity,
     hexagon_identity,
@@ -29,9 +24,9 @@ from .corpus import corpus_names, corpus_path, load_corpus_word, corpus_linking
 
 __all__ = [
     "Slice", "parse_word", "render_word", "validate_word", "linking_matrix",
-    "BoundaryState", "TangleDiagramSum", "TangleResult", "integrate",
+    "BoundaryState", "TangleResult", "integrate",
     "evaluate_fragment", "graft", "finalize", "crossing_term",
-    "max_truncation", "generator_value", "cable", "reverse_strand", "stack",
-    "associator_sign", "pentagon_identity", "hexagon_identity",
+    "max_truncation", "associator_sign", "pentagon_identity",
+    "hexagon_identity",
     "corpus_names", "corpus_path", "load_corpus_word", "corpus_linking",
 ]

@@ -7,201 +7,45 @@ root of the unknot series along its arc; an association contributes a
 degree-3 truncation of a rational even associator, cabled over the leaves
 of its three blocks with a sign per endpoint on an up-directed point.
 
-Two value carriers live here.  TangleDiagramSum holds series on n labeled
-parallel strands and supports stacking, cabling, and strand reversal; the
-pentagon and hexagon checks run on it, and the hexagon (compared modulo
-strand-level 4T relators) picks the associator sign at first use.
-
 Word evaluation tracks, per monomial, one chord-endpoint sequence per
 skeleton component, keyed canonically; the structure (trees, merges,
 closures) is delegated to the words module.  evaluate_fragment runs any
 slice range from a given boundary; graft stitches two fragment values at
 a shared interface; integrate closes a full word into labeled circles.
+
+The pentagon and the hexagon are checked on the same fragment values:
+two words over one open boundary of down strands must evaluate equal,
+the hexagon modulo strand-level 4T relators.  The hexagon picks the
+associator sign at first use.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..algebra import series_exp, sqrt_unknot_series
-from ..diagrams import ChordDiagram, Mod4TForm, _eliminate, _matchings, reduce_mod_4t
+from ..algebra import sqrt_unknot_series
+from ..diagrams import (
+    ChordDiagram, Mod4TForm, _eliminate, _matchings, _relabel, reduce_mod_4t,
+)
 from ..errors import TruncationUnsupportedError, WordValidationError
 from .words import (
     AssocEvent, Birth, BoundaryState, CapEvent, CrossEvent, CupEvent, END,
-    START, Slice, validate_word,
+    START, Slice, parse_word, tree_leaves, validate_word,
 )
-
-UP, DOWN = 1, -1
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 
 
-# -- Series on labeled parallel strands --------------------------------------
-
-
-def _normalize_strand_key(seqs: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    names: dict[int, int] = {}
-    out = []
-    for seq in seqs:
-        renamed = []
-        for token in seq:
-            if token not in names:
-                names[token] = len(names) + 1
-            renamed.append(names[token])
-        out.append(tuple(renamed))
-    return tuple(out)
+# -- 4T reduction on parallel strands ----------------------------------------
 
 
 def _key_degree(key: Sequence[Sequence[int]]) -> int:
     return sum(len(seq) for seq in key) // 2
-
-
-def _stack_keys(lower: tuple[tuple[int, ...], ...],
-                upper: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    shift = max((t for seq in lower for t in seq), default=0)
-    merged = [tuple(a) + tuple(t + shift for t in b) for a, b in zip(lower, upper)]
-    return _normalize_strand_key(merged)
-
-
-@dataclass(frozen=True)
-class TangleDiagramSum:
-    """Chord series on n labeled parallel strands.
-
-    Keys list each strand's chord tokens in spatial order, bottom to top;
-    every token occurs exactly twice overall.  directions holds +1 for an
-    up strand and -1 for a down strand.
-    """
-
-    directions: tuple[int, ...]
-    cutoff: int
-    terms: dict[tuple[tuple[int, ...], ...], Fraction]
-
-    @property
-    def strands(self) -> int:
-        return len(self.directions)
-
-    def coefficient(self, key: tuple[tuple[int, ...], ...]) -> Fraction:
-        return self.terms.get(_normalize_strand_key(key), Fraction(0))
-
-
-def strand_identity(directions: Sequence[int], cutoff: int) -> TangleDiagramSum:
-    empty = tuple(() for _ in directions)
-    return TangleDiagramSum(tuple(directions), cutoff, {empty: Fraction(1)})
-
-
-def chord_sum(directions: Sequence[int], pairs: Sequence[tuple[int, int]],
-              cutoff: int, coeff: Fraction = Fraction(1)) -> TangleDiagramSum:
-    """Sum of single-chord terms joining the given 1-based strand pairs."""
-    terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for i, j in pairs:
-        seqs = [[] for _ in directions]
-        seqs[i - 1].append(1)
-        seqs[j - 1].append(1)
-        key = _normalize_strand_key(seqs)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return TangleDiagramSum(tuple(directions), cutoff, terms)
-
-
-def stack(lower: TangleDiagramSum, upper: TangleDiagramSum) -> TangleDiagramSum:
-    """Compose vertically: upper's chords land above lower's."""
-    if lower.directions != upper.directions:
-        raise ValueError("stacked series must share strand directions")
-    cutoff = min(lower.cutoff, upper.cutoff)
-    terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for ka, ca in lower.terms.items():
-        for kb, cb in upper.terms.items():
-            if _key_degree(ka) + _key_degree(kb) > cutoff:
-                continue
-            key = _stack_keys(ka, kb)
-            new = terms.get(key, Fraction(0)) + ca * cb
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-    return TangleDiagramSum(lower.directions, cutoff, terms)
-
-
-def exp_chords(directions: Sequence[int], weighted_pairs: Sequence[tuple[int, int, Fraction]],
-               cutoff: int) -> TangleDiagramSum:
-    """exp of a weighted sum of single chords, under stacking."""
-    x: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for i, j, coeff in weighted_pairs:
-        seqs = [[] for _ in directions]
-        seqs[i - 1].append(1)
-        seqs[j - 1].append(1)
-        key = _normalize_strand_key(seqs)
-        x[key] = x.get(key, Fraction(0)) + Fraction(coeff)
-    unit = tuple(() for _ in directions)
-    terms = series_exp(x, _stack_keys, unit, _key_degree, cutoff)
-    return TangleDiagramSum(tuple(directions), cutoff, terms)
-
-
-def cable(series: TangleDiagramSum, strand: int, copies: int) -> TangleDiagramSum:
-    """Replace one strand by parallel copies, summing over endpoint lifts.
-
-    Each chord endpoint on the cabled strand is sent to every copy; the
-    order of endpoints along each copy is inherited from the original.
-    """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if not 1 <= strand <= series.strands:
-        raise ValueError(f"strand {strand} out of range 1..{series.strands}")
-    s = strand - 1
-    directions = (series.directions[:s]
-                  + (series.directions[s],) * copies
-                  + series.directions[s + 1:])
-    terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for key, coeff in series.terms.items():
-        cabled = key[s]
-        for choice in itertools.product(range(copies), repeat=len(cabled)):
-            lifted: list[tuple[int, ...]] = [
-                tuple(t for t, c in zip(cabled, choice) if c == copy)
-                for copy in range(copies)]
-            new_key = _normalize_strand_key(key[:s] + tuple(lifted) + key[s + 1:])
-            new = terms.get(new_key, Fraction(0)) + coeff
-            if new:
-                terms[new_key] = new
-            else:
-                del terms[new_key]
-    return TangleDiagramSum(directions, series.cutoff, terms)
-
-
-def reverse_strand(series: TangleDiagramSum, strand: int) -> TangleDiagramSum:
-    """Reverse one strand's direction; each term picks up a sign per
-    chord endpoint on that strand."""
-    if not 1 <= strand <= series.strands:
-        raise ValueError(f"strand {strand} out of range 1..{series.strands}")
-    s = strand - 1
-    directions = tuple(-d if i == s else d for i, d in enumerate(series.directions))
-    terms = {key: coeff * (-1) ** len(key[s]) for key, coeff in series.terms.items()}
-    return TangleDiagramSum(directions, series.cutoff, terms)
-
-
-def permute_strands(series: TangleDiagramSum, perm: Sequence[int]) -> TangleDiagramSum:
-    """Move strand i to position perm[i-1] (1-based bijection)."""
-    n = series.strands
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a permutation of 1..{n}")
-    directions = [0] * n
-    for old, new in enumerate(perm):
-        directions[new - 1] = series.directions[old]
-    terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for key, coeff in series.terms.items():
-        seqs: list[tuple[int, ...]] = [()] * n
-        for old, new in enumerate(perm):
-            seqs[new - 1] = key[old]
-        new_key = _normalize_strand_key(seqs)
-        terms[new_key] = terms.get(new_key, Fraction(0)) + coeff
-    return TangleDiagramSum(tuple(directions), series.cutoff, terms)
-
-
-# -- 4T reduction on parallel strands ----------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +63,7 @@ def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             seqs: list[list[int]] = [[] for _ in range(n)]
             for slot, strand in enumerate(slot_strand):
                 seqs[strand].append(label[slot])
-            found.add(_normalize_strand_key(seqs))
+            found.add(_relabel(seqs))
     return tuple(sorted(found))
 
 
@@ -252,7 +96,7 @@ def _strand_reducer(n: int, k: int):
                                          (c2, q2 + 1, -1), (c2, q2, 1)):
                         placed = [list(w) for w in words]
                         placed[mc].insert(mg, _FRESH)
-                        i = index[_normalize_strand_key(placed)]
+                        i = index[_relabel(placed)]
                         new = vec.get(i, Fraction(0)) + sign
                         if new:
                             vec[i] = new
@@ -290,86 +134,55 @@ def reduce_strands_mod_4t(terms: Mapping[tuple[tuple[int, ...], ...], Fraction],
 
 ASSOCIATOR_WEIGHT = Fraction(1, 24)
 
+# Both ways around the pentagon, from (((1,2),3),4) to (1,(2,(3,4))).
+_PENTAGON = ((((0, 1), 2), 3), "assoc+@3;assoc+@2",
+             "assoc+@2;assoc+@2;assoc+@3")
 
-def _phi(directions: Sequence[int], a_pairs: Sequence[tuple[int, int]],
-         b_pairs: Sequence[tuple[int, int]], sign: int,
-         cutoff: int) -> TangleDiagramSum:
-    """1 + sign/24 * (AB - BA) for chord sums A and B; exact through degree 3."""
-    a = chord_sum(directions, a_pairs, cutoff)
-    b = chord_sum(directions, b_pairs, cutoff)
-    out = dict(strand_identity(directions, cutoff).terms)
-    for series, factor in ((stack(a, b), 1), (stack(b, a), -1)):
-        for key, coeff in series.terms.items():
-            new = out.get(key, Fraction(0)) + sign * factor * ASSOCIATOR_WEIGHT * coeff
+
+def _hexagon_words(eps: int) -> tuple[tuple, str, str]:
+    x = "x+" if eps > 0 else "x-"
+    return (((0, 1), 2),
+            f"{x}@1;assoc+@2;{x}@2;assoc-@2;{x}@1",
+            f"assoc+@2;{x}@2;assoc-@2;{x}@1;assoc+@2;{x}@2;assoc-@2")
+
+
+def _difference(shape, lhs: str, rhs: str, cutoff: int,
+                sign: int | None) -> dict[tuple[tuple[int, ...], ...], Fraction]:
+    """Open strand series of lhs minus rhs, both evaluated upwards from
+    the bracketing shape with every strand directed down."""
+    initial = (shape, (START,) * len(tree_leaves(shape)))
+    diff: dict = {}
+    for word, factor in ((lhs, 1), (rhs, -1)):
+        value = evaluate_fragment(parse_word(word), cutoff, initial,
+                                  assoc_sign=sign)
+        for (open_seqs, _), coeff in value.terms.items():
+            new = diff.get(open_seqs, Fraction(0)) + factor * coeff
             if new:
-                out[key] = new
+                diff[open_seqs] = new
             else:
-                del out[key]
-    return TangleDiagramSum(tuple(directions), cutoff, out)
+                del diff[open_seqs]
+    return diff
 
 
 def pentagon_identity(cutoff: int = 2, sign: int | None = None) -> bool:
-    """Both ways around the pentagon agree on four parallel down strands."""
-    if sign is None:
-        sign = associator_sign()
-    down = (DOWN,) * 4
-    lhs = stack(_phi(down, [(1, 2)], [(2, 3), (2, 4)], sign, cutoff),
-                _phi(down, [(1, 3), (2, 3)], [(3, 4)], sign, cutoff))
-    rhs = stack(stack(_phi(down, [(2, 3)], [(3, 4)], sign, cutoff),
-                      _phi(down, [(1, 2), (1, 3)], [(2, 4), (3, 4)], sign, cutoff)),
-                _phi(down, [(1, 2)], [(2, 3)], sign, cutoff))
-    diff: dict = dict(lhs.terms)
-    for key, coeff in rhs.terms.items():
-        new = diff.get(key, Fraction(0)) - coeff
-        if new:
-            diff[key] = new
-        else:
-            del diff[key]
-    return not diff
-
-
-def _hexagon_sides(eps: int, sign: int, cutoff: int,
-                   ) -> tuple[TangleDiagramSum, TangleDiagramSum]:
-    """Both composites of the hexagon on three down strands.
-
-    Left run: associate, cross the first strand over the joined pair
-    (a cabled crossing), associate again.  Right run: cross over the
-    middle strand, associate, cross over the last.  Both runs end with
-    the same strand arrangement.
-    """
-    down = (DOWN,) * 3
-    half = Fraction(eps, 2)
-
-    lhs = strand_identity(down, cutoff)
-    lhs = stack(lhs, _phi(down, [(1, 2)], [(2, 3)], sign, cutoff))
-    two = exp_chords((DOWN, DOWN), [(1, 2, half)], cutoff)
-    lhs = stack(lhs, cable(two, 2, 2))
-    lhs = permute_strands(lhs, (3, 1, 2))
-    lhs = stack(lhs, _phi(down, [(1, 2)], [(2, 3)], sign, cutoff))
-
-    rhs = strand_identity(down, cutoff)
-    rhs = stack(rhs, exp_chords(down, [(1, 2, half)], cutoff))
-    rhs = permute_strands(rhs, (2, 1, 3))
-    rhs = stack(rhs, _phi(down, [(1, 2)], [(2, 3)], sign, cutoff))
-    rhs = stack(rhs, exp_chords(down, [(2, 3, half)], cutoff))
-    rhs = permute_strands(rhs, (1, 3, 2))
-    return lhs, rhs
+    """Both ways around the pentagon agree exactly on four down strands."""
+    return not _difference(*_PENTAGON, cutoff, sign)
 
 
 def hexagon_identity(eps: int = 1, sign: int | None = None,
                      cutoff: int = 2) -> bool:
-    """Hexagon check modulo strand-level 4T, for either crossing sign."""
-    if sign is None:
-        sign = associator_sign()
-    lhs, rhs = _hexagon_sides(eps, sign, cutoff)
-    diff: dict = dict(lhs.terms)
-    for key, coeff in rhs.terms.items():
-        new = diff.get(key, Fraction(0)) - coeff
-        if new:
-            diff[key] = new
-        else:
-            del diff[key]
-    return not reduce_strands_mod_4t(diff)
+    """The bracketed braid relation on three down strands, modulo 4T.
+
+    Compares x@1;assoc+@2;x@2;assoc-@2;x@1 with
+    assoc+@2;x@2;assoc-@2;x@1;assoc+@2;x@2;assoc-@2 from ((1,2),3), with
+    x the crossing of sign eps.  Both sides spell out s1 s2 s1 = s2 s1 s2
+    with every rebracketing explicit; the relation follows from the two
+    hexagons, so an associator sign that breaks it breaks a hexagon.  The
+    sides agree only modulo 4T among chords on open strands, hence the
+    reduction.
+    """
+    return not reduce_strands_mod_4t(
+        _difference(*_hexagon_words(eps), cutoff, sign))
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +195,7 @@ def associator_sign() -> int:
     return passing[0]
 
 
-# -- Generator values --------------------------------------------------------
+# -- Word evaluation ---------------------------------------------------------
 
 
 def max_truncation(slices: Sequence[Slice]) -> int:
@@ -398,42 +211,6 @@ def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
         raise TruncationUnsupportedError(
             f"truncation degree {cutoff} exceeds the supported maximum {limit} "
             "for this word")
-
-
-def generator_value(s: Slice, directions: Sequence[int], cutoff: int):
-    """The local series of one elementary slice.
-
-    Crossings and associations return a TangleDiagramSum on their operand
-    strands (two for x, three single-leaf blocks for assoc); cups and caps
-    return the interval word series carried by their arc.  Up operands are
-    produced from the all-down value by strand reversal.
-    """
-    if s.kind == "i":
-        return strand_identity(directions, cutoff)
-    if s.kind == "x":
-        if len(directions) != 2:
-            raise ValueError("a crossing acts on two strands")
-        g = s.sign * directions[0] * directions[1]
-        return exp_chords(directions, [(1, 2, Fraction(g, 2))], cutoff)
-    if s.kind == "assoc":
-        if len(directions) != 3:
-            raise ValueError("an association acts on three blocks")
-        _check_cutoff([s], cutoff)
-        value = _phi((DOWN,) * 3, [(1, 2)], [(2, 3)],
-                     s.sign * associator_sign(), cutoff)
-        for i, d in enumerate(directions, start=1):
-            if d == UP:
-                value = reverse_strand(value, i)
-        return value
-    if s.kind in ("cup", "cap"):
-        series = sqrt_unknot_series(cutoff)
-        if s.primed:
-            series = {tuple(reversed(word)): coeff for word, coeff in series.items()}
-        return dict(series)
-    raise ValueError(f"unknown generator kind {s.kind!r}")
-
-
-# -- Word evaluation ---------------------------------------------------------
 
 
 Key = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
@@ -492,9 +269,19 @@ class FragmentValue:
 
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                       initial: tuple | None = None,
-                      slice_offset: int = 0) -> FragmentValue:
-    """Evaluate consecutive slices from a boundary (empty by default)."""
+                      slice_offset: int = 0, *,
+                      assoc_sign: int | None = None,
+                      bare_block: tuple[int, int] | None = None,
+                      ) -> FragmentValue:
+    """Evaluate consecutive slices from a boundary (empty by default).
+
+    assoc_sign replaces the frozen associator sign (the coherence checks
+    try both).  bare_block = (index, k) replaces the crossing at 0-based
+    word index `index` (slice_offset counts here) by a bare k-chord block
+    with coefficient 1.
+    """
     _check_cutoff(slices, cutoff)
+    block_at, block_k = bare_block if bare_block is not None else (None, None)
     state = BoundaryState() if initial is None else BoundaryState.from_spec(initial)
     spec_in = state.spec()
     open_order: list[Birth] = list(state.open_components())
@@ -564,7 +351,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             (cl, role_l), (cr, role_r) = event.left, event.right
             il, ir = open_order.index(cl), open_order.index(cr)
             g = event.geometric_sign
-            override = _CROSSING_OVERRIDE.get(slice_offset + local)
+            override = block_k if slice_offset + local == block_at else None
             new_terms = {}
             for (open_seqs, closed_seqs), coeff in terms.items():
                 ks = range(cutoff + 1) if override is None else (override,)
@@ -578,7 +365,8 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                     reroot(new_terms, seqs, closed_seqs, coeff * factor)
             terms = new_terms
         elif isinstance(event, AssocEvent):
-            sigma = event.sign * associator_sign()
+            sigma = event.sign * (associator_sign() if assoc_sign is None
+                                  else assoc_sign)
             x_block, y_block, z_block = event.blocks
             lifts: list[tuple[Fraction, dict[int, list[int]]]] = []
             for first, second, monomial_sign in (
@@ -625,9 +413,6 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         closed_order=tuple(closed_order),
         terms=terms,
     )
-
-
-_CROSSING_OVERRIDE: dict[int, int] = {}
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
@@ -876,11 +661,8 @@ def _crossing_term_cached(slices: tuple[Slice, ...], crossing: int, k: int,
     validate_word(slices)
     if slices[crossing - 1].kind != "x":
         raise WordValidationError(f"slice {crossing} is not a crossing")
-    _CROSSING_OVERRIDE[crossing - 1] = k
-    try:
-        return finalize(evaluate_fragment(slices, cutoff))
-    finally:
-        del _CROSSING_OVERRIDE[crossing - 1]
+    return finalize(evaluate_fragment(slices, cutoff,
+                                      bare_block=(crossing - 1, k)))
 
 
 def crossing_term(slices: Sequence[Slice], crossing: int, k: int,

@@ -21,9 +21,10 @@ from .diagrams import (
     four_t_relators, reduce_mod_4t, _matchings,
 )
 from .invariants import (
-    check_recursion, class_sum, degree_sum_identity, flip_crossing,
-    kinked_unknot_series, linking_monomial, smoothing_shift_reports,
-    unknot_degree_value, variation_match, verify_theorem,
+    check_recursion, class_sum, crossing_circles, degree_sum_identity,
+    flip_crossing, kinked_unknot_series, linking_monomial,
+    smoothing_shift_reports, unknot_degree_value, variation_match,
+    verify_theorem,
 )
 from .qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from .qtangle.engine import (
@@ -215,7 +216,7 @@ def _section_variation() -> tuple[bool, int, str]:
         matrices = [S for k in range(SWEEP_DEGREE + 1)
                     for S in all_type_matrices(m, k)]
         for crossing, positive in _positive_crossings(word):
-            a, b = _crossing_pair(positive, crossing)
+            a, b = crossing_circles(positive, crossing)
             if a == b:
                 plus = linking_matrix(positive)
                 minus = linking_matrix(flip_crossing(positive, crossing))
@@ -239,12 +240,6 @@ def _section_variation() -> tuple[bool, int, str]:
                         return False, checks, f"crossing {crossing}: {extra.render()}"
     return True, checks, (f"variations agree on every crossing change "
                           f"({framing_cases} self-crossing framing drops)")
-
-
-def _crossing_pair(word: Sequence[Slice], crossing: int) -> tuple[int, int]:
-    from .invariants import crossing_circles
-
-    return crossing_circles(word, crossing)
 
 
 def _section_pentagon() -> tuple[bool, int, str]:

@@ -30,7 +30,6 @@ from kzlab.algebra import (
     interval_closure,
     interval_product,
     interval_sqrt,
-    normalize_word,
     resolve_wheel_attachment,
     reverse_word,
     series_exp,
@@ -40,7 +39,7 @@ from kzlab.algebra import (
     wheel_attachment_sum,
     wheel_coefficients,
 )
-from kzlab.diagrams import ChordDiagram
+from kzlab.diagrams import ChordDiagram, _relabel
 from kzlab.errors import TruncationUnsupportedError
 
 
@@ -49,8 +48,9 @@ from kzlab.errors import TruncationUnsupportedError
 
 class TestWords:
     def test_normalize_first_occurrence(self):
-        assert normalize_word((7, 3, 7, 3)) == (1, 2, 1, 2)
-        assert normalize_word(()) == ()
+        assert _relabel([(7, 3, 7, 3)]) == ((1, 2, 1, 2),)
+        assert _relabel([(7, 3), (), (3, 7)]) == ((1, 2), (), (2, 1))
+        assert _relabel([()]) == ((),)
 
     def test_concat_shifts_right_side(self):
         assert concat_words((1, 1), (1, 2, 1, 2)) == (1, 1, 2, 3, 2, 3)

@@ -1,15 +1,17 @@
 """
-Unit tests for strand series, the associator, and word integration.
+Unit tests for fragment values, the associator, and word integration.
 
 Core claims:
     - Crossing values expand as exp of half the geometric sign times a
       chord: coefficients 1, 1/2, 1/8, 1/48 for a positive crossing
-    - Reversing a strand negates odd-endpoint terms; twice is identity
-    - Cabling by one copy is identity; cabling one endpoint doubles terms
+    - Reversing a strand reads its chords backwards and negates
+      odd-endpoint terms
+    - Grafting stacks chords in slice order and needs matching directions
     - The rebracketing value on three down strands is the frozen
-      degree-2 commutator with weight 1/24
-    - The pentagon holds at degree 2; the hexagon holds for both
-      crossing signs and pins a unique associator sign
+      degree-2 commutator with weight 1/24, cabled over block leaves
+    - The pentagon holds exactly and the bracketed braid relation holds
+      modulo 4T at degrees 2 and 3; the latter pins a unique associator
+      sign, the former holds for both
     - Strand monomials count 3 at (2 strands, 1 chord) and linear words
       at one strand
     - Integrating the bare unknot word reproduces the closed unknot
@@ -17,10 +19,12 @@ Core claims:
     - Fragment grafting agrees with direct integration at every split
       of every corpus word
     - Bare-block substitution keeps the skeleton and suppresses only the
-      designated crossing's chords
+      designated crossing's chords, also while another thread integrates
     - Truncation limits: 3 with rebracketings, 4 without
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -30,28 +34,22 @@ from kzlab.diagrams import ChordDiagram
 from kzlab.errors import TruncationUnsupportedError, WordValidationError
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
 from kzlab.qtangle.engine import (
-    DOWN,
-    UP,
+    _PENTAGON,
+    _hexagon_words,
     associator_sign,
-    cable,
-    chord_sum,
     crossing_info,
     crossing_term,
     evaluate_fragment,
     finalize,
-    generator_value,
     graft,
     hexagon_identity,
     integrate,
     max_truncation,
     pentagon_identity,
-    reverse_strand,
-    stack,
-    strand_identity,
     strand_monomials,
     reduce_strands_mod_4t,
 )
-from kzlab.qtangle.words import Slice, parse_word
+from kzlab.qtangle.words import END, START, Slice, parse_word, tree_leaves
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -59,7 +57,11 @@ from kzlab.qtangle.words import Slice, parse_word
 
 def _ladder(k: int):
     rungs = tuple(range(1, k + 1))
-    return (rungs, rungs)
+    return ((rungs, rungs), ())
+
+
+def _value(word: str, shape, roles, cutoff: int = 3):
+    return evaluate_fragment(parse_word(word), cutoff, initial=(shape, roles))
 
 
 # == 1. Strand series ========================================================
@@ -67,47 +69,35 @@ def _ladder(k: int):
 
 class TestStrandSeries:
     def test_positive_crossing_coefficients(self):
-        series = generator_value(Slice("x", 1, sign=1), (UP, UP), 3)
+        terms = _value("x+@1", (0, 1), (END, END)).terms
         expected = [Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)]
-        for k, value in enumerate(expected):
-            assert series.coefficient(_ladder(k)) == value
+        assert terms == {_ladder(k): value for k, value in enumerate(expected)}
 
     def test_negative_crossing_alternates(self):
-        series = generator_value(Slice("x", 1, sign=-1), (UP, UP), 3)
-        assert series.coefficient(_ladder(1)) == Fraction(-1, 2)
-        assert series.coefficient(_ladder(2)) == Fraction(1, 8)
+        terms = _value("x-@1", (0, 1), (END, END)).terms
+        assert [terms[_ladder(k)] for k in range(4)] == [
+            1, Fraction(-1, 2), Fraction(1, 8), Fraction(-1, 48)]
 
     def test_direction_variant_is_strand_reversal(self):
-        upup = generator_value(Slice("x", 1, sign=1), (UP, UP), 3)
-        updown = generator_value(Slice("x", 1, sign=1), (UP, DOWN), 3)
-        assert reverse_strand(upup, 2).terms == updown.terms
+        upup = _value("x+@1", (0, 1), (END, END)).terms
+        updown = _value("x+@1", (0, 1), (END, START)).terms
+        assert updown == {((a, b[::-1]), closed): c * (-1) ** len(b)
+                          for ((a, b), closed), c in upup.items()}
 
-    def test_reverse_twice_is_identity(self):
-        series = generator_value(Slice("x", 1, sign=1), (UP, UP), 3)
-        again = reverse_strand(reverse_strand(series, 1), 1)
-        assert again.terms == series.terms and again.directions == series.directions
+    def test_graft_orders_chords(self):
+        word = parse_word("x+@1")
+        lower = evaluate_fragment(word, 2, initial=((0, 1), (END, END)))
+        upper = evaluate_fragment(word, 2, initial=lower.spec_out,
+                                  slice_offset=1)
+        twist = graft(lower, upper).terms
+        assert twist[(((1, 2), (1, 2)), ())] == Fraction(1, 2)
+        assert (((1, 2), (2, 1)), ()) not in twist
 
-    def test_cable_one_copy_is_identity(self):
-        series = chord_sum((DOWN, DOWN), [(1, 2)], 2)
-        assert cable(series, 2, 1).terms == series.terms
-
-    def test_cable_splits_an_endpoint(self):
-        series = chord_sum((DOWN, DOWN), [(1, 2)], 2)
-        doubled = cable(series, 2, 2)
-        assert doubled.terms == {
-            ((1,), (1,), ()): Fraction(1),
-            ((1,), (), (1,)): Fraction(1),
-        }
-
-    def test_stack_orders_chords(self):
-        a = chord_sum((DOWN, DOWN), [(1, 2)], 2)
-        ab = stack(a, a)
-        assert ab.coefficient(((1, 2), (1, 2))) == 1
-        assert ab.coefficient(((1, 2), (2, 1))) == 0
-
-    def test_stack_requires_same_directions(self):
-        with pytest.raises(ValueError):
-            stack(strand_identity((UP,), 2), strand_identity((DOWN,), 2))
+    def test_graft_requires_same_directions(self):
+        lower = evaluate_fragment([], 2, initial=((0, 1), (END, END)))
+        upper = evaluate_fragment([], 2, initial=((0, 1), (END, START)))
+        with pytest.raises(WordValidationError):
+            graft(lower, upper)
 
 
 # == 2. The associator =======================================================
@@ -116,24 +106,46 @@ class TestStrandSeries:
 class TestAssociator:
     def test_value_on_three_down_strands(self):
         sign = associator_sign()
-        series = generator_value(Slice("assoc", 1, sign=1), (DOWN,) * 3, 2)
-        assert series.coefficient(((), (), ())) == 1
-        assert series.coefficient(((1,), (1, 2), (2,))) == Fraction(sign, 24)
-        assert series.coefficient(((2,), (1, 2), (1,))) == Fraction(-sign, 24)
-        inverse = generator_value(Slice("assoc", 1, sign=-1), (DOWN,) * 3, 2)
-        assert inverse.coefficient(((1,), (1, 2), (2,))) == Fraction(-sign, 24)
+        ab, ba = (((1,), (2, 1), (2,)), ()), (((1,), (1, 2), (2,)), ())
+        down = (START,) * 3
+        assert _value("assoc+@2", ((0, 1), 2), down, 2).terms == {
+            (((), (), ()), ()): 1, ab: Fraction(sign, 24),
+            ba: Fraction(-sign, 24)}
+        inverse = _value("assoc-@2", (0, (1, 2)), down, 2).terms
+        assert inverse[ab] == Fraction(-sign, 24)
+
+    def test_assoc_cables_over_block_leaves(self):
+        sign = associator_sign()
+        terms = _value("assoc+@3", (((0, 1), 2), 3), (START,) * 4, 2).terms
+        assert terms == {
+            (((), (), (), ()), ()): 1,
+            (((1,), (), (2, 1), (2,)), ()): Fraction(sign, 24),
+            (((), (1,), (2, 1), (2,)), ()): Fraction(sign, 24),
+            (((1,), (), (1, 2), (2,)), ()): Fraction(-sign, 24),
+            (((), (1,), (1, 2), (2,)), ()): Fraction(-sign, 24),
+        }
+
+    def test_coherence_words_end_on_one_boundary(self):
+        for shape, lhs, rhs in (_PENTAGON, _hexagon_words(1), _hexagon_words(-1)):
+            roles = (START,) * len(tree_leaves(shape))
+            assert _value(lhs, shape, roles, 1).leaves == \
+                _value(rhs, shape, roles, 1).leaves
 
     def test_pentagon(self):
-        assert pentagon_identity(2)
+        for cutoff in (2, 3):
+            for sign in (1, -1):
+                assert pentagon_identity(cutoff, sign=sign), (cutoff, sign)
 
     def test_hexagon_both_crossing_signs(self):
-        assert hexagon_identity(1)
-        assert hexagon_identity(-1)
+        for cutoff in (2, 3):
+            assert hexagon_identity(1, cutoff=cutoff)
+            assert hexagon_identity(-1, cutoff=cutoff)
 
     def test_sign_is_pinned_uniquely(self):
         sign = associator_sign()
         assert sign in (1, -1)
         assert not hexagon_identity(1, sign=-sign)
+        assert not hexagon_identity(-1, sign=-sign)
 
     def test_strand_monomial_counts(self):
         assert len(strand_monomials(2, 1)) == 3
@@ -161,13 +173,11 @@ class TestIntegration:
                 unknot_series_closed(cutoff)
 
     def test_cup_variants_share_the_arc_series(self):
-        from kzlab.algebra import normalize_word
-
-        plain = generator_value(Slice("cup", 1), (), 3)
-        primed = generator_value(Slice("cup", 1, primed=True), (), 3)
-        folded = {normalize_word(w): c for w, c in primed.items()}
-        assert folded == {normalize_word(w): c for w, c in plain.items()}
-        assert plain == sqrt_unknot_series(3)
+        plain = evaluate_fragment(parse_word("cup@1"), 3).terms
+        primed = evaluate_fragment(parse_word("cup'@1"), 3).terms
+        assert primed == plain
+        arcs = {open_seqs[0]: c for (open_seqs, _), c in plain.items()}
+        assert arcs == sqrt_unknot_series(3)
 
     def test_kinked_unknot_values(self):
         word = load_corpus_word("u1")
@@ -241,3 +251,32 @@ class TestCrossingBlocks:
         word = load_corpus_word("hopf+")
         two = crossing_term(word, 4, 2, 3)
         assert all(d.degree >= 2 for d in two.coefficients)
+
+    def test_block_does_not_leak_into_concurrent_integration(self):
+        # Identity padding changes each cache key but not the value, so
+        # every call below really evaluates.
+        word = load_corpus_word("trefoil")
+        expected = integrate(word, 3).coefficients
+        pad = (Slice("i", 1),)
+        stop = threading.Event()
+
+        def blocks():
+            j = 0
+            while not stop.is_set():
+                j += 1
+                crossing_term(word + pad * j, 4, 0, 3)
+
+        worker = threading.Thread(target=blocks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        worker.start()
+        try:
+            results = [integrate(word + pad * j, 3).coefficients
+                       for j in range(1, 41)]
+        finally:
+            stop.set()
+            worker.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        wrong = sum(r != expected for r in results)
+        assert wrong == 0, f"{wrong} of {len(results)} integrations disturbed"

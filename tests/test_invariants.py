@@ -33,14 +33,13 @@ from kzlab.invariants import (
     kinked_unknot_series,
     linking_monomial,
     matrix_degree,
-    recursion_term,
     smoothing_shift_reports,
     unknot_degree_value,
     variation_match,
     verify_theorem,
 )
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
-from kzlab.qtangle.engine import integrate
+from kzlab.qtangle.engine import crossing_term, integrate
 from kzlab.qtangle.words import linking_matrix
 
 
@@ -164,7 +163,7 @@ class TestSurgery:
 
     def test_block_above_the_cell_vanishes(self):
         word = load_corpus_word("hopf+")
-        blocked = recursion_term(word, 4, 3, 3)
+        blocked = crossing_term(word, 4, 3, 3)
         assert class_sum(blocked, ((0, 2), (2, 0))) == 0
 
     def test_hopf_recursion_reports(self):
