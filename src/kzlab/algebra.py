@@ -20,6 +20,9 @@ sum_n  b_2n * (wheel with 2n spokes),
 where b_2n is the x^2n coefficient of (1/2) log(sinh(x/2) / (x/2)).
 Its interval form has a unique square root with unit constant term, which
 is what a single cap or cup contributes inside the tangle engine.
+
+The cached tables are handed out as read-only mappings, so no caller can
+change what a later call returns.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .diagrams import ChordDiagram, _relabel, connected_sum
+from .diagrams import ChordDiagram, _relabel, add_term, connected_sum
 from .errors import TruncationUnsupportedError
 
 Word = tuple[int, ...]
@@ -70,13 +74,8 @@ def series_product(a: Mapping, b: Mapping, product: Callable,
             if not cb:
                 continue
             key = product(ka, kb)
-            if degree(key) > cutoff:
-                continue
-            new = out.get(key, Fraction(0)) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+            if degree(key) <= cutoff:
+                add_term(out, key, ca * cb)
     return out
 
 
@@ -96,11 +95,7 @@ def series_exp(x: Mapping, product: Callable, unit, degree: Callable,
             break
         factorial *= j
         for key, coeff in power.items():
-            new = out.get(key, Fraction(0)) + coeff / factorial
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+            add_term(out, key, coeff / factorial)
     return out
 
 
@@ -128,11 +123,7 @@ def interval_sqrt(series: Mapping[Word, Fraction], cutoff: int) -> dict[Word, Fr
         for i in range(1, d):
             mixed = interval_product(root[i], root[d - i], cutoff)
             for word, coeff in mixed.items():
-                new = piece.get(word, Fraction(0)) - coeff
-                if new:
-                    piece[word] = new
-                else:
-                    piece.pop(word, None)
+                add_term(piece, word, -coeff)
         root[d] = {word: coeff / 2 for word, coeff in piece.items()}
     out: dict[Word, Fraction] = {}
     for piece in root.values():
@@ -144,12 +135,7 @@ def interval_closure(series: Mapping[Word, Fraction]) -> dict[ChordDiagram, Frac
     """Close every word of an interval series into a circle."""
     out: dict[ChordDiagram, Fraction] = {}
     for word, coeff in series.items():
-        diagram = close_word(word)
-        new = out.get(diagram, Fraction(0)) + coeff
-        if new:
-            out[diagram] = new
-        else:
-            del out[diagram]
+        add_term(out, close_word(word), coeff)
     return out
 
 
@@ -164,7 +150,7 @@ def closed_connected_product(a: Mapping[ChordDiagram, Fraction],
 
 
 @lru_cache(maxsize=None)
-def wheel_coefficients(max_order: int) -> dict[int, Fraction]:
+def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
     """Coefficients b_2n of x^2n in (1/2) log(sinh(x/2) / (x/2)), 2n <= max_order.
 
     The series under the log is sum_n (x/2)^2n / (2n+1)!, expanded exactly
@@ -190,7 +176,8 @@ def wheel_coefficients(max_order: int) -> dict[int, Fraction]:
         sign = Fraction((-1) ** (j + 1), j)
         for i, c in enumerate(power):
             log[i] += sign * c
-    return {2 * n: log[2 * n] / 2 for n in range(1, max_order // 2 + 1)}
+    return MappingProxyType(
+        {2 * n: log[2 * n] / 2 for n in range(1, max_order // 2 + 1)})
 
 
 def _wheel_edges(sizes: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int]:
@@ -245,12 +232,7 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
                 for endpoint in endpoints:
                     label_of[endpoint] = edge
             word = [label_of[token] for token in sites]
-            diagram = ChordDiagram([word])
-            new = out.get(diagram, Fraction(0)) + sign
-            if new:
-                out[diagram] = new
-            else:
-                del out[diagram]
+            add_term(out, ChordDiagram([word]), sign)
             continue
         vertex = order[step]
         p = sites.index(("leg", vertex))
@@ -267,24 +249,20 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
 
 
 @lru_cache(maxsize=None)
-def wheel_attachment_sum(sizes: tuple[int, ...]) -> dict[ChordDiagram, Fraction]:
+def wheel_attachment_sum(sizes: tuple[int, ...]) -> Mapping[ChordDiagram, Fraction]:
     """Sum of resolved attachments over all cyclic orders of the legs.
 
     The first vertex is pinned to break rotational symmetry of the circle;
     the remaining legs range over all linear orders.
     """
     if not sizes:
-        return {ChordDiagram([()]): Fraction(1)}
+        return MappingProxyType({ChordDiagram([()]): Fraction(1)})
     _, count = _wheel_edges(sizes)
     out: dict[ChordDiagram, Fraction] = {}
     for rest in itertools.permutations(range(1, count)):
         for diagram, coeff in resolve_wheel_attachment(sizes, (0,) + rest).items():
-            new = out.get(diagram, Fraction(0)) + coeff
-            if new:
-                out[diagram] = new
-            else:
-                del out[diagram]
-    return out
+            add_term(out, diagram, coeff)
+    return MappingProxyType(out)
 
 
 def _wheel_multisets(cutoff: int) -> Iterator[tuple[int, ...]]:
@@ -315,7 +293,7 @@ def _check_truncation(cutoff: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def unknot_series_closed(cutoff: int) -> dict[ChordDiagram, Fraction]:
+def unknot_series_closed(cutoff: int) -> Mapping[ChordDiagram, Fraction]:
     """Invariant series of the zero-framed unknot, through the given degree.
 
     Expands exp(sum_n b_2n * wheel_2n) as weighted wheel multisets, then
@@ -332,29 +310,20 @@ def unknot_series_closed(cutoff: int) -> dict[ChordDiagram, Fraction]:
             for i in range(1, mult + 1):
                 coeff /= i
         for diagram, inner in wheel_attachment_sum(sizes).items():
-            new = out.get(diagram, Fraction(0)) + coeff * inner
-            if new:
-                out[diagram] = new
-            else:
-                del out[diagram]
-    return out
+            add_term(out, diagram, coeff * inner)
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
-def unknot_series_interval(cutoff: int) -> dict[Word, Fraction]:
+def unknot_series_interval(cutoff: int) -> Mapping[Word, Fraction]:
     """The unknot series cut open at the basepoint of each canonical code."""
     out: dict[Word, Fraction] = {}
     for diagram, coeff in unknot_series_closed(cutoff).items():
-        word = diagram.code[0]
-        new = out.get(word, Fraction(0)) + coeff
-        if new:
-            out[word] = new
-        else:
-            del out[word]
-    return out
+        add_term(out, diagram.code[0], coeff)
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
-def sqrt_unknot_series(cutoff: int) -> dict[Word, Fraction]:
+def sqrt_unknot_series(cutoff: int) -> Mapping[Word, Fraction]:
     """Interval square root of the unknot series; the per-cap contribution."""
-    return interval_sqrt(unknot_series_interval(cutoff), cutoff)
+    return MappingProxyType(interval_sqrt(unknot_series_interval(cutoff), cutoff))

@@ -22,11 +22,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 Code = tuple[tuple[int, ...], ...]
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def add_term(out: dict, key: object, coeff: Fraction | int) -> None:
+    """Add coeff to out[key] as a Fraction, dropping the key at zero."""
+    new = out.get(key, Fraction(0)) + coeff
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 def _relabel(words: Sequence[Sequence[object]]) -> Code:
@@ -260,10 +269,7 @@ def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
 class FourTRelator:
     """One 4T relator: four signed diagrams summing to zero in the quotient.
 
-    Construction data: a degree k-1 diagram, an anchor chord in it, and a
-    fixed attachment gap for one end of a new chord.  The four terms place
-    the new chord's other end just before / just after each anchor
-    endpoint, with signs +1, -1, -1, +1 in that traversal order.  The two
+    The terms are the four placements of one four_t_moves move.  The two
     placements at a common anchor endpoint share a type matrix, so any
     functional depending only on type matrices kills the relator.
     """
@@ -284,48 +290,64 @@ class FourTRelator:
         return f"FourTRelator({list(self.terms)!r})"
 
 
-def _insert(words: list[tuple[object, ...]], circle: int, gap: int,
+def _insert(words: Sequence[tuple[object, ...]], at: int, gap: int,
             label: object) -> list[tuple[object, ...]]:
     out = list(words)
-    w = out[circle]
-    out[circle] = w[:gap] + (label,) + w[gap:]
+    out[at] = out[at][:gap] + (label,) + out[at][gap:]
     return out
+
+
+def four_t_moves(base: Sequence[Sequence[object]],
+                 gaps: Callable[[int], int],
+                 ) -> Iterator[tuple[tuple[list[tuple[object, ...]], int], ...]]:
+    """The 4T local move on a degree k-1 base, circles or strands alike.
+
+    For each anchor chord of the base and each fixed gap for one end of
+    a new chord (gaps(len(word)) of them per word), yields the four
+    placements of the new chord's other end: just before / just after
+    each anchor endpoint, with signs +1, -1, -1, +1 in that traversal
+    order.  Each placement is the list of words with the new chord's two
+    ends inserted, labeled "new".
+    """
+    ends: dict[object, list[tuple[int, int]]] = {}
+    for c, word in enumerate(base):
+        for p, label in enumerate(word):
+            ends.setdefault(label, []).append((c, p))
+    for (c1, p1), (c2, p2) in ends.values():
+        for fc, word in enumerate(base):
+            for fg in range(gaps(len(word))):
+                words = _insert(base, fc, fg, "new")
+                # Anchor endpoints shift when the fixed end lands before them.
+                q1 = p1 + 1 if (c1 == fc and p1 >= fg) else p1
+                q2 = p2 + 1 if (c2 == fc and p2 >= fg) else p2
+                yield tuple((_insert(words, mc, mg, "new"), sign)
+                            for mc, mg, sign in ((c1, q1, 1), (c1, q1 + 1, -1),
+                                                 (c2, q2 + 1, -1), (c2, q2, 1)))
 
 
 @lru_cache(maxsize=None)
 def four_t_relators(m: int, k: int) -> tuple[FourTRelator, ...]:
-    """All distinct 4T relators among degree-k diagrams on m circles."""
+    """All distinct 4T relators among degree-k diagrams on m circles.
+
+    Circle words are cyclic: a word of length l has l gaps, a bare
+    circle one.
+    """
     if k < 2:
         return ()
     seen: set[tuple] = set()
     out: list[FourTRelator] = []
     for base in enumerate_by_degree(m, k - 1):
-        anchors: dict[int, list[tuple[int, int]]] = {}
-        for c, word in enumerate(base.code):
-            for p, label in enumerate(word):
-                anchors.setdefault(label, []).append((c, p))
-        for ends in anchors.values():
-            (c1, p1), (c2, p2) = ends
-            for fc in range(m):
-                for fg in range(max(1, len(base.code[fc]))):
-                    words = _insert(list(base.code), fc, fg, "new")
-                    # Anchor endpoints shift when the fixed end lands before them.
-                    q1 = p1 + 1 if (c1 == fc and p1 >= fg) else p1
-                    q2 = p2 + 1 if (c2 == fc and p2 >= fg) else p2
-                    placements = [(c1, q1, 1), (c1, q1 + 1, -1),
-                                  (c2, q2 + 1, -1), (c2, q2, 1)]
-                    terms = []
-                    for mc, mg, sign in placements:
-                        terms.append((ChordDiagram(_insert(words, mc, mg, "new")), sign))
-                    relator = FourTRelator(terms)
-                    vec = relator.combined()
-                    if not vec:
-                        continue
-                    signature = tuple(sorted((d.code, c) for d, c in vec.items()))
-                    if signature in seen:
-                        continue
-                    seen.add(signature)
-                    out.append(relator)
+        for placements in four_t_moves(base.code, lambda size: max(1, size)):
+            relator = FourTRelator([(ChordDiagram(words), sign)
+                                    for words, sign in placements])
+            vec = relator.combined()
+            if not vec:
+                continue
+            signature = tuple(sorted((d.code, c) for d, c in vec.items()))
+            if signature in seen:
+                continue
+            seen.add(signature)
+            out.append(relator)
     return tuple(out)
 
 
@@ -340,12 +362,22 @@ def _eliminate(vec: dict[int, Fraction],
         if not coeff:
             continue
         for i, v in row.items():
-            new = vec.get(i, Fraction(0)) - coeff * v
-            if new:
-                vec[i] = new
-            else:
-                vec.pop(i, None)
+            add_term(vec, i, -coeff * v)
     return vec
+
+
+def _echelon(vectors: Iterable[dict[int, Fraction]],
+             ) -> tuple[tuple[int, dict[int, Fraction]], ...]:
+    """Echelon rows, each scaled to 1 at its pivot, spanning the vectors."""
+    rows: list[tuple[int, dict[int, Fraction]]] = []
+    for vec in vectors:
+        vec = _eliminate(vec, rows)
+        if vec:
+            pivot = min(vec)
+            inv = Fraction(1) / vec[pivot]
+            rows.append((pivot, {i: c * inv for i, c in vec.items()}))
+            rows.sort(key=lambda r: r[0])
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -354,17 +386,9 @@ def _reducer(m: int, k: int) -> tuple[tuple[ChordDiagram, ...], dict[ChordDiagra
     """Echelon rows spanning the 4T relator space in degree k on m circles."""
     basis = enumerate_by_degree(m, k)
     index = {d: i for i, d in enumerate(basis)}
-    rows: list[tuple[int, dict[int, Fraction]]] = []
-    for relator in four_t_relators(m, k):
-        vec = {index[d]: Fraction(c) for d, c in relator.combined().items()}
-        vec = _eliminate(vec, rows)
-        if not vec:
-            continue
-        pivot = min(vec)
-        inv = Fraction(1) / vec[pivot]
-        rows.append((pivot, {i: c * inv for i, c in vec.items()}))
-        rows.sort(key=lambda r: r[0])
-    return basis, index, tuple(rows)
+    return basis, index, _echelon(
+        {index[d]: Fraction(c) for d, c in relator.combined().items()}
+        for relator in four_t_relators(m, k))
 
 
 def quotient_dimension(m: int, k: int) -> int:

@@ -32,7 +32,7 @@ from .qtangle.corpus import load_corpus_word
 from .qtangle.engine import (
     TangleResult, crossing_info, crossing_term, integrate,
 )
-from .qtangle.words import BoundaryState, CrossEvent, Slice, linking_matrix
+from .qtangle.words import Slice, linking_matrix, trace_word
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -207,18 +207,10 @@ def flip_crossing(word: Sequence[Slice], crossing: int) -> tuple[Slice, ...]:
 
 def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:
     """Final circle labels (a <= b) of the two strands at a crossing."""
-    state = BoundaryState()
-    event = None
-    for index, s in enumerate(word):
-        got = state.apply(s, index)
-        if index == crossing - 1:
-            event = got
-    if not isinstance(event, CrossEvent):
-        raise WordValidationError(f"slice {crossing} is not a crossing")
-    labels = {birth: i for i, birth in enumerate(sorted(state.closed), start=1)}
-    a = labels[state.find(event.left[0])]
-    b = labels[state.find(event.right[0])]
-    return (a, b) if a <= b else (b, a)
+    circles = trace_word(word).crossing(crossing).circles
+    if circles is None:
+        raise WordValidationError("crossing circles need a closed word")
+    return circles
 
 
 def _with_entry(S: Matrix, a: int, b: int, value: int) -> Matrix:

@@ -26,26 +26,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ..algebra import sqrt_unknot_series
 from ..diagrams import (
-    ChordDiagram, Mod4TForm, _eliminate, _matchings, _relabel, reduce_mod_4t,
+    ChordDiagram, Mod4TForm, _echelon, _eliminate, _matchings, _relabel,
+    add_term, four_t_moves, reduce_mod_4t,
 )
 from ..errors import TruncationUnsupportedError, WordValidationError
 from .words import (
     AssocEvent, Birth, BoundaryState, CapEvent, CrossEvent, CupEvent, END,
-    START, Slice, parse_word, tree_leaves, validate_word,
+    START, Slice, parse_word, trace_word, tree_leaves, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 
 
 # -- 4T reduction on parallel strands ----------------------------------------
-
-
-def _key_degree(key: Sequence[Sequence[int]]) -> int:
-    return sum(len(seq) for seq in key) // 2
 
 
 @lru_cache(maxsize=None)
@@ -71,44 +69,22 @@ def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _strand_reducer(n: int, k: int):
     """Echelon rows for the 4T span among degree-k strand monomials.
 
-    Relators come from the same local move as on circles: an anchor chord,
-    a fixed new endpoint at any gap, and the moving endpoint placed just
-    before/after each anchor endpoint with signs +1, -1, -1, +1.  Strand
-    words are linear, so end gaps are distinct.
+    The relators are four_t_moves on strand monomials; strand words are
+    linear, so a word of length l has l + 1 gaps, both ends included.
     """
     basis = strand_monomials(n, k)
     index = {m: i for i, m in enumerate(basis)}
-    rows: list[tuple[int, dict[int, Fraction]]] = []
-    for base in strand_monomials(n, k - 1):
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for strand, seq in enumerate(base):
-            for p, token in enumerate(seq):
-                ends.setdefault(token, []).append((strand, p))
-        for (c1, p1), (c2, p2) in ends.values():
-            for fc in range(n):
-                for fg in range(len(base[fc]) + 1):
-                    words = [list(seq) for seq in base]
-                    words[fc].insert(fg, _FRESH)
-                    q1 = p1 + 1 if (c1 == fc and p1 >= fg) else p1
-                    q2 = p2 + 1 if (c2 == fc and p2 >= fg) else p2
-                    vec: dict[int, Fraction] = {}
-                    for mc, mg, sign in ((c1, q1, 1), (c1, q1 + 1, -1),
-                                         (c2, q2 + 1, -1), (c2, q2, 1)):
-                        placed = [list(w) for w in words]
-                        placed[mc].insert(mg, _FRESH)
-                        i = index[_relabel(placed)]
-                        new = vec.get(i, Fraction(0)) + sign
-                        if new:
-                            vec[i] = new
-                        else:
-                            del vec[i]
-                    vec = _eliminate(vec, rows)
-                    if vec:
-                        pivot = min(vec)
-                        inv = Fraction(1) / vec[pivot]
-                        rows.append((pivot, {i: c * inv for i, c in vec.items()}))
-                        rows.sort(key=lambda r: r[0])
-    return basis, index, tuple(rows)
+
+    def relator(placements) -> dict[int, Fraction]:
+        vec: dict[int, Fraction] = {}
+        for words, sign in placements:
+            add_term(vec, index[_relabel(words)], sign)
+        return vec
+
+    rows = _echelon(relator(placements)
+                    for base in strand_monomials(n, k - 1)
+                    for placements in four_t_moves(base, lambda size: size + 1))
+    return basis, index, rows
 
 
 def reduce_strands_mod_4t(terms: Mapping[tuple[tuple[int, ...], ...], Fraction],
@@ -118,7 +94,7 @@ def reduce_strands_mod_4t(terms: Mapping[tuple[tuple[int, ...], ...], Fraction],
     by_degree: dict[int, dict] = {}
     for key, coeff in terms.items():
         if coeff:
-            by_degree.setdefault(_key_degree(key), {})[key] = coeff
+            by_degree.setdefault(sum(map(len, key)) // 2, {})[key] = coeff
     for k, vec in by_degree.items():
         if k == 0:
             residual.update(vec)
@@ -156,11 +132,7 @@ def _difference(shape, lhs: str, rhs: str, cutoff: int,
         value = evaluate_fragment(parse_word(word), cutoff, initial,
                                   assoc_sign=sign)
         for (open_seqs, _), coeff in value.terms.items():
-            new = diff.get(open_seqs, Fraction(0)) + factor * coeff
-            if new:
-                diff[open_seqs] = new
-            else:
-                del diff[open_seqs]
+            add_term(diff, open_seqs, factor * coeff)
     return diff
 
 
@@ -278,46 +250,44 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     assoc_sign replaces the frozen associator sign (the coherence checks
     try both).  bare_block = (index, k) replaces the crossing at 0-based
     word index `index` (slice_offset counts here) by a bare k-chord block
-    with coefficient 1.
+    with coefficient 1; an index that is not a crossing slice of this
+    fragment raises WordValidationError.
     """
     _check_cutoff(slices, cutoff)
     block_at, block_k = bare_block if bare_block is not None else (None, None)
+    if block_at is not None and not (
+            0 <= block_at - slice_offset < len(slices)
+            and slices[block_at - slice_offset].kind == "x"):
+        raise WordValidationError(f"slice {block_at + 1} is not a crossing")
     state = BoundaryState() if initial is None else BoundaryState.from_spec(initial)
     spec_in = state.spec()
     open_order: list[Birth] = list(state.open_components())
     closed_order: list[Birth] = []
     terms: dict[Key, Fraction] = {
         (tuple(() for _ in open_order), ()): Fraction(1)}
-    sqrt_series = sqrt_unknot_series(cutoff)
+    # A cup's or cap's arc series on fresh tokens, by primed flag.
+    arcs = {primed: [(tuple(_FRESH + t for t in (word[::-1] if primed else word)), c)
+                     for word, c in sqrt_unknot_series(cutoff).items()]
+            for primed in (False, True)}
 
     def reroot(new_terms: dict[Key, Fraction], open_seqs, closed_seqs,
                coeff: Fraction) -> None:
         if sum(len(s) for s in open_seqs) + sum(len(s) for s in closed_seqs) > 2 * cutoff:
             return
-        key = _normalize_key(open_seqs, closed_seqs)
-        new = new_terms.get(key, Fraction(0)) + coeff
-        if new:
-            new_terms[key] = new
-        else:
-            del new_terms[key]
+        add_term(new_terms, _normalize_key(open_seqs, closed_seqs), coeff)
 
     for local, s in enumerate(slices):
         event = state.apply(s, slice_offset + local)
         if isinstance(event, CupEvent):
             idx = len([b for b in open_order if b < event.component])
             open_order.insert(idx, event.component)
-            arcs = [(tuple(reversed(word)) if s.primed else word, coeff)
-                    for word, coeff in sqrt_series.items()]
             new_terms: dict[Key, Fraction] = {}
             for (open_seqs, closed_seqs), coeff in terms.items():
-                for word, c in arcs:
-                    fresh = tuple(_FRESH + t for t in word)
+                for fresh, c in arcs[s.primed]:
                     seqs = open_seqs[:idx] + (fresh,) + open_seqs[idx:]
                     reroot(new_terms, seqs, closed_seqs, coeff * c)
             terms = new_terms
         elif isinstance(event, CapEvent):
-            arcs = [(tuple(reversed(word)) if s.primed else word, coeff)
-                    for word, coeff in sqrt_series.items()]
             new_terms = {}
             if event.closes:
                 i = open_order.index(event.merged)
@@ -325,8 +295,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 pos = len([b for b in closed_order if b < event.merged])
                 closed_order.insert(pos, event.merged)
                 for (open_seqs, closed_seqs), coeff in terms.items():
-                    for word, c in arcs:
-                        fresh = tuple(_FRESH + t for t in word)
+                    for fresh, c in arcs[s.primed]:
                         circle = open_seqs[i] + fresh
                         seqs = open_seqs[:i] + open_seqs[i + 1:]
                         closed = (closed_seqs[:pos] + (circle,) + closed_seqs[pos:])
@@ -339,8 +308,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 idx = len([b for b in open_order if b < event.merged])
                 open_order.insert(idx, event.merged)
                 for (open_seqs, closed_seqs), coeff in terms.items():
-                    for word, c in arcs:
-                        fresh = tuple(_FRESH + t for t in word)
+                    for fresh, c in arcs[s.primed]:
                         joined = open_seqs[ia] + fresh + open_seqs[ib]
                         rest = [q for i, q in enumerate(open_seqs)
                                 if i not in (ia, ib)]
@@ -544,12 +512,8 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
                      + sum(len(q) for q in closed_seqs))
             if total > 2 * cutoff:
                 continue
-            key = _normalize_key(open_seqs, closed_seqs)
-            new = terms.get(key, Fraction(0)) + c_low * c_up
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
+            add_term(terms, _normalize_key(open_seqs, closed_seqs),
+                     c_low * c_up)
 
     anchors = {entry[0]: entry[2] for entry in assembled}
     members = {entry[0]: entry[3] for entry in assembled}
@@ -585,7 +549,7 @@ class TangleResult:
 
     circles: int
     truncation: int
-    coefficients: dict[ChordDiagram, Fraction]
+    coefficients: Mapping[ChordDiagram, Fraction]   # read-only
 
     def coefficient(self, diagram: ChordDiagram) -> Fraction:
         return self.coefficients.get(diagram, Fraction(0))
@@ -599,9 +563,8 @@ class TangleResult:
     def relabeled(self, perm: Sequence[int]) -> "TangleResult":
         out: dict[ChordDiagram, Fraction] = {}
         for diagram, coeff in self.coefficients.items():
-            moved = diagram.relabel_circles(perm)
-            out[moved] = out.get(moved, Fraction(0)) + coeff
-        return TangleResult(self.circles, self.truncation, out)
+            add_term(out, diagram.relabel_circles(perm), coeff)
+        return TangleResult(self.circles, self.truncation, MappingProxyType(out))
 
 
 def finalize(fragment: FragmentValue,
@@ -611,13 +574,9 @@ def finalize(fragment: FragmentValue,
         raise WordValidationError("fragment is not a closed link")
     out: dict[ChordDiagram, Fraction] = {}
     for (open_seqs, closed_seqs), coeff in fragment.terms.items():
-        diagram = ChordDiagram(list(closed_seqs))
-        new = out.get(diagram, Fraction(0)) + coeff
-        if new:
-            out[diagram] = new
-        else:
-            del out[diagram]
-    result = TangleResult(len(fragment.closed_order), fragment.cutoff, out)
+        add_term(out, ChordDiagram(list(closed_seqs)), coeff)
+    result = TangleResult(len(fragment.closed_order), fragment.cutoff,
+                          MappingProxyType(out))
     if relabel is not None:
         result = result.relabeled(tuple(relabel))
     return result
@@ -639,28 +598,15 @@ def integrate(slices: Sequence[Slice], cutoff: int,
 
 
 def crossing_info(slices: Sequence[Slice], crossing: int) -> CrossEvent:
-    """Replay the boundary to the designated 1-based slice; it must be a
-    crossing.  The event carries components, roles, and the sign."""
-    if not 1 <= crossing <= len(slices):
-        raise WordValidationError(f"slice index {crossing} out of range")
-    if slices[crossing - 1].kind != "x":
-        raise WordValidationError(f"slice {crossing} is not a crossing")
-    state = BoundaryState()
-    event = None
-    for index, s in enumerate(slices):
-        got = state.apply(s, index)
-        if index == crossing - 1:
-            event = got
-    assert isinstance(event, CrossEvent)
-    return event
+    """The event of the crossing at a 1-based slice index, read off the
+    word's trace: components, roles, and the sign."""
+    return trace_word(slices).crossing(crossing).event
 
 
 @lru_cache(maxsize=None)
 def _crossing_term_cached(slices: tuple[Slice, ...], crossing: int, k: int,
                           cutoff: int) -> TangleResult:
     validate_word(slices)
-    if slices[crossing - 1].kind != "x":
-        raise WordValidationError(f"slice {crossing} is not a crossing")
     return finalize(evaluate_fragment(slices, cutoff,
                                       bare_block=(crossing - 1, k)))
 

@@ -16,14 +16,22 @@ This module knows nothing about chord series.  It tracks the structure:
 trees, directions, component births and merges, and the signed crossing
 count that yields the linking/framing matrix independently of any
 invariant computation.
+
+One cached replay per distinct word, its trace (trace_word), answers
+every structural question about the whole word: the points left open,
+each crossing's slice index, event and final circle pair, and the
+linking matrix of a closed word.  The boundary tree is recursive, so a
+word nesting deeper than the recursion limit allows (about 490 levels)
+is rejected with WordValidationError.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ..errors import WordParseError, WordValidationError
@@ -227,7 +235,6 @@ class BoundaryState:
         self._parent: dict[Birth, Birth] = {}
         self.anchors: dict[Birth, tuple[int, ...]] = {}
         self.closed: list[Birth] = []
-        self.crossings: list[CrossEvent] = []
 
     @classmethod
     def from_spec(cls, spec: tuple[Tree, tuple[str, ...]]) -> "BoundaryState":
@@ -378,9 +385,7 @@ class BoundaryState:
             left = (self.find(self.leaf_info[a][0]), self.leaf_info[a][1])
             right = (self.find(self.leaf_info[b][0]), self.leaf_info[b][1])
             self.tree = _replace_node(self.tree, (a, b), (b, a))
-            event = CrossEvent(s.pos, s.sign, left, right)
-            self.crossings.append(event)
-            return event
+            return CrossEvent(s.pos, s.sign, left, right)
 
         if s.kind == "assoc":
             rewrites = _assoc_rewrites(self.tree, s.pos, s.sign > 0)
@@ -414,46 +419,82 @@ def _prune(tree: Tree) -> Tree:
     return (left, right)
 
 
-def validate_word(slices: Sequence[Slice], require_closed: bool = True,
-                  ) -> list[tuple[Tree, tuple[str, ...]]]:
-    """Run the boundary checks; returns the trace of boundary specs.
+@dataclass(frozen=True)
+class TracedCrossing:
+    slice: int                        # 1-based slice index
+    event: CrossEvent
+    circles: tuple[int, int] | None   # final circle labels a <= b; None if open
 
-    The trace has one entry per level: the initial (empty) boundary and
-    the boundary after each slice.
-    """
+
+@dataclass(frozen=True)
+class WordTrace:
+    """The structure of one word, from a single boundary replay."""
+
+    open_points: int
+    crossings: tuple[TracedCrossing, ...]
+    linking: tuple[tuple[Fraction, ...], ...] | None   # None if open
+
+    def crossing(self, index: int) -> TracedCrossing:
+        """The crossing at a 1-based slice index."""
+        for traced in self.crossings:
+            if traced.slice == index:
+                return traced
+        raise WordValidationError(f"slice {index} is not a crossing")
+
+
+def trace_word(slices: Sequence[Slice]) -> WordTrace:
+    """The word's trace; open words are allowed, invalid ones raise."""
+    return _trace_cached(tuple(slices))
+
+
+@lru_cache(maxsize=None)
+def _trace_cached(slices: tuple[Slice, ...]) -> WordTrace:
     state = BoundaryState()
-    trace = [state.spec()]
-    for index, s in enumerate(slices):
-        state.apply(s, index)
-        trace.append(state.spec())
-    if require_closed and state.tree is not None:
+    events: list[tuple[int, CrossEvent]] = []
+    try:
+        for index, s in enumerate(slices):
+            event = state.apply(s, index)
+            if isinstance(event, CrossEvent):
+                events.append((index + 1, event))
+        open_points = len(tree_leaves(state.tree))
+    except RecursionError:
+        raise WordValidationError("word nests too deeply: its boundary tree "
+                                  "exceeds the recursion limit") from None
+    # Circles are numbered by birth order.  Entry (i, j), i != j, of the
+    # linking matrix is half the sum of crossing signs between circles i
+    # and j; entry (i, i) is half the writhe of circle i (blackboard framing).
+    labels = {birth: i for i, birth in enumerate(sorted(state.closed))}
+    total = [[0] * len(labels) for _ in labels]
+    crossings = []
+    for index, event in events:
+        circles = None
+        if not open_points:
+            a = labels[state.find(event.left[0])]
+            b = labels[state.find(event.right[0])]
+            total[a][b] += event.geometric_sign
+            if a != b:
+                total[b][a] += event.geometric_sign
+            circles = (min(a, b) + 1, max(a, b) + 1)
+        crossings.append(TracedCrossing(index, event, circles))
+    linking = None if open_points else tuple(
+        tuple(Fraction(entry, 2) for entry in row) for row in total)
+    return WordTrace(open_points, tuple(crossings), linking)
+
+
+def validate_word(slices: Sequence[Slice], require_closed: bool = True,
+                  ) -> WordTrace:
+    """Run the boundary checks; returns the word's trace."""
+    trace = trace_word(slices)
+    if require_closed and trace.open_points:
         raise WordValidationError(
-            f"word leaves {len(tree_leaves(state.tree))} open boundary points")
+            f"word leaves {trace.open_points} open boundary points")
     return trace
 
 
 def linking_matrix(slices: Sequence[Slice]) -> tuple[tuple[Fraction, ...], ...]:
-    """Linking and framing matrix from signed crossing counts alone.
-
-    Entry (i, j), i != j, is half the sum of crossing signs between
-    circles i and j; entry (i, i) is half the writhe of circle i
-    (blackboard framing).  Circles are numbered by birth order.
-    """
-    state = BoundaryState()
-    for index, s in enumerate(slices):
-        state.apply(s, index)
-    if state.tree is not None:
+    """Linking and framing matrix from signed crossing counts alone, read
+    off the word's trace (see _trace_cached)."""
+    linking = trace_word(slices).linking
+    if linking is None:
         raise WordValidationError("linking matrix requires a closed word")
-    labels = {birth: i for i, birth in enumerate(sorted(state.closed))}
-    m = len(labels)
-    total = [[Fraction(0)] * m for _ in range(m)]
-    for crossing in state.crossings:
-        a = labels[state.find(crossing.left[0])]
-        b = labels[state.find(crossing.right[0])]
-        sign = Fraction(crossing.geometric_sign)
-        if a == b:
-            total[a][a] += sign
-        else:
-            total[a][b] += sign
-            total[b][a] += sign
-    return tuple(tuple(entry / 2 for entry in row) for row in total)
+    return linking

@@ -28,10 +28,9 @@ from .invariants import (
 )
 from .qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from .qtangle.engine import (
-    associator_sign, crossing_info, hexagon_identity, integrate,
-    pentagon_identity,
+    associator_sign, hexagon_identity, integrate, pentagon_identity,
 )
-from .qtangle.words import Slice, linking_matrix
+from .qtangle.words import Slice, linking_matrix, trace_word
 
 SWEEP_DEGREE = 3
 
@@ -58,13 +57,11 @@ def _positive_crossings(word: Sequence[Slice]
                         ) -> Iterator[tuple[int, tuple[Slice, ...]]]:
     """Each crossing slice, with the word flipped there if needed so the
     designated crossing is geometrically positive."""
-    for index, s in enumerate(word, start=1):
-        if s.kind != "x":
-            continue
-        if crossing_info(word, index).geometric_sign == 1:
-            yield index, tuple(word)
+    for traced in trace_word(word).crossings:
+        if traced.event.geometric_sign == 1:
+            yield traced.slice, tuple(word)
         else:
-            yield index, flip_crossing(word, index)
+            yield traced.slice, flip_crossing(word, traced.slice)
 
 
 def _section_theorem() -> tuple[bool, int, str]:

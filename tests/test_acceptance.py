@@ -1,8 +1,8 @@
 """
 Acceptance gate: one test per verification section, all exact.
 
-Each test runs a single named section of the identity sweep and prints
-its pass/fail line.  A failure here means an exact rational identity
+Each test runs a single named section of the identity sweep, prints
+its pass/fail line and checks how many instances the section verified.  A failure here means an exact rational identity
 broke, never a tolerance.
 
 Core claims:
@@ -33,11 +33,19 @@ Core claims:
 from kzlab.selftest import run_selftest
 
 
+# Instances each section verifies; a dropped or doubled check shows here.
+CHECKS = {
+    "theorem": 213, "linking": 24, "degree-sum": 36, "framing-powers": 13,
+    "wheels": 7, "relators": 164, "recursion": 2560, "variation": 1540,
+    "pentagon": 3, "enumeration": 283, "representation": 4,
+}
+
+
 def _check(section: str) -> None:
     result, = run_selftest([section])
     print(result.render())
     assert result.passed, result.render()
-    assert result.checks > 0
+    assert result.checks == CHECKS[section]
 
 
 def test_criterion_01_theorem():

@@ -8,7 +8,8 @@ Core claims:
     - enumerate lists diagrams and ends text output with "count: n"
     - selftest runs named sections and emits {"pass", "sections"} JSON
     - exit codes: 2 for unreadable input or bad JSON, 3 for validation
-      failures, 4 for unsupported truncation
+      failures (a word nested too deeply among them), 4 for unsupported
+      truncation, each with one error line and no traceback
     - KZLAB_CORPUS_DIR redirects the corpus loader
 """
 
@@ -174,6 +175,19 @@ class TestExitCodes:
         code, _, err = _run(capsys, "compute", "--corpus", "hopf+",
                             "--degree", "9")
         assert code == 4 and "error:" in err
+
+    def test_deep_nesting_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "deep.qtw"
+        path.write_text("cup@1\n" * 1500 + "cap@1\n" * 1500, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzlab.cli", "compute", "--word",
+             str(path), "--degree", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "nests too deeply" in lines[0]
 
     def test_subprocess_entry_point(self):
         proc = subprocess.run(

@@ -19,7 +19,12 @@ Core claims:
     - Fragment grafting agrees with direct integration at every split
       of every corpus word
     - Bare-block substitution keeps the skeleton and suppresses only the
-      designated crossing's chords, also while another thread integrates
+      designated crossing's chords, also while another thread integrates;
+      a block index that is not a crossing slice of the fragment is an
+      error
+    - Cached series are read-only: a caller cannot change what a later
+      call returns
+    - The strand 4T span has the rank of the full relator matrix
     - Truncation limits: 3 with rebracketings, 4 without
 """
 
@@ -30,12 +35,13 @@ from fractions import Fraction
 import pytest
 
 from kzlab.algebra import sqrt_unknot_series, unknot_series_closed
-from kzlab.diagrams import ChordDiagram
+from kzlab.diagrams import ChordDiagram, _relabel, four_t_moves
 from kzlab.errors import TruncationUnsupportedError, WordValidationError
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
 from kzlab.qtangle.engine import (
     _PENTAGON,
     _hexagon_words,
+    _strand_reducer,
     associator_sign,
     crossing_info,
     crossing_term,
@@ -151,6 +157,19 @@ class TestAssociator:
         assert len(strand_monomials(2, 1)) == 3
         assert len(strand_monomials(1, 2)) == 3
 
+    def test_strand_span_against_sympy_rank(self):
+        sympy = pytest.importorskip("sympy")
+        for (n, k), expected in (((2, 2), 6), ((3, 2), 17), ((2, 3), 82)):
+            basis, index, rows = _strand_reducer(n, k)
+            matrix = []
+            for base in strand_monomials(n, k - 1):
+                for placements in four_t_moves(base, lambda size: size + 1):
+                    row = [0] * len(basis)
+                    for words, sign in placements:
+                        row[index[_relabel(words)]] += sign
+                    matrix.append(row)
+            assert sympy.Matrix(matrix).rank() == len(rows) == expected
+
     def test_strand_relator_reduces_to_zero(self):
         # t12 t13 - t13 t12 + t12 t23 - t23 t12 is a strand 4T relator.
         keys = {
@@ -185,6 +204,24 @@ class TestIntegration:
         assert result.coefficient(ChordDiagram([(1, 1)])) == Fraction(1, 2)
         degree4 = sum(result.degree_part(4).values(), Fraction(0))
         assert degree4 == Fraction(1, 384)
+
+    def test_cached_values_are_read_only(self):
+        word = load_corpus_word("trefoil")
+        result = integrate(word, 3)
+        with pytest.raises(AttributeError):
+            result.coefficients.clear()
+        with pytest.raises(TypeError):
+            result.coefficients[ChordDiagram([()])] = Fraction(0)
+        with pytest.raises(AttributeError):
+            unknot_series_closed(2).clear()
+        with pytest.raises(TypeError):
+            unknot_series_closed(2)[ChordDiagram([()])] = Fraction(0)
+        assert len(integrate(word, 3).coefficients) == 7
+        assert len(unknot_series_closed(2)) == 3
+        assert unknot_series_closed.cache_info().currsize > 0
+        moved = integrate(load_corpus_word("hopf+"), 2, relabel=(2, 1))
+        with pytest.raises(TypeError):
+            moved.coefficients[ChordDiagram([(), ()])] = Fraction(0)
 
     def test_relabel_roundtrip(self):
         word = load_corpus_word("chain3")
@@ -232,6 +269,19 @@ class TestCrossingBlocks:
             crossing_info(load_corpus_word("hopf+"), 1)
         with pytest.raises(WordValidationError):
             crossing_term(load_corpus_word("hopf+"), 1, 1, 2)
+
+    def test_block_must_be_a_crossing_of_the_fragment(self):
+        word = load_corpus_word("trefoil")   # slice 0 is cup@1, 3-5 cross
+        for index in (0, len(word)):
+            with pytest.raises(WordValidationError, match="not a crossing"):
+                evaluate_fragment(word, 2, bare_block=(index, 1))
+        lower = evaluate_fragment(word[:4], 2)
+        with pytest.raises(WordValidationError, match="not a crossing"):
+            evaluate_fragment(word[4:], 2, initial=lower.spec_out,
+                              slice_offset=4, bare_block=(3, 1))
+        upper = evaluate_fragment(word[4:], 2, initial=lower.spec_out,
+                                  slice_offset=4, bare_block=(4, 1))
+        assert finalize(graft(lower, upper)).circles == 1
 
     def test_trefoil_crossing_is_positive(self):
         assert crossing_info(load_corpus_word("trefoil"), 4).geometric_sign == 1

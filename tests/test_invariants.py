@@ -11,6 +11,9 @@ Core claims:
     - Crossing surgery: bare blocks above the designated cell vanish,
       the variation series and the inversion identity both close, and
       the checker rejects geometrically negative crossings
+    - Every structural question about a word is read off one cached
+      trace: a full round of checks on a fresh word replays it and its
+      flip once each
     - The kinked unknot word agrees with the surgery-built series mod 4T
     - Framing powers of the kinked unknot are 1/(k! 2^k); the bare
       unknot's vanish
@@ -39,8 +42,8 @@ from kzlab.invariants import (
     verify_theorem,
 )
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
-from kzlab.qtangle.engine import crossing_term, integrate
-from kzlab.qtangle.words import linking_matrix
+from kzlab.qtangle.engine import crossing_info, crossing_term, integrate
+from kzlab.qtangle.words import Slice, _trace_cached, linking_matrix
 
 
 HOPF_S = ((0, 1), (1, 0))
@@ -153,6 +156,19 @@ class TestSurgery:
         assert crossing_circles(load_corpus_word("trefoil"), 4) == (1, 1)
         with pytest.raises(WordValidationError):
             crossing_circles(load_corpus_word("hopf+"), 1)
+
+    def test_one_trace_per_word(self):
+        # The identity padding makes a word no other test builds.
+        word = (Slice("i", 1),) * 11 + load_corpus_word("hopf+")
+        crossing = 15
+        before = _trace_cached.cache_info().misses
+        integrate(word, 2)
+        linking_matrix(word)
+        verify_theorem(word, HOPF_S, 2)
+        crossing_info(word, crossing)
+        crossing_circles(word, crossing)
+        check_recursion(word, crossing, HOPF_S, 2)
+        assert _trace_cached.cache_info().misses - before == 2
 
     def test_flip_crossing_kills_the_clasp(self):
         word = load_corpus_word("hopf+")

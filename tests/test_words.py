@@ -11,7 +11,10 @@ Core claims:
     - Crossing signs combine the slice sign with both strand directions
     - The signed crossing count reproduces every tabulated corpus
       linking matrix, with half-writhe diagonals
-    - Boundary traces expose the shape and directions after each slice
+    - Boundary states expose the shape and directions after each slice
+    - A word's trace leaves no open points on every corpus word, lists
+      one crossing per crossing slice, and turns a nesting too deep for
+      the recursive boundary tree into a validation error
 """
 
 from fractions import Fraction
@@ -112,8 +115,22 @@ class TestValidation:
     def test_corpus_words_validate(self):
         for name in corpus_names():
             trace = validate_word(load_corpus_word(name))
-            assert trace[0] == (None, ())
-            assert trace[-1] == (None, ())
+            assert trace.open_points == 0
+            assert trace.linking == corpus_linking(name)
+
+    def test_open_word_trace(self):
+        trace = validate_word(parse_word("cup@1 ; x+@1"),
+                              require_closed=False)
+        assert trace.open_points == 2
+        assert trace.linking is None
+        assert trace.crossing(2).circles is None
+        with pytest.raises(WordValidationError, match="not a crossing"):
+            trace.crossing(1)
+
+    def test_deep_nesting_is_a_validation_error(self):
+        word = parse_word("cup@1\n" * 1500 + "cap@1\n" * 1500)
+        with pytest.raises(WordValidationError, match="nests too deeply"):
+            validate_word(word)
 
 
 # == 3. Crossing signs and linking ===========================================
@@ -163,9 +180,12 @@ class TestBoundary:
         assert roles == ("start", "start", "end", "end")
 
     def test_trace_length(self):
-        word = load_corpus_word("hopf+")
-        trace = validate_word(word)
-        assert len(trace) == len(word) + 1
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            trace = validate_word(word)
+            crossing_slices = [i for i, s in enumerate(word, start=1)
+                               if s.kind == "x"]
+            assert [c.slice for c in trace.crossings] == crossing_slices
 
     def test_closed_components_recorded(self):
         state = _apply_all("cup@1 ; cap@1 ; cup@1 ; cap@1")
