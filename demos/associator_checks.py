@@ -33,7 +33,7 @@ def require(label, ok):
 sign = associator_sign()
 print(f"shipped associator sign: {sign:+d}")
 value = evaluate_fragment(parse_word("assoc+@2"), 2,
-                          initial=(((0, 1), 2), (START,) * 3))
+                          initial=((1, 0), (START,) * 3))
 print("nonzero terms of assoc+@2 on three down strands:")
 for key in sorted(value.terms, key=lambda k: (sum(map(len, k[0])), k)):
     print(f"  {value.terms[key]!s:>6}  {key[0]}")

@@ -68,7 +68,7 @@ def _load_word(config: RunConfig) -> tuple[str, tuple[Slice, ...]]:
         return config.corpus, load_corpus_word(config.corpus)
     try:
         text = open(config.word_path, encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WordParseError(f"cannot read {config.word_path}: {exc}") from exc
     return config.word_path, parse_word(text)
 
@@ -81,7 +81,9 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     if (not isinstance(data, list)
             or not all(isinstance(row, list) for row in data)):
         raise WordParseError("--S must be a JSON list of lists")
-    return tuple(tuple(int(x) for x in row) for row in data)
+    if not all(type(x) is int for row in data for x in row):
+        raise WordParseError("--S entries must be integers")
+    return tuple(tuple(row) for row in data)
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ from ..diagrams import (
 from ..errors import TruncationUnsupportedError, WordValidationError
 from .words import (
     AssocEvent, Birth, BoundaryState, CapEvent, CrossEvent, CupEvent, END,
-    START, Slice, parse_word, trace_word, tree_leaves, validate_word,
+    START, Slice, parse_word, trace_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -111,22 +111,22 @@ def reduce_strands_mod_4t(terms: Mapping[tuple[tuple[int, ...], ...], Fraction],
 ASSOCIATOR_WEIGHT = Fraction(1, 24)
 
 # Both ways around the pentagon, from (((1,2),3),4) to (1,(2,(3,4))).
-_PENTAGON = ((((0, 1), 2), 3), "assoc+@3;assoc+@2",
+_PENTAGON = ((2, 1, 0), "assoc+@3;assoc+@2",
              "assoc+@2;assoc+@2;assoc+@3")
 
 
 def _hexagon_words(eps: int) -> tuple[tuple, str, str]:
     x = "x+" if eps > 0 else "x-"
-    return (((0, 1), 2),
+    return ((1, 0),
             f"{x}@1;assoc+@2;{x}@2;assoc-@2;{x}@1",
             f"assoc+@2;{x}@2;assoc-@2;{x}@1;assoc+@2;{x}@2;assoc-@2")
 
 
-def _difference(shape, lhs: str, rhs: str, cutoff: int,
+def _difference(depths: tuple[int, ...], lhs: str, rhs: str, cutoff: int,
                 sign: int | None) -> dict[tuple[tuple[int, ...], ...], Fraction]:
     """Open strand series of lhs minus rhs, both evaluated upwards from
-    the bracketing shape with every strand directed down."""
-    initial = (shape, (START,) * len(tree_leaves(shape)))
+    the bracketing with these gap depths, every strand directed down."""
+    initial = (depths, (START,) * (len(depths) + 1))
     diff: dict = {}
     for word, factor in ((lhs, 1), (rhs, -1)):
         value = evaluate_fragment(parse_word(word), cutoff, initial,
@@ -247,6 +247,12 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                       ) -> FragmentValue:
     """Evaluate consecutive slices from a boundary (empty by default).
 
+    initial = (depths, roles) gives the lower boundary: roles tags each
+    point 'start' or 'end', left to right, and depths[j] is the depth of
+    the bracketing node that splits points j and j + 1 (the root at 0),
+    so ((0,1),2) is (1, 0).  A fragment's spec_out is such a pair; a
+    depth tuple that is no bracketing raises WordValidationError.
+
     assoc_sign replaces the frozen associator sign (the coherence checks
     try both).  bare_block = (index, k) replaces the crossing at 0-based
     word index `index` (slice_offset counts here) by a bare k-chord block
@@ -366,17 +372,13 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             terms = new_terms
         # identity slices change nothing
 
-    members = {
-        comp: tuple(sorted(b for b in state._parent
-                           if state.find(b) == comp and b[0] == 1))
-        for comp in open_order}
     return FragmentValue(
         cutoff=cutoff,
         spec_in=spec_in,
         spec_out=state.spec(),
         leaves=state.leaf_summary(),
         anchors={comp: state.anchors.get(comp, ()) for comp in open_order},
-        members=members,
+        members=state.cup_members(open_order),
         open_order=tuple(open_order),
         closed_order=tuple(closed_order),
         terms=terms,

@@ -20,9 +20,7 @@ invariant computation.
 One cached replay per distinct word, its trace (trace_word), answers
 every structural question about the whole word: the points left open,
 each crossing's slice index, event and final circle pair, and the
-linking matrix of a closed word.  The boundary tree is recursive, so a
-word nesting deeper than the recursion limit allows (about 490 levels)
-is rejected with WordValidationError.
+linking matrix of a closed word.
 """
 
 from __future__ import annotations
@@ -85,7 +83,11 @@ def parse_word(text: str) -> tuple[Slice, ...]:
             if not match:
                 raise WordParseError(f"line {lineno}: malformed slice {token!r}")
             tag, pos_text = match.groups()
-            pos = int(pos_text)
+            try:
+                pos = int(pos_text)
+            except ValueError:   # more digits than int() converts
+                raise WordParseError(
+                    f"line {lineno}: position too long in {token[:20]!r}...") from None
             if pos < 1:
                 raise WordParseError(
                     f"line {lineno}: positions are 1-based, got {token!r}")
@@ -104,68 +106,36 @@ def render_word(slices: Sequence[Slice]) -> str:
     return " ; ".join(str(s) for s in slices)
 
 
-# -- Boundary trees ----------------------------------------------------------
+# -- Boundary state ----------------------------------------------------------
 #
-# A tree is a leaf token (int) or a pair (left, right).  Tokens are unique
-# within a BoundaryState, so subtree identity tests are exact.
+# The bracketing is stored flat: `leaves` holds the leaf tokens left to
+# right, and depth[j] is the depth of the node that splits the gap between
+# leaves j and j + 1, the root at depth 0.  Neighbouring gaps never share a
+# depth, and a node's subtree is the run of deeper gaps around it.  Tokens
+# are unique within a BoundaryState.
 
-Tree = object
-
-
-def tree_leaves(tree: Tree) -> list[int]:
-    if tree is None:
-        return []
-    if not isinstance(tree, tuple):
-        return [tree]
-    return tree_leaves(tree[0]) + tree_leaves(tree[1])
+Spec = tuple[tuple[int, ...], tuple[str, ...]]
 
 
-def _replace_node(tree: Tree, old: Tree, new: Tree) -> Tree:
-    if tree == old:
-        return new
-    if not isinstance(tree, tuple):
-        return tree
-    return (_replace_node(tree[0], old, new), _replace_node(tree[1], old, new))
+def _is_bracketing(depth: Sequence[int]) -> bool:
+    """True when depth lists the gap depths of some binary bracketing.
 
-
-def _find_cherry(tree: Tree, a: int, b: int) -> bool:
-    """True when (a, b) occurs as a node, i.e. the leaves are siblings."""
-    if not isinstance(tree, tuple):
-        return False
-    if tree == (a, b):
-        return True
-    return _find_cherry(tree[0], a, b) or _find_cherry(tree[1], a, b)
-
-
-def _subtree_size(tree: Tree) -> int:
-    if not isinstance(tree, tuple):
-        return 1
-    return _subtree_size(tree[0]) + _subtree_size(tree[1])
-
-
-def _assoc_rewrites(tree: Tree, p: int, plus: bool,
-                    offset: int = 1) -> list[tuple[Tree, Tree]]:
-    """All (old node, new node) pairs for assoc at middle-block position p.
-
-    assoc+ turns ((X,Y),Z) into (X,(Y,Z)); assoc- is the inverse.  The
-    address p is the 1-based position of Y's leftmost leaf, which names
-    the rewrite site uniquely.
+    A gap's parent is the deeper of the nearest gap on its left that is at
+    most as deep and the nearest shallower gap on its right (depth -1 when
+    absent); the sequence is a bracketing when every parent is one level up.
     """
-    if not isinstance(tree, tuple):
-        return []
-    left, right = tree
-    found: list[tuple[Tree, Tree]] = []
-    if plus and isinstance(left, tuple):
-        x, y = left
-        if offset + _subtree_size(x) == p:
-            found.append((tree, (x, (y, right))))
-    if not plus and isinstance(right, tuple):
-        y, z = right
-        if offset + _subtree_size(left) == p:
-            found.append((tree, ((left, y), z)))
-    found.extend(_assoc_rewrites(left, p, plus, offset))
-    found.extend(_assoc_rewrites(right, p, plus, offset + _subtree_size(left)))
-    return found
+    if not all(type(d) is int for d in depth):
+        return False
+    parent = [-1] * len(depth)
+    stack: list[int] = []
+    for j, d in enumerate(depth):
+        while stack and depth[stack[-1]] > d:
+            k = stack.pop()
+            parent[k] = max(parent[k], d)
+        if stack:
+            parent[j] = depth[stack[-1]]
+        stack.append(j)
+    return all(p == d - 1 for p, d in zip(parent, depth))
 
 
 # -- Events ------------------------------------------------------------------
@@ -222,14 +192,15 @@ Event = object
 class BoundaryState:
     """Mutable boundary structure driven slice by slice.
 
-    Tracks the bracketing tree, each boundary point's component and role,
-    component merges, circle closures, and signed crossings.  apply()
-    validates one slice and returns an event describing what happened, in
-    terms the series engine can act on.
+    Tracks the flat bracketing (leaves and gap depths), each boundary
+    point's component and role, component merges, circle closures, and
+    signed crossings.  apply() validates one slice and returns an event
+    describing what happened, in terms the series engine can act on.
     """
 
     def __init__(self) -> None:
-        self.tree: Tree = None
+        self.leaves: list[int] = []
+        self.depth: list[int] = []
         self.leaf_info: dict[int, tuple[Birth, str]] = {}
         self._tokens = itertools.count(1)
         self._parent: dict[Birth, Birth] = {}
@@ -237,46 +208,53 @@ class BoundaryState:
         self.closed: list[Birth] = []
 
     @classmethod
-    def from_spec(cls, spec: tuple[Tree, tuple[str, ...]]) -> "BoundaryState":
+    def from_spec(cls, spec: Spec) -> "BoundaryState":
         """Boundary with anchored components, for fragment evaluation.
 
-        spec is (shape, roles): shape a bracketing over 0-based leaf
-        indices, roles the per-leaf 'start'/'end' tags.  Each leaf gets
-        its own component, anchored at the fragment's lower interface.
+        spec is (depths, roles), as spec() returns it: the gap depths of
+        the bracketing and the per-leaf 'start'/'end' tags, left to right.
+        Each leaf gets its own component, anchored at the fragment's lower
+        interface.
         """
-        shape, roles = spec
+        depths, roles = spec
+        if len(depths) != max(0, len(roles) - 1) or not _is_bracketing(depths):
+            raise WordValidationError(
+                f"boundary spec depths are not a bracketing of {len(roles)} leaves")
         state = cls()
-        indices = tree_leaves(shape)
-        if sorted(indices) != list(range(len(roles))):
-            raise WordValidationError("boundary spec leaves must be 0..n-1")
-        tokens = {i: next(state._tokens) for i in indices}
-
-        def build(node: Tree) -> Tree:
-            if not isinstance(node, tuple):
-                return tokens[node]
-            return (build(node[0]), build(node[1]))
-
-        state.tree = build(shape) if indices else None
-        for position, index in enumerate(indices, start=1):
+        state.depth = list(depths)
+        for position, role in enumerate(roles, start=1):
+            token = next(state._tokens)
             birth: Birth = (0, 0, position)
             state._parent[birth] = birth
             state.anchors[birth] = (position,)
-            state.leaf_info[tokens[index]] = (birth, roles[index])
+            state.leaf_info[token] = (birth, role)
+            state.leaves.append(token)
         return state
 
-    def spec(self) -> tuple[Tree, tuple[str, ...]]:
-        """Snapshot of shape and roles, suitable for from_spec."""
-        leaves = tree_leaves(self.tree)
-        position = {token: i for i, token in enumerate(leaves)}
+    def spec(self) -> Spec:
+        """Snapshot of gap depths and roles, suitable for from_spec."""
+        return (tuple(self.depth),
+                tuple(self.leaf_info[t][1] for t in self.leaves))
 
-        def strip(node: Tree) -> Tree:
-            if not isinstance(node, tuple):
-                return position[node]
-            return (strip(node[0]), strip(node[1]))
+    def _gap(self, j: int) -> int:
+        """Depth of gap j, or -1 past either end."""
+        return self.depth[j] if 0 <= j < len(self.depth) else -1
 
-        shape = strip(self.tree) if leaves else None
-        roles = tuple(self.leaf_info[t][1] for t in leaves)
-        return shape, roles
+    def _run_end(self, j: int, step: int, above: int) -> int:
+        """The first gap from j, moving by step, that is at most `above`
+        deep: one past the end of the subtree run starting at j."""
+        while self._gap(j) > above:
+            j += step
+        return j
+
+    def _shift(self, lo: int, hi: int, by: int) -> None:
+        for k in range(lo, hi):
+            self.depth[k] += by
+
+    def _siblings(self, j: int) -> bool:
+        """Leaves j and j + 1 are siblings: gap j is deeper than both
+        neighbouring gaps."""
+        return self._gap(j - 1) < self.depth[j] > self._gap(j + 1)
 
     # Union-find over birth keys; the smallest key survives a merge.
     def find(self, birth: Birth) -> Birth:
@@ -301,24 +279,25 @@ class BoundaryState:
 
     def open_components(self) -> list[Birth]:
         """Distinct live components, smallest birth first."""
-        seen = []
-        for token in tree_leaves(self.tree):
-            birth = self.find(self.leaf_info[token][0])
-            if birth not in seen:
-                seen.append(birth)
-        for birth in self.anchors:
+        return sorted({self.find(self.leaf_info[t][0]) for t in self.leaves}
+                      | {self.find(birth) for birth in self.anchors})
+
+    def cup_members(self, comps: Sequence[Birth]) -> dict[Birth, tuple[Birth, ...]]:
+        """The cup-born keys merged into each of comps, smallest first."""
+        groups: dict[Birth, list[Birth]] = {comp: [] for comp in comps}
+        for birth in sorted(self._parent):
             root = self.find(birth)
-            if root not in seen:
-                seen.append(root)
-        return sorted(seen)
+            if birth[0] == 1 and root in groups:
+                groups[root].append(birth)
+        return {comp: tuple(group) for comp, group in groups.items()}
 
     def leaf_summary(self) -> tuple[tuple[Birth, str], ...]:
         return tuple((self.find(self.leaf_info[t][0]), self.leaf_info[t][1])
-                     for t in tree_leaves(self.tree))
+                     for t in self.leaves)
 
     def apply(self, s: Slice, index: int) -> Event:
         """Validate and perform one slice; index is its 0-based position."""
-        leaves = tree_leaves(self.tree)
+        leaves, depth = self.leaves, self.depth
         n = len(leaves)
 
         def fail(message: str) -> WordValidationError:
@@ -332,16 +311,18 @@ class BoundaryState:
         if s.kind == "cup":
             if not 1 <= s.pos <= n + 1:
                 raise fail(f"position out of range 1..{n + 1}")
-            t1, t2 = next(self._tokens), next(self._tokens)
-            cherry = (t1, t2)
-            if self.tree is None:
-                self.tree = cherry
+            # The cherry replaces leaf k by (cherry, k), or by (k, cherry)
+            # at the right end, one level below k's old depth.
+            k = min(s.pos, n) - 1
+            below = max(self._gap(k - 1), self._gap(k)) + 1
+            if n == 0:
+                depth.append(0)
             elif s.pos <= n:
-                self.tree = _replace_node(self.tree, leaves[s.pos - 1],
-                                          (cherry, leaves[s.pos - 1]))
+                depth[k:k] = [below + 1, below]
             else:
-                self.tree = _replace_node(self.tree, leaves[n - 1],
-                                          (leaves[n - 1], cherry))
+                depth.extend((below, below + 1))
+            t1, t2 = next(self._tokens), next(self._tokens)
+            leaves[s.pos - 1:s.pos - 1] = [t1, t2]
             birth: Birth = (1, index, s.pos)
             self._parent[birth] = birth
             roles = (END, START) if s.primed else (START, END)
@@ -352,8 +333,9 @@ class BoundaryState:
         if s.kind == "cap":
             if not 1 <= s.pos <= n - 1:
                 raise fail(f"position out of range 1..{max(0, n - 1)}")
-            a, b = leaves[s.pos - 1], leaves[s.pos]
-            if not _find_cherry(self.tree, a, b):
+            j = s.pos - 1
+            a, b = leaves[j], leaves[j + 1]
+            if not self._siblings(j):
                 raise fail("operand points are not siblings")
             want = (END, START) if s.primed else (START, END)
             got = (self.leaf_info[a][1], self.leaf_info[b][1])
@@ -362,9 +344,18 @@ class BoundaryState:
                            f"points, found {got[0]}/{got[1]}")
             starting = self.find(self.leaf_info[a if not s.primed else b][0])
             ending = self.find(self.leaf_info[b if not s.primed else a][0])
-            self.tree = None if self.tree == (a, b) else _replace_node(
-                self.tree, (a, b), None)
-            self.tree = _prune(self.tree)
+            # The cherry's parent, the deeper neighbouring gap, gives way
+            # to the sibling subtree, whose run rises one level.
+            parent = depth[j] - 1
+            if self._gap(j + 1) == parent:
+                end = self._run_end(j + 2, 1, parent)
+                self._shift(j + 2, end, -1)
+                del depth[j:j + 2]
+            else:
+                start = self._run_end(j - 2, -1, parent) + 1
+                self._shift(start, j - 1, -1)
+                del depth[j - 1:j + 1]
+            del leaves[j:j + 2]
             del self.leaf_info[a], self.leaf_info[b]
             closes = starting == ending
             if closes:
@@ -379,44 +370,43 @@ class BoundaryState:
         if s.kind == "x":
             if not 1 <= s.pos <= n - 1:
                 raise fail(f"position out of range 1..{max(0, n - 1)}")
-            a, b = leaves[s.pos - 1], leaves[s.pos]
-            if not _find_cherry(self.tree, a, b):
+            j = s.pos - 1
+            a, b = leaves[j], leaves[j + 1]
+            if not self._siblings(j):
                 raise fail("operand points are not siblings")
             left = (self.find(self.leaf_info[a][0]), self.leaf_info[a][1])
             right = (self.find(self.leaf_info[b][0]), self.leaf_info[b][1])
-            self.tree = _replace_node(self.tree, (a, b), (b, a))
+            leaves[j], leaves[j + 1] = b, a
             return CrossEvent(s.pos, s.sign, left, right)
 
         if s.kind == "assoc":
-            rewrites = _assoc_rewrites(self.tree, s.pos, s.sign > 0)
-            if not rewrites:
+            # assoc+ turns ((X,Y),Z) into (X,(Y,Z)); assoc- is the inverse.
+            # The address p is the 1-based position of Y's leftmost leaf,
+            # so gap g = p - 2 splits X|Y; r is the Y|Z gap, g's parent
+            # for assoc+ and the root of g's right subtree for assoc-.
+            g = s.pos - 2
+            r = None
+            if 0 <= g < n - 1:
+                end = self._run_end(g + 1, 1, depth[g])   # past g's subtree
+                if s.sign > 0 and end < n - 1 and depth[end] == depth[g] - 1:
+                    r = end
+                elif s.sign < 0:
+                    r = next((k for k in range(g + 1, end)
+                              if depth[k] == depth[g] + 1), None)
+            if r is None:
                 raise fail("no rebracketable configuration at this position")
-            if len(rewrites) > 1:
-                raise fail("ambiguous rebracketing address")
-            old, new = rewrites[0]
-            blocks_raw = ((old[0][0], old[0][1], old[1]) if s.sign > 0
-                          else (old[0], old[1][0], old[1][1]))
-            position = {token: i + 1 for i, token in enumerate(leaves)}
+            x0 = self._run_end(g - 1, -1, depth[g]) + 1
+            z1 = self._run_end(r + 1, 1, depth[r])
             blocks = tuple(
-                tuple((position[t], self.find(self.leaf_info[t][0]),
-                       self.leaf_info[t][1]) for t in tree_leaves(block))
-                for block in blocks_raw)
-            self.tree = _replace_node(self.tree, old, new)
+                tuple((i + 1, self.find(self.leaf_info[leaves[i]][0]),
+                       self.leaf_info[leaves[i]][1]) for i in range(lo, hi))
+                for lo, hi in ((x0, g + 1), (g + 1, r + 1), (r + 1, z1 + 1)))
+            depth[g], depth[r] = depth[r], depth[g]
+            self._shift(x0, g, -s.sign)
+            self._shift(r + 1, z1, s.sign)
             return AssocEvent(s.pos, s.sign, blocks)
 
         raise fail(f"unknown generator kind {s.kind!r}")
-
-
-def _prune(tree: Tree) -> Tree:
-    """Collapse None children left over from a cherry removal."""
-    if tree is None or not isinstance(tree, tuple):
-        return tree
-    left, right = _prune(tree[0]), _prune(tree[1])
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return (left, right)
 
 
 @dataclass(frozen=True)
@@ -451,15 +441,11 @@ def trace_word(slices: Sequence[Slice]) -> WordTrace:
 def _trace_cached(slices: tuple[Slice, ...]) -> WordTrace:
     state = BoundaryState()
     events: list[tuple[int, CrossEvent]] = []
-    try:
-        for index, s in enumerate(slices):
-            event = state.apply(s, index)
-            if isinstance(event, CrossEvent):
-                events.append((index + 1, event))
-        open_points = len(tree_leaves(state.tree))
-    except RecursionError:
-        raise WordValidationError("word nests too deeply: its boundary tree "
-                                  "exceeds the recursion limit") from None
+    for index, s in enumerate(slices):
+        event = state.apply(s, index)
+        if isinstance(event, CrossEvent):
+            events.append((index + 1, event))
+    open_points = len(state.leaves)
     # Circles are numbered by birth order.  Entry (i, j), i != j, of the
     # linking matrix is half the sum of crossing signs between circles i
     # and j; entry (i, i) is half the writhe of circle i (blackboard framing).

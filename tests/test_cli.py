@@ -7,9 +7,11 @@ Core claims:
     - verify reports carry the schema keys and exit 0 on true identities
     - enumerate lists diagrams and ends text output with "count: n"
     - selftest runs named sections and emits {"pass", "sections"} JSON
-    - exit codes: 2 for unreadable input or bad JSON, 3 for validation
-      failures (a word nested too deeply among them), 4 for unsupported
+    - exit codes: 2 for unreadable input (a file that is not UTF-8, a
+      position too long to convert), bad JSON or a non-integer type
+      matrix entry, 3 for validation failures, 4 for unsupported
       truncation, each with one error line and no traceback
+    - a word nested 600 levels deep computes
     - KZLAB_CORPUS_DIR redirects the corpus loader
 """
 
@@ -156,6 +158,24 @@ class TestExitCodes:
                             "--S", "[[oops")
         assert code == 2 and "error:" in err
 
+    def test_non_integer_type_matrix(self, capsys):
+        for text in ("[[0,1.9],[1.9,0]]", "[[0,true],[true,0]]"):
+            code, out, err = _run(capsys, "verify", "theorem", "--corpus",
+                                  "hopf+", "--S", text)
+            assert code == 2 and "error:" in err and not out, text
+
+    def test_word_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.qtw"
+        path.write_bytes(b"cup@1 ; cap@1 # \xe9\xff\n")
+        code, _, err = _run(capsys, "compute", "--word", str(path))
+        assert code == 2 and err.startswith("error:")
+
+    def test_position_too_long(self, capsys, tmp_path):
+        path = tmp_path / "long.qtw"
+        path.write_text("cup@" + "1" * 5000 + "\n", encoding="utf-8")
+        code, _, err = _run(capsys, "compute", "--word", str(path))
+        assert code == 2 and "position too long" in err
+
     def test_enumerate_needs_a_selector(self, capsys):
         code, _, err = _run(capsys, "enumerate", "--circles", "1")
         assert code == 3 and "error:" in err
@@ -176,18 +196,16 @@ class TestExitCodes:
                             "--degree", "9")
         assert code == 4 and "error:" in err
 
-    def test_deep_nesting_is_a_validation_error(self, tmp_path):
+    def test_deep_nesting_computes(self, tmp_path):
+        # 600 levels is past the recursion limit of a recursive tree.
         path = tmp_path / "deep.qtw"
-        path.write_text("cup@1\n" * 1500 + "cap@1\n" * 1500, encoding="utf-8")
+        path.write_text("cup@1\n" * 600 + "cap@1\n" * 600, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "kzlab.cli", "compute", "--word",
              str(path), "--degree", "1"],
             capture_output=True, text=True)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "nests too deeply" in lines[0]
+        assert proc.returncode == 0, proc.stderr
+        assert "circles: 600  truncation: 1" in proc.stdout.splitlines()
 
     def test_subprocess_entry_point(self):
         proc = subprocess.run(

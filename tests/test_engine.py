@@ -18,6 +18,10 @@ Core claims:
       series exactly at truncations 3 and 4
     - Fragment grafting agrees with direct integration at every split
       of every corpus word
+    - Inserting a cancelling assoc+@p;assoc-@p pair (either order) at any
+      legal site of a corpus word leaves its value unchanged
+    - Words and fragments nesting 600 levels deep evaluate with the
+      recursion limit at 120: the boundary needs no recursion
     - Bare-block substitution keeps the skeleton and suppresses only the
       designated crossing's chords, also while another thread integrates;
       a block index that is not a crossing slice of the fragment is an
@@ -28,6 +32,7 @@ Core claims:
     - Truncation limits: 3 with rebracketings, 4 without
 """
 
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -55,7 +60,7 @@ from kzlab.qtangle.engine import (
     strand_monomials,
     reduce_strands_mod_4t,
 )
-from kzlab.qtangle.words import END, START, Slice, parse_word, tree_leaves
+from kzlab.qtangle.words import END, START, Slice, parse_word, trace_word
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -66,8 +71,8 @@ def _ladder(k: int):
     return ((rungs, rungs), ())
 
 
-def _value(word: str, shape, roles, cutoff: int = 3):
-    return evaluate_fragment(parse_word(word), cutoff, initial=(shape, roles))
+def _value(word: str, depths, roles, cutoff: int = 3):
+    return evaluate_fragment(parse_word(word), cutoff, initial=(depths, roles))
 
 
 # == 1. Strand series ========================================================
@@ -75,24 +80,24 @@ def _value(word: str, shape, roles, cutoff: int = 3):
 
 class TestStrandSeries:
     def test_positive_crossing_coefficients(self):
-        terms = _value("x+@1", (0, 1), (END, END)).terms
+        terms = _value("x+@1", (0,), (END, END)).terms
         expected = [Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)]
         assert terms == {_ladder(k): value for k, value in enumerate(expected)}
 
     def test_negative_crossing_alternates(self):
-        terms = _value("x-@1", (0, 1), (END, END)).terms
+        terms = _value("x-@1", (0,), (END, END)).terms
         assert [terms[_ladder(k)] for k in range(4)] == [
             1, Fraction(-1, 2), Fraction(1, 8), Fraction(-1, 48)]
 
     def test_direction_variant_is_strand_reversal(self):
-        upup = _value("x+@1", (0, 1), (END, END)).terms
-        updown = _value("x+@1", (0, 1), (END, START)).terms
+        upup = _value("x+@1", (0,), (END, END)).terms
+        updown = _value("x+@1", (0,), (END, START)).terms
         assert updown == {((a, b[::-1]), closed): c * (-1) ** len(b)
                           for ((a, b), closed), c in upup.items()}
 
     def test_graft_orders_chords(self):
         word = parse_word("x+@1")
-        lower = evaluate_fragment(word, 2, initial=((0, 1), (END, END)))
+        lower = evaluate_fragment(word, 2, initial=((0,), (END, END)))
         upper = evaluate_fragment(word, 2, initial=lower.spec_out,
                                   slice_offset=1)
         twist = graft(lower, upper).terms
@@ -100,8 +105,8 @@ class TestStrandSeries:
         assert (((1, 2), (2, 1)), ()) not in twist
 
     def test_graft_requires_same_directions(self):
-        lower = evaluate_fragment([], 2, initial=((0, 1), (END, END)))
-        upper = evaluate_fragment([], 2, initial=((0, 1), (END, START)))
+        lower = evaluate_fragment([], 2, initial=((0,), (END, END)))
+        upper = evaluate_fragment([], 2, initial=((0,), (END, START)))
         with pytest.raises(WordValidationError):
             graft(lower, upper)
 
@@ -114,15 +119,15 @@ class TestAssociator:
         sign = associator_sign()
         ab, ba = (((1,), (2, 1), (2,)), ()), (((1,), (1, 2), (2,)), ())
         down = (START,) * 3
-        assert _value("assoc+@2", ((0, 1), 2), down, 2).terms == {
+        assert _value("assoc+@2", (1, 0), down, 2).terms == {
             (((), (), ()), ()): 1, ab: Fraction(sign, 24),
             ba: Fraction(-sign, 24)}
-        inverse = _value("assoc-@2", (0, (1, 2)), down, 2).terms
+        inverse = _value("assoc-@2", (0, 1), down, 2).terms
         assert inverse[ab] == Fraction(-sign, 24)
 
     def test_assoc_cables_over_block_leaves(self):
         sign = associator_sign()
-        terms = _value("assoc+@3", (((0, 1), 2), 3), (START,) * 4, 2).terms
+        terms = _value("assoc+@3", (2, 1, 0), (START,) * 4, 2).terms
         assert terms == {
             (((), (), (), ()), ()): 1,
             (((1,), (), (2, 1), (2,)), ()): Fraction(sign, 24),
@@ -132,10 +137,10 @@ class TestAssociator:
         }
 
     def test_coherence_words_end_on_one_boundary(self):
-        for shape, lhs, rhs in (_PENTAGON, _hexagon_words(1), _hexagon_words(-1)):
-            roles = (START,) * len(tree_leaves(shape))
-            assert _value(lhs, shape, roles, 1).leaves == \
-                _value(rhs, shape, roles, 1).leaves
+        for depths, lhs, rhs in (_PENTAGON, _hexagon_words(1), _hexagon_words(-1)):
+            roles = (START,) * (len(depths) + 1)
+            assert _value(lhs, depths, roles, 1).leaves == \
+                _value(rhs, depths, roles, 1).leaves
 
     def test_pentagon(self):
         for cutoff in (2, 3):
@@ -251,9 +256,45 @@ class TestFragments:
                 assert finalize(graft(lower, upper)).coefficients == \
                     direct.coefficients, (name, cut)
 
+    def test_assoc_pair_insertion_is_invisible(self):
+        sites = 0
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            direct = integrate(word, 3).coefficients
+            for cut in range(len(word) + 1):
+                width = trace_word(word[:cut]).open_points
+                for pos in range(1, width + 1):
+                    for sign in (1, -1):
+                        pair = (Slice("assoc", pos, sign=sign),
+                                Slice("assoc", pos, sign=-sign))
+                        padded = word[:cut] + pair + word[cut:]
+                        try:
+                            result = integrate(padded, 3)
+                        except WordValidationError:
+                            continue
+                        sites += 1
+                        assert result.coefficients == direct, (name, cut, pos, sign)
+        # Pinned so that a legality test that wrongly rejects sites fails.
+        assert sites == 102
+
+    def test_deep_words_need_no_recursion(self):
+        script = (
+            "import sys\n"
+            "from kzlab.qtangle.engine import evaluate_fragment, integrate\n"
+            "from kzlab.qtangle.words import parse_word\n"
+            "sys.setrecursionlimit(120)\n"
+            "closed = parse_word('cup@1\\n' * 600 + 'cap@1\\n' * 600)\n"
+            "print(integrate(closed, 1).circles)\n"
+            "print(len(evaluate_fragment(parse_word('cup@1\\n' * 600), 1)"
+            ".open_order))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["600", "600"]
+
     def test_graft_rejects_mismatched_boundaries(self):
         lower = evaluate_fragment(parse_word("cup@1"), 2)
-        upper = evaluate_fragment([], 2, initial=((0, 1), ("start", "start")))
+        upper = evaluate_fragment([], 2, initial=((0,), ("start", "start")))
         with pytest.raises(WordValidationError):
             graft(lower, upper)
 

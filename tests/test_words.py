@@ -7,14 +7,15 @@ Core claims:
     - Parse and render round-trip every corpus word
     - Validation rejects out-of-range positions, caps and crossings on
       non-adjacent leaves, direction-mismatched caps, ambiguous or
-      impossible rebracketings, and unclosed words
+      impossible rebracketings, and unclosed words; nesting depth is
+      unlimited
     - Crossing signs combine the slice sign with both strand directions
     - The signed crossing count reproduces every tabulated corpus
       linking matrix, with half-writhe diagonals
-    - Boundary states expose the shape and directions after each slice
-    - A word's trace leaves no open points on every corpus word, lists
-      one crossing per crossing slice, and turns a nesting too deep for
-      the recursive boundary tree into a validation error
+    - Boundary states expose the gap depths and directions after each
+      slice, and from_spec accepts only depth tuples that bracket
+    - A word's trace leaves no open points on every corpus word and lists
+      one crossing per crossing slice
 """
 
 from fractions import Fraction
@@ -70,6 +71,8 @@ class TestParsing:
             parse_word("cup@0")
         with pytest.raises(WordParseError):
             parse_word("cup@x")
+        with pytest.raises(WordParseError, match="line 1: position too long"):
+            parse_word("cup@" + "1" * 5000)
 
     def test_render_round_trip(self):
         for name in corpus_names():
@@ -127,10 +130,11 @@ class TestValidation:
         with pytest.raises(WordValidationError, match="not a crossing"):
             trace.crossing(1)
 
-    def test_deep_nesting_is_a_validation_error(self):
-        word = parse_word("cup@1\n" * 1500 + "cap@1\n" * 1500)
-        with pytest.raises(WordValidationError, match="nests too deeply"):
-            validate_word(word)
+    def test_deep_nesting_validates(self):
+        # 600 levels is past the recursion limit of a recursive tree.
+        trace = validate_word(parse_word("cup@1\n" * 600 + "cap@1\n" * 600))
+        assert trace.open_points == 0
+        assert len(trace.linking) == 600
 
 
 # == 3. Crossing signs and linking ===========================================
@@ -176,7 +180,8 @@ class TestBoundary:
 
     def test_nesting_positions(self):
         state = _apply_all("cup@1 ; cup@2")
-        _, roles = state.spec()
+        depths, roles = state.spec()
+        assert depths == (0, 2, 1)   # (a, ((b, c), d))
         assert roles == ("start", "start", "end", "end")
 
     def test_trace_length(self):
@@ -190,4 +195,14 @@ class TestBoundary:
     def test_closed_components_recorded(self):
         state = _apply_all("cup@1 ; cap@1 ; cup@1 ; cap@1")
         assert len(state.closed) == 2
-        assert state.spec() == (None, ())
+        assert state.spec() == ((), ())
+
+    def test_from_spec_rejects_non_bracketings(self):
+        # Two roots; two siblings at one depth; a root below 0; a depth
+        # count that does not fit the leaves; a nested shape.
+        for depths, leaves in (((0, 0), 3), ((1, 1, 0), 4), ((1,), 2),
+                               ((0,), 3), (((0, 1), 2), 3)):
+            with pytest.raises(WordValidationError, match="bracketing"):
+                BoundaryState.from_spec((depths, ("start",) * leaves))
+        spec = ((2, 1, 0), ("start",) * 4)
+        assert BoundaryState.from_spec(spec).spec() == spec
