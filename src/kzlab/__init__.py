@@ -10,8 +10,8 @@ reproducible runs.
 """
 
 from .diagrams import (
-    ChordDiagram, FourTRelator, Mod4TForm, all_type_matrices, canonical_code,
-    connected_sum, disjoint_union, enumerate_by_degree, enumerate_by_matrix,
+    ChordDiagram, FourTRelator, Mod4TForm, TypeMatrix, all_type_matrices,
+    canonical_code, connected_sum, enumerate_by_degree, enumerate_by_matrix,
     four_t_relators, quotient_dimension, reduce_mod_4t,
 )
 from .algebra import (
@@ -37,8 +37,8 @@ from .selftest import run_selftest, section_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChordDiagram", "FourTRelator", "Mod4TForm", "all_type_matrices",
-    "canonical_code", "connected_sum", "disjoint_union", "enumerate_by_degree",
+    "ChordDiagram", "FourTRelator", "Mod4TForm", "TypeMatrix",
+    "all_type_matrices", "canonical_code", "connected_sum", "enumerate_by_degree",
     "enumerate_by_matrix", "four_t_relators", "quotient_dimension",
     "reduce_mod_4t",
     "MAX_TRUNCATION", "closed_connected_product", "interval_closure",

@@ -50,11 +50,6 @@ def concat_words(left: Sequence[int], right: Sequence[int]) -> Word:
     return _relabel([tuple(left) + tuple(x + shift for x in right)])[0]
 
 
-def reverse_word(word: Sequence[int]) -> Word:
-    """Read a word from the other end of the interval."""
-    return _relabel([tuple(reversed(word))])[0]
-
-
 def close_word(word: Sequence[int]) -> ChordDiagram:
     """Join the interval's ends, producing a one-circle diagram."""
     return ChordDiagram([tuple(word)])

@@ -20,20 +20,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .diagrams import ChordDiagram, enumerate_by_degree, enumerate_by_matrix
+from .diagrams import (
+    ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
+)
 from .errors import (
     CorpusLookupError, KzlabError, TruncationUnsupportedError, WordParseError,
     WordValidationError,
 )
 from .invariants import (
-    VerificationReport, check_recursion, degree_sum_identity, matrix_degree,
-    verify_theorem,
+    VerificationReport, check_recursion, degree_sum_identity, verify_theorem,
 )
 from .qtangle.corpus import corpus_names, corpus_path, load_corpus_word
 from .qtangle.engine import integrate
 from .qtangle.words import Slice, linking_matrix, parse_word
 from .selftest import run_selftest, section_names
-from .diagrams import all_type_matrices
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -88,7 +88,7 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _parse_perm(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.replace(",", " ").split())
+        return tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError as exc:
         raise WordParseError(f"--relabel must be integers: {text!r}") from exc
 

@@ -26,7 +26,35 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 Code = tuple[tuple[int, ...], ...]
-Matrix = tuple[tuple[int, ...], ...]
+
+
+class TypeMatrix(tuple):
+    """A checked chord type matrix: square, symmetric, int entries >= 0
+    (floats, strings and bools are refused with ValueError, not truncated).
+    Built once, it passes through the constructor unchanged; it compares
+    and hashes like the plain nested tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, S: Sequence[Sequence[int]]) -> "TypeMatrix":
+        if isinstance(S, TypeMatrix):
+            return S
+        try:
+            rows = tuple(tuple(row) for row in S)
+        except TypeError as exc:
+            raise ValueError("type matrix must be a sequence of rows") from exc
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("type matrix must be square")
+        if not all(type(x) is int and x >= 0 for row in rows for x in row):
+            raise ValueError("type matrix entries must be natural numbers (int >= 0)")
+        if rows != tuple(zip(*rows)):
+            raise ValueError("type matrix must be symmetric")
+        return super().__new__(cls, rows)
+
+    @property
+    def degree(self) -> int:
+        """The chord count: each cell i <= j once."""
+        return (sum(map(sum, self)) + sum(row[i] for i, row in enumerate(self))) // 2
 
 
 def add_term(out: dict, key: object, coeff: Fraction | int) -> None:
@@ -94,7 +122,7 @@ class ChordDiagram:
     def degree(self) -> int:
         return sum(len(w) for w in self.code) // 2
 
-    def type_matrix(self) -> Matrix:
+    def type_matrix(self) -> TypeMatrix:
         """Symmetric matrix counting chords by the pair of circles they join.
 
         Entry (i, i) counts chords with both ends on circle i+1; entry
@@ -112,7 +140,7 @@ class ChordDiagram:
             else:
                 counts[a][b] += 1
                 counts[b][a] += 1
-        return tuple(tuple(row) for row in counts)
+        return TypeMatrix(counts)
 
     def relabel_circles(self, perm: Sequence[int]) -> "ChordDiagram":
         """Move circle i to position perm[i-1]; perm is a 1-based bijection."""
@@ -145,13 +173,6 @@ class ChordDiagram:
 
     def __repr__(self) -> str:
         return f"ChordDiagram({[list(w) for w in self.code]!r})"
-
-
-def disjoint_union(a: ChordDiagram, b: ChordDiagram) -> ChordDiagram:
-    """Place b's circles after a's, keeping both chord sets."""
-    shift = a.degree
-    shifted = tuple(tuple(label + shift for label in word) for word in b.code)
-    return ChordDiagram(a.code + shifted)
 
 
 def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
@@ -202,16 +223,15 @@ def _matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from rec(items)
 
 
+def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, ...]:
+    """All diagrams whose type matrix equals the given one."""
+    return _by_matrix(TypeMatrix(matrix))
+
+
 @lru_cache(maxsize=None)
-def enumerate_by_matrix(matrix: Matrix) -> tuple[ChordDiagram, ...]:
-    """All diagrams whose type matrix equals the given symmetric matrix."""
+def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
+    # Checked before the cache, which would answer ((True,),) as ((1,),).
     m = len(matrix)
-    for i in range(m):
-        if len(matrix[i]) != m:
-            raise ValueError("type matrix must be square")
-        for j in range(m):
-            if matrix[i][j] != matrix[j][i] or matrix[i][j] < 0:
-                raise ValueError("type matrix must be symmetric with natural entries")
     slot_counts = [2 * matrix[i][i] + sum(matrix[i][j] for j in range(m) if j != i)
                    for i in range(m)]
     slot_circle = [i for i in range(m) for _ in range(slot_counts[i])]
@@ -237,9 +257,14 @@ def enumerate_by_matrix(matrix: Matrix) -> tuple[ChordDiagram, ...]:
     return tuple(sorted(found))
 
 
+enumerate_by_matrix.cache_info = _by_matrix.cache_info
+
+
 @lru_cache(maxsize=None)
-def all_type_matrices(m: int, k: int) -> tuple[Matrix, ...]:
-    """All symmetric natural m x m matrices with entry sum k over i <= j."""
+def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
+    """All m x m type matrices of degree k."""
+    if m < 1 or k < 0:
+        raise ValueError("need m >= 1 circles and degree k >= 0")
     cells = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
     out = []
     for split in itertools.combinations(range(k + len(cells) - 1), len(cells) - 1):
@@ -248,15 +273,13 @@ def all_type_matrices(m: int, k: int) -> tuple[Matrix, ...]:
         rows = [[0] * m for _ in range(m)]
         for (i, j), v in zip(cells, values):
             rows[i][j] = rows[j][i] = v
-        out.append(tuple(tuple(r) for r in rows))
+        out.append(TypeMatrix(rows))
     return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
 def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
     """All degree-k diagrams on m labeled circles, sorted by code."""
-    if m < 1 or k < 0:
-        raise ValueError("need m >= 1 circles and degree k >= 0")
     found: list[ChordDiagram] = []
     for matrix in all_type_matrices(m, k):
         found.extend(enumerate_by_matrix(matrix))

@@ -4,8 +4,10 @@ The two sides of every check are built independently.  The left side is
 a monomial in entries of the linking matrix, which the words module
 computes by counting signed crossings.  The right side sums engine
 coefficients over a family of chord diagrams, selected by type matrix or
-by degree.  Each checker returns a VerificationReport holding both exact
-rationals, so a failure is inspectable rather than a bare assertion.
+by degree.  Each public function checks its type matrix S once, by
+building a diagrams.TypeMatrix, and passes that on.  Each checker
+returns a VerificationReport holding both exact rationals, so a failure
+is inspectable rather than a bare assertion.
 
 The crossing-change checkers work on a designated positive crossing.
 Replacing that crossing's local series by a bare k-chord block gives the
@@ -23,7 +25,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .diagrams import (
-    ChordDiagram, all_type_matrices, connected_sum, enumerate_by_degree,
+    ChordDiagram, TypeMatrix, all_type_matrices, connected_sum,
     enumerate_by_matrix,
 )
 from .algebra import closed_connected_product, series_exp, unknot_series_closed
@@ -34,31 +36,10 @@ from .qtangle.engine import (
 )
 from .qtangle.words import Slice, linking_matrix, trace_word
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _as_matrix(S: Sequence[Sequence[int]]) -> Matrix:
-    rows = tuple(tuple(int(x) for x in row) for row in S)
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        raise ValueError("type matrix must be square")
-    if any(x < 0 for row in rows for x in row):
-        raise ValueError("type matrix entries must be nonnegative")
-    if any(rows[i][j] != rows[j][i] for i in range(m) for j in range(m)):
-        raise ValueError("type matrix must be symmetric")
-    return rows
-
-
-def matrix_degree(S: Sequence[Sequence[int]]) -> int:
-    """Number of chords a type matrix calls for: each cell i <= j once."""
-    rows = _as_matrix(S)
-    return sum(rows[i][j] for i in range(len(rows)) for j in range(i, len(rows)))
-
-
 def linking_monomial(linking: Sequence[Sequence[Fraction]],
                      S: Sequence[Sequence[int]]) -> Fraction:
     """Product over cells i <= j of lk_ij^s_ij / s_ij!; 1 for S = 0."""
-    rows = _as_matrix(S)
+    rows = TypeMatrix(S)
     if len(linking) != len(rows):
         raise ValueError("linking matrix and type matrix sizes differ")
     out = Fraction(1)
@@ -77,11 +58,11 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     Accepts either engine output (checked against its truncation) or any
     raw diagram-to-coefficient mapping, such as a 4T relator.
     """
-    rows = _as_matrix(S)
+    rows = TypeMatrix(S)
     if isinstance(value, TangleResult):
-        if matrix_degree(rows) > value.truncation:
+        if rows.degree > value.truncation:
             raise TruncationUnsupportedError(
-                f"type matrix needs degree {matrix_degree(rows)} but the "
+                f"type matrix needs degree {rows.degree} but the "
                 f"series is truncated at {value.truncation}")
         if value.circles != len(rows):
             raise ValueError("type matrix size differs from circle count")
@@ -95,14 +76,10 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
 
 
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
-    """Sum of all degree-k coefficients, over every type at once."""
-    if k > value.truncation:
-        raise TruncationUnsupportedError(
-            f"degree {k} exceeds the series truncation {value.truncation}")
-    total = Fraction(0)
-    for diagram in enumerate_by_degree(value.circles, k):
-        total += value.coefficients.get(diagram, Fraction(0))
-    return total
+    """Sum of all degree-k coefficients: the class sums over every type
+    matrix of degree k."""
+    return sum((class_sum(value, S)
+                for S in all_type_matrices(value.circles, k)), Fraction(0))
 
 
 # -- Reports -----------------------------------------------------------------
@@ -113,7 +90,7 @@ class VerificationReport:
     """One exact identity check: both sides, a verdict, and timing."""
 
     word: str
-    S: Matrix | None
+    S: TypeMatrix | None
     N: int
     lhs: Fraction
     rhs: Fraction
@@ -147,7 +124,7 @@ class VerificationReport:
                 f"{self.lhs} == {self.rhs} -> {verdict}")
 
 
-def _report(word_id: str, S: Matrix | None, cutoff: int, lhs: Fraction,
+def _report(word_id: str, S: TypeMatrix | None, cutoff: int, lhs: Fraction,
             rhs: Fraction, started: float, identity: str = "",
             k: int | None = None) -> VerificationReport:
     ms = int(round((time.perf_counter() - started) * 1000))
@@ -163,7 +140,7 @@ def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
                    relabel: Sequence[int] | None = None) -> VerificationReport:
     """Linking monomial versus the same-type class sum of the integral."""
     started = time.perf_counter()
-    rows = _as_matrix(S)
+    rows = TypeMatrix(S)
     result = integrate(word, cutoff, relabel=relabel)
     oracle = linking_matrix(word)
     if relabel is not None:
@@ -213,11 +190,11 @@ def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:
     return circles
 
 
-def _with_entry(S: Matrix, a: int, b: int, value: int) -> Matrix:
+def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
     rows = [list(row) for row in S]
     rows[a - 1][b - 1] = value
     rows[b - 1][a - 1] = value
-    return tuple(tuple(row) for row in rows)
+    return TypeMatrix(rows)
 
 
 def check_recursion(word: Sequence[Slice], crossing: int,
@@ -231,7 +208,7 @@ def check_recursion(word: Sequence[Slice], crossing: int,
     from the word's own class sums.  The oracle closed form checks the
     linking-side variation against its binomial expansion.
     """
-    rows = _as_matrix(S)
+    rows = TypeMatrix(S)
     info = crossing_info(word, crossing)
     if info.geometric_sign != 1:
         raise WordValidationError(
@@ -250,7 +227,7 @@ def check_recursion(word: Sequence[Slice], crossing: int,
     lhs = class_sum(plus, rows) - class_sum(minus, rows)
     rhs = Fraction(0)
     j = 0
-    while 2 * j + 1 <= matrix_degree(rows):
+    while 2 * j + 1 <= rows.degree:
         term = class_sum(crossing_term(word, crossing, 2 * j + 1, cutoff), rows)
         rhs += term / (factorial(2 * j + 1) * 4 ** j)
         j += 1
@@ -288,10 +265,9 @@ def smoothing_shift_reports(word: Sequence[Slice], crossing: int,
                             word_id: str = "word") -> list[VerificationReport]:
     """Bare-block class sums: shifting the designated entry absorbs the
     block's chords, and blocks larger than the entry contribute nothing."""
-    rows = _as_matrix(S)
+    rows = TypeMatrix(S)
     a, b = crossing_circles(word, crossing)
     s = rows[a - 1][b - 1]
-    degree = matrix_degree(rows)
     zero_block = crossing_term(word, crossing, 0, cutoff)
     reports = []
     for k in range(0, s + 1):
@@ -300,7 +276,7 @@ def smoothing_shift_reports(word: Sequence[Slice], crossing: int,
         rhs = class_sum(zero_block, _with_entry(rows, a, b, s - k))
         reports.append(_report(word_id, rows, cutoff, lhs, rhs, started,
                                identity="block-shift", k=k))
-    for k in range(s + 1, degree + 1):
+    for k in range(s + 1, rows.degree + 1):
         started = time.perf_counter()
         lhs = class_sum(crossing_term(word, crossing, k, cutoff), rows)
         reports.append(_report(word_id, rows, cutoff, lhs, Fraction(0),
@@ -314,7 +290,7 @@ def variation_match(word: Sequence[Slice], crossing: int,
     """Class-sum variation under a crossing change equals the linking
     monomial variation, both computed from scratch."""
     started = time.perf_counter()
-    rows = _as_matrix(S)
+    rows = TypeMatrix(S)
     flipped = flip_crossing(word, crossing)
     lhs = (class_sum(integrate(word, cutoff), rows)
            - class_sum(integrate(flipped, cutoff), rows))

@@ -325,14 +325,15 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             (cl, role_l), (cr, role_r) = event.left, event.right
             il, ir = open_order.index(cl), open_order.index(cr)
             g = event.geometric_sign
-            override = block_k if slice_offset + local == block_at else None
+            if slice_offset + local == block_at:
+                weights = [(block_k, Fraction(1))]
+            else:
+                weights = [(k, Fraction(g) ** k / (2 ** k * factorial(k)))
+                           for k in range(cutoff + 1)]
             new_terms = {}
             for (open_seqs, closed_seqs), coeff in terms.items():
-                ks = range(cutoff + 1) if override is None else (override,)
-                for k in ks:
+                for k, factor in weights:
                     rungs = tuple(_FRESH + t for t in range(k))
-                    factor = (Fraction(1) if override is not None
-                              else Fraction(g) ** k / (2 ** k * factorial(k)))
                     seqs = list(open_seqs)
                     seqs[il] = _insert_at_point(seqs[il], role_l, rungs)
                     seqs[ir] = _insert_at_point(seqs[ir], role_r, rungs)

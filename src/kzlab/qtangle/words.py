@@ -450,20 +450,20 @@ def _trace_cached(slices: tuple[Slice, ...]) -> WordTrace:
     # linking matrix is half the sum of crossing signs between circles i
     # and j; entry (i, i) is half the writhe of circle i (blackboard framing).
     labels = {birth: i for i, birth in enumerate(sorted(state.closed))}
-    total = [[0] * len(labels) for _ in labels]
+    total: dict[tuple[int, int], int] = {}
     crossings = []
     for index, event in events:
         circles = None
         if not open_points:
             a = labels[state.find(event.left[0])]
             b = labels[state.find(event.right[0])]
-            total[a][b] += event.geometric_sign
-            if a != b:
-                total[b][a] += event.geometric_sign
             circles = (min(a, b) + 1, max(a, b) + 1)
+            total[circles] = total.get(circles, 0) + event.geometric_sign
         crossings.append(TracedCrossing(index, event, circles))
-    linking = None if open_points else tuple(
-        tuple(Fraction(entry, 2) for entry in row) for row in total)
+    rows = [[Fraction(0)] * len(labels) for _ in labels]
+    for (a, b), signs in total.items():
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = Fraction(signs, 2)
+    linking = None if open_points else tuple(map(tuple, rows))
     return WordTrace(open_points, tuple(crossings), linking)
 
 

@@ -96,7 +96,7 @@ def _section_linking() -> tuple[bool, int, str]:
             for j in range(i, m):
                 unit = [[0] * m for _ in range(m)]
                 unit[i][j] = unit[j][i] = 1
-                (diagram,) = enumerate_by_matrix(tuple(map(tuple, unit)))
+                (diagram,) = enumerate_by_matrix(unit)
                 got = result.coefficient(diagram)
                 checks += 1
                 if got != expected[i][j]:

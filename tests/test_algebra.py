@@ -3,7 +3,7 @@ Unit tests for interval word series, wheels, and the unknot value.
 
 Core claims:
     - Word normalization renames tokens by first occurrence; concat,
-      reverse, and closure behave as stated
+      and closure behave as stated
     - series_exp matches its defining sum for a one-chord exponent
     - interval_sqrt squares back to the input on random unit series
     - Wheel weights are 1/48, -1/5760, 1/362880, -1/19353600, matching
@@ -31,7 +31,6 @@ from kzlab.algebra import (
     interval_product,
     interval_sqrt,
     resolve_wheel_attachment,
-    reverse_word,
     series_exp,
     sqrt_unknot_series,
     unknot_series_closed,
@@ -55,11 +54,6 @@ class TestWords:
     def test_concat_shifts_right_side(self):
         assert concat_words((1, 1), (1, 2, 1, 2)) == (1, 1, 2, 3, 2, 3)
         assert concat_words((), (1, 1)) == (1, 1)
-
-    def test_reverse(self):
-        assert reverse_word((1, 2, 1, 2)) == (2, 1, 2, 1) or \
-            reverse_word((1, 2, 1, 2)) == (1, 2, 1, 2)
-        assert close_word(reverse_word((1, 1, 2, 2))) == close_word((1, 1, 2, 2))
 
     def test_closure_merges_rotations(self):
         assert close_word((1, 2, 2, 1)) == close_word((1, 1, 2, 2))

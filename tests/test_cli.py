@@ -196,6 +196,18 @@ class TestExitCodes:
                             "--degree", "9")
         assert code == 4 and "error:" in err
 
+    def test_invalid_type_matrix(self, capsys):
+        for text in ("[[0,1],[1]]", "[[0,1],[2,0]]", "[[0,-1],[-1,0]]"):
+            code, out, err = _run(capsys, "verify", "theorem", "--corpus",
+                                  "hopf+", "--S", text)
+            assert code == 3 and "error:" in err and not out, text
+
+    def test_degree_sum_degree_range(self, capsys):
+        for k, expected in (("-1", 3), ("9", 4)):
+            code, out, err = _run(capsys, "verify", "degree-sum", "--corpus",
+                                  "hopf+", "--k", k)
+            assert code == expected and "error:" in err and not out, k
+
     def test_deep_nesting_computes(self, tmp_path):
         # 600 levels is past the recursion limit of a recursive tree.
         path = tmp_path / "deep.qtw"

@@ -4,7 +4,9 @@ Unit tests for canonical chord diagrams, enumeration, and the 4T quotient.
 Core claims:
     - Canonicalization is idempotent and invariant under circle rotations
     - Chord labels must occur exactly twice; empty circles are fine
-    - Type matrices count chords by endpoint circles, symmetrically
+    - Type matrices count chords by endpoint circles, symmetrically; a
+      TypeMatrix is square, symmetric and natural (int entries only),
+      is built once, and knows its degree, which no caller can reset
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18 up to degree 4
     - Type families partition each degree list (m <= 3, k <= 4)
     - Every 4T relator has four terms with signs +1, -1, -1, +1 and
@@ -12,7 +14,7 @@ Core claims:
     - Relator vectors reduce to zero; the quotient dimensions on one
       circle are 1, 2, 3, 6 in degrees 1..4, matching a sympy rank oracle
     - Connected sums agree modulo 4T regardless of insertion point
-    - Circle relabeling and disjoint union behave as stated
+    - Circle relabeling behaves as stated
     - JSON serialization emits 1-based circles and 0-based slots
 """
 
@@ -25,10 +27,10 @@ import pytest
 from kzlab.diagrams import (
     ChordDiagram,
     Mod4TForm,
+    TypeMatrix,
     all_type_matrices,
     canonical_code,
     connected_sum,
-    disjoint_union,
     enumerate_by_degree,
     enumerate_by_matrix,
     four_t_relators,
@@ -116,6 +118,40 @@ class TestTypeMatrix:
         d = ChordDiagram([(1, 2, 1, 2), (3, 3)])
         S = d.type_matrix()
         assert sum(S[i][j] for i in range(2) for j in range(i, 2)) == d.degree
+        assert S.degree == d.degree
+
+    def test_degree_on_mixed_matrices(self):
+        assert TypeMatrix(((1, 2), (2, 0))).degree == 3
+        assert TypeMatrix([[2, 1, 0], [1, 0, 3], [0, 3, 1]]).degree == 7
+        assert TypeMatrix(()).degree == 0
+
+    def test_built_once_and_equal_to_the_plain_tuple(self):
+        S = TypeMatrix([[0, 1], [1, 0]])
+        assert TypeMatrix(S) is S
+        assert S == ((0, 1), (1, 0)) and hash(S) == hash(((0, 1), (1, 0)))
+        with pytest.raises(AttributeError):
+            S.degree = 5
+
+    def test_enumeration_returns_type_matrices(self):
+        assert all(isinstance(S, TypeMatrix) for S in all_type_matrices(3, 2))
+        assert isinstance(ChordDiagram([(1, 2), (1, 2)]).type_matrix(), TypeMatrix)
+
+    def test_bad_matrices_raise_value_error(self):
+        # The valid matrix comes first: an equal bool matrix must not be
+        # answered from the enumeration cache.
+        assert len(enumerate_by_matrix(((0, 1), (1, 0)))) == 1
+        for S in (((0.5,),), ((0, True), (True, 0)), ((0, 1.0), (1.0, 0)),
+                  ((0, "1"), ("1", 0)), ((-1,),), ((0, 1), (1,)),
+                  ((0, 1), (2, 0)), (1, 2)):
+            with pytest.raises(ValueError):
+                enumerate_by_matrix(S)
+
+    def test_degree_and_circle_ranges(self):
+        for m, k in ((0, 1), (1, -1)):
+            with pytest.raises(ValueError):
+                all_type_matrices(m, k)
+            with pytest.raises(ValueError):
+                enumerate_by_degree(m, k)
 
 
 # == 3. Enumeration ==========================================================
@@ -238,13 +274,6 @@ class TestMod4TForm:
 
 
 class TestProducts:
-    def test_disjoint_union_keeps_sides(self):
-        left = ChordDiagram([(1, 1)])
-        right = ChordDiagram([(1, 2, 1, 2)])
-        both = disjoint_union(left, right)
-        assert both.circles == 2
-        assert both.type_matrix() == ((1, 0), (0, 2))
-
     def test_connected_sum_insertion_independence_mod_4t(self):
         host = ChordDiagram([(1, 2, 1, 2)])
         insert = ChordDiagram([(1, 1)])

@@ -23,7 +23,10 @@ from fractions import Fraction
 
 import pytest
 
-from kzlab.diagrams import ChordDiagram, all_type_matrices, reduce_mod_4t
+from kzlab.diagrams import (
+    ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_matrix,
+    reduce_mod_4t,
+)
 from kzlab.errors import TruncationUnsupportedError, WordValidationError
 from kzlab.invariants import (
     VerificationReport,
@@ -35,7 +38,6 @@ from kzlab.invariants import (
     flip_crossing,
     kinked_unknot_series,
     linking_monomial,
-    matrix_degree,
     smoothing_shift_reports,
     unknot_degree_value,
     variation_match,
@@ -65,7 +67,7 @@ class TestLinkingMonomial:
         assert linking_monomial(trefoil, ((2,),)) == Fraction(9, 8)
 
     def test_matrix_degree(self):
-        assert matrix_degree(((1, 2), (2, 0))) == 3
+        assert TypeMatrix(((1, 2), (2, 0))).degree == 3
 
     def test_bad_type_matrices(self):
         with pytest.raises(ValueError):
@@ -74,6 +76,20 @@ class TestLinkingMonomial:
             linking_monomial(corpus_linking("hopf+"), ((0, 1), (2, 0)))
         with pytest.raises(ValueError):
             linking_monomial(((0,),), ((-1,),))
+
+    def test_bad_type_matrices_are_refused_not_truncated(self):
+        word = load_corpus_word("hopf+")
+        result = integrate(word, 3)
+        checks = (lambda S: verify_theorem(word, S, 3),
+                  lambda S: linking_monomial(linking_matrix(word), S),
+                  lambda S: class_sum(result, S),
+                  enumerate_by_matrix)
+        for S in ([[0, 1.9], [1.9, 0]], [[0, "1"], ["1", 0]],
+                  [[0, True], [True, 0]], [[0, -1], [-1, 0]], [[0, 1], [1]],
+                  [[0, 1], [2, 0]]):
+            for check in checks:
+                with pytest.raises(ValueError):
+                    check(S)
 
 
 # == 2. Class sums ===========================================================
@@ -101,6 +117,8 @@ class TestClassSum:
             class_sum(result, HOPF_S)
         with pytest.raises(TruncationUnsupportedError):
             degree_class_sum(result, 3)
+        with pytest.raises(ValueError):
+            degree_class_sum(result, -1)
 
     def test_unlinked_degrees_sum_to_zero(self):
         result = integrate(load_corpus_word("u0"), 3)

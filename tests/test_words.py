@@ -11,7 +11,9 @@ Core claims:
       unlimited
     - Crossing signs combine the slice sign with both strand directions
     - The signed crossing count reproduces every tabulated corpus
-      linking matrix, with half-writhe diagonals
+      linking matrix, with half-writhe diagonals, and a 1000-circle nest
+      of kinked and plain unknots is diagonal, each entry that of the
+      same closure on one circle
     - Boundary states expose the gap depths and directions after each
       slice, and from_spec accepts only depth tuples that bracket
     - A word's trace leaves no open points on every corpus word and lists
@@ -166,6 +168,17 @@ class TestLinking:
     def test_writhe_counts_self_crossings(self):
         trefoil = load_corpus_word("trefoil")
         assert linking_matrix(trefoil) == ((Fraction(3, 2),),)
+
+    def test_wide_nest_matches_one_circle_closures(self):
+        # Circle j is born j-th and closed (n - j)-th, innermost first.
+        closures = ("cap@1", "x+@1;cap'@1", "x-@1;cap'@1")
+        n = 1000
+        ends = [closures[j % 3] for j in range(n)]
+        lk = linking_matrix(parse_word("cup@1;" * n + ";".join(reversed(ends))))
+        one = {c: linking_matrix(parse_word("cup@1;" + c))[0][0] for c in closures}
+        assert [one[c] for c in closures] == [0, Fraction(-1, 2), Fraction(1, 2)]
+        assert all(lk[i][j] == (one[ends[i]] if i == j else 0)
+                   for i in range(n) for j in range(n))
 
 
 # == 4. Boundary traces ======================================================
