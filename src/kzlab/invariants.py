@@ -51,6 +51,13 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
     return out
 
 
+def _check_degree(value: TangleResult, k: int) -> None:
+    if k > value.truncation:
+        raise TruncationUnsupportedError(
+            f"type matrix needs degree {k} but the "
+            f"series is truncated at {value.truncation}")
+
+
 def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
               S: Sequence[Sequence[int]]) -> Fraction:
     """Sum of coefficients over all diagrams with the given type matrix.
@@ -60,10 +67,7 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     """
     rows = TypeMatrix(S)
     if isinstance(value, TangleResult):
-        if rows.degree > value.truncation:
-            raise TruncationUnsupportedError(
-                f"type matrix needs degree {rows.degree} but the "
-                f"series is truncated at {value.truncation}")
+        _check_degree(value, rows.degree)
         if value.circles != len(rows):
             raise ValueError("type matrix size differs from circle count")
         coefficients: Mapping[ChordDiagram, Fraction] = value.coefficients
@@ -78,6 +82,7 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
     """Sum of all degree-k coefficients: the class sums over every type
     matrix of degree k."""
+    _check_degree(value, k)
     return sum((class_sum(value, S)
                 for S in all_type_matrices(value.circles, k)), Fraction(0))
 
@@ -162,6 +167,7 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
     degree-k coefficient sum."""
     started = time.perf_counter()
     result = integrate(word, cutoff)
+    _check_degree(result, k)
     oracle = linking_matrix(word)
     lhs = sum((linking_monomial(oracle, S)
                for S in all_type_matrices(result.circles, k)), Fraction(0))

@@ -13,6 +13,12 @@ closures) is delegated to the words module.  evaluate_fragment runs any
 slice range from a given boundary; graft stitches two fragment values at
 a shared interface; integrate closes a full word into labeled circles.
 
+Every slice value and every graft is a product of graded series, and
+the running terms are kept per degree (number of chords).  A term of
+degree d is multiplied only by the parts of degree at most N - d, so no
+kernel forms a term over the truncation N: the degree budget is the one
+rule that truncates.
+
 The pentagon and the hexagon are checked on the same fragment values:
 two words over one open boundary of down strands must evaluate equal,
 the hexagon modulo strand-level 4T relators.  The hexagon picks the
@@ -27,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..algebra import sqrt_unknot_series
 from ..diagrams import (
@@ -219,6 +225,43 @@ def _insert_at_point(seq: tuple[int, ...], role: str,
     return tuple(reversed(tokens)) + seq
 
 
+Graded = list[dict[Key, Fraction]]   # graded[d]: the terms with d chords
+
+
+def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]],
+              place: Callable[..., tuple]) -> Graded:
+    """Multiply graded terms by a graded series, within the truncation.
+
+    series[a] lists the (payload, coefficient) pairs of a chords, and
+    place(open_seqs, closed_seqs, payload) returns the unnormalised
+    product.  A term of degree d meets only series degrees up to
+    len(terms) - 1 - d, so no product over the truncation is formed.
+    """
+    cutoff = len(terms) - 1
+    out: Graded = [{} for _ in terms]
+    for d, bucket in enumerate(terms):
+        fits = [(out[d + a], payload, c)
+                for a, pairs in enumerate(series[:cutoff - d + 1])
+                for payload, c in pairs]
+        for (open_seqs, closed_seqs), coeff in bucket.items():
+            for target, payload, c in fits:
+                product = place(open_seqs, closed_seqs, payload)
+                add_term(target, _normalize_key(*product), coeff * c)
+    return out
+
+
+def _graded(terms: Mapping[Key, Fraction], cutoff: int) -> Graded:
+    """Bucket a flat series by chord count, counting each key once."""
+    graded: Graded = [{} for _ in range(cutoff + 1)]
+    for key, coeff in terms.items():
+        graded[sum(map(len, key[0] + key[1])) // 2][key] = coeff
+    return graded
+
+
+def _flatten(terms: Graded) -> dict[Key, Fraction]:
+    return {key: coeff for bucket in terms for key, coeff in bucket.items()}
+
+
 @dataclass(frozen=True)
 class FragmentValue:
     """Value of a slice range: per-component chord words, ready to graft.
@@ -258,6 +301,10 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     word index `index` (slice_offset counts here) by a bare k-chord block
     with coefficient 1; an index that is not a crossing slice of this
     fragment raises WordValidationError.
+
+    The running terms are kept per degree, and each kernel builds only
+    the products that fit within cutoff, so no term over the truncation
+    is formed; the returned terms are one flat key -> coefficient dict.
     """
     _check_cutoff(slices, cutoff)
     block_at, block_k = bare_block if bare_block is not None else (None, None)
@@ -269,43 +316,36 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     spec_in = state.spec()
     open_order: list[Birth] = list(state.open_components())
     closed_order: list[Birth] = []
-    terms: dict[Key, Fraction] = {
-        (tuple(() for _ in open_order), ()): Fraction(1)}
-    # A cup's or cap's arc series on fresh tokens, by primed flag.
-    arcs = {primed: [(tuple(_FRESH + t for t in (word[::-1] if primed else word)), c)
-                     for word, c in sqrt_unknot_series(cutoff).items()]
-            for primed in (False, True)}
-
-    def reroot(new_terms: dict[Key, Fraction], open_seqs, closed_seqs,
-               coeff: Fraction) -> None:
-        if sum(len(s) for s in open_seqs) + sum(len(s) for s in closed_seqs) > 2 * cutoff:
-            return
-        add_term(new_terms, _normalize_key(open_seqs, closed_seqs), coeff)
+    terms: Graded = [{} for _ in range(cutoff + 1)]
+    terms[0][(tuple(() for _ in open_order), ())] = Fraction(1)
+    # A cup's or cap's arc series on fresh tokens, by primed flag and degree.
+    arcs: dict[bool, list[list]] = {False: [[] for _ in terms],
+                                    True: [[] for _ in terms]}
+    for word, c in sqrt_unknot_series(cutoff).items():
+        fresh = tuple(_FRESH + t for t in word)
+        arcs[False][len(word) // 2].append((fresh, c))
+        arcs[True][len(word) // 2].append((fresh[::-1], c))
 
     for local, s in enumerate(slices):
         event = state.apply(s, slice_offset + local)
         if isinstance(event, CupEvent):
             idx = len([b for b in open_order if b < event.component])
             open_order.insert(idx, event.component)
-            new_terms: dict[Key, Fraction] = {}
-            for (open_seqs, closed_seqs), coeff in terms.items():
-                for fresh, c in arcs[s.primed]:
-                    seqs = open_seqs[:idx] + (fresh,) + open_seqs[idx:]
-                    reroot(new_terms, seqs, closed_seqs, coeff * c)
-            terms = new_terms
+
+            def place(open_seqs, closed_seqs, fresh):
+                return open_seqs[:idx] + (fresh,) + open_seqs[idx:], closed_seqs
+            terms = _multiply(terms, arcs[s.primed], place)
         elif isinstance(event, CapEvent):
-            new_terms = {}
             if event.closes:
                 i = open_order.index(event.merged)
                 open_order.pop(i)
                 pos = len([b for b in closed_order if b < event.merged])
                 closed_order.insert(pos, event.merged)
-                for (open_seqs, closed_seqs), coeff in terms.items():
-                    for fresh, c in arcs[s.primed]:
-                        circle = open_seqs[i] + fresh
-                        seqs = open_seqs[:i] + open_seqs[i + 1:]
-                        closed = (closed_seqs[:pos] + (circle,) + closed_seqs[pos:])
-                        reroot(new_terms, seqs, closed, coeff * c)
+
+                def place(open_seqs, closed_seqs, fresh):
+                    circle = open_seqs[i] + fresh
+                    return (open_seqs[:i] + open_seqs[i + 1:],
+                            closed_seqs[:pos] + (circle,) + closed_seqs[pos:])
             else:
                 ia = open_order.index(event.ending)
                 ib = open_order.index(event.starting)
@@ -313,37 +353,40 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                     open_order.pop(b)
                 idx = len([b for b in open_order if b < event.merged])
                 open_order.insert(idx, event.merged)
-                for (open_seqs, closed_seqs), coeff in terms.items():
-                    for fresh, c in arcs[s.primed]:
-                        joined = open_seqs[ia] + fresh + open_seqs[ib]
-                        rest = [q for i, q in enumerate(open_seqs)
-                                if i not in (ia, ib)]
-                        rest.insert(idx, joined)
-                        reroot(new_terms, rest, closed_seqs, coeff * c)
-            terms = new_terms
+
+                def place(open_seqs, closed_seqs, fresh):
+                    joined = open_seqs[ia] + fresh + open_seqs[ib]
+                    rest = [q for i, q in enumerate(open_seqs) if i not in (ia, ib)]
+                    rest.insert(idx, joined)
+                    return rest, closed_seqs
+            terms = _multiply(terms, arcs[s.primed], place)
         elif isinstance(event, CrossEvent):
             (cl, role_l), (cr, role_r) = event.left, event.right
             il, ir = open_order.index(cl), open_order.index(cr)
             g = event.geometric_sign
+            # weights[k] holds the k-chord rungs with their coefficient.
             if slice_offset + local == block_at:
-                weights = [(block_k, Fraction(1))]
+                weights = [[] for _ in range(block_k)]
+                weights.append([(tuple(_FRESH + t for t in range(block_k)),
+                                 Fraction(1))])
             else:
-                weights = [(k, Fraction(g) ** k / (2 ** k * factorial(k)))
+                weights = [[(tuple(_FRESH + t for t in range(k)),
+                             Fraction(g) ** k / (2 ** k * factorial(k)))]
                            for k in range(cutoff + 1)]
-            new_terms = {}
-            for (open_seqs, closed_seqs), coeff in terms.items():
-                for k, factor in weights:
-                    rungs = tuple(_FRESH + t for t in range(k))
-                    seqs = list(open_seqs)
-                    seqs[il] = _insert_at_point(seqs[il], role_l, rungs)
-                    seqs[ir] = _insert_at_point(seqs[ir], role_r, rungs)
-                    reroot(new_terms, seqs, closed_seqs, coeff * factor)
-            terms = new_terms
+
+            def place(open_seqs, closed_seqs, rungs):
+                seqs = list(open_seqs)
+                seqs[il] = _insert_at_point(seqs[il], role_l, rungs)
+                seqs[ir] = _insert_at_point(seqs[ir], role_r, rungs)
+                return seqs, closed_seqs
+            terms = _multiply(terms, weights, place)
         elif isinstance(event, AssocEvent):
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
             x_block, y_block, z_block = event.blocks
-            lifts: list[tuple[Fraction, dict[int, list[int]]]] = []
+            # The unit term, no degree-1 term, and the 2-chord lifts.
+            lifts: list[list[tuple[dict[int, list[int]], Fraction]]] = [
+                [({}, Fraction(1))], [], []]
             for first, second, monomial_sign in (
                     ((x_block, y_block), (y_block, z_block), 1),
                     ((y_block, z_block), (x_block, y_block), -1)):
@@ -357,20 +400,17 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                 if role == END:
                                     orient = -orient
                         coeff = sigma * monomial_sign * ASSOCIATOR_WEIGHT * orient
-                        lifts.append((coeff, by_leaf))
-            leaf_comp = {pos: (comp, role) for block in event.blocks
-                         for pos, comp, role in block}
-            new_terms = {}
-            for (open_seqs, closed_seqs), coeff in terms.items():
-                reroot(new_terms, open_seqs, closed_seqs, coeff)
-                for factor, by_leaf in lifts:
-                    seqs = list(open_seqs)
-                    for pos, tokens in by_leaf.items():
-                        comp, role = leaf_comp[pos]
-                        i = open_order.index(comp)
-                        seqs[i] = _insert_at_point(seqs[i], role, tokens)
-                    reroot(new_terms, seqs, closed_seqs, coeff * factor)
-            terms = new_terms
+                        lifts[2].append((by_leaf, coeff))
+            leaf_at = {pos: (open_order.index(comp), role)
+                       for block in event.blocks for pos, comp, role in block}
+
+            def place(open_seqs, closed_seqs, by_leaf):
+                seqs = list(open_seqs)
+                for pos, tokens in by_leaf.items():
+                    i, role = leaf_at[pos]
+                    seqs[i] = _insert_at_point(seqs[i], role, tokens)
+                return seqs, closed_seqs
+            terms = _multiply(terms, lifts, place)
         # identity slices change nothing
 
     return FragmentValue(
@@ -382,7 +422,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         members=state.cup_members(open_order),
         open_order=tuple(open_order),
         closed_order=tuple(closed_order),
-        terms=terms,
+        terms=_flatten(terms),
     )
 
 
@@ -490,33 +530,30 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
             return low_open[lower_index[b]]
         return tuple(t + _FRESH for t in up_open[upper_index[b]])
 
-    terms: dict[Key, Fraction] = {}
-    for (low_open, low_closed), c_low in lower.terms.items():
-        for (up_open, up_closed), c_up in upper.terms.items():
-            open_seqs = []
-            for birth in open_order:
-                _, chain, _, _ = order_of[birth]
-                seq: tuple[int, ...] = ()
-                for node in chain:
-                    seq = seq + seq_of(node, low_open, up_open)
-                open_seqs.append(seq)
-            closed_map: dict[Birth, tuple[int, ...]] = {}
-            for b, seq in zip(lower.closed_order, low_closed):
-                closed_map[b] = seq
-            for b, seq in zip(upper.closed_order, up_closed):
-                closed_map[b] = tuple(t + _FRESH for t in seq)
-            for b, chain in cycle_of.items():
-                seq = ()
-                for node in chain:
-                    seq = seq + seq_of(node, low_open, up_open)
-                closed_map[b] = seq
-            closed_seqs = [closed_map[b] for b in closed_order]
-            total = (sum(len(q) for q in open_seqs)
-                     + sum(len(q) for q in closed_seqs))
-            if total > 2 * cutoff:
-                continue
-            add_term(terms, _normalize_key(open_seqs, closed_seqs),
-                     c_low * c_up)
+    def stitch(low_open, low_closed, upper_key):
+        up_open, up_closed = upper_key
+        open_seqs = []
+        for birth in open_order:
+            _, chain, _, _ = order_of[birth]
+            seq: tuple[int, ...] = ()
+            for node in chain:
+                seq = seq + seq_of(node, low_open, up_open)
+            open_seqs.append(seq)
+        closed_map: dict[Birth, tuple[int, ...]] = {}
+        for b, seq in zip(lower.closed_order, low_closed):
+            closed_map[b] = seq
+        for b, seq in zip(upper.closed_order, up_closed):
+            closed_map[b] = tuple(t + _FRESH for t in seq)
+        for b, chain in cycle_of.items():
+            seq = ()
+            for node in chain:
+                seq = seq + seq_of(node, low_open, up_open)
+            closed_map[b] = seq
+        return open_seqs, [closed_map[b] for b in closed_order]
+
+    upper_series = [list(bucket.items())
+                    for bucket in _graded(upper.terms, cutoff)]
+    terms = _multiply(_graded(lower.terms, cutoff), upper_series, stitch)
 
     anchors = {entry[0]: entry[2] for entry in assembled}
     members = {entry[0]: entry[3] for entry in assembled}
@@ -529,7 +566,7 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         members=members,
         open_order=open_order,
         closed_order=closed_order,
-        terms=terms,
+        terms=_flatten(terms),
     )
 
 

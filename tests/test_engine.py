@@ -17,13 +17,17 @@ Core claims:
     - Integrating the bare unknot word reproduces the closed unknot
       series exactly at truncations 3 and 4
     - Fragment grafting agrees with direct integration at every split
-      of every corpus word
+      of every corpus word, at truncation 3 and at the word's maximum
+    - No kernel forms a term over the truncation: on a kinked 6-circle
+      unlink at degree 4 every key normalised holds at most 8 endpoints,
+      and the count of keys normalised is pinned
     - Inserting a cancelling assoc+@p;assoc-@p pair (either order) at any
       legal site of a corpus word leaves its value unchanged
     - Words and fragments nesting 600 levels deep evaluate with the
       recursion limit at 120: the boundary needs no recursion
     - Bare-block substitution keeps the skeleton and suppresses only the
-      designated crossing's chords, also while another thread integrates;
+      designated crossing's chords; a block over the truncation leaves
+      an empty series, also while another thread integrates;
       a block index that is not a crossing slice of the fragment is an
       error
     - Cached series are read-only: a caller cannot change what a later
@@ -43,6 +47,7 @@ from kzlab.algebra import sqrt_unknot_series, unknot_series_closed
 from kzlab.diagrams import ChordDiagram, _relabel, four_t_moves
 from kzlab.errors import TruncationUnsupportedError, WordValidationError
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
+from kzlab.qtangle import engine
 from kzlab.qtangle.engine import (
     _PENTAGON,
     _hexagon_words,
@@ -247,14 +252,35 @@ class TestFragments:
     def test_graft_agrees_with_integration_at_every_split(self):
         for name in corpus_names():
             word = load_corpus_word(name)
-            direct = integrate(word, 3)
-            for cut in range(len(word) + 1):
-                lower = evaluate_fragment(word[:cut], 3)
-                upper = evaluate_fragment(word[cut:], 3,
-                                          initial=lower.spec_out,
-                                          slice_offset=cut)
-                assert finalize(graft(lower, upper)).coefficients == \
-                    direct.coefficients, (name, cut)
+            for cutoff in sorted({3, max_truncation(word)}):
+                direct = integrate(word, cutoff)
+                for cut in range(len(word) + 1):
+                    lower = evaluate_fragment(word[:cut], cutoff)
+                    upper = evaluate_fragment(word[cut:], cutoff,
+                                              initial=lower.spec_out,
+                                              slice_offset=cut)
+                    assert finalize(graft(lower, upper)).coefficients == \
+                        direct.coefficients, (name, cutoff, cut)
+
+    def test_no_term_over_the_truncation_is_formed(self, monkeypatch):
+        # The kinked 6-circle unlink [1, 0, -1, 0, 1, 0]: six cups, then
+        # the closures innermost first.
+        word = parse_word(";".join(
+            ["cup@1"] * 6 + ["x+@1", "cap'@1", "cap@1", "x-@1", "cap'@1",
+                             "cap@1", "x+@1", "cap'@1", "cap@1"]))
+        sizes = []
+        normalize = engine._normalize_key
+
+        def spy(open_seqs, closed_seqs):
+            sizes.append(sum(map(len, open_seqs)) + sum(map(len, closed_seqs)))
+            return normalize(open_seqs, closed_seqs)
+
+        monkeypatch.setattr(engine, "_normalize_key", spy)
+        # Unwrapped, so that a cached value cannot hide the evaluation.
+        result = engine._integrate_cached.__wrapped__(word, 4)
+        assert max(sizes) <= 2 * 4
+        assert len(sizes) == 3276
+        assert len(result.coefficients) == 254
 
     def test_assoc_pair_insertion_is_invisible(self):
         sites = 0
@@ -337,6 +363,12 @@ class TestCrossingBlocks:
         blocked = crossing_term(word, 4, 0, 2)
         link_chord = ChordDiagram([(1,), (1,)])
         assert blocked.coefficient(link_chord) == Fraction(1, 2)
+
+    def test_block_over_the_truncation_is_empty(self):
+        word = load_corpus_word("hopf+")
+        assert not crossing_term(word, 4, 5, 3).coefficients
+        top = crossing_term(word, 4, 3, 3).coefficients
+        assert top and all(d.degree == 3 for d in top)
 
     def test_block_inserts_exactly_k_chords(self):
         word = load_corpus_word("hopf+")

@@ -4,7 +4,8 @@ Unit tests for class sums, linking monomials, and identity reports.
 Core claims:
     - A linking monomial multiplies cell powers lk^s/s! and is 1 at S=0
     - Class sums pick out one type's total coefficient, with truncation
-      and circle-count guards
+      and circle-count guards; a degree over the truncation is refused
+      before any type matrix is enumerated
     - The main identity holds on corpus words: linking monomial equals
       the matching class sum, exactly
     - Degree sums of linking monomials match total coefficient sums
@@ -119,6 +120,16 @@ class TestClassSum:
             degree_class_sum(result, 3)
         with pytest.raises(ValueError):
             degree_class_sum(result, -1)
+
+    def test_degree_is_checked_before_enumerating(self):
+        result = integrate(load_corpus_word("hopf+"), 3)
+        before = all_type_matrices.cache_info().misses
+        message = "needs degree 600 but the series is truncated at 3"
+        with pytest.raises(TruncationUnsupportedError, match=message):
+            degree_class_sum(result, 600)
+        with pytest.raises(TruncationUnsupportedError, match=message):
+            degree_sum_identity(load_corpus_word("hopf+"), 600, 3)
+        assert all_type_matrices.cache_info().misses == before
 
     def test_unlinked_degrees_sum_to_zero(self):
         result = integrate(load_corpus_word("u0"), 3)
