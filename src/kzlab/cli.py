@@ -8,13 +8,15 @@ byte-identical JSON apart from measured timings.
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 input could not
 be parsed or found, 3 a word or argument failed validation, 4 requested
-truncation not supported.
+truncation not supported.  A reader that closes stdout early (as `head`
+does) drops the rest of the output but leaves the exit code unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,8 +111,21 @@ def _series_json(result) -> dict:
             "terms": terms}
 
 
+def _write(text: str) -> None:
+    """Print one line to stdout.  Once the reader has gone (a closed
+    pipe), stdout points at the null device, so the rest of the output
+    is dropped and the command still returns its own verdict."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    _write(json.dumps(payload, indent=2))
 
 
 def cmd_compute(config: RunConfig) -> int:
@@ -119,15 +134,15 @@ def cmd_compute(config: RunConfig) -> int:
     if config.fmt == "json":
         _emit(_series_json(result))
         return EXIT_OK
-    print(f"word: {word_id}")
-    print(f"circles: {result.circles}  truncation: {result.truncation}")
+    _write(f"word: {word_id}")
+    _write(f"circles: {result.circles}  truncation: {result.truncation}")
     for k in range(result.truncation + 1):
         part = result.degree_part(k)
         total = sum(part.values(), Fraction(0))
-        print(f"degree {k} (sum {total}):")
+        _write(f"degree {k} (sum {total}):")
         for diagram in sorted(part):
             if part[diagram]:
-                print(f"  {part[diagram]!s:>10}  {_render_code(diagram)}")
+                _write(f"  {part[diagram]!s:>10}  {_render_code(diagram)}")
     return EXIT_OK
 
 
@@ -175,7 +190,7 @@ def cmd_verify(config: RunConfig) -> int:
         _emit([r.as_dict() for r in reports])
     else:
         for r in reports:
-            print(r.render())
+            _write(r.render())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
 
 
@@ -193,8 +208,8 @@ def cmd_enumerate(config: RunConfig) -> int:
                "diagrams": [d.json_dict() for d in diagrams]})
     else:
         for d in diagrams:
-            print(_render_code(d))
-        print(f"count: {len(diagrams)}")
+            _write(_render_code(d))
+        _write(f"count: {len(diagrams)}")
     return EXIT_OK
 
 
@@ -205,8 +220,8 @@ def cmd_selftest(config: RunConfig) -> int:
         _emit({"pass": ok, "sections": [r.as_dict() for r in results]})
     else:
         for r in results:
-            print(r.render())
-        print("all sections pass" if ok else "FAILURES above")
+            _write(r.render())
+        _write("all sections pass" if ok else "FAILURES above")
     return EXIT_OK if ok else EXIT_FAILED
 
 

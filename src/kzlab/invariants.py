@@ -196,6 +196,16 @@ def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:
     return circles
 
 
+def _crossing_cell(word: Sequence[Slice], crossing: int,
+                   S: TypeMatrix) -> tuple[int, int]:
+    """The crossing's circle pair (a, b), once S is checked to have one
+    row per circle of the word."""
+    a, b = crossing_circles(word, crossing)
+    if len(S) != len(linking_matrix(word)):
+        raise ValueError("type matrix size differs from circle count")
+    return a, b
+
+
 def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
     rows = [list(row) for row in S]
     rows[a - 1][b - 1] = value
@@ -220,9 +230,7 @@ def check_recursion(word: Sequence[Slice], crossing: int,
         raise WordValidationError(
             f"slice {crossing} must be a positive crossing "
             f"(geometric sign {info.geometric_sign})")
-    a, b = crossing_circles(word, crossing)
-    if len(rows) != len(linking_matrix(word)):
-        raise ValueError("type matrix size differs from circle count")
+    a, b = _crossing_cell(word, crossing, rows)
     s = rows[a - 1][b - 1]
     flipped = flip_crossing(word, crossing)
     plus = integrate(word, cutoff)
@@ -272,7 +280,7 @@ def smoothing_shift_reports(word: Sequence[Slice], crossing: int,
     """Bare-block class sums: shifting the designated entry absorbs the
     block's chords, and blocks larger than the entry contribute nothing."""
     rows = TypeMatrix(S)
-    a, b = crossing_circles(word, crossing)
+    a, b = _crossing_cell(word, crossing, rows)
     s = rows[a - 1][b - 1]
     zero_block = crossing_term(word, crossing, 0, cutoff)
     reports = []

@@ -194,24 +194,6 @@ def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
 Key = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
-def _normalize_key(open_seqs: Sequence[Sequence[int]],
-                   closed_seqs: Sequence[Sequence[int]]) -> Key:
-    names: dict[int, int] = {}
-
-    def rename(seqs: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for seq in seqs:
-            renamed = []
-            for token in seq:
-                if token not in names:
-                    names[token] = len(names) + 1
-                renamed.append(names[token])
-            out.append(tuple(renamed))
-        return tuple(out)
-
-    return (rename(open_seqs), rename(closed_seqs))
-
-
 def _insert_at_point(seq: tuple[int, ...], role: str,
                      tokens: Sequence[int]) -> tuple[int, ...]:
     """Add chord endpoints at a component's boundary point.
@@ -233,9 +215,11 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]]
     """Multiply graded terms by a graded series, within the truncation.
 
     series[a] lists the (payload, coefficient) pairs of a chords, and
-    place(open_seqs, closed_seqs, payload) returns the unnormalised
-    product.  A term of degree d meets only series degrees up to
-    len(terms) - 1 - d, so no product over the truncation is formed.
+    place(open_seqs, closed_seqs, payload) returns the product before
+    renaming; its open and closed sequences are renamed in one _relabel
+    pass, open first, and split again.  A term of degree d meets only
+    series degrees up to len(terms) - 1 - d, so no product over the
+    truncation is formed.
     """
     cutoff = len(terms) - 1
     out: Graded = [{} for _ in terms]
@@ -245,8 +229,10 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]]
                 for payload, c in pairs]
         for (open_seqs, closed_seqs), coeff in bucket.items():
             for target, payload, c in fits:
-                product = place(open_seqs, closed_seqs, payload)
-                add_term(target, _normalize_key(*product), coeff * c)
+                open_part, closed_part = place(open_seqs, closed_seqs, payload)
+                code = _relabel((*open_part, *closed_part))
+                n = len(open_part)
+                add_term(target, (code[:n], code[n:]), coeff * c)
     return out
 
 
@@ -269,6 +255,9 @@ class FragmentValue:
     Components are identified by birth keys; anchors map a component to
     the positions it holds on the fragment's lower interface, and members
     lists the cup-born keys merged into it (for rebirth after grafting).
+    A grafted open chain is born (0, 0, a) at its least anchor a, or at
+    its least cup member if it has no anchor; a circle closed by the
+    graft is born at its least cup member.
     """
 
     cutoff: int
@@ -431,8 +420,11 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
 
     The lower fragment's top boundary must match the upper fragment's
     initial spec (shape and directions).  Components are joined along the
-    interface; chains may stay open, and a closed loop of stitches turns
-    into a circle.
+    interface into walks, each walked once.  A walk that ends where it
+    began is a new circle: its birth is its least cup member, and it
+    reads from its least-birth component.  Any other walk is an open
+    chain, born (0, 0, a) at its least anchor a on the lower boundary,
+    or at its least cup member when it has no anchor.
     """
     if lower.cutoff != upper.cutoff:
         raise ValueError("fragments must share a truncation degree")
@@ -456,128 +448,80 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         else:
             successor[("U", uc)] = ("L", lc)
 
-    lower_nodes = [("L", b) for b in lower.open_order]
-    upper_nodes = [("U", b) for b in upper.open_order]
+    # Chain heads (no predecessor) first, then the rest, which lie on
+    # new circles.
+    nodes = ([("L", b) for b in lower.open_order]
+             + [("U", b) for b in upper.open_order])
     has_pred = set(successor.values())
-
-    paths: list[list[tuple[str, Birth]]] = []
-    cycles: list[list[tuple[str, Birth]]] = []
-    visited: set[tuple[str, Birth]] = set()
-    for node in lower_nodes + upper_nodes:
-        if node in visited or node in has_pred:
+    chains: dict[Birth, tuple[list, tuple[int, ...], tuple[Birth, ...]]] = {}
+    circles: dict[Birth, list] = {}
+    seen: set[tuple[str, Birth]] = set()
+    for node in ([n for n in nodes if n not in has_pred]
+                 + sorted(n for n in nodes if n in has_pred)):
+        if node in seen:
             continue
-        chain = [node]
-        visited.add(node)
-        while chain[-1] in successor:
-            chain.append(successor[chain[-1]])
-            visited.add(chain[-1])
-        paths.append(chain)
-    for node in sorted(set(lower_nodes + upper_nodes) - visited):
-        if node in visited:
-            continue
-        cycle = [node]
-        visited.add(node)
-        nxt = successor[node]
-        while nxt != node:
-            cycle.append(nxt)
-            visited.add(nxt)
-            nxt = successor[nxt]
-        cycles.append(cycle)
-
-    def birth_of(anchors: tuple[int, ...], member_births: list[Birth]) -> Birth:
-        if anchors:
-            return (0, 0, min(anchors))
-        return min(member_births)
-
-    assembled: list[tuple[Birth, list[tuple[str, Birth]], tuple[int, ...],
-                          tuple[Birth, ...]]] = []
-    for chain in paths:
+        walk = [node]
+        seen.add(node)
+        while walk[-1] in successor and successor[walk[-1]] not in seen:
+            walk.append(successor[walk[-1]])
+            seen.add(walk[-1])
         anchors: list[int] = []
-        member_births: list[Birth] = []
-        for side, b in chain:
+        members: list[Birth] = []
+        for side, b in walk:
+            source = lower if side == "L" else upper
+            members.extend(source.members.get(b, ()))
             if side == "L":
                 anchors.extend(lower.anchors.get(b, ()))
-                member_births.extend(lower.members.get(b, ()))
-                if not lower.anchors.get(b) and not lower.members.get(b):
-                    member_births.append(b)
-            else:
-                member_births.extend(upper.members.get(b, ()))
-        birth = birth_of(tuple(anchors), member_births)
-        assembled.append((birth, chain, tuple(sorted(anchors)),
-                          tuple(sorted(member_births))))
-    cycle_entries: list[tuple[Birth, list[tuple[str, Birth]]]] = []
-    for cycle in cycles:
-        member_births = []
-        for side, b in cycle:
-            source = lower if side == "L" else upper
-            member_births.extend(source.members.get(b, ()))
-        start = cycle.index(min(cycle, key=lambda node: node[1]))
-        cycle_entries.append((min(member_births), cycle[start:] + cycle[:start]))
+        if walk[-1] in successor:
+            start = walk.index(min(walk, key=lambda n: n[1]))
+            circles[min(members)] = walk[start:] + walk[:start]
+        else:
+            birth = (0, 0, min(anchors)) if anchors else min(members)
+            chains[birth] = (walk, tuple(sorted(anchors)), tuple(sorted(members)))
 
-    open_order = tuple(sorted(entry[0] for entry in assembled))
-    order_of = {entry[0]: entry for entry in assembled}
-    closed_births = (list(lower.closed_order) + list(upper.closed_order)
-                     + [b for b, _ in cycle_entries])
-    closed_order = tuple(sorted(closed_births))
-    cycle_of = {b: chain for b, chain in cycle_entries}
-
+    open_order = tuple(sorted(chains))
+    closed_order = tuple(sorted(lower.closed_order + upper.closed_order
+                                + tuple(circles)))
     lower_index = {b: i for i, b in enumerate(lower.open_order)}
     upper_index = {b: i for i, b in enumerate(upper.open_order)}
 
-    def seq_of(node: tuple[str, Birth], low_open, up_open) -> tuple[int, ...]:
-        side, b = node
-        if side == "L":
-            return low_open[lower_index[b]]
-        return tuple(t + _FRESH for t in up_open[upper_index[b]])
-
     def stitch(low_open, low_closed, upper_key):
         up_open, up_closed = upper_key
-        open_seqs = []
-        for birth in open_order:
-            _, chain, _, _ = order_of[birth]
+
+        def along(walk) -> tuple[int, ...]:
             seq: tuple[int, ...] = ()
-            for node in chain:
-                seq = seq + seq_of(node, low_open, up_open)
-            open_seqs.append(seq)
-        closed_map: dict[Birth, tuple[int, ...]] = {}
-        for b, seq in zip(lower.closed_order, low_closed):
-            closed_map[b] = seq
+            for side, b in walk:
+                if side == "L":
+                    seq += low_open[lower_index[b]]
+                else:
+                    seq += tuple(t + _FRESH for t in up_open[upper_index[b]])
+            return seq
+
+        closed_map = dict(zip(lower.closed_order, low_closed))
         for b, seq in zip(upper.closed_order, up_closed):
             closed_map[b] = tuple(t + _FRESH for t in seq)
-        for b, chain in cycle_of.items():
-            seq = ()
-            for node in chain:
-                seq = seq + seq_of(node, low_open, up_open)
-            closed_map[b] = seq
-        return open_seqs, [closed_map[b] for b in closed_order]
+        for b, walk in circles.items():
+            closed_map[b] = along(walk)
+        return ([along(chains[b][0]) for b in open_order],
+                [closed_map[b] for b in closed_order])
 
     upper_series = [list(bucket.items())
                     for bucket in _graded(upper.terms, cutoff)]
     terms = _multiply(_graded(lower.terms, cutoff), upper_series, stitch)
 
-    anchors = {entry[0]: entry[2] for entry in assembled}
-    members = {entry[0]: entry[3] for entry in assembled}
+    rebirth = {node: birth for birth, (walk, _, _) in chains.items()
+               for node in walk}
     return FragmentValue(
         cutoff=cutoff,
         spec_in=lower.spec_in,
         spec_out=upper.spec_out,
-        leaves=_relabel_leaves(upper, assembled),
-        anchors=anchors,
-        members=members,
+        leaves=tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves),
+        anchors={b: chain[1] for b, chain in chains.items()},
+        members={b: chain[2] for b, chain in chains.items()},
         open_order=open_order,
         closed_order=closed_order,
         terms=_flatten(terms),
     )
-
-
-def _relabel_leaves(upper: FragmentValue,
-                    assembled) -> tuple[tuple[Birth, str], ...]:
-    """Top boundary points of the graft, named by stitched components."""
-    rebirth = {}
-    for birth, chain, _, _ in assembled:
-        for node in chain:
-            rebirth[node] = birth
-    return tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves)
 
 
 # -- Results -----------------------------------------------------------------
@@ -607,25 +551,23 @@ class TangleResult:
         return TangleResult(self.circles, self.truncation, MappingProxyType(out))
 
 
-def finalize(fragment: FragmentValue,
-             relabel: Sequence[int] | None = None) -> TangleResult:
+def finalize(fragment: FragmentValue) -> TangleResult:
     """Close a fully evaluated fragment into labeled circles."""
     if fragment.spec_out[1] or any(fragment.anchors.values()) or fragment.open_order:
         raise WordValidationError("fragment is not a closed link")
     out: dict[ChordDiagram, Fraction] = {}
     for (open_seqs, closed_seqs), coeff in fragment.terms.items():
         add_term(out, ChordDiagram(list(closed_seqs)), coeff)
-    result = TangleResult(len(fragment.closed_order), fragment.cutoff,
-                          MappingProxyType(out))
-    if relabel is not None:
-        result = result.relabeled(tuple(relabel))
-    return result
+    return TangleResult(len(fragment.closed_order), fragment.cutoff,
+                        MappingProxyType(out))
 
 
 @lru_cache(maxsize=None)
-def _integrate_cached(slices: tuple[Slice, ...], cutoff: int) -> TangleResult:
+def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
+                      bare_block: tuple[int, int] | None = None) -> TangleResult:
+    """integrate and crossing_term, cached on the whole word."""
     validate_word(slices)
-    return finalize(evaluate_fragment(slices, cutoff))
+    return finalize(evaluate_fragment(slices, cutoff, bare_block=bare_block))
 
 
 def integrate(slices: Sequence[Slice], cutoff: int,
@@ -643,18 +585,10 @@ def crossing_info(slices: Sequence[Slice], crossing: int) -> CrossEvent:
     return trace_word(slices).crossing(crossing).event
 
 
-@lru_cache(maxsize=None)
-def _crossing_term_cached(slices: tuple[Slice, ...], crossing: int, k: int,
-                          cutoff: int) -> TangleResult:
-    validate_word(slices)
-    return finalize(evaluate_fragment(slices, cutoff,
-                                      bare_block=(crossing - 1, k)))
-
-
 def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
                   cutoff: int) -> TangleResult:
     """Integrate with one crossing's series replaced by a bare k-chord
     block with coefficient 1 (k = 0 suppresses the crossing's chords)."""
     if k < 0:
         raise ValueError("chord count must be nonnegative")
-    return _crossing_term_cached(tuple(slices), crossing, k, cutoff)
+    return _integrate_cached(tuple(slices), cutoff, (crossing - 1, k))

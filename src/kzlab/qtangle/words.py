@@ -467,11 +467,12 @@ def _trace_cached(slices: tuple[Slice, ...]) -> WordTrace:
     return WordTrace(open_points, tuple(crossings), linking)
 
 
-def validate_word(slices: Sequence[Slice], require_closed: bool = True,
-                  ) -> WordTrace:
-    """Run the boundary checks; returns the word's trace."""
+def validate_word(slices: Sequence[Slice]) -> WordTrace:
+    """Run the boundary checks on a closed word; returns the word's trace.
+
+    An open word raises WordValidationError; trace_word traces one."""
     trace = trace_word(slices)
-    if require_closed and trace.open_points:
+    if trace.open_points:
         raise WordValidationError(
             f"word leaves {trace.open_points} open boundary points")
     return trace

@@ -11,11 +11,14 @@ Core claims:
       position too long to convert), bad JSON or a non-integer type
       matrix entry, 3 for validation failures, 4 for unsupported
       truncation, each with one error line and no traceback
+    - a closed stdout pipe leaves the exit code to the command's verdict
+      and writes nothing to stderr
     - a word nested 600 levels deep computes
     - KZLAB_CORPUS_DIR redirects the corpus loader
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -231,6 +234,21 @@ class TestExitCodes:
              "--corpus", "nope"],
             capture_output=True, text=True)
         assert bad.returncode == 2
+
+    def test_closed_stdout_keeps_the_verdict(self):
+        # The reader of stdout has gone before the first line is written.
+        for argv in (("compute", "--corpus", "trefoil", "--format", "json"),
+                     ("verify", "theorem", "--corpus", "hopf+", "--all-S")):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "kzlab.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == "", argv
 
 
 # == 5. corpus override ======================================================

@@ -17,10 +17,15 @@ Core claims:
     - Integrating the bare unknot word reproduces the closed unknot
       series exactly at truncations 3 and 4
     - Fragment grafting agrees with direct integration at every split
-      of every corpus word, at truncation 3 and at the word's maximum
+      of every corpus word, at truncation 3 and at the word's maximum,
+      and at every three-way split in both groupings
+    - Grafting word[s:a] and word[a:b] gives the boundary, anchors,
+      members and component orders of evaluating word[s:b] directly, and
+      its terms too when no new circle closes, from the empty boundary
+      and from the anchored boundary mid-word
     - No kernel forms a term over the truncation: on a kinked 6-circle
-      unlink at degree 4 every key normalised holds at most 8 endpoints,
-      and the count of keys normalised is pinned
+      unlink at degree 4 every key renamed holds at most 8 endpoints,
+      and the count of keys renamed is pinned
     - Inserting a cancelling assoc+@p;assoc-@p pair (either order) at any
       legal site of a corpus word leaves its value unchanged
     - Words and fragments nesting 600 levels deep evaluate with the
@@ -248,19 +253,61 @@ class TestIntegration:
             integrate(load_corpus_word("u0"), -1)
 
 
+def _piece(word, start, stop, cutoff, below=None):
+    """Slices start..stop of word, evaluated on top of the fragment below."""
+    return evaluate_fragment(word[start:stop], cutoff,
+                             initial=None if below is None else below.spec_out,
+                             slice_offset=start)
+
+
 class TestFragments:
     def test_graft_agrees_with_integration_at_every_split(self):
         for name in corpus_names():
             word = load_corpus_word(name)
             for cutoff in sorted({3, max_truncation(word)}):
-                direct = integrate(word, cutoff)
+                direct = integrate(word, cutoff).coefficients
                 for cut in range(len(word) + 1):
-                    lower = evaluate_fragment(word[:cut], cutoff)
-                    upper = evaluate_fragment(word[cut:], cutoff,
-                                              initial=lower.spec_out,
-                                              slice_offset=cut)
+                    lower = _piece(word, 0, cut, cutoff)
+                    upper = _piece(word, cut, len(word), cutoff, lower)
                     assert finalize(graft(lower, upper)).coefficients == \
-                        direct.coefficients, (name, cutoff, cut)
+                        direct, (name, cutoff, cut)
+                    # Three pieces, grafted in both groupings.
+                    for top in range(cut, len(word) + 1):
+                        middle = _piece(word, cut, top, cutoff, lower)
+                        rest = _piece(word, top, len(word), cutoff, middle)
+                        for joined in (graft(graft(lower, middle), rest),
+                                       graft(lower, graft(middle, rest))):
+                            assert finalize(joined).coefficients == direct, \
+                                (name, cutoff, cut, top)
+
+    def test_graft_bookkeeping_matches_direct_evaluation(self):
+        # graft(word[s:a], word[a:b]) against evaluating word[s:b] at once,
+        # from the empty boundary (s = 0) and from the anchored boundary
+        # at the middle of the word.
+        fields = ("spec_in", "spec_out", "leaves", "anchors", "members",
+                  "open_order", "closed_order")
+        counts = {True: [0, 0], False: [0, 0]}   # s == 0: [pairs, same terms]
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            for s in sorted({0, len(word) // 2}):
+                base = _piece(word, 0, s, 2)
+                for a in range(s, len(word) + 1):
+                    lower = _piece(word, s, a, 2, base)
+                    for b in range(a, len(word) + 1):
+                        upper = _piece(word, a, b, 2, lower)
+                        joined = graft(lower, upper)
+                        direct = _piece(word, s, b, 2, base)
+                        for field in fields:
+                            assert getattr(joined, field) == \
+                                getattr(direct, field), (name, s, a, b, field)
+                        counts[s == 0][0] += 1
+                        # A new circle reads from its least-birth component,
+                        # not from where its cap closed it, so its keys differ.
+                        if len(joined.closed_order) == \
+                                len(lower.closed_order) + len(upper.closed_order):
+                            assert joined.terms == direct.terms, (name, s, a, b)
+                            counts[s == 0][1] += 1
+        assert counts == {True: [487, 379], False: [162, 161]}
 
     def test_no_term_over_the_truncation_is_formed(self, monkeypatch):
         # The kinked 6-circle unlink [1, 0, -1, 0, 1, 0]: six cups, then
@@ -269,13 +316,13 @@ class TestFragments:
             ["cup@1"] * 6 + ["x+@1", "cap'@1", "cap@1", "x-@1", "cap'@1",
                              "cap@1", "x+@1", "cap'@1", "cap@1"]))
         sizes = []
-        normalize = engine._normalize_key
+        relabel = engine._relabel
 
-        def spy(open_seqs, closed_seqs):
-            sizes.append(sum(map(len, open_seqs)) + sum(map(len, closed_seqs)))
-            return normalize(open_seqs, closed_seqs)
+        def spy(words):
+            sizes.append(sum(map(len, words)))
+            return relabel(words)
 
-        monkeypatch.setattr(engine, "_normalize_key", spy)
+        monkeypatch.setattr(engine, "_relabel", spy)
         # Unwrapped, so that a cached value cannot hide the evaluation.
         result = engine._integrate_cached.__wrapped__(word, 4)
         assert max(sizes) <= 2 * 4

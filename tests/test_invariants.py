@@ -226,6 +226,13 @@ class TestSurgery:
         assert shift and all(r.passed for r in shift)
         assert variation_match(word, 4, HOPF_S, 3).passed
 
+    def test_matrix_size_is_checked_against_the_circles(self):
+        # A 1x1 S on the two-circle Hopf link: no raw IndexError.
+        word = load_corpus_word("hopf+")
+        for check in (check_recursion, smoothing_shift_reports):
+            with pytest.raises(ValueError, match="circle count"):
+                check(word, 4, ((1,),), 3)
+
     def test_negative_crossings_are_rejected(self):
         with pytest.raises(WordValidationError):
             check_recursion(load_corpus_word("hopf-"), 4, HOPF_S, 3)

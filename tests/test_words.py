@@ -32,6 +32,7 @@ from kzlab.qtangle.words import (
     linking_matrix,
     parse_word,
     render_word,
+    trace_word,
     validate_word,
 )
 
@@ -110,7 +111,7 @@ class TestValidation:
     def test_unclosed_word_rejected(self):
         with pytest.raises(WordValidationError, match="open"):
             validate_word(parse_word("cup@1"))
-        validate_word(parse_word("cup@1"), require_closed=False)
+        assert trace_word(parse_word("cup@1")).open_points == 2
 
     def test_identity_checks_range_only(self):
         validate_word(parse_word("i@1 ; cup@1 ; i@2 ; cap@1"))
@@ -124,8 +125,7 @@ class TestValidation:
             assert trace.linking == corpus_linking(name)
 
     def test_open_word_trace(self):
-        trace = validate_word(parse_word("cup@1 ; x+@1"),
-                              require_closed=False)
+        trace = trace_word(parse_word("cup@1 ; x+@1"))
         assert trace.open_points == 2
         assert trace.linking is None
         assert trace.crossing(2).circles is None
