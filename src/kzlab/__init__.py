@@ -20,8 +20,8 @@ from .algebra import (
     wheel_attachment_sum, wheel_coefficients,
 )
 from .errors import (
-    CorpusLookupError, KzlabError, TruncationUnsupportedError, WordParseError,
-    WordValidationError,
+    CorpusLookupError, InputError, KzlabError, TruncationUnsupportedError,
+    WordParseError, WordValidationError,
 )
 from .invariants import (
     VerificationReport, check_recursion, class_sum, degree_class_sum,
@@ -44,7 +44,7 @@ __all__ = [
     "MAX_TRUNCATION", "closed_connected_product", "interval_closure",
     "interval_product", "interval_sqrt", "sqrt_unknot_series",
     "unknot_series_closed", "wheel_attachment_sum", "wheel_coefficients",
-    "CorpusLookupError", "KzlabError", "TruncationUnsupportedError",
+    "CorpusLookupError", "InputError", "KzlabError", "TruncationUnsupportedError",
     "WordParseError", "WordValidationError",
     "VerificationReport", "check_recursion", "class_sum", "degree_class_sum",
     "degree_sum_identity", "kinked_unknot_series", "linking_monomial",

@@ -8,8 +8,11 @@ byte-identical JSON apart from measured timings.
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 input could not
 be parsed or found, 3 a word or argument failed validation, 4 requested
-truncation not supported.  A reader that closes stdout early (as `head`
-does) drops the rest of the output but leaves the exit code unchanged.
+truncation not supported.  Exit 3 comes only from the package's own
+checks (WordValidationError, InputError); any other exception is a fault
+in the program and is not reported as bad input.  A reader that closes
+stdout early (as `head` does) drops the rest of the output but leaves
+the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .diagrams import (
     ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
 )
 from .errors import (
-    CorpusLookupError, KzlabError, TruncationUnsupportedError, WordParseError,
-    WordValidationError,
+    CorpusLookupError, InputError, KzlabError, TruncationUnsupportedError,
+    WordParseError, WordValidationError,
 )
 from .invariants import (
     VerificationReport, check_recursion, degree_sum_identity, verify_theorem,
@@ -321,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TruncationUnsupportedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (WordValidationError, ValueError) as exc:
+    except (WordValidationError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATE
 

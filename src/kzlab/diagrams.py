@@ -9,7 +9,10 @@ point sequence makes their chord patterns identical.
 A diagram is encoded as one tuple per circle listing chord ids in cyclic
 order.  The canonical code is the lexicographically smallest encoding over
 all per-circle rotations, with chord ids renamed 1, 2, ... in order of
-first appearance (circle 1 scanned first).
+first appearance (circle 1 scanned first).  It is found circle by circle:
+a rotation keeps a word's length, so the least code starts with the least
+renamed first circle, and only the namings that reach it go on to the
+next circle.
 
 The rational span of degree-k diagrams carries the standard four-term (4T)
 relation.  This module enumerates diagrams by degree or by chord type
@@ -24,13 +27,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .errors import InputError
+
 
 Code = tuple[tuple[int, ...], ...]
 
 
 class TypeMatrix(tuple):
     """A checked chord type matrix: square, symmetric, int entries >= 0
-    (floats, strings and bools are refused with ValueError, not truncated).
+    (floats, strings and bools are refused with InputError, not truncated).
     Built once, it passes through the constructor unchanged; it compares
     and hashes like the plain nested tuple."""
 
@@ -42,13 +47,13 @@ class TypeMatrix(tuple):
         try:
             rows = tuple(tuple(row) for row in S)
         except TypeError as exc:
-            raise ValueError("type matrix must be a sequence of rows") from exc
+            raise InputError("type matrix must be a sequence of rows") from exc
         if any(len(row) != len(rows) for row in rows):
-            raise ValueError("type matrix must be square")
+            raise InputError("type matrix must be square")
         if not all(type(x) is int and x >= 0 for row in rows for x in row):
-            raise ValueError("type matrix entries must be natural numbers (int >= 0)")
+            raise InputError("type matrix entries must be natural numbers (int >= 0)")
         if rows != tuple(zip(*rows)):
-            raise ValueError("type matrix must be symmetric")
+            raise InputError("type matrix must be symmetric")
         return super().__new__(cls, rows)
 
     @property
@@ -72,6 +77,9 @@ def _relabel(words: Sequence[Sequence[object]]) -> Code:
     names: dict[object, int] = {}
     out = []
     for word in words:
+        if not word:
+            out.append(())
+            continue
         renamed = []
         for label in word:
             if label not in names:
@@ -82,17 +90,41 @@ def _relabel(words: Sequence[Sequence[object]]) -> Code:
 
 
 def canonical_code(words: Sequence[Sequence[object]]) -> Code:
-    """Minimal relabeled code over all combinations of circle rotations."""
-    fixed = [tuple(w) for w in words]
-    rotations = [range(len(w)) if w else range(1) for w in fixed]
-    best: Code | None = None
-    for combo in itertools.product(*rotations):
-        rotated = [w[r:] + w[:r] for w, r in zip(fixed, combo)]
-        candidate = _relabel(rotated)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+    """The least relabeled code over all combinations of circle rotations.
+
+    A pruned search, circle by circle.  Each naming still alive (chord id
+    to 1, 2, ... for the circles already coded) tries every rotation of
+    the next circle, and only the (naming, rotation) pairs that give the
+    least renamed word survive.  Ties are all kept, deduplicated by
+    naming: a symmetric circle such as (1 2 1 2) reaches its least word
+    under two namings, and a later circle may tell them apart.  An empty
+    circle codes as () under every naming.
+    """
+    code: list[tuple[int, ...]] = []
+    alive: list[dict[object, int]] = [{}]
+    for word in words:
+        size = len(word)
+        if not size:
+            code.append(())
+            continue
+        doubled = tuple(word) * 2
+        best: tuple[int, ...] | None = None
+        kept: dict[tuple, dict[object, int]] = {}
+        for names in alive:
+            for r in range(size):
+                trial = names.copy()
+                name = trial.setdefault
+                renamed = tuple([name(label, len(trial) + 1)
+                                 for label in doubled[r:r + size]])
+                if best is None or renamed < best:
+                    best = renamed
+                    kept = {}
+                elif renamed != best:
+                    continue
+                kept.setdefault(tuple(trial), trial)
+        code.append(best)
+        alive = list(kept.values())
+    return tuple(code)
 
 
 class ChordDiagram:
@@ -146,7 +178,7 @@ class ChordDiagram:
         """Move circle i to position perm[i-1]; perm is a 1-based bijection."""
         m = self.circles
         if sorted(perm) != list(range(1, m + 1)):
-            raise ValueError(f"perm must be a permutation of 1..{m}, got {perm!r}")
+            raise InputError(f"perm must be a permutation of 1..{m}, got {perm!r}")
         words: list[tuple[int, ...]] = [()] * m
         for old, new in enumerate(perm):
             words[new - 1] = self.code[old]
@@ -264,7 +296,7 @@ enumerate_by_matrix.cache_info = _by_matrix.cache_info
 def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     """All m x m type matrices of degree k."""
     if m < 1 or k < 0:
-        raise ValueError("need m >= 1 circles and degree k >= 0")
+        raise InputError("need m >= 1 circles and degree k >= 0")
     cells = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
     out = []
     for split in itertools.combinations(range(k + len(cells) - 1), len(cells) - 1):

@@ -22,6 +22,15 @@ class WordValidationError(KzlabError):
     """
 
 
+class InputError(KzlabError, ValueError):
+    """An argument is out of its documented range: a malformed type
+    matrix, a circle permutation of the wrong size, a negative degree or
+    chord count, a type matrix whose size differs from the circle count,
+    an unknown selftest section.  A plain ValueError is not one: it
+    means an internal fault, not bad input.
+    """
+
+
 class TruncationUnsupportedError(KzlabError):
     """The requested truncation degree exceeds what the engine supports."""
 

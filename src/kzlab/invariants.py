@@ -29,7 +29,7 @@ from .diagrams import (
     enumerate_by_matrix,
 )
 from .algebra import closed_connected_product, series_exp, unknot_series_closed
-from .errors import TruncationUnsupportedError, WordValidationError
+from .errors import InputError, TruncationUnsupportedError, WordValidationError
 from .qtangle.corpus import load_corpus_word
 from .qtangle.engine import (
     TangleResult, crossing_info, crossing_term, integrate,
@@ -41,7 +41,7 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
     """Product over cells i <= j of lk_ij^s_ij / s_ij!; 1 for S = 0."""
     rows = TypeMatrix(S)
     if len(linking) != len(rows):
-        raise ValueError("linking matrix and type matrix sizes differ")
+        raise InputError("linking matrix and type matrix sizes differ")
     out = Fraction(1)
     for i in range(len(rows)):
         for j in range(i, len(rows)):
@@ -69,7 +69,7 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     if isinstance(value, TangleResult):
         _check_degree(value, rows.degree)
         if value.circles != len(rows):
-            raise ValueError("type matrix size differs from circle count")
+            raise InputError("type matrix size differs from circle count")
         coefficients: Mapping[ChordDiagram, Fraction] = value.coefficients
     else:
         coefficients = value
@@ -202,7 +202,7 @@ def _crossing_cell(word: Sequence[Slice], crossing: int,
     row per circle of the word."""
     a, b = crossing_circles(word, crossing)
     if len(S) != len(linking_matrix(word)):
-        raise ValueError("type matrix size differs from circle count")
+        raise InputError("type matrix size differs from circle count")
     return a, b
 
 

@@ -40,7 +40,7 @@ from ..diagrams import (
     ChordDiagram, Mod4TForm, _echelon, _eliminate, _matchings, _relabel,
     add_term, four_t_moves, reduce_mod_4t,
 )
-from ..errors import TruncationUnsupportedError, WordValidationError
+from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from .words import (
     AssocEvent, Birth, BoundaryState, CapEvent, CrossEvent, CupEvent, END,
     START, Slice, parse_word, trace_word, validate_word,
@@ -183,7 +183,7 @@ def max_truncation(slices: Sequence[Slice]) -> int:
 
 def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
     if cutoff < 0:
-        raise ValueError("truncation degree must be nonnegative")
+        raise InputError("truncation degree must be nonnegative")
     limit = max_truncation(slices)
     if cutoff > limit:
         raise TruncationUnsupportedError(
@@ -590,5 +590,5 @@ def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
     """Integrate with one crossing's series replaced by a bare k-chord
     block with coefficient 1 (k = 0 suppresses the crossing's chords)."""
     if k < 0:
-        raise ValueError("chord count must be nonnegative")
+        raise InputError("chord count must be nonnegative")
     return _integrate_cached(tuple(slices), cutoff, (crossing - 1, k))

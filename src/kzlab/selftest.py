@@ -20,6 +20,7 @@ from .diagrams import (
     ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
     four_t_relators, reduce_mod_4t, _matchings,
 )
+from .errors import InputError
 from .invariants import (
     check_recursion, class_sum, crossing_circles, degree_sum_identity,
     flip_crossing, kinked_unknot_series, linking_monomial,
@@ -333,7 +334,7 @@ def run_selftest(sections: Sequence[str] | None = None) -> list[SectionResult]:
     if chosen is not None:
         unknown = chosen - set(section_names())
         if unknown:
-            raise ValueError(f"unknown sections: {', '.join(sorted(unknown))}")
+            raise InputError(f"unknown sections: {', '.join(sorted(unknown))}")
     results = []
     for name, runner in SECTIONS:
         if chosen is not None and name not in chosen:

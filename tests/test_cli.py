@@ -10,7 +10,8 @@ Core claims:
     - exit codes: 2 for unreadable input (a file that is not UTF-8, a
       position too long to convert), bad JSON or a non-integer type
       matrix entry, 3 for validation failures, 4 for unsupported
-      truncation, each with one error line and no traceback
+      truncation, each with one error line and no traceback; a plain
+      ValueError from inside the library is a fault, not exit 3
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -22,6 +23,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+import kzlab.cli
 from kzlab.cli import main
 from kzlab.qtangle.corpus import corpus_path
 
@@ -210,6 +214,24 @@ class TestExitCodes:
             code, out, err = _run(capsys, "verify", "degree-sum", "--corpus",
                                   "hopf+", "--k", k)
             assert code == expected and "error:" in err and not out, k
+
+    def test_out_of_range_arguments_exit_3(self, capsys):
+        for argv in (("enumerate", "--circles", "0", "--k", "1"),
+                     ("enumerate", "--circles", "1", "--k", "-1"),
+                     ("compute", "--corpus", "hopf+", "--degree", "-1"),
+                     ("verify", "theorem", "--corpus", "hopf+", "--S", "[[1]]")):
+            code, out, err = _run(capsys, *argv)
+            assert code == 3 and err.startswith("error:") and not out, argv
+
+    def test_internal_value_error_propagates(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(kzlab.cli, "integrate", broken)
+        with pytest.raises(ValueError, match="internal fault") as info:
+            main(["compute", "--corpus", "hopf+", "--degree", "1"])
+        assert type(info.value) is ValueError
+        assert capsys.readouterr().err == ""
 
     def test_deep_nesting_computes(self, tmp_path):
         # 600 levels is past the recursion limit of a recursive tree.

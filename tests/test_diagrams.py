@@ -3,6 +3,10 @@ Unit tests for canonical chord diagrams, enumeration, and the 4T quotient.
 
 Core claims:
     - Canonicalization is idempotent and invariant under circle rotations
+    - The pruned search agrees with the exhaustive minimum over every
+      combination of circle rotations (a test-only second route), on
+      random diagrams (m <= 4 circles, k <= 6 chords, empty circles among
+      them) and on forced symmetries that tie under several namings
     - Chord labels must occur exactly twice; empty circles are fine
     - Type matrices count chords by endpoint circles, symmetrically; a
       TypeMatrix is square, symmetric and natural (int entries only),
@@ -23,11 +27,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kzlab.diagrams import (
     ChordDiagram,
     Mod4TForm,
     TypeMatrix,
+    _relabel,
     all_type_matrices,
     canonical_code,
     connected_sum,
@@ -57,6 +63,53 @@ def _rotate(word, by):
     return word[by:] + word[:by]
 
 
+def _exhaustive_code(words):
+    """The least relabeled code over the full product of circle rotations:
+    the definition of canonical_code, computed the slow way."""
+    fixed = [tuple(w) for w in words]
+    rotations = [range(max(1, len(w))) for w in fixed]
+    return min(_relabel([_rotate(w, r) for w, r in zip(fixed, combo)])
+               for combo in itertools.product(*rotations))
+
+
+@st.composite
+def _chord_words(draw):
+    """Up to 4 circles, up to 6 chords with arbitrary labels, every circle
+    turned by a random rotation; cut points may leave circles empty."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 6))
+    ends = draw(st.permutations(list(range(10, 10 + k)) * 2))
+    cuts = sorted(draw(st.lists(st.integers(0, 2 * k), min_size=m - 1,
+                                max_size=m - 1)))
+    bounds = [0] + cuts + [2 * k]
+    words = [tuple(ends[bounds[i]:bounds[i + 1]]) for i in range(m)]
+    return [_rotate(w, draw(st.integers(0, 11))) for w in words]
+
+
+@st.composite
+def _symmetric_words(draw):
+    """Diagrams whose least code is reached under several namings: a
+    block of distinct chords read twice on one circle (a half turn maps
+    it to itself), read once on each of two circles, or read once with
+    its other ends spread over two later circles, which break the tie.
+    Empty circles go anywhere, and every circle is turned by a random
+    rotation."""
+    k = draw(st.integers(1, 4))
+    block = tuple(draw(st.permutations(range(k))))
+    shape = draw(st.sampled_from(("half turn", "two circles", "spread")))
+    if shape == "half turn":
+        words = [block + block]
+    elif shape == "two circles":
+        words = [block, block]
+    else:
+        ends = draw(st.permutations(block))
+        cut = draw(st.integers(0, k))
+        words = [block, tuple(ends[:cut]), tuple(ends[cut:])]
+    for _ in range(draw(st.integers(0, 4 - len(words)))):
+        words.insert(draw(st.integers(0, len(words))), ())
+    return [_rotate(w, draw(st.integers(0, 11))) for w in words]
+
+
 # == 1. Canonical form =======================================================
 
 
@@ -77,6 +130,19 @@ class TestCanonicalForm:
             for shifts in itertools.product(*sizes):
                 rotated = [_rotate(w, s) for w, s in zip(words, shifts)]
                 assert ChordDiagram(rotated) == base
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.one_of(_chord_words(), _symmetric_words()))
+    @example([(1, 2, 1, 2)])
+    @example([(1, 2, 3), (1, 2, 3)])
+    @example([(), (1, 2, 1, 2), ()])
+    # (1 2) codes as (1 2) from either end, and only the naming that
+    # starts at chord 2 codes the next circle as (1): the search must
+    # keep both namings past the first circle.
+    @example([(1, 2), (2,), (1,)])
+    @example([(1, 3, 1, 2), (2, 3, 4, 4)])
+    def test_agrees_with_the_exhaustive_minimum(self, words):
+        assert canonical_code(words) == _exhaustive_code(words)
 
     def test_label_renaming_is_immaterial(self):
         a = ChordDiagram([("x", "y", "x", "y")])
