@@ -149,16 +149,21 @@ def cmd_compute(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _swept_matrices(config: RunConfig, circles: int) -> list:
+    """Every type matrix on the circles of degree up to --max-degree."""
+    if config.max_degree < 0:
+        raise InputError("--max-degree must be nonnegative")
+    return [S for k in range(config.max_degree + 1)
+            for S in all_type_matrices(circles, k)]
+
+
 def _theorem_reports(config: RunConfig, word_id: str,
                      word: tuple[Slice, ...]) -> list[VerificationReport]:
     result = integrate(word, config.degree, relabel=config.relabel)
     if config.all_S:
-        reports = []
-        for k in range(config.max_degree + 1):
-            for S in all_type_matrices(result.circles, k):
-                reports.append(verify_theorem(word, S, config.degree, word_id,
-                                              relabel=config.relabel))
-        return reports
+        return [verify_theorem(word, S, config.degree, word_id,
+                               relabel=config.relabel)
+                for S in _swept_matrices(config, result.circles)]
     if config.S is None:
         raise WordValidationError("verify theorem needs --S or --all-S")
     return [verify_theorem(word, config.S, config.degree, word_id,
@@ -177,8 +182,7 @@ def cmd_verify(config: RunConfig) -> int:
         if config.crossing is None:
             raise WordValidationError("verify recursion needs --crossing")
         if config.all_S:
-            matrices = [S for k in range(config.max_degree + 1)
-                        for S in all_type_matrices(len(linking_matrix(word)), k)]
+            matrices = _swept_matrices(config, len(linking_matrix(word)))
         elif config.S is not None:
             matrices = [config.S]
         else:
@@ -198,6 +202,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_enumerate(config: RunConfig) -> int:
+    if config.circles < 1:
+        raise InputError("--circles must be at least 1")
     if config.S is not None:
         if len(config.S) != config.circles:
             raise WordValidationError("--S size must match --circles")

@@ -19,6 +19,13 @@ degree d is multiplied only by the parts of degree at most N - d, so no
 kernel forms a term over the truncation N: the degree budget is the one
 rule that truncates.
 
+Consecutive crossings on the same two strand points, identity slices
+between them allowed, form a run.  Their rungs sit next to each other
+on both strands in slice order, so once renamed the product of their
+series is one exp(G/2 * chord) with G the sum of their geometric signs,
+and a run is multiplied once; a run with G = 0 multiplies nothing.  The
+crossing replaced by a bare block breaks any run.
+
 The pentagon and the hexagon are checked on the same fragment values:
 two words over one open boundary of down strands must evaluate equal,
 the hexagon modulo strand-level 4T relators.  The hexagon picks the
@@ -43,7 +50,7 @@ from ..diagrams import (
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from .words import (
     AssocEvent, Birth, BoundaryState, CapEvent, CrossEvent, CupEvent, END,
-    START, Slice, parse_word, trace_word, validate_word,
+    IdentityEvent, START, Slice, parse_word, trace_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -211,28 +218,35 @@ Graded = list[dict[Key, Fraction]]   # graded[d]: the terms with d chords
 
 
 def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]],
-              place: Callable[..., tuple]) -> Graded:
+              place: Callable[..., tuple], *, unit_keeps_keys: bool = False,
+              ) -> Graded:
     """Multiply graded terms by a graded series, within the truncation.
 
     series[a] lists the (payload, coefficient) pairs of a chords, and
     place(open_seqs, closed_seqs, payload) returns the product before
     renaming; its open and closed sequences are renamed in one _relabel
-    pass, open first, and split again.  A term of degree d meets only
-    series degrees up to len(terms) - 1 - d, so no product over the
-    truncation is formed.
+    pass, open first, and split again.  With unit_keeps_keys, a payload
+    of no chords moves no word (a cup only inserts an empty one), so it
+    leaves a normal key normal and its products are stored unrenamed.  A
+    term of degree d meets only series degrees up to len(terms) - 1 - d,
+    so no product over the truncation is formed.
     """
     cutoff = len(terms) - 1
     out: Graded = [{} for _ in terms]
     for d, bucket in enumerate(terms):
-        fits = [(out[d + a], payload, c)
+        fits = [(out[d + a], payload, c, a > 0 or not unit_keeps_keys)
                 for a, pairs in enumerate(series[:cutoff - d + 1])
                 for payload, c in pairs]
         for (open_seqs, closed_seqs), coeff in bucket.items():
-            for target, payload, c in fits:
+            for target, payload, c, rename in fits:
                 open_part, closed_part = place(open_seqs, closed_seqs, payload)
-                code = _relabel((*open_part, *closed_part))
-                n = len(open_part)
-                add_term(target, (code[:n], code[n:]), coeff * c)
+                if rename:
+                    code = _relabel((*open_part, *closed_part))
+                    n = len(open_part)
+                    key = (code[:n], code[n:])
+                else:
+                    key = (tuple(open_part), tuple(closed_part))
+                add_term(target, key, coeff * c)
     return out
 
 
@@ -294,6 +308,10 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     The running terms are kept per degree, and each kernel builds only
     the products that fit within cutoff, so no term over the truncation
     is formed; the returned terms are one flat key -> coefficient dict.
+    A run of consecutive crossings on one pair of strand points is one
+    kernel, exp(G/2 * chord) for its summed sign G (none when G = 0);
+    identity slices do not break a run, and the bare_block crossing
+    does, standing as a kernel of its own.
     """
     _check_cutoff(slices, cutoff)
     block_at, block_k = bare_block if bare_block is not None else (None, None)
@@ -315,15 +333,30 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         arcs[False][len(word) // 2].append((fresh, c))
         arcs[True][len(word) // 2].append((fresh[::-1], c))
 
-    for local, s in enumerate(slices):
-        event = state.apply(s, slice_offset + local)
+    # Identity slices change nothing, so they drop out here and do not
+    # break a crossing run.
+    events = [(at, state.apply(s, at))
+              for at, s in enumerate(slices, start=slice_offset)]
+    events = [item for item in events if not isinstance(item[1], IdentityEvent)]
+
+    def run_key(item):
+        # Consecutive crossings on one pair of strand points share a key,
+        # except the bare block; any other slice is a group of its own.
+        at, event = item
+        if isinstance(event, CrossEvent) and at != block_at:
+            return frozenset((event.left, event.right))
+        return at
+
+    for _, group in itertools.groupby(events, key=run_key):
+        run = list(group)
+        at, event = run[0]
         if isinstance(event, CupEvent):
             idx = len([b for b in open_order if b < event.component])
             open_order.insert(idx, event.component)
 
             def place(open_seqs, closed_seqs, fresh):
                 return open_seqs[:idx] + (fresh,) + open_seqs[idx:], closed_seqs
-            terms = _multiply(terms, arcs[s.primed], place)
+            terms = _multiply(terms, arcs[event.primed], place, unit_keeps_keys=True)
         elif isinstance(event, CapEvent):
             if event.closes:
                 i = open_order.index(event.merged)
@@ -348,27 +381,31 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                     rest = [q for i, q in enumerate(open_seqs) if i not in (ia, ib)]
                     rest.insert(idx, joined)
                     return rest, closed_seqs
-            terms = _multiply(terms, arcs[s.primed], place)
+            terms = _multiply(terms, arcs[event.primed], place)
         elif isinstance(event, CrossEvent):
-            (cl, role_l), (cr, role_r) = event.left, event.right
-            il, ir = open_order.index(cl), open_order.index(cr)
-            g = event.geometric_sign
             # weights[k] holds the k-chord rungs with their coefficient.
-            if slice_offset + local == block_at:
+            if at == block_at:
                 weights = [[] for _ in range(block_k)]
                 weights.append([(tuple(_FRESH + t for t in range(block_k)),
                                  Fraction(1))])
             else:
+                # A run's rungs stack on both strands in slice order, so
+                # its value is exp(G/2 * chord), G its summed sign.
+                g = sum(e.geometric_sign for _, e in run)
+                if not g:
+                    continue
                 weights = [[(tuple(_FRESH + t for t in range(k)),
                              Fraction(g) ** k / (2 ** k * factorial(k)))]
                            for k in range(cutoff + 1)]
+            (cl, role_l), (cr, role_r) = event.left, event.right
+            il, ir = open_order.index(cl), open_order.index(cr)
 
             def place(open_seqs, closed_seqs, rungs):
                 seqs = list(open_seqs)
                 seqs[il] = _insert_at_point(seqs[il], role_l, rungs)
                 seqs[ir] = _insert_at_point(seqs[ir], role_r, rungs)
                 return seqs, closed_seqs
-            terms = _multiply(terms, weights, place)
+            terms = _multiply(terms, weights, place, unit_keeps_keys=True)
         elif isinstance(event, AssocEvent):
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
@@ -399,8 +436,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                     i, role = leaf_at[pos]
                     seqs[i] = _insert_at_point(seqs[i], role, tokens)
                 return seqs, closed_seqs
-            terms = _multiply(terms, lifts, place)
-        # identity slices change nothing
+            terms = _multiply(terms, lifts, place, unit_keeps_keys=True)
 
     return FragmentValue(
         cutoff=cutoff,

@@ -12,6 +12,9 @@ Core claims:
       matrix entry, 3 for validation failures, 4 for unsupported
       truncation, each with one error line and no traceback; a plain
       ValueError from inside the library is a fault, not exit 3
+    - zero circles fail enumerate with one message under --S and --k,
+      and a negative --max-degree fails verify theorem and recursion
+      with --all-S, both with exit 3
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -222,6 +225,21 @@ class TestExitCodes:
                      ("verify", "theorem", "--corpus", "hopf+", "--S", "[[1]]")):
             code, out, err = _run(capsys, *argv)
             assert code == 3 and err.startswith("error:") and not out, argv
+
+    def test_zero_circles_fail_both_enumerate_selectors(self, capsys):
+        errors = set()
+        for selector in (("--S", "[]"), ("--k", "0")):
+            code, out, err = _run(capsys, "enumerate", "--circles", "0", *selector)
+            assert code == 3 and not out, selector
+            errors.add(err)
+        assert errors == {"error: --circles must be at least 1\n"}
+
+    def test_negative_max_degree_exits_3(self, capsys):
+        for identity in (("theorem",), ("recursion", "--crossing", "4")):
+            code, out, err = _run(capsys, "verify", *identity, "--corpus",
+                                  "hopf+", "--all-S", "--max-degree", "-1")
+            assert code == 3 and not out, identity
+            assert err == "error: --max-degree must be nonnegative\n"
 
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

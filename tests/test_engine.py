@@ -25,7 +25,8 @@ Core claims:
       and from the anchored boundary mid-word
     - No kernel forms a term over the truncation: on a kinked 6-circle
       unlink at degree 4 every key renamed holds at most 8 endpoints,
-      and the count of keys renamed is pinned
+      and the count of keys renamed is pinned (products with no new
+      chord, except at a cap, are not renamed)
     - Inserting a cancelling assoc+@p;assoc-@p pair (either order) at any
       legal site of a corpus word leaves its value unchanged
     - Words and fragments nesting 600 levels deep evaluate with the
@@ -38,6 +39,12 @@ Core claims:
     - Cached series are read-only: a caller cannot change what a later
       call returns
     - The strand 4T span has the rank of the full relator matrix
+    - A run of crossings on one pair of strand points, fused into one
+      exponential, agrees with grafting the word's one-slice fragments,
+      on closed 2-braids with mixed signs and identities inside the run,
+      on open words with runs at two sibling pairs, and with a bare
+      block inside a run; each run is one multiply, and a run whose
+      signs cancel is none
     - Truncation limits: 3 with rebracketings, 4 without
 """
 
@@ -47,6 +54,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kzlab.algebra import sqrt_unknot_series, unknot_series_closed
 from kzlab.diagrams import ChordDiagram, _relabel, four_t_moves
@@ -326,7 +334,7 @@ class TestFragments:
         # Unwrapped, so that a cached value cannot hide the evaluation.
         result = engine._integrate_cached.__wrapped__(word, 4)
         assert max(sizes) <= 2 * 4
-        assert len(sizes) == 3276
+        assert len(sizes) == 2271
         assert len(result.coefficients) == 254
 
     def test_assoc_pair_insertion_is_invisible(self):
@@ -450,3 +458,99 @@ class TestCrossingBlocks:
         assert not worker.is_alive()
         wrong = sum(r != expected for r in results)
         assert wrong == 0, f"{wrong} of {len(results)} integrations disturbed"
+
+
+# == 4. Crossing runs ========================================================
+
+
+def _fold(word, cutoff, bare_block=None):
+    """The word evaluated one slice at a time and grafted back together.
+
+    A one-slice fragment holds no run of crossings to fuse, so this is a
+    route to the word's value independent of run fusion."""
+    value = evaluate_fragment((), cutoff)
+    for i in range(len(word)):
+        block = bare_block if bare_block is not None and bare_block[0] == i else None
+        piece = evaluate_fragment(word[i:i + 1], cutoff, initial=value.spec_out,
+                                  slice_offset=i, bare_block=block)
+        value = graft(value, piece)
+    return value
+
+
+@st.composite
+def _run_words(draw):
+    """(word, truncation, bare block or None) with runs of crossings."""
+    if draw(st.booleans()):
+        # A closed 2-braid of bench/workloads.braid_word's shape, with
+        # mixed signs and identities inside the run.
+        body = draw(st.lists(st.sampled_from(("x+@2", "x-@2", "i@2")),
+                             min_size=1, max_size=8)
+                    .filter(lambda b: any(t.startswith("x") for t in b)))
+        if sum(t.startswith("x") for t in body) % 2:
+            closure = ["cap@2", "cap@1"]
+        elif draw(st.booleans()):
+            closure = ["assoc+@3", "cap@3", "cap@1"]
+        else:
+            closure = ["cap'@2", "cap@1"]
+        text = ";".join(["cup@1", "cup@3", "assoc-@3"] + body + closure)
+    else:
+        # Three open arcs: positions 1 and 3 are both sibling pairs, so
+        # consecutive crossings may sit on different pairs of points.
+        body = draw(st.lists(st.sampled_from(
+            ("x+@1", "x-@1", "x+@3", "x-@3", "i@6")), min_size=1, max_size=8))
+        text = ";".join(["cup@1", "cup@1", "cup@3"] + body)
+    word = parse_word(text)
+    cutoff = draw(st.integers(1, 3))
+    crossings = [i for i, s in enumerate(word) if s.kind == "x"]
+    block = None
+    if crossings and draw(st.booleans()):
+        block = (draw(st.sampled_from(crossings)), draw(st.integers(0, cutoff)))
+    return text, cutoff, block
+
+
+class TestCrossingRuns:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_run_words())
+    @example(("cup@1;cup@1;cup@3;x+@1;x+@3;x-@1", 2, None))
+    @example(("cup@1;cup@3;assoc-@3;x+@2;i@2;x+@2;x-@2;x+@2;cap'@2;cap@1",
+              3, (5, 1)))
+    def test_fused_runs_agree_with_the_slice_by_slice_graft(self, case):
+        text, cutoff, block = case
+        word = parse_word(text)
+        folded = _fold(word, cutoff, block)
+        if folded.open_order:
+            direct = evaluate_fragment(word, cutoff, bare_block=block)
+            assert folded.terms == direct.terms
+        elif block is None:
+            assert finalize(folded).coefficients == \
+                integrate(word, cutoff).coefficients
+        else:
+            assert finalize(folded).coefficients == \
+                crossing_term(word, block[0] + 1, block[1], cutoff).coefficients
+
+    def test_one_multiply_per_run(self, monkeypatch):
+        calls = []
+        multiply = engine._multiply
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_multiply", spy)
+
+        def count(text, cutoff=3, initial=None):
+            calls.clear()
+            evaluate_fragment(parse_word(text), cutoff, initial)
+            return len(calls)
+
+        # Two cups, the assoc, one run and two caps, however long the run.
+        for n in (1, 5, 9):
+            assert count(";".join(["cup@1", "cup@3", "assoc-@3"]
+                                  + ["x+@2"] * n + ["cap@2", "cap@1"])) == 6, n
+        # Three cups, then one multiply per run with a nonzero sign sum.
+        arcs = "cup@1;cup@1;cup@3;"
+        assert count(arcs + "x+@1;i@6;x+@1;x-@3;x+@1") == 3 + 3
+        assert count(arcs + "x+@1;x+@3;x-@1") == 3 + 3
+        assert count(arcs + "x+@1;x-@1;x+@3") == 3 + 1
+        # A run whose signs cancel multiplies nothing.
+        assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
