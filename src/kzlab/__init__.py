@@ -15,9 +15,9 @@ from .diagrams import (
     four_t_relators, quotient_dimension, reduce_mod_4t,
 )
 from .algebra import (
-    MAX_TRUNCATION, closed_connected_product, interval_closure,
-    interval_product, interval_sqrt, sqrt_unknot_series, unknot_series_closed,
-    wheel_attachment_sum, wheel_coefficients,
+    MAX_TRUNCATION, closed_connected_product, interval_product, interval_sqrt,
+    sqrt_unknot_series, unknot_series_closed, wheel_attachment_sum,
+    wheel_coefficients,
 )
 from .errors import (
     CorpusLookupError, InputError, KzlabError, TruncationUnsupportedError,
@@ -41,8 +41,8 @@ __all__ = [
     "all_type_matrices", "canonical_code", "connected_sum", "enumerate_by_degree",
     "enumerate_by_matrix", "four_t_relators", "quotient_dimension",
     "reduce_mod_4t",
-    "MAX_TRUNCATION", "closed_connected_product", "interval_closure",
-    "interval_product", "interval_sqrt", "sqrt_unknot_series",
+    "MAX_TRUNCATION", "closed_connected_product", "interval_product",
+    "interval_sqrt", "sqrt_unknot_series",
     "unknot_series_closed", "wheel_attachment_sum", "wheel_coefficients",
     "CorpusLookupError", "InputError", "KzlabError", "TruncationUnsupportedError",
     "WordParseError", "WordValidationError",

@@ -50,11 +50,6 @@ def concat_words(left: Sequence[int], right: Sequence[int]) -> Word:
     return _relabel([tuple(left) + tuple(x + shift for x in right)])[0]
 
 
-def close_word(word: Sequence[int]) -> ChordDiagram:
-    """Join the interval's ends, producing a one-circle diagram."""
-    return ChordDiagram([tuple(word)])
-
-
 # -- Generic series combinators ----------------------------------------------
 
 
@@ -123,14 +118,6 @@ def interval_sqrt(series: Mapping[Word, Fraction], cutoff: int) -> dict[Word, Fr
     out: dict[Word, Fraction] = {}
     for piece in root.values():
         out.update(piece)
-    return out
-
-
-def interval_closure(series: Mapping[Word, Fraction]) -> dict[ChordDiagram, Fraction]:
-    """Close every word of an interval series into a circle."""
-    out: dict[ChordDiagram, Fraction] = {}
-    for word, coeff in series.items():
-        add_term(out, close_word(word), coeff)
     return out
 
 

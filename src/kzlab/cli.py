@@ -21,9 +21,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .diagrams import (
     ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
@@ -47,38 +46,19 @@ EXIT_VALIDATE = 3
 EXIT_TRUNCATION = 4
 
 
-@dataclass
-class RunConfig:
-    """Everything a command needs, resolved from flags."""
-
-    command: str
-    identity: str = ""
-    word_path: str = ""
-    corpus: str = ""
-    degree: int = 3
-    S: tuple[tuple[int, ...], ...] | None = None
-    k: int | None = None
-    all_S: bool = False
-    max_degree: int = 3
-    crossing: int | None = None
-    relabel: tuple[int, ...] | None = None
-    fmt: str = "text"
-    circles: int = 1
-    sections: tuple[str, ...] = ()
-    as_json: bool = False
-
-
-def _load_word(config: RunConfig) -> tuple[str, tuple[Slice, ...]]:
-    if config.corpus:
-        return config.corpus, load_corpus_word(config.corpus)
+def _load_word(args: argparse.Namespace) -> tuple[str, tuple[Slice, ...]]:
+    if args.corpus:
+        return args.corpus, load_corpus_word(args.corpus)
     try:
-        text = open(config.word_path, encoding="utf-8").read()
+        text = open(args.word, encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise WordParseError(f"cannot read {config.word_path}: {exc}") from exc
-    return config.word_path, parse_word(text)
+        raise WordParseError(f"cannot read {args.word}: {exc}") from exc
+    return args.word, parse_word(text)
 
 
-def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+def _parse_matrix(text: str | None) -> tuple[tuple[int, ...], ...] | None:
+    if not text:
+        return None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -91,7 +71,9 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in data)
 
 
-def _parse_perm(text: str) -> tuple[int, ...]:
+def _parse_perm(text: str | None) -> tuple[int, ...] | None:
+    if not text:
+        return None
     try:
         return tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError as exc:
@@ -131,10 +113,11 @@ def _emit(payload) -> None:
     _write(json.dumps(payload, indent=2))
 
 
-def cmd_compute(config: RunConfig) -> int:
-    word_id, word = _load_word(config)
-    result = integrate(word, config.degree, relabel=config.relabel)
-    if config.fmt == "json":
+def cmd_compute(args: argparse.Namespace) -> int:
+    relabel = _parse_perm(args.relabel)
+    word_id, word = _load_word(args)
+    result = integrate(word, args.degree, relabel=relabel)
+    if args.format == "json":
         _emit(_series_json(result))
         return EXIT_OK
     _write(f"word: {word_id}")
@@ -149,51 +132,44 @@ def cmd_compute(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _swept_matrices(config: RunConfig, circles: int) -> list:
-    """Every type matrix on the circles of degree up to --max-degree."""
-    if config.max_degree < 0:
-        raise InputError("--max-degree must be nonnegative")
-    return [S for k in range(config.max_degree + 1)
-            for S in all_type_matrices(circles, k)]
+def _chosen_matrices(args: argparse.Namespace, given,
+                     circles: Callable[[], int]) -> list:
+    """The one --S given, or under --all-S every type matrix on the word's
+    circles of degree up to --max-degree."""
+    if args.all_S:
+        m = circles()
+        if args.max_degree < 0:
+            raise InputError("--max-degree must be nonnegative")
+        return [S for k in range(args.max_degree + 1)
+                for S in all_type_matrices(m, k)]
+    if given is None:
+        raise WordValidationError(f"verify {args.identity} needs --S or --all-S")
+    return [given]
 
 
-def _theorem_reports(config: RunConfig, word_id: str,
-                     word: tuple[Slice, ...]) -> list[VerificationReport]:
-    result = integrate(word, config.degree, relabel=config.relabel)
-    if config.all_S:
-        return [verify_theorem(word, S, config.degree, word_id,
-                               relabel=config.relabel)
-                for S in _swept_matrices(config, result.circles)]
-    if config.S is None:
-        raise WordValidationError("verify theorem needs --S or --all-S")
-    return [verify_theorem(word, config.S, config.degree, word_id,
-                           relabel=config.relabel)]
-
-
-def cmd_verify(config: RunConfig) -> int:
-    word_id, word = _load_word(config)
-    if config.identity == "theorem":
-        reports = _theorem_reports(config, word_id, word)
-    elif config.identity == "degree-sum":
-        if config.k is None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    relabel = _parse_perm(args.relabel)
+    given = _parse_matrix(args.S)
+    word_id, word = _load_word(args)
+    if args.identity == "theorem":
+        result = integrate(word, args.degree, relabel=relabel)
+        reports = [verify_theorem(word, S, args.degree, word_id, relabel=relabel)
+                   for S in _chosen_matrices(args, given, lambda: result.circles)]
+    elif args.identity == "degree-sum":
+        if args.k is None:
             raise WordValidationError("verify degree-sum needs --k")
-        reports = [degree_sum_identity(word, config.k, config.degree, word_id)]
-    elif config.identity == "recursion":
-        if config.crossing is None:
+        reports = [degree_sum_identity(word, args.k, args.degree, word_id)]
+    elif args.identity == "recursion":
+        if args.crossing is None:
             raise WordValidationError("verify recursion needs --crossing")
-        if config.all_S:
-            matrices = _swept_matrices(config, len(linking_matrix(word)))
-        elif config.S is not None:
-            matrices = [config.S]
-        else:
-            raise WordValidationError("verify recursion needs --S or --all-S")
-        reports = []
-        for S in matrices:
-            reports.extend(check_recursion(word, config.crossing, S,
-                                           config.degree, word_id))
+        matrices = _chosen_matrices(args, given,
+                                    lambda: len(linking_matrix(word)))
+        reports = [report for S in matrices
+                   for report in check_recursion(word, args.crossing, S,
+                                                 args.degree, word_id)]
     else:
-        raise WordValidationError(f"unknown identity {config.identity!r}")
-    if config.fmt == "json":
+        raise WordValidationError(f"unknown identity {args.identity!r}")
+    if args.format == "json":
         _emit([r.as_dict() for r in reports])
     else:
         for r in reports:
@@ -201,19 +177,20 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    if config.circles < 1:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    S = _parse_matrix(args.S)
+    if args.circles < 1:
         raise InputError("--circles must be at least 1")
-    if config.S is not None:
-        if len(config.S) != config.circles:
+    if S is not None:
+        if len(S) != args.circles:
             raise WordValidationError("--S size must match --circles")
-        diagrams = enumerate_by_matrix(config.S)
-    elif config.k is not None:
-        diagrams = enumerate_by_degree(config.circles, config.k)
+        diagrams = enumerate_by_matrix(S)
+    elif args.k is not None:
+        diagrams = enumerate_by_degree(args.circles, args.k)
     else:
         raise WordValidationError("enumerate needs --S or --k")
-    if config.fmt == "json":
-        _emit({"circles": config.circles, "count": len(diagrams),
+    if args.format == "json":
+        _emit({"circles": args.circles, "count": len(diagrams),
                "diagrams": [d.json_dict() for d in diagrams]})
     else:
         for d in diagrams:
@@ -222,10 +199,10 @@ def cmd_enumerate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(config: RunConfig) -> int:
-    results = run_selftest(config.sections or None)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = run_selftest(args.section or None)
     ok = all(r.passed for r in results)
-    if config.as_json:
+    if args.as_json:
         _emit({"pass": ok, "sections": [r.as_dict() for r in results]})
     else:
         for r in results:
@@ -284,33 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if args.command in ("compute", "verify"):
-        config.word_path = args.word or ""
-        config.corpus = args.corpus or ""
-        config.degree = args.degree
-        config.fmt = args.format
-        if args.relabel:
-            config.relabel = _parse_perm(args.relabel)
-    if args.command == "verify":
-        config.identity = args.identity
-        config.S = _parse_matrix(args.S) if args.S else None
-        config.all_S = args.all_S
-        config.max_degree = args.max_degree
-        config.k = args.k
-        config.crossing = args.crossing
-    if args.command == "enumerate":
-        config.circles = args.circles
-        config.k = args.k
-        config.S = _parse_matrix(args.S) if args.S else None
-        config.fmt = args.format
-    if args.command == "selftest":
-        config.sections = tuple(args.section)
-        config.as_json = args.as_json
-    return config
-
-
 _COMMANDS = {
     "compute": cmd_compute,
     "verify": cmd_verify,
@@ -322,8 +272,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except (WordParseError, CorpusLookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

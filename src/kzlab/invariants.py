@@ -9,11 +9,15 @@ building a diagrams.TypeMatrix, and passes that on.  Each checker
 returns a VerificationReport holding both exact rationals, so a failure
 is inspectable rather than a bare assertion.
 
-The crossing-change checkers work on a designated positive crossing.
-Replacing that crossing's local series by a bare k-chord block gives the
-terms of a finite expansion of the invariant; the identities verified
-here relate those terms across functionals, invert the expansion, and
-match the whole variation against the linking oracle in closed form.
+The identity functions: verify_theorem, and degree_sum_identity for its
+degree aggregate; variation_match and smoothing_shift_reports at any
+designated crossing; variation_series_report, smoothing_inversion_reports
+and oracle_variation_report at a positive one, which check_recursion
+concatenates in that order for `kzlab verify recursion`.  Replacing the
+designated crossing's local series by a bare k-chord block gives the
+terms of a finite expansion of the invariant; the crossing-change
+identities relate those terms across functionals, invert the expansion,
+and match the whole variation against the linking oracle in closed form.
 """
 
 from __future__ import annotations
@@ -80,11 +84,12 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
 
 
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
-    """Sum of all degree-k coefficients: the class sums over every type
-    matrix of degree k."""
+    """Sum of all degree-k coefficients, which is also the sum of the
+    class sums over every type matrix of degree k."""
     _check_degree(value, k)
-    return sum((class_sum(value, S)
-                for S in all_type_matrices(value.circles, k)), Fraction(0))
+    if k < 0:
+        raise InputError("degree k must be nonnegative")
+    return sum(value.degree_part(k).values(), Fraction(0))
 
 
 # -- Reports -----------------------------------------------------------------
@@ -213,17 +218,10 @@ def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
     return TypeMatrix(rows)
 
 
-def check_recursion(word: Sequence[Slice], crossing: int,
-                    S: Sequence[Sequence[int]], cutoff: int,
-                    word_id: str = "word") -> list[VerificationReport]:
-    """Verify the crossing-change expansion at one positive crossing.
-
-    Three families of reports come back.  The variation series expresses
-    the class-sum jump under the crossing change through the odd bare
-    chord blocks.  The inversion identity recovers each smoothed value
-    from the word's own class sums.  The oracle closed form checks the
-    linking-side variation against its binomial expansion.
-    """
+def _positive_cell(word: Sequence[Slice], crossing: int,
+                   S: Sequence[Sequence[int]]) -> tuple[TypeMatrix, int, int]:
+    """S checked, the designated crossing checked to be positive, and its
+    circle pair (a, b)."""
     rows = TypeMatrix(S)
     info = crossing_info(word, crossing)
     if info.geometric_sign != 1:
@@ -231,12 +229,17 @@ def check_recursion(word: Sequence[Slice], crossing: int,
             f"slice {crossing} must be a positive crossing "
             f"(geometric sign {info.geometric_sign})")
     a, b = _crossing_cell(word, crossing, rows)
-    s = rows[a - 1][b - 1]
-    flipped = flip_crossing(word, crossing)
-    plus = integrate(word, cutoff)
-    minus = integrate(flipped, cutoff)
-    reports: list[VerificationReport] = []
+    return rows, a, b
 
+
+def variation_series_report(word: Sequence[Slice], crossing: int,
+                            S: Sequence[Sequence[int]], cutoff: int,
+                            word_id: str = "word") -> VerificationReport:
+    """The class-sum jump under the crossing change, expressed through
+    the odd bare chord blocks at the crossing."""
+    rows, _, _ = _positive_cell(word, crossing, S)
+    plus = integrate(word, cutoff)
+    minus = integrate(flip_crossing(word, crossing), cutoff)
     started = time.perf_counter()
     lhs = class_sum(plus, rows) - class_sum(minus, rows)
     rhs = Fraction(0)
@@ -245,23 +248,42 @@ def check_recursion(word: Sequence[Slice], crossing: int,
         term = class_sum(crossing_term(word, crossing, 2 * j + 1, cutoff), rows)
         rhs += term / (factorial(2 * j + 1) * 4 ** j)
         j += 1
-    reports.append(_report(word_id, rows, cutoff, lhs, rhs, started,
-                           identity="variation-series"))
+    return _report(word_id, rows, cutoff, lhs, rhs, started,
+                   identity="variation-series")
 
-    for k in range(0, s + 1):
+
+def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
+                                S: Sequence[Sequence[int]], cutoff: int,
+                                word_id: str = "word"
+                                ) -> list[VerificationReport]:
+    """Each smoothed value, with the designated entry lowered to k, recovered
+    from the word's own class sums."""
+    rows, a, b = _positive_cell(word, crossing, S)
+    plus = integrate(word, cutoff)
+    reports = []
+    for k in range(0, rows[a - 1][b - 1] + 1):
         started = time.perf_counter()
-        lhs = class_sum(crossing_term(word, crossing, 0, cutoff),
-                        _with_entry(rows, a, b, k))
+        lowered = _with_entry(rows, a, b, k)
+        lhs = class_sum(crossing_term(word, crossing, 0, cutoff), lowered)
         rhs = Fraction(0)
         for p in range(0, k + 1):
             rhs += (Fraction((-1) ** p, factorial(p) * 2 ** p)
                     * class_sum(plus, _with_entry(rows, a, b, k - p)))
-        reports.append(_report(word_id, _with_entry(rows, a, b, k), cutoff,
-                               lhs, rhs, started, identity="smoothing-inversion"))
+        reports.append(_report(word_id, lowered, cutoff, lhs, rhs, started,
+                               identity="smoothing-inversion"))
+    return reports
 
+
+def oracle_variation_report(word: Sequence[Slice], crossing: int,
+                            S: Sequence[Sequence[int]], cutoff: int,
+                            word_id: str = "word") -> VerificationReport:
+    """The linking-side variation under the crossing change against its
+    binomial closed form."""
+    rows, a, b = _positive_cell(word, crossing, S)
+    s = rows[a - 1][b - 1]
     started = time.perf_counter()
     lk_plus = linking_matrix(word)
-    lk_minus = linking_matrix(flipped)
+    lk_minus = linking_matrix(flip_crossing(word, crossing))
     lhs = (linking_monomial(lk_plus, rows) - linking_monomial(lk_minus, rows))
     base = linking_monomial(lk_plus, _with_entry(rows, a, b, 0))
     ell = lk_plus[a - 1][b - 1]
@@ -269,9 +291,19 @@ def check_recursion(word: Sequence[Slice], crossing: int,
     for i in range(1, s + 1):
         rhs += (base * Fraction((-1) ** (i + 1), factorial(i) * factorial(s - i))
                 * ell ** (s - i))
-    reports.append(_report(word_id, rows, cutoff, lhs, rhs, started,
-                           identity="oracle-variation"))
-    return reports
+    return _report(word_id, rows, cutoff, lhs, rhs, started,
+                   identity="oracle-variation")
+
+
+def check_recursion(word: Sequence[Slice], crossing: int,
+                    S: Sequence[Sequence[int]], cutoff: int,
+                    word_id: str = "word") -> list[VerificationReport]:
+    """Verify the crossing-change expansion at one positive crossing: the
+    variation series, the smoothing inversions and the oracle closed
+    form, in that order."""
+    return [variation_series_report(word, crossing, S, cutoff, word_id),
+            *smoothing_inversion_reports(word, crossing, S, cutoff, word_id),
+            oracle_variation_report(word, crossing, S, cutoff, word_id)]
 
 
 def smoothing_shift_reports(word: Sequence[Slice], crossing: int,

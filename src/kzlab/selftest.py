@@ -1,9 +1,13 @@
 """The package's full identity sweep, shared by the CLI and the test suite.
 
 Eleven sections, each an independent family of exact-rational checks over
-the bundled corpus.  A section stops at its first failure and reports the
-offending instance; otherwise it reports how many instances it verified.
-The whole sweep is sized to finish in well under two minutes.
+the bundled corpus.  Each section is a generator.  It yields one
+`(passed, detail)` pair per check, as the check is made, where `detail`
+is a zero-argument callable rendering the failure; it is called only if
+`passed` is false.  The section returns its summary line.  One runner
+counts every check yielded, stops at the first failure and reports that
+failure's detail, or else the summary.  The whole sweep takes about a
+second.
 """
 
 from __future__ import annotations
@@ -13,19 +17,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .algebra import unknot_series_closed, wheel_coefficients
 from .diagrams import (
-    ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
-    four_t_relators, reduce_mod_4t, _matchings,
+    ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_degree,
+    enumerate_by_matrix, four_t_relators, reduce_mod_4t, _matchings,
 )
 from .errors import InputError
 from .invariants import (
-    check_recursion, class_sum, crossing_circles, degree_sum_identity,
-    flip_crossing, kinked_unknot_series, linking_monomial,
-    smoothing_shift_reports, unknot_degree_value, variation_match,
-    verify_theorem,
+    VerificationReport, class_sum, crossing_circles, degree_sum_identity,
+    flip_crossing, kinked_unknot_series, oracle_variation_report,
+    smoothing_inversion_reports, smoothing_shift_reports, unknot_degree_value,
+    variation_match, variation_series_report, verify_theorem,
 )
 from .qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from .qtangle.engine import (
@@ -34,6 +38,9 @@ from .qtangle.engine import (
 from .qtangle.words import Slice, linking_matrix, trace_word
 
 SWEEP_DEGREE = 3
+
+Check = tuple[bool, Callable[[], str]]
+Section = Generator[Check, None, str]
 
 
 @dataclass(frozen=True)
@@ -54,19 +61,31 @@ class SectionResult:
                 f"({self.checks} checks, {self.ms} ms)")
 
 
-def _positive_crossings(word: Sequence[Slice]
-                        ) -> Iterator[tuple[int, tuple[Slice, ...]]]:
-    """Each crossing slice, with the word flipped there if needed so the
-    designated crossing is geometrically positive."""
-    for traced in trace_word(word).crossings:
-        if traced.event.geometric_sign == 1:
-            yield traced.slice, tuple(word)
-        else:
-            yield traced.slice, flip_crossing(word, traced.slice)
+def _corpus_crossings() -> Iterator[tuple[str, int, tuple[Slice, ...],
+                                          list[TypeMatrix]]]:
+    """Each corpus crossing, with its word flipped there if needed so the
+    crossing is geometrically positive, and every type matrix of the word
+    up to the sweep degree."""
+    for name in corpus_names():
+        word = load_corpus_word(name)
+        m = len(corpus_linking(name))
+        matrices = [S for k in range(SWEEP_DEGREE + 1)
+                    for S in all_type_matrices(m, k)]
+        for traced in trace_word(word).crossings:
+            crossing = traced.slice
+            positive = (tuple(word) if traced.event.geometric_sign == 1
+                        else flip_crossing(word, crossing))
+            yield name, crossing, positive, matrices
 
 
-def _section_theorem() -> tuple[bool, int, str]:
-    checks = 0
+def _report_checks(reports: Iterable[VerificationReport],
+                   prefix: str = "") -> Iterator[Check]:
+    """One check per report, each made as its report is built."""
+    for report in reports:
+        yield report.passed, lambda: prefix + report.render()
+
+
+def _section_theorem() -> Section:
     for name in corpus_names():
         word = load_corpus_word(name)
         m = len(corpus_linking(name))
@@ -75,22 +94,19 @@ def _section_theorem() -> tuple[bool, int, str]:
             degrees.append((4, [4]))
         for cutoff, ks in degrees:
             for k in ks:
-                for S in all_type_matrices(m, k):
-                    report = verify_theorem(word, S, cutoff, name)
-                    checks += 1
-                    if not report.passed:
-                        return False, checks, report.render()
-    return True, checks, "linking monomial == class sum on every (word, S)"
+                yield from _report_checks(
+                    verify_theorem(word, S, cutoff, name)
+                    for S in all_type_matrices(m, k))
+    return "linking monomial == class sum on every (word, S)"
 
 
-def _section_linking() -> tuple[bool, int, str]:
-    checks = 0
+def _section_linking() -> Section:
     for name in corpus_names():
         word = load_corpus_word(name)
         expected = corpus_linking(name)
         counted = linking_matrix(word)
         if counted != expected:
-            return False, checks, f"{name}: crossing count {counted} != tabulated"
+            yield False, lambda: f"{name}: crossing count {counted} != tabulated"
         result = integrate(word, 1)
         m = len(expected)
         for i in range(m):
@@ -99,73 +115,60 @@ def _section_linking() -> tuple[bool, int, str]:
                 unit[i][j] = unit[j][i] = 1
                 (diagram,) = enumerate_by_matrix(unit)
                 got = result.coefficient(diagram)
-                checks += 1
-                if got != expected[i][j]:
-                    return False, checks, (
-                        f"{name}: degree-1 coefficient ({i+1},{j+1}) = {got}, "
-                        f"tabulated {expected[i][j]}")
-    return True, checks, "degree-1 coefficients match the crossing-sign oracle"
+                yield got == expected[i][j], lambda: (
+                    f"{name}: degree-1 coefficient ({i+1},{j+1}) = {got}, "
+                    f"tabulated {expected[i][j]}")
+    return "degree-1 coefficients match the crossing-sign oracle"
 
 
-def _section_degree_sum() -> tuple[bool, int, str]:
-    checks = 0
+def _section_degree_sum() -> Section:
     for name in corpus_names():
         word = load_corpus_word(name)
-        for k in range(SWEEP_DEGREE + 1):
-            report = degree_sum_identity(word, k, SWEEP_DEGREE, name)
-            checks += 1
-            if not report.passed:
-                return False, checks, report.render()
-    return True, checks, "degree-k coefficient sums match summed monomials"
+        yield from _report_checks(
+            degree_sum_identity(word, k, SWEEP_DEGREE, name)
+            for k in range(SWEEP_DEGREE + 1))
+    return "degree-k coefficient sums match summed monomials"
 
 
-def _section_framing_powers() -> tuple[bool, int, str]:
-    checks = 0
+def _section_framing_powers() -> Section:
     surgery = kinked_unknot_series(SWEEP_DEGREE)
     engine = integrate(load_corpus_word("u1"), SWEEP_DEGREE)
     for k in range(1, SWEEP_DEGREE + 1):
         expected = Fraction(1, factorial(k) * 2 ** k)
         plain = unknot_degree_value(k, False, SWEEP_DEGREE)
+        yield plain == 0, lambda: f"degree-{k} sum for the plain unknot is {plain}"
         framed = unknot_degree_value(k, True, SWEEP_DEGREE)
+        yield framed == expected, lambda: (
+            f"engine degree-{k} kinked value {framed} != {expected}")
         by_surgery = sum((c for d, c in surgery.items() if d.degree == k),
                          Fraction(0))
-        checks += 3
-        if plain != 0:
-            return False, checks, f"degree-{k} sum for the plain unknot is {plain}"
-        if framed != expected:
-            return False, checks, f"engine degree-{k} kinked value {framed} != {expected}"
-        if by_surgery != expected:
-            return False, checks, f"surgery degree-{k} value {by_surgery} != {expected}"
+        yield by_surgery == expected, lambda: (
+            f"surgery degree-{k} value {by_surgery} != {expected}")
     for k in range(SWEEP_DEGREE + 1):
-        checks += 1
-        lhs = engine.reduced(k)
         rhs = reduce_mod_4t({d: c for d, c in surgery.items() if d.degree == k})
-        if lhs != rhs:
-            return False, checks, f"kinked unknot routes differ mod 4T at degree {k}"
-    return True, checks, "kinked-unknot values 1/(k! 2^k) by both routes"
+        yield engine.reduced(k) == rhs, lambda: (
+            f"kinked unknot routes differ mod 4T at degree {k}")
+    return "kinked-unknot values 1/(k! 2^k) by both routes"
 
 
-def _section_wheels() -> tuple[bool, int, str]:
-    checks = 0
+def _section_wheels() -> Section:
     weights = wheel_coefficients(4)
-    if (weights[2], weights[4]) != (Fraction(1, 48), Fraction(-1, 5760)):
-        return False, checks, f"wheel weights {weights} off the Taylor values"
-    checks += 2
+    for order, taylor in ((2, Fraction(1, 48)), (4, Fraction(-1, 5760))):
+        yield weights[order] == taylor, lambda: (
+            f"wheel weights {weights} off the Taylor values")
     word = load_corpus_word("u0")
     cutoff = 4 if all(s.kind != "assoc" for s in word) else SWEEP_DEGREE
     result = integrate(word, cutoff)
     closed = unknot_series_closed(cutoff)
     for k in range(cutoff + 1):
-        checks += 1
         expected = reduce_mod_4t({d: c for d, c in closed.items()
                                   if d.degree == k})
-        if result.reduced(k) != expected:
-            return False, checks, f"unknot value differs from wheels at degree {k}"
-    return True, checks, f"engine unknot == wheels formula through degree {cutoff}"
+        yield result.reduced(k) == expected, lambda: (
+            f"unknot value differs from wheels at degree {k}")
+    return f"engine unknot == wheels formula through degree {cutoff}"
 
 
-def _section_relators() -> tuple[bool, int, str]:
-    checks = 0
+def _section_relators() -> Section:
     nonzero = 0
     for m in (1, 2):
         for k in (2, SWEEP_DEGREE):
@@ -174,82 +177,52 @@ def _section_relators() -> tuple[bool, int, str]:
                 if vector:
                     nonzero += 1
                 for S in all_type_matrices(m, k):
-                    checks += 1
-                    if class_sum(vector, S) != 0:
-                        return False, checks, (
-                            f"class sum S={S} nonzero on a (m={m}, k={k}) relator")
-    return True, checks, f"all class sums vanish on {nonzero} nonzero relators"
+                    yield class_sum(vector, S) == 0, lambda: (
+                        f"class sum S={S} nonzero on a (m={m}, k={k}) relator")
+    return f"all class sums vanish on {nonzero} nonzero relators"
 
 
-def _section_recursion() -> tuple[bool, int, str]:
-    checks = 0
-    for name in corpus_names():
-        word = load_corpus_word(name)
-        m = len(corpus_linking(name))
-        matrices = [S for k in range(SWEEP_DEGREE + 1)
-                    for S in all_type_matrices(m, k)]
-        for crossing, positive in _positive_crossings(word):
-            for S in matrices:
-                for report in smoothing_shift_reports(
-                        positive, crossing, S, SWEEP_DEGREE, name):
-                    checks += 1
-                    if not report.passed:
-                        return False, checks, f"crossing {crossing}: {report.render()}"
-                for report in check_recursion(
-                        positive, crossing, S, SWEEP_DEGREE, name):
-                    if report.identity != "smoothing-inversion":
-                        continue
-                    checks += 1
-                    if not report.passed:
-                        return False, checks, f"crossing {crossing}: {report.render()}"
-    return True, checks, "block shifts and their inversion on every corpus crossing"
+def _section_recursion() -> Section:
+    for name, crossing, positive, matrices in _corpus_crossings():
+        at = f"crossing {crossing}: "
+        for S in matrices:
+            args = (positive, crossing, S, SWEEP_DEGREE, name)
+            for reports in (smoothing_shift_reports,
+                            smoothing_inversion_reports):
+                yield from _report_checks(reports(*args), at)
+    return "block shifts and their inversion on every corpus crossing"
 
 
-def _section_variation() -> tuple[bool, int, str]:
-    checks = 0
+def _section_variation() -> Section:
     framing_cases = 0
-    for name in corpus_names():
-        word = load_corpus_word(name)
-        m = len(corpus_linking(name))
-        matrices = [S for k in range(SWEEP_DEGREE + 1)
-                    for S in all_type_matrices(m, k)]
-        for crossing, positive in _positive_crossings(word):
-            a, b = crossing_circles(positive, crossing)
-            if a == b:
-                plus = linking_matrix(positive)
-                minus = linking_matrix(flip_crossing(positive, crossing))
-                checks += 1
-                if minus[a - 1][a - 1] != plus[a - 1][a - 1] - 1:
-                    return False, checks, (
-                        f"{name} crossing {crossing}: self-linking drop "
-                        f"{plus[a-1][a-1]} -> {minus[a-1][a-1]}")
-                framing_cases += 1
-            for S in matrices:
-                report = variation_match(positive, crossing, S, SWEEP_DEGREE, name)
-                checks += 1
-                if not report.passed:
-                    return False, checks, f"crossing {crossing}: {report.render()}"
-                for extra in check_recursion(positive, crossing, S,
-                                             SWEEP_DEGREE, name):
-                    if extra.identity == "smoothing-inversion":
-                        continue
-                    checks += 1
-                    if not extra.passed:
-                        return False, checks, f"crossing {crossing}: {extra.render()}"
-    return True, checks, (f"variations agree on every crossing change "
-                          f"({framing_cases} self-crossing framing drops)")
+    for name, crossing, positive, matrices in _corpus_crossings():
+        at = f"crossing {crossing}: "
+        a, b = crossing_circles(positive, crossing)
+        if a == b:
+            plus = linking_matrix(positive)[a - 1][a - 1]
+            minus = linking_matrix(flip_crossing(positive, crossing))[a - 1][a - 1]
+            yield minus == plus - 1, lambda: (
+                f"{name} crossing {crossing}: self-linking drop "
+                f"{plus} -> {minus}")
+            framing_cases += 1
+        for S in matrices:
+            args = (positive, crossing, S, SWEEP_DEGREE, name)
+            yield from _report_checks(
+                (report(*args) for report in (variation_match,
+                                              variation_series_report,
+                                              oracle_variation_report)),
+                at)
+    return (f"variations agree on every crossing change "
+            f"({framing_cases} self-crossing framing drops)")
 
 
-def _section_pentagon() -> tuple[bool, int, str]:
+def _section_pentagon() -> Section:
     sign = associator_sign()
-    checks = 1
-    if not pentagon_identity(2):
-        return False, checks, "pentagon fails at degree 2"
+    yield pentagon_identity(2), lambda: "pentagon fails at degree 2"
     for eps in (1, -1):
-        checks += 1
-        if not hexagon_identity(eps):
-            return False, checks, f"hexagon fails for crossing sign {eps:+d}"
-    return True, checks, f"pentagon and both hexagons hold (frozen sign {sign:+d})"
+        yield hexagon_identity(eps), lambda: (
+            f"hexagon fails for crossing sign {eps:+d}")
+    return f"pentagon and both hexagons hold (frozen sign {sign:+d})"
 
 
 def _brute_force_degree(m: int, k: int) -> frozenset[ChordDiagram]:
@@ -271,46 +244,39 @@ def _brute_force_degree(m: int, k: int) -> frozenset[ChordDiagram]:
     return frozenset(found)
 
 
-def _section_enumeration() -> tuple[bool, int, str]:
-    checks = 0
+def _section_enumeration() -> Section:
     for k, expected in ((1, 1), (2, 2), (3, 5)):
-        checks += 1
         got = len(enumerate_by_degree(1, k))
-        if got != expected:
-            return False, checks, f"|degree-{k} on 1 circle| = {got}, expected {expected}"
+        yield got == expected, lambda: (
+            f"|degree-{k} on 1 circle| = {got}, expected {expected}")
     for m in (1, 2, 3):
         for k in range(5):
             by_degree = enumerate_by_degree(m, k)
-            checks += 1
-            if frozenset(by_degree) != _brute_force_degree(m, k):
-                return False, checks, f"degree list (m={m}, k={k}) != brute force"
+            yield frozenset(by_degree) == _brute_force_degree(m, k), lambda: (
+                f"degree list (m={m}, k={k}) != brute force")
             seen: set[ChordDiagram] = set()
             for S in all_type_matrices(m, k):
                 family = enumerate_by_matrix(S)
-                checks += 1
-                if any(d.type_matrix() != S for d in family):
-                    return False, checks, f"family (m={m}, S={S}) mixes types"
-                if seen & set(family):
-                    return False, checks, f"families overlap at (m={m}, k={k})"
+                mixed = any(d.type_matrix() != S for d in family)
+                yield not mixed and seen.isdisjoint(family), lambda: (
+                    f"family (m={m}, S={S}) mixes types" if mixed
+                    else f"families overlap at (m={m}, k={k})")
                 seen.update(family)
-            checks += 1
-            if seen != set(by_degree):
-                return False, checks, f"families miss diagrams at (m={m}, k={k})"
-    return True, checks, "type families partition each degree list (brute-forced)"
+            yield seen == set(by_degree), lambda: (
+                f"families miss diagrams at (m={m}, k={k})")
+    return "type families partition each degree list (brute-forced)"
 
 
-def _section_representation() -> tuple[bool, int, str]:
-    checks = 0
+def _section_representation() -> Section:
     first = integrate(load_corpus_word("hopf+"), SWEEP_DEGREE)
     second = integrate(load_corpus_word("hopf+alt"), SWEEP_DEGREE)
     for k in range(SWEEP_DEGREE + 1):
-        checks += 1
-        if first.reduced(k) != second.reduced(k):
-            return False, checks, f"presentations differ mod 4T at degree {k}"
-    return True, checks, "both clasp presentations agree mod 4T per degree"
+        yield first.reduced(k) == second.reduced(k), lambda: (
+            f"presentations differ mod 4T at degree {k}")
+    return "both clasp presentations agree mod 4T per degree"
 
 
-SECTIONS: tuple[tuple[str, Callable[[], tuple[bool, int, str]]], ...] = (
+SECTIONS: tuple[tuple[str, Callable[[], Section]], ...] = (
     ("theorem", _section_theorem),
     ("linking", _section_linking),
     ("degree-sum", _section_degree_sum),
@@ -329,18 +295,32 @@ def section_names() -> tuple[str, ...]:
     return tuple(name for name, _ in SECTIONS)
 
 
+def _run_section(name: str, section: Callable[[], Section]) -> SectionResult:
+    """Count a section's checks as they are made, stopping at the first
+    failure, whose detail is the section's; a section that runs out of
+    checks reports its summary line."""
+    started = time.perf_counter()
+    checks = 0
+    steps = section()
+    while True:
+        try:
+            passed, detail = next(steps)
+        except StopIteration as done:
+            passed, summary = True, done.value
+            break
+        checks += 1
+        if not passed:
+            summary = detail()
+            break
+    ms = int(round((time.perf_counter() - started) * 1000))
+    return SectionResult(name, passed, checks, ms, summary)
+
+
 def run_selftest(sections: Sequence[str] | None = None) -> list[SectionResult]:
     chosen = set(sections) if sections is not None else None
     if chosen is not None:
         unknown = chosen - set(section_names())
         if unknown:
             raise InputError(f"unknown sections: {', '.join(sorted(unknown))}")
-    results = []
-    for name, runner in SECTIONS:
-        if chosen is not None and name not in chosen:
-            continue
-        started = time.perf_counter()
-        passed, checks, detail = runner()
-        ms = int(round((time.perf_counter() - started) * 1000))
-        results.append(SectionResult(name, passed, checks, ms, detail))
-    return results
+    return [_run_section(name, section) for name, section in SECTIONS
+            if chosen is None or name in chosen]

@@ -12,6 +12,8 @@ Core claims:
       matrix entry, 3 for validation failures, 4 for unsupported
       truncation, each with one error line and no traceback; a plain
       ValueError from inside the library is a fault, not exit 3
+    - --S and --relabel are parsed before the word is loaded, so a bad
+      flag exits 2 even when the word itself is invalid
     - zero circles fail enumerate with one message under --S and --k,
       and a negative --max-degree fails verify theorem and recursion
       with --all-S, both with exit 3
@@ -233,6 +235,18 @@ class TestExitCodes:
             assert code == 3 and not out, selector
             errors.add(err)
         assert errors == {"error: --circles must be at least 1\n"}
+
+    def test_flags_are_parsed_before_the_word_is_loaded(self, capsys, tmp_path):
+        # The word file is invalid (exit 3), but the bad flag is found first.
+        path = tmp_path / "bad.qtw"
+        path.write_text("cap@1\n", encoding="utf-8")
+        for argv in (("verify", "theorem", "--word", str(path), "--S", "[[0"),
+                     ("compute", "--word", str(path), "--relabel", "x"),
+                     ("enumerate", "--circles", "0", "--S", "[[")):
+            code, out, err = _run(capsys, *argv)
+            assert code == 2 and err.startswith("error:") and not out, argv
+        code, _, _ = _run(capsys, "compute", "--word", str(path))
+        assert code == 3
 
     def test_negative_max_degree_exits_3(self, capsys):
         for identity in (("theorem",), ("recursion", "--crossing", "4")):

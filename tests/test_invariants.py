@@ -10,8 +10,12 @@ Core claims:
       the matching class sum, exactly
     - Degree sums of linking monomials match total coefficient sums
     - Crossing surgery: bare blocks above the designated cell vanish,
-      the variation series and the inversion identity both close, and
-      the checker rejects geometrically negative crossings
+      the variation series and the inversion identity both close, the
+      checker rejects geometrically negative crossings, and
+      check_recursion is exactly the series, inversion and oracle
+      reports concatenated
+    - The degree-k coefficient sum equals the class sums over every type
+      matrix of degree k
     - Every structural question about a word is read off one cached
       trace: a full round of checks on a fresh word replays it and its
       flip once each
@@ -39,14 +43,17 @@ from kzlab.invariants import (
     flip_crossing,
     kinked_unknot_series,
     linking_monomial,
+    oracle_variation_report,
+    smoothing_inversion_reports,
     smoothing_shift_reports,
     unknot_degree_value,
     variation_match,
+    variation_series_report,
     verify_theorem,
 )
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from kzlab.qtangle.engine import crossing_info, crossing_term, integrate
-from kzlab.qtangle.words import Slice, _trace_cached, linking_matrix
+from kzlab.qtangle.words import Slice, _trace_cached, linking_matrix, trace_word
 
 
 HOPF_S = ((0, 1), (1, 0))
@@ -130,6 +137,15 @@ class TestClassSum:
         with pytest.raises(TruncationUnsupportedError, match=message):
             degree_sum_identity(load_corpus_word("hopf+"), 600, 3)
         assert all_type_matrices.cache_info().misses == before
+
+    def test_degree_sum_is_the_sum_of_class_sums(self):
+        for name in corpus_names():
+            result = integrate(load_corpus_word(name), 3)
+            for k in range(4):
+                by_type = sum((class_sum(result, S)
+                               for S in all_type_matrices(result.circles, k)),
+                              Fraction(0))
+                assert degree_class_sum(result, k) == by_type, (name, k)
 
     def test_unlinked_degrees_sum_to_zero(self):
         result = integrate(load_corpus_word("u0"), 3)
@@ -236,6 +252,23 @@ class TestSurgery:
     def test_negative_crossings_are_rejected(self):
         with pytest.raises(WordValidationError):
             check_recursion(load_corpus_word("hopf-"), 4, HOPF_S, 3)
+
+    def test_recursion_is_the_three_identities_in_order(self):
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            m = len(linking_matrix(word))
+            for traced in trace_word(word).crossings:
+                if traced.event.geometric_sign != 1:
+                    continue
+                for k in range(3):
+                    for S in all_type_matrices(m, k):
+                        args = (word, traced.slice, S, 3, name)
+                        parts = [variation_series_report(*args),
+                                 *smoothing_inversion_reports(*args),
+                                 oracle_variation_report(*args)]
+                        whole = check_recursion(*args)
+                        assert ([r.as_dict() | {"ms": 0} for r in whole]
+                                == [r.as_dict() | {"ms": 0} for r in parts])
 
 
 # == 5. Unknot framing powers ================================================
