@@ -61,8 +61,7 @@ print()
 print("4T relators and quotient dimensions:")
 for m in (1, 2):
     for k in (2, 3):
-        relators = four_t_relators(m, k)
-        vectors = [v for v in (r.combined() for r in relators) if v]
+        vectors = four_t_relators(m, k)
         dim = quotient_dimension(m, k)
         print(f"  m={m} k={k}: {len(vectors)} nonzero relators, "
               f"{table.get((m, k), '?')} diagrams, quotient dim {dim}")

@@ -10,7 +10,7 @@ reproducible runs.
 """
 
 from .diagrams import (
-    ChordDiagram, FourTRelator, Mod4TForm, TypeMatrix, all_type_matrices,
+    ChordDiagram, Mod4TForm, TypeMatrix, all_type_matrices,
     canonical_code, connected_sum, enumerate_by_degree, enumerate_by_matrix,
     four_t_relators, quotient_dimension, reduce_mod_4t,
 )
@@ -37,7 +37,7 @@ from .selftest import run_selftest, section_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChordDiagram", "FourTRelator", "Mod4TForm", "TypeMatrix",
+    "ChordDiagram", "Mod4TForm", "TypeMatrix",
     "all_type_matrices", "canonical_code", "connected_sum", "enumerate_by_degree",
     "enumerate_by_matrix", "four_t_relators", "quotient_dimension",
     "reduce_mod_4t",

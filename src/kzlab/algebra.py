@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .diagrams import ChordDiagram, _relabel, add_term, connected_sum
-from .errors import TruncationUnsupportedError
+from .errors import InputError, TruncationUnsupportedError
 
 Word = tuple[int, ...]
 
@@ -267,7 +267,7 @@ def _wheel_multisets(cutoff: int) -> Iterator[tuple[int, ...]]:
 
 def _check_truncation(cutoff: int) -> None:
     if cutoff < 0:
-        raise ValueError("truncation degree must be nonnegative")
+        raise InputError("truncation degree must be nonnegative")
     if cutoff > MAX_TRUNCATION:
         raise TruncationUnsupportedError(
             f"truncation degree {cutoff} exceeds the supported maximum "

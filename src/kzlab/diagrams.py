@@ -16,8 +16,11 @@ next circle.
 
 The rational span of degree-k diagrams carries the standard four-term (4T)
 relation.  This module enumerates diagrams by degree or by chord type
-matrix, generates all 4T relators, and reduces vectors to a canonical
-residual modulo the relator span using exact rational elimination.
+matrix, generates all 4T relators as read-only diagram -> int vectors,
+and reduces vectors to a canonical residual modulo the relator span
+using exact rational elimination.  Chords on open strands share this
+code: one placements generator, 4T move, relator-vector builder and
+per-degree quotient serve circles here and strands in the engine.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InputError
 
 
 Code = tuple[tuple[int, ...], ...]
+K = TypeVar("K", bound=Hashable)
 
 
 class TypeMatrix(tuple):
@@ -131,10 +136,13 @@ class ChordDiagram:
     """An equivalence class of chord diagrams, stored by canonical code.
 
     Chord labels in the input may be arbitrary hashables; each must occur
-    exactly twice.  Empty circles are allowed and encoded as ().
+    exactly twice.  Empty circles are allowed and encoded as ().  The code
+    is set once: diagrams are cached and used as dict keys, so assigning
+    or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("code",)
+    code: Code
 
     def __init__(self, words: Sequence[Sequence[object]]) -> None:
         counts: dict[object, int] = {}
@@ -144,7 +152,18 @@ class ChordDiagram:
         bad = sorted(str(l) for l, c in counts.items() if c != 2)
         if bad:
             raise ValueError("chord labels must occur exactly twice: " + ", ".join(bad))
-        self.code: Code = canonical_code(words)
+        object.__setattr__(self, "code", canonical_code(words))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ChordDiagram is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("ChordDiagram is immutable")
+
+    def __reduce__(self) -> tuple:
+        # Pickle and copy rebuild from the code, which is its own canonical
+        # code, since restoring the slot would go through __setattr__.
+        return ChordDiagram, (self.code,)
 
     @property
     def circles(self) -> int:
@@ -237,10 +256,6 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
 
 def _matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of 0..n-1 as sorted pair tuples (n even)."""
-    if n == 0:
-        yield ()
-        return
-    items = list(range(n))
 
     def rec(rest: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not rest:
@@ -252,7 +267,30 @@ def _matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
             for sub in rec(remaining):
                 yield ((first, partner),) + sub
 
-    yield from rec(items)
+    yield from rec(list(range(n)))
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write total as an ordered sum of `parts` naturals."""
+    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
+        bounds = (-1,) + cuts + (total + parts - 1,)
+        yield tuple(bounds[i + 1] - bounds[i] - 1 for i in range(parts))
+
+
+def _placements(k: int, parts: int) -> Iterator[list[list[int]]]:
+    """Every placement of k chords on `parts` words, as per-word label
+    lists: each spread of the 2k endpoints over the words times each
+    pairing of the endpoints, chord t labeling the t-th pair."""
+    for counts in _compositions(2 * k, parts):
+        slot_word = [w for w, count in enumerate(counts) for _ in range(count)]
+        for pairs in _matchings(2 * k):
+            label = {}
+            for t, (a, b) in enumerate(pairs, start=1):
+                label[a] = label[b] = t
+            words: list[list[int]] = [[] for _ in range(parts)]
+            for slot, w in enumerate(slot_word):
+                words[w].append(label[slot])
+            yield words
 
 
 def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, ...]:
@@ -299,9 +337,7 @@ def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
         raise InputError("need m >= 1 circles and degree k >= 0")
     cells = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
     out = []
-    for split in itertools.combinations(range(k + len(cells) - 1), len(cells) - 1):
-        bounds = (-1,) + split + (k + len(cells) - 1,)
-        values = [bounds[i + 1] - bounds[i] - 1 for i in range(len(cells))]
+    for values in _compositions(k, len(cells)):
         rows = [[0] * m for _ in range(m)]
         for (i, j), v in zip(cells, values):
             rows[i][j] = rows[j][i] = v
@@ -319,30 +355,6 @@ def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
 
 
 # -- The four-term relation --------------------------------------------------
-
-
-class FourTRelator:
-    """One 4T relator: four signed diagrams summing to zero in the quotient.
-
-    The terms are the four placements of one four_t_moves move.  The two
-    placements at a common anchor endpoint share a type matrix, so any
-    functional depending only on type matrices kills the relator.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Sequence[tuple[ChordDiagram, int]]) -> None:
-        self.terms = tuple(terms)
-
-    def combined(self) -> dict[ChordDiagram, int]:
-        """Collect the four terms into a diagram -> coefficient vector."""
-        vec: dict[ChordDiagram, int] = {}
-        for diagram, sign in self.terms:
-            vec[diagram] = vec.get(diagram, 0) + sign
-        return {d: c for d, c in vec.items() if c}
-
-    def __repr__(self) -> str:
-        return f"FourTRelator({list(self.terms)!r})"
 
 
 def _insert(words: Sequence[tuple[object, ...]], at: int, gap: int,
@@ -380,30 +392,46 @@ def four_t_moves(base: Sequence[Sequence[object]],
                                                  (c2, q2 + 1, -1), (c2, q2, 1)))
 
 
-@lru_cache(maxsize=None)
-def four_t_relators(m: int, k: int) -> tuple[FourTRelator, ...]:
-    """All distinct 4T relators among degree-k diagrams on m circles.
+def _relator_vectors(k: int, bases: Callable[[int], Iterable[Sequence[Sequence[object]]]],
+                     gaps: Callable[[int], int], key: Callable[[list], K],
+                     ) -> tuple[Mapping[K, int], ...]:
+    """The distinct non-zero 4T relator vectors in degree k, read-only.
 
-    Circle words are cyclic: a word of length l has l gaps, a bare
-    circle one.
+    Each four_t_moves move on a base of bases(k - 1) gives one vector,
+    key(words) naming the diagram of each placement.  A move adds a chord
+    next to an anchor chord of its base, so there are none below degree 2.
     """
     if k < 2:
         return ()
-    seen: set[tuple] = set()
-    out: list[FourTRelator] = []
-    for base in enumerate_by_degree(m, k - 1):
-        for placements in four_t_moves(base.code, lambda size: max(1, size)):
-            relator = FourTRelator([(ChordDiagram(words), sign)
-                                    for words, sign in placements])
-            vec = relator.combined()
-            if not vec:
-                continue
-            signature = tuple(sorted((d.code, c) for d, c in vec.items()))
-            if signature in seen:
-                continue
-            seen.add(signature)
-            out.append(relator)
+    seen: set[frozenset] = set()
+    out: list[Mapping[K, int]] = []
+    for base in bases(k - 1):
+        for placements in four_t_moves(base, gaps):
+            vec: dict[K, int] = {}
+            for words, sign in placements:
+                name = key(words)
+                vec[name] = vec.get(name, 0) + sign
+            vec = {name: c for name, c in vec.items() if c}
+            signature = frozenset(vec.items())
+            if vec and signature not in seen:
+                seen.add(signature)
+                out.append(MappingProxyType(vec))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
+    """All distinct non-zero 4T relators among degree-k diagrams on m
+    circles, as read-only diagram -> coefficient vectors.
+
+    Circle words are cyclic: a word of length l has l gaps, a bare
+    circle one.  The two placements at a common anchor endpoint share a
+    type matrix, so any functional depending only on type matrices kills
+    every relator.
+    """
+    return _relator_vectors(
+        k, lambda degree: (d.code for d in enumerate_by_degree(m, degree)),
+        lambda size: max(1, size), ChordDiagram)
 
 
 # -- Reduction modulo 4T -----------------------------------------------------
@@ -435,15 +463,39 @@ def _echelon(vectors: Iterable[dict[int, Fraction]],
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _reducer(m: int, k: int) -> tuple[tuple[ChordDiagram, ...], dict[ChordDiagram, int],
-                                      tuple[tuple[int, dict[int, Fraction]], ...]]:
-    """Echelon rows spanning the 4T relator space in degree k on m circles."""
-    basis = enumerate_by_degree(m, k)
+Reducer = tuple[tuple[K, ...], dict[K, int], tuple[tuple[int, dict[int, Fraction]], ...]]
+
+
+def _quotient(basis: tuple[K, ...], relators: Iterable[Mapping[K, int]]) -> Reducer:
+    """The basis, its index, and echelon rows spanning the relators."""
     index = {d: i for i, d in enumerate(basis)}
     return basis, index, _echelon(
-        {index[d]: Fraction(c) for d, c in relator.combined().items()}
-        for relator in four_t_relators(m, k))
+        {index[d]: Fraction(c) for d, c in relator.items()} for relator in relators)
+
+
+def _residual(vector: Mapping[K, Fraction | int], grade: Callable[[K], tuple],
+              reducer: Callable[..., Reducer]) -> list[tuple[K, Fraction]]:
+    """Reduce each homogeneous part of a vector modulo its relators.
+
+    grade(key) names the part a key lies in, and reducer(*grade(key)) is
+    that part's quotient; zero coefficients are dropped.
+    """
+    groups: dict[tuple, dict[K, Fraction]] = {}
+    for key, coeff in vector.items():
+        if coeff:
+            groups.setdefault(grade(key), {})[key] = Fraction(coeff)
+    residual: list[tuple[K, Fraction]] = []
+    for part, vec in groups.items():
+        basis, index, rows = reducer(*part)
+        reduced = _eliminate({index[d]: c for d, c in vec.items()}, rows)
+        residual.extend((basis[i], c) for i, c in reduced.items())
+    return residual
+
+
+@lru_cache(maxsize=None)
+def _reducer(m: int, k: int) -> Reducer:
+    """The 4T quotient of degree-k diagrams on m circles."""
+    return _quotient(enumerate_by_degree(m, k), four_t_relators(m, k))
 
 
 def quotient_dimension(m: int, k: int) -> int:
@@ -487,14 +539,4 @@ class Mod4TForm:
 
 def reduce_mod_4t(vector: Mapping[ChordDiagram, Fraction | int]) -> Mod4TForm:
     """Reduce each homogeneous component of a diagram combination mod 4T."""
-    groups: dict[tuple[int, int], dict[ChordDiagram, Fraction]] = {}
-    for diagram, coeff in vector.items():
-        if coeff:
-            key = (diagram.circles, diagram.degree)
-            groups.setdefault(key, {})[diagram] = Fraction(coeff)
-    residual: list[tuple[ChordDiagram, Fraction]] = []
-    for (m, k), vec in groups.items():
-        basis, index, rows = _reducer(m, k)
-        reduced = _eliminate({index[d]: c for d, c in vec.items()}, rows)
-        residual.extend((basis[i], c) for i, c in reduced.items())
-    return Mod4TForm(residual)
+    return Mod4TForm(_residual(vector, lambda d: (d.circles, d.degree), _reducer))

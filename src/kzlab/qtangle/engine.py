@@ -29,7 +29,9 @@ crossing replaced by a bare block breaks any run.
 The pentagon and the hexagon are checked on the same fragment values:
 two words over one open boundary of down strands must evaluate equal,
 the hexagon modulo strand-level 4T relators.  The hexagon picks the
-associator sign at first use.
+associator sign at first use.  The strand quotient is the circles' one
+(the diagrams module's placements, 4T move, relator vectors and echelon
+reduction) on linear words keyed by their relabeled code.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from typing import Callable, Mapping, Sequence
 
 from ..algebra import sqrt_unknot_series
 from ..diagrams import (
-    ChordDiagram, Mod4TForm, _echelon, _eliminate, _matchings, _relabel,
-    add_term, four_t_moves, reduce_mod_4t,
+    ChordDiagram, Mod4TForm, _placements, _quotient, _relabel, _relator_vectors,
+    _residual, add_term, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from .words import (
@@ -62,61 +64,26 @@ _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 @lru_cache(maxsize=None)
 def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All normalized placements of k chords on n labeled strands."""
-    found: set[tuple[tuple[int, ...], ...]] = set()
-    for cuts in itertools.combinations(range(2 * k + n - 1), n - 1):
-        bounds = (-1,) + cuts + (2 * k + n - 1,)
-        counts = [bounds[i + 1] - bounds[i] - 1 for i in range(n)]
-        slot_strand = [i for i in range(n) for _ in range(counts[i])]
-        for pairs in _matchings(2 * k):
-            label = {}
-            for t, (a, b) in enumerate(pairs, start=1):
-                label[a] = label[b] = t
-            seqs: list[list[int]] = [[] for _ in range(n)]
-            for slot, strand in enumerate(slot_strand):
-                seqs[strand].append(label[slot])
-            found.add(_relabel(seqs))
-    return tuple(sorted(found))
+    return tuple(sorted({_relabel(words) for words in _placements(k, n)}))
 
 
 @lru_cache(maxsize=None)
 def _strand_reducer(n: int, k: int):
-    """Echelon rows for the 4T span among degree-k strand monomials.
+    """The 4T quotient of degree-k strand monomials on n strands.
 
-    The relators are four_t_moves on strand monomials; strand words are
-    linear, so a word of length l has l + 1 gaps, both ends included.
+    Strand words are linear, so a word of length l has l + 1 gaps, both
+    ends included.
     """
-    basis = strand_monomials(n, k)
-    index = {m: i for i, m in enumerate(basis)}
-
-    def relator(placements) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
-        for words, sign in placements:
-            add_term(vec, index[_relabel(words)], sign)
-        return vec
-
-    rows = _echelon(relator(placements)
-                    for base in strand_monomials(n, k - 1)
-                    for placements in four_t_moves(base, lambda size: size + 1))
-    return basis, index, rows
+    return _quotient(strand_monomials(n, k), _relator_vectors(
+        k, lambda degree: strand_monomials(n, degree), lambda size: size + 1,
+        _relabel))
 
 
 def reduce_strands_mod_4t(terms: Mapping[tuple[tuple[int, ...], ...], Fraction],
                           ) -> dict[tuple[tuple[int, ...], ...], Fraction]:
     """Canonical residual of a strand series modulo per-degree 4T spans."""
-    residual: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    by_degree: dict[int, dict] = {}
-    for key, coeff in terms.items():
-        if coeff:
-            by_degree.setdefault(sum(map(len, key)) // 2, {})[key] = coeff
-    for k, vec in by_degree.items():
-        if k == 0:
-            residual.update(vec)
-            continue
-        n = len(next(iter(vec)))
-        basis, index, rows = _strand_reducer(n, k)
-        reduced = _eliminate({index[m]: Fraction(c) for m, c in vec.items()}, rows)
-        residual.update({basis[i]: c for i, c in reduced.items()})
-    return residual
+    return dict(_residual(terms, lambda key: (len(key), sum(map(len, key)) // 2),
+                          _strand_reducer))
 
 
 # -- The associator ----------------------------------------------------------

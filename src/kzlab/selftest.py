@@ -12,7 +12,6 @@ second.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from typing import Callable, Generator, Iterable, Iterator, Sequence
 from .algebra import unknot_series_closed, wheel_coefficients
 from .diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_degree,
-    enumerate_by_matrix, four_t_relators, reduce_mod_4t, _matchings,
+    enumerate_by_matrix, four_t_relators, reduce_mod_4t, _placements,
 )
 from .errors import InputError
 from .invariants import (
@@ -172,10 +171,8 @@ def _section_relators() -> Section:
     nonzero = 0
     for m in (1, 2):
         for k in (2, SWEEP_DEGREE):
-            for relator in four_t_relators(m, k):
-                vector = relator.combined()
-                if vector:
-                    nonzero += 1
+            for vector in four_t_relators(m, k):
+                nonzero += 1
                 for S in all_type_matrices(m, k):
                     yield class_sum(vector, S) == 0, lambda: (
                         f"class sum S={S} nonzero on a (m={m}, k={k}) relator")
@@ -228,20 +225,7 @@ def _section_pentagon() -> Section:
 def _brute_force_degree(m: int, k: int) -> frozenset[ChordDiagram]:
     """Independent enumeration: all slot distributions and pairings,
     canonicalized, with no type-matrix bookkeeping."""
-    found: set[ChordDiagram] = set()
-    for cuts in itertools.combinations(range(2 * k + m - 1), m - 1):
-        bounds = (-1,) + cuts + (2 * k + m - 1,)
-        counts = [bounds[i + 1] - bounds[i] - 1 for i in range(m)]
-        slot_circle = [i for i in range(m) for _ in range(counts[i])]
-        for pairs in _matchings(2 * k):
-            label = {}
-            for t, (x, y) in enumerate(pairs, start=1):
-                label[x] = label[y] = t
-            words: list[list[int]] = [[] for _ in range(m)]
-            for slot, circle in enumerate(slot_circle):
-                words[circle].append(label[slot])
-            found.add(ChordDiagram(words))
-    return frozenset(found)
+    return frozenset(ChordDiagram(words) for words in _placements(k, m))
 
 
 def _section_enumeration() -> Section:

@@ -13,7 +13,8 @@ Core claims:
     - Per-degree coefficient sums of every attachment sum vanish
     - The closed unknot series has the frozen degree-3 values, is even,
       and its interval square root closes back onto it exactly
-    - Truncation degrees above 4 are rejected
+    - Truncation degrees above 4 are rejected; a negative one is an
+      input error
 """
 
 import itertools
@@ -37,7 +38,7 @@ from kzlab.algebra import (
     wheel_coefficients,
 )
 from kzlab.diagrams import ChordDiagram, _relabel, add_term
-from kzlab.errors import TruncationUnsupportedError
+from kzlab.errors import InputError, TruncationUnsupportedError
 
 
 def _closed(series):
@@ -175,3 +176,9 @@ class TestUnknotSeries:
             unknot_series_closed(5)
         with pytest.raises(TruncationUnsupportedError):
             sqrt_unknot_series(9)
+
+    def test_negative_truncation_is_an_input_error(self):
+        with pytest.raises(InputError):
+            unknot_series_closed(-1)
+        with pytest.raises(InputError):
+            sqrt_unknot_series(-1)

@@ -21,6 +21,7 @@ Core claims:
       and writes nothing to stderr
     - a word nested 600 levels deep computes
     - KZLAB_CORPUS_DIR redirects the corpus loader
+    - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
 """
 
 import json
@@ -30,7 +31,9 @@ import sys
 
 import pytest
 
+import kzlab
 import kzlab.cli
+import kzlab.qtangle
 from kzlab.cli import main
 from kzlab.qtangle.corpus import corpus_path
 
@@ -325,3 +328,13 @@ class TestCorpusOverride:
 
         with pytest.raises(CorpusLookupError):
             corpus_path("trefoil")
+
+
+# == 6. package surface ======================================================
+
+
+def test_every_exported_name_resolves():
+    for package in (kzlab, kzlab.qtangle):
+        missing = [name for name in package.__all__
+                   if not hasattr(package, name)]
+        assert missing == [], package.__name__

@@ -3,6 +3,8 @@ Unit tests for canonical chord diagrams, enumeration, and the 4T quotient.
 
 Core claims:
     - Canonicalization is idempotent and invariant under circle rotations
+    - A cached diagram's code cannot be assigned or deleted; diagrams
+      still pickle and copy
     - The pruned search agrees with the exhaustive minimum over every
       combination of circle rotations (a test-only second route), on
       random diagrams (m <= 4 circles, k <= 6 chords, empty circles among
@@ -13,8 +15,11 @@ Core claims:
       is built once, and knows its degree, which no caller can reset
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18 up to degree 4
     - Type families partition each degree list (m <= 3, k <= 4)
-    - Every 4T relator has four terms with signs +1, -1, -1, +1 and
+    - The placements generator yields C(2k+p-1, p-1) (2k-1)!! label
+      lists for k chords on p words (p <= 3, k <= 3)
+    - Every 4T move has four placements with signs +1, -1, -1, +1 and
       pairwise-matching type matrices at each anchor endpoint
+    - Relators are read-only diagram -> int vectors
     - Relator vectors reduce to zero; the quotient dimensions on one
       circle are 1, 2, 3, 6 in degrees 1..4, matching a sympy rank oracle
     - Connected sums agree modulo 4T regardless of insertion point
@@ -22,7 +27,10 @@ Core claims:
     - JSON serialization emits 1-based circles and 0-based slots
 """
 
+import copy
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -33,12 +41,14 @@ from kzlab.diagrams import (
     ChordDiagram,
     Mod4TForm,
     TypeMatrix,
+    _placements,
     _relabel,
     all_type_matrices,
     canonical_code,
     connected_sum,
     enumerate_by_degree,
     enumerate_by_matrix,
+    four_t_moves,
     four_t_relators,
     quotient_dimension,
     reduce_mod_4t,
@@ -164,6 +174,19 @@ class TestCanonicalForm:
         b = ChordDiagram([(), (1, 1)])
         assert a != b
 
+    def test_cached_diagrams_are_immutable(self):
+        cached, = enumerate_by_matrix(((1,),))
+        with pytest.raises(AttributeError):
+            cached.code = ((1, 2, 1, 2),)
+        with pytest.raises(AttributeError):
+            del cached.code
+        assert enumerate_by_matrix(((1,),))[0].code == ((1, 1),)
+
+    def test_immutable_diagrams_pickle_and_copy(self):
+        d = ChordDiagram([(1, 2, 1, 2), (), (3, 3)])
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert copy.deepcopy(d) == d and copy.copy(d) == d
+
 
 # == 2. Type matrices ========================================================
 
@@ -255,6 +278,13 @@ class TestEnumeration:
     def test_single_pure_linking_diagram(self):
         assert len(enumerate_by_matrix(((0, 1), (1, 0)))) == 1
 
+    def test_placement_counts(self):
+        for parts in (1, 2, 3):
+            for k in range(4):
+                pairings = math.prod(range(1, 2 * k, 2))
+                expected = math.comb(2 * k + parts - 1, parts - 1) * pairings
+                assert sum(1 for _ in _placements(k, parts)) == expected
+
 
 # == 4. 4T relators and the quotient =========================================
 
@@ -267,22 +297,32 @@ class TestFourTRelators:
         assert len(four_t_relators(2, 3)) == 16
 
     def test_term_structure(self):
-        for relator in four_t_relators(1, 3) + four_t_relators(2, 3):
-            assert [sign for _, sign in relator.terms] == [1, -1, -1, 1]
-            diagrams = [d for d, _ in relator.terms]
-            assert len({d.degree for d in diagrams}) == 1
-            assert len({d.circles for d in diagrams}) == 1
-            assert diagrams[0].type_matrix() == diagrams[1].type_matrix()
-            assert diagrams[2].type_matrix() == diagrams[3].type_matrix()
+        for m in (1, 2):
+            for base in enumerate_by_degree(m, 2):
+                for placements in four_t_moves(base.code,
+                                               lambda size: max(1, size)):
+                    assert [sign for _, sign in placements] == [1, -1, -1, 1]
+                    diagrams = [ChordDiagram(words) for words, _ in placements]
+                    assert {(d.circles, d.degree) for d in diagrams} == {(m, 3)}
+                    assert diagrams[0].type_matrix() == diagrams[1].type_matrix()
+                    assert diagrams[2].type_matrix() == diagrams[3].type_matrix()
+
+    def test_vectors_are_read_only(self):
+        vector = four_t_relators(1, 3)[0]
+        before = dict(vector)
+        assert all(type(c) is int and c for c in before.values())
+        with pytest.raises(TypeError):
+            vector[next(iter(vector))] = 0
+        assert dict(four_t_relators(1, 3)[0]) == before
 
     def test_coefficient_sum_vanishes(self):
         for relator in four_t_relators(2, 3):
-            assert sum(relator.combined().values()) == 0
+            assert sum(relator.values()) == 0
 
     def test_relators_reduce_to_zero(self):
         for m in (1, 2):
             for relator in four_t_relators(m, 3):
-                assert reduce_mod_4t(relator.combined()).is_zero
+                assert reduce_mod_4t(relator).is_zero
 
     def test_one_circle_quotient_dimensions(self):
         assert [quotient_dimension(1, k) for k in range(1, 5)] == [1, 2, 3, 6]
@@ -301,7 +341,7 @@ class TestFourTRelators:
             rows = []
             for relator in four_t_relators(m, k):
                 row = [0] * len(basis)
-                for d, c in relator.combined().items():
+                for d, c in relator.items():
                     row[index[d]] = c
                 rows.append(row)
             rank = sympy.Matrix(rows).rank() if rows else 0
@@ -331,7 +371,7 @@ class TestMod4TForm:
     def test_residual_canonical_within_coset(self):
         relator = four_t_relators(1, 3)[0]
         d = ChordDiagram([(1, 2, 1, 3, 2, 3)])
-        shifted = dict(relator.combined())
+        shifted = dict(relator)
         shifted[d] = shifted.get(d, 0) + 1
         assert reduce_mod_4t(shifted) == reduce_mod_4t({d: 1})
 

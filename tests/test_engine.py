@@ -13,7 +13,7 @@ Core claims:
       modulo 4T at degrees 2 and 3; the latter pins a unique associator
       sign, the former holds for both
     - Strand monomials count 3 at (2 strands, 1 chord) and linear words
-      at one strand
+      at one strand; a degree-0 strand series is its own residual
     - Integrating the bare unknot word reproduces the closed unknot
       series exactly at truncations 3 and 4
     - Fragment grafting agrees with direct integration at every split
@@ -202,6 +202,10 @@ class TestAssociator:
             ((1,), (2, 1), (2,)): Fraction(-1),
         }
         assert reduce_strands_mod_4t(keys) == {}
+
+    def test_degree_zero_is_its_own_residual(self):
+        unit = {((), (), ()): Fraction(3)}
+        assert reduce_strands_mod_4t(unit) == unit
 
 
 # == 3. Word integration =====================================================

@@ -6,10 +6,13 @@ Core claims:
       check made up to and including it, and names the failing instance
     - The recursion and variation sections compute each crossing-change
       identity once per (crossing, S) pair and never call check_recursion
+    - The enumeration section's brute force never reaches the type-matrix
+      route it checks
 """
 
 from fractions import Fraction
 
+import kzlab.diagrams
 import kzlab.invariants
 import kzlab.selftest
 from kzlab.selftest import run_selftest
@@ -65,3 +68,22 @@ def test_each_crossing_identity_runs_once_per_pair(monkeypatch):
     assert all(r.passed for r in results)
     assert calls.pop("check_recursion") == 0
     assert calls == dict.fromkeys(calls, CROSSING_PAIRS)
+
+
+def test_brute_force_enumeration_skips_the_type_route(monkeypatch):
+    built = []
+    by_matrix = kzlab.diagrams._by_matrix
+
+    def spy(matrix):
+        built.append(matrix)
+        return by_matrix(matrix)
+
+    monkeypatch.setattr(kzlab.diagrams, "_by_matrix", spy)
+    sizes = [len(kzlab.selftest._brute_force_degree(1, k)) for k in range(5)]
+    for m in (2, 3):
+        for k in range(4):
+            kzlab.selftest._brute_force_degree(m, k)
+    assert sizes == [1, 1, 2, 5, 18]
+    assert built == []
+    kzlab.diagrams.enumerate_by_matrix(((1,),))
+    assert built == [((1,),)]
