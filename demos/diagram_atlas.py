@@ -66,7 +66,7 @@ for m in (1, 2):
         print(f"  m={m} k={k}: {len(vectors)} nonzero relators, "
               f"{table.get((m, k), '?')} diagrams, quotient dim {dim}")
         for vector in vectors:
-            require("relator reduces to zero", reduce_mod_4t(vector).is_zero)
+            require("relator reduces to zero", not reduce_mod_4t(vector))
             for S in all_type_matrices(m, k):
                 require("class sum kills the relator",
                         class_sum(vector, S) == 0)

@@ -73,9 +73,9 @@ def series_exp(x: Mapping, product: Callable, unit, degree: Callable,
                cutoff: int) -> dict:
     """exp(x) for a series with no constant term, under the given product."""
     if degree(unit) != 0:
-        raise ValueError("unit key must have degree 0")
+        raise InputError("unit key must have degree 0")
     if any(degree(k) == 0 and c for k, c in x.items()):
-        raise ValueError("exponent must have no constant term")
+        raise InputError("exponent must have no constant term")
     out = {unit: Fraction(1)}
     power: dict = {unit: Fraction(1)}
     factorial = 1
@@ -103,7 +103,7 @@ def interval_sqrt(series: Mapping[Word, Fraction], cutoff: int) -> dict[Word, Fr
     which determines s uniquely over the rationals.
     """
     if series.get((), Fraction(0)) != 1:
-        raise ValueError("series must have constant term 1")
+        raise InputError("series must have constant term 1")
     graded: dict[int, dict[Word, Fraction]] = {}
     for word, coeff in series.items():
         graded.setdefault(len(word) // 2, {})[word] = Fraction(coeff)
@@ -190,10 +190,10 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
     """
     incident, count = _wheel_edges(sizes)
     if sorted(leg_cycle) != list(range(count)):
-        raise ValueError("leg cycle must list every wheel vertex exactly once")
+        raise InputError("leg cycle must list every wheel vertex exactly once")
     order = elimination_order if elimination_order is not None else tuple(range(count))
     if sorted(order) != list(range(count)):
-        raise ValueError("elimination order must list every vertex exactly once")
+        raise InputError("elimination order must list every vertex exactly once")
 
     # Sites carry opaque tokens; edge endpoints name either a vertex or a token.
     sites: list[object] = [("leg", v) for v in leg_cycle]

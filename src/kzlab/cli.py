@@ -28,13 +28,11 @@ from .diagrams import (
     ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
 )
 from .errors import (
-    CorpusLookupError, InputError, KzlabError, TruncationUnsupportedError,
-    WordParseError, WordValidationError,
+    CorpusLookupError, InputError, TruncationUnsupportedError, WordParseError,
+    WordValidationError,
 )
-from .invariants import (
-    VerificationReport, check_recursion, degree_sum_identity, verify_theorem,
-)
-from .qtangle.corpus import corpus_names, corpus_path, load_corpus_word
+from .invariants import check_recursion, degree_sum_identity, verify_theorem
+from .qtangle.corpus import corpus_names, load_corpus_word
 from .qtangle.engine import integrate
 from .qtangle.words import Slice, linking_matrix, parse_word
 from .selftest import run_selftest, section_names

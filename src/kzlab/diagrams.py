@@ -151,7 +151,7 @@ class ChordDiagram:
                 counts[label] = counts.get(label, 0) + 1
         bad = sorted(str(l) for l, c in counts.items() if c != 2)
         if bad:
-            raise ValueError("chord labels must occur exactly twice: " + ", ".join(bad))
+            raise InputError("chord labels must occur exactly twice: " + ", ".join(bad))
         object.__setattr__(self, "code", canonical_code(words))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -236,14 +236,14 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
     The result is independent of the insertion point modulo 4T.
     """
     if b.circles != 1:
-        raise ValueError("second summand must have exactly one circle")
+        raise InputError("second summand must have exactly one circle")
     if not 1 <= circle <= a.circles:
-        raise ValueError(f"circle index {circle} out of range 1..{a.circles}")
+        raise InputError(f"circle index {circle} out of range 1..{a.circles}")
     word = a.code[circle - 1]
     if gap is None:
         gap = 1 if word else 0
     if not 0 <= gap <= len(word):
-        raise ValueError(f"gap index {gap} out of range 0..{len(word)}")
+        raise InputError(f"gap index {gap} out of range 0..{len(word)}")
     shift = a.degree
     insert = tuple(label + shift for label in b.code[0])
     words = list(a.code)
@@ -429,6 +429,8 @@ def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
     type matrix, so any functional depending only on type matrices kills
     every relator.
     """
+    if m < 1 or k < 0:
+        raise InputError("need m >= 1 circles and degree k >= 0")
     return _relator_vectors(
         k, lambda degree: (d.code for d in enumerate_by_degree(m, degree)),
         lambda size: max(1, size), ChordDiagram)
@@ -504,39 +506,11 @@ def quotient_dimension(m: int, k: int) -> int:
     return len(basis) - len(rows)
 
 
-class Mod4TForm:
-    """Canonical residual of a rational diagram combination modulo 4T.
+def reduce_mod_4t(vector: Mapping[ChordDiagram, Fraction | int],
+                  ) -> dict[ChordDiagram, Fraction]:
+    """Reduce each homogeneous component of a diagram combination mod 4T.
 
-    Two combinations are equal in the quotient exactly when their residuals
-    compare equal.  The residual is supported away from all relator pivots,
-    which makes it unique within each coset.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Iterable[tuple[ChordDiagram, Fraction]]) -> None:
-        kept = [(d, Fraction(c)) for d, c in items if c]
-        kept.sort(key=lambda pair: pair[0].code)
-        kept.sort(key=lambda pair: (pair[0].circles, pair[0].degree))
-        self.items = tuple(kept)
-
-    def as_dict(self) -> dict[ChordDiagram, Fraction]:
-        return dict(self.items)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mod4TForm) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
-
-    def __repr__(self) -> str:
-        return f"Mod4TForm({list(self.items)!r})"
-
-
-def reduce_mod_4t(vector: Mapping[ChordDiagram, Fraction | int]) -> Mod4TForm:
-    """Reduce each homogeneous component of a diagram combination mod 4T."""
-    return Mod4TForm(_residual(vector, lambda d: (d.circles, d.degree), _reducer))
+    The residual, zero coefficients dropped, avoids every relator pivot,
+    so two combinations agree in the quotient exactly when their residuals
+    are equal."""
+    return dict(_residual(vector, lambda d: (d.circles, d.degree), _reducer))

@@ -8,8 +8,10 @@ degree-3 truncation of a rational even associator, cabled over the leaves
 of its three blocks with a sign per endpoint on an up-directed point.
 
 Word evaluation tracks, per monomial, one chord-endpoint sequence per
-skeleton component, keyed canonically; the structure (trees, merges,
-closures) is delegated to the words module.  evaluate_fragment runs any
+skeleton component, keyed canonically.  The structure (trees, merges,
+closures) comes from the words module's cached trace of the slices: its
+events drive the kernels and its boundary data fill the fragment value,
+so the engine never replays a word itself.  evaluate_fragment runs any
 slice range from a given boundary; graft stitches two fragment values at
 a shared interface; integrate closes a full word into labeled circles.
 
@@ -46,13 +48,13 @@ from typing import Callable, Mapping, Sequence
 
 from ..algebra import sqrt_unknot_series
 from ..diagrams import (
-    ChordDiagram, Mod4TForm, _placements, _quotient, _relabel, _relator_vectors,
+    ChordDiagram, _placements, _quotient, _relabel, _relator_vectors,
     _residual, add_term, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from .words import (
-    AssocEvent, Birth, BoundaryState, CapEvent, CrossEvent, CupEvent, END,
-    IdentityEvent, START, Slice, parse_word, trace_word, validate_word,
+    AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
+    _trace, parse_word, trace_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -245,8 +247,8 @@ class FragmentValue:
     spec_in: tuple
     spec_out: tuple
     leaves: tuple[tuple[Birth, str], ...]
-    anchors: dict[Birth, tuple[int, ...]]
-    members: dict[Birth, tuple[Birth, ...]]
+    anchors: Mapping[Birth, tuple[int, ...]]
+    members: Mapping[Birth, tuple[Birth, ...]]
     open_order: tuple[Birth, ...]
     closed_order: tuple[Birth, ...]
     terms: dict[Key, Fraction]
@@ -282,13 +284,10 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     """
     _check_cutoff(slices, cutoff)
     block_at, block_k = bare_block if bare_block is not None else (None, None)
-    if block_at is not None and not (
-            0 <= block_at - slice_offset < len(slices)
-            and slices[block_at - slice_offset].kind == "x"):
-        raise WordValidationError(f"slice {block_at + 1} is not a crossing")
-    state = BoundaryState() if initial is None else BoundaryState.from_spec(initial)
-    spec_in = state.spec()
-    open_order: list[Birth] = list(state.open_components())
+    trace = _trace(slices, initial, slice_offset)
+    if block_at is not None:
+        trace.crossing(block_at + 1)   # raises unless a crossing slice here
+    open_order: list[Birth] = list(trace.open_in)
     closed_order: list[Birth] = []
     terms: Graded = [{} for _ in range(cutoff + 1)]
     terms[0][(tuple(() for _ in open_order), ())] = Fraction(1)
@@ -300,12 +299,6 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         arcs[False][len(word) // 2].append((fresh, c))
         arcs[True][len(word) // 2].append((fresh[::-1], c))
 
-    # Identity slices change nothing, so they drop out here and do not
-    # break a crossing run.
-    events = [(at, state.apply(s, at))
-              for at, s in enumerate(slices, start=slice_offset)]
-    events = [item for item in events if not isinstance(item[1], IdentityEvent)]
-
     def run_key(item):
         # Consecutive crossings on one pair of strand points share a key,
         # except the bare block; any other slice is a group of its own.
@@ -314,7 +307,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             return frozenset((event.left, event.right))
         return at
 
-    for _, group in itertools.groupby(events, key=run_key):
+    for _, group in itertools.groupby(trace.events, key=run_key):
         run = list(group)
         at, event = run[0]
         if isinstance(event, CupEvent):
@@ -407,11 +400,11 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
 
     return FragmentValue(
         cutoff=cutoff,
-        spec_in=spec_in,
-        spec_out=state.spec(),
-        leaves=state.leaf_summary(),
-        anchors={comp: state.anchors.get(comp, ()) for comp in open_order},
-        members=state.cup_members(open_order),
+        spec_in=trace.spec_in,
+        spec_out=trace.spec_out,
+        leaves=trace.leaves,
+        anchors=trace.anchors,
+        members=trace.members,
         open_order=tuple(open_order),
         closed_order=tuple(closed_order),
         terms=_flatten(terms),
@@ -430,7 +423,7 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     or at its least cup member when it has no anchor.
     """
     if lower.cutoff != upper.cutoff:
-        raise ValueError("fragments must share a truncation degree")
+        raise InputError("fragments must share a truncation degree")
     if lower.spec_out != upper.spec_in:
         raise WordValidationError("fragment boundaries do not match")
     cutoff = lower.cutoff
@@ -544,7 +537,7 @@ class TangleResult:
     def degree_part(self, k: int) -> dict[ChordDiagram, Fraction]:
         return {d: c for d, c in self.coefficients.items() if d.degree == k}
 
-    def reduced(self, k: int) -> Mod4TForm:
+    def reduced(self, k: int) -> dict[ChordDiagram, Fraction]:
         return reduce_mod_4t(self.degree_part(k))
 
     def relabeled(self, perm: Sequence[int]) -> "TangleResult":

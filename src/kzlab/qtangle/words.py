@@ -17,10 +17,10 @@ trees, directions, component births and merges, and the signed crossing
 count that yields the linking/framing matrix independently of any
 invariant computation.
 
-One cached replay per distinct word, its trace (trace_word), answers
-every structural question about the whole word: the points left open,
-each crossing's slice index, event and final circle pair, and the
-linking matrix of a closed word.
+One cached replay per word and starting boundary, its trace, answers
+every structural question about it: open points, each slice's event,
+crossing circles and the linking matrix of a closed link, and a
+fragment's boundary data.  The series engine reads the same trace.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from ..errors import WordParseError, WordValidationError
 
@@ -138,19 +139,26 @@ def _is_bracketing(depth: Sequence[int]) -> bool:
     return all(p == d - 1 for p, d in zip(parent, depth))
 
 
+def _checked_spec(spec: Spec) -> Spec:
+    """spec as two tuples; WordValidationError unless its depths bracket."""
+    depths, roles = tuple(spec[0]), tuple(spec[1])
+    if len(depths) != max(0, len(roles) - 1) or not _is_bracketing(depths):
+        raise WordValidationError(
+            f"boundary spec depths are not a bracketing of {len(roles)} leaves")
+    return depths, roles
+
+
 # -- Events ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CupEvent:
-    pos: int
     primed: bool
     component: Birth
 
 
 @dataclass(frozen=True)
 class CapEvent:
-    pos: int
     primed: bool
     ending: Birth        # component whose end point is consumed
     starting: Birth      # component whose start point is consumed
@@ -160,7 +168,6 @@ class CapEvent:
 
 @dataclass(frozen=True)
 class CrossEvent:
-    pos: int
     eps: int                       # +1 for x+, -1 for x-
     left: tuple[Birth, str]        # (component, role) before the slice
     right: tuple[Birth, str]
@@ -175,18 +182,12 @@ class CrossEvent:
 
 @dataclass(frozen=True)
 class AssocEvent:
-    pos: int
     sign: int
     blocks: tuple[tuple[tuple[int, Birth, str], ...], ...]
     # Three tuples (X, Y, Z) of (leaf position, component, role).
 
 
-@dataclass(frozen=True)
-class IdentityEvent:
-    pos: int
-
-
-Event = object
+Event = CupEvent | CapEvent | CrossEvent | AssocEvent
 
 
 class BoundaryState:
@@ -216,10 +217,7 @@ class BoundaryState:
         Each leaf gets its own component, anchored at the fragment's lower
         interface.
         """
-        depths, roles = spec
-        if len(depths) != max(0, len(roles) - 1) or not _is_bracketing(depths):
-            raise WordValidationError(
-                f"boundary spec depths are not a bracketing of {len(roles)} leaves")
+        depths, roles = _checked_spec(spec)
         state = cls()
         state.depth = list(depths)
         for position, role in enumerate(roles, start=1):
@@ -295,8 +293,10 @@ class BoundaryState:
         return tuple((self.find(self.leaf_info[t][0]), self.leaf_info[t][1])
                      for t in self.leaves)
 
-    def apply(self, s: Slice, index: int) -> Event:
-        """Validate and perform one slice; index is its 0-based position."""
+    def apply(self, s: Slice, index: int) -> Event | None:
+        """Validate and perform one slice; index is its 0-based position.
+
+        An identity slice changes nothing and has no event (None)."""
         leaves, depth = self.leaves, self.depth
         n = len(leaves)
 
@@ -306,7 +306,7 @@ class BoundaryState:
         if s.kind == "i":
             if not 1 <= s.pos <= max(1, n):
                 raise fail(f"position out of range 1..{max(1, n)}")
-            return IdentityEvent(s.pos)
+            return None
 
         if s.kind == "cup":
             if not 1 <= s.pos <= n + 1:
@@ -328,7 +328,7 @@ class BoundaryState:
             roles = (END, START) if s.primed else (START, END)
             self.leaf_info[t1] = (birth, roles[0])
             self.leaf_info[t2] = (birth, roles[1])
-            return CupEvent(s.pos, s.primed, birth)
+            return CupEvent(s.primed, birth)
 
         if s.kind == "cap":
             if not 1 <= s.pos <= n - 1:
@@ -365,7 +365,7 @@ class BoundaryState:
                 self.closed.append(merged)
             else:
                 merged = self._union(starting, ending)
-            return CapEvent(s.pos, s.primed, ending, starting, merged, closes)
+            return CapEvent(s.primed, ending, starting, merged, closes)
 
         if s.kind == "x":
             if not 1 <= s.pos <= n - 1:
@@ -377,7 +377,7 @@ class BoundaryState:
             left = (self.find(self.leaf_info[a][0]), self.leaf_info[a][1])
             right = (self.find(self.leaf_info[b][0]), self.leaf_info[b][1])
             leaves[j], leaves[j + 1] = b, a
-            return CrossEvent(s.pos, s.sign, left, right)
+            return CrossEvent(s.sign, left, right)
 
         if s.kind == "assoc":
             # assoc+ turns ((X,Y),Z) into (X,(Y,Z)); assoc- is the inverse.
@@ -404,7 +404,7 @@ class BoundaryState:
             depth[g], depth[r] = depth[r], depth[g]
             self._shift(x0, g, -s.sign)
             self._shift(r + 1, z1, s.sign)
-            return AssocEvent(s.pos, s.sign, blocks)
+            return AssocEvent(s.sign, blocks)
 
         raise fail(f"unknown generator kind {s.kind!r}")
 
@@ -418,11 +418,22 @@ class TracedCrossing:
 
 @dataclass(frozen=True)
 class WordTrace:
-    """The structure of one word, from a single boundary replay."""
+    """The structure of a slice range, from a single boundary replay:
+    each non-identity slice's (0-based word index, event), the boundary
+    and open components at the start, and the final boundary as
+    FragmentValue carries it.  Crossing circles and the linking matrix
+    exist only for a closed link, with no open point and no anchor."""
 
     open_points: int
     crossings: tuple[TracedCrossing, ...]
-    linking: tuple[tuple[Fraction, ...], ...] | None   # None if open
+    linking: tuple[tuple[Fraction, ...], ...] | None   # None unless closed
+    events: tuple[tuple[int, Event], ...]
+    spec_in: Spec
+    open_in: tuple[Birth, ...]
+    spec_out: Spec
+    leaves: tuple[tuple[Birth, str], ...]
+    anchors: Mapping[Birth, tuple[int, ...]]    # read-only
+    members: Mapping[Birth, tuple[Birth, ...]]  # read-only
 
     def crossing(self, index: int) -> TracedCrossing:
         """The crossing at a 1-based slice index."""
@@ -434,18 +445,32 @@ class WordTrace:
 
 def trace_word(slices: Sequence[Slice]) -> WordTrace:
     """The word's trace; open words are allowed, invalid ones raise."""
-    return _trace_cached(tuple(slices))
+    return _trace(slices)
+
+
+def _trace(slices: Sequence[Slice], initial: Spec | None = None,
+           offset: int = 0) -> WordTrace:
+    """The trace of slices from the boundary spec initial (empty if None),
+    the first slice at word index offset.  The one way into the cache: it
+    passes all three arguments, the spec as checked tuples."""
+    if initial is not None:
+        initial = _checked_spec(initial)
+    return _trace_cached(tuple(slices), initial, offset)
 
 
 @lru_cache(maxsize=None)
-def _trace_cached(slices: tuple[Slice, ...]) -> WordTrace:
-    state = BoundaryState()
-    events: list[tuple[int, CrossEvent]] = []
-    for index, s in enumerate(slices):
+def _trace_cached(slices: tuple[Slice, ...], initial: Spec | None,
+                  offset: int) -> WordTrace:
+    state = BoundaryState() if initial is None else BoundaryState.from_spec(initial)
+    spec_in = state.spec()
+    open_in = tuple(state.open_components())
+    events = []
+    for index, s in enumerate(slices, start=offset):
         event = state.apply(s, index)
-        if isinstance(event, CrossEvent):
-            events.append((index + 1, event))
+        if event is not None:
+            events.append((index, event))
     open_points = len(state.leaves)
+    closed = not open_points and not state.anchors
     # Circles are numbered by birth order.  Entry (i, j), i != j, of the
     # linking matrix is half the sum of crossing signs between circles i
     # and j; entry (i, i) is half the writhe of circle i (blackboard framing).
@@ -453,18 +478,25 @@ def _trace_cached(slices: tuple[Slice, ...]) -> WordTrace:
     total: dict[tuple[int, int], int] = {}
     crossings = []
     for index, event in events:
+        if not isinstance(event, CrossEvent):
+            continue
         circles = None
-        if not open_points:
+        if closed:
             a = labels[state.find(event.left[0])]
             b = labels[state.find(event.right[0])]
             circles = (min(a, b) + 1, max(a, b) + 1)
             total[circles] = total.get(circles, 0) + event.geometric_sign
-        crossings.append(TracedCrossing(index, event, circles))
+        crossings.append(TracedCrossing(index + 1, event, circles))
     rows = [[Fraction(0)] * len(labels) for _ in labels]
     for (a, b), signs in total.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = Fraction(signs, 2)
-    linking = None if open_points else tuple(map(tuple, rows))
-    return WordTrace(open_points, tuple(crossings), linking)
+    linking = tuple(map(tuple, rows)) if closed else None
+    open_out = state.open_components()
+    return WordTrace(
+        open_points, tuple(crossings), linking, tuple(events), spec_in, open_in,
+        state.spec(), state.leaf_summary(),
+        MappingProxyType({comp: state.anchors.get(comp, ()) for comp in open_out}),
+        MappingProxyType(state.cup_members(open_out)))
 
 
 def validate_word(slices: Sequence[Slice]) -> WordTrace:

@@ -22,9 +22,13 @@ Core claims:
     - Relators are read-only diagram -> int vectors
     - Relator vectors reduce to zero; the quotient dimensions on one
       circle are 1, 2, 3, 6 in degrees 1..4, matching a sympy rank oracle
+    - four_t_relators checks m >= 1 and k >= 0 before answering () below
+      degree 2
     - Connected sums agree modulo 4T regardless of insertion point
     - Circle relabeling behaves as stated
     - JSON serialization emits 1-based circles and 0-based slots
+    - Bad caller input to public functions raises InputError, not a plain
+      ValueError, in diagrams, algebra and graft
 """
 
 import copy
@@ -37,9 +41,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kzlab.algebra import (
+    concat_words, interval_sqrt, resolve_wheel_attachment, series_exp,
+)
 from kzlab.diagrams import (
     ChordDiagram,
-    Mod4TForm,
     TypeMatrix,
     _placements,
     _relabel,
@@ -53,6 +59,8 @@ from kzlab.diagrams import (
     quotient_dimension,
     reduce_mod_4t,
 )
+from kzlab.errors import InputError
+from kzlab.qtangle.engine import evaluate_fragment, graft
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -296,6 +304,12 @@ class TestFourTRelators:
         assert len(four_t_relators(1, 3)) == 4
         assert len(four_t_relators(2, 3)) == 16
 
+    def test_arguments_checked_before_the_low_degree_shortcut(self):
+        for m, k in ((0, 1), (-3, 0), (1, -1)):
+            with pytest.raises(InputError, match="need m >= 1"):
+                four_t_relators(m, k)
+        assert four_t_relators(1, 1) == ()
+
     def test_term_structure(self):
         for m in (1, 2):
             for base in enumerate_by_degree(m, 2):
@@ -322,7 +336,7 @@ class TestFourTRelators:
     def test_relators_reduce_to_zero(self):
         for m in (1, 2):
             for relator in four_t_relators(m, 3):
-                assert reduce_mod_4t(relator).is_zero
+                assert reduce_mod_4t(relator) == {}
 
     def test_one_circle_quotient_dimensions(self):
         assert [quotient_dimension(1, k) for k in range(1, 5)] == [1, 2, 3, 6]
@@ -352,9 +366,9 @@ class TestMod4TForm:
     def test_zero_drop_and_equality(self):
         d = ChordDiagram([(1, 1)])
         e = ChordDiagram([(1, 2, 1, 2)])
-        assert Mod4TForm([(d, Fraction(0))]).is_zero
-        assert Mod4TForm([(d, Fraction(1, 2)), (e, Fraction(0))]) == Mod4TForm(
-            [(d, Fraction(1, 2))])
+        assert reduce_mod_4t({d: Fraction(0)}) == {}
+        assert reduce_mod_4t({d: Fraction(1, 2), e: Fraction(0)}) == {
+            d: Fraction(1, 2)}
 
     def test_reduction_is_linear(self):
         rng = random.Random(3)
@@ -363,8 +377,8 @@ class TestMod4TForm:
             u = {d: Fraction(rng.randint(-4, 4)) for d in basis}
             v = {d: Fraction(rng.randint(-4, 4)) for d in basis}
             both = {d: u[d] + v[d] for d in basis}
-            lhs = reduce_mod_4t(both).as_dict()
-            ru, rv = reduce_mod_4t(u).as_dict(), reduce_mod_4t(v).as_dict()
+            lhs = reduce_mod_4t(both)
+            ru, rv = reduce_mod_4t(u), reduce_mod_4t(v)
             rhs = {d: ru.get(d, 0) + rv.get(d, 0) for d in set(ru) | set(rv)}
             assert lhs == {d: c for d, c in rhs.items() if c}
 
@@ -383,9 +397,9 @@ class TestProducts:
     def test_connected_sum_insertion_independence_mod_4t(self):
         host = ChordDiagram([(1, 2, 1, 2)])
         insert = ChordDiagram([(1, 1)])
-        values = {reduce_mod_4t({connected_sum(host, insert, gap=g): 1})
-                  for g in range(4)}
-        assert len(values) == 1
+        first, *rest = (reduce_mod_4t({connected_sum(host, insert, gap=g): 1})
+                        for g in range(4))
+        assert all(value == first for value in rest)
 
     def test_connected_sum_degree_adds(self):
         a = ChordDiagram([(1, 1, 2, 2)])
@@ -405,3 +419,32 @@ class TestProducts:
         payload = d.json_dict()
         assert payload["circles"] == 2
         assert payload["chords"] == [[[1, 0], [2, 0]], [[1, 1], [2, 1]]]
+
+
+# == 6. Argument checks ======================================================
+
+
+def _bare(cutoff):
+    return evaluate_fragment((), cutoff)
+
+
+_ONE = ChordDiagram([(1, 1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ChordDiagram([(1,)]),
+    lambda: connected_sum(_ONE, ChordDiagram([(), ()])),
+    lambda: connected_sum(_ONE, _ONE, circle=3),
+    lambda: connected_sum(_ONE, _ONE, gap=9),
+    lambda: series_exp({}, concat_words, (1, 1), lambda w: len(w) // 2, 2),
+    lambda: series_exp({(): 1}, concat_words, (), lambda w: len(w) // 2, 2),
+    lambda: interval_sqrt({(): Fraction(2)}, 2),
+    lambda: resolve_wheel_attachment((2,), (0, 0)),
+    lambda: resolve_wheel_attachment((2,), (0, 1), (0, 0)),
+    lambda: graft(_bare(1), _bare(2)),
+], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
+        "exp-unit", "exp-constant", "sqrt-constant", "leg-cycle",
+        "elimination-order", "graft-cutoffs"])
+def test_bad_arguments_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()

@@ -31,6 +31,9 @@ Core claims:
       legal site of a corpus word leaves its value unchanged
     - Words and fragments nesting 600 levels deep evaluate with the
       recursion limit at 120: the boundary needs no recursion
+    - A fragment's anchors and members come from the cached trace: they
+      are read-only, a list spec evaluates as the tuple spec, and a
+      spec whose depths are not integers is refused
     - Bare-block substitution keeps the skeleton and suppresses only the
       designated crossing's chords; a block over the truncation leaves
       an empty series, also while another thread integrates;
@@ -382,6 +385,23 @@ class TestFragments:
         upper = evaluate_fragment([], 2, initial=((0,), ("start", "start")))
         with pytest.raises(WordValidationError):
             graft(lower, upper)
+
+    def test_boundary_data_is_cached_read_only(self):
+        word = parse_word("x+@1 ; cup@1")
+        initial = ((0,), (END, START))
+        value = evaluate_fragment(word, 2, initial=initial)
+        assert value.anchors and value.members
+        for mapping in (value.anchors, value.members):
+            with pytest.raises(TypeError):
+                mapping[(0, 0, 9)] = ()
+        assert evaluate_fragment(word, 2, initial=initial) == value
+
+    def test_list_spec_is_the_tuple_spec(self):
+        word = parse_word("x+@1")
+        assert evaluate_fragment(word, 2, initial=([0], ["end", "end"])) == \
+            evaluate_fragment(word, 2, initial=((0,), ("end", "end")))
+        with pytest.raises(WordValidationError, match="bracketing"):
+            evaluate_fragment(word, 2, initial=([[0]], ["end", "end"]))
 
     def test_open_fragment_cannot_finalize(self):
         fragment = evaluate_fragment(parse_word("cup@1"), 2)

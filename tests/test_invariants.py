@@ -17,8 +17,9 @@ Core claims:
     - The degree-k coefficient sum equals the class sums over every type
       matrix of degree k
     - Every structural question about a word is read off one cached
-      trace: a full round of checks on a fresh word replays it and its
-      flip once each
+      trace, and the engine evaluates from that trace too: a full round
+      of checks on a fresh word replays it and its flip once each, one
+      boundary step per slice
     - The kinked unknot word agrees with the surgery-built series mod 4T
     - Framing powers of the kinked unknot are 1/(k! 2^k); the bare
       unknot's vanish
@@ -52,8 +53,12 @@ from kzlab.invariants import (
     verify_theorem,
 )
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
-from kzlab.qtangle.engine import crossing_info, crossing_term, integrate
-from kzlab.qtangle.words import Slice, _trace_cached, linking_matrix, trace_word
+from kzlab.qtangle.engine import (
+    associator_sign, crossing_info, crossing_term, integrate,
+)
+from kzlab.qtangle.words import (
+    BoundaryState, Slice, _trace_cached, linking_matrix, trace_word,
+)
 
 
 HOPF_S = ((0, 1), (1, 0))
@@ -202,18 +207,32 @@ class TestSurgery:
         with pytest.raises(WordValidationError):
             crossing_circles(load_corpus_word("hopf+"), 1)
 
-    def test_one_trace_per_word(self):
-        # The identity padding makes a word no other test builds.
+    def test_one_trace_per_word(self, monkeypatch):
+        # The identity padding makes a word no other test builds.  The
+        # hexagon's own fragments are traced once, before counting.
+        associator_sign()
         word = (Slice("i", 1),) * 11 + load_corpus_word("hopf+")
         crossing = 15
+        steps = []
+        apply = BoundaryState.apply
+
+        def spy(state, s, index):
+            steps.append(index)
+            return apply(state, s, index)
+
+        monkeypatch.setattr(BoundaryState, "apply", spy)
         before = _trace_cached.cache_info().misses
         integrate(word, 2)
         linking_matrix(word)
         verify_theorem(word, HOPF_S, 2)
         crossing_info(word, crossing)
         crossing_circles(word, crossing)
+        for k in range(3):
+            crossing_term(word, crossing, k, 2)
         check_recursion(word, crossing, HOPF_S, 2)
         assert _trace_cached.cache_info().misses - before == 2
+        flipped = flip_crossing(word, crossing)
+        assert len(steps) == len(word) + len(flipped) == 38
 
     def test_flip_crossing_kills_the_clasp(self):
         word = load_corpus_word("hopf+")
