@@ -35,11 +35,11 @@ print(f"shipped associator sign: {sign:+d}")
 value = evaluate_fragment(parse_word("assoc+@2"), 2,
                           initial=((1, 0), (START,) * 3))
 print("nonzero terms of assoc+@2 on three down strands:")
-for key in sorted(value.terms, key=lambda k: (sum(map(len, k[0])), k)):
-    print(f"  {value.terms[key]!s:>6}  {key[0]}")
-require("unit term", value.terms[(((), (), ()), ())] == 1)
+for key in sorted(value.terms, key=lambda k: (sum(map(len, k)), k)):
+    print(f"  {value.terms[key]!s:>6}  {key}")
+require("unit term", value.terms[((), (), ())] == 1)
 require("commutator weight 1/24",
-        value.terms[(((1,), (2, 1), (2,)), ())] == Fraction(sign, 24))
+        value.terms[((1,), (2, 1), (2,))] == Fraction(sign, 24))
 
 # == 2. Pentagon: insensitive to the sign ====================================
 

@@ -185,10 +185,9 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
 
 def flip_crossing(word: Sequence[Slice], crossing: int) -> tuple[Slice, ...]:
     """The same word with the designated crossing's sign reversed."""
+    trace_word(word).crossing(crossing)   # raises unless a crossing slice
     flipped = list(word)
     s = flipped[crossing - 1]
-    if s.kind != "x":
-        raise WordValidationError(f"slice {crossing} is not a crossing")
     flipped[crossing - 1] = Slice(s.kind, s.pos, -s.sign, s.primed)
     return tuple(flipped)
 

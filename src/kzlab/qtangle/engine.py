@@ -8,12 +8,14 @@ degree-3 truncation of a rational even associator, cabled over the leaves
 of its three blocks with a sign per endpoint on an up-directed point.
 
 Word evaluation tracks, per monomial, one chord-endpoint sequence per
-skeleton component, keyed canonically.  The structure (trees, merges,
-closures) comes from the words module's cached trace of the slices: its
-events drive the kernels and its boundary data fill the fragment value,
-so the engine never replays a word itself.  evaluate_fragment runs any
-slice range from a given boundary; graft stitches two fragment values at
-a shared interface; integrate closes a full word into labeled circles.
+skeleton component: a term's key is one code, the open components' words
+in open order and then the closed ones' in closed order, chords renamed
+by first appearance.  The structure (trees, merges, closures) comes from
+the words module's cached trace of the slices: its events drive the
+kernels and its boundary data fill the fragment value, so the engine
+never replays a word itself.  evaluate_fragment runs any slice range
+from a given boundary; graft stitches two fragment values at a shared
+interface; integrate closes a full word into labeled circles.
 
 Every slice value and every graft is a product of graded series, and
 the running terms are kept per degree (number of chords).  A term of
@@ -48,7 +50,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..algebra import sqrt_unknot_series
 from ..diagrams import (
-    ChordDiagram, _placements, _quotient, _relabel, _relator_vectors,
+    ChordDiagram, Code, _placements, _quotient, _relabel, _relator_vectors,
     _residual, add_term, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
@@ -81,8 +83,7 @@ def _strand_reducer(n: int, k: int):
         _relabel))
 
 
-def reduce_strands_mod_4t(terms: Mapping[tuple[tuple[int, ...], ...], Fraction],
-                          ) -> dict[tuple[tuple[int, ...], ...], Fraction]:
+def reduce_strands_mod_4t(terms: Mapping[Code, Fraction]) -> dict[Code, Fraction]:
     """Canonical residual of a strand series modulo per-degree 4T spans."""
     return dict(_residual(terms, lambda key: (len(key), sum(map(len, key)) // 2),
                           _strand_reducer))
@@ -105,7 +106,7 @@ def _hexagon_words(eps: int) -> tuple[tuple, str, str]:
 
 
 def _difference(depths: tuple[int, ...], lhs: str, rhs: str, cutoff: int,
-                sign: int | None) -> dict[tuple[tuple[int, ...], ...], Fraction]:
+                sign: int | None) -> dict[Code, Fraction]:
     """Open strand series of lhs minus rhs, both evaluated upwards from
     the bracketing with these gap depths, every strand directed down."""
     initial = (depths, (START,) * (len(depths) + 1))
@@ -113,8 +114,8 @@ def _difference(depths: tuple[int, ...], lhs: str, rhs: str, cutoff: int,
     for word, factor in ((lhs, 1), (rhs, -1)):
         value = evaluate_fragment(parse_word(word), cutoff, initial,
                                   assoc_sign=sign)
-        for (open_seqs, _), coeff in value.terms.items():
-            add_term(diff, open_seqs, factor * coeff)
+        for key, coeff in value.terms.items():
+            add_term(diff, key, factor * coeff)
     return diff
 
 
@@ -167,35 +168,33 @@ def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
             "for this word")
 
 
-Key = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
-
-
-def _insert_at_point(seq: tuple[int, ...], role: str,
-                     tokens: Sequence[int]) -> tuple[int, ...]:
-    """Add chord endpoints at a component's boundary point.
+def _insert_at_points(words: Code, inserts: Sequence[tuple[int, str, tuple[int, ...]]]
+                      ) -> list[tuple[int, ...]]:
+    """Add chord endpoints at boundary points, one (word index, role,
+    tokens) triple per point, in order.
 
     tokens are listed bottom to top.  At an end point the walk meets the
     lowest token first, so they append in order; at a start point the walk
     leaves through the topmost token first, so they prepend reversed.
     """
-    if role == END:
-        return seq + tuple(tokens)
-    return tuple(reversed(tokens)) + seq
+    out = list(words)
+    for i, role, tokens in inserts:
+        out[i] = out[i] + tokens if role == END else tokens[::-1] + out[i]
+    return out
 
 
-Graded = list[dict[Key, Fraction]]   # graded[d]: the terms with d chords
+Graded = list[dict[Code, Fraction]]   # graded[d]: the terms with d chords
 
 
 def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]],
-              place: Callable[..., tuple], *, unit_keeps_keys: bool = False,
-              ) -> Graded:
+              place: Callable[[Code, object], Sequence[tuple[int, ...]]], *,
+              unit_keeps_keys: bool = False) -> Graded:
     """Multiply graded terms by a graded series, within the truncation.
 
     series[a] lists the (payload, coefficient) pairs of a chords, and
-    place(open_seqs, closed_seqs, payload) returns the product before
-    renaming; its open and closed sequences are renamed in one _relabel
-    pass, open first, and split again.  With unit_keeps_keys, a payload
-    of no chords moves no word (a cup only inserts an empty one), so it
+    place(key, payload) returns the product's words before renaming; they
+    are renamed in one _relabel pass.  With unit_keeps_keys, a payload of
+    no chords moves no word (a cup only inserts an empty one), so it
     leaves a normal key normal and its products are stored unrenamed.  A
     term of degree d meets only series degrees up to len(terms) - 1 - d,
     so no product over the truncation is formed.
@@ -206,28 +205,23 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]]
         fits = [(out[d + a], payload, c, a > 0 or not unit_keeps_keys)
                 for a, pairs in enumerate(series[:cutoff - d + 1])
                 for payload, c in pairs]
-        for (open_seqs, closed_seqs), coeff in bucket.items():
+        for key, coeff in bucket.items():
             for target, payload, c, rename in fits:
-                open_part, closed_part = place(open_seqs, closed_seqs, payload)
-                if rename:
-                    code = _relabel((*open_part, *closed_part))
-                    n = len(open_part)
-                    key = (code[:n], code[n:])
-                else:
-                    key = (tuple(open_part), tuple(closed_part))
-                add_term(target, key, coeff * c)
+                words = place(key, payload)
+                add_term(target, _relabel(words) if rename else tuple(words),
+                         coeff * c)
     return out
 
 
-def _graded(terms: Mapping[Key, Fraction], cutoff: int) -> Graded:
+def _graded(terms: Mapping[Code, Fraction], cutoff: int) -> Graded:
     """Bucket a flat series by chord count, counting each key once."""
     graded: Graded = [{} for _ in range(cutoff + 1)]
     for key, coeff in terms.items():
-        graded[sum(map(len, key[0] + key[1])) // 2][key] = coeff
+        graded[sum(map(len, key)) // 2][key] = coeff
     return graded
 
 
-def _flatten(terms: Graded) -> dict[Key, Fraction]:
+def _flatten(terms: Graded) -> dict[Code, Fraction]:
     return {key: coeff for bucket in terms for key, coeff in bucket.items()}
 
 
@@ -240,7 +234,8 @@ class FragmentValue:
     lists the cup-born keys merged into it (for rebirth after grafting).
     A grafted open chain is born (0, 0, a) at its least anchor a, or at
     its least cup member if it has no anchor; a circle closed by the
-    graft is born at its least cup member.
+    graft is born at its least cup member.  Each term's key is one code:
+    the words of open_order's components, then those of closed_order's.
     """
 
     cutoff: int
@@ -251,7 +246,7 @@ class FragmentValue:
     members: Mapping[Birth, tuple[Birth, ...]]
     open_order: tuple[Birth, ...]
     closed_order: tuple[Birth, ...]
-    terms: dict[Key, Fraction]
+    terms: dict[Code, Fraction]
 
 
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
@@ -290,7 +285,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     open_order: list[Birth] = list(trace.open_in)
     closed_order: list[Birth] = []
     terms: Graded = [{} for _ in range(cutoff + 1)]
-    terms[0][(tuple(() for _ in open_order), ())] = Fraction(1)
+    terms[0][((),) * len(open_order)] = Fraction(1)
     # A cup's or cap's arc series on fresh tokens, by primed flag and degree.
     arcs: dict[bool, list[list]] = {False: [[] for _ in terms],
                                     True: [[] for _ in terms]}
@@ -314,8 +309,8 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             idx = len([b for b in open_order if b < event.component])
             open_order.insert(idx, event.component)
 
-            def place(open_seqs, closed_seqs, fresh):
-                return open_seqs[:idx] + (fresh,) + open_seqs[idx:], closed_seqs
+            def place(key, fresh):
+                return key[:idx] + (fresh,) + key[idx:]
             terms = _multiply(terms, arcs[event.primed], place, unit_keeps_keys=True)
         elif isinstance(event, CapEvent):
             if event.closes:
@@ -323,56 +318,52 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 open_order.pop(i)
                 pos = len([b for b in closed_order if b < event.merged])
                 closed_order.insert(pos, event.merged)
+                slot = len(open_order) + pos   # among the key's words
 
-                def place(open_seqs, closed_seqs, fresh):
-                    circle = open_seqs[i] + fresh
-                    return (open_seqs[:i] + open_seqs[i + 1:],
-                            closed_seqs[:pos] + (circle,) + closed_seqs[pos:])
+                def place(key, fresh):
+                    rest = key[:i] + key[i + 1:]
+                    return rest[:slot] + (key[i] + fresh,) + rest[slot:]
             else:
                 ia = open_order.index(event.ending)
                 ib = open_order.index(event.starting)
-                for b in sorted((ia, ib), reverse=True):
-                    open_order.pop(b)
+                del open_order[max(ia, ib)], open_order[min(ia, ib)]
                 idx = len([b for b in open_order if b < event.merged])
                 open_order.insert(idx, event.merged)
 
-                def place(open_seqs, closed_seqs, fresh):
-                    joined = open_seqs[ia] + fresh + open_seqs[ib]
-                    rest = [q for i, q in enumerate(open_seqs) if i not in (ia, ib)]
-                    rest.insert(idx, joined)
-                    return rest, closed_seqs
+                def place(key, fresh):
+                    rest = [q for i, q in enumerate(key) if i not in (ia, ib)]
+                    rest.insert(idx, key[ia] + fresh + key[ib])
+                    return rest
             terms = _multiply(terms, arcs[event.primed], place)
         elif isinstance(event, CrossEvent):
+            (cl, role_l), (cr, role_r) = event.left, event.right
+            il, ir = open_order.index(cl), open_order.index(cr)
+
+            def rungs(k):
+                tokens = tuple(range(_FRESH, _FRESH + k))
+                return ((il, role_l, tokens), (ir, role_r, tokens))
             # weights[k] holds the k-chord rungs with their coefficient.
             if at == block_at:
                 weights = [[] for _ in range(block_k)]
-                weights.append([(tuple(_FRESH + t for t in range(block_k)),
-                                 Fraction(1))])
+                weights.append([(rungs(block_k), Fraction(1))])
             else:
                 # A run's rungs stack on both strands in slice order, so
                 # its value is exp(G/2 * chord), G its summed sign.
                 g = sum(e.geometric_sign for _, e in run)
                 if not g:
                     continue
-                weights = [[(tuple(_FRESH + t for t in range(k)),
-                             Fraction(g) ** k / (2 ** k * factorial(k)))]
+                weights = [[(rungs(k), Fraction(g) ** k / (2 ** k * factorial(k)))]
                            for k in range(cutoff + 1)]
-            (cl, role_l), (cr, role_r) = event.left, event.right
-            il, ir = open_order.index(cl), open_order.index(cr)
-
-            def place(open_seqs, closed_seqs, rungs):
-                seqs = list(open_seqs)
-                seqs[il] = _insert_at_point(seqs[il], role_l, rungs)
-                seqs[ir] = _insert_at_point(seqs[ir], role_r, rungs)
-                return seqs, closed_seqs
-            terms = _multiply(terms, weights, place, unit_keeps_keys=True)
+            terms = _multiply(terms, weights, _insert_at_points,
+                              unit_keeps_keys=True)
         elif isinstance(event, AssocEvent):
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
             x_block, y_block, z_block = event.blocks
+            leaf_at = {pos: (open_order.index(comp), role)
+                       for block in event.blocks for pos, comp, role in block}
             # The unit term, no degree-1 term, and the 2-chord lifts.
-            lifts: list[list[tuple[dict[int, list[int]], Fraction]]] = [
-                [({}, Fraction(1))], [], []]
+            lifts: list[list[tuple[tuple, Fraction]]] = [[((), Fraction(1))], [], []]
             for first, second, monomial_sign in (
                     ((x_block, y_block), (y_block, z_block), 1),
                     ((y_block, z_block), (x_block, y_block), -1)):
@@ -386,17 +377,10 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                 if role == END:
                                     orient = -orient
                         coeff = sigma * monomial_sign * ASSOCIATOR_WEIGHT * orient
-                        lifts[2].append((by_leaf, coeff))
-            leaf_at = {pos: (open_order.index(comp), role)
-                       for block in event.blocks for pos, comp, role in block}
-
-            def place(open_seqs, closed_seqs, by_leaf):
-                seqs = list(open_seqs)
-                for pos, tokens in by_leaf.items():
-                    i, role = leaf_at[pos]
-                    seqs[i] = _insert_at_point(seqs[i], role, tokens)
-                return seqs, closed_seqs
-            terms = _multiply(terms, lifts, place, unit_keeps_keys=True)
+                        lifts[2].append((tuple((*leaf_at[pos], tuple(tokens))
+                                               for pos, tokens in by_leaf.items()),
+                                         coeff))
+            terms = _multiply(terms, lifts, _insert_at_points, unit_keeps_keys=True)
 
     return FragmentValue(
         cutoff=cutoff,
@@ -480,26 +464,23 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
                                 + tuple(circles)))
     lower_index = {b: i for i, b in enumerate(lower.open_order)}
     upper_index = {b: i for i, b in enumerate(upper.open_order)}
+    low_n, up_n = len(lower.open_order), len(upper.open_order)
 
-    def stitch(low_open, low_closed, upper_key):
-        up_open, up_closed = upper_key
+    def stitch(low, up):
+        up = [tuple(t + _FRESH for t in word) for word in up]
 
         def along(walk) -> tuple[int, ...]:
             seq: tuple[int, ...] = ()
             for side, b in walk:
-                if side == "L":
-                    seq += low_open[lower_index[b]]
-                else:
-                    seq += tuple(t + _FRESH for t in up_open[upper_index[b]])
+                seq += low[lower_index[b]] if side == "L" else up[upper_index[b]]
             return seq
 
-        closed_map = dict(zip(lower.closed_order, low_closed))
-        for b, seq in zip(upper.closed_order, up_closed):
-            closed_map[b] = tuple(t + _FRESH for t in seq)
+        closed_map = dict(zip(lower.closed_order, low[low_n:]))
+        closed_map.update(zip(upper.closed_order, up[up_n:]))
         for b, walk in circles.items():
             closed_map[b] = along(walk)
-        return ([along(chains[b][0]) for b in open_order],
-                [closed_map[b] for b in closed_order])
+        return ([along(chains[b][0]) for b in open_order]
+                + [closed_map[b] for b in closed_order])
 
     upper_series = [list(bucket.items())
                     for bucket in _graded(upper.terms, cutoff)]
@@ -552,8 +533,8 @@ def finalize(fragment: FragmentValue) -> TangleResult:
     if fragment.spec_out[1] or any(fragment.anchors.values()) or fragment.open_order:
         raise WordValidationError("fragment is not a closed link")
     out: dict[ChordDiagram, Fraction] = {}
-    for (open_seqs, closed_seqs), coeff in fragment.terms.items():
-        add_term(out, ChordDiagram(list(closed_seqs)), coeff)
+    for key, coeff in fragment.terms.items():
+        add_term(out, ChordDiagram(key), coeff)
     return TangleResult(len(fragment.closed_order), fragment.cutoff,
                         MappingProxyType(out))
 

@@ -140,11 +140,14 @@ def _is_bracketing(depth: Sequence[int]) -> bool:
 
 
 def _checked_spec(spec: Spec) -> Spec:
-    """spec as two tuples; WordValidationError unless its depths bracket."""
+    """spec as two tuples; WordValidationError unless its depths bracket
+    and every role is 'start' or 'end'."""
     depths, roles = tuple(spec[0]), tuple(spec[1])
     if len(depths) != max(0, len(roles) - 1) or not _is_bracketing(depths):
         raise WordValidationError(
             f"boundary spec depths are not a bracketing of {len(roles)} leaves")
+    if any(role not in (START, END) for role in roles):
+        raise WordValidationError("boundary spec roles must be 'start' or 'end'")
     return depths, roles
 
 

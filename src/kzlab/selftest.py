@@ -32,7 +32,8 @@ from .invariants import (
 )
 from .qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from .qtangle.engine import (
-    associator_sign, hexagon_identity, integrate, pentagon_identity,
+    associator_sign, hexagon_identity, integrate, max_truncation,
+    pentagon_identity,
 )
 from .qtangle.words import Slice, linking_matrix, trace_word
 
@@ -88,9 +89,10 @@ def _section_theorem() -> Section:
     for name in corpus_names():
         word = load_corpus_word(name)
         m = len(corpus_linking(name))
+        top = max_truncation(word)
         degrees = [(SWEEP_DEGREE, range(SWEEP_DEGREE + 1))]
-        if all(s.kind != "assoc" for s in word):
-            degrees.append((4, [4]))
+        if top > SWEEP_DEGREE:
+            degrees.append((top, [top]))
         for cutoff, ks in degrees:
             for k in ks:
                 yield from _report_checks(
@@ -156,7 +158,7 @@ def _section_wheels() -> Section:
         yield weights[order] == taylor, lambda: (
             f"wheel weights {weights} off the Taylor values")
     word = load_corpus_word("u0")
-    cutoff = 4 if all(s.kind != "assoc" for s in word) else SWEEP_DEGREE
+    cutoff = max_truncation(word)
     result = integrate(word, cutoff)
     closed = unknot_series_closed(cutoff)
     for k in range(cutoff + 1):

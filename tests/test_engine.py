@@ -22,7 +22,8 @@ Core claims:
     - Grafting word[s:a] and word[a:b] gives the boundary, anchors,
       members and component orders of evaluating word[s:b] directly, and
       its terms too when no new circle closes, from the empty boundary
-      and from the anchored boundary mid-word
+      and from the anchored boundary mid-word; every fragment key is one
+      renamed word per open, then closed, component
     - No kernel forms a term over the truncation: on a kinked 6-circle
       unlink at degree 4 every key renamed holds at most 8 endpoints,
       and the count of keys renamed is pinned (products with no new
@@ -33,10 +34,12 @@ Core claims:
       recursion limit at 120: the boundary needs no recursion
     - A fragment's anchors and members come from the cached trace: they
       are read-only, a list spec evaluates as the tuple spec, and a
-      spec whose depths are not integers is refused
+      spec whose depths are not integers or whose roles are not
+      'start'/'end' is refused
     - Bare-block substitution keeps the skeleton and suppresses only the
       designated crossing's chords; a block over the truncation leaves
       an empty series, also while another thread integrates;
+      a thread pool over cold caches gives the serial answers;
       a block index that is not a crossing slice of the fragment is an
       error
     - Cached series are read-only: a caller cannot change what a later
@@ -54,6 +57,7 @@ Core claims:
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -81,7 +85,9 @@ from kzlab.qtangle.engine import (
     strand_monomials,
     reduce_strands_mod_4t,
 )
-from kzlab.qtangle.words import END, START, Slice, parse_word, trace_word
+from kzlab.qtangle.words import (
+    END, START, BoundaryState, Slice, _trace_cached, parse_word, trace_word,
+)
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -89,7 +95,7 @@ from kzlab.qtangle.words import END, START, Slice, parse_word, trace_word
 
 def _ladder(k: int):
     rungs = tuple(range(1, k + 1))
-    return ((rungs, rungs), ())
+    return (rungs, rungs)
 
 
 def _value(word: str, depths, roles, cutoff: int = 3):
@@ -113,8 +119,8 @@ class TestStrandSeries:
     def test_direction_variant_is_strand_reversal(self):
         upup = _value("x+@1", (0,), (END, END)).terms
         updown = _value("x+@1", (0,), (END, START)).terms
-        assert updown == {((a, b[::-1]), closed): c * (-1) ** len(b)
-                          for ((a, b), closed), c in upup.items()}
+        assert updown == {(a, b[::-1]): c * (-1) ** len(b)
+                          for (a, b), c in upup.items()}
 
     def test_graft_orders_chords(self):
         word = parse_word("x+@1")
@@ -122,8 +128,8 @@ class TestStrandSeries:
         upper = evaluate_fragment(word, 2, initial=lower.spec_out,
                                   slice_offset=1)
         twist = graft(lower, upper).terms
-        assert twist[(((1, 2), (1, 2)), ())] == Fraction(1, 2)
-        assert (((1, 2), (2, 1)), ()) not in twist
+        assert twist[((1, 2), (1, 2))] == Fraction(1, 2)
+        assert ((1, 2), (2, 1)) not in twist
 
     def test_graft_requires_same_directions(self):
         lower = evaluate_fragment([], 2, initial=((0,), (END, END)))
@@ -138,10 +144,10 @@ class TestStrandSeries:
 class TestAssociator:
     def test_value_on_three_down_strands(self):
         sign = associator_sign()
-        ab, ba = (((1,), (2, 1), (2,)), ()), (((1,), (1, 2), (2,)), ())
+        ab, ba = ((1,), (2, 1), (2,)), ((1,), (1, 2), (2,))
         down = (START,) * 3
         assert _value("assoc+@2", (1, 0), down, 2).terms == {
-            (((), (), ()), ()): 1, ab: Fraction(sign, 24),
+            ((), (), ()): 1, ab: Fraction(sign, 24),
             ba: Fraction(-sign, 24)}
         inverse = _value("assoc-@2", (0, 1), down, 2).terms
         assert inverse[ab] == Fraction(-sign, 24)
@@ -150,11 +156,11 @@ class TestAssociator:
         sign = associator_sign()
         terms = _value("assoc+@3", (2, 1, 0), (START,) * 4, 2).terms
         assert terms == {
-            (((), (), (), ()), ()): 1,
-            (((1,), (), (2, 1), (2,)), ()): Fraction(sign, 24),
-            (((), (1,), (2, 1), (2,)), ()): Fraction(sign, 24),
-            (((1,), (), (1, 2), (2,)), ()): Fraction(-sign, 24),
-            (((), (1,), (1, 2), (2,)), ()): Fraction(-sign, 24),
+            ((), (), (), ()): 1,
+            ((1,), (), (2, 1), (2,)): Fraction(sign, 24),
+            ((), (1,), (2, 1), (2,)): Fraction(sign, 24),
+            ((1,), (), (1, 2), (2,)): Fraction(-sign, 24),
+            ((), (1,), (1, 2), (2,)): Fraction(-sign, 24),
         }
 
     def test_coherence_words_end_on_one_boundary(self):
@@ -225,7 +231,7 @@ class TestIntegration:
         plain = evaluate_fragment(parse_word("cup@1"), 3).terms
         primed = evaluate_fragment(parse_word("cup'@1"), 3).terms
         assert primed == plain
-        arcs = {open_seqs[0]: c for (open_seqs, _), c in plain.items()}
+        arcs = {key[0]: c for key, c in plain.items()}
         assert arcs == sqrt_unknot_series(3)
 
     def test_kinked_unknot_values(self):
@@ -315,6 +321,11 @@ class TestFragments:
                         for field in fields:
                             assert getattr(joined, field) == \
                                 getattr(direct, field), (name, s, a, b, field)
+                        for value in (lower, upper, joined, direct):
+                            width = (len(value.open_order)
+                                     + len(value.closed_order))
+                            assert all(_relabel(key) == key and len(key) == width
+                                       for key in value.terms), (name, s, a, b)
                         counts[s == 0][0] += 1
                         # A new circle reads from its least-birth component,
                         # not from where its cap closed it, so its keys differ.
@@ -403,6 +414,14 @@ class TestFragments:
         with pytest.raises(WordValidationError, match="bracketing"):
             evaluate_fragment(word, 2, initial=([[0]], ["end", "end"]))
 
+    def test_spec_roles_must_be_start_or_end(self):
+        spec = ((0,), ("up", "down"))
+        for slices in (parse_word("x+@1"), ()):
+            with pytest.raises(WordValidationError, match="roles"):
+                evaluate_fragment(slices, 1, initial=spec)
+        with pytest.raises(WordValidationError, match="roles"):
+            BoundaryState.from_spec(spec)
+
     def test_open_fragment_cannot_finalize(self):
         fragment = evaluate_fragment(parse_word("cup@1"), 2)
         with pytest.raises(WordValidationError):
@@ -482,6 +501,28 @@ class TestCrossingBlocks:
         assert not worker.is_alive()
         wrong = sum(r != expected for r in results)
         assert wrong == 0, f"{wrong} of {len(results)} integrations disturbed"
+
+    def test_thread_pool_gives_the_serial_answers_from_cold_caches(self):
+        jobs = []
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            top = max_truncation(word)
+            jobs += [(integrate, word, n) for n in range(top + 1)]
+            jobs += [(crossing_term, word, i + 1, 1, top)
+                     for i, s in enumerate(word) if s.kind == "x"]
+        assert len(jobs) == 55
+        serial = [f(*args).coefficients for f, *args in jobs]
+        engine._integrate_cached.cache_clear()
+        _trace_cached.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(*job) for job in jobs]
+                pooled = [f.result(timeout=60).coefficients for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
 
 
 # == 4. Crossing runs ========================================================

@@ -10,6 +10,8 @@ Core claims:
       the matching class sum, exactly
     - Degree sums of linking monomials match total coefficient sums
     - Crossing surgery: bare blocks above the designated cell vanish,
+      a slice index that is not a crossing (out of range, negative or a
+      cup) is refused by flip_crossing and variation_match,
       the variation series and the inversion identity both close, the
       checker rejects geometrically negative crossings, and
       check_recursion is exactly the series, inversion and oracle
@@ -238,8 +240,12 @@ class TestSurgery:
         word = load_corpus_word("hopf+")
         flipped = flip_crossing(word, 4)
         assert linking_matrix(flipped) == ((0, 0), (0, 0))
-        with pytest.raises(WordValidationError):
-            flip_crossing(word, 1)
+        # Out of range, negative (no wrap-around), and a cup.
+        for crossing in (0, -3, 99, 1):
+            with pytest.raises(WordValidationError, match="not a crossing"):
+                flip_crossing(word, crossing)
+            with pytest.raises(WordValidationError, match="not a crossing"):
+                variation_match(word, crossing, HOPF_S, 2)
 
     def test_block_above_the_cell_vanishes(self):
         word = load_corpus_word("hopf+")
