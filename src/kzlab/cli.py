@@ -148,6 +148,8 @@ def _chosen_matrices(args: argparse.Namespace, given,
 def cmd_verify(args: argparse.Namespace) -> int:
     relabel = _parse_perm(args.relabel)
     given = _parse_matrix(args.S)
+    if relabel is not None and args.identity != "theorem":
+        raise InputError("--relabel applies to verify theorem only")
     word_id, word = _load_word(args)
     if args.identity == "theorem":
         result = integrate(word, args.degree, relabel=relabel)

@@ -18,9 +18,11 @@ The rational span of degree-k diagrams carries the standard four-term (4T)
 relation.  This module enumerates diagrams by degree or by chord type
 matrix, generates all 4T relators as read-only diagram -> int vectors,
 and reduces vectors to a canonical residual modulo the relator span
-using exact rational elimination.  Chords on open strands share this
-code: one placements generator, 4T move, relator-vector builder and
-per-degree quotient serve circles here and strands in the engine.
+using exact rational elimination.  One slot-pairing walk makes all
+matchings for placements, and for a type matrix only those within its
+budget, none thrown away.  Chords on open strands share this code: one
+placements generator, 4T move, relator-vector builder and per-degree
+quotient serve circles here and strands in the engine.
 """
 
 from __future__ import annotations
@@ -254,22 +256,6 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
 # -- Enumeration -------------------------------------------------------------
 
 
-def _matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of 0..n-1 as sorted pair tuples (n even)."""
-
-    def rec(rest: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not rest:
-            yield ()
-            return
-        first, tail = rest[0], rest[1:]
-        for i, partner in enumerate(tail):
-            remaining = tail[:i] + tail[i + 1:]
-            for sub in rec(remaining):
-                yield ((first, partner),) + sub
-
-    yield from rec(list(range(n)))
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Every way to write total as an ordered sum of `parts` naturals."""
     for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
@@ -277,20 +263,55 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(bounds[i + 1] - bounds[i] - 1 for i in range(parts))
 
 
+def _pairings(slot_word: Sequence[int], parts: int,
+              budget: dict[tuple[int, int], int] | None = None,
+              ) -> Iterator[list[list[int]]]:
+    """Every pairing of the slots, as per-word label lists.
+
+    slot_word[s] is the word slot s lies on, in word order.  The first
+    free slot pairs with each later free slot in turn and the t-th pair
+    is labeled t, so each matching is made once.  A budget maps (a, b),
+    in both orders, to the chords still to place between words a and b;
+    a pair is taken only while its cell has some left, so exactly the
+    matchings of that type are made and none is thrown away.
+    """
+    label = [0] * len(slot_word)
+
+    def walk(first: int, t: int) -> Iterator[list[list[int]]]:
+        while first < len(label) and label[first]:
+            first += 1
+        if first == len(label):
+            words: list[list[int]] = [[] for _ in range(parts)]
+            for w, name in zip(slot_word, label):
+                words[w].append(name)
+            yield words
+            return
+        a = slot_word[first]
+        label[first] = t
+        for partner in range(first + 1, len(label)):
+            b = slot_word[partner]
+            if label[partner] or budget is not None and not budget.get((a, b)):
+                continue
+            cells = () if budget is None else {(a, b), (b, a)}
+            for cell in cells:
+                budget[cell] -= 1
+            label[partner] = t
+            yield from walk(first + 1, t + 1)
+            label[partner] = 0
+            for cell in cells:
+                budget[cell] += 1
+        label[first] = 0
+
+    return walk(0, 1)
+
+
 def _placements(k: int, parts: int) -> Iterator[list[list[int]]]:
     """Every placement of k chords on `parts` words, as per-word label
     lists: each spread of the 2k endpoints over the words times each
     pairing of the endpoints, chord t labeling the t-th pair."""
     for counts in _compositions(2 * k, parts):
-        slot_word = [w for w, count in enumerate(counts) for _ in range(count)]
-        for pairs in _matchings(2 * k):
-            label = {}
-            for t, (a, b) in enumerate(pairs, start=1):
-                label[a] = label[b] = t
-            words: list[list[int]] = [[] for _ in range(parts)]
-            for slot, w in enumerate(slot_word):
-                words[w].append(label[slot])
-            yield words
+        yield from _pairings([w for w, count in enumerate(counts) for _ in range(count)],
+                             parts)
 
 
 def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, ...]:
@@ -301,30 +322,11 @@ def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, 
 @lru_cache(maxsize=None)
 def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
     # Checked before the cache, which would answer ((True,),) as ((1,),).
-    m = len(matrix)
-    slot_counts = [2 * matrix[i][i] + sum(matrix[i][j] for j in range(m) if j != i)
-                   for i in range(m)]
-    slot_circle = [i for i in range(m) for _ in range(slot_counts[i])]
-    found: set[ChordDiagram] = set()
-    for pairs in _matchings(len(slot_circle)):
-        induced = [[0] * m for _ in range(m)]
-        for a, b in pairs:
-            ca, cb = slot_circle[a], slot_circle[b]
-            if ca == cb:
-                induced[ca][ca] += 1
-            else:
-                induced[ca][cb] += 1
-                induced[cb][ca] += 1
-        if tuple(tuple(row) for row in induced) != matrix:
-            continue
-        slot_label = {}
-        for t, (a, b) in enumerate(pairs, start=1):
-            slot_label[a] = slot_label[b] = t
-        words: list[list[int]] = [[] for _ in range(m)]
-        for s, c in enumerate(slot_circle):
-            words[c].append(slot_label[s])
-        found.add(ChordDiagram(words))
-    return tuple(sorted(found))
+    # Circle i carries one slot per chord end: two per chord in S[i][i].
+    slot_word = [i for i, row in enumerate(matrix) for _ in range(row[i] + sum(row))]
+    budget = {(a, b): n for a, row in enumerate(matrix) for b, n in enumerate(row) if n}
+    return tuple(sorted({ChordDiagram(words)
+                         for words in _pairings(slot_word, len(matrix), budget)}))
 
 
 enumerate_by_matrix.cache_info = _by_matrix.cache_info

@@ -344,8 +344,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 return ((il, role_l, tokens), (ir, role_r, tokens))
             # weights[k] holds the k-chord rungs with their coefficient.
             if at == block_at:
-                weights = [[] for _ in range(block_k)]
-                weights.append([(rungs(block_k), Fraction(1))])
+                weights = [[] for _ in range(cutoff + 1)]
+                if block_k <= cutoff:
+                    weights[block_k].append((rungs(block_k), Fraction(1)))
             else:
                 # A run's rungs stack on both strands in slice order, so
                 # its value is exp(G/2 * chord), G its summed sign.

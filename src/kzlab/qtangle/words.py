@@ -25,13 +25,12 @@ fragment's boundary data.  The series engine reads the same trace.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..errors import WordParseError, WordValidationError
 
@@ -42,12 +41,12 @@ Birth = tuple[int, int, int]
 START, END = "start", "end"
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     """One elementary generator: kind, 1-based position, and variant.
 
     kind is one of 'i', 'x', 'cup', 'cap', 'assoc'.  Crossings and
     associations carry sign +1/-1; cups and caps carry the primed flag.
+    A plain tuple of its fields, so word caches hash slices natively.
     """
 
     kind: str
@@ -109,11 +108,11 @@ def render_word(slices: Sequence[Slice]) -> str:
 
 # -- Boundary state ----------------------------------------------------------
 #
-# The bracketing is stored flat: `leaves` holds the leaf tokens left to
-# right, and depth[j] is the depth of the node that splits the gap between
-# leaves j and j + 1, the root at depth 0.  Neighbouring gaps never share a
-# depth, and a node's subtree is the run of deeper gaps around it.  Tokens
-# are unique within a BoundaryState.
+# The bracketing is stored flat: `leaves` holds one (birth, role) record
+# per boundary point, left to right, and depth[j] is the depth of the node
+# that splits the gap between leaves j and j + 1, the root at depth 0.
+# Neighbouring gaps never share a depth, and a node's subtree is the run of
+# deeper gaps around it.
 
 Spec = tuple[tuple[int, ...], tuple[str, ...]]
 
@@ -203,10 +202,8 @@ class BoundaryState:
     """
 
     def __init__(self) -> None:
-        self.leaves: list[int] = []
+        self.leaves: list[tuple[Birth, str]] = []
         self.depth: list[int] = []
-        self.leaf_info: dict[int, tuple[Birth, str]] = {}
-        self._tokens = itertools.count(1)
         self._parent: dict[Birth, Birth] = {}
         self.anchors: dict[Birth, tuple[int, ...]] = {}
         self.closed: list[Birth] = []
@@ -224,18 +221,16 @@ class BoundaryState:
         state = cls()
         state.depth = list(depths)
         for position, role in enumerate(roles, start=1):
-            token = next(state._tokens)
             birth: Birth = (0, 0, position)
             state._parent[birth] = birth
             state.anchors[birth] = (position,)
-            state.leaf_info[token] = (birth, role)
-            state.leaves.append(token)
+            state.leaves.append((birth, role))
         return state
 
     def spec(self) -> Spec:
         """Snapshot of gap depths and roles, suitable for from_spec."""
         return (tuple(self.depth),
-                tuple(self.leaf_info[t][1] for t in self.leaves))
+                tuple(role for _, role in self.leaves))
 
     def _gap(self, j: int) -> int:
         """Depth of gap j, or -1 past either end."""
@@ -280,7 +275,7 @@ class BoundaryState:
 
     def open_components(self) -> list[Birth]:
         """Distinct live components, smallest birth first."""
-        return sorted({self.find(self.leaf_info[t][0]) for t in self.leaves}
+        return sorted({self.find(birth) for birth, _ in self.leaves}
                       | {self.find(birth) for birth in self.anchors})
 
     def cup_members(self, comps: Sequence[Birth]) -> dict[Birth, tuple[Birth, ...]]:
@@ -293,8 +288,7 @@ class BoundaryState:
         return {comp: tuple(group) for comp, group in groups.items()}
 
     def leaf_summary(self) -> tuple[tuple[Birth, str], ...]:
-        return tuple((self.find(self.leaf_info[t][0]), self.leaf_info[t][1])
-                     for t in self.leaves)
+        return tuple((self.find(birth), role) for birth, role in self.leaves)
 
     def apply(self, s: Slice, index: int) -> Event | None:
         """Validate and perform one slice; index is its 0-based position.
@@ -324,13 +318,10 @@ class BoundaryState:
                 depth[k:k] = [below + 1, below]
             else:
                 depth.extend((below, below + 1))
-            t1, t2 = next(self._tokens), next(self._tokens)
-            leaves[s.pos - 1:s.pos - 1] = [t1, t2]
             birth: Birth = (1, index, s.pos)
             self._parent[birth] = birth
             roles = (END, START) if s.primed else (START, END)
-            self.leaf_info[t1] = (birth, roles[0])
-            self.leaf_info[t2] = (birth, roles[1])
+            leaves[s.pos - 1:s.pos - 1] = [(birth, roles[0]), (birth, roles[1])]
             return CupEvent(s.primed, birth)
 
         if s.kind == "cap":
@@ -341,12 +332,12 @@ class BoundaryState:
             if not self._siblings(j):
                 raise fail("operand points are not siblings")
             want = (END, START) if s.primed else (START, END)
-            got = (self.leaf_info[a][1], self.leaf_info[b][1])
+            got = (a[1], b[1])
             if got != want:
                 raise fail(f"direction mismatch: needs {want[0]}/{want[1]} "
                            f"points, found {got[0]}/{got[1]}")
-            starting = self.find(self.leaf_info[a if not s.primed else b][0])
-            ending = self.find(self.leaf_info[b if not s.primed else a][0])
+            starting = self.find((a if not s.primed else b)[0])
+            ending = self.find((b if not s.primed else a)[0])
             # The cherry's parent, the deeper neighbouring gap, gives way
             # to the sibling subtree, whose run rises one level.
             parent = depth[j] - 1
@@ -359,7 +350,6 @@ class BoundaryState:
                 self._shift(start, j - 1, -1)
                 del depth[j - 1:j + 1]
             del leaves[j:j + 2]
-            del self.leaf_info[a], self.leaf_info[b]
             closes = starting == ending
             if closes:
                 if self.anchors.get(starting):
@@ -377,8 +367,8 @@ class BoundaryState:
             a, b = leaves[j], leaves[j + 1]
             if not self._siblings(j):
                 raise fail("operand points are not siblings")
-            left = (self.find(self.leaf_info[a][0]), self.leaf_info[a][1])
-            right = (self.find(self.leaf_info[b][0]), self.leaf_info[b][1])
+            left = (self.find(a[0]), a[1])
+            right = (self.find(b[0]), b[1])
             leaves[j], leaves[j + 1] = b, a
             return CrossEvent(s.sign, left, right)
 
@@ -401,8 +391,8 @@ class BoundaryState:
             x0 = self._run_end(g - 1, -1, depth[g]) + 1
             z1 = self._run_end(r + 1, 1, depth[r])
             blocks = tuple(
-                tuple((i + 1, self.find(self.leaf_info[leaves[i]][0]),
-                       self.leaf_info[leaves[i]][1]) for i in range(lo, hi))
+                tuple((i + 1, self.find(leaves[i][0]), leaves[i][1])
+                      for i in range(lo, hi))
                 for lo, hi in ((x0, g + 1), (g + 1, r + 1), (r + 1, z1 + 1)))
             depth[g], depth[r] = depth[r], depth[g]
             self._shift(x0, g, -s.sign)

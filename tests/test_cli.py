@@ -16,7 +16,8 @@ Core claims:
       flag exits 2 even when the word itself is invalid
     - zero circles fail enumerate with one message under --S and --k,
       and a negative --max-degree fails verify theorem and recursion
-      with --all-S, both with exit 3
+      with --all-S, both with exit 3; --relabel on verify degree-sum or
+      recursion exits 3 instead of being ignored
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -227,7 +228,11 @@ class TestExitCodes:
         for argv in (("enumerate", "--circles", "0", "--k", "1"),
                      ("enumerate", "--circles", "1", "--k", "-1"),
                      ("compute", "--corpus", "hopf+", "--degree", "-1"),
-                     ("verify", "theorem", "--corpus", "hopf+", "--S", "[[1]]")):
+                     ("verify", "theorem", "--corpus", "hopf+", "--S", "[[1]]"),
+                     ("verify", "degree-sum", "--corpus", "hopf+", "--k", "1",
+                      "--relabel", "7,7,7"),
+                     ("verify", "recursion", "--corpus", "hopf+", "--crossing", "4",
+                      "--S", "[[0,1],[1,0]]", "--relabel", "9")):
             code, out, err = _run(capsys, *argv)
             assert code == 3 and err.startswith("error:") and not out, argv
 

@@ -16,7 +16,10 @@ Core claims:
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18 up to degree 4
     - Type families partition each degree list (m <= 3, k <= 4)
     - The placements generator yields C(2k+p-1, p-1) (2k-1)!! label
-      lists for k chords on p words (p <= 3, k <= 3)
+      lists for k chords on p words (p <= 3, k <= 3); walked with each
+      type matrix's budget, the slot pairings of that type's layout are
+      all of type S and together are exactly the placements, so the
+      type-family walk forms no matching of another type
     - Every 4T move has four placements with signs +1, -1, -1, +1 and
       pairwise-matching type matrices at each anchor endpoint
     - Relators are read-only diagram -> int vectors
@@ -47,6 +50,7 @@ from kzlab.algebra import (
 from kzlab.diagrams import (
     ChordDiagram,
     TypeMatrix,
+    _pairings,
     _placements,
     _relabel,
     all_type_matrices,
@@ -292,6 +296,18 @@ class TestEnumeration:
                 pairings = math.prod(range(1, 2 * k, 2))
                 expected = math.comb(2 * k + parts - 1, parts - 1) * pairings
                 assert sum(1 for _ in _placements(k, parts)) == expected
+                # Walked with each type's budget, the pairings of that
+                # type's slot layout partition the placements.
+                typed = []
+                for S in all_type_matrices(parts, k):
+                    slot_word = [i for i, row in enumerate(S)
+                                 for _ in range(row[i] + sum(row))]
+                    budget = {(a, b): n for a, row in enumerate(S)
+                              for b, n in enumerate(row) if n}
+                    for words in _pairings(slot_word, parts, budget):
+                        assert ChordDiagram(words).type_matrix() == S
+                        typed.append(words)
+                assert sorted(typed) == sorted(_placements(k, parts))
 
 
 # == 4. 4T relators and the quotient =========================================

@@ -38,7 +38,8 @@ Core claims:
       'start'/'end' is refused
     - Bare-block substitution keeps the skeleton and suppresses only the
       designated crossing's chords; a block over the truncation leaves
-      an empty series, also while another thread integrates;
+      an empty series, allocating nothing for its chords (traced peak
+      under 1 MiB at k = 10**5), also while another thread integrates;
       a thread pool over cold caches gives the serial answers;
       a block index that is not a crossing slice of the fragment is an
       error
@@ -57,6 +58,7 @@ Core claims:
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -467,6 +469,14 @@ class TestCrossingBlocks:
         assert not crossing_term(word, 4, 5, 3).coefficients
         top = crossing_term(word, 4, 3, 3).coefficients
         assert top and all(d.degree == 3 for d in top)
+        # A block over the truncation allocates nothing for its chords.
+        tracemalloc.start()
+        try:
+            assert not crossing_term(word, 4, 10 ** 5, 3).coefficients
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_block_inserts_exactly_k_chords(self):
         word = load_corpus_word("hopf+")
