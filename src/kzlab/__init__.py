@@ -9,6 +9,8 @@ linking-number functionals; `cli` and `selftest` wrap everything in
 reproducible runs.
 """
 
+import sys
+
 from .diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices,
     canonical_code, connected_sum, enumerate_by_degree, enumerate_by_matrix,
@@ -36,6 +38,20 @@ from .selftest import run_selftest, section_names
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every lru_cache of the library's loaded modules, as at a cold
+    start: the diagram and series tables, the word traces, the whole-word
+    integrations and the engine's per-truncation scale.  Cached values
+    depend only on their arguments, so this changes timings, not answers.
+    """
+    for name, module in list(sys.modules.items()):
+        if name == __name__ or name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 __all__ = [
     "ChordDiagram", "TypeMatrix",
     "all_type_matrices", "canonical_code", "connected_sum", "enumerate_by_degree",
@@ -52,5 +68,5 @@ __all__ = [
     "Slice", "TangleResult", "corpus_names", "integrate", "linking_matrix",
     "load_corpus_word", "parse_word", "validate_word",
     "run_selftest", "section_names",
-    "__version__",
+    "clear_caches", "__version__",
 ]

@@ -268,12 +268,14 @@ def _pairings(slot_word: Sequence[int], parts: int,
               ) -> Iterator[list[list[int]]]:
     """Every pairing of the slots, as per-word label lists.
 
-    slot_word[s] is the word slot s lies on, in word order.  The first
-    free slot pairs with each later free slot in turn and the t-th pair
-    is labeled t, so each matching is made once.  A budget maps (a, b),
-    in both orders, to the chords still to place between words a and b;
-    a pair is taken only while its cell has some left, so exactly the
-    matchings of that type are made and none is thrown away.
+    slot_word[s] is the word slot s lies on, and the slots must be laid
+    out in word order (slot_word never decreases).  The first free slot
+    pairs with each later free slot in turn and the t-th pair is labeled
+    t, so each matching is made once, and a pair's first word a is never
+    after its partner's word b.  So a budget maps (a, b) with a <= b only
+    to the chords still to place between words a and b; a pair is taken
+    only while its cell has some left, so exactly the matchings of that
+    type are made and none is thrown away.
     """
     label = [0] * len(slot_word)
 
@@ -292,14 +294,13 @@ def _pairings(slot_word: Sequence[int], parts: int,
             b = slot_word[partner]
             if label[partner] or budget is not None and not budget.get((a, b)):
                 continue
-            cells = () if budget is None else {(a, b), (b, a)}
-            for cell in cells:
-                budget[cell] -= 1
+            if budget is not None:
+                budget[a, b] -= 1
             label[partner] = t
             yield from walk(first + 1, t + 1)
             label[partner] = 0
-            for cell in cells:
-                budget[cell] += 1
+            if budget is not None:
+                budget[a, b] += 1
         label[first] = 0
 
     return walk(0, 1)
@@ -324,7 +325,8 @@ def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
     # Checked before the cache, which would answer ((True,),) as ((1,),).
     # Circle i carries one slot per chord end: two per chord in S[i][i].
     slot_word = [i for i, row in enumerate(matrix) for _ in range(row[i] + sum(row))]
-    budget = {(a, b): n for a, row in enumerate(matrix) for b, n in enumerate(row) if n}
+    budget = {(a, b): n for a, row in enumerate(matrix)
+              for b, n in enumerate(row[a:], start=a) if n}
     return tuple(sorted({ChordDiagram(words)
                          for words in _pairings(slot_word, len(matrix), budget)}))
 

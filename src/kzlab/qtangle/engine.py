@@ -23,6 +23,15 @@ degree d is multiplied only by the parts of degree at most N - d, so no
 kernel forms a term over the truncation N: the degree budget is the one
 rule that truncates.
 
+The products are exact in plain ints.  One scale D per truncation (12
+through N = 3, 120 at N = 4) is the least that makes c * D**a an integer
+for every kernel coefficient c of degree a: the arcs, a run's
+g**k / (2**k k!) and the associator's 1/24.  Each kernel stores c * D**a,
+so a running term of degree d is an int over D**d (the unit term is 1),
+and the terms leave the engine as Fractions, one division per key.  A
+kernel coefficient that D does not make integral raises.  graft scales
+its inputs back to ints by the D of their own coefficients.
+
 Consecutive crossings on the same two strand points, identity slices
 between them allowed, form a run.  Their rungs sit next to each other
 on both strands in slice order, so once renamed the product of their
@@ -44,9 +53,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..algebra import sqrt_unknot_series
 from ..diagrams import (
@@ -183,21 +192,67 @@ def _insert_at_points(words: Code, inserts: Sequence[tuple[int, str, tuple[int, 
     return out
 
 
-Graded = list[dict[Code, Fraction]]   # graded[d]: the terms with d chords
+# graded[d]: the terms with d chords, each an int over the scale ** d
+Graded = list[dict[Code, int]]
 
 
-def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]],
+def _scale(pairs: Iterable[tuple[int, int]]) -> int:
+    """The least D with c * D**a an integer for every coefficient c of
+    degree a, given as (a, denominator of c) pairs.
+
+    Per prime p, D holds p ** ceil(v_p(denominator) / a).  Degree 0 adds
+    nothing: D**0 scales nothing, so such a coefficient must be an
+    integer already (_scaled raises otherwise).
+    """
+    need: dict[int, int] = {}
+    for a, den in set(pairs):
+        p = 2
+        while a and den > 1:
+            if p * p > den:
+                p = den
+            v = 0
+            while den % p == 0:
+                den //= p
+                v += 1
+            if v:
+                need[p] = max(need.get(p, 0), -(-v // a))
+            p += 1
+    return prod(p ** e for p, e in need.items())
+
+
+def _scaled(coeff: Fraction | int, degree: int, scale: int) -> int:
+    """coeff * scale**degree, raising unless it is an integer."""
+    unit, rest = divmod(scale ** degree, coeff.denominator)
+    if rest:
+        raise ArithmeticError(f"coefficient {coeff} of degree {degree} is "
+                              f"not an integer at scale {scale}")
+    return coeff.numerator * unit
+
+
+@lru_cache(maxsize=None)
+def _kernel_scale(cutoff: int) -> int:
+    """The scale of every kernel at this truncation: the cup and cap arcs,
+    a crossing run's g**k / (2**k k!) and the associator's weight."""
+    return _scale([(len(word) // 2, c.denominator)
+                   for word, c in sqrt_unknot_series(cutoff).items()]
+                  + [(k, 2 ** k * factorial(k)) for k in range(cutoff + 1)]
+                  + [(2, ASSOCIATOR_WEIGHT.denominator)])
+
+
+def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
               place: Callable[[Code, object], Sequence[tuple[int, ...]]], *,
               unit_keeps_keys: bool = False) -> Graded:
     """Multiply graded terms by a graded series, within the truncation.
 
-    series[a] lists the (payload, coefficient) pairs of a chords, and
-    place(key, payload) returns the product's words before renaming; they
-    are renamed in one _relabel pass.  With unit_keeps_keys, a payload of
-    no chords moves no word (a cup only inserts an empty one), so it
-    leaves a normal key normal and its products are stored unrenamed.  A
-    term of degree d meets only series degrees up to len(terms) - 1 - d,
-    so no product over the truncation is formed.
+    series[a] lists the (payload, coefficient) pairs of a chords, with
+    coefficients scaled like the terms, so products are ints at the
+    product's degree.  place(key, payload) returns the product's words
+    before renaming; they are renamed in one _relabel pass.  With
+    unit_keeps_keys, a payload of no chords moves no word (a cup only
+    inserts an empty one), so it leaves a normal key normal and its
+    products are stored unrenamed.  A term of degree d meets only series
+    degrees up to len(terms) - 1 - d, so no product over the truncation
+    is formed.
     """
     cutoff = len(terms) - 1
     out: Graded = [{} for _ in terms]
@@ -208,21 +263,32 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, Fraction]]]
         for key, coeff in bucket.items():
             for target, payload, c, rename in fits:
                 words = place(key, payload)
-                add_term(target, _relabel(words) if rename else tuple(words),
-                         coeff * c)
+                product = _relabel(words) if rename else tuple(words)
+                value = target.get(product, 0) + coeff * c
+                if value:
+                    target[product] = value
+                else:
+                    target.pop(product, None)
     return out
 
 
-def _graded(terms: Mapping[Code, Fraction], cutoff: int) -> Graded:
-    """Bucket a flat series by chord count, counting each key once."""
+def _graded(terms: Mapping[Code, Fraction], cutoff: int, scale: int) -> Graded:
+    """Bucket a flat series by chord count, scaled to ints."""
     graded: Graded = [{} for _ in range(cutoff + 1)]
     for key, coeff in terms.items():
-        graded[sum(map(len, key)) // 2][key] = coeff
+        d = sum(map(len, key)) // 2
+        graded[d][key] = _scaled(coeff, d, scale)
     return graded
 
 
-def _flatten(terms: Graded) -> dict[Code, Fraction]:
-    return {key: coeff for bucket in terms for key, coeff in bucket.items()}
+def _flatten(terms: Graded, scale: int) -> dict[Code, Fraction]:
+    """The flat series, each term divided once by its scale ** degree."""
+    flat: dict[Code, Fraction] = {}
+    for d, bucket in enumerate(terms):
+        den = scale ** d
+        for key, value in bucket.items():
+            flat[key] = Fraction(value, den)
+    return flat
 
 
 @dataclass(frozen=True)
@@ -284,15 +350,18 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         trace.crossing(block_at + 1)   # raises unless a crossing slice here
     open_order: list[Birth] = list(trace.open_in)
     closed_order: list[Birth] = []
+    scale = _kernel_scale(cutoff)
     terms: Graded = [{} for _ in range(cutoff + 1)]
-    terms[0][((),) * len(open_order)] = Fraction(1)
+    terms[0][((),) * len(open_order)] = 1
     # A cup's or cap's arc series on fresh tokens, by primed flag and degree.
     arcs: dict[bool, list[list]] = {False: [[] for _ in terms],
                                     True: [[] for _ in terms]}
     for word, c in sqrt_unknot_series(cutoff).items():
         fresh = tuple(_FRESH + t for t in word)
-        arcs[False][len(word) // 2].append((fresh, c))
-        arcs[True][len(word) // 2].append((fresh[::-1], c))
+        a = len(word) // 2
+        c = _scaled(c, a, scale)
+        arcs[False][a].append((fresh, c))
+        arcs[True][a].append((fresh[::-1], c))
 
     def run_key(item):
         # Consecutive crossings on one pair of strand points share a key,
@@ -346,14 +415,15 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             if at == block_at:
                 weights = [[] for _ in range(cutoff + 1)]
                 if block_k <= cutoff:
-                    weights[block_k].append((rungs(block_k), Fraction(1)))
+                    weights[block_k].append((rungs(block_k), scale ** block_k))
             else:
                 # A run's rungs stack on both strands in slice order, so
                 # its value is exp(G/2 * chord), G its summed sign.
                 g = sum(e.geometric_sign for _, e in run)
                 if not g:
                     continue
-                weights = [[(rungs(k), Fraction(g) ** k / (2 ** k * factorial(k)))]
+                weights = [[(rungs(k), _scaled(Fraction(g ** k, 2 ** k * factorial(k)),
+                                               k, scale))]
                            for k in range(cutoff + 1)]
             terms = _multiply(terms, weights, _insert_at_points,
                               unit_keeps_keys=True)
@@ -363,8 +433,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             x_block, y_block, z_block = event.blocks
             leaf_at = {pos: (open_order.index(comp), role)
                        for block in event.blocks for pos, comp, role in block}
+            weight = _scaled(ASSOCIATOR_WEIGHT, 2, scale)
             # The unit term, no degree-1 term, and the 2-chord lifts.
-            lifts: list[list[tuple[tuple, Fraction]]] = [[((), Fraction(1))], [], []]
+            lifts: list[list[tuple[tuple, int]]] = [[((), 1)], [], []]
             for first, second, monomial_sign in (
                     ((x_block, y_block), (y_block, z_block), 1),
                     ((y_block, z_block), (x_block, y_block), -1)):
@@ -377,7 +448,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                 by_leaf.setdefault(pos, []).append(_FRESH + level)
                                 if role == END:
                                     orient = -orient
-                        coeff = sigma * monomial_sign * ASSOCIATOR_WEIGHT * orient
+                        coeff = sigma * monomial_sign * weight * orient
                         lifts[2].append((tuple((*leaf_at[pos], tuple(tokens))
                                                for pos, tokens in by_leaf.items()),
                                          coeff))
@@ -392,7 +463,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         members=trace.members,
         open_order=tuple(open_order),
         closed_order=tuple(closed_order),
-        terms=_flatten(terms),
+        terms=_flatten(terms, scale),
     )
 
 
@@ -406,6 +477,10 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     reads from its least-birth component.  Any other walk is an open
     chain, born (0, 0, a) at its least anchor a on the lower boundary,
     or at its least cup member when it has no anchor.
+
+    The product runs in ints, at the scale _scale finds for the two
+    inputs' own coefficients, so any rational coefficients graft exactly
+    as long as the degree-0 ones are integers.
     """
     if lower.cutoff != upper.cutoff:
         raise InputError("fragments must share a truncation degree")
@@ -483,9 +558,12 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         return ([along(chains[b][0]) for b in open_order]
                 + [closed_map[b] for b in closed_order])
 
+    scale = _scale((sum(map(len, key)) // 2, c.denominator)
+                   for fragment in (lower, upper)
+                   for key, c in fragment.terms.items())
     upper_series = [list(bucket.items())
-                    for bucket in _graded(upper.terms, cutoff)]
-    terms = _multiply(_graded(lower.terms, cutoff), upper_series, stitch)
+                    for bucket in _graded(upper.terms, cutoff, scale)]
+    terms = _multiply(_graded(lower.terms, cutoff, scale), upper_series, stitch)
 
     rebirth = {node: birth for birth, (walk, _, _) in chains.items()
                for node in walk}
@@ -498,7 +576,7 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         members={b: chain[2] for b, chain in chains.items()},
         open_order=open_order,
         closed_order=closed_order,
-        terms=_flatten(terms),
+        terms=_flatten(terms, scale),
     )
 
 

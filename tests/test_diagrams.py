@@ -303,7 +303,7 @@ class TestEnumeration:
                     slot_word = [i for i, row in enumerate(S)
                                  for _ in range(row[i] + sum(row))]
                     budget = {(a, b): n for a, row in enumerate(S)
-                              for b, n in enumerate(row) if n}
+                              for b, n in enumerate(row[a:], start=a) if n}
                     for words in _pairings(slot_word, parts, budget):
                         assert ChordDiagram(words).type_matrix() == S
                         typed.append(words)

@@ -53,8 +53,23 @@ Core claims:
       block inside a run; each run is one multiply, and a run whose
       signs cancel is none
     - Truncation limits: 3 with rebracketings, 4 without
+    - The kernels run in ints: the scale is 12 through truncation 3 and
+      120 at 4, the least that makes every arc, crossing-run and
+      associator coefficient integral, and every coefficient a kernel
+      multiplies by is an int, with and without rebracketings at every
+      truncation; a scale missing any one of its primes makes kernel
+      building raise
+    - graft scales its inputs by their own coefficients: a hand-built
+      pair with sevenths grafts to the exact Fraction product, and a
+      degree-0 coefficient that is not an integer is refused
+    - No int leaves the engine: fragment, graft and integrate values
+      are Fractions for every corpus word at every supported truncation
+    - kzlab.clear_caches empties every library cache, the per-truncation
+      scale included; the thread-pool check starts from it
 """
 
+import dataclasses
+import math
 import subprocess
 import sys
 import threading
@@ -65,6 +80,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kzlab
 from kzlab.algebra import sqrt_unknot_series, unknot_series_closed
 from kzlab.diagrams import ChordDiagram, _relabel, four_t_moves
 from kzlab.errors import TruncationUnsupportedError, WordValidationError
@@ -522,8 +538,7 @@ class TestCrossingBlocks:
                      for i, s in enumerate(word) if s.kind == "x"]
         assert len(jobs) == 55
         serial = [f(*args).coefficients for f, *args in jobs]
-        engine._integrate_cached.cache_clear()
-        _trace_cached.cache_clear()
+        kzlab.clear_caches()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -629,3 +644,116 @@ class TestCrossingRuns:
         assert count(arcs + "x+@1;x-@1;x+@3") == 3 + 1
         # A run whose signs cancel multiplies nothing.
         assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
+
+
+# == 5. Integer scaling ======================================================
+
+
+def _primes(n: int) -> list[int]:
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _kernel_coefficients(cutoff: int) -> list[tuple[int, Fraction]]:
+    """(degree, coefficient) of every kernel at this truncation, listed
+    apart from the engine: arcs, crossing runs up to |G| = 3, the
+    associator weight."""
+    out = [(len(word) // 2, c) for word, c in sqrt_unknot_series(cutoff).items()]
+    out += [(k, Fraction(g) ** k / (2 ** k * math.factorial(k)))
+            for g in (-3, -2, -1, 1, 2, 3) for k in range(cutoff + 1)]
+    return out + [(2, Fraction(1, 24))]
+
+
+class TestScale:
+    def test_scale_makes_every_kernel_coefficient_integral(self, monkeypatch):
+        for cutoff in range(5):
+            scale = engine._kernel_scale(cutoff)
+            assert scale == (120 if cutoff == 4 else 12)
+            coefficients = _kernel_coefficients(cutoff)
+            assert all((c * scale ** a).denominator == 1 for a, c in coefficients)
+            # The least such scale: dropping any prime breaks a coefficient.
+            for p in _primes(scale):
+                assert any((c * (scale // p) ** a).denominator != 1
+                           for a, c in coefficients), (cutoff, p)
+        # Every coefficient the kernels of a word multiply by is an int,
+        # with and without rebracketings, at every supported truncation.
+        seen = []
+        multiply = engine._multiply
+
+        def spy(terms, series, *args, **kwargs):
+            seen.extend(c for pairs in series for _, c in pairs)
+            return multiply(terms, series, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_multiply", spy)
+        for name in ("trefoil", "chain3", "u1", "unlink2"):
+            word = load_corpus_word(name)
+            for cutoff in range(max_truncation(word) + 1):
+                seen.clear()
+                crossings = [i for i, s in enumerate(word) if s.kind == "x"]
+                for block in [None] + [(i, 1) for i in crossings[:1]]:
+                    evaluate_fragment(word, cutoff, bare_block=block)
+                assert seen and all(type(c) is int for c in seen), (name, cutoff)
+
+    @pytest.mark.parametrize("cutoff", range(5))
+    def test_a_scale_missing_a_prime_raises(self, monkeypatch, cutoff):
+        # The trefoil has cups, caps, a crossing run and rebracketings;
+        # u1 has no rebracketing, so it reaches truncation 4.
+        word = load_corpus_word("trefoil" if cutoff < 4 else "u1")
+        scale = engine._kernel_scale(cutoff)
+        for p in _primes(scale):
+            monkeypatch.setattr(engine, "_kernel_scale", lambda n: scale // p)
+            with pytest.raises(ArithmeticError, match="not an integer"):
+                evaluate_fragment(word, cutoff)
+
+    def test_hand_built_sevenths_graft_exactly(self):
+        word = parse_word("x+@1")
+        lower = evaluate_fragment(word, 3, initial=((0,), (END, END)))
+        upper = evaluate_fragment(word, 3, initial=lower.spec_out,
+                                  slice_offset=1)
+        # Ladder coefficients by chord count, with sevenths mixed in.
+        low = [Fraction(1), Fraction(1, 7), Fraction(3, 8), Fraction(-2, 49)]
+        up = [Fraction(2), Fraction(1, 2), Fraction(5, 7), Fraction(1, 343)]
+        lower = dataclasses.replace(lower, terms={
+            _ladder(k): c for k, c in enumerate(low)})
+        upper = dataclasses.replace(upper, terms={
+            _ladder(k): c for k, c in enumerate(up)})
+        expected = {_ladder(n): sum(low[j] * up[n - j] for j in range(n + 1))
+                    for n in range(4)}
+        assert graft(lower, upper).terms == expected
+        # A degree-0 coefficient no scale makes integral is refused.
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            graft(dataclasses.replace(lower, terms={_ladder(0): Fraction(1, 7)}),
+                  upper)
+
+    def test_no_int_leaves_the_engine(self):
+        def fractions(values):
+            return all(type(c) is Fraction for c in values)
+
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            middle = len(word) // 2
+            for cutoff in range(max_truncation(word) + 1):
+                value = evaluate_fragment(word, cutoff)
+                assert fractions(value.terms.values()), (name, cutoff)
+                lower = evaluate_fragment(word[:middle], cutoff)
+                upper = evaluate_fragment(word[middle:], cutoff,
+                                          initial=lower.spec_out,
+                                          slice_offset=middle)
+                for fragment in (lower, upper, graft(lower, upper)):
+                    assert fractions(fragment.terms.values()), (name, cutoff)
+                assert fractions(integrate(word, cutoff).coefficients.values())
+
+    def test_clear_caches_empties_every_library_cache(self):
+        for name in corpus_names():
+            integrate(load_corpus_word(name), 2)
+        hexagon_identity()
+        kzlab.clear_caches()
+        named = [engine._integrate_cached, _trace_cached, engine._kernel_scale,
+                 engine.associator_sign, engine._strand_reducer,
+                 strand_monomials, sqrt_unknot_series, unknot_series_closed]
+        found = [value for module_name, module in list(sys.modules.items())
+                 if module_name.startswith("kzlab")
+                 for value in vars(module).values()
+                 if hasattr(value, "cache_clear")]
+        assert all(cache in found for cache in named)
+        assert [cache for cache in found if cache.cache_info().currsize] == []
