@@ -133,11 +133,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def _chosen_matrices(args: argparse.Namespace, given,
                      circles: Callable[[], int]) -> list:
     """The one --S given, or under --all-S every type matrix on the word's
-    circles of degree up to --max-degree."""
+    circles of degree up to --max-degree, which must not exceed --degree."""
     if args.all_S:
         m = circles()
         if args.max_degree < 0:
             raise InputError("--max-degree must be nonnegative")
+        if args.max_degree > args.degree:
+            raise TruncationUnsupportedError(
+                f"type matrix needs degree {args.degree + 1} but the "
+                f"series is truncated at {args.degree}")
         return [S for k in range(args.max_degree + 1)
                 for S in all_type_matrices(m, k)]
     if given is None:

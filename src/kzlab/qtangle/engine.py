@@ -8,13 +8,14 @@ degree-3 truncation of a rational even associator, cabled over the leaves
 of its three blocks with a sign per endpoint on an up-directed point.
 
 Word evaluation tracks, per monomial, one chord-endpoint sequence per
-skeleton component: a term's key is one code, the open components' words
-in open order and then the closed ones' in closed order, chords renamed
-by first appearance.  The structure (trees, merges, closures) comes from
-the words module's cached trace of the slices: its events drive the
+skeleton component: a term's key is one code, every component's word in
+birth order, open and closed alike, chords renamed by first appearance.
+A cup appends its word, a closing cap leaves it in place, and a merge
+folds the later birth into the earlier one's slot.  The structure comes
+from the words module's cached trace of the slices: its events drive the
 kernels and its boundary data fill the fragment value, so the engine
-never replays a word itself.  evaluate_fragment runs any slice range
-from a given boundary; graft stitches two fragment values at a shared
+never replays a word itself.  evaluate_fragment runs any slice range from
+a given boundary; graft stitches two fragment values at a shared
 interface; integrate closes a full word into labeled circles.
 
 Every slice value and every graft is a product of graded series, and
@@ -248,11 +249,11 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
     coefficients scaled like the terms, so products are ints at the
     product's degree.  place(key, payload) returns the product's words
     before renaming; they are renamed in one _relabel pass.  With
-    unit_keeps_keys, a payload of no chords moves no word (a cup only
-    inserts an empty one), so it leaves a normal key normal and its
-    products are stored unrenamed.  A term of degree d meets only series
-    degrees up to len(terms) - 1 - d, so no product over the truncation
-    is formed.
+    unit_keeps_keys, a payload of no chords moves no word (a cup appends
+    an empty one, and a closing cap moves none), so it leaves a normal
+    key normal and its products are stored unrenamed.  A term of degree
+    d meets only series degrees up to len(terms) - 1 - d, so no product
+    over the truncation is formed.
     """
     cutoff = len(terms) - 1
     out: Graded = [{} for _ in terms]
@@ -300,8 +301,9 @@ class FragmentValue:
     lists the cup-born keys merged into it (for rebirth after grafting).
     A grafted open chain is born (0, 0, a) at its least anchor a, or at
     its least cup member if it has no anchor; a circle closed by the
-    graft is born at its least cup member.  Each term's key is one code:
-    the words of open_order's components, then those of closed_order's.
+    graft is born at its least cup member.  open_order and closed_order
+    list the open components and the circles by birth; each term's key
+    is one code, the words of both lists' components in birth order.
     """
 
     cutoff: int
@@ -348,11 +350,10 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     trace = _trace(slices, initial, slice_offset)
     if block_at is not None:
         trace.crossing(block_at + 1)   # raises unless a crossing slice here
-    open_order: list[Birth] = list(trace.open_in)
-    closed_order: list[Birth] = []
+    comps: list[Birth] = list(trace.open_in)   # every component, by birth
     scale = _kernel_scale(cutoff)
     terms: Graded = [{} for _ in range(cutoff + 1)]
-    terms[0][((),) * len(open_order)] = 1
+    terms[0][((),) * len(comps)] = 1
     # A cup's or cap's arc series on fresh tokens, by primed flag and degree.
     arcs: dict[bool, list[list]] = {False: [[] for _ in terms],
                                     True: [[] for _ in terms]}
@@ -375,38 +376,31 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         run = list(group)
         at, event = run[0]
         if isinstance(event, CupEvent):
-            idx = len([b for b in open_order if b < event.component])
-            open_order.insert(idx, event.component)
+            comps.append(event.component)
+            terms = _multiply(terms, arcs[event.primed],
+                              lambda key, fresh: key + (fresh,),
+                              unit_keeps_keys=True)
+        elif isinstance(event, CapEvent) and event.closes:
+            # The circle keeps its slot; the arc ends its word.
+            i = comps.index(event.merged)
+            series = [[(((i, END, fresh),), c) for fresh, c in bucket]
+                      for bucket in arcs[event.primed]]
+            terms = _multiply(terms, series, _insert_at_points,
+                              unit_keeps_keys=True)
+        elif isinstance(event, CapEvent):
+            # The merge folds the later birth into the earlier one's slot.
+            ia = comps.index(event.ending)
+            ib = comps.index(event.starting)
+            lo, hi = sorted((ia, ib))
+            del comps[hi]
 
             def place(key, fresh):
-                return key[:idx] + (fresh,) + key[idx:]
-            terms = _multiply(terms, arcs[event.primed], place, unit_keeps_keys=True)
-        elif isinstance(event, CapEvent):
-            if event.closes:
-                i = open_order.index(event.merged)
-                open_order.pop(i)
-                pos = len([b for b in closed_order if b < event.merged])
-                closed_order.insert(pos, event.merged)
-                slot = len(open_order) + pos   # among the key's words
-
-                def place(key, fresh):
-                    rest = key[:i] + key[i + 1:]
-                    return rest[:slot] + (key[i] + fresh,) + rest[slot:]
-            else:
-                ia = open_order.index(event.ending)
-                ib = open_order.index(event.starting)
-                del open_order[max(ia, ib)], open_order[min(ia, ib)]
-                idx = len([b for b in open_order if b < event.merged])
-                open_order.insert(idx, event.merged)
-
-                def place(key, fresh):
-                    rest = [q for i, q in enumerate(key) if i not in (ia, ib)]
-                    rest.insert(idx, key[ia] + fresh + key[ib])
-                    return rest
+                return (key[:lo] + (key[ia] + fresh + key[ib],)
+                        + key[lo + 1:hi] + key[hi + 1:])
             terms = _multiply(terms, arcs[event.primed], place)
         elif isinstance(event, CrossEvent):
             (cl, role_l), (cr, role_r) = event.left, event.right
-            il, ir = open_order.index(cl), open_order.index(cr)
+            il, ir = comps.index(cl), comps.index(cr)
 
             def rungs(k):
                 tokens = tuple(range(_FRESH, _FRESH + k))
@@ -431,7 +425,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
             x_block, y_block, z_block = event.blocks
-            leaf_at = {pos: (open_order.index(comp), role)
+            leaf_at = {pos: (comps.index(comp), role)
                        for block in event.blocks for pos, comp, role in block}
             weight = _scaled(ASSOCIATOR_WEIGHT, 2, scale)
             # The unit term, no degree-1 term, and the 2-chord lifts.
@@ -461,8 +455,8 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         leaves=trace.leaves,
         anchors=trace.anchors,
         members=trace.members,
-        open_order=tuple(open_order),
-        closed_order=tuple(closed_order),
+        open_order=tuple(trace.anchors),
+        closed_order=tuple(b for b in comps if b not in trace.anchors),
         terms=_flatten(terms, scale),
     )
 
@@ -471,12 +465,14 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     """Stitch an upper fragment onto a lower one at a shared interface.
 
     The lower fragment's top boundary must match the upper fragment's
-    initial spec (shape and directions).  Components are joined along the
-    interface into walks, each walked once.  A walk that ends where it
-    began is a new circle: its birth is its least cup member, and it
-    reads from its least-birth component.  Any other walk is an open
-    chain, born (0, 0, a) at its least anchor a on the lower boundary,
-    or at its least cup member when it has no anchor.
+    initial spec (shape and directions), and no cup birth may be in both
+    (evaluate the upper one at its slice offset).  Components are joined
+    along the interface into walks, each walked once.  A walk that ends
+    where it began is a new circle: its birth is its least cup member,
+    and it reads from its least-birth component.  Any other walk is an
+    open chain, born (0, 0, a) at its least anchor a on the lower
+    boundary, or at its least cup member when it has no anchor.  Keys
+    are read and written in birth order, open and closed words alike.
 
     The product runs in ints, at the scale _scale finds for the two
     inputs' own coefficients, so any rational coefficients graft exactly
@@ -486,12 +482,14 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         raise InputError("fragments must share a truncation degree")
     if lower.spec_out != upper.spec_in:
         raise WordValidationError("fragment boundaries do not match")
+    low_cups, up_cups = (set(f.closed_order).union(*f.members.values())
+                         for f in (lower, upper))
+    if low_cups & up_cups:
+        raise WordValidationError("fragments share a cup birth")
     cutoff = lower.cutoff
 
-    anchored_at: dict[int, Birth] = {}
-    for comp, positions in upper.anchors.items():
-        for pos in positions:
-            anchored_at[pos] = comp
+    anchored_at = {pos: comp for comp, positions in upper.anchors.items()
+                   for pos in positions}
 
     # Follow orientation across each stitch: at an up interface point the
     # lower component's end feeds the upper component's start; at a down
@@ -535,28 +533,26 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
             birth = (0, 0, min(anchors)) if anchors else min(members)
             chains[birth] = (walk, tuple(sorted(anchors)), tuple(sorted(members)))
 
-    open_order = tuple(sorted(chains))
-    closed_order = tuple(sorted(lower.closed_order + upper.closed_order
-                                + tuple(circles)))
-    lower_index = {b: i for i, b in enumerate(lower.open_order)}
-    upper_index = {b: i for i, b in enumerate(upper.open_order)}
-    low_n, up_n = len(lower.open_order), len(upper.open_order)
+    # Each output word, in birth order, as the (side, word index) pieces
+    # it reads: side 0 is the lower key, side 1 the upper one.
+    slot = {(side, b): (k, i)
+            for k, (side, fragment) in enumerate((("L", lower), ("U", upper)))
+            for i, b in enumerate(sorted(fragment.open_order
+                                         + fragment.closed_order))}
+    walks = {b: walk for b, (walk, _, _) in chains.items()} | circles
+    walks.update((b, [("L", b)]) for b in lower.closed_order)
+    walks.update((b, [("U", b)]) for b in upper.closed_order)
+    pieces = [[slot[node] for node in walks[b]] for b in sorted(walks)]
 
     def stitch(low, up):
-        up = [tuple(t + _FRESH for t in word) for word in up]
-
-        def along(walk) -> tuple[int, ...]:
+        sides = (low, [tuple(t + _FRESH for t in word) for word in up])
+        out = []
+        for word in pieces:
             seq: tuple[int, ...] = ()
-            for side, b in walk:
-                seq += low[lower_index[b]] if side == "L" else up[upper_index[b]]
-            return seq
-
-        closed_map = dict(zip(lower.closed_order, low[low_n:]))
-        closed_map.update(zip(upper.closed_order, up[up_n:]))
-        for b, walk in circles.items():
-            closed_map[b] = along(walk)
-        return ([along(chains[b][0]) for b in open_order]
-                + [closed_map[b] for b in closed_order])
+            for side, i in word:
+                seq += sides[side][i]
+            out.append(seq)
+        return out
 
     scale = _scale((sum(map(len, key)) // 2, c.denominator)
                    for fragment in (lower, upper)
@@ -574,8 +570,8 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         leaves=tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves),
         anchors={b: chain[1] for b, chain in chains.items()},
         members={b: chain[2] for b, chain in chains.items()},
-        open_order=open_order,
-        closed_order=closed_order,
+        open_order=tuple(sorted(chains)),
+        closed_order=tuple(sorted(walks.keys() - chains.keys())),
         terms=_flatten(terms, scale),
     )
 

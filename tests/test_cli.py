@@ -18,6 +18,9 @@ Core claims:
       and a negative --max-degree fails verify theorem and recursion
       with --all-S, both with exit 3; --relabel on verify degree-sum or
       recursion exits 3 instead of being ignored
+    - --all-S with a --max-degree over --degree exits 4 before listing
+      any type matrix, so verify theorem and recursion at --max-degree
+      1000 return at once
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -262,6 +265,21 @@ class TestExitCodes:
                                   "hopf+", "--all-S", "--max-degree", "-1")
             assert code == 3 and not out, identity
             assert err == "error: --max-degree must be nonnegative\n"
+
+    def test_all_s_over_the_truncation_exits_4_before_listing(self):
+        # Up to degree 1000 there are more type matrices than could be
+        # listed; each argv is refused at once, in a fresh process.
+        for argv in (("theorem", "--corpus", "chain3", "--max-degree", "1000"),
+                     ("theorem", "--corpus", "chain3", "--max-degree", "4",
+                      "--degree", "3"),
+                     ("recursion", "--corpus", "hopf+", "--crossing", "4",
+                      "--max-degree", "1000")):
+            argv = ("verify", *argv, "--all-S")
+            proc = subprocess.run([sys.executable, "-m", "kzlab.cli", *argv],
+                                  capture_output=True, text=True, timeout=30)
+            assert proc.returncode == 4 and not proc.stdout, argv
+            assert proc.stderr == ("error: type matrix needs degree 4 but the "
+                                   "series is truncated at 3\n"), argv
 
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

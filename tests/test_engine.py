@@ -7,6 +7,7 @@ Core claims:
     - Reversing a strand reads its chords backwards and negates
       odd-endpoint terms
     - Grafting stacks chords in slice order and needs matching directions
+      and cup births that differ between the two fragments
     - The rebracketing value on three down strands is the frozen
       degree-2 commutator with weight 1/24, cabled over block leaves
     - The pentagon holds exactly and the bracketed braid relation holds
@@ -17,17 +18,20 @@ Core claims:
     - Integrating the bare unknot word reproduces the closed unknot
       series exactly at truncations 3 and 4
     - Fragment grafting agrees with direct integration at every split
-      of every corpus word, at truncation 3 and at the word's maximum,
-      and at every three-way split in both groupings
+      of every corpus word and of a kinked circle closed below a second
+      cup, at truncation 3 and at the word's maximum, and at every
+      three-way split in both groupings
     - Grafting word[s:a] and word[a:b] gives the boundary, anchors,
       members and component orders of evaluating word[s:b] directly, and
       its terms too when no new circle closes, from the empty boundary
       and from the anchored boundary mid-word; every fragment key is one
-      renamed word per open, then closed, component
+      renamed word per component, open or closed, in birth order
+    - A fragment holding a closed circle born before an open arc lists
+      the circle's word first
     - No kernel forms a term over the truncation: on a kinked 6-circle
       unlink at degree 4 every key renamed holds at most 8 endpoints,
       and the count of keys renamed is pinned (products with no new
-      chord, except at a cap, are not renamed)
+      chord, except at a merging cap, are not renamed)
     - Inserting a cancelling assoc+@p;assoc-@p pair (either order) at any
       legal site of a corpus word leaves its value unchanged
     - Words and fragments nesting 600 levels deep evaluate with the
@@ -301,8 +305,11 @@ def _piece(word, start, stop, cutoff, below=None):
 
 class TestFragments:
     def test_graft_agrees_with_integration_at_every_split(self):
-        for name in corpus_names():
-            word = load_corpus_word(name)
+        words = [(name, load_corpus_word(name)) for name in corpus_names()]
+        # A circle that closes while a later cup is still open.
+        words.append(("kink-then-cup",
+                      parse_word("cup@1;x+@1;cap'@1;cup@1;cap@1")))
+        for name, word in words:
             for cutoff in sorted({3, max_truncation(word)}):
                 direct = integrate(word, cutoff).coefficients
                 for cut in range(len(word) + 1):
@@ -370,8 +377,14 @@ class TestFragments:
         # Unwrapped, so that a cached value cannot hide the evaluation.
         result = engine._integrate_cached.__wrapped__(word, 4)
         assert max(sizes) <= 2 * 4
-        assert len(sizes) == 2271
+        assert len(sizes) == 632
         assert len(result.coefficients) == 254
+
+    def test_keys_list_components_in_birth_order(self):
+        value = evaluate_fragment(parse_word("cup@1;x+@1;cap'@1;cup@1"), 1)
+        assert value.open_order == ((1, 3, 1),)
+        assert value.closed_order == ((1, 0, 1),)
+        assert value.terms == {((), ()): 1, ((1, 1), ()): Fraction(-1, 2)}
 
     def test_assoc_pair_insertion_is_invisible(self):
         sites = 0
@@ -411,9 +424,12 @@ class TestFragments:
 
     def test_graft_rejects_mismatched_boundaries(self):
         lower = evaluate_fragment(parse_word("cup@1"), 2)
-        upper = evaluate_fragment([], 2, initial=((0,), ("start", "start")))
-        with pytest.raises(WordValidationError):
-            graft(lower, upper)
+        # Wrong directions, and a cup born at slice 0 on both sides (the
+        # upper fragment evaluated without its slice offset).
+        for upper in (evaluate_fragment([], 2, initial=((0,), ("start", "start"))),
+                      evaluate_fragment(parse_word("cup@1"), 2, lower.spec_out)):
+            with pytest.raises(WordValidationError):
+                graft(lower, upper)
 
     def test_boundary_data_is_cached_read_only(self):
         word = parse_word("x+@1 ; cup@1")
