@@ -17,8 +17,8 @@ from kzlab.invariants import (
     smoothing_shift_reports,
 )
 from kzlab.qtangle.corpus import load_corpus_word
-from kzlab.qtangle.engine import crossing_info, crossing_term, integrate
-from kzlab.qtangle.words import linking_matrix, render_word
+from kzlab.qtangle.engine import crossing_term, integrate
+from kzlab.qtangle.words import linking_matrix, render_word, trace_word
 
 failures = 0
 
@@ -35,7 +35,7 @@ word = load_corpus_word("hopf+")
 crossing = 4
 print("word:", render_word(word))
 print(f"designated crossing: slice {crossing}, geometric sign "
-      f"{crossing_info(word, crossing).geometric_sign:+d}, strands on "
+      f"{trace_word(word).crossing(crossing).event.geometric_sign:+d}, strands on "
       f"circles {crossing_circles(word, crossing)}")
 
 def matrix_text(rows):

@@ -178,22 +178,18 @@ def _wheel_edges(sizes: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int]
     return incident, offset
 
 
-def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
-                             elimination_order: tuple[int, ...] | None = None,
+def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...]
                              ) -> dict[ChordDiagram, Fraction]:
     """STU-resolve wheels whose legs sit on a circle in the given cyclic order.
 
-    Each trivalent hub vertex is removed in turn: its leg site on the
-    circle is replaced by two adjacent sites receiving the two hub edges
-    at that vertex, in hub order with sign +1 and swapped with sign -1.
-    The outcome is independent of the elimination order.
+    Each trivalent hub vertex is removed in turn, in vertex order: its leg
+    site on the circle is replaced by two adjacent sites receiving the two
+    hub edges at that vertex, in hub order with sign +1 and swapped with
+    sign -1.
     """
     incident, count = _wheel_edges(sizes)
     if sorted(leg_cycle) != list(range(count)):
         raise InputError("leg cycle must list every wheel vertex exactly once")
-    order = elimination_order if elimination_order is not None else tuple(range(count))
-    if sorted(order) != list(range(count)):
-        raise InputError("elimination order must list every vertex exactly once")
 
     # Sites carry opaque tokens; edge endpoints name either a vertex or a token.
     sites: list[object] = [("leg", v) for v in leg_cycle]
@@ -207,8 +203,8 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
     pending: list[tuple[list[object], dict[int, list[object]], int, int]] = [
         (sites, ends, 0, 1)]
     while pending:
-        sites, ends, step, sign = pending.pop()
-        if step == len(order):
+        sites, ends, vertex, sign = pending.pop()
+        if vertex == count:
             label_of = {}
             for edge, endpoints in ends.items():
                 for endpoint in endpoints:
@@ -216,7 +212,6 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
             word = [label_of[token] for token in sites]
             add_term(out, ChordDiagram([word]), sign)
             continue
-        vertex = order[step]
         p = sites.index(("leg", vertex))
         before, after = incident[vertex]
         ra, rb = ("s", next(fresh)), ("s", next(fresh))
@@ -226,7 +221,7 @@ def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...],
             first, second = (ra, rb) if flip == 1 else (rb, ra)
             new_ends[before][new_ends[before].index(("v", vertex))] = first
             new_ends[after][new_ends[after].index(("v", vertex))] = second
-            pending.append((new_sites, new_ends, step + 1, sign * flip))
+            pending.append((new_sites, new_ends, vertex + 1, sign * flip))
     return out
 
 

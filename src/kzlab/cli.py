@@ -31,7 +31,9 @@ from .errors import (
     CorpusLookupError, InputError, TruncationUnsupportedError, WordParseError,
     WordValidationError,
 )
-from .invariants import check_recursion, degree_sum_identity, verify_theorem
+from .invariants import (
+    _check_degree, check_recursion, degree_sum_identity, verify_theorem,
+)
 from .qtangle.corpus import corpus_names, load_corpus_word
 from .qtangle.engine import integrate
 from .qtangle.words import Slice, linking_matrix, parse_word
@@ -138,10 +140,7 @@ def _chosen_matrices(args: argparse.Namespace, given,
         m = circles()
         if args.max_degree < 0:
             raise InputError("--max-degree must be nonnegative")
-        if args.max_degree > args.degree:
-            raise TruncationUnsupportedError(
-                f"type matrix needs degree {args.degree + 1} but the "
-                f"series is truncated at {args.degree}")
+        _check_degree(min(args.max_degree, args.degree + 1), args.degree)
         return [S for k in range(args.max_degree + 1)
                 for S in all_type_matrices(m, k)]
     if given is None:

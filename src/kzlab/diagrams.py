@@ -20,9 +20,12 @@ matrix, generates all 4T relators as read-only diagram -> int vectors,
 and reduces vectors to a canonical residual modulo the relator span
 using exact rational elimination.  One slot-pairing walk makes all
 matchings for placements, and for a type matrix only those within its
-budget, none thrown away.  Chords on open strands share this code: one
-placements generator, 4T move, relator-vector builder and per-degree
-quotient serve circles here and strands in the engine.
+budget, none thrown away.  Each enumeration counts its work in closed
+form before it starts, and refuses (InputError) more than
+ENUMERATION_LIMIT matchings or type-matrix entries.  Chords on open
+strands share this code: one placements generator, 4T move,
+relator-vector builder and per-degree quotient serve circles here and
+strands in the engine.
 """
 
 from __future__ import annotations
@@ -255,6 +258,38 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
 
 # -- Enumeration -------------------------------------------------------------
 
+# The most work one enumeration may do: the matchings enumerate_by_degree
+# or enumerate_by_matrix walks, or the entries all_type_matrices writes.
+# Degree 4 on 3 circles walks 4,725 matchings, degree 5 on 3 circles
+# 62,370 (seconds), and every degree-1 type matrix on 20 circles takes
+# 84,000 entries; degree 7 on one circle (135,135) is refused.
+ENUMERATION_LIMIT = 100_000
+
+
+def _binomial(n: int, r: int) -> int:
+    """comb(n, r) for 0 <= r <= n, or a partial product over
+    ENUMERATION_LIMIT once it passes the limit; 1 for r < 0."""
+    r, out = min(r, n - r), 1
+    for i in range(r):
+        out = out * (n - i) // (i + 1)   # comb(n, i + 1), exactly
+        if out > ENUMERATION_LIMIT:
+            break
+    return out
+
+
+def _check_work(what: str, factors: Iterable[int]) -> None:
+    """Refuse (InputError) work counted as a product of positive int
+    factors once the running product passes ENUMERATION_LIMIT.  The
+    factors are read lazily, so a huge count stops after a few of them."""
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > ENUMERATION_LIMIT:
+            break
+    if total > ENUMERATION_LIMIT:
+        raise InputError(f"{what} exceeds the enumeration limit "
+                         f"of {ENUMERATION_LIMIT:,}")
+
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Every way to write total as an ordered sum of `parts` naturals."""
@@ -324,9 +359,12 @@ def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, 
 def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
     # Checked before the cache, which would answer ((True,),) as ((1,),).
     # Circle i carries one slot per chord end: two per chord in S[i][i].
-    slot_word = [i for i, row in enumerate(matrix) for _ in range(row[i] + sum(row))]
+    slots = [row[i] + sum(row) for i, row in enumerate(matrix)]
     budget = {(a, b): n for a, row in enumerate(matrix)
               for b, n in enumerate(row[a:], start=a) if n}
+    _check_work("the matching count of this type matrix",
+                _matching_factors(slots, budget))
+    slot_word = [i for i, count in enumerate(slots) for _ in range(count)]
     return tuple(sorted({ChordDiagram(words)
                          for words in _pairings(slot_word, len(matrix), budget)}))
 
@@ -334,11 +372,29 @@ def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
 enumerate_by_matrix.cache_info = _by_matrix.cache_info
 
 
+def _matching_factors(slots: list[int], budget: dict[tuple[int, int], int]
+                      ) -> Iterator[int]:
+    """The matchings of a type, prod slots_i! / (prod 2**S_ii S_ii!
+    prod_{i<j} S_ij!), as positive factors: cell by cell, the ways to
+    choose its chord ends among each circle's free slots, then to pair
+    them, (2n - 1)!! on a circle's own n chords and n! between two."""
+    free = list(slots)
+    for (a, b), n in budget.items():
+        for circle in {a, b}:
+            ends = 2 * n if a == b else n
+            yield _binomial(free[circle], ends)
+            free[circle] -= ends
+        yield from range(1, 2 * n, 2) if a == b else range(1, n + 1)
+
+
 @lru_cache(maxsize=None)
 def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     """All m x m type matrices of degree k."""
     if m < 1 or k < 0:
         raise InputError("need m >= 1 circles and degree k >= 0")
+    # comb(k + c - 1, k) matrices over the c cells i <= j, m * m entries each.
+    _check_work(f"the entry count of the degree-{k} type matrices on {m} circles",
+                [_binomial(k + m * (m + 1) // 2 - 1, k), m * m])
     cells = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
     out = []
     for values in _compositions(k, len(cells)):
@@ -352,6 +408,9 @@ def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
 @lru_cache(maxsize=None)
 def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
     """All degree-k diagrams on m labeled circles, sorted by code."""
+    # comb(2k + m - 1, m - 1) spreads of the 2k ends, (2k - 1)!! pairings each.
+    _check_work(f"the matching count of degree {k} on {m} circles",
+                itertools.chain([_binomial(2 * k + m - 1, m - 1)], range(1, 2 * k, 2)))
     found: list[ChordDiagram] = []
     for matrix in all_type_matrices(m, k):
         found.extend(enumerate_by_matrix(matrix))

@@ -4,10 +4,11 @@ The two sides of every check are built independently.  The left side is
 a monomial in entries of the linking matrix, which the words module
 computes by counting signed crossings.  The right side sums engine
 coefficients over a family of chord diagrams, selected by type matrix or
-by degree.  Each public function checks its type matrix S once, by
-building a diagrams.TypeMatrix, and passes that on.  Each checker
-returns a VerificationReport holding both exact rationals, so a failure
-is inspectable rather than a bare assertion.
+by degree.  Every identity checks S, the word and the truncation once,
+in _instance, before either side is computed (degree_sum_identity, with
+a degree k for S, checks k).  Each checker returns a VerificationReport
+holding both exact rationals, so a failure is inspectable rather than a
+bare assertion.
 
 The identity functions: verify_theorem, and degree_sum_identity for its
 degree aggregate; variation_match and smoothing_shift_reports at any
@@ -35,10 +36,10 @@ from .diagrams import (
 from .algebra import closed_connected_product, series_exp, unknot_series_closed
 from .errors import InputError, TruncationUnsupportedError, WordValidationError
 from .qtangle.corpus import load_corpus_word
-from .qtangle.engine import (
-    TangleResult, crossing_info, crossing_term, integrate,
+from .qtangle.engine import TangleResult, _check_cutoff, crossing_term, integrate
+from .qtangle.words import (
+    Slice, WordTrace, linking_matrix, trace_word, validate_word,
 )
-from .qtangle.words import Slice, linking_matrix, trace_word
 
 def linking_monomial(linking: Sequence[Sequence[Fraction]],
                      S: Sequence[Sequence[int]]) -> Fraction:
@@ -55,11 +56,12 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
     return out
 
 
-def _check_degree(value: TangleResult, k: int) -> None:
-    if k > value.truncation:
+def _check_degree(k: int, cutoff: int) -> None:
+    """Refuse a degree k over the truncation cutoff."""
+    if k > cutoff:
         raise TruncationUnsupportedError(
             f"type matrix needs degree {k} but the "
-            f"series is truncated at {value.truncation}")
+            f"series is truncated at {cutoff}")
 
 
 def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
@@ -71,7 +73,7 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     """
     rows = TypeMatrix(S)
     if isinstance(value, TangleResult):
-        _check_degree(value, rows.degree)
+        _check_degree(rows.degree, value.truncation)
         if value.circles != len(rows):
             raise InputError("type matrix size differs from circle count")
         coefficients: Mapping[ChordDiagram, Fraction] = value.coefficients
@@ -86,7 +88,7 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
     """Sum of all degree-k coefficients, which is also the sum of the
     class sums over every type matrix of degree k."""
-    _check_degree(value, k)
+    _check_degree(k, value.truncation)
     if k < 0:
         raise InputError("degree k must be nonnegative")
     return sum(value.degree_part(k).values(), Fraction(0))
@@ -142,6 +144,20 @@ def _report(word_id: str, S: TypeMatrix | None, cutoff: int, lhs: Fraction,
                               identity, k)
 
 
+def _instance(word: Sequence[Slice], S: Sequence[Sequence[int]],
+              cutoff: int) -> tuple[TypeMatrix, WordTrace]:
+    """S as a TypeMatrix and the closed word's trace, once S's size is
+    checked against the circle count, the truncation against the word
+    and S's degree against the truncation, in that order."""
+    rows = TypeMatrix(S)
+    trace = validate_word(word)
+    if len(rows) != len(trace.linking):
+        raise InputError("type matrix size differs from circle count")
+    _check_cutoff(word, cutoff)
+    _check_degree(rows.degree, cutoff)
+    return rows, trace
+
+
 # -- The main identity and its degree aggregate ------------------------------
 
 
@@ -150,9 +166,9 @@ def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
                    relabel: Sequence[int] | None = None) -> VerificationReport:
     """Linking monomial versus the same-type class sum of the integral."""
     started = time.perf_counter()
-    rows = TypeMatrix(S)
+    rows, trace = _instance(word, S, cutoff)
     result = integrate(word, cutoff, relabel=relabel)
-    oracle = linking_matrix(word)
+    oracle = trace.linking
     if relabel is not None:
         perm = tuple(relabel)
         m = len(oracle)
@@ -171,9 +187,10 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
     """Sum of all linking monomials of degree k versus the engine's total
     degree-k coefficient sum."""
     started = time.perf_counter()
+    oracle = validate_word(word).linking
+    _check_cutoff(word, cutoff)
+    _check_degree(k, cutoff)
     result = integrate(word, cutoff)
-    _check_degree(result, k)
-    oracle = linking_matrix(word)
     lhs = sum((linking_monomial(oracle, S)
                for S in all_type_matrices(result.circles, k)), Fraction(0))
     rhs = degree_class_sum(result, k)
@@ -200,16 +217,6 @@ def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:
     return circles
 
 
-def _crossing_cell(word: Sequence[Slice], crossing: int,
-                   S: TypeMatrix) -> tuple[int, int]:
-    """The crossing's circle pair (a, b), once S is checked to have one
-    row per circle of the word."""
-    a, b = crossing_circles(word, crossing)
-    if len(S) != len(linking_matrix(word)):
-        raise InputError("type matrix size differs from circle count")
-    return a, b
-
-
 def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
     rows = [list(row) for row in S]
     rows[a - 1][b - 1] = value
@@ -218,17 +225,17 @@ def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
 
 
 def _positive_cell(word: Sequence[Slice], crossing: int,
-                   S: Sequence[Sequence[int]]) -> tuple[TypeMatrix, int, int]:
-    """S checked, the designated crossing checked to be positive, and its
-    circle pair (a, b)."""
-    rows = TypeMatrix(S)
-    info = crossing_info(word, crossing)
-    if info.geometric_sign != 1:
+                   S: Sequence[Sequence[int]], cutoff: int
+                   ) -> tuple[TypeMatrix, int, int]:
+    """The instance checked, then the designated crossing checked to be
+    positive; S and the crossing's circle pair (a, b)."""
+    rows, trace = _instance(word, S, cutoff)
+    traced = trace.crossing(crossing)
+    if traced.event.geometric_sign != 1:
         raise WordValidationError(
             f"slice {crossing} must be a positive crossing "
-            f"(geometric sign {info.geometric_sign})")
-    a, b = _crossing_cell(word, crossing, rows)
-    return rows, a, b
+            f"(geometric sign {traced.event.geometric_sign})")
+    return (rows, *traced.circles)
 
 
 def variation_series_report(word: Sequence[Slice], crossing: int,
@@ -236,7 +243,7 @@ def variation_series_report(word: Sequence[Slice], crossing: int,
                             word_id: str = "word") -> VerificationReport:
     """The class-sum jump under the crossing change, expressed through
     the odd bare chord blocks at the crossing."""
-    rows, _, _ = _positive_cell(word, crossing, S)
+    rows, _, _ = _positive_cell(word, crossing, S, cutoff)
     plus = integrate(word, cutoff)
     minus = integrate(flip_crossing(word, crossing), cutoff)
     started = time.perf_counter()
@@ -257,7 +264,7 @@ def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
                                 ) -> list[VerificationReport]:
     """Each smoothed value, with the designated entry lowered to k, recovered
     from the word's own class sums."""
-    rows, a, b = _positive_cell(word, crossing, S)
+    rows, a, b = _positive_cell(word, crossing, S, cutoff)
     plus = integrate(word, cutoff)
     reports = []
     for k in range(0, rows[a - 1][b - 1] + 1):
@@ -278,7 +285,7 @@ def oracle_variation_report(word: Sequence[Slice], crossing: int,
                             word_id: str = "word") -> VerificationReport:
     """The linking-side variation under the crossing change against its
     binomial closed form."""
-    rows, a, b = _positive_cell(word, crossing, S)
+    rows, a, b = _positive_cell(word, crossing, S, cutoff)
     s = rows[a - 1][b - 1]
     started = time.perf_counter()
     lk_plus = linking_matrix(word)
@@ -310,8 +317,8 @@ def smoothing_shift_reports(word: Sequence[Slice], crossing: int,
                             word_id: str = "word") -> list[VerificationReport]:
     """Bare-block class sums: shifting the designated entry absorbs the
     block's chords, and blocks larger than the entry contribute nothing."""
-    rows = TypeMatrix(S)
-    a, b = _crossing_cell(word, crossing, rows)
+    rows, trace = _instance(word, S, cutoff)
+    a, b = trace.crossing(crossing).circles
     s = rows[a - 1][b - 1]
     zero_block = crossing_term(word, crossing, 0, cutoff)
     reports = []
@@ -335,11 +342,11 @@ def variation_match(word: Sequence[Slice], crossing: int,
     """Class-sum variation under a crossing change equals the linking
     monomial variation, both computed from scratch."""
     started = time.perf_counter()
-    rows = TypeMatrix(S)
+    rows, trace = _instance(word, S, cutoff)
     flipped = flip_crossing(word, crossing)
     lhs = (class_sum(integrate(word, cutoff), rows)
            - class_sum(integrate(flipped, cutoff), rows))
-    rhs = (linking_monomial(linking_matrix(word), rows)
+    rhs = (linking_monomial(trace.linking, rows)
            - linking_monomial(linking_matrix(flipped), rows))
     return _report(word_id, rows, cutoff, lhs, rhs, started,
                    identity="variation-match")

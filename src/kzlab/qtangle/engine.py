@@ -58,7 +58,7 @@ from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..algebra import sqrt_unknot_series
+from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
     ChordDiagram, Code, _placements, _quotient, _relabel, _relator_vectors,
     _residual, add_term, reduce_mod_4t,
@@ -66,7 +66,7 @@ from ..diagrams import (
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from .words import (
     AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
-    _trace, parse_word, trace_word, validate_word,
+    _trace, parse_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -164,8 +164,9 @@ def associator_sign() -> int:
 
 
 def max_truncation(slices: Sequence[Slice]) -> int:
-    """Highest supported truncation: 3 with association slices, else 4."""
-    return 3 if any(s.kind == "assoc" for s in slices) else 4
+    """Highest supported truncation: 3 with association slices, else the
+    unknot series' cap MAX_TRUNCATION (4)."""
+    return 3 if any(s.kind == "assoc" for s in slices) else MAX_TRUNCATION
 
 
 def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
@@ -301,9 +302,9 @@ class FragmentValue:
     lists the cup-born keys merged into it (for rebirth after grafting).
     A grafted open chain is born (0, 0, a) at its least anchor a, or at
     its least cup member if it has no anchor; a circle closed by the
-    graft is born at its least cup member.  open_order and closed_order
-    list the open components and the circles by birth; each term's key
-    is one code, the words of both lists' components in birth order.
+    graft is born at its least cup member.  components lists every
+    component by birth, open and closed alike, and each term's key is one
+    code, their words in that order; the open ones are the anchors keys.
     """
 
     cutoff: int
@@ -312,8 +313,7 @@ class FragmentValue:
     leaves: tuple[tuple[Birth, str], ...]
     anchors: Mapping[Birth, tuple[int, ...]]
     members: Mapping[Birth, tuple[Birth, ...]]
-    open_order: tuple[Birth, ...]
-    closed_order: tuple[Birth, ...]
+    components: tuple[Birth, ...]
     terms: dict[Code, Fraction]
 
 
@@ -455,8 +455,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         leaves=trace.leaves,
         anchors=trace.anchors,
         members=trace.members,
-        open_order=tuple(trace.anchors),
-        closed_order=tuple(b for b in comps if b not in trace.anchors),
+        components=tuple(comps),
         terms=_flatten(terms, scale),
     )
 
@@ -482,8 +481,8 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         raise InputError("fragments must share a truncation degree")
     if lower.spec_out != upper.spec_in:
         raise WordValidationError("fragment boundaries do not match")
-    low_cups, up_cups = (set(f.closed_order).union(*f.members.values())
-                         for f in (lower, upper))
+    low_cups, up_cups = (set(f.components).difference(f.anchors)
+                         .union(*f.members.values()) for f in (lower, upper))
     if low_cups & up_cups:
         raise WordValidationError("fragments share a cup birth")
     cutoff = lower.cutoff
@@ -504,8 +503,8 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
 
     # Chain heads (no predecessor) first, then the rest, which lie on
     # new circles.
-    nodes = ([("L", b) for b in lower.open_order]
-             + [("U", b) for b in upper.open_order])
+    nodes = ([("L", b) for b in lower.anchors]
+             + [("U", b) for b in upper.anchors])
     has_pred = set(successor.values())
     chains: dict[Birth, tuple[list, tuple[int, ...], tuple[Birth, ...]]] = {}
     circles: dict[Birth, list] = {}
@@ -537,11 +536,11 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     # it reads: side 0 is the lower key, side 1 the upper one.
     slot = {(side, b): (k, i)
             for k, (side, fragment) in enumerate((("L", lower), ("U", upper)))
-            for i, b in enumerate(sorted(fragment.open_order
-                                         + fragment.closed_order))}
+            for i, b in enumerate(fragment.components)}
     walks = {b: walk for b, (walk, _, _) in chains.items()} | circles
-    walks.update((b, [("L", b)]) for b in lower.closed_order)
-    walks.update((b, [("U", b)]) for b in upper.closed_order)
+    for side, fragment in (("L", lower), ("U", upper)):
+        walks.update((b, [(side, b)]) for b in fragment.components
+                     if b not in fragment.anchors)
     pieces = [[slot[node] for node in walks[b]] for b in sorted(walks)]
 
     def stitch(low, up):
@@ -568,10 +567,9 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         spec_in=lower.spec_in,
         spec_out=upper.spec_out,
         leaves=tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves),
-        anchors={b: chain[1] for b, chain in chains.items()},
-        members={b: chain[2] for b, chain in chains.items()},
-        open_order=tuple(sorted(chains)),
-        closed_order=tuple(sorted(walks.keys() - chains.keys())),
+        anchors={b: chains[b][1] for b in sorted(chains)},
+        members={b: chains[b][2] for b in sorted(chains)},
+        components=tuple(sorted(walks)),
         terms=_flatten(terms, scale),
     )
 
@@ -605,12 +603,12 @@ class TangleResult:
 
 def finalize(fragment: FragmentValue) -> TangleResult:
     """Close a fully evaluated fragment into labeled circles."""
-    if fragment.spec_out[1] or any(fragment.anchors.values()) or fragment.open_order:
+    if fragment.spec_out[1] or fragment.anchors:
         raise WordValidationError("fragment is not a closed link")
     out: dict[ChordDiagram, Fraction] = {}
     for key, coeff in fragment.terms.items():
         add_term(out, ChordDiagram(key), coeff)
-    return TangleResult(len(fragment.closed_order), fragment.cutoff,
+    return TangleResult(len(fragment.components), fragment.cutoff,
                         MappingProxyType(out))
 
 
@@ -629,12 +627,6 @@ def integrate(slices: Sequence[Slice], cutoff: int,
     if relabel is not None:
         result = result.relabeled(tuple(relabel))
     return result
-
-
-def crossing_info(slices: Sequence[Slice], crossing: int) -> CrossEvent:
-    """The event of the crossing at a 1-based slice index, read off the
-    word's trace: components, roles, and the sign."""
-    return trace_word(slices).crossing(crossing).event
 
 
 def crossing_term(slices: Sequence[Slice], crossing: int, k: int,

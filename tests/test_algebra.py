@@ -8,7 +8,6 @@ Core claims:
     - interval_sqrt squares back to the input on random unit series
     - Wheel weights are 1/48, -1/5760, 1/362880, -1/19353600, matching
       the Bernoulli-number oracle B_2n / (4n (2n)!)
-    - STU resolution is independent of the hub elimination order
     - Resolving the two-wheel over all leg orders gives 2(1122) - 2(1212)
     - Per-degree coefficient sums of every attachment sum vanish
     - The closed unknot series has the frozen degree-3 values, is even,
@@ -17,7 +16,6 @@ Core claims:
       input error
 """
 
-import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -120,14 +118,6 @@ class TestAttachment:
         total = wheel_attachment_sum((2,))
         assert total == {ChordDiagram([(1, 1, 2, 2)]): Fraction(2),
                          ChordDiagram([(1, 2, 1, 2)]): Fraction(-2)}
-
-    def test_elimination_order_confluence(self):
-        for sizes in ((2,), (4,), (2, 2)):
-            vertex_count = sum(sizes)
-            cycle = tuple(range(vertex_count))
-            reference = resolve_wheel_attachment(sizes, cycle)
-            for order in itertools.permutations(range(vertex_count)):
-                assert resolve_wheel_attachment(sizes, cycle, order) == reference
 
     def test_coefficient_sums_vanish(self):
         for sizes in ((2,), (4,), (2, 2)):

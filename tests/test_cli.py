@@ -21,6 +21,11 @@ Core claims:
     - --all-S with a --max-degree over --degree exits 4 before listing
       any type matrix, so verify theorem and recursion at --max-degree
       1000 return at once
+    - hostile sizes end at once with their documented code: an S entry
+      of 99999999 on verify theorem exits 4 before any factorial, and an
+      enumeration over the limit (100000 circles, degree 99999999 or 40,
+      or S = [[99999999]]) exits 3 before walking; a crossing identity
+      reports a fault of S before a fault of the crossing
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -280,6 +285,27 @@ class TestExitCodes:
             assert proc.returncode == 4 and not proc.stdout, argv
             assert proc.stderr == ("error: type matrix needs degree 4 but the "
                                    "series is truncated at 3\n"), argv
+
+    def test_hostile_argv_end_with_their_exit_code(self):
+        # Each would hang, or run out of memory, without the check made
+        # before any work; each runs in a fresh process.
+        huge = "99999999"
+        for argv, expected in (
+                (("verify", "theorem", "--corpus", "hopf+",
+                  "--S", f"[[0,{huge}],[{huge},0]]"), 4),
+                (("verify", "theorem", "--corpus", "chain3",
+                  "--S", f"[[0,{huge},0],[{huge},0,0],[0,0,0]]"), 4),
+                (("verify", "recursion", "--corpus", "hopf+", "--crossing", "1",
+                  "--S", "[[0,2],[2,0]]", "--degree", "1"), 4),
+                (("enumerate", "--circles", "100000", "--k", "1"), 3),
+                (("enumerate", "--circles", "3", "--k", huge), 3),
+                (("enumerate", "--circles", "1", "--S", f"[[{huge}]]"), 3),
+                (("enumerate", "--circles", "1", "--k", "40"), 3)):
+            proc = subprocess.run([sys.executable, "-m", "kzlab.cli", *argv],
+                                  capture_output=True, text=True, timeout=30)
+            assert proc.returncode == expected and not proc.stdout, argv
+            assert proc.stderr.startswith("error:"), argv
+            assert proc.stderr.count("\n") == 1, argv
 
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

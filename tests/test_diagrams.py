@@ -16,10 +16,14 @@ Core claims:
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18 up to degree 4
     - Type families partition each degree list (m <= 3, k <= 4)
     - The placements generator yields C(2k+p-1, p-1) (2k-1)!! label
-      lists for k chords on p words (p <= 3, k <= 3); walked with each
+      lists for k chords on p words (p <= 3, k <= 4); walked with each
       type matrix's budget, the slot pairings of that type's layout are
       all of type S and together are exactly the placements, so the
       type-family walk forms no matching of another type
+    - Each enumeration counts its work in closed form before walking:
+      the degree list, each type family and the type-matrix list are
+      admitted at a limit equal to their matchings (or entries) and
+      refused one below it; a huge degree or entry is refused at once
     - Every 4T move has four placements with signs +1, -1, -1, +1 and
       pairwise-matching type matrices at each anchor endpoint
     - Relators are read-only diagram -> int vectors
@@ -44,6 +48,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kzlab import diagrams
 from kzlab.algebra import (
     concat_words, interval_sqrt, resolve_wheel_attachment, series_exp,
 )
@@ -290,24 +295,41 @@ class TestEnumeration:
     def test_single_pure_linking_diagram(self):
         assert len(enumerate_by_matrix(((0, 1), (1, 0)))) == 1
 
-    def test_placement_counts(self):
+    def test_placement_counts(self, monkeypatch):
+        def admitted_at(count, call, *args):
+            # Uncached, so the closed-form count runs at each limit.
+            for limit in (count, count - 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(diagrams, "ENUMERATION_LIMIT", limit)
+                    if limit == count:
+                        call.__wrapped__(*args)
+                    else:
+                        with pytest.raises(InputError, match="enumeration limit"):
+                            call.__wrapped__(*args)
+
         for parts in (1, 2, 3):
-            for k in range(4):
+            for k in range(5):
                 pairings = math.prod(range(1, 2 * k, 2))
                 expected = math.comb(2 * k + parts - 1, parts - 1) * pairings
                 assert sum(1 for _ in _placements(k, parts)) == expected
+                matrices = all_type_matrices(parts, k)
+                admitted_at(expected, enumerate_by_degree, parts, k)
+                admitted_at(len(matrices) * parts ** 2, all_type_matrices, parts, k)
                 # Walked with each type's budget, the pairings of that
                 # type's slot layout partition the placements.
                 typed = []
-                for S in all_type_matrices(parts, k):
+                for S in matrices:
                     slot_word = [i for i, row in enumerate(S)
                                  for _ in range(row[i] + sum(row))]
                     budget = {(a, b): n for a, row in enumerate(S)
                               for b, n in enumerate(row[a:], start=a) if n}
-                    for words in _pairings(slot_word, parts, budget):
+                    walked = list(_pairings(slot_word, parts, budget))
+                    for words in walked:
                         assert ChordDiagram(words).type_matrix() == S
                         typed.append(words)
+                    admitted_at(len(walked), diagrams._by_matrix, S)
                 assert sorted(typed) == sorted(_placements(k, parts))
+        assert expected == 4725
 
 
 # == 4. 4T relators and the quotient =========================================
@@ -456,11 +478,10 @@ _ONE = ChordDiagram([(1, 1)])
     lambda: series_exp({(): 1}, concat_words, (), lambda w: len(w) // 2, 2),
     lambda: interval_sqrt({(): Fraction(2)}, 2),
     lambda: resolve_wheel_attachment((2,), (0, 0)),
-    lambda: resolve_wheel_attachment((2,), (0, 1), (0, 0)),
     lambda: graft(_bare(1), _bare(2)),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
         "exp-unit", "exp-constant", "sqrt-constant", "leg-cycle",
-        "elimination-order", "graft-cutoffs"])
+        "graft-cutoffs"])
 def test_bad_arguments_raise_input_error(call):
     with pytest.raises(InputError):
         call()

@@ -95,7 +95,6 @@ from kzlab.qtangle.engine import (
     _hexagon_words,
     _strand_reducer,
     associator_sign,
-    crossing_info,
     crossing_term,
     evaluate_fragment,
     finalize,
@@ -331,7 +330,10 @@ class TestFragments:
         # from the empty boundary (s = 0) and from the anchored boundary
         # at the middle of the word.
         fields = ("spec_in", "spec_out", "leaves", "anchors", "members",
-                  "open_order", "closed_order")
+                  "components")
+
+        def circles(value):
+            return len(value.components) - len(value.anchors)
         counts = {True: [0, 0], False: [0, 0]}   # s == 0: [pairs, same terms]
         for name in corpus_names():
             word = load_corpus_word(name)
@@ -347,15 +349,13 @@ class TestFragments:
                             assert getattr(joined, field) == \
                                 getattr(direct, field), (name, s, a, b, field)
                         for value in (lower, upper, joined, direct):
-                            width = (len(value.open_order)
-                                     + len(value.closed_order))
+                            width = len(value.components)
                             assert all(_relabel(key) == key and len(key) == width
                                        for key in value.terms), (name, s, a, b)
                         counts[s == 0][0] += 1
                         # A new circle reads from its least-birth component,
                         # not from where its cap closed it, so its keys differ.
-                        if len(joined.closed_order) == \
-                                len(lower.closed_order) + len(upper.closed_order):
+                        if circles(joined) == circles(lower) + circles(upper):
                             assert joined.terms == direct.terms, (name, s, a, b)
                             counts[s == 0][1] += 1
         assert counts == {True: [487, 379], False: [162, 161]}
@@ -382,8 +382,8 @@ class TestFragments:
 
     def test_keys_list_components_in_birth_order(self):
         value = evaluate_fragment(parse_word("cup@1;x+@1;cap'@1;cup@1"), 1)
-        assert value.open_order == ((1, 3, 1),)
-        assert value.closed_order == ((1, 0, 1),)
+        assert value.components == ((1, 0, 1), (1, 3, 1))
+        assert tuple(value.anchors) == ((1, 3, 1),)
         assert value.terms == {((), ()): 1, ((1, 1), ()): Fraction(-1, 2)}
 
     def test_assoc_pair_insertion_is_invisible(self):
@@ -416,7 +416,7 @@ class TestFragments:
             "closed = parse_word('cup@1\\n' * 600 + 'cap@1\\n' * 600)\n"
             "print(integrate(closed, 1).circles)\n"
             "print(len(evaluate_fragment(parse_word('cup@1\\n' * 600), 1)"
-            ".open_order))\n")
+            ".anchors))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -465,7 +465,7 @@ class TestFragments:
 class TestCrossingBlocks:
     def test_designated_slice_must_be_a_crossing(self):
         with pytest.raises(WordValidationError):
-            crossing_info(load_corpus_word("hopf+"), 1)
+            trace_word(load_corpus_word("hopf+")).crossing(1)
         with pytest.raises(WordValidationError):
             crossing_term(load_corpus_word("hopf+"), 1, 1, 2)
 
@@ -483,7 +483,8 @@ class TestCrossingBlocks:
         assert finalize(graft(lower, upper)).circles == 1
 
     def test_trefoil_crossing_is_positive(self):
-        assert crossing_info(load_corpus_word("trefoil"), 4).geometric_sign == 1
+        traced = trace_word(load_corpus_word("trefoil")).crossing(4)
+        assert traced.event.geometric_sign == 1
 
     def test_block_keeps_skeleton(self):
         word = load_corpus_word("trefoil")
@@ -624,7 +625,7 @@ class TestCrossingRuns:
         text, cutoff, block = case
         word = parse_word(text)
         folded = _fold(word, cutoff, block)
-        if folded.open_order:
+        if folded.anchors:
             direct = evaluate_fragment(word, cutoff, bare_block=block)
             assert folded.terms == direct.terms
         elif block is None:

@@ -5,7 +5,8 @@ Core claims:
     - A linking monomial multiplies cell powers lk^s/s! and is 1 at S=0
     - Class sums pick out one type's total coefficient, with truncation
       and circle-count guards; a degree over the truncation is refused
-      before any type matrix is enumerated
+      before any type matrix is enumerated, and before any linking
+      monomial is taken (an S entry of 99999999 returns at once)
     - The main identity holds on corpus words: linking monomial equals
       the matching class sum, exactly
     - Degree sums of linking monomials match total coefficient sums
@@ -55,9 +56,7 @@ from kzlab.invariants import (
     verify_theorem,
 )
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
-from kzlab.qtangle.engine import (
-    associator_sign, crossing_info, crossing_term, integrate,
-)
+from kzlab.qtangle.engine import associator_sign, crossing_term, integrate
 from kzlab.qtangle.words import (
     BoundaryState, Slice, _trace_cached, linking_matrix, trace_word,
 )
@@ -143,6 +142,9 @@ class TestClassSum:
             degree_class_sum(result, 600)
         with pytest.raises(TruncationUnsupportedError, match=message):
             degree_sum_identity(load_corpus_word("hopf+"), 600, 3)
+        huge = ((0, 99999999), (99999999, 0))
+        with pytest.raises(TruncationUnsupportedError, match="truncated at 3"):
+            oracle_variation_report(load_corpus_word("hopf+"), 4, huge, 3)
         assert all_type_matrices.cache_info().misses == before
 
     def test_degree_sum_is_the_sum_of_class_sums(self):
@@ -227,7 +229,7 @@ class TestSurgery:
         integrate(word, 2)
         linking_matrix(word)
         verify_theorem(word, HOPF_S, 2)
-        crossing_info(word, crossing)
+        trace_word(word).crossing(crossing).event
         crossing_circles(word, crossing)
         for k in range(3):
             crossing_term(word, crossing, k, 2)
