@@ -155,9 +155,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("--relabel applies to verify theorem only")
     word_id, word = _load_word(args)
     if args.identity == "theorem":
-        result = integrate(word, args.degree, relabel=relabel)
         reports = [verify_theorem(word, S, args.degree, word_id, relabel=relabel)
-                   for S in _chosen_matrices(args, given, lambda: result.circles)]
+                   for S in _chosen_matrices(args, given,
+                                             lambda: len(linking_matrix(word)))]
     elif args.identity == "degree-sum":
         if args.k is None:
             raise WordValidationError("verify degree-sum needs --k")

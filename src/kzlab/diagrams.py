@@ -12,7 +12,16 @@ all per-circle rotations, with chord ids renamed 1, 2, ... in order of
 first appearance (circle 1 scanned first).  It is found circle by circle:
 a rotation keeps a word's length, so the least code starts with the least
 renamed first circle, and only the namings that reach it go on to the
-next circle.
+next circle.  Two exact prunings skip the rotations that cannot win.  A
+circle none of whose labels is named yet codes as the count of names so
+far plus its own least one-circle form, cached per renamed word; if none
+of its labels is on another circle (an own-chord circle), its names
+never come back and no naming is extended.  On a circle holding named
+labels a renamed rotation begins with its first label's name, and a
+label not yet named would get a higher one, so each naming tries only
+the rotation that begins at its least-named label.  One pass over the
+labels checks that each occurs exactly twice and sorts the circles into
+these kinds.
 
 The rational span of degree-k diagrams carries the standard four-term (4T)
 relation.  This module enumerates diagrams by degree or by chord type
@@ -99,40 +108,120 @@ def _relabel(words: Sequence[Sequence[object]]) -> Code:
     return tuple(out)
 
 
+# A circle's kind, as _circle_kinds finds it: none of its labels is on
+# another circle (OWN), some label's first end is on an earlier circle
+# (OLD), or it shares labels with later circles only (FRESH).
+OWN, FRESH, OLD = range(3)
+
+
+def _circle_kinds(words: Sequence[Sequence[object]]) -> list[int]:
+    """Each circle's kind, from one pass over the labels; refuses
+    (InputError) labels that do not occur exactly twice."""
+    home: dict[object, int] = {}   # circle of the first end; -1 paired, -2 over
+    kinds = [OWN] * len(words)
+    ends = 0
+    for c, word in enumerate(words):
+        ends += len(word)
+        for label in word:
+            h = home.get(label)
+            if h is None:
+                home[label] = c
+            elif h < 0:
+                home[label] = -2
+            else:
+                home[label] = -1
+                if h != c:
+                    kinds[c] = OLD
+                    if kinds[h] == OWN:
+                        kinds[h] = FRESH
+    if 2 * len(home) != ends or -2 in home.values():
+        bad = sorted(str(label) for label, h in home.items() if h != -1)
+        raise InputError("chord labels must occur exactly twice: " + ", ".join(bad))
+    return kinds
+
+
+@lru_cache(maxsize=1024)
+def _circle_code(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least renamed rotation of one circle's word on its own, and
+    the rotations that reach it; word is renamed by first appearance."""
+    size = len(word)
+    doubled = word * 2
+    best: tuple[int, ...] = ()
+    starts: list[int] = []
+    for r in range(size):
+        renamed = _relabel((doubled[r:r + size],))[0]
+        if not starts or renamed < best:
+            best, starts = renamed, [r]
+        elif renamed == best:
+            starts.append(r)
+    return best, tuple(starts)
+
+
 def canonical_code(words: Sequence[Sequence[object]]) -> Code:
     """The least relabeled code over all combinations of circle rotations.
 
     A pruned search, circle by circle.  Each naming still alive (chord id
-    to 1, 2, ... for the circles already coded) tries every rotation of
-    the next circle, and only the (naming, rotation) pairs that give the
-    least renamed word survive.  Ties are all kept, deduplicated by
-    naming: a symmetric circle such as (1 2 1 2) reaches its least word
-    under two namings, and a later circle may tell them apart.  An empty
-    circle codes as () under every naming.
+    to 1, 2, ... for the circles already coded) gives the next circle the
+    rotations that can reach the least renamed word, and only the
+    (naming, rotation) pairs that reach it survive.  Ties are all kept,
+    deduplicated by naming: a symmetric circle such as (1 2 1 2) reaches
+    its least word under two namings, and a later circle may tell them
+    apart.  An empty circle codes as () under every naming.  Labels must
+    occur exactly twice (InputError otherwise).
+
+    Two prunings keep the search exact:
+
+    - A circle with no label named yet (every label's first end is on it)
+      codes, under every naming with n names, as n plus the least renamed
+      rotation of the circle alone, which _circle_code computes once per
+      renamed word.  If the circle is an own-chord circle (no label on any
+      other circle) its names never come back, so no naming is extended:
+      a running count gives them out.  Otherwise each naming is extended
+      by each rotation that reaches the least form.
+    - Every renamed rotation starts with the first label's name, and a
+      label not named yet gets one more than every named label.  So on a
+      circle holding named labels, each naming tries only the rotation
+      that begins at its least-named label (named labels occur once here,
+      so it is unique): every other rotation starts higher and loses.
     """
+    kinds = _circle_kinds(words)
     code: list[tuple[int, ...]] = []
     alive: list[dict[object, int]] = [{}]
-    for word in words:
+    shift = 0   # names given to own-chord circles, kept in no naming
+    for word, kind in zip(words, kinds):
         size = len(word)
         if not size:
             code.append(())
             continue
+        if kind != OLD:
+            least, starts = _circle_code(_relabel((word,))[0])
+            n = len(alive[0]) + shift
+            code.append(tuple([n + x for x in least]) if n else least)
+            if kind == OWN:
+                shift += size // 2
+                continue
+            rotations = [(names, r) for names in alive for r in starts]
+        else:
+            # Named labels are the same under every naming; find each one's slot.
+            slot = {label: p for p, label in enumerate(word) if label in alive[0]}
+            rotations = [(names, slot[min(slot, key=names.__getitem__)])
+                         for names in alive]
         doubled = tuple(word) * 2
         best: tuple[int, ...] | None = None
         kept: dict[tuple, dict[object, int]] = {}
-        for names in alive:
-            for r in range(size):
-                trial = names.copy()
-                name = trial.setdefault
-                renamed = tuple([name(label, len(trial) + 1)
-                                 for label in doubled[r:r + size]])
-                if best is None or renamed < best:
-                    best = renamed
-                    kept = {}
-                elif renamed != best:
-                    continue
-                kept.setdefault(tuple(trial), trial)
-        code.append(best)
+        for names, r in rotations:
+            trial = names.copy()
+            name = trial.setdefault
+            renamed = tuple([name(label, len(trial) + shift + 1)
+                             for label in doubled[r:r + size]])
+            if best is None or renamed < best:
+                best = renamed
+                kept = {}
+            elif renamed != best:
+                continue
+            kept.setdefault(tuple(trial), trial)
+        if kind == OLD:
+            code.append(best)
         alive = list(kept.values())
     return tuple(code)
 
@@ -150,13 +239,6 @@ class ChordDiagram:
     code: Code
 
     def __init__(self, words: Sequence[Sequence[object]]) -> None:
-        counts: dict[object, int] = {}
-        for word in words:
-            for label in word:
-                counts[label] = counts.get(label, 0) + 1
-        bad = sorted(str(l) for l, c in counts.items() if c != 2)
-        if bad:
-            raise InputError("chord labels must occur exactly twice: " + ", ".join(bad))
         object.__setattr__(self, "code", canonical_code(words))
 
     def __setattr__(self, name: str, value: object) -> None:

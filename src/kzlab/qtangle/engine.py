@@ -612,10 +612,11 @@ def finalize(fragment: FragmentValue) -> TangleResult:
                         MappingProxyType(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
                       bare_block: tuple[int, int] | None = None) -> TangleResult:
-    """integrate and crossing_term, cached on the whole word."""
+    """integrate and crossing_term, cached on the whole word (the 1024
+    most recently used words, cutoffs and blocks)."""
     validate_word(slices)
     return finalize(evaluate_fragment(slices, cutoff, bare_block=bare_block))
 

@@ -20,7 +20,8 @@ invariant computation.
 One cached replay per word and starting boundary, its trace, answers
 every structural question about it: open points, each slice's event,
 crossing circles and the linking matrix of a closed link, and a
-fragment's boundary data.  The series engine reads the same trace.
+fragment's boundary data.  The series engine reads the same trace.  The
+cache keeps the 1024 most recently used traces.
 """
 
 from __future__ import annotations
@@ -451,7 +452,7 @@ def _trace(slices: Sequence[Slice], initial: Spec | None = None,
     return _trace_cached(tuple(slices), initial, offset)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _trace_cached(slices: tuple[Slice, ...], initial: Spec | None,
                   offset: int) -> WordTrace:
     state = BoundaryState() if initial is None else BoundaryState.from_spec(initial)

@@ -25,7 +25,9 @@ Core claims:
       of 99999999 on verify theorem exits 4 before any factorial, and an
       enumeration over the limit (100000 circles, degree 99999999 or 40,
       or S = [[99999999]]) exits 3 before walking; a crossing identity
-      reports a fault of S before a fault of the crossing
+      reports a fault of S before a fault of the crossing, and verify
+      theorem, like recursion, reports an S of the wrong size (exit 3)
+      before a truncation the word does not support
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -297,6 +299,9 @@ class TestExitCodes:
                   "--S", f"[[0,{huge},0],[{huge},0,0],[0,0,0]]"), 4),
                 (("verify", "recursion", "--corpus", "hopf+", "--crossing", "1",
                   "--S", "[[0,2],[2,0]]", "--degree", "1"), 4),
+                # The S size is checked before the truncation, as in recursion.
+                (("verify", "theorem", "--corpus", "hopf+",
+                  "--S", "[[0,1,0],[1,0,0],[0,0,0]]", "--degree", "5"), 3),
                 (("enumerate", "--circles", "100000", "--k", "1"), 3),
                 (("enumerate", "--circles", "3", "--k", huge), 3),
                 (("enumerate", "--circles", "1", "--S", f"[[{huge}]]"), 3),

@@ -8,8 +8,12 @@ Core claims:
     - The pruned search agrees with the exhaustive minimum over every
       combination of circle rotations (a test-only second route), on
       random diagrams (m <= 4 circles, k <= 6 chords, empty circles among
-      them) and on forced symmetries that tie under several namings
-    - Chord labels must occur exactly twice; empty circles are fine
+      them), on forced symmetries that tie under several namings, with
+      own-chord circles among tied ones, and on every placement of
+      k <= 4 chords on m <= 3 circles
+    - Chord labels must occur exactly twice, and canonical_code refuses
+      labels that do not pair up with ChordDiagram's message; empty
+      circles are fine
     - Type matrices count chords by endpoint circles, symmetrically; a
       TypeMatrix is square, symmetric and natural (int entries only),
       is built once, and knows its degree, which no caller can reset
@@ -168,8 +172,20 @@ class TestCanonicalForm:
     # keep both namings past the first circle.
     @example([(1, 2), (2,), (1,)])
     @example([(1, 3, 1, 2), (2, 3, 4, 4)])
+    # An own-chord circle (3 3) before, between and after the tied circles
+    # takes its names from a count, in no naming.
+    @example([(3, 3), (1, 2), (2,), (1,)])
+    @example([(1, 2), (3, 3), (2,), (1,)])
+    @example([(1, 2), (2,), (3, 4, 3, 4), (1,)])
+    @example([(1, 2), (2,), (1,), (3, 3)])
     def test_agrees_with_the_exhaustive_minimum(self, words):
         assert canonical_code(words) == _exhaustive_code(words)
+
+    def test_agrees_with_the_exhaustive_minimum_on_every_placement(self):
+        for m in range(1, 4):
+            for k in range(5):
+                for words in _placements(k, m):
+                    assert canonical_code(words) == _exhaustive_code(words), words
 
     def test_label_renaming_is_immaterial(self):
         a = ChordDiagram([("x", "y", "x", "y")])
@@ -181,6 +197,21 @@ class TestCanonicalForm:
             ChordDiagram([(1, 1, 2)])
         with pytest.raises(ValueError, match="exactly twice"):
             ChordDiagram([(1, 2), (1, 2), (2,)])
+
+    @pytest.mark.parametrize("words, message", [
+        ([(1, 1, 2)], "2"),
+        ([(1, 2), (1, 2), (2,)], "2"),
+        ([(1,), (), (2, 2, 3)], "1, 3"),
+        ([("x", "x", "x", "x", "y")], "x, y"),
+        # Three ends and one end make as many ends as two pairs.
+        ([(1, 1, 1, 2)], "1, 2"),
+    ])
+    def test_canonical_code_refuses_what_the_diagram_refuses(self, words, message):
+        expected = "chord labels must occur exactly twice: " + message
+        for build in (canonical_code, ChordDiagram):
+            with pytest.raises(InputError) as info:
+                build(words)
+            assert str(info.value) == expected
 
     def test_empty_circles_allowed(self):
         d = ChordDiagram([(), (1, 1), ()])

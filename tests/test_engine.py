@@ -70,6 +70,9 @@ Core claims:
       are Fractions for every corpus word at every supported truncation
     - kzlab.clear_caches empties every library cache, the per-truncation
       scale included; the thread-pool check starts from it
+    - The whole-word integration and trace caches keep at most 1024
+      entries: a loop over more distinct words stays within the bound and
+      an evicted word integrates to the same series
 """
 
 import dataclasses
@@ -86,7 +89,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import kzlab
 from kzlab.algebra import sqrt_unknot_series, unknot_series_closed
-from kzlab.diagrams import ChordDiagram, _relabel, four_t_moves
+from kzlab.diagrams import ChordDiagram, _circle_code, _relabel, four_t_moves
 from kzlab.errors import TruncationUnsupportedError, WordValidationError
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
 from kzlab.qtangle import engine
@@ -767,10 +770,31 @@ class TestScale:
         kzlab.clear_caches()
         named = [engine._integrate_cached, _trace_cached, engine._kernel_scale,
                  engine.associator_sign, engine._strand_reducer,
-                 strand_monomials, sqrt_unknot_series, unknot_series_closed]
+                 strand_monomials, sqrt_unknot_series, unknot_series_closed,
+                 _circle_code]
         found = [value for module_name, module in list(sys.modules.items())
                  if module_name.startswith("kzlab")
                  for value in vars(module).values()
                  if hasattr(value, "cache_clear")]
         assert all(cache in found for cache in named)
         assert [cache for cache in found if cache.cache_info().currsize] == []
+
+    def test_word_caches_keep_at_most_their_bound(self):
+        # One kinked unknot per sign pattern, more words than either cache
+        # keeps; an odd number of kinks closes with the reversed cap.
+        bound = engine._integrate_cached.cache_parameters()["maxsize"]
+        assert bound == _trace_cached.cache_parameters()["maxsize"] == 1024
+        width = (bound + 50).bit_length()
+        cap = "cap'@1" if width % 2 else "cap@1"
+        words = [parse_word("cup@1\n" + "".join(
+                     "x+@1\n" if n >> i & 1 else "x-@1\n" for i in range(width))
+                     + cap) for n in range(bound + 50)]
+        kzlab.clear_caches()
+        first = [integrate(word, 1).coefficients for word in words[:3]]
+        for word in words:
+            integrate(word, 1)
+            assert engine._integrate_cached.cache_info().currsize <= bound
+            assert _trace_cached.cache_info().currsize <= bound
+        # The first words were evicted, and come back with the same series.
+        assert [integrate(word, 1).coefficients for word in words[:3]] == first
+        assert engine._integrate_cached.cache_info().currsize == bound
