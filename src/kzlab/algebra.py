@@ -11,8 +11,10 @@ with exact rational coefficients.
 Wheel layer: a wheel with 2n spokes is the trivalent graph whose hub is a
 cycle of 2n vertices, each carrying one pendant leg.  Attaching all legs
 of a wheel collection to a circle and resolving every trivalent vertex by
-the STU rule yields a chord diagram combination.  Summing over all cyclic
-leg orders gives the symmetrized attachment.
+the STU rule yields a chord diagram combination.  Each hub vertex
+resolves independently of the others, into its two hub edges in one of
+two orders, so the combination is a direct sum over one sign per vertex.
+Summing over all cyclic leg orders gives the symmetrized attachment.
 
 Invariant layer: the series of the zero-framed unknot is assembled from
 symmetrized wheel attachments weighted by the exponential of
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -162,99 +165,46 @@ def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
         {2 * n: log[2 * n] / 2 for n in range(1, max_order // 2 + 1)})
 
 
-def _wheel_edges(sizes: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int]:
-    """Hub edge map for disjoint wheels; vertices are numbered by block.
-
-    Edge j of a wheel block joins block vertices j and j+1 (cyclically).
-    Returns {vertex: (edge before it, edge after it)} and the vertex count.
-    """
-    incident: dict[int, tuple[int, int]] = {}
-    offset = 0
-    for size in sizes:
-        for j in range(size):
-            vertex = offset + j
-            incident[vertex] = (offset + (j - 1) % size, offset + j)
-        offset += size
-    return incident, offset
-
-
-def resolve_wheel_attachment(sizes: tuple[int, ...], leg_cycle: tuple[int, ...]
-                             ) -> dict[ChordDiagram, Fraction]:
-    """STU-resolve wheels whose legs sit on a circle in the given cyclic order.
-
-    Each trivalent hub vertex is removed in turn, in vertex order: its leg
-    site on the circle is replaced by two adjacent sites receiving the two
-    hub edges at that vertex, in hub order with sign +1 and swapped with
-    sign -1.
-    """
-    incident, count = _wheel_edges(sizes)
-    if sorted(leg_cycle) != list(range(count)):
-        raise InputError("leg cycle must list every wheel vertex exactly once")
-
-    # Sites carry opaque tokens; edge endpoints name either a vertex or a token.
-    sites: list[object] = [("leg", v) for v in leg_cycle]
-    ends: dict[int, list[object]] = {}
-    for vertex, (before, after) in incident.items():
-        ends.setdefault(before, []).append(("v", vertex))
-        ends.setdefault(after, []).append(("v", vertex))
-
-    out: dict[ChordDiagram, Fraction] = {}
-    fresh = itertools.count()
-    pending: list[tuple[list[object], dict[int, list[object]], int, int]] = [
-        (sites, ends, 0, 1)]
-    while pending:
-        sites, ends, vertex, sign = pending.pop()
-        if vertex == count:
-            label_of = {}
-            for edge, endpoints in ends.items():
-                for endpoint in endpoints:
-                    label_of[endpoint] = edge
-            word = [label_of[token] for token in sites]
-            add_term(out, ChordDiagram([word]), sign)
-            continue
-        p = sites.index(("leg", vertex))
-        before, after = incident[vertex]
-        ra, rb = ("s", next(fresh)), ("s", next(fresh))
-        for flip in (1, -1):
-            new_sites = sites[:p] + [ra, rb] + sites[p + 1:]
-            new_ends = {e: list(pts) for e, pts in ends.items()}
-            first, second = (ra, rb) if flip == 1 else (rb, ra)
-            new_ends[before][new_ends[before].index(("v", vertex))] = first
-            new_ends[after][new_ends[after].index(("v", vertex))] = second
-            pending.append((new_sites, new_ends, vertex + 1, sign * flip))
-    return out
-
-
 @lru_cache(maxsize=None)
 def wheel_attachment_sum(sizes: tuple[int, ...]) -> Mapping[ChordDiagram, Fraction]:
-    """Sum of resolved attachments over all cyclic orders of the legs.
+    """Sum of STU-resolved attachments over all cyclic orders of the legs.
 
-    The first vertex is pinned to break rotational symmetry of the circle;
-    the remaining legs range over all linear orders.
+    Vertex j of a wheel block starting at vertex `start` lies between hub
+    edges start + (j - 1) % size and start + j.  Resolving it replaces its
+    leg site on the circle by two adjacent sites receiving those edges, in
+    hub order with sign +1 and swapped with sign -1.  No vertex's
+    resolution touches another's, so the resolved attachment is one direct
+    sum over a flip per vertex, weighted by the product of the flips; each
+    hub edge then ends on two sites, which makes it a chord.  The first
+    vertex is pinned to break the rotational symmetry of the circle; the
+    remaining legs range over all linear orders.
     """
+    if not all(type(size) is int and size >= 1 for size in sizes):
+        raise InputError(f"wheel sizes must be ints >= 1, got {sizes!r}")
     if not sizes:
         return MappingProxyType({ChordDiagram([()]): Fraction(1)})
-    _, count = _wheel_edges(sizes)
+    hub: list[tuple[int, int]] = []
+    for size in sizes:
+        start = len(hub)
+        hub += [(start + (j - 1) % size, start + j) for j in range(size)]
     out: dict[ChordDiagram, Fraction] = {}
-    for rest in itertools.permutations(range(1, count)):
-        for diagram, coeff in resolve_wheel_attachment(sizes, (0,) + rest).items():
-            add_term(out, diagram, coeff)
+    for rest in itertools.permutations(range(1, len(hub))):
+        for flips in itertools.product((1, -1), repeat=len(hub)):
+            word: list[int] = []
+            for vertex in (0,) + rest:
+                before, after = hub[vertex]
+                word += (before, after) if flips[vertex] == 1 else (after, before)
+            add_term(out, ChordDiagram([word]), prod(flips))
     return MappingProxyType(out)
 
 
 def _wheel_multisets(cutoff: int) -> Iterator[tuple[int, ...]]:
     """Nonincreasing tuples of even sizes >= 2 with total at most cutoff."""
-
-    def rec(budget: int, largest: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        size = min(largest, budget)
-        size -= size % 2
-        while size >= 2:
-            for tail in rec(budget - size, size):
-                yield (size,) + tail
-            size -= 2
-
-    yield from rec(cutoff, cutoff)
+    evens = range(cutoff - cutoff % 2, 1, -2)
+    for count in range(cutoff // 2 + 1):
+        for sizes in itertools.combinations_with_replacement(evens, count):
+            if sum(sizes) <= cutoff:
+                yield sizes
 
 
 # -- The unknot series -------------------------------------------------------
@@ -282,10 +232,9 @@ def unknot_series_closed(cutoff: int) -> Mapping[ChordDiagram, Fraction]:
     out: dict[ChordDiagram, Fraction] = {}
     for sizes in _wheel_multisets(cutoff):
         coeff = Fraction(1)
-        for size, mult in ((s, sizes.count(s)) for s in set(sizes)):
-            coeff *= weights[size] ** mult
-            for i in range(1, mult + 1):
-                coeff /= i
+        for size in set(sizes):
+            mult = sizes.count(size)
+            coeff *= weights[size] ** mult / factorial(mult)
         for diagram, inner in wheel_attachment_sum(sizes).items():
             add_term(out, diagram, coeff * inner)
     return MappingProxyType(out)

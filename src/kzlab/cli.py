@@ -7,12 +7,12 @@ strings, and output ordering is canonical, so identical inputs give
 byte-identical JSON apart from measured timings.
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 input could not
-be parsed or found, 3 a word or argument failed validation, 4 requested
-truncation not supported.  Exit 3 comes only from the package's own
-checks (WordValidationError, InputError); any other exception is a fault
-in the program and is not reported as bad input.  A reader that closes
-stdout early (as `head` does) drops the rest of the output but leaves
-the exit code unchanged.
+be parsed or found (conflicting selectors included), 3 a word or
+argument failed validation, 4 requested truncation not supported.  Exit
+3 comes only from the package's own checks (WordValidationError,
+InputError); any other exception is a fault in the program and is not
+reported as bad input.  A reader that closes stdout early (as `head`
+does) drops the rest of the output but leaves the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -116,7 +116,9 @@ def _emit(payload) -> None:
 def cmd_compute(args: argparse.Namespace) -> int:
     relabel = _parse_perm(args.relabel)
     word_id, word = _load_word(args)
-    result = integrate(word, args.degree, relabel=relabel)
+    result = integrate(word, args.degree)
+    if relabel is not None:
+        result = result.relabeled(relabel)
     if args.format == "json":
         _emit(_series_json(result))
         return EXIT_OK
@@ -242,9 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", choices=("theorem", "degree-sum", "recursion"))
     add_word_flags(p)
     add_common(p)
-    p.add_argument("--S", metavar="JSON", help="type matrix, e.g. [[0,1],[1,0]]")
-    p.add_argument("--all-S", action="store_true", dest="all_S",
-                   help="sweep every symmetric S up to --max-degree")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--S", metavar="JSON",
+                        help="type matrix, e.g. [[0,1],[1,0]]")
+    chosen.add_argument("--all-S", action="store_true", dest="all_S",
+                        help="sweep every symmetric S up to --max-degree")
     p.add_argument("--max-degree", type=int, default=3, metavar="INT")
     p.add_argument("--k", type=int, metavar="INT", help="degree for degree-sum")
     p.add_argument("--crossing", type=int, metavar="INT",
@@ -252,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list chord diagrams")
     p.add_argument("--circles", type=int, default=1, metavar="INT")
-    p.add_argument("--k", type=int, metavar="INT", help="chord count")
-    p.add_argument("--S", metavar="JSON", help="type matrix")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--k", type=int, metavar="INT", help="chord count")
+    chosen.add_argument("--S", metavar="JSON", help="type matrix")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("selftest", help="run the full identity sweep")

@@ -81,6 +81,12 @@ class TypeMatrix(tuple):
         return (sum(map(sum, self)) + sum(row[i] for i, row in enumerate(self))) // 2
 
 
+def _check_perm(perm: Sequence[int], m: int) -> None:
+    """Refuse a circle relabelling that is not a 1-based bijection of 1..m."""
+    if sorted(perm) != list(range(1, m + 1)):
+        raise InputError(f"perm must be a permutation of 1..{m}, got {perm!r}")
+
+
 def add_term(out: dict, key: object, coeff: Fraction | int) -> None:
     """Add coeff to out[key] as a Fraction, dropping the key at zero."""
     new = out.get(key, Fraction(0)) + coeff
@@ -283,8 +289,7 @@ class ChordDiagram:
     def relabel_circles(self, perm: Sequence[int]) -> "ChordDiagram":
         """Move circle i to position perm[i-1]; perm is a 1-based bijection."""
         m = self.circles
-        if sorted(perm) != list(range(1, m + 1)):
-            raise InputError(f"perm must be a permutation of 1..{m}, got {perm!r}")
+        _check_perm(perm, m)
         words: list[tuple[int, ...]] = [()] * m
         for old, new in enumerate(perm):
             words[new - 1] = self.code[old]

@@ -30,7 +30,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .diagrams import (
-    ChordDiagram, TypeMatrix, all_type_matrices, connected_sum,
+    ChordDiagram, TypeMatrix, _check_perm, all_type_matrices, connected_sum,
     enumerate_by_matrix,
 )
 from .algebra import closed_connected_product, series_exp, unknot_series_closed
@@ -85,12 +85,17 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     return total
 
 
+def _check_sum_degree(k: int, cutoff: int) -> None:
+    """Refuse a degree k over the truncation cutoff, then a negative one."""
+    _check_degree(k, cutoff)
+    if k < 0:
+        raise InputError("degree k must be nonnegative")
+
+
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
     """Sum of all degree-k coefficients, which is also the sum of the
     class sums over every type matrix of degree k."""
-    _check_degree(k, value.truncation)
-    if k < 0:
-        raise InputError("degree k must be nonnegative")
+    _check_sum_degree(k, value.truncation)
     return sum(value.degree_part(k).values(), Fraction(0))
 
 
@@ -164,21 +169,21 @@ def _instance(word: Sequence[Slice], S: Sequence[Sequence[int]],
 def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
                    cutoff: int, word_id: str = "word",
                    relabel: Sequence[int] | None = None) -> VerificationReport:
-    """Linking monomial versus the same-type class sum of the integral."""
+    """Linking monomial versus the same-type class sum of the integral.
+
+    Under relabel, circle i of the word is circle relabel[i-1] of the link
+    checked, so S is pulled back onto the word's circles and checked
+    against the word's own linking matrix and integral; the report keeps
+    the S it was given."""
     started = time.perf_counter()
     rows, trace = _instance(word, S, cutoff)
-    result = integrate(word, cutoff, relabel=relabel)
-    oracle = trace.linking
+    pulled = rows
     if relabel is not None:
         perm = tuple(relabel)
-        m = len(oracle)
-        moved = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                moved[perm[i] - 1][perm[j] - 1] = oracle[i][j]
-        oracle = tuple(tuple(row) for row in moved)
-    lhs = linking_monomial(oracle, rows)
-    rhs = class_sum(result, rows)
+        _check_perm(perm, len(rows))
+        pulled = TypeMatrix([[rows[p - 1][q - 1] for q in perm] for p in perm])
+    lhs = linking_monomial(trace.linking, pulled)
+    rhs = class_sum(integrate(word, cutoff), pulled)
     return _report(word_id, rows, cutoff, lhs, rhs, started)
 
 
@@ -189,7 +194,7 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
     started = time.perf_counter()
     oracle = validate_word(word).linking
     _check_cutoff(word, cutoff)
-    _check_degree(k, cutoff)
+    _check_sum_degree(k, cutoff)
     result = integrate(word, cutoff)
     lhs = sum((linking_monomial(oracle, S)
                for S in all_type_matrices(result.circles, k)), Fraction(0))

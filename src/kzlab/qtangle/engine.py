@@ -621,13 +621,9 @@ def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
     return finalize(evaluate_fragment(slices, cutoff, bare_block=bare_block))
 
 
-def integrate(slices: Sequence[Slice], cutoff: int,
-              relabel: Sequence[int] | None = None) -> TangleResult:
+def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:
     """The truncated invariant of a closed word, on birth-ordered circles."""
-    result = _integrate_cached(tuple(slices), cutoff)
-    if relabel is not None:
-        result = result.relabeled(tuple(relabel))
-    return result
+    return _integrate_cached(tuple(slices), cutoff)
 
 
 def crossing_term(slices: Sequence[Slice], crossing: int, k: int,

@@ -9,8 +9,13 @@ Core claims:
     - Wheel weights are 1/48, -1/5760, 1/362880, -1/19353600, matching
       the Bernoulli-number oracle B_2n / (4n (2n)!)
     - Resolving the two-wheel over all leg orders gives 2(1122) - 2(1212)
-    - Per-degree coefficient sums of every attachment sum vanish
-    - The closed unknot series has the frozen degree-3 values, is even,
+    - A wheel size that is not an int >= 1 is an input error
+    - The one-wheel and two-wheel attachments of four legs have their
+      frozen 12- and 6-diagram tables
+    - Per-degree coefficient sums of every attachment sum vanish, up to
+      six legs
+    - The closed unknot series has the frozen degree-3 and degree-4
+      values (all 18 coefficients), is even,
       and its interval square root closes back onto it exactly
     - Truncation degrees above 4 are rejected; a negative one is an
       input error
@@ -27,7 +32,6 @@ from kzlab.algebra import (
     concat_words,
     interval_product,
     interval_sqrt,
-    resolve_wheel_attachment,
     series_exp,
     sqrt_unknot_series,
     unknot_series_closed,
@@ -45,6 +49,11 @@ def _closed(series):
     for word, coeff in series.items():
         add_term(out, ChordDiagram([word]), coeff)
     return out
+
+
+def _table(values):
+    """A one-circle diagram series from canonical words and coefficients."""
+    return {ChordDiagram([word]): Fraction(coeff) for word, coeff in values.items()}
 
 
 # == 1. Interval words =======================================================
@@ -119,17 +128,33 @@ class TestAttachment:
         assert total == {ChordDiagram([(1, 1, 2, 2)]): Fraction(2),
                          ChordDiagram([(1, 2, 1, 2)]): Fraction(-2)}
 
+    def test_frozen_four_leg_tables(self):
+        assert wheel_attachment_sum((4,)) == _table({
+            (1, 1, 2, 2, 3, 3, 4, 4): 2, (1, 1, 2, 2, 3, 4, 3, 4): -8,
+            (1, 1, 2, 3, 2, 4, 3, 4): 8, (1, 1, 2, 3, 4, 2, 3, 4): 8,
+            (1, 1, 2, 3, 4, 2, 4, 3): -8, (1, 1, 2, 3, 4, 3, 2, 4): -8,
+            (1, 1, 2, 3, 4, 4, 2, 3): 4, (1, 2, 1, 2, 3, 4, 3, 4): 4,
+            (1, 2, 1, 3, 4, 2, 3, 4): -16, (1, 2, 1, 3, 4, 2, 4, 3): 8,
+            (1, 2, 3, 1, 4, 2, 3, 4): 4, (1, 2, 3, 1, 4, 3, 2, 4): 2,
+        })
+        assert wheel_attachment_sum((2, 2)) == _table({
+            (1, 1, 2, 3, 4, 3, 4, 2): -32, (1, 1, 2, 3, 4, 4, 3, 2): 16,
+            (1, 2, 1, 2, 3, 4, 3, 4): 16, (1, 2, 3, 1, 4, 2, 3, 4): -16,
+            (1, 2, 3, 1, 4, 3, 2, 4): 8, (1, 2, 3, 4, 1, 2, 3, 4): 8,
+        })
+
     def test_coefficient_sums_vanish(self):
-        for sizes in ((2,), (4,), (2, 2)):
+        for sizes in ((2,), (4,), (2, 2), (6,), (4, 2), (2, 2, 2)):
             by_degree: dict[int, Fraction] = {}
             for diagram, coeff in wheel_attachment_sum(sizes).items():
                 key = diagram.degree
                 by_degree[key] = by_degree.get(key, Fraction(0)) + coeff
             assert all(total == 0 for total in by_degree.values())
 
-    def test_leg_cycle_validated(self):
-        with pytest.raises(ValueError):
-            resolve_wheel_attachment((2,), (0, 0))
+    def test_wheel_sizes_validated(self):
+        for sizes in ((0,), (-2,), (2, -2), (2, 0), ("2",), (2.5,)):
+            with pytest.raises(InputError, match="wheel sizes"):
+                wheel_attachment_sum(sizes)
 
 
 # == 3. The unknot value =====================================================
@@ -143,6 +168,27 @@ class TestUnknotSeries:
             ChordDiagram([(1, 1, 2, 2)]): Fraction(1, 24),
             ChordDiagram([(1, 2, 1, 2)]): Fraction(-1, 24),
         }
+
+    def test_frozen_degree_four_values(self):
+        assert unknot_series_closed(4) == _table({
+            (): 1,
+            (1, 1, 2, 2): Fraction(1, 24), (1, 2, 1, 2): Fraction(-1, 24),
+            (1, 1, 2, 2, 3, 3, 4, 4): Fraction(-1, 2880),
+            (1, 1, 2, 2, 3, 4, 3, 4): Fraction(1, 720),
+            (1, 1, 2, 3, 2, 4, 3, 4): Fraction(-1, 720),
+            (1, 1, 2, 3, 4, 2, 3, 4): Fraction(-1, 720),
+            (1, 1, 2, 3, 4, 2, 4, 3): Fraction(1, 720),
+            (1, 1, 2, 3, 4, 3, 2, 4): Fraction(1, 720),
+            (1, 1, 2, 3, 4, 3, 4, 2): Fraction(-1, 144),
+            (1, 1, 2, 3, 4, 4, 2, 3): Fraction(-1, 1440),
+            (1, 1, 2, 3, 4, 4, 3, 2): Fraction(1, 288),
+            (1, 2, 1, 2, 3, 4, 3, 4): Fraction(1, 360),
+            (1, 2, 1, 3, 4, 2, 3, 4): Fraction(1, 360),
+            (1, 2, 1, 3, 4, 2, 4, 3): Fraction(-1, 720),
+            (1, 2, 3, 1, 4, 2, 3, 4): Fraction(-1, 240),
+            (1, 2, 3, 1, 4, 3, 2, 4): Fraction(1, 720),
+            (1, 2, 3, 4, 1, 2, 3, 4): Fraction(1, 576),
+        })
 
     def test_even_series(self):
         series = unknot_series_closed(4)

@@ -18,6 +18,8 @@ Core claims:
       and a negative --max-degree fails verify theorem and recursion
       with --all-S, both with exit 3; --relabel on verify degree-sum or
       recursion exits 3 instead of being ignored
+    - conflicting selectors (--S with --all-S on verify, --S with --k on
+      enumerate) are usage errors, exit 2, instead of one being ignored
     - --all-S with a --max-degree over --degree exits 4 before listing
       any type matrix, so verify theorem and recursion at --max-degree
       1000 return at once
@@ -205,6 +207,18 @@ class TestExitCodes:
     def test_enumerate_needs_a_selector(self, capsys):
         code, _, err = _run(capsys, "enumerate", "--circles", "1")
         assert code == 3 and "error:" in err
+
+    def test_conflicting_selectors_are_usage_errors(self, capsys):
+        for argv in (("verify", "theorem", "--corpus", "hopf+",
+                      "--S", "[[0,1],[1,0]]", "--all-S"),
+                     ("enumerate", "--circles", "2", "--S", "[[0,1],[1,0]]",
+                      "--k", "5")):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            captured = capsys.readouterr()
+            assert info.value.code == 2 and not captured.out, argv
+            assert captured.err.startswith("usage:"), argv
+            assert "not allowed with argument" in captured.err, argv
 
     def test_recursion_rejects_negative_crossing(self, capsys):
         code, _, err = _run(capsys, "verify", "recursion", "--corpus",

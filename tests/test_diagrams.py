@@ -54,7 +54,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kzlab import diagrams
 from kzlab.algebra import (
-    concat_words, interval_sqrt, resolve_wheel_attachment, series_exp,
+    concat_words, interval_sqrt, series_exp, wheel_attachment_sum,
 )
 from kzlab.diagrams import (
     ChordDiagram,
@@ -508,10 +508,10 @@ _ONE = ChordDiagram([(1, 1)])
     lambda: series_exp({}, concat_words, (1, 1), lambda w: len(w) // 2, 2),
     lambda: series_exp({(): 1}, concat_words, (), lambda w: len(w) // 2, 2),
     lambda: interval_sqrt({(): Fraction(2)}, 2),
-    lambda: resolve_wheel_attachment((2,), (0, 0)),
+    lambda: wheel_attachment_sum((2, 0)),
     lambda: graft(_bare(1), _bare(2)),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
-        "exp-unit", "exp-constant", "sqrt-constant", "leg-cycle",
+        "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes",
         "graft-cutoffs"])
 def test_bad_arguments_raise_input_error(call):
     with pytest.raises(InputError):

@@ -279,14 +279,14 @@ class TestIntegration:
         assert len(integrate(word, 3).coefficients) == 7
         assert len(unknot_series_closed(2)) == 3
         assert unknot_series_closed.cache_info().currsize > 0
-        moved = integrate(load_corpus_word("hopf+"), 2, relabel=(2, 1))
+        moved = integrate(load_corpus_word("hopf+"), 2).relabeled((2, 1))
         with pytest.raises(TypeError):
             moved.coefficients[ChordDiagram([(), ()])] = Fraction(0)
 
     def test_relabel_roundtrip(self):
         word = load_corpus_word("chain3")
         plain = integrate(word, 2)
-        moved = integrate(word, 2, relabel=(3, 1, 2))
+        moved = plain.relabeled((3, 1, 2))
         assert moved.relabeled((2, 3, 1)).coefficients == plain.coefficients
 
     def test_truncation_limits(self):

@@ -9,7 +9,10 @@ Core claims:
       monomial is taken (an S entry of 99999999 returns at once)
     - The main identity holds on corpus words: linking monomial equals
       the matching class sum, exactly
-    - Degree sums of linking monomials match total coefficient sums
+    - Under a circle relabelling the theorem pulls S back onto the word
+      and matches the relabelled series' class sums without building it
+    - Degree sums of linking monomials match total coefficient sums, and
+      a negative degree is refused before the word is integrated
     - Crossing surgery: bare blocks above the designated cell vanish,
       a slice index that is not a crossing (out of range, negative or a
       cup) is refused by flip_crossing and variation_match,
@@ -36,7 +39,9 @@ from kzlab.diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_matrix,
     reduce_mod_4t,
 )
-from kzlab.errors import TruncationUnsupportedError, WordValidationError
+from kzlab.errors import (
+    InputError, TruncationUnsupportedError, WordValidationError,
+)
 from kzlab.invariants import (
     VerificationReport,
     check_recursion,
@@ -55,8 +60,11 @@ from kzlab.invariants import (
     variation_series_report,
     verify_theorem,
 )
+from kzlab.qtangle import engine
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
-from kzlab.qtangle.engine import associator_sign, crossing_term, integrate
+from kzlab.qtangle.engine import (
+    TangleResult, associator_sign, crossing_term, integrate,
+)
 from kzlab.qtangle.words import (
     BoundaryState, Slice, _trace_cached, linking_matrix, trace_word,
 )
@@ -185,6 +193,25 @@ class TestTheorem:
                                 2, relabel=(2, 1))
         assert report.passed and report.lhs == 1
 
+    def test_relabel_pulls_S_back_onto_the_word(self, monkeypatch):
+        word, perm = load_corpus_word("chain3"), (3, 1, 2)
+        moved = integrate(word, 3).relabeled(perm)
+        calls = []
+        relabeled = TangleResult.relabeled
+
+        def spy(self, *args):
+            calls.append(args)
+            return relabeled(self, *args)
+
+        monkeypatch.setattr(TangleResult, "relabeled", spy)
+        for S in (S for k in range(4) for S in all_type_matrices(3, k)):
+            report = verify_theorem(word, S, 3, relabel=perm)
+            assert report.passed and report.S == S, S
+            assert report.rhs == class_sum(moved, S), S
+        assert calls == []
+        with pytest.raises(InputError, match="perm must be a permutation"):
+            verify_theorem(word, ((0,) * 3,) * 3, 3, relabel=(1, 1, 2))
+
     def test_report_schema(self):
         report = verify_theorem(load_corpus_word("u1"), ((1,),), 2,
                                 word_id="u1")
@@ -194,6 +221,12 @@ class TestTheorem:
         assert data["lhs"] == "1/2" and data["pass"] is True
         assert isinstance(data["ms"], int)
         assert "pass" in report.render()
+
+    def test_negative_degree_sum_is_refused_before_integrating(self):
+        info = engine._integrate_cached.cache_info()
+        with pytest.raises(InputError, match="degree k must be nonnegative"):
+            degree_sum_identity(load_corpus_word("hopf+"), -1, 3)
+        assert engine._integrate_cached.cache_info() == info
 
     def test_degree_sum_reports_carry_k(self):
         report = degree_sum_identity(load_corpus_word("hopf+"), 2, 2)
