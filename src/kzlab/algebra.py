@@ -134,7 +134,7 @@ def closed_connected_product(a: Mapping[ChordDiagram, Fraction],
 # -- Wheels ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
     """Coefficients b_2n of x^2n in (1/2) log(sinh(x/2) / (x/2)), 2n <= max_order.
 
@@ -165,8 +165,7 @@ def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
         {2 * n: log[2 * n] / 2 for n in range(1, max_order // 2 + 1)})
 
 
-@lru_cache(maxsize=None)
-def wheel_attachment_sum(sizes: tuple[int, ...]) -> Mapping[ChordDiagram, Fraction]:
+def wheel_attachment_sum(sizes: Sequence[int]) -> Mapping[ChordDiagram, Fraction]:
     """Sum of STU-resolved attachments over all cyclic orders of the legs.
 
     Vertex j of a wheel block starting at vertex `start` lies between hub
@@ -179,8 +178,14 @@ def wheel_attachment_sum(sizes: tuple[int, ...]) -> Mapping[ChordDiagram, Fracti
     vertex is pinned to break the rotational symmetry of the circle; the
     remaining legs range over all linear orders.
     """
+    # Checked before the cache, which would answer (2.0,) as (2,).
     if not all(type(size) is int and size >= 1 for size in sizes):
         raise InputError(f"wheel sizes must be ints >= 1, got {sizes!r}")
+    return _wheel_attachment_sum(tuple(sizes))
+
+
+@lru_cache(maxsize=None)
+def _wheel_attachment_sum(sizes: tuple[int, ...]) -> Mapping[ChordDiagram, Fraction]:
     if not sizes:
         return MappingProxyType({ChordDiagram([()]): Fraction(1)})
     hub: list[tuple[int, int]] = []
@@ -198,6 +203,9 @@ def wheel_attachment_sum(sizes: tuple[int, ...]) -> Mapping[ChordDiagram, Fracti
     return MappingProxyType(out)
 
 
+wheel_attachment_sum.cache_info = _wheel_attachment_sum.cache_info
+
+
 def _wheel_multisets(cutoff: int) -> Iterator[tuple[int, ...]]:
     """Nonincreasing tuples of even sizes >= 2 with total at most cutoff."""
     evens = range(cutoff - cutoff % 2, 1, -2)
@@ -211,15 +219,15 @@ def _wheel_multisets(cutoff: int) -> Iterator[tuple[int, ...]]:
 
 
 def _check_truncation(cutoff: int) -> None:
-    if cutoff < 0:
-        raise InputError("truncation degree must be nonnegative")
+    if type(cutoff) is not int or cutoff < 0:
+        raise InputError("truncation degree must be a nonnegative int")
     if cutoff > MAX_TRUNCATION:
         raise TruncationUnsupportedError(
             f"truncation degree {cutoff} exceeds the supported maximum "
             f"{MAX_TRUNCATION}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def unknot_series_closed(cutoff: int) -> Mapping[ChordDiagram, Fraction]:
     """Invariant series of the zero-framed unknot, through the given degree.
 
@@ -240,7 +248,7 @@ def unknot_series_closed(cutoff: int) -> Mapping[ChordDiagram, Fraction]:
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def unknot_series_interval(cutoff: int) -> Mapping[Word, Fraction]:
     """The unknot series cut open at the basepoint of each canonical code."""
     out: dict[Word, Fraction] = {}
@@ -249,7 +257,7 @@ def unknot_series_interval(cutoff: int) -> Mapping[Word, Fraction]:
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sqrt_unknot_series(cutoff: int) -> Mapping[Word, Fraction]:
     """Interval square root of the unknot series; the per-cap contribution."""
     return MappingProxyType(interval_sqrt(unknot_series_interval(cutoff), cutoff))

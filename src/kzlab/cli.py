@@ -7,12 +7,13 @@ strings, and output ordering is canonical, so identical inputs give
 byte-identical JSON apart from measured timings.
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 input could not
-be parsed or found (conflicting selectors included), 3 a word or
-argument failed validation, 4 requested truncation not supported.  Exit
-3 comes only from the package's own checks (WordValidationError,
-InputError); any other exception is a fault in the program and is not
-reported as bad input.  A reader that closes stdout early (as `head`
-does) drops the rest of the output but leaves the exit code unchanged.
+be parsed or found (a missing, inapplicable or conflicting flag
+included), 3 a word or argument failed validation, 4 requested
+truncation not supported.  Exit 3 comes only from the package's own
+checks (WordValidationError, InputError); any other exception is a
+fault in the program and is not reported as bad input.  A reader that
+closes stdout early (as `head` does) drops the rest of the output but
+leaves the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .diagrams import (
     ChordDiagram, all_type_matrices, enumerate_by_degree, enumerate_by_matrix,
@@ -57,7 +58,7 @@ def _load_word(args: argparse.Namespace) -> tuple[str, tuple[Slice, ...]]:
 
 
 def _parse_matrix(text: str | None) -> tuple[tuple[int, ...], ...] | None:
-    if not text:
+    if text is None:
         return None
     try:
         data = json.loads(text)
@@ -72,7 +73,7 @@ def _parse_matrix(text: str | None) -> tuple[tuple[int, ...], ...] | None:
 
 
 def _parse_perm(text: str | None) -> tuple[int, ...] | None:
-    if not text:
+    if text is None:
         return None
     try:
         return tuple(int(part) for part in text.replace(",", " ").split())
@@ -135,45 +136,32 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _chosen_matrices(args: argparse.Namespace, given,
-                     circles: Callable[[], int]) -> list:
+                     word: Sequence[Slice]) -> list:
     """The one --S given, or under --all-S every type matrix on the word's
     circles of degree up to --max-degree, which must not exceed --degree."""
-    if args.all_S:
-        m = circles()
-        if args.max_degree < 0:
-            raise InputError("--max-degree must be nonnegative")
-        _check_degree(min(args.max_degree, args.degree + 1), args.degree)
-        return [S for k in range(args.max_degree + 1)
-                for S in all_type_matrices(m, k)]
-    if given is None:
-        raise WordValidationError(f"verify {args.identity} needs --S or --all-S")
-    return [given]
+    if not args.all_S:
+        return [given]
+    m = len(linking_matrix(word))
+    if args.max_degree < 0:
+        raise InputError("--max-degree must be nonnegative")
+    _check_degree(min(args.max_degree, args.degree + 1), args.degree)
+    return [S for k in range(args.max_degree + 1)
+            for S in all_type_matrices(m, k)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    relabel = _parse_perm(args.relabel)
-    given = _parse_matrix(args.S)
-    if relabel is not None and args.identity != "theorem":
-        raise InputError("--relabel applies to verify theorem only")
+    relabel = _parse_perm(getattr(args, "relabel", None))
+    given = _parse_matrix(getattr(args, "S", None))
     word_id, word = _load_word(args)
     if args.identity == "theorem":
         reports = [verify_theorem(word, S, args.degree, word_id, relabel=relabel)
-                   for S in _chosen_matrices(args, given,
-                                             lambda: len(linking_matrix(word)))]
+                   for S in _chosen_matrices(args, given, word)]
     elif args.identity == "degree-sum":
-        if args.k is None:
-            raise WordValidationError("verify degree-sum needs --k")
         reports = [degree_sum_identity(word, args.k, args.degree, word_id)]
-    elif args.identity == "recursion":
-        if args.crossing is None:
-            raise WordValidationError("verify recursion needs --crossing")
-        matrices = _chosen_matrices(args, given,
-                                    lambda: len(linking_matrix(word)))
-        reports = [report for S in matrices
+    else:
+        reports = [report for S in _chosen_matrices(args, given, word)
                    for report in check_recursion(word, args.crossing, S,
                                                  args.degree, word_id)]
-    else:
-        raise WordValidationError(f"unknown identity {args.identity!r}")
     if args.format == "json":
         _emit([r.as_dict() for r in reports])
     else:
@@ -186,14 +174,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     S = _parse_matrix(args.S)
     if args.circles < 1:
         raise InputError("--circles must be at least 1")
-    if S is not None:
-        if len(S) != args.circles:
-            raise WordValidationError("--S size must match --circles")
-        diagrams = enumerate_by_matrix(S)
-    elif args.k is not None:
+    if S is None:
         diagrams = enumerate_by_degree(args.circles, args.k)
+    elif len(S) != args.circles:
+        raise WordValidationError("--S size must match --circles")
     else:
-        raise WordValidationError("enumerate needs --S or --k")
+        diagrams = enumerate_by_matrix(S)
     if args.format == "json":
         _emit({"circles": args.circles, "count": len(diagrams),
                "diagrams": [d.json_dict() for d in diagrams]})
@@ -222,41 +208,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact truncated link invariants from q-tangle words.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_word_flags(p: argparse.ArgumentParser) -> None:
+    def add_word_command(commands, name: str,
+                         summary: str) -> argparse.ArgumentParser:
+        """A command reading one word, truncated at --degree."""
+        p = commands.add_parser(name, help=summary)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--word", metavar="PATH", help="word file (.qtw)")
         group.add_argument("--corpus", metavar="NAME",
                            choices=corpus_names(),
                            help="bundled word: " + ", ".join(corpus_names()))
-
-    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--degree", type=int, default=3, metavar="N",
                        help="truncation degree (default 3)")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
+
+    compute = add_word_command(sub, "compute", "print the truncated invariant")
+    checks = sub.add_parser("verify", help="check identities on one word"
+                            ).add_subparsers(dest="identity", required=True)
+    theorem = add_word_command(checks, "theorem",
+                               "linking monomials against class sums")
+    add_word_command(checks, "degree-sum", "all degree-k coefficients summed"
+                     ).add_argument("--k", type=int, metavar="INT",
+                                    required=True, help="degree of the sum")
+    recursion = add_word_command(checks, "recursion",
+                                 "the crossing-change expansion")
+    for p in (compute, theorem):
         p.add_argument("--relabel", metavar="PERM",
                        help="circle relabeling, e.g. 2,1")
-
-    p = sub.add_parser("compute", help="print the truncated invariant")
-    add_word_flags(p)
-    add_common(p)
-
-    p = sub.add_parser("verify", help="check identities on one word")
-    p.add_argument("identity", choices=("theorem", "degree-sum", "recursion"))
-    add_word_flags(p)
-    add_common(p)
-    chosen = p.add_mutually_exclusive_group()
-    chosen.add_argument("--S", metavar="JSON",
-                        help="type matrix, e.g. [[0,1],[1,0]]")
-    chosen.add_argument("--all-S", action="store_true", dest="all_S",
-                        help="sweep every symmetric S up to --max-degree")
-    p.add_argument("--max-degree", type=int, default=3, metavar="INT")
-    p.add_argument("--k", type=int, metavar="INT", help="degree for degree-sum")
-    p.add_argument("--crossing", type=int, metavar="INT",
-                   help="1-based slice index of the designated crossing")
+    for p in (theorem, recursion):
+        chosen = p.add_mutually_exclusive_group(required=True)
+        chosen.add_argument("--S", metavar="JSON",
+                            help="type matrix, e.g. [[0,1],[1,0]]")
+        chosen.add_argument("--all-S", action="store_true", dest="all_S",
+                            help="sweep every symmetric S up to --max-degree")
+        p.add_argument("--max-degree", type=int, default=3, metavar="INT")
+    recursion.add_argument("--crossing", type=int, metavar="INT", required=True,
+                           help="1-based slice index of the designated crossing")
 
     p = sub.add_parser("enumerate", help="list chord diagrams")
     p.add_argument("--circles", type=int, default=1, metavar="INT")
-    chosen = p.add_mutually_exclusive_group()
+    chosen = p.add_mutually_exclusive_group(required=True)
     chosen.add_argument("--k", type=int, metavar="INT", help="chord count")
     chosen.add_argument("--S", metavar="JSON", help="type matrix")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -474,11 +474,17 @@ def _matching_factors(slots: list[int], budget: dict[tuple[int, int], int]
         yield from range(1, 2 * n, 2) if a == b else range(1, n + 1)
 
 
-@lru_cache(maxsize=None)
+def _check_counts(m: int, k: int) -> None:
+    """Refuse (InputError) a circle count m or a degree k that is not an
+    int (a bool or a float included), or is out of range."""
+    if not (type(m) is int and type(k) is int and m >= 1 and k >= 0):
+        raise InputError("need m >= 1 circles and degree k >= 0, both ints")
+
+
+@lru_cache(maxsize=None, typed=True)
 def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     """All m x m type matrices of degree k."""
-    if m < 1 or k < 0:
-        raise InputError("need m >= 1 circles and degree k >= 0")
+    _check_counts(m, k)
     # comb(k + c - 1, k) matrices over the c cells i <= j, m * m entries each.
     _check_work(f"the entry count of the degree-{k} type matrices on {m} circles",
                 [_binomial(k + m * (m + 1) // 2 - 1, k), m * m])
@@ -492,9 +498,10 @@ def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
     """All degree-k diagrams on m labeled circles, sorted by code."""
+    _check_counts(m, k)
     # comb(2k + m - 1, m - 1) spreads of the 2k ends, (2k - 1)!! pairings each.
     _check_work(f"the matching count of degree {k} on {m} circles",
                 itertools.chain([_binomial(2 * k + m - 1, m - 1)], range(1, 2 * k, 2)))
@@ -569,7 +576,7 @@ def _relator_vectors(k: int, bases: Callable[[int], Iterable[Sequence[Sequence[o
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
     """All distinct non-zero 4T relators among degree-k diagrams on m
     circles, as read-only diagram -> coefficient vectors.
@@ -579,8 +586,7 @@ def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
     type matrix, so any functional depending only on type matrices kills
     every relator.
     """
-    if m < 1 or k < 0:
-        raise InputError("need m >= 1 circles and degree k >= 0")
+    _check_counts(m, k)
     return _relator_vectors(
         k, lambda degree: (d.code for d in enumerate_by_degree(m, degree)),
         lambda size: max(1, size), ChordDiagram)
@@ -644,7 +650,7 @@ def _residual(vector: Mapping[K, Fraction | int], grade: Callable[[K], tuple],
     return residual
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _reducer(m: int, k: int) -> Reducer:
     """The 4T quotient of degree-k diagrams on m circles."""
     return _quotient(enumerate_by_degree(m, k), four_t_relators(m, k))

@@ -75,13 +75,13 @@ _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 # -- 4T reduction on parallel strands ----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All normalized placements of k chords on n labeled strands."""
     return tuple(sorted({_relabel(words) for words in _placements(k, n)}))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _strand_reducer(n: int, k: int):
     """The 4T quotient of degree-k strand monomials on n strands.
 
@@ -170,8 +170,8 @@ def max_truncation(slices: Sequence[Slice]) -> int:
 
 
 def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
-    if cutoff < 0:
-        raise InputError("truncation degree must be nonnegative")
+    if type(cutoff) is not int or cutoff < 0:
+        raise InputError("truncation degree must be a nonnegative int")
     limit = max_truncation(slices)
     if cutoff > limit:
         raise TruncationUnsupportedError(
@@ -612,7 +612,7 @@ def finalize(fragment: FragmentValue) -> TangleResult:
                         MappingProxyType(out))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
                       bare_block: tuple[int, int] | None = None) -> TangleResult:
     """integrate and crossing_term, cached on the whole word (the 1024
@@ -630,6 +630,6 @@ def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
                   cutoff: int) -> TangleResult:
     """Integrate with one crossing's series replaced by a bare k-chord
     block with coefficient 1 (k = 0 suppresses the crossing's chords)."""
-    if k < 0:
-        raise InputError("chord count must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise InputError("chord count must be a nonnegative int")
     return _integrate_cached(tuple(slices), cutoff, (crossing - 1, k))

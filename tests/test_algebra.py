@@ -9,7 +9,8 @@ Core claims:
     - Wheel weights are 1/48, -1/5760, 1/362880, -1/19353600, matching
       the Bernoulli-number oracle B_2n / (4n (2n)!)
     - Resolving the two-wheel over all leg orders gives 2(1122) - 2(1212)
-    - A wheel size that is not an int >= 1 is an input error
+    - A wheel size that is not an int >= 1 is an input error, also when
+      an equal int tuple is cached
     - The one-wheel and two-wheel attachments of four legs have their
       frozen 12- and 6-diagram tables
     - Per-degree coefficient sums of every attachment sum vanish, up to
@@ -153,6 +154,12 @@ class TestAttachment:
 
     def test_wheel_sizes_validated(self):
         for sizes in ((0,), (-2,), (2, -2), (2, 0), ("2",), (2.5,)):
+            with pytest.raises(InputError, match="wheel sizes"):
+                wheel_attachment_sum(sizes)
+        # (2.0,) and (True,) equal the cached (2,) and (1,), and hash
+        # alike, so the sizes are checked before the cache is asked.
+        for warm, sizes in (((2,), (2.0,)), ((1,), (True,))):
+            wheel_attachment_sum(warm)
             with pytest.raises(InputError, match="wheel sizes"):
                 wheel_attachment_sum(sizes)
 

@@ -4,20 +4,29 @@ Command-line behaviour: output shapes, determinism, and exit codes.
 Core claims:
     - compute emits the schema {"circles", "truncation", "terms"} and is
       byte-identical across runs
-    - verify reports carry the schema keys and exit 0 on true identities
+    - verify reports carry the schema keys and exit 0 on true identities;
+      degree-sum passes on a 12-circle nest, which has more type
+      matrices of degree 2 than the enumeration limit allows
     - enumerate lists diagrams and ends text output with "count: n"
     - selftest runs named sections and emits {"pass", "sections"} JSON
     - exit codes: 2 for unreadable input (a file that is not UTF-8, a
       position too long to convert), bad JSON or a non-integer type
-      matrix entry, 3 for validation failures, 4 for unsupported
+      matrix entry (an empty --S included), 3 for validation failures,
+      4 for unsupported
       truncation, each with one error line and no traceback; a plain
       ValueError from inside the library is a fault, not exit 3
     - --S and --relabel are parsed before the word is loaded, so a bad
-      flag exits 2 even when the word itself is invalid
+      flag exits 2 even when the word itself is invalid; an empty --S
+      (exit 2) or --relabel (exit 3) is refused, not read as absent
     - zero circles fail enumerate with one message under --S and --k,
       and a negative --max-degree fails verify theorem and recursion
-      with --all-S, both with exit 3; --relabel on verify degree-sum or
-      recursion exits 3 instead of being ignored
+      with --all-S, both with exit 3
+    - each verify identity declares exactly the flags it reads: a flag
+      it does not read (--relabel on degree-sum or recursion, --k on
+      theorem, --all-S on degree-sum), a missing required one (--k,
+      --crossing, --S or --all-S, enumerate's --k or --S) and a flag
+      placed before the identity are usage errors, exit 2 with a usage
+      message and nothing on stdout
     - conflicting selectors (--S with --all-S on verify, --S with --k on
       enumerate) are usage errors, exit 2, instead of one being ignored
     - --all-S with a --max-degree over --degree exits 4 before listing
@@ -37,6 +46,7 @@ Core claims:
     - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -47,7 +57,7 @@ import pytest
 import kzlab
 import kzlab.cli
 import kzlab.qtangle
-from kzlab.cli import main
+from kzlab.cli import build_parser, main
 from kzlab.qtangle.corpus import corpus_path
 
 
@@ -55,6 +65,17 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _usage_error(capsys, *argv):
+    """Assert that argparse refuses argv, exit 2 with a usage message and
+    nothing on stdout, and return stderr."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and not captured.out, argv
+    assert captured.err.startswith("usage:"), argv
+    return captured.err
 
 
 # == 1. compute ==============================================================
@@ -131,6 +152,24 @@ class TestVerify:
         assert code == 0
         assert "variation-series" in out and "smoothing-inversion" in out
 
+    def test_degree_sum_on_a_twelve_circle_nest(self, capsys, tmp_path):
+        # 12 nested circles, four kinked by x+ and two by x-: the diagonal
+        # entries (half the writhe) sum to -1, so the degree-2 sum of the
+        # linking monomials is (-1)**2 / 2!.
+        kinks = [1, 0, 1, -1, 0, 1, 0, 0, 1, -1, 0, 0]
+        closures = ["cap@1" if not sign else
+                    ("x+@1" if sign > 0 else "x-@1") + " ; cap'@1"
+                    for sign in kinks]
+        path = tmp_path / "nest12.qtw"
+        path.write_text(" ; ".join(["cup@1"] * 12 + closures) + "\n",
+                        encoding="utf-8")
+        code, out, _ = _run(capsys, "verify", "degree-sum", "--word",
+                            str(path), "--k", "2", "--degree", "3",
+                            "--format", "json")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["pass"] and report["lhs"] == report["rhs"] == "1/2"
+
     def test_word_file_input(self, capsys, tmp_path):
         path = tmp_path / "mine.qtw"
         path.write_text("cup@1 ; x-@1 ; cap'@1\n", encoding="utf-8")
@@ -185,6 +224,11 @@ class TestExitCodes:
         code, _, err = _run(capsys, "verify", "theorem", "--corpus", "u0",
                             "--S", "[[oops")
         assert code == 2 and "error:" in err
+        for argv in (("verify", "theorem", "--corpus", "u0", "--S", ""),
+                     ("enumerate", "--circles", "1", "--S", "")):
+            code, out, err = _run(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert err.startswith("error: --S is not valid JSON"), argv
 
     def test_non_integer_type_matrix(self, capsys):
         for text in ("[[0,1.9],[1.9,0]]", "[[0,true],[true,0]]"):
@@ -205,8 +249,8 @@ class TestExitCodes:
         assert code == 2 and "position too long" in err
 
     def test_enumerate_needs_a_selector(self, capsys):
-        code, _, err = _run(capsys, "enumerate", "--circles", "1")
-        assert code == 3 and "error:" in err
+        err = _usage_error(capsys, "enumerate", "--circles", "1")
+        assert "one of the arguments --k --S is required" in err
 
     def test_conflicting_selectors_are_usage_errors(self, capsys):
         for argv in (("verify", "theorem", "--corpus", "hopf+",
@@ -230,6 +274,13 @@ class TestExitCodes:
         code, _, err = _run(capsys, "compute", "--corpus", "hopf+",
                             "--degree", "1", "--relabel", "1,2,3")
         assert code == 3 and "error:" in err
+        # An empty permutation is refused too, not read as no --relabel.
+        for argv in (("compute", "--corpus", "hopf+", "--relabel", ""),
+                     ("verify", "theorem", "--corpus", "hopf+",
+                      "--S", "[[0,1],[1,0]]", "--relabel", "")):
+            code, out, err = _run(capsys, *argv)
+            assert code == 3 and not out, argv
+            assert err.startswith("error: perm must be a permutation"), argv
 
     def test_unsupported_truncation(self, capsys):
         code, _, err = _run(capsys, "compute", "--corpus", "hopf+",
@@ -252,13 +303,17 @@ class TestExitCodes:
         for argv in (("enumerate", "--circles", "0", "--k", "1"),
                      ("enumerate", "--circles", "1", "--k", "-1"),
                      ("compute", "--corpus", "hopf+", "--degree", "-1"),
-                     ("verify", "theorem", "--corpus", "hopf+", "--S", "[[1]]"),
-                     ("verify", "degree-sum", "--corpus", "hopf+", "--k", "1",
+                     ("verify", "theorem", "--corpus", "hopf+", "--S", "[[1]]")):
+            code, out, err = _run(capsys, *argv)
+            assert code == 3 and err.startswith("error:") and not out, argv
+        # --relabel is not a flag of these identities, so argparse refuses
+        # it before any range check.
+        for argv in (("verify", "degree-sum", "--corpus", "hopf+", "--k", "1",
                       "--relabel", "7,7,7"),
                      ("verify", "recursion", "--corpus", "hopf+", "--crossing", "4",
                       "--S", "[[0,1],[1,0]]", "--relabel", "9")):
-            code, out, err = _run(capsys, *argv)
-            assert code == 3 and err.startswith("error:") and not out, argv
+            err = _usage_error(capsys, *argv)
+            assert "unrecognized arguments: --relabel" in err, argv
 
     def test_zero_circles_fail_both_enumerate_selectors(self, capsys):
         errors = set()
@@ -376,7 +431,56 @@ class TestExitCodes:
             assert proc.stderr == "", argv
 
 
-# == 5. corpus override ======================================================
+# == 5. parser surface =======================================================
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+WORD_FLAGS = ["-h", "--help", "--word", "--corpus", "--degree", "--format"]
+
+
+class TestParserSurface:
+    def test_each_identity_declares_the_flags_it_reads(self):
+        identities = _subcommands(_subcommands(build_parser())["verify"])
+        flags = {name: [option for action in p._actions
+                        for option in action.option_strings]
+                 for name, p in identities.items()}
+        assert flags == {
+            "theorem": WORD_FLAGS + ["--relabel", "--S", "--all-S",
+                                     "--max-degree"],
+            "degree-sum": WORD_FLAGS + ["--k"],
+            "recursion": WORD_FLAGS + ["--S", "--all-S", "--max-degree",
+                                       "--crossing"],
+        }
+
+    def test_inapplicable_missing_and_misplaced_flags_are_usage_errors(
+            self, capsys):
+        hopf = ("--corpus", "hopf+")
+        S = ("--S", "[[0,1],[1,0]]")
+        for argv in (("theorem", *hopf, *S, "--k", "7", "--crossing", "99"),
+                     ("degree-sum", *hopf, "--k", "1", "--all-S"),
+                     ("recursion", *hopf, "--crossing", "4", *S, "--k", "9"),
+                     ("degree-sum", *hopf, "--k", "1", "--S", "[[0]]"),
+                     ("theorem", *hopf),
+                     ("degree-sum", *hopf),
+                     ("recursion", *hopf, *S),
+                     ("recursion", *hopf, "--crossing", "4"),
+                     (*hopf, "theorem", *S)):
+            _usage_error(capsys, "verify", *argv)
+        # At the command line too, with no traceback.
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzlab.cli", "verify", "degree-sum",
+             *hopf, "--k", "1", "--all-S"], capture_output=True, text=True)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("usage:")
+        assert "Traceback" not in proc.stderr
+
+
+# == 6. corpus override ======================================================
 
 
 class TestCorpusOverride:
@@ -398,7 +502,7 @@ class TestCorpusOverride:
             corpus_path("trefoil")
 
 
-# == 6. package surface ======================================================
+# == 7. package surface ======================================================
 
 
 def test_every_exported_name_resolves():

@@ -73,6 +73,10 @@ Core claims:
     - The whole-word integration and trace caches keep at most 1024
       entries: a loop over more distinct words stays within the bound and
       an evicted word integrates to the same series
+    - A cached answer does not depend on cache state: a truncation,
+      degree, circle count, chord count or wheel size that is a bool or
+      a float is refused with InputError from cold caches, and again
+      once the equal int call is cached
 """
 
 import dataclasses
@@ -88,9 +92,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kzlab
-from kzlab.algebra import sqrt_unknot_series, unknot_series_closed
-from kzlab.diagrams import ChordDiagram, _circle_code, _relabel, four_t_moves
-from kzlab.errors import TruncationUnsupportedError, WordValidationError
+from kzlab.algebra import (
+    sqrt_unknot_series, unknot_series_closed, wheel_attachment_sum,
+)
+from kzlab.diagrams import (
+    ChordDiagram, _circle_code, _relabel, all_type_matrices,
+    enumerate_by_degree, four_t_moves, four_t_relators,
+)
+from kzlab.errors import (
+    InputError, TruncationUnsupportedError, WordValidationError,
+)
+from kzlab.invariants import degree_sum_identity, verify_theorem
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
 from kzlab.qtangle import engine
 from kzlab.qtangle.engine import (
@@ -798,3 +810,41 @@ class TestScale:
         # The first words were evicted, and come back with the same series.
         assert [integrate(word, 1).coefficients for word in words[:3]] == first
         assert engine._integrate_cached.cache_info().currsize == bound
+
+
+_HOPF = load_corpus_word("hopf+")
+_HOPF_S = ((0, 1), (1, 0))
+
+# (name, the call on ints, the same call with an equal bool or float).
+_EQUAL_KEYS = [
+    ("integrate", lambda: integrate(_HOPF, 1), lambda: integrate(_HOPF, True)),
+    ("verify_theorem", lambda: verify_theorem(_HOPF, _HOPF_S, 1),
+     lambda: verify_theorem(_HOPF, _HOPF_S, True)),
+    ("degree_sum_identity", lambda: degree_sum_identity(_HOPF, 1, 2),
+     lambda: degree_sum_identity(_HOPF, True, 2)),
+    ("crossing_term", lambda: crossing_term(_HOPF, 4, 1, 2),
+     lambda: crossing_term(_HOPF, 4, True, 2)),
+    ("all_type_matrices", lambda: all_type_matrices(2, 1),
+     lambda: all_type_matrices(2.0, 1)),
+    ("enumerate_by_degree", lambda: enumerate_by_degree(2, 2),
+     lambda: enumerate_by_degree(2.0, 2)),
+    ("four_t_relators", lambda: four_t_relators(2, 2),
+     lambda: four_t_relators(2.0, 2)),
+    ("unknot_series_closed", lambda: unknot_series_closed(2),
+     lambda: unknot_series_closed(2.0)),
+    ("sqrt_unknot_series", lambda: sqrt_unknot_series(1),
+     lambda: sqrt_unknot_series(True)),
+    ("wheel_attachment_sum", lambda: wheel_attachment_sum((2,)),
+     lambda: wheel_attachment_sum((2.0,))),
+]
+
+
+@pytest.mark.parametrize("name, on_ints, on_equal",
+                         _EQUAL_KEYS, ids=[case[0] for case in _EQUAL_KEYS])
+def test_answers_do_not_depend_on_cache_state(name, on_ints, on_equal):
+    kzlab.clear_caches()
+    with pytest.raises(InputError):
+        on_equal()
+    on_ints()
+    with pytest.raises(InputError):
+        on_equal()

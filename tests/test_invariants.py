@@ -12,7 +12,9 @@ Core claims:
     - Under a circle relabelling the theorem pulls S back onto the word
       and matches the relabelled series' class sums without building it
     - Degree sums of linking monomials match total coefficient sums, and
-      a negative degree is refused before the word is integrated
+      a negative degree is refused before the word is integrated; the
+      closed form (sum_{i <= j} lk_ij)^k / k! of the left side is the
+      monomials summed over every type matrix of degree k
     - Crossing surgery: bare blocks above the designated cell vanish,
       a slice index that is not a crossing (out of range, negative or a
       cup) is refused by flip_crossing and variation_match,
@@ -29,11 +31,16 @@ Core claims:
     - The kinked unknot word agrees with the surgery-built series mod 4T
     - Framing powers of the kinked unknot are 1/(k! 2^k); the bare
       unknot's vanish
+    - On generated words (kinked nests of up to 12 circles, closed
+      2-braids with mixed signs on one or two circles) the degree-sum
+      identity holds for k <= 3 at truncation 3, and the theorem for
+      every S of degree at most 1
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kzlab.diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_matrix,
@@ -66,7 +73,8 @@ from kzlab.qtangle.engine import (
     TangleResult, associator_sign, crossing_term, integrate,
 )
 from kzlab.qtangle.words import (
-    BoundaryState, Slice, _trace_cached, linking_matrix, trace_word,
+    BoundaryState, Slice, _trace_cached, linking_matrix, parse_word,
+    trace_word,
 )
 
 
@@ -228,6 +236,17 @@ class TestTheorem:
             degree_sum_identity(load_corpus_word("hopf+"), -1, 3)
         assert engine._integrate_cached.cache_info() == info
 
+    def test_degree_sum_closed_form_is_the_enumerated_monomial_sum(self):
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            lk = linking_matrix(word)
+            for k in range(4):
+                enumerated = sum((linking_monomial(lk, S)
+                                  for S in all_type_matrices(len(lk), k)),
+                                 Fraction(0))
+                report = degree_sum_identity(word, k, 3)
+                assert report.lhs == enumerated, (name, k)
+
     def test_degree_sum_reports_carry_k(self):
         report = degree_sum_identity(load_corpus_word("hopf+"), 2, 2)
         assert report.passed and report.lhs == Fraction(1, 2)
@@ -349,3 +368,40 @@ class TestFramingPowers:
         assert [unknot_degree_value(k, True, 3) for k in (1, 2, 3)] == \
             [Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)]
         assert all(unknot_degree_value(k, False, 3) == 0 for k in (1, 2, 3))
+
+
+# == 6. Generated words ======================================================
+
+
+@st.composite
+def _generated_words(draw):
+    """A nest of up to 12 circles, each closed by cap@1 or by a kink, or
+    a closed 2-braid with mixed signs on one circle or two."""
+    if draw(st.booleans()):
+        kinks = draw(st.lists(st.sampled_from(("", "+", "-")),
+                              min_size=1, max_size=12))
+        closures = [f"x{sign}@1;cap'@1" if sign else "cap@1"
+                    for sign in kinks]
+        return ";".join(["cup@1"] * len(kinks) + closures)
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=1, max_size=8))
+    if len(signs) % 2:
+        closure = "cap@2;cap@1"
+    elif draw(st.booleans()):
+        closure = "assoc+@3;cap@3;cap@1"
+    else:
+        closure = "cap'@2;cap@1"
+    return ";".join(["cup@1", "cup@3", "assoc-@3"]
+                    + [f"x{sign}@2" for sign in signs] + [closure])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_generated_words())
+@example(";".join(["cup@1"] * 12 + ["x+@1;cap'@1", "cap@1", "x-@1;cap'@1"] * 4))
+@example("cup@1;cup@3;assoc-@3;x+@2;x-@2;x+@2;x+@2;assoc+@3;cap@3;cap@1")
+def test_identities_hold_on_generated_words(text):
+    word = parse_word(text)
+    circles = len(linking_matrix(word))
+    for k in range(4):
+        assert degree_sum_identity(word, k, 3).passed, (text, k)
+    for S in (S for k in range(2) for S in all_type_matrices(circles, k)):
+        assert verify_theorem(word, S, 3).passed, (text, S)
