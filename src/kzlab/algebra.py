@@ -134,13 +134,21 @@ def closed_connected_product(a: Mapping[ChordDiagram, Fraction],
 # -- Wheels ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
 def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
     """Coefficients b_2n of x^2n in (1/2) log(sinh(x/2) / (x/2)), 2n <= max_order.
 
     The series under the log is sum_n (x/2)^2n / (2n+1)!, expanded exactly
-    over the rationals.  Only even orders appear.
+    over the rationals.  Only even orders appear.  max_order must be an
+    int >= 0 (InputError otherwise).
     """
+    # Checked before the cache, which would answer 2.0 as 2 if untyped.
+    if type(max_order) is not int or max_order < 0:
+        raise InputError(f"wheel order must be an int >= 0, got {max_order!r}")
+    return _wheel_coefficients(max_order)
+
+
+@lru_cache(maxsize=None)
+def _wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
     # f = sinh(x/2)/(x/2) - 1, as coefficient list indexed by power of x.
     f = [Fraction(0)] * (max_order + 1)
     fact = 1
@@ -163,6 +171,9 @@ def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
             log[i] += sign * c
     return MappingProxyType(
         {2 * n: log[2 * n] / 2 for n in range(1, max_order // 2 + 1)})
+
+
+wheel_coefficients.cache_info = _wheel_coefficients.cache_info
 
 
 def wheel_attachment_sum(sizes: Sequence[int]) -> Mapping[ChordDiagram, Fraction]:

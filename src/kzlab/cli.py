@@ -8,12 +8,12 @@ byte-identical JSON apart from measured timings.
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 input could not
 be parsed or found (a missing, inapplicable or conflicting flag
-included), 3 a word or argument failed validation, 4 requested
-truncation not supported.  Exit 3 comes only from the package's own
-checks (WordValidationError, InputError); any other exception is a
-fault in the program and is not reported as bad input.  A reader that
-closes stdout early (as `head` does) drops the rest of the output but
-leaves the exit code unchanged.
+included, and a word file over MAX_WORD_CHARS characters), 3 a word or
+argument failed validation, 4 requested truncation not supported.
+Exit 3 comes only from the package's own checks (WordValidationError,
+InputError); any other exception is a fault in the program and is not
+reported as bad input.  A reader that closes stdout early (as `head`
+does) drops the rest of the output but leaves the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -46,14 +46,21 @@ EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_TRUNCATION = 4
 
+# The longest word file read, in characters; a longer one exits 2.
+MAX_WORD_CHARS = 1_000_000
+
 
 def _load_word(args: argparse.Namespace) -> tuple[str, tuple[Slice, ...]]:
     if args.corpus:
         return args.corpus, load_corpus_word(args.corpus)
     try:
-        text = open(args.word, encoding="utf-8").read()
+        with open(args.word, encoding="utf-8") as handle:
+            text = handle.read(MAX_WORD_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise WordParseError(f"cannot read {args.word}: {exc}") from exc
+    if len(text) > MAX_WORD_CHARS:
+        raise WordParseError(f"{args.word} is longer than "
+                             f"{MAX_WORD_CHARS:,} characters")
     return args.word, parse_word(text)
 
 
@@ -213,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         """A command reading one word, truncated at --degree."""
         p = commands.add_parser(name, help=summary)
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--word", metavar="PATH", help="word file (.qtw)")
+        group.add_argument("--word", metavar="PATH",
+                           help=f"word file (.qtw), at most "
+                                f"{MAX_WORD_CHARS:,} characters")
         group.add_argument("--corpus", metavar="NAME",
                            choices=corpus_names(),
                            help="bundled word: " + ", ".join(corpus_names()))

@@ -23,6 +23,13 @@ the rotation that begins at its least-named label.  One pass over the
 labels checks that each occurs exactly twice and sorts the circles into
 these kinds.
 
+A diagram's type counts its chords by the pair of circles they join.
+Its one definition is ChordDiagram.type_cells, the sparse form: the
+non-zero cells (i, j, s), i <= j.  A TypeMatrix is the dense square
+matrix, checked once at construction, and it carries the same cells and
+their sum, its degree; type_matrix() builds the dense matrix from a
+diagram's cells, and the enumeration by type reads the cells.
+
 The rational span of degree-k diagrams carries the standard four-term (4T)
 relation.  This module enumerates diagrams by degree or by chord type
 matrix, generates all 4T relators as read-only diagram -> int vectors,
@@ -49,6 +56,9 @@ from .errors import InputError
 
 
 Code = tuple[tuple[int, ...], ...]
+# A type's sparse form: its non-zero cells (i, j, s), i <= j, 0-based,
+# sorted; s chords join circles i + 1 and j + 1.
+Cells = tuple[tuple[int, int, int], ...]
 K = TypeVar("K", bound=Hashable)
 
 
@@ -56,29 +66,55 @@ class TypeMatrix(tuple):
     """A checked chord type matrix: square, symmetric, int entries >= 0
     (floats, strings and bools are refused with InputError, not truncated).
     Built once, it passes through the constructor unchanged; it compares
-    and hashes like the plain nested tuple."""
+    and hashes like the plain nested tuple.  It carries its sparse form,
+    cells (see Cells), and degree, their sum: both set at construction
+    and read-only."""
 
-    __slots__ = ()
+    cells: Cells
+    degree: int
 
     def __new__(cls, S: Sequence[Sequence[int]]) -> "TypeMatrix":
         if isinstance(S, TypeMatrix):
             return S
         try:
-            rows = tuple(tuple(row) for row in S)
+            rows = tuple(map(tuple, S))
         except TypeError as exc:
             raise InputError("type matrix must be a sequence of rows") from exc
-        if any(len(row) != len(rows) for row in rows):
+        m = len(rows)
+        if any(len(row) != m for row in rows):
             raise InputError("type matrix must be square")
-        if not all(type(x) is int and x >= 0 for row in rows for x in row):
+        entries = itertools.chain.from_iterable
+        if m and (set(map(type, entries(rows))) != {int} or min(entries(rows)) < 0):
             raise InputError("type matrix entries must be natural numbers (int >= 0)")
-        if rows != tuple(zip(*rows)):
+        # A matrix is symmetric when each non-zero entry is mirrored: an
+        # unequal pair has a non-zero side, and that side's test fails.
+        nonzero = [(i, j, s) for i, row in enumerate(rows) if any(row)
+                   for j, s in enumerate(row) if s]
+        if any(rows[j][i] != s for i, j, s in nonzero):
             raise InputError("type matrix must be symmetric")
-        return super().__new__(cls, rows)
+        return cls._build(rows, tuple(cell for cell in nonzero if cell[0] <= cell[1]))
 
-    @property
-    def degree(self) -> int:
-        """The chord count: each cell i <= j once."""
-        return (sum(map(sum, self)) + sum(row[i] for i, row in enumerate(self))) // 2
+    @classmethod
+    def _build(cls, rows: tuple[tuple[int, ...], ...], cells: Cells) -> "TypeMatrix":
+        """The matrix of rows already checked, carrying their cells."""
+        self = super().__new__(cls, rows)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "degree", sum(s for _, _, s in cells))
+        return self
+
+    @classmethod
+    def _of_cells(cls, m: int, cells: Cells) -> "TypeMatrix":
+        """The m x m matrix with the given cells, which are trusted."""
+        rows = [[0] * m for _ in range(m)]
+        for i, j, s in cells:
+            rows[i][j] = rows[j][i] = s
+        return cls._build(tuple(map(tuple, rows)), cells)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("TypeMatrix is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("TypeMatrix is immutable")
 
 
 def _check_perm(perm: Sequence[int], m: int) -> None:
@@ -264,7 +300,22 @@ class ChordDiagram:
 
     @property
     def degree(self) -> int:
-        return sum(len(w) for w in self.code) // 2
+        return sum(map(len, self.code)) // 2
+
+    @property
+    def type_cells(self) -> Cells:
+        """The sparse form of the type matrix: cell (i, j, s) says s chords
+        join circles i+1 and j+1 (both ends on circle i+1 when i == j)."""
+        first: dict[int, int] = {}
+        counts: dict[tuple[int, int], int] = {}
+        for c, word in enumerate(self.code):
+            for label in word:
+                a = first.pop(label, None)
+                if a is None:
+                    first[label] = c
+                else:
+                    counts[a, c] = counts.get((a, c), 0) + 1
+        return tuple(sorted((i, j, s) for (i, j), s in counts.items()))
 
     def type_matrix(self) -> TypeMatrix:
         """Symmetric matrix counting chords by the pair of circles they join.
@@ -272,19 +323,7 @@ class ChordDiagram:
         Entry (i, i) counts chords with both ends on circle i+1; entry
         (i, j) counts chords joining circles i+1 and j+1.
         """
-        m = self.circles
-        where: dict[int, list[int]] = {}
-        for c, word in enumerate(self.code):
-            for label in word:
-                where.setdefault(label, []).append(c)
-        counts = [[0] * m for _ in range(m)]
-        for a, b in where.values():
-            if a == b:
-                counts[a][a] += 1
-            else:
-                counts[a][b] += 1
-                counts[b][a] += 1
-        return TypeMatrix(counts)
+        return TypeMatrix._of_cells(self.circles, self.type_cells)
 
     def relabel_circles(self, perm: Sequence[int]) -> "ChordDiagram":
         """Move circle i to position perm[i-1]; perm is a 1-based bijection."""
@@ -446,9 +485,12 @@ def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, 
 def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
     # Checked before the cache, which would answer ((True,),) as ((1,),).
     # Circle i carries one slot per chord end: two per chord in S[i][i].
-    slots = [row[i] + sum(row) for i, row in enumerate(matrix)]
-    budget = {(a, b): n for a, row in enumerate(matrix)
-              for b, n in enumerate(row[a:], start=a) if n}
+    slots = [0] * len(matrix)
+    budget: dict[tuple[int, int], int] = {}
+    for a, b, n in matrix.cells:
+        budget[a, b] = n
+        slots[a] += n
+        slots[b] += n
     _check_work("the matching count of this type matrix",
                 _matching_factors(slots, budget))
     slot_word = [i for i, count in enumerate(slots) for _ in range(count)]
@@ -488,13 +530,11 @@ def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     # comb(k + c - 1, k) matrices over the c cells i <= j, m * m entries each.
     _check_work(f"the entry count of the degree-{k} type matrices on {m} circles",
                 [_binomial(k + m * (m + 1) // 2 - 1, k), m * m])
-    cells = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
+    cells = [(i, j) for i in range(m) for j in range(i, m)]
     out = []
     for values in _compositions(k, len(cells)):
-        rows = [[0] * m for _ in range(m)]
-        for (i, j), v in zip(cells, values):
-            rows[i][j] = rows[j][i] = v
-        out.append(TypeMatrix(rows))
+        nonzero = tuple((i, j, v) for (i, j), v in zip(cells, values) if v)
+        out.append(TypeMatrix._of_cells(m, nonzero))
     return tuple(sorted(out))
 
 

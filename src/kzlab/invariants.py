@@ -2,9 +2,13 @@
 
 The two sides of every check are built independently.  The left side is
 a monomial in entries of the linking matrix, which the words module
-computes by counting signed crossings.  The right side sums engine
-coefficients over a family of chord diagrams, selected by type matrix or
-by degree.  Every identity checks S, the word and the truncation once,
+computes by counting signed crossings, taken over the type matrix's
+sparse cells.  The right side sums engine coefficients over a family of
+chord diagrams, selected by type matrix or by degree.  A class sum of
+engine output is one lookup in the result's sums by type, grouped once
+per degree; a raw mapping, such as a 4T relator, is summed over every
+diagram of the type, which the tests keep as the oracle for the lookup.
+Every identity checks S, the word and the truncation once,
 in _instance, before either side is computed (degree_sum_identity, with
 a degree k for S, checks k).  Each checker returns a VerificationReport
 holding both exact rationals, so a failure is inspectable rather than a
@@ -47,12 +51,12 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
     if len(linking) != len(rows):
         raise InputError("linking matrix and type matrix sizes differ")
     out = Fraction(1)
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            s = rows[i][j]
-            if s:
-                out *= Fraction(linking[i][j]) ** s / factorial(s)
+    for i, j, s in rows.cells:
+        out *= Fraction(linking[i][j]) ** s / factorial(s)
     return out
+
+
+_ZERO = Fraction(0)
 
 
 def _check_degree(k: int, cutoff: int) -> None:
@@ -67,20 +71,20 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
               S: Sequence[Sequence[int]]) -> Fraction:
     """Sum of coefficients over all diagrams with the given type matrix.
 
-    Accepts either engine output (checked against its truncation) or any
-    raw diagram-to-coefficient mapping, such as a 4T relator.
+    Accepts either engine output, checked against its truncation and
+    circle count and then read off its sums by type in one lookup, or
+    any raw diagram-to-coefficient mapping, such as a 4T relator, summed
+    over every diagram of the type.
     """
     rows = TypeMatrix(S)
     if isinstance(value, TangleResult):
         _check_degree(rows.degree, value.truncation)
         if value.circles != len(rows):
             raise InputError("type matrix size differs from circle count")
-        coefficients: Mapping[ChordDiagram, Fraction] = value.coefficients
-    else:
-        coefficients = value
+        return value.type_sums(rows.degree).get(rows.cells, _ZERO)
     total = Fraction(0)
     for diagram in enumerate_by_matrix(rows):
-        total += coefficients.get(diagram, Fraction(0))
+        total += value.get(diagram, _ZERO)
     return total
 
 
@@ -224,10 +228,12 @@ def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:
 
 
 def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
-    rows = [list(row) for row in S]
-    rows[a - 1][b - 1] = value
-    rows[b - 1][a - 1] = value
-    return TypeMatrix(rows)
+    """S with its entries (a, b) and (b, a), 1-based, set to value."""
+    i, j = sorted((a - 1, b - 1))
+    cells = [cell for cell in S.cells if cell[:2] != (i, j)]
+    if value:
+        cells = sorted(cells + [(i, j, value)])
+    return TypeMatrix._of_cells(len(S), tuple(cells))
 
 
 def _positive_cell(word: Sequence[Slice], crossing: int,

@@ -51,7 +51,7 @@ reduction) on linear words keyed by their relabeled code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -60,8 +60,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
-    ChordDiagram, Code, _placements, _quotient, _relabel, _relator_vectors,
-    _residual, add_term, reduce_mod_4t,
+    Cells, ChordDiagram, Code, _placements, _quotient, _relabel,
+    _relator_vectors, _residual, add_term, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from .words import (
@@ -75,10 +75,22 @@ _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 # -- 4T reduction on parallel strands ----------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
 def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All normalized placements of k chords on n labeled strands."""
+    """All normalized placements of k chords on n labeled strands; n must
+    be an int >= 1 and k an int >= 0 (InputError otherwise)."""
+    # Checked before the cache, which would answer 2.0 as 2 if untyped.
+    if not (type(n) is int and type(k) is int and n >= 1 and k >= 0):
+        raise InputError("need n >= 1 strands and k >= 0 chords, both ints")
+    return _strand_monomials(n, k)
+
+
+@lru_cache(maxsize=None)
+def _strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(sorted({_relabel(words) for words in _placements(k, n)}))
+
+
+strand_monomials.cache_info = _strand_monomials.cache_info
+strand_monomials.cache_clear = _strand_monomials.cache_clear
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -579,17 +591,39 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
 
 @dataclass(frozen=True)
 class TangleResult:
-    """Engine output for a closed word: a diagram series on m circles."""
+    """Engine output for a closed word: a diagram series on m circles.
+
+    type_sums(k) groups the degree-k coefficients by type, on first use
+    of each degree; the grouping is kept on the result, and published
+    only once complete, so concurrent readers never see a partial one."""
 
     circles: int
     truncation: int
     coefficients: Mapping[ChordDiagram, Fraction]   # read-only
+    _type_sums: dict[int, Mapping[Cells, Fraction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def coefficient(self, diagram: ChordDiagram) -> Fraction:
         return self.coefficients.get(diagram, Fraction(0))
 
     def degree_part(self, k: int) -> dict[ChordDiagram, Fraction]:
         return {d: c for d, c in self.coefficients.items() if d.degree == k}
+
+    def type_sums(self, k: int) -> Mapping[Cells, Fraction]:
+        """The degree-k coefficients summed by type, read-only: a type's
+        cells map to its class sum, and a type summing to 0 is absent.
+        k must be an int in 0..truncation (InputError otherwise), so at
+        most truncation + 1 groupings are kept."""
+        if type(k) is not int or not 0 <= k <= self.truncation:
+            raise InputError(f"degree must be an int in 0..{self.truncation}")
+        sums = self._type_sums.get(k)
+        if sums is None:
+            grouped: dict[Cells, Fraction] = {}
+            for diagram, coeff in self.coefficients.items():
+                if diagram.degree == k:
+                    add_term(grouped, diagram.type_cells, coeff)
+            sums = self._type_sums.setdefault(k, MappingProxyType(grouped))
+        return sums
 
     def reduced(self, k: int) -> dict[ChordDiagram, Fraction]:
         return reduce_mod_4t(self.degree_part(k))

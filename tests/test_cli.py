@@ -38,7 +38,8 @@ Core claims:
       or S = [[99999999]]) exits 3 before walking; a crossing identity
       reports a fault of S before a fault of the crossing, and verify
       theorem, like recursion, reports an S of the wrong size (exit 3)
-      before a truncation the word does not support
+      before a truncation the word does not support; a word file longer
+      than MAX_WORD_CHARS (/dev/zero) exits 2 after reading that much
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -374,7 +375,9 @@ class TestExitCodes:
                 (("enumerate", "--circles", "100000", "--k", "1"), 3),
                 (("enumerate", "--circles", "3", "--k", huge), 3),
                 (("enumerate", "--circles", "1", "--S", f"[[{huge}]]"), 3),
-                (("enumerate", "--circles", "1", "--k", "40"), 3)):
+                (("enumerate", "--circles", "1", "--k", "40"), 3),
+                # Read up to the word-file bound, then refused.
+                (("compute", "--word", "/dev/zero", "--degree", "1"), 2)):
             proc = subprocess.run([sys.executable, "-m", "kzlab.cli", *argv],
                                   capture_output=True, text=True, timeout=30)
             assert proc.returncode == expected and not proc.stdout, argv

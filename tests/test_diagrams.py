@@ -16,7 +16,11 @@ Core claims:
       circles are fine
     - Type matrices count chords by endpoint circles, symmetrically; a
       TypeMatrix is square, symmetric and natural (int entries only),
-      is built once, and knows its degree, which no caller can reset
+      is built once, and knows its sparse cells and its degree, which no
+      caller can reset; a diagram's matrix is built from its type cells;
+      a 150-wide matrix with a float, bool, negative or unmirrored entry
+      in its last row is refused with the message of the first check
+      it fails
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18 up to degree 4
     - Type families partition each degree list (m <= 3, k <= 4)
     - The placements generator yields C(2k+p-1, p-1) (2k-1)!! label
@@ -39,7 +43,8 @@ Core claims:
     - Circle relabeling behaves as stated
     - JSON serialization emits 1-based circles and 0-based slots
     - Bad caller input to public functions raises InputError, not a plain
-      ValueError, in diagrams, algebra and graft
+      ValueError, in diagrams, algebra (wheel_coefficients included), graft
+      and strand_monomials
 """
 
 import copy
@@ -55,6 +60,7 @@ from hypothesis import example, given, settings, strategies as st
 from kzlab import diagrams
 from kzlab.algebra import (
     concat_words, interval_sqrt, series_exp, wheel_attachment_sum,
+    wheel_coefficients,
 )
 from kzlab.diagrams import (
     ChordDiagram,
@@ -73,7 +79,7 @@ from kzlab.diagrams import (
     reduce_mod_4t,
 )
 from kzlab.errors import InputError
-from kzlab.qtangle.engine import evaluate_fragment, graft
+from kzlab.qtangle.engine import evaluate_fragment, graft, strand_monomials
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -268,6 +274,57 @@ class TestTypeMatrix:
         assert S == ((0, 1), (1, 0)) and hash(S) == hash(((0, 1), (1, 0)))
         with pytest.raises(AttributeError):
             S.degree = 5
+
+    def test_cells_are_the_sparse_form(self):
+        S = TypeMatrix([[2, 1, 0], [1, 0, 3], [0, 3, 1]])
+        assert S.cells == ((0, 0, 2), (0, 1, 1), (1, 2, 3), (2, 2, 1))
+        assert TypeMatrix(()).cells == () and TypeMatrix(((0,),)).cells == ()
+        with pytest.raises(AttributeError):
+            S.cells = ()
+        with pytest.raises(AttributeError):
+            del S.degree
+        for copied in (pickle.loads(pickle.dumps(S)), copy.deepcopy(S)):
+            assert copied == S and copied.cells == S.cells
+            assert copied.degree == 7
+
+    def test_diagram_type_cells_define_its_matrix(self):
+        # The dense matrix is counted here chord by chord, as a second route.
+        for m in range(1, 4):
+            for k in range(4):
+                for d in enumerate_by_degree(m, k):
+                    where = {}
+                    for c, word in enumerate(d.code):
+                        for label in word:
+                            where.setdefault(label, []).append(c)
+                    counts = [[0] * m for _ in range(m)]
+                    for a, b in where.values():
+                        counts[a][b] += 1
+                        if a != b:
+                            counts[b][a] += 1
+                    S = d.type_matrix()
+                    assert S == TypeMatrix(counts), d
+                    assert S.cells == TypeMatrix(counts).cells == d.type_cells, d
+                    assert S.degree == d.degree, d
+
+    def test_hostile_entries_in_the_last_row_of_a_wide_matrix(self):
+        m = 150
+        entries = "type matrix entries must be natural numbers"
+        for column, bad, message in ((m - 1, 2.0, entries), (m - 1, True, entries),
+                                     (m - 1, -1, entries), (3, 2.0, entries),
+                                     (3, 1, "type matrix must be symmetric")):
+            rows = [[0] * m for _ in range(m)]
+            rows[0][0] = 1
+            rows[-1][column] = bad
+            with pytest.raises(InputError, match=message):
+                TypeMatrix(rows)
+            with pytest.raises(InputError, match=message):
+                TypeMatrix(tuple(map(tuple, rows)))
+        rows = [[0] * m for _ in range(m)]
+        rows[-1][3] = rows[3][-1] = 2
+        S = TypeMatrix(rows)
+        assert S.cells == ((3, m - 1, 2),) and S.degree == 2
+        with pytest.raises(InputError, match="must be square"):
+            TypeMatrix(rows[:-1])
 
     def test_enumeration_returns_type_matrices(self):
         assert all(isinstance(S, TypeMatrix) for S in all_type_matrices(3, 2))
@@ -510,9 +567,14 @@ _ONE = ChordDiagram([(1, 1)])
     lambda: interval_sqrt({(): Fraction(2)}, 2),
     lambda: wheel_attachment_sum((2, 0)),
     lambda: graft(_bare(1), _bare(2)),
+    lambda: wheel_coefficients(-3),
+    lambda: wheel_coefficients(2.0),
+    lambda: strand_monomials(0, 1),
+    lambda: strand_monomials(2.0, 1),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
         "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes",
-        "graft-cutoffs"])
+        "graft-cutoffs", "wheel-order", "wheel-order-float", "strand-count",
+        "strand-count-float"])
 def test_bad_arguments_raise_input_error(call):
     with pytest.raises(InputError):
         call()

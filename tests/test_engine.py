@@ -44,7 +44,8 @@ Core claims:
       designated crossing's chords; a block over the truncation leaves
       an empty series, allocating nothing for its chords (traced peak
       under 1 MiB at k = 10**5), also while another thread integrates;
-      a thread pool over cold caches gives the serial answers;
+      a thread pool over cold caches gives the serial answers, and so
+      do class sums from a thread pool on one fresh, shared result;
       a block index that is not a crossing slice of the fragment is an
       error
     - Cached series are read-only: a caller cannot change what a later
@@ -74,8 +75,8 @@ Core claims:
       entries: a loop over more distinct words stays within the bound and
       an evicted word integrates to the same series
     - A cached answer does not depend on cache state: a truncation,
-      degree, circle count, chord count or wheel size that is a bool or
-      a float is refused with InputError from cold caches, and again
+      degree, circle count, chord count, wheel size, wheel order or
+      strand count that is a bool or a float is refused with InputError from cold caches, and again
       once the equal int call is cached
 """
 
@@ -94,6 +95,7 @@ from hypothesis import example, given, settings, strategies as st
 import kzlab
 from kzlab.algebra import (
     sqrt_unknot_series, unknot_series_closed, wheel_attachment_sum,
+    wheel_coefficients,
 )
 from kzlab.diagrams import (
     ChordDiagram, _circle_code, _relabel, all_type_matrices,
@@ -102,7 +104,7 @@ from kzlab.diagrams import (
 from kzlab.errors import (
     InputError, TruncationUnsupportedError, WordValidationError,
 )
-from kzlab.invariants import degree_sum_identity, verify_theorem
+from kzlab.invariants import class_sum, degree_sum_identity, verify_theorem
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
 from kzlab.qtangle import engine
 from kzlab.qtangle.engine import (
@@ -581,6 +583,25 @@ class TestCrossingBlocks:
             sys.setswitchinterval(interval)
         assert pooled == serial
 
+    def test_thread_pool_class_sums_on_one_fresh_result(self):
+        # Each thread may be the first to ask for a degree's sums by type;
+        # none may read a grouping another thread has not finished.
+        word = load_corpus_word("chain3")
+        matrices = [S for k in range(4) for S in all_type_matrices(3, k)]
+        serial = [class_sum(integrate(word, 3), S) for S in matrices]
+        for _ in range(3):
+            shared = finalize(evaluate_fragment(word, 3))
+            jobs = matrices[::-1] * 8
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    pooled = list(pool.map(lambda S: class_sum(shared, S), jobs))
+            finally:
+                sys.setswitchinterval(interval)
+            assert pooled == serial[::-1] * 8
+            assert shared.type_sums(2) is shared.type_sums(2)
+
 
 # == 4. Crossing runs ========================================================
 
@@ -836,6 +857,10 @@ _EQUAL_KEYS = [
      lambda: sqrt_unknot_series(True)),
     ("wheel_attachment_sum", lambda: wheel_attachment_sum((2,)),
      lambda: wheel_attachment_sum((2.0,))),
+    ("wheel_coefficients", lambda: wheel_coefficients(2),
+     lambda: wheel_coefficients(2.0)),
+    ("strand_monomials", lambda: strand_monomials(2, 1),
+     lambda: strand_monomials(True, 1)),
 ]
 
 

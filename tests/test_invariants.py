@@ -7,6 +7,12 @@ Core claims:
       and circle-count guards; a degree over the truncation is refused
       before any type matrix is enumerated, and before any linking
       monomial is taken (an S entry of 99999999 returns at once)
+    - A class sum of engine output is one lookup in the result's read-only
+      sums by type, kept per degree; it equals the enumerated sum over
+      every diagram of type S (every corpus word at truncation 3 and at
+      its maximum, every crossing term with k <= 3, every S of degree
+      <= 3), and every 4T relator, a raw mapping, still sums to 0
+    - The theorem on a 150-circle nest walks no type's diagrams
     - The main identity holds on corpus words: linking monomial equals
       the matching class sum, exactly
     - Under a circle relabelling the theorem pulls S back onto the word
@@ -42,9 +48,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kzlab import diagrams
 from kzlab.diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_matrix,
-    reduce_mod_4t,
+    four_t_relators, reduce_mod_4t,
 )
 from kzlab.errors import (
     InputError, TruncationUnsupportedError, WordValidationError,
@@ -70,7 +77,8 @@ from kzlab.invariants import (
 from kzlab.qtangle import engine
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from kzlab.qtangle.engine import (
-    TangleResult, associator_sign, crossing_term, integrate,
+    TangleResult, associator_sign, crossing_term, evaluate_fragment, finalize,
+    integrate, max_truncation,
 )
 from kzlab.qtangle.words import (
     BoundaryState, Slice, _trace_cached, linking_matrix, parse_word,
@@ -172,6 +180,43 @@ class TestClassSum:
                               Fraction(0))
                 assert degree_class_sum(result, k) == by_type, (name, k)
 
+    def test_lookup_is_the_enumerated_class_sum(self):
+        # The enumeration route, every diagram of type S looked up, is the
+        # oracle for the lookup in the result's sums by type.
+        def enumerated(result, S):
+            return sum((result.coefficient(d) for d in enumerate_by_matrix(S)),
+                       Fraction(0))
+
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            results = [integrate(word, n) for n in {3, max_truncation(word)}]
+            results += [crossing_term(word, i + 1, k, 3)
+                        for i, s in enumerate(word) if s.kind == "x"
+                        for k in range(4)]
+            for result in results:
+                for k in range(4):
+                    for S in all_type_matrices(result.circles, k):
+                        assert class_sum(result, S) == enumerated(result, S), (name, S)
+
+    def test_relators_keep_the_enumeration_route(self):
+        for m in range(1, 4):
+            for k in (2, 3):
+                for relator in four_t_relators(m, k):
+                    for S in all_type_matrices(m, k):
+                        assert class_sum(relator, S) == 0, (relator, S)
+
+    def test_sums_by_type_are_read_only_and_kept(self):
+        result = finalize(evaluate_fragment(load_corpus_word("chain3"), 3))
+        sums = result.type_sums(2)
+        assert sums is result.type_sums(2)
+        S = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+        assert sums[(0, 1, 1), (1, 2, 1)] == class_sum(result, S)
+        with pytest.raises(TypeError):
+            sums[()] = Fraction(1)
+        for k in (-1, 4, True, 2.0):
+            with pytest.raises(InputError):
+                result.type_sums(k)
+
     def test_unlinked_degrees_sum_to_zero(self):
         result = integrate(load_corpus_word("u0"), 3)
         for k in (1, 2, 3):
@@ -195,6 +240,30 @@ class TestTheorem:
             for S in all_type_matrices(m, 2):
                 report = verify_theorem(word, S, 3, word_id=name)
                 assert report.passed, (name, S)
+
+    def test_theorem_on_a_wide_nest_enumerates_no_type(self, monkeypatch):
+        m = 150
+        kinked = {7: "x+@1", 75: "x-@1"}   # by the order the circles close
+        word = parse_word(";".join(["cup@1"] * m + [
+            f"{kinked[c]};cap'@1" if c in kinked else "cap@1" for c in range(m)]))
+        calls = []
+        by_matrix = diagrams._by_matrix
+
+        def spy(S):
+            calls.append(S)
+            return by_matrix(S)
+
+        monkeypatch.setattr(diagrams, "_by_matrix", spy)
+        lk = linking_matrix(word)
+        framed = [c for c in range(m) if lk[c][c]]
+        assert len(framed) == 2
+        for c in (0, *framed, m - 1):
+            S = tuple(tuple(int(i == j == c) for j in range(m)) for i in range(m))
+            report = verify_theorem(word, S, 1)
+            assert report.passed and report.lhs == lk[c][c], c
+        assert calls == []
+        enumerate_by_matrix(((1,),))
+        assert len(calls) == 1
 
     def test_relabel_permutes_the_oracle(self):
         report = verify_theorem(load_corpus_word("chain2"), ((0, 1), (1, 0)),
