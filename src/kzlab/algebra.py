@@ -36,12 +36,14 @@ from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .diagrams import ChordDiagram, _relabel, add_term, connected_sum
+from .diagrams import ChordDiagram, _relabel, connected_sum
 from .errors import InputError, TruncationUnsupportedError
+from .sparse import add_term
 
 Word = tuple[int, ...]
 
 MAX_TRUNCATION = 4
+MAX_WHEEL_ORDER = 64
 
 
 # -- Linear words ------------------------------------------------------------
@@ -139,11 +141,16 @@ def wheel_coefficients(max_order: int) -> Mapping[int, Fraction]:
 
     The series under the log is sum_n (x/2)^2n / (2n+1)!, expanded exactly
     over the rationals.  Only even orders appear.  max_order must be an
-    int >= 0 (InputError otherwise).
+    int from 0 to MAX_WHEEL_ORDER (InputError otherwise): the work grows
+    about as max_order^3.5, so the bound keeps one call to a fraction of
+    a second.
     """
     # Checked before the cache, which would answer 2.0 as 2 if untyped.
     if type(max_order) is not int or max_order < 0:
         raise InputError(f"wheel order must be an int >= 0, got {max_order!r}")
+    if max_order > MAX_WHEEL_ORDER:
+        raise InputError(f"wheel order {max_order} exceeds the supported maximum "
+                         f"{MAX_WHEEL_ORDER}")
     return _wheel_coefficients(max_order)
 
 

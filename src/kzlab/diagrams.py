@@ -34,14 +34,25 @@ The rational span of degree-k diagrams carries the standard four-term (4T)
 relation.  This module enumerates diagrams by degree or by chord type
 matrix, generates all 4T relators as read-only diagram -> int vectors,
 and reduces vectors to a canonical residual modulo the relator span
-using exact rational elimination.  One slot-pairing walk makes all
-matchings for placements, and for a type matrix only those within its
-budget, none thrown away.  Each enumeration counts its work in closed
-form before it starts, and refuses (InputError) more than
-ENUMERATION_LIMIT matchings or type-matrix entries.  Chords on open
-strands share this code: one placements generator, 4T move,
-relator-vector builder and per-degree quotient serve circles here and
-strands in the engine.
+with the exact elimination of kzlab.sparse.
+
+A type family is generated as canonical codes, not as matchings
+(orderly generation, R. C. Read 1978).  The code is written circle by
+circle, label by label: each label closes an open chord ending on this
+circle or opens a chord towards a circle its type still owes one, named
+by first appearance.  Each such code is a distinct matching of the
+type.  Two necessary conditions of canonical_code prune a circle's word
+before the next circle is written, and a full code is kept if and only
+if it is its own canonical code, so every diagram is made once and no
+set is needed.  Empty circles cost nothing but their () in the code.
+The placements (every spread of the endpoints over the words times
+every pairing) are a separate slot-pairing walk, for the selftest's
+brute force and the engine's strands.  Each enumeration counts its work
+in closed form before it starts, and refuses (InputError) more than
+ENUMERATION_LIMIT matchings or type-matrix entries; a family's matching
+count also bounds the codes it tries.  Chords on open strands share
+this code: one placements generator, 4T move, relator-vector builder
+and per-degree quotient serve circles here and strands in the engine.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InputError
+from .sparse import Reducer, _quotient, _residual
 
 
 Code = tuple[tuple[int, ...], ...]
@@ -121,15 +133,6 @@ def _check_perm(perm: Sequence[int], m: int) -> None:
     """Refuse a circle relabelling that is not a 1-based bijection of 1..m."""
     if sorted(perm) != list(range(1, m + 1)):
         raise InputError(f"perm must be a permutation of 1..{m}, got {perm!r}")
-
-
-def add_term(out: dict, key: object, coeff: Fraction | int) -> None:
-    """Add coeff to out[key] as a Fraction, dropping the key at zero."""
-    new = out.get(key, Fraction(0)) + coeff
-    if new:
-        out[key] = new
-    else:
-        out.pop(key, None)
 
 
 def _relabel(words: Sequence[Sequence[object]]) -> Code:
@@ -384,11 +387,12 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
 
 # -- Enumeration -------------------------------------------------------------
 
-# The most work one enumeration may do: the matchings enumerate_by_degree
-# or enumerate_by_matrix walks, or the entries all_type_matrices writes.
-# Degree 4 on 3 circles walks 4,725 matchings, degree 5 on 3 circles
-# 62,370 (seconds), and every degree-1 type matrix on 20 circles takes
-# 84,000 entries; degree 7 on one circle (135,135) is refused.
+# The most work one enumeration may do: the matchings of a degree or of
+# a type, which bound the codes enumerate_by_matrix tries, or the entries
+# all_type_matrices writes.  Degree 4 on 3 circles has 4,725 matchings,
+# degree 5 on 3 circles 62,370 (under a second), and every degree-1 type
+# matrix on 20 circles takes 84,000 entries; degree 7 on one circle
+# (135,135) is refused.
 ENUMERATION_LIMIT = 100_000
 
 
@@ -424,19 +428,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(bounds[i + 1] - bounds[i] - 1 for i in range(parts))
 
 
-def _pairings(slot_word: Sequence[int], parts: int,
-              budget: dict[tuple[int, int], int] | None = None,
-              ) -> Iterator[list[list[int]]]:
+def _pairings(slot_word: Sequence[int], parts: int) -> Iterator[list[list[int]]]:
     """Every pairing of the slots, as per-word label lists.
 
-    slot_word[s] is the word slot s lies on, and the slots must be laid
-    out in word order (slot_word never decreases).  The first free slot
-    pairs with each later free slot in turn and the t-th pair is labeled
-    t, so each matching is made once, and a pair's first word a is never
-    after its partner's word b.  So a budget maps (a, b) with a <= b only
-    to the chords still to place between words a and b; a pair is taken
-    only while its cell has some left, so exactly the matchings of that
-    type are made and none is thrown away.
+    slot_word[s] is the word slot s lies on.  The first free slot pairs
+    with each later free slot in turn and the t-th pair is labeled t, so
+    each matching is made once.
     """
     label = [0] * len(slot_word)
 
@@ -449,19 +446,12 @@ def _pairings(slot_word: Sequence[int], parts: int,
                 words[w].append(name)
             yield words
             return
-        a = slot_word[first]
         label[first] = t
         for partner in range(first + 1, len(label)):
-            b = slot_word[partner]
-            if label[partner] or budget is not None and not budget.get((a, b)):
-                continue
-            if budget is not None:
-                budget[a, b] -= 1
-            label[partner] = t
-            yield from walk(first + 1, t + 1)
-            label[partner] = 0
-            if budget is not None:
-                budget[a, b] += 1
+            if not label[partner]:
+                label[partner] = t
+                yield from walk(first + 1, t + 1)
+                label[partner] = 0
         label[first] = 0
 
     return walk(0, 1)
@@ -478,37 +468,77 @@ def _placements(k: int, parts: int) -> Iterator[list[list[int]]]:
 
 def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, ...]:
     """All diagrams whose type matrix equals the given one."""
-    return _by_matrix(TypeMatrix(matrix))
+    # Checked before the cache, which would answer ((True,),) as ((1,),),
+    # and cached by the cells, which hash in O(cells), not O(m^2).
+    S = TypeMatrix(matrix)
+    return _by_matrix(len(S), S.cells)
 
 
 @lru_cache(maxsize=None)
-def _by_matrix(matrix: TypeMatrix) -> tuple[ChordDiagram, ...]:
-    # Checked before the cache, which would answer ((True,),) as ((1,),).
+def _by_matrix(m: int, cells: Cells) -> tuple[ChordDiagram, ...]:
     # Circle i carries one slot per chord end: two per chord in S[i][i].
-    slots = [0] * len(matrix)
-    budget: dict[tuple[int, int], int] = {}
-    for a, b, n in matrix.cells:
-        budget[a, b] = n
+    slots = [0] * m
+    rows: dict[int, dict[int, int]] = {}
+    for a, b, n in cells:
+        rows.setdefault(a, {})[b] = n
         slots[a] += n
         slots[b] += n
-    _check_work("the matching count of this type matrix",
-                _matching_factors(slots, budget))
-    slot_word = [i for i, count in enumerate(slots) for _ in range(count)]
-    return tuple(sorted({ChordDiagram(words)
-                         for words in _pairings(slot_word, len(matrix), budget)}))
+    # Each code tried is a distinct matching of this type, so the matching
+    # count bounds them.
+    _check_work("the matching count of this type matrix", _matching_factors(slots, cells))
+    partial = [({}, (), 0)]   # per partial code: its words by circle, open chords, names
+    for c in [c for c in range(m) if slots[c]]:
+        partial = [({**words, c: word}, after, given) for words, ends, n in partial
+                   for word, after, given in _circle_words(c, slots[c], rows.get(c, {}),
+                                                           ends, n)]
+    codes = (tuple([words.get(c, ()) for c in range(m)]) for words, _, _ in partial)
+    return tuple(sorted(d for code in codes if (d := ChordDiagram(code)).code == code))
 
 
 enumerate_by_matrix.cache_info = _by_matrix.cache_info
 
 
-def _matching_factors(slots: list[int], budget: dict[tuple[int, int], int]
-                      ) -> Iterator[int]:
+def _circle_words(c: int, size: int, row: dict[int, int],
+                  ends: tuple[tuple[int, int], ...], n: int) -> Iterator[tuple]:
+    """Each word of `size` labels circle c may carry in a canonical code,
+    with the chords open after it and the count of names given.
+
+    ends lists the open chords, (label, circle of the far end), in label
+    order, and n names are given.  The word closes the chords ending on
+    c, in any order, and opens row[d] chords towards each circle d >= c,
+    named n + 1, n + 2, ... as they open.  Two necessary conditions of
+    canonical_code prune: a word closing chords named on earlier circles
+    starts with the least of them, and any other word is its own least
+    one-circle form once renamed locally.
+    """
+    least = next((label for label, d in ends if d == c), 0)
+
+    def walk(word: tuple[int, ...], ends: tuple, left: dict[int, int], t: int
+             ) -> Iterator[tuple]:
+        if len(word) == size:
+            if least or _circle_code(local := tuple([x - n for x in word]))[0] == local:
+                yield word, ends, t
+            return
+        # A circle holding chords named earlier begins with the least of them.
+        for i, (label, d) in enumerate(ends):
+            if d == c and (word or label == least):
+                yield from walk(word + (label,), ends[:i] + ends[i + 1:], left, t)
+        if word or not least:
+            for d, count in left.items():
+                if count:
+                    yield from walk(word + (t + 1,), ends + ((t + 1, d),),
+                                    {**left, d: count - 1}, t + 1)
+
+    return walk((), ends, row, n)
+
+
+def _matching_factors(slots: list[int], cells: Cells) -> Iterator[int]:
     """The matchings of a type, prod slots_i! / (prod 2**S_ii S_ii!
     prod_{i<j} S_ij!), as positive factors: cell by cell, the ways to
     choose its chord ends among each circle's free slots, then to pair
     them, (2n - 1)!! on a circle's own n chords and n! between two."""
     free = list(slots)
-    for (a, b), n in budget.items():
+    for a, b, n in cells:
         for circle in {a, b}:
             ends = 2 * n if a == b else n
             yield _binomial(free[circle], ends)
@@ -633,61 +663,6 @@ def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
 
 
 # -- Reduction modulo 4T -----------------------------------------------------
-
-
-def _eliminate(vec: dict[int, Fraction],
-               rows: Sequence[tuple[int, dict[int, Fraction]]]) -> dict[int, Fraction]:
-    """Subtract echelon rows (pivot = least index) to reach the normal form."""
-    for pivot, row in rows:
-        coeff = vec.get(pivot)
-        if not coeff:
-            continue
-        for i, v in row.items():
-            add_term(vec, i, -coeff * v)
-    return vec
-
-
-def _echelon(vectors: Iterable[dict[int, Fraction]],
-             ) -> tuple[tuple[int, dict[int, Fraction]], ...]:
-    """Echelon rows, each scaled to 1 at its pivot, spanning the vectors."""
-    rows: list[tuple[int, dict[int, Fraction]]] = []
-    for vec in vectors:
-        vec = _eliminate(vec, rows)
-        if vec:
-            pivot = min(vec)
-            inv = Fraction(1) / vec[pivot]
-            rows.append((pivot, {i: c * inv for i, c in vec.items()}))
-            rows.sort(key=lambda r: r[0])
-    return tuple(rows)
-
-
-Reducer = tuple[tuple[K, ...], dict[K, int], tuple[tuple[int, dict[int, Fraction]], ...]]
-
-
-def _quotient(basis: tuple[K, ...], relators: Iterable[Mapping[K, int]]) -> Reducer:
-    """The basis, its index, and echelon rows spanning the relators."""
-    index = {d: i for i, d in enumerate(basis)}
-    return basis, index, _echelon(
-        {index[d]: Fraction(c) for d, c in relator.items()} for relator in relators)
-
-
-def _residual(vector: Mapping[K, Fraction | int], grade: Callable[[K], tuple],
-              reducer: Callable[..., Reducer]) -> list[tuple[K, Fraction]]:
-    """Reduce each homogeneous part of a vector modulo its relators.
-
-    grade(key) names the part a key lies in, and reducer(*grade(key)) is
-    that part's quotient; zero coefficients are dropped.
-    """
-    groups: dict[tuple, dict[K, Fraction]] = {}
-    for key, coeff in vector.items():
-        if coeff:
-            groups.setdefault(grade(key), {})[key] = Fraction(coeff)
-    residual: list[tuple[K, Fraction]] = []
-    for part, vec in groups.items():
-        basis, index, rows = reducer(*part)
-        reduced = _eliminate({index[d]: c for d, c in vec.items()}, rows)
-        residual.extend((basis[i], c) for i, c in reduced.items())
-    return residual
 
 
 @lru_cache(maxsize=None, typed=True)

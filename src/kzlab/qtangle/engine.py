@@ -60,10 +60,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
-    Cells, ChordDiagram, Code, _placements, _quotient, _relabel,
-    _relator_vectors, _residual, add_term, reduce_mod_4t,
+    Cells, ChordDiagram, Code, _placements, _relabel, _relator_vectors, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
+from ..sparse import _quotient, _residual, add_term
 from .words import (
     AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
     _trace, parse_word, validate_word,

@@ -226,7 +226,9 @@ def _section_pentagon() -> Section:
 
 def _brute_force_degree(m: int, k: int) -> frozenset[ChordDiagram]:
     """Independent enumeration: all slot distributions and pairings,
-    canonicalized, with no type-matrix bookkeeping."""
+    canonicalized, with no type-matrix bookkeeping.  It shares only
+    _placements and canonical_code with the library, whose type families
+    are generated as canonical codes by another route."""
     return frozenset(ChordDiagram(words) for words in _placements(k, m))
 
 

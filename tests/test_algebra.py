@@ -8,6 +8,9 @@ Core claims:
     - interval_sqrt squares back to the input on random unit series
     - Wheel weights are 1/48, -1/5760, 1/362880, -1/19353600, matching
       the Bernoulli-number oracle B_2n / (4n (2n)!)
+    - A wheel order over MAX_WHEEL_ORDER (64) is an input error raised
+      before the cache, so 10**9 is refused at once; order 4 keeps its
+      weights
     - Resolving the two-wheel over all leg orders gives 2(1122) - 2(1212)
     - A wheel size that is not an int >= 1 is an input error, also when
       an equal int tuple is cached
@@ -30,6 +33,7 @@ import pytest
 
 from kzlab.algebra import (
     MAX_TRUNCATION,
+    MAX_WHEEL_ORDER,
     concat_words,
     interval_product,
     interval_sqrt,
@@ -40,8 +44,9 @@ from kzlab.algebra import (
     wheel_attachment_sum,
     wheel_coefficients,
 )
-from kzlab.diagrams import ChordDiagram, _relabel, add_term
+from kzlab.diagrams import ChordDiagram, _relabel
 from kzlab.errors import InputError, TruncationUnsupportedError
+from kzlab.sparse import add_term
 
 
 def _closed(series):
@@ -112,6 +117,15 @@ class TestWheelWeights:
         assert w[4] == Fraction(-1, 5760)
         assert w[6] == Fraction(1, 362880)
         assert w[8] == Fraction(-1, 19353600)
+
+    def test_order_over_the_bound_is_refused_before_the_cache(self):
+        assert MAX_WHEEL_ORDER == 64
+        before = wheel_coefficients.cache_info()
+        for order in (MAX_WHEEL_ORDER + 1, 10**9):
+            with pytest.raises(InputError, match="exceeds the supported maximum 64"):
+                wheel_coefficients(order)
+        assert wheel_coefficients.cache_info() == before
+        assert wheel_coefficients(4) == {2: Fraction(1, 48), 4: Fraction(-1, 5760)}
 
     def test_bernoulli_oracle(self):
         sympy = pytest.importorskip("sympy")

@@ -21,17 +21,27 @@ Core claims:
       a 150-wide matrix with a float, bool, negative or unmirrored entry
       in its last row is refused with the message of the first check
       it fails
-    - Degree lists on one circle have sizes 1, 1, 2, 5, 18 up to degree 4
+    - Degree lists on one circle have sizes 1, 1, 2, 5, 18, 105 up to
+      degree 5 (OEIS A007769)
     - Type families partition each degree list (m <= 3, k <= 4)
     - The placements generator yields C(2k+p-1, p-1) (2k-1)!! label
-      lists for k chords on p words (p <= 3, k <= 4); walked with each
-      type matrix's budget, the slot pairings of that type's layout are
-      all of type S and together are exactly the placements, so the
-      type-family walk forms no matching of another type
-    - Each enumeration counts its work in closed form before walking:
-      the degree list, each type family and the type-matrix list are
-      admitted at a limit equal to their matchings (or entries) and
-      refused one below it; a huge degree or entry is refused at once
+      lists for k chords on p words (p <= 3, k <= 4); each type family
+      is of its type, and the families together are exactly the
+      canonicalised placements, each diagram once
+    - Each type family is the canonicalised placements of its type (a
+      brute force by type), for every S with m <= 4, k <= 3 and with
+      m <= 2, k <= 5
+    - A cold sweep over m <= 3, k <= 4 makes at most 1,500 canonical
+      codes for its 882 diagrams (canonicalising every matching made
+      6,391)
+    - A 1,100-circle type with one chord from the first circle to the
+      last, and the 1,100-circle unit diagonal, each give their one
+      diagram, with no recursion per circle or per chord
+    - Each enumeration counts its work in closed form before it starts:
+      the degree list, each type family (its matchings counted here from
+      S) and the type-matrix list are admitted at a limit equal to their
+      matchings (or entries) and refused one below it; a huge degree or
+      entry is refused at once
     - Every 4T move has four placements with signs +1, -1, -1, +1 and
       pairwise-matching type matrices at each anchor endpoint
     - Relators are read-only diagram -> int vectors
@@ -57,6 +67,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kzlab
 from kzlab import diagrams
 from kzlab.algebra import (
     concat_words, interval_sqrt, series_exp, wheel_attachment_sum,
@@ -65,7 +76,6 @@ from kzlab.algebra import (
 from kzlab.diagrams import (
     ChordDiagram,
     TypeMatrix,
-    _pairings,
     _placements,
     _relabel,
     all_type_matrices,
@@ -353,7 +363,8 @@ class TestTypeMatrix:
 
 class TestEnumeration:
     def test_one_circle_sizes(self):
-        assert [len(enumerate_by_degree(1, k)) for k in range(5)] == [1, 1, 2, 5, 18]
+        # OEIS A007769: one-circle diagrams up to rotation.
+        assert [len(enumerate_by_degree(1, k)) for k in range(6)] == [1, 1, 2, 5, 18, 105]
 
     def test_two_circles_degree_one(self):
         family = enumerate_by_degree(2, 1)
@@ -403,21 +414,55 @@ class TestEnumeration:
                 matrices = all_type_matrices(parts, k)
                 admitted_at(expected, enumerate_by_degree, parts, k)
                 admitted_at(len(matrices) * parts ** 2, all_type_matrices, parts, k)
-                # Walked with each type's budget, the pairings of that
-                # type's slot layout partition the placements.
-                typed = []
+                # Each family has its type, the families together are the
+                # canonicalised placements, each diagram made once, and each
+                # family is admitted at its matchings, counted here from S.
+                made = []
                 for S in matrices:
-                    slot_word = [i for i, row in enumerate(S)
-                                 for _ in range(row[i] + sum(row))]
-                    budget = {(a, b): n for a, row in enumerate(S)
-                              for b, n in enumerate(row[a:], start=a) if n}
-                    walked = list(_pairings(slot_word, parts, budget))
-                    for words in walked:
-                        assert ChordDiagram(words).type_matrix() == S
-                        typed.append(words)
-                    admitted_at(len(walked), diagrams._by_matrix, S)
-                assert sorted(typed) == sorted(_placements(k, parts))
+                    family = enumerate_by_matrix(S)
+                    assert all(d.type_matrix() == S for d in family)
+                    made.extend(family)
+                    slots = [row[i] + sum(row) for i, row in enumerate(S)]
+                    matchings = math.prod(map(math.factorial, slots)) // math.prod(
+                        2 ** n * math.factorial(n) if a == b else math.factorial(n)
+                        for a, b, n in S.cells)
+                    admitted_at(matchings, diagrams._by_matrix, parts, S.cells)
+                assert sorted(made) == sorted({ChordDiagram(words)
+                                               for words in _placements(k, parts)})
         assert expected == 4725
+
+    @pytest.mark.parametrize("m, k", [(m, k) for m in range(1, 5) for k in range(4)]
+                             + [(1, 4), (2, 4), (1, 5), (2, 5)])
+    def test_families_are_the_brute_force_by_type(self, m, k):
+        by_type = {}
+        for words in _placements(k, m):
+            diagram = ChordDiagram(words)
+            by_type.setdefault(diagram.type_matrix(), set()).add(diagram)
+        assert set(by_type) <= set(all_type_matrices(m, k))
+        for S in all_type_matrices(m, k):
+            assert enumerate_by_matrix(S) == tuple(sorted(by_type.get(S, ()))), S
+
+    def test_each_diagram_is_built_about_once(self, monkeypatch):
+        # 882 diagrams over m <= 3, k <= 4; building from every matching
+        # took 6,391 canonicalisations.
+        calls = []
+        code = diagrams.canonical_code
+        monkeypatch.setattr(diagrams, "canonical_code",
+                            lambda words: calls.append(1) or code(words))
+        kzlab.clear_caches()
+        made = sum(len(enumerate_by_degree(m, k)) for m in (1, 2, 3) for k in range(5))
+        assert made == 882
+        assert len(calls) <= 1500
+
+    @pytest.mark.parametrize("cells", [((0, 1099, 1),),
+                                       tuple((c, c, 1) for c in range(1100))],
+                             ids=["one-chord-end-to-end", "unit-diagonal"])
+    def test_wide_type_gives_its_one_diagram(self, cells):
+        S = [[0] * 1100 for _ in range(1100)]
+        for i, j, n in cells:
+            S[i][j] = S[j][i] = n
+        (diagram,) = enumerate_by_matrix(S)
+        assert diagram.type_cells == cells
 
 
 # == 4. 4T relators and the quotient =========================================

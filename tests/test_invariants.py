@@ -249,9 +249,9 @@ class TestTheorem:
         calls = []
         by_matrix = diagrams._by_matrix
 
-        def spy(S):
-            calls.append(S)
-            return by_matrix(S)
+        def spy(*key):
+            calls.append(key)
+            return by_matrix(*key)
 
         monkeypatch.setattr(diagrams, "_by_matrix", spy)
         lk = linking_matrix(word)

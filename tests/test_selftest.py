@@ -7,7 +7,7 @@ Core claims:
     - The recursion and variation sections compute each crossing-change
       identity once per (crossing, S) pair and never call check_recursion
     - The enumeration section's brute force never reaches the type-matrix
-      route it checks
+      route it checks, whose cache is keyed by (circle count, cells)
 """
 
 from fractions import Fraction
@@ -74,9 +74,9 @@ def test_brute_force_enumeration_skips_the_type_route(monkeypatch):
     built = []
     by_matrix = kzlab.diagrams._by_matrix
 
-    def spy(matrix):
-        built.append(matrix)
-        return by_matrix(matrix)
+    def spy(*key):
+        built.append(key)
+        return by_matrix(*key)
 
     monkeypatch.setattr(kzlab.diagrams, "_by_matrix", spy)
     sizes = [len(kzlab.selftest._brute_force_degree(1, k)) for k in range(5)]
@@ -86,4 +86,4 @@ def test_brute_force_enumeration_skips_the_type_route(monkeypatch):
     assert sizes == [1, 1, 2, 5, 18]
     assert built == []
     kzlab.diagrams.enumerate_by_matrix(((1,),))
-    assert built == [((1,),)]
+    assert built == [(1, ((0, 0, 1),))]
