@@ -32,11 +32,9 @@ from .errors import (
     CorpusLookupError, InputError, TruncationUnsupportedError, WordParseError,
     WordValidationError,
 )
-from .invariants import (
-    _check_degree, check_recursion, degree_sum_identity, verify_theorem,
-)
+from .invariants import check_recursion, degree_sum_identity, verify_theorem
 from .qtangle.corpus import corpus_names, load_corpus_word
-from .qtangle.engine import integrate
+from .qtangle.engine import _check_cutoff, integrate
 from .qtangle.words import Slice, linking_matrix, parse_word
 from .selftest import run_selftest, section_names
 
@@ -94,12 +92,9 @@ def _render_code(diagram: ChordDiagram) -> str:
 
 
 def _series_json(result) -> dict:
-    terms = []
-    for diagram in sorted(result.coefficients):
-        coeff = result.coefficients[diagram]
-        if coeff == 0:
-            continue
-        terms.append({"diagram": diagram.json_dict(), "coeff": str(coeff)})
+    terms = [{"diagram": diagram.json_dict(),
+              "coeff": str(result.coefficients[diagram])}
+             for diagram in sorted(result.coefficients)]
     return {"circles": result.circles, "truncation": result.truncation,
             "terms": terms}
 
@@ -137,23 +132,19 @@ def cmd_compute(args: argparse.Namespace) -> int:
         total = sum(part.values(), Fraction(0))
         _write(f"degree {k} (sum {total}):")
         for diagram in sorted(part):
-            if part[diagram]:
-                _write(f"  {part[diagram]!s:>10}  {_render_code(diagram)}")
+            _write(f"  {part[diagram]!s:>10}  {_render_code(diagram)}")
     return EXIT_OK
 
 
 def _chosen_matrices(args: argparse.Namespace, given,
                      word: Sequence[Slice]) -> list:
     """The one --S given, or under --all-S every type matrix on the word's
-    circles of degree up to --max-degree, which must not exceed --degree."""
+    circles of degree 0 up to --degree, once the word supports --degree."""
     if not args.all_S:
         return [given]
     m = len(linking_matrix(word))
-    if args.max_degree < 0:
-        raise InputError("--max-degree must be nonnegative")
-    _check_degree(min(args.max_degree, args.degree + 1), args.degree)
-    return [S for k in range(args.max_degree + 1)
-            for S in all_type_matrices(m, k)]
+    _check_cutoff(word, args.degree)
+    return [S for k in range(args.degree + 1) for S in all_type_matrices(m, k)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -178,17 +169,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    """--circles goes with --k; under --S the circle count is len(S)."""
     S = _parse_matrix(args.S)
-    if args.circles < 1:
-        raise InputError("--circles must be at least 1")
     if S is None:
-        diagrams = enumerate_by_degree(args.circles, args.k)
-    elif len(S) != args.circles:
-        raise WordValidationError("--S size must match --circles")
+        circles = 1 if args.circles is None else args.circles
+        if circles < 1:
+            raise InputError("--circles must be at least 1")
+        diagrams = enumerate_by_degree(circles, args.k)
+    elif args.circles is not None:
+        raise WordParseError("--circles is not read with --S, whose size "
+                             "is the circle count")
+    elif not S:
+        raise InputError("--S must have at least one row")
     else:
+        circles = len(S)
         diagrams = enumerate_by_matrix(S)
     if args.format == "json":
-        _emit({"circles": args.circles, "count": len(diagrams),
+        _emit({"circles": circles, "count": len(diagrams),
                "diagrams": [d.json_dict() for d in diagrams]})
     else:
         for d in diagrams:
@@ -249,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
         chosen.add_argument("--S", metavar="JSON",
                             help="type matrix, e.g. [[0,1],[1,0]]")
         chosen.add_argument("--all-S", action="store_true", dest="all_S",
-                            help="sweep every symmetric S up to --max-degree")
-        p.add_argument("--max-degree", type=int, default=3, metavar="INT")
+                            help="sweep every symmetric S up to --degree")
     recursion.add_argument("--crossing", type=int, metavar="INT", required=True,
                            help="1-based slice index of the designated crossing")
 
     p = sub.add_parser("enumerate", help="list chord diagrams")
-    p.add_argument("--circles", type=int, default=1, metavar="INT")
+    p.add_argument("--circles", type=int, metavar="INT",
+                   help="circle count for --k (default 1)")
     chosen = p.add_mutually_exclusive_group(required=True)
     chosen.add_argument("--k", type=int, metavar="INT", help="chord count")
     chosen.add_argument("--S", metavar="JSON", help="type matrix")

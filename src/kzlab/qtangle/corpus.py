@@ -3,21 +3,19 @@
 Each entry pairs a word file with the framed linking matrix of the link
 it presents, computed by hand from the diagram.  The matrices serve as an
 oracle: tests and the self-check compare them against both the crossing
-count and the engine's degree-1 output.  Setting KZLAB_CORPUS_DIR points
-the loader at a directory of replacement .qtw files with the same names.
+count and the engine's degree-1 output, so a name always loads the
+bundled word that its matrix describes.  Any other word is read from a
+file, on the command line with --word PATH.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from ..errors import CorpusLookupError
 from .words import Slice, parse_word
-
-_ENV_DIR = "KZLAB_CORPUS_DIR"
 
 _MANIFEST: dict[str, tuple[str, tuple[tuple[str, ...], ...]]] = {
     "u0": ("u0.qtw", (("0",),)),
@@ -37,18 +35,14 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def corpus_path(name: str) -> Path:
-    """Filesystem path of a bundled word, honouring KZLAB_CORPUS_DIR."""
+    """Filesystem path of the bundled word file for name."""
     try:
         filename, _ = _MANIFEST[name]
     except KeyError:
         raise CorpusLookupError(
             f"unknown corpus word {name!r}; known: {', '.join(corpus_names())}"
         ) from None
-    override = os.environ.get(_ENV_DIR)
-    if override:
-        path = Path(override) / filename
-    else:
-        path = Path(str(resources.files(__package__) / "data" / filename))
+    path = Path(str(resources.files(__package__) / "data" / filename))
     if not path.is_file():
         raise CorpusLookupError(f"corpus file not found: {path}")
     return path

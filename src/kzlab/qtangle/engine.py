@@ -75,22 +75,13 @@ _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 # -- 4T reduction on parallel strands ----------------------------------------
 
 
+@lru_cache(maxsize=None, typed=True)
 def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All normalized placements of k chords on n labeled strands; n must
     be an int >= 1 and k an int >= 0 (InputError otherwise)."""
-    # Checked before the cache, which would answer 2.0 as 2 if untyped.
     if not (type(n) is int and type(k) is int and n >= 1 and k >= 0):
         raise InputError("need n >= 1 strands and k >= 0 chords, both ints")
-    return _strand_monomials(n, k)
-
-
-@lru_cache(maxsize=None)
-def _strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(sorted({_relabel(words) for words in _placements(k, n)}))
-
-
-strand_monomials.cache_info = _strand_monomials.cache_info
-strand_monomials.cache_clear = _strand_monomials.cache_clear
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -606,7 +597,12 @@ class TangleResult:
     def coefficient(self, diagram: ChordDiagram) -> Fraction:
         return self.coefficients.get(diagram, Fraction(0))
 
+    def _check_k(self, k: int) -> None:
+        if type(k) is not int or not 0 <= k <= self.truncation:
+            raise InputError(f"degree must be an int in 0..{self.truncation}")
+
     def degree_part(self, k: int) -> dict[ChordDiagram, Fraction]:
+        self._check_k(k)
         return {d: c for d, c in self.coefficients.items() if d.degree == k}
 
     def type_sums(self, k: int) -> Mapping[Cells, Fraction]:
@@ -614,8 +610,7 @@ class TangleResult:
         cells map to its class sum, and a type summing to 0 is absent.
         k must be an int in 0..truncation (InputError otherwise), so at
         most truncation + 1 groupings are kept."""
-        if type(k) is not int or not 0 <= k <= self.truncation:
-            raise InputError(f"degree must be an int in 0..{self.truncation}")
+        self._check_k(k)
         sums = self._type_sums.get(k)
         if sums is None:
             grouped: dict[Cells, Fraction] = {}
@@ -664,6 +659,8 @@ def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
                   cutoff: int) -> TangleResult:
     """Integrate with one crossing's series replaced by a bare k-chord
     block with coefficient 1 (k = 0 suppresses the crossing's chords)."""
+    if type(crossing) is not int:
+        raise InputError("crossing must be an int slice index")
     if type(k) is not int or k < 0:
         raise InputError("chord count must be a nonnegative int")
     return _integrate_cached(tuple(slices), cutoff, (crossing - 1, k))

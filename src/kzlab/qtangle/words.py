@@ -33,7 +33,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..errors import WordParseError, WordValidationError
+from ..errors import InputError, WordParseError, WordValidationError
 
 # Component birth keys order circles: boundary anchors first, then cups by
 # slice.  A merge keeps the smallest key.
@@ -430,7 +430,9 @@ class WordTrace:
     members: Mapping[Birth, tuple[Birth, ...]]  # read-only
 
     def crossing(self, index: int) -> TracedCrossing:
-        """The crossing at a 1-based slice index."""
+        """The crossing at a 1-based slice index, an int."""
+        if type(index) is not int:
+            raise InputError(f"slice index must be an int, not {index!r}")
         for traced in self.crossings:
             if traced.slice == index:
                 return traced

@@ -18,20 +18,22 @@ Core claims:
     - --S and --relabel are parsed before the word is loaded, so a bad
       flag exits 2 even when the word itself is invalid; an empty --S
       (exit 2) or --relabel (exit 3) is refused, not read as absent
-    - zero circles fail enumerate with one message under --S and --k,
-      and a negative --max-degree fails verify theorem and recursion
-      with --all-S, both with exit 3
+    - zero circles fail enumerate --k, an empty --S fails enumerate, and
+      a negative --degree fails verify theorem and recursion under --all-S
+      with the --S path's message, each with exit 3
+    - enumerate reads the circle count off --S, and --circles given with
+      --S exits 2
     - each verify identity declares exactly the flags it reads: a flag
       it does not read (--relabel on degree-sum or recursion, --k on
-      theorem, --all-S on degree-sum), a missing required one (--k,
-      --crossing, --S or --all-S, enumerate's --k or --S) and a flag
-      placed before the identity are usage errors, exit 2 with a usage
-      message and nothing on stdout
+      theorem, --all-S on degree-sum, --max-degree anywhere), a missing
+      required one (--k, --crossing, --S or --all-S, enumerate's --k or
+      --S) and a flag placed before the identity are usage errors, exit 2
+      with a usage message and nothing on stdout
     - conflicting selectors (--S with --all-S on verify, --S with --k on
       enumerate) are usage errors, exit 2, instead of one being ignored
-    - --all-S with a --max-degree over --degree exits 4 before listing
-      any type matrix, so verify theorem and recursion at --max-degree
-      1000 return at once
+    - --all-S sweeps every S up to --degree, and a --degree over what the
+      word supports exits 4 before listing any type matrix, so verify
+      theorem and recursion at --degree 1000 return at once
     - hostile sizes end at once with their documented code: an S entry
       of 99999999 on verify theorem exits 4 before any factorial, and an
       enumeration over the limit (100000 circles, degree 99999999 or 40,
@@ -43,15 +45,19 @@ Core claims:
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
-    - KZLAB_CORPUS_DIR redirects the corpus loader
+    - --corpus NAME always loads the bundled word, whatever the
+      environment holds
+    - every kzlab line of the README's "Command line" block exits 0
     - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
 """
 
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,7 +133,7 @@ class TestVerify:
 
     def test_theorem_sweep_json_deterministic_up_to_ms(self, capsys):
         argv = ("verify", "theorem", "--corpus", "hopf+", "--all-S",
-                "--max-degree", "2", "--degree", "2", "--format", "json")
+                "--degree", "2", "--format", "json")
         code, first, _ = _run(capsys, *argv)
         code2, second, _ = _run(capsys, *argv)
         assert code == code2 == 0
@@ -140,6 +146,10 @@ class TestVerify:
                     for r in reports]
 
         assert strip(first) == strip(second)
+        # The sweep runs up to --degree.
+        degrees = [kzlab.TypeMatrix(report["S"]).degree
+                   for report in json.loads(first)]
+        assert degrees == sorted(degrees) and set(degrees) == {0, 1, 2}
 
     def test_degree_sum(self, capsys):
         code, out, _ = _run(capsys, "verify", "degree-sum", "--corpus",
@@ -189,12 +199,17 @@ class TestEnumerate:
         assert out.strip().splitlines()[-1] == "count: 5"
 
     def test_json_by_type(self, capsys):
-        code, out, _ = _run(capsys, "enumerate", "--circles", "2",
+        code, out, _ = _run(capsys, "enumerate",
                             "--S", "[[0,1],[1,0]]", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        assert data["count"] == 1
+        assert data["circles"] == 2 and data["count"] == 1
         assert data["diagrams"][0]["chords"] == [[[1, 0], [2, 0]]]
+        # The circle count is read off S, so --circles is not read with it.
+        code, out, err = _run(capsys, "enumerate", "--circles", "2",
+                              "--S", "[[0,1],[1,0]]", "--format", "json")
+        assert code == 2 and not out
+        assert err.startswith("error: --circles is not read with --S")
 
 
 class TestSelftest:
@@ -317,12 +332,12 @@ class TestExitCodes:
             assert "unrecognized arguments: --relabel" in err, argv
 
     def test_zero_circles_fail_both_enumerate_selectors(self, capsys):
-        errors = set()
-        for selector in (("--S", "[]"), ("--k", "0")):
-            code, out, err = _run(capsys, "enumerate", "--circles", "0", *selector)
-            assert code == 3 and not out, selector
-            errors.add(err)
-        assert errors == {"error: --circles must be at least 1\n"}
+        code, out, err = _run(capsys, "enumerate", "--circles", "0", "--k", "0")
+        assert code == 3 and not out
+        assert err == "error: --circles must be at least 1\n"
+        code, out, err = _run(capsys, "enumerate", "--S", "[]")
+        assert code == 3 and not out
+        assert err == "error: --S must have at least one row\n"
 
     def test_flags_are_parsed_before_the_word_is_loaded(self, capsys, tmp_path):
         # The word file is invalid (exit 3), but the bad flag is found first.
@@ -336,27 +351,32 @@ class TestExitCodes:
         code, _, _ = _run(capsys, "compute", "--word", str(path))
         assert code == 3
 
-    def test_negative_max_degree_exits_3(self, capsys):
+    def test_negative_degree_under_all_s_exits_3(self, capsys):
+        errors = set()
         for identity in (("theorem",), ("recursion", "--crossing", "4")):
-            code, out, err = _run(capsys, "verify", *identity, "--corpus",
-                                  "hopf+", "--all-S", "--max-degree", "-1")
-            assert code == 3 and not out, identity
-            assert err == "error: --max-degree must be nonnegative\n"
+            for chosen in (("--all-S",), ("--S", "[[0,1],[1,0]]")):
+                code, out, err = _run(capsys, "verify", *identity, "--corpus",
+                                      "hopf+", *chosen, "--degree", "-1")
+                assert code == 3 and not out, (identity, chosen)
+                errors.add(err)
+        assert errors == {
+            "error: truncation degree must be a nonnegative int\n"}
 
     def test_all_s_over_the_truncation_exits_4_before_listing(self):
         # Up to degree 1000 there are more type matrices than could be
         # listed; each argv is refused at once, in a fresh process.
-        for argv in (("theorem", "--corpus", "chain3", "--max-degree", "1000"),
-                     ("theorem", "--corpus", "chain3", "--max-degree", "4",
-                      "--degree", "3"),
-                     ("recursion", "--corpus", "hopf+", "--crossing", "4",
-                      "--max-degree", "1000")):
+        for argv, degree in (
+                (("theorem", "--corpus", "chain3", "--degree", "1000"), 1000),
+                (("theorem", "--corpus", "chain3", "--degree", "4"), 4),
+                (("recursion", "--corpus", "hopf+", "--crossing", "4",
+                  "--degree", "1000"), 1000)):
             argv = ("verify", *argv, "--all-S")
             proc = subprocess.run([sys.executable, "-m", "kzlab.cli", *argv],
                                   capture_output=True, text=True, timeout=30)
             assert proc.returncode == 4 and not proc.stdout, argv
-            assert proc.stderr == ("error: type matrix needs degree 4 but the "
-                                   "series is truncated at 3\n"), argv
+            assert proc.stderr == (f"error: truncation degree {degree} exceeds "
+                                   "the supported maximum 3 for this word\n"
+                                   ), argv
 
     def test_hostile_argv_end_with_their_exit_code(self):
         # Each would hang, or run out of memory, without the check made
@@ -374,7 +394,7 @@ class TestExitCodes:
                   "--S", "[[0,1,0],[1,0,0],[0,0,0]]", "--degree", "5"), 3),
                 (("enumerate", "--circles", "100000", "--k", "1"), 3),
                 (("enumerate", "--circles", "3", "--k", huge), 3),
-                (("enumerate", "--circles", "1", "--S", f"[[{huge}]]"), 3),
+                (("enumerate", "--S", f"[[{huge}]]"), 3),
                 (("enumerate", "--circles", "1", "--k", "40"), 3),
                 # Read up to the word-file bound, then refused.
                 (("compute", "--word", "/dev/zero", "--degree", "1"), 2)):
@@ -453,11 +473,9 @@ class TestParserSurface:
                         for option in action.option_strings]
                  for name, p in identities.items()}
         assert flags == {
-            "theorem": WORD_FLAGS + ["--relabel", "--S", "--all-S",
-                                     "--max-degree"],
+            "theorem": WORD_FLAGS + ["--relabel", "--S", "--all-S"],
             "degree-sum": WORD_FLAGS + ["--k"],
-            "recursion": WORD_FLAGS + ["--S", "--all-S", "--max-degree",
-                                       "--crossing"],
+            "recursion": WORD_FLAGS + ["--S", "--all-S", "--crossing"],
         }
 
     def test_inapplicable_missing_and_misplaced_flags_are_usage_errors(
@@ -472,6 +490,9 @@ class TestParserSurface:
                      ("degree-sum", *hopf),
                      ("recursion", *hopf, *S),
                      ("recursion", *hopf, "--crossing", "4"),
+                     ("theorem", *hopf, "--all-S", "--max-degree", "3"),
+                     ("recursion", *hopf, "--crossing", "4", "--all-S",
+                      "--max-degree", "3"),
                      (*hopf, "theorem", *S)):
             _usage_error(capsys, "verify", *argv)
         # At the command line too, with no traceback.
@@ -483,26 +504,32 @@ class TestParserSurface:
         assert "Traceback" not in proc.stderr
 
 
-# == 6. corpus override ======================================================
+# == 6. corpus lookup and the README ========================================
 
 
-class TestCorpusOverride:
-    def test_env_dir_redirects_lookup(self, capsys, tmp_path, monkeypatch):
+class TestCorpusLookup:
+    def test_a_name_always_loads_the_bundled_word(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # A kinked unknot named u0, where the corpus's own u0 has no kink.
         (tmp_path / "u0.qtw").write_text("cup@1 ; x-@1 ; cap'@1\n",
                                          encoding="utf-8")
         monkeypatch.setenv("KZLAB_CORPUS_DIR", str(tmp_path))
-        assert corpus_path("u0") == tmp_path / "u0.qtw"
+        assert corpus_path("u0").parent != tmp_path
         code, out, _ = _run(capsys, "compute", "--corpus", "u0",
                             "--degree", "1")
-        assert code == 0 and "degree 1 (sum 1/2):" in out
+        assert code == 0 and "degree 1 (sum 0):" in out
 
-    def test_missing_override_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KZLAB_CORPUS_DIR", str(tmp_path))
-        import pytest
-        from kzlab.errors import CorpusLookupError
 
-        with pytest.raises(CorpusLookupError):
-            corpus_path("trefoil")
+def test_readme_command_lines_exit_0(capsys):
+    # The kzlab lines of the README's "Command line" code block.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("kzlab ")]
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 # == 7. package surface ======================================================

@@ -75,9 +75,10 @@ Core claims:
       entries: a loop over more distinct words stays within the bound and
       an evicted word integrates to the same series
     - A cached answer does not depend on cache state: a truncation,
-      degree, circle count, chord count, wheel size, wheel order or
-      strand count that is a bool or a float is refused with InputError from cold caches, and again
-      once the equal int call is cached
+      degree, crossing index, circle count, chord count, wheel size,
+      wheel order or strand count that is a bool or a float is refused
+      with InputError from cold caches, and again once the equal int
+      call is cached
 """
 
 import dataclasses
@@ -845,6 +846,8 @@ _EQUAL_KEYS = [
      lambda: degree_sum_identity(_HOPF, True, 2)),
     ("crossing_term", lambda: crossing_term(_HOPF, 4, 1, 2),
      lambda: crossing_term(_HOPF, 4, True, 2)),
+    ("crossing_term_index", lambda: crossing_term(_HOPF, 4, 1, 2),
+     lambda: crossing_term(_HOPF, 4.0, 1, 2)),
     ("all_type_matrices", lambda: all_type_matrices(2, 1),
      lambda: all_type_matrices(2.0, 1)),
     ("enumerate_by_degree", lambda: enumerate_by_degree(2, 2),

@@ -11,7 +11,8 @@ Core claims:
       sums by type, kept per degree; it equals the enumerated sum over
       every diagram of type S (every corpus word at truncation 3 and at
       its maximum, every crossing term with k <= 3, every S of degree
-      <= 3), and every 4T relator, a raw mapping, still sums to 0
+      <= 3), and every 4T relator, a raw mapping, still sums to 0;
+      degree_part and reduced refuse the degrees type_sums refuses
     - The theorem on a 150-circle nest walks no type's diagrams
     - The main identity holds on corpus words: linking monomial equals
       the matching class sum, exactly
@@ -23,7 +24,9 @@ Core claims:
       monomials summed over every type matrix of degree k
     - Crossing surgery: bare blocks above the designated cell vanish,
       a slice index that is not a crossing (out of range, negative or a
-      cup) is refused by flip_crossing and variation_match,
+      cup) is refused by flip_crossing and variation_match, and one
+      that is not an int (4.0, True) by every crossing entry point,
+      whether or not the equal int call is cached,
       the variation series and the inversion identity both close, the
       checker rejects geometrically negative crossings, and
       check_recursion is exactly the series, inversion and oracle
@@ -48,6 +51,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kzlab
 from kzlab import diagrams
 from kzlab.diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_matrix,
@@ -217,6 +221,14 @@ class TestClassSum:
             with pytest.raises(InputError):
                 result.type_sums(k)
 
+    def test_degree_parts_refuse_what_type_sums_refuses(self):
+        result = integrate(load_corpus_word("trefoil"), 3)
+        for k in (-1, 4, 9, True, 2.0, 2.5):
+            for read in (result.type_sums, result.degree_part, result.reduced):
+                with pytest.raises(InputError, match=r"int in 0\.\.3"):
+                    read(k)
+        assert sum(result.degree_part(2).values()) == Fraction(9, 8)
+
     def test_unlinked_degrees_sum_to_zero(self):
         result = integrate(load_corpus_word("u0"), 3)
         for k in (1, 2, 3):
@@ -369,6 +381,29 @@ class TestSurgery:
                 flip_crossing(word, crossing)
             with pytest.raises(WordValidationError, match="not a crossing"):
                 variation_match(word, crossing, HOPF_S, 2)
+
+    def test_crossing_index_must_be_an_int(self):
+        # The trefoil's crossings are slices 4, 5 and 6; 4.0 == 4 and
+        # True == 1 would otherwise be read as those slices.
+        word = load_corpus_word("trefoil")
+        S = ((1,),)
+        calls = [lambda c: crossing_term(word, c, 1, 3),
+                 lambda c: flip_crossing(word, c),
+                 lambda c: crossing_circles(word, c),
+                 lambda c: variation_match(word, c, S, 3),
+                 lambda c: check_recursion(word, c, S, 3),
+                 lambda c: smoothing_shift_reports(word, c, S, 3)]
+
+        def refused(call):
+            for crossing in (4.0, True):
+                with pytest.raises(InputError, match="int"):
+                    call(crossing)
+
+        for call in calls:
+            kzlab.clear_caches()
+            refused(call)
+            call(4)
+            refused(call)
 
     def test_block_above_the_cell_vanishes(self):
         word = load_corpus_word("hopf+")
