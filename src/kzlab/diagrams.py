@@ -46,13 +46,13 @@ before the next circle is written, and a full code is kept if and only
 if it is its own canonical code, so every diagram is made once and no
 set is needed.  Empty circles cost nothing but their () in the code.
 The placements (every spread of the endpoints over the words times
-every pairing) are a separate slot-pairing walk, for the selftest's
-brute force and the engine's strands.  Each enumeration counts its work
-in closed form before it starts, and refuses (InputError) more than
-ENUMERATION_LIMIT matchings or type-matrix entries; a family's matching
-count also bounds the codes it tries.  Chords on open strands share
-this code: one placements generator, 4T move, relator-vector builder
-and per-degree quotient serve circles here and strands in the engine.
+every pairing) are a separate slot-pairing walk, for the engine's
+strands.  Each enumeration counts its work in closed form before it
+starts, and refuses (InputError) more than ENUMERATION_LIMIT matchings
+or type-matrix entries; a family's matching count also bounds the codes
+it tries.  Chords on open strands share this code: one 4T move,
+relator-vector builder and per-degree quotient serve circles here and
+strands in the engine.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ class TypeMatrix(tuple):
 
 
 def _check_perm(perm: Sequence[int], m: int) -> None:
-    """Refuse a circle relabelling that is not a 1-based bijection of 1..m."""
-    if sorted(perm) != list(range(1, m + 1)):
+    """Refuse a circle relabelling that is not a 1-based bijection of 1..m
+    in ints (a bool or a float refused)."""
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(1, m + 1)):
         raise InputError(f"perm must be a permutation of 1..{m}, got {perm!r}")
 
 
@@ -365,19 +366,20 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
     """Splice the whole point sequence of one-circle b into a circle of a.
 
     The insertion point is the gap before slot index `gap` on the chosen
-    circle (0 <= gap <= word length).  By default the splice lands after
-    the first marked point, or at the only gap when the circle is bare.
+    circle: circle is an int in 1..a.circles and gap an int in
+    0..word length.  By default the splice lands after the first marked
+    point, or at the only gap when the circle is bare.
     The result is independent of the insertion point modulo 4T.
     """
     if b.circles != 1:
         raise InputError("second summand must have exactly one circle")
-    if not 1 <= circle <= a.circles:
-        raise InputError(f"circle index {circle} out of range 1..{a.circles}")
+    if type(circle) is not int or not 1 <= circle <= a.circles:
+        raise InputError(f"circle index must be an int in 1..{a.circles}, got {circle!r}")
     word = a.code[circle - 1]
     if gap is None:
         gap = 1 if word else 0
-    if not 0 <= gap <= len(word):
-        raise InputError(f"gap index {gap} out of range 0..{len(word)}")
+    if type(gap) is not int or not 0 <= gap <= len(word):
+        raise InputError(f"gap index must be an int in 0..{len(word)}, got {gap!r}")
     shift = a.degree
     insert = tuple(label + shift for label in b.code[0])
     words = list(a.code)
@@ -471,6 +473,7 @@ def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, 
     # Checked before the cache, which would answer ((True,),) as ((1,),),
     # and cached by the cells, which hash in O(cells), not O(m^2).
     S = TypeMatrix(matrix)
+    _check_counts(len(S), S.degree)
     return _by_matrix(len(S), S.cells)
 
 

@@ -6,22 +6,23 @@ the bundled corpus.  Each section is a generator.  It yields one
 is a zero-argument callable rendering the failure; it is called only if
 `passed` is false.  The section returns its summary line.  One runner
 counts every check yielded, stops at the first failure and reports that
-failure's detail, or else the summary.  A cold sweep took 0.41-0.67 s
+failure's detail, or else the summary.  A cold sweep took 0.37-0.54 s
 over ten fresh processes on a 2-core Xeon host (Python 3.11).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .algebra import unknot_series_closed, wheel_coefficients
 from .diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_degree,
-    enumerate_by_matrix, four_t_relators, reduce_mod_4t, _placements,
+    enumerate_by_matrix, four_t_relators, reduce_mod_4t, _relabel,
 )
 from .errors import InputError
 from .invariants import (
@@ -224,12 +225,30 @@ def _section_pentagon() -> Section:
     return f"pentagon and both hexagons hold (frozen sign {sign:+d})"
 
 
-def _brute_force_degree(m: int, k: int) -> frozenset[ChordDiagram]:
-    """Independent enumeration: all slot distributions and pairings,
-    canonicalized, with no type-matrix bookkeeping.  It shares only
-    _placements and canonical_code with the library, whose type families
-    are generated as canonical codes by another route."""
-    return frozenset(ChordDiagram(words) for words in _placements(k, m))
+def _one_per_rotation_class(m: int, k: int,
+                            listed: Sequence[ChordDiagram]) -> bool:
+    """Independent check of a degree list: its codes are distinct, each on
+    m circles with 2k chord ends, and each is the least element of its
+    orbit, every combination of circle rotations renamed by first
+    appearance.  A diagram's labels pair up, so each orbit element is a
+    placement (a spread of the 2k ends over the circles with a pairing,
+    named by first appearance), and distinct classes have disjoint
+    orbits: orbit sizes summing to the placement count mean the list
+    holds exactly one code per class.  It shares only _relabel with the
+    library and holds one orbit at a time."""
+    codes = [d.code for d in listed]
+    if len(set(codes)) != len(codes):
+        return False
+    covered = 0
+    for code in codes:
+        if len(code) != m or sum(map(len, code)) != 2 * k:
+            return False
+        orbit = {_relabel(words) for words in itertools.product(
+            *([w[r:] + w[:r] for r in range(len(w))] or [w] for w in code))}
+        if min(orbit) != code:
+            return False
+        covered += len(orbit)
+    return covered == comb(2 * k + m - 1, m - 1) * prod(range(1, 2 * k, 2))
 
 
 def _section_enumeration() -> Section:
@@ -240,7 +259,7 @@ def _section_enumeration() -> Section:
     for m in (1, 2, 3):
         for k in range(5):
             by_degree = enumerate_by_degree(m, k)
-            yield frozenset(by_degree) == _brute_force_degree(m, k), lambda: (
+            yield _one_per_rotation_class(m, k, by_degree), lambda: (
                 f"degree list (m={m}, k={k}) != brute force")
             seen: set[ChordDiagram] = set()
             for S in all_type_matrices(m, k):

@@ -25,8 +25,9 @@ Core claims:
                        series and the linking-side binomial expansion
      9. pentagon       the associator passes pentagon and both
                        hexagons, with a uniquely pinned sign
-    10. enumeration    diagram counts per type agree with a separate
-                       brute-force matcher
+    10. enumeration    each degree list holds one least code per
+                       rotation orbit, the orbits summing to the
+                       placement count; type families partition it
     11. representation two presentations of the same link agree mod 4T
 """
 

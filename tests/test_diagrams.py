@@ -52,9 +52,13 @@ Core claims:
     - Connected sums agree modulo 4T regardless of insertion point
     - Circle relabeling behaves as stated
     - JSON serialization emits 1-based circles and 0-based slots
+    - Both enumerators refuse zero circles; the empty link still passes
+      the theorem by lookup
     - Bad caller input to public functions raises InputError, not a plain
       ValueError, in diagrams, algebra (wheel_coefficients included), graft
-      and strand_monomials
+      and strand_monomials; a circle or gap index and a circle
+      permutation (verify_theorem's relabel included) must be ints, so a
+      float or a bool equal to a valid one is refused
 """
 
 import copy
@@ -454,6 +458,15 @@ class TestEnumeration:
         assert made == 882
         assert len(calls) <= 1500
 
+    def test_zero_circles_are_refused_by_both_enumerators(self):
+        for call, args in ((enumerate_by_matrix, ((),)),
+                           (enumerate_by_degree, (0, 0)),
+                           (all_type_matrices, (0, 0))):
+            with pytest.raises(InputError, match="need m >= 1"):
+                call(*args)
+        # The empty link's class sum is a lookup, not an enumeration.
+        assert kzlab.verify_theorem(kzlab.parse_word(""), (), 1).passed
+
     @pytest.mark.parametrize("cells", [((0, 1099, 1),),
                                        tuple((c, c, 1) for c in range(1100))],
                              ids=["one-chord-end-to-end", "unit-diagonal"])
@@ -600,6 +613,7 @@ def _bare(cutoff):
 
 
 _ONE = ChordDiagram([(1, 1)])
+_TWO = ChordDiagram([(1, 1), ()])
 
 
 @pytest.mark.parametrize("call", [
@@ -616,10 +630,23 @@ _ONE = ChordDiagram([(1, 1)])
     lambda: wheel_coefficients(2.0),
     lambda: strand_monomials(0, 1),
     lambda: strand_monomials(2.0, 1),
+    # Each value below equals an int in range; only its type is wrong.
+    lambda: connected_sum(_TWO, _ONE, circle=2.0),
+    lambda: connected_sum(_TWO, _ONE, gap=1.0),
+    lambda: connected_sum(_TWO, _ONE, circle=True),
+    lambda: connected_sum(_TWO, _ONE, gap=True),
+    lambda: _TWO.relabel_circles([2.0, 1.0]),
+    lambda: _TWO.relabel_circles([True, 2]),
+    lambda: kzlab.verify_theorem(kzlab.load_corpus_word("hopf+"),
+                                 ((1, 1), (1, 1)), 3, relabel=[2.0, 1.0]),
+    lambda: kzlab.verify_theorem(kzlab.load_corpus_word("hopf+"),
+                                 ((1, 1), (1, 1)), 3, relabel=[True, 2]),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
         "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes",
         "graft-cutoffs", "wheel-order", "wheel-order-float", "strand-count",
-        "strand-count-float"])
+        "strand-count-float", "circle-index-float", "gap-index-float",
+        "circle-index-bool", "gap-index-bool", "perm-float", "perm-bool",
+        "theorem-perm-float", "theorem-perm-bool"])
 def test_bad_arguments_raise_input_error(call):
     with pytest.raises(InputError):
         call()

@@ -6,19 +6,29 @@ Core claims:
       check made up to and including it, and names the failing instance
     - The recursion and variation sections compute each crossing-change
       identity once per (crossing, S) pair and never call check_recursion
-    - The enumeration section's brute force never reaches the type-matrix
-      route it checks, whose cache is keyed by (circle count, cells)
+    - The enumeration section checks each degree list (m <= 3, k <= 4)
+      against rotation orbits and the placement count, calling neither
+      the type-matrix route, canonical_code nor the placements walk, and
+      refuses a list with a diagram dropped or doubled, a code that is
+      not its class's least, or a code of another degree or circle count
+    - The whole sweep's verdicts, counts and messages hash to the
+      selftest digest in bench/reference.json
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import kzlab.diagrams
 import kzlab.invariants
 import kzlab.selftest
+from kzlab.diagrams import ChordDiagram
 from kzlab.selftest import run_selftest
 
 # (crossing, S) pairs over the corpus's positive crossings at degree <= 3.
 CROSSING_PAIRS = 512
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def test_misreported_linking_fails_at_the_first_word(monkeypatch):
@@ -70,20 +80,63 @@ def test_each_crossing_identity_runs_once_per_pair(monkeypatch):
     assert calls == dict.fromkeys(calls, CROSSING_PAIRS)
 
 
+def _degree_lists():
+    return {(m, k): kzlab.diagrams.enumerate_by_degree(m, k)
+            for m in (1, 2, 3) for k in range(5)}
+
+
+def _forged(code):
+    """A diagram carrying the given code as it is, canonical or not."""
+    diagram = object.__new__(ChordDiagram)
+    object.__setattr__(diagram, "code", code)
+    return diagram
+
+
 def test_brute_force_enumeration_skips_the_type_route(monkeypatch):
-    built = []
-    by_matrix = kzlab.diagrams._by_matrix
-
-    def spy(*key):
-        built.append(key)
-        return by_matrix(*key)
-
-    monkeypatch.setattr(kzlab.diagrams, "_by_matrix", spy)
-    sizes = [len(kzlab.selftest._brute_force_degree(1, k)) for k in range(5)]
-    for m in (2, 3):
-        for k in range(4):
-            kzlab.selftest._brute_force_degree(m, k)
-    assert sizes == [1, 1, 2, 5, 18]
-    assert built == []
+    lists = _degree_lists()
+    calls = []
+    for name in ("_by_matrix", "canonical_code", "_placements"):
+        real = getattr(kzlab.diagrams, name)
+        monkeypatch.setattr(kzlab.diagrams, name,
+                            lambda *args, real=real, name=name:
+                            calls.append((name, args)) or real(*args))
+    assert all(kzlab.selftest._one_per_rotation_class(m, k, listed)
+               for (m, k), listed in lists.items())
+    assert calls == []
+    assert [len(lists[1, k]) for k in range(5)] == [1, 1, 2, 5, 18]
+    # The type route it stays clear of is cached by (circle count, cells).
     kzlab.diagrams.enumerate_by_matrix(((1,),))
-    assert built == [(1, ((0, 0, 1),))]
+    assert calls[:1] == [("_by_matrix", (1, ((0, 0, 1),)))]
+
+
+def test_enumeration_check_refuses_each_mutated_list():
+    lists = _degree_lists()
+    check = kzlab.selftest._one_per_rotation_class
+    listed = list(lists[2, 3])
+
+    def swapped(code, new):
+        at = [d.code for d in listed].index(code)
+        return listed[:at] + [new] + listed[at + 1:]
+
+    # Each swap keeps the orbit count: the doubled class and the one it
+    # replaces have orbits of 2, and the foreign codes' orbits are as
+    # small as those they replace, 1.  (1, 2, 2, 1) is a rotation of
+    # (1, 1, 2, 2), named by first appearance but not the least.
+    mutations = [
+        listed[1:],
+        listed + listed[:1],
+        swapped(((1, 1), (2, 2, 3, 3)), ChordDiagram([(1, 1, 2, 2), (3, 3)])),
+        swapped(((1, 1, 2, 2), (3, 3)), _forged(((1, 2, 2, 1), (3, 3)))),
+        swapped(((1, 2, 1, 2), (3, 3)), ChordDiagram([(1, 2, 1, 2), ()])),
+        swapped(((1, 2, 3, 1, 2, 3), ()), ChordDiagram([(1, 2, 3, 1, 2, 3), (), ()])),
+    ]
+    assert check(2, 3, listed)
+    assert not any(check(2, 3, mutated) for mutated in mutations)
+
+
+def test_the_sweep_matches_the_bench_reference_digest():
+    results = run_selftest()
+    payload = [[r.name, r.passed, r.checks, r.detail] for r in results]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    reference = json.loads(REFERENCE.read_text())["digests"]["selftest"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference
