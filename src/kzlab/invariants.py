@@ -3,11 +3,15 @@
 The two sides of every check are built independently.  The left side is
 a monomial in entries of the linking matrix, which the words module
 computes by counting signed crossings, taken over the type matrix's
-sparse cells.  The right side sums engine coefficients over a family of
-chord diagrams, selected by type matrix or by degree.  A class sum of
-engine output is one lookup in the result's sums by type, grouped once
-per degree; a raw mapping, such as a 4T relator, is summed over every
-diagram of the type, which the tests keep as the oracle for the lookup.
+sparse cells: its numerator and denominator are multiplied out as ints
+and divided once.  The linking matrix must be S's size, in rows of that
+length, and each entry read an int (not a bool) or a Fraction; the row
+lengths and the cells' entries are checked, never all m^2 entries.  The
+right side sums engine coefficients over a family of chord diagrams,
+selected by type matrix or by degree.  A class sum of engine output is
+one lookup in the result's sums by type, grouped once per degree; a raw
+mapping, such as a 4T relator, is summed over every diagram of the type,
+which the tests keep as the oracle for the lookup.
 Every identity checks S, the word and the truncation once,
 in _instance, before either side is computed (degree_sum_identity, with
 a degree k for S, checks k).  Each checker returns a VerificationReport
@@ -23,6 +27,9 @@ designated crossing's local series by a bare k-chord block gives the
 terms of a finite expansion of the invariant; the crossing-change
 identities relate those terms across functionals, invert the expansion,
 and match the whole variation against the linking oracle in closed form.
+Those sides are summed in ints, one Fraction each: the oracle's binomial
+closed form over s! q^s for lk = p/q, and each inversion over k! 2^k
+from class sums read once per lowered matrix.
 """
 
 from __future__ import annotations
@@ -30,13 +37,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .diagrams import (
     ChordDiagram, TypeMatrix, _check_perm, connected_sum, enumerate_by_matrix,
 )
-from .algebra import closed_connected_product, series_exp, unknot_series_closed
+from .algebra import (
+    _check_truncation, closed_connected_product, series_exp, unknot_series_closed,
+)
 from .errors import InputError, TruncationUnsupportedError, WordValidationError
 from .qtangle.corpus import load_corpus_word
 from .qtangle.engine import TangleResult, _check_cutoff, crossing_term, integrate
@@ -44,19 +53,34 @@ from .qtangle.words import (
     Slice, WordTrace, linking_matrix, trace_word, validate_word,
 )
 
+_ZERO = Fraction(0)
+
+
 def linking_monomial(linking: Sequence[Sequence[Fraction]],
                      S: Sequence[Sequence[int]]) -> Fraction:
-    """Product over cells i <= j of lk_ij^s_ij / s_ij!; 1 for S = 0."""
+    """Product over cells i <= j of lk_ij^s_ij / s_ij!; 1 for S = 0.
+
+    The linking matrix must be m x m for S's size m, each entry read an
+    int (not a bool) or a Fraction.  Only the rows' lengths and the
+    entries at S's cells are read, never all m^2 entries.  Numerator and
+    denominator are multiplied out as ints and divided once."""
     rows = TypeMatrix(S)
-    if len(linking) != len(rows):
-        raise InputError("linking matrix and type matrix sizes differ")
-    out = Fraction(1)
-    for i, j, s in rows.cells:
-        out *= Fraction(linking[i][j]) ** s / factorial(s)
-    return out
-
-
-_ZERO = Fraction(0)
+    m = len(rows)
+    try:
+        if len(linking) != m or any(len(row) != m for row in linking):
+            raise InputError("linking matrix and type matrix sizes differ")
+        read = [(linking[i][j], s) for i, j, s in rows.cells]
+    except (LookupError, TypeError) as exc:
+        raise InputError("linking matrix must be a sequence of rows") from exc
+    if any(type(lk) is not int and not isinstance(lk, Fraction) for lk, _ in read):
+        raise InputError("linking matrix entries must be ints or Fractions")
+    num = den = 1
+    for lk, s in read:
+        if not lk:
+            return _ZERO
+        num *= lk.numerator ** s
+        den *= lk.denominator ** s * factorial(s)
+    return Fraction(num, den)
 
 
 def _check_degree(k: int, cutoff: int) -> None:
@@ -275,21 +299,41 @@ def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
                                 word_id: str = "word"
                                 ) -> list[VerificationReport]:
     """Each smoothed value, with the designated entry lowered to k, recovered
-    from the word's own class sums."""
+    from the word's own class sums.  The lowered matrices and the word's
+    class sums over them are built once and shared by every report."""
     rows, a, b = _positive_cell(word, crossing, S, cutoff)
     plus = integrate(word, cutoff)
+    smoothed = crossing_term(word, crossing, 0, cutoff)
+    lowered = [_with_entry(rows, a, b, k) for k in range(rows[a - 1][b - 1] + 1)]
+    sums = [class_sum(plus, T) for T in lowered]
     reports = []
-    for k in range(0, rows[a - 1][b - 1] + 1):
+    for k, T in enumerate(lowered):
         started = time.perf_counter()
-        lowered = _with_entry(rows, a, b, k)
-        lhs = class_sum(crossing_term(word, crossing, 0, cutoff), lowered)
-        rhs = Fraction(0)
+        lhs = class_sum(smoothed, T)
+        # sum_p (-1)^p / (p! 2^p) * sums[k - p] as num / den in ints, over
+        # the common weight k! 2^k, which each p! 2^p divides.
+        weight = factorial(k) * 2 ** k
+        num, den = 0, 1
         for p in range(0, k + 1):
-            rhs += (Fraction((-1) ** p, factorial(p) * 2 ** p)
-                    * class_sum(plus, _with_entry(rows, a, b, k - p)))
-        reports.append(_report(word_id, lowered, cutoff, lhs, rhs, started,
+            value = sums[k - p]
+            num = (num * value.denominator + (-1) ** p * den * value.numerator
+                   * (weight // (factorial(p) * 2 ** p)))
+            den *= value.denominator
+        reports.append(_report(word_id, T, cutoff, lhs,
+                               Fraction(num, den * weight), started,
                                identity="smoothing-inversion"))
     return reports
+
+
+def _variation_weight(ell: Fraction, s: int) -> Fraction:
+    """sum_{i=1..s} (-1)^(i+1) ell^(s-i) / (i! (s-i)!), the binomial
+    closed form of the variation of lk^s/s! when lk drops by 1, per unit
+    of the other cells' monomial.  With ell = p/q it is
+    sum_i (-1)^(i+1) C(s, i) p^(s-i) q^i over s! q^s, summed in ints."""
+    p, q = ell.numerator, ell.denominator
+    total = sum((-1) ** (i + 1) * comb(s, i) * p ** (s - i) * q ** i
+                for i in range(1, s + 1))
+    return Fraction(total, factorial(s) * q ** s)
 
 
 def oracle_variation_report(word: Sequence[Slice], crossing: int,
@@ -304,11 +348,7 @@ def oracle_variation_report(word: Sequence[Slice], crossing: int,
     lk_minus = linking_matrix(flip_crossing(word, crossing))
     lhs = (linking_monomial(lk_plus, rows) - linking_monomial(lk_minus, rows))
     base = linking_monomial(lk_plus, _with_entry(rows, a, b, 0))
-    ell = lk_plus[a - 1][b - 1]
-    rhs = Fraction(0)
-    for i in range(1, s + 1):
-        rhs += (base * Fraction((-1) ** (i + 1), factorial(i) * factorial(s - i))
-                * ell ** (s - i))
+    rhs = base * _variation_weight(lk_plus[a - 1][b - 1], s)
     return _report(word_id, rows, cutoff, lhs, rhs, started,
                    identity="oracle-variation")
 
@@ -370,7 +410,9 @@ def variation_match(word: Sequence[Slice], crossing: int,
 def kinked_unknot_series(cutoff: int) -> dict[ChordDiagram, Fraction]:
     """Series of the once-kinked unknot built by surgery on the closed
     series: connected product of the plain unknot value with exp of a
-    half-weighted single chord."""
+    half-weighted single chord.  A cutoff that is not an int >= 0 within
+    the unknot series' cap is refused before any work."""
+    _check_truncation(cutoff)
     one_chord = ChordDiagram([(1, 1)])
     unit = ChordDiagram([()])
     twist = series_exp({one_chord: Fraction(1, 2)}, connected_sum, unit,
@@ -380,6 +422,8 @@ def kinked_unknot_series(cutoff: int) -> dict[ChordDiagram, Fraction]:
 
 def unknot_degree_value(k: int, framed: bool, cutoff: int) -> Fraction:
     """Engine-side degree-k coefficient sum for the unframed or the
-    once-kinked unknot word."""
+    once-kinked unknot word; framed must be a bool."""
+    if type(framed) is not bool:
+        raise InputError(f"framed must be a bool, got {framed!r}")
     word = load_corpus_word("u1" if framed else "u0")
     return degree_class_sum(integrate(word, cutoff), k)

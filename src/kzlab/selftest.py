@@ -6,7 +6,7 @@ the bundled corpus.  Each section is a generator.  It yields one
 is a zero-argument callable rendering the failure; it is called only if
 `passed` is false.  The section returns its summary line.  One runner
 counts every check yielded, stops at the first failure and reports that
-failure's detail, or else the summary.  A cold sweep took 0.37-0.54 s
+failure's detail, or else the summary.  A cold sweep took 0.23-0.42 s
 over ten fresh processes on a 2-core Xeon host (Python 3.11).
 """
 

@@ -58,7 +58,10 @@ Core claims:
       ValueError, in diagrams, algebra (wheel_coefficients included), graft
       and strand_monomials; a circle or gap index and a circle
       permutation (verify_theorem's relabel included) must be ints, so a
-      float or a bool equal to a valid one is refused
+      float or a bool equal to a valid one is refused; so are a
+      kinked-unknot cutoff that is not an int, a framed flag that is not a
+      bool, and a linking matrix that is not S's size in rows of that
+      length or has an entry read that is not an int or a Fraction
 """
 
 import copy
@@ -93,6 +96,7 @@ from kzlab.diagrams import (
     reduce_mod_4t,
 )
 from kzlab.errors import InputError
+from kzlab.invariants import unknot_degree_value
 from kzlab.qtangle.engine import evaluate_fragment, graft, strand_monomials
 
 
@@ -614,6 +618,7 @@ def _bare(cutoff):
 
 _ONE = ChordDiagram([(1, 1)])
 _TWO = ChordDiagram([(1, 1), ()])
+_CLASP = ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("call", [
@@ -641,12 +646,25 @@ _TWO = ChordDiagram([(1, 1), ()])
                                  ((1, 1), (1, 1)), 3, relabel=[2.0, 1.0]),
     lambda: kzlab.verify_theorem(kzlab.load_corpus_word("hopf+"),
                                  ((1, 1), (1, 1)), 3, relabel=[True, 2]),
+    lambda: kzlab.kinked_unknot_series(2.0),
+    lambda: unknot_degree_value(1, "x", 3),
+    # A linking matrix must be S's size in rows of that length, and each
+    # entry read an int or a Fraction.
+    lambda: kzlab.linking_monomial([[1], [1]], _CLASP),
+    lambda: kzlab.linking_monomial(5, _CLASP),
+    lambda: kzlab.linking_monomial([1, 2], _CLASP),
+    lambda: kzlab.linking_monomial([[0, None], [None, 0]], _CLASP),
+    lambda: kzlab.linking_monomial([[0, "x"], ["x", 0]], _CLASP),
+    lambda: kzlab.linking_monomial([[0, True], [True, 0]], _CLASP),
+    lambda: kzlab.linking_monomial([[0, 0.5], [0.5, 0]], _CLASP),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
         "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes",
         "graft-cutoffs", "wheel-order", "wheel-order-float", "strand-count",
         "strand-count-float", "circle-index-float", "gap-index-float",
         "circle-index-bool", "gap-index-bool", "perm-float", "perm-bool",
-        "theorem-perm-float", "theorem-perm-bool"])
+        "theorem-perm-float", "theorem-perm-bool", "kinked-cutoff-float",
+        "framed-str", "linking-ragged", "linking-not-rows", "linking-rows-ints",
+        "linking-none", "linking-str", "linking-bool", "linking-float"])
 def test_bad_arguments_raise_input_error(call):
     with pytest.raises(InputError):
         call()

@@ -2,7 +2,10 @@
 Unit tests for class sums, linking monomials, and identity reports.
 
 Core claims:
-    - A linking monomial multiplies cell powers lk^s/s! and is 1 at S=0
+    - A linking monomial multiplies cell powers lk^s/s! and is 1 at S=0;
+      its int numerator and denominator give the cell-by-cell Fraction
+      product on generated matrices (half-integers, zeros, negatives,
+      m <= 4, degree <= 6)
     - Class sums pick out one type's total coefficient, with truncation
       and circle-count guards; a degree over the truncation is refused
       before any type matrix is enumerated, and before any linking
@@ -30,7 +33,9 @@ Core claims:
       the variation series and the inversion identity both close, the
       checker rejects geometrically negative crossings, and
       check_recursion is exactly the series, inversion and oracle
-      reports concatenated
+      reports concatenated; the inversions read 2(s + 1) class sums, each
+      lowered matrix's once per side, and the oracle's int closed form is
+      the old per-term Fraction sum for s <= 8
     - The degree-k coefficient sum equals the class sums over every type
       matrix of degree k
     - Every structural question about a word is read off one cached
@@ -39,20 +44,27 @@ Core claims:
       boundary step per slice
     - The kinked unknot word agrees with the surgery-built series mod 4T
     - Framing powers of the kinked unknot are 1/(k! 2^k); the bare
-      unknot's vanish
+      unknot's vanish; a surgery cutoff that is not an int, or a framed
+      flag that is not a bool, is refused before any series is built
     - On generated words (kinked nests of up to 12 circles, closed
       2-braids with mixed signs on one or two circles) the degree-sum
       identity holds for k <= 3 at truncation 3, and the theorem for
       every S of degree at most 1
+    - The 4,328 reports of every identity on the corpus at truncation 3
+      (as_dict, ms zeroed) hash to a SHA-256 taken before the sides were
+      summed in ints
 """
 
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kzlab
-from kzlab import diagrams
+from kzlab import diagrams, invariants
 from kzlab.diagrams import (
     ChordDiagram, TypeMatrix, all_type_matrices, enumerate_by_matrix,
     four_t_relators, reduce_mod_4t,
@@ -62,6 +74,7 @@ from kzlab.errors import (
 )
 from kzlab.invariants import (
     VerificationReport,
+    _variation_weight,
     check_recursion,
     class_sum,
     crossing_circles,
@@ -132,6 +145,50 @@ class TestLinkingMonomial:
             for check in checks:
                 with pytest.raises(ValueError):
                     check(S)
+
+
+def _monomial_by_fractions(linking, S):
+    """The cell-by-cell Fraction product that linking_monomial replaced."""
+    out = Fraction(1)
+    for i, row in enumerate(S):
+        for j in range(i, len(row)):
+            out *= Fraction(linking[i][j]) ** row[j] / math.factorial(row[j])
+    return out
+
+
+@st.composite
+def _linking_and_type(draw):
+    """A symmetric linking matrix on m <= 4 circles, its entries
+    half-integers in [-7/2, 7/2] (zeros and negatives among them, whole
+    ones drawn as Fraction or int), and a type matrix of degree <= 6."""
+    m = draw(st.integers(1, 4))
+    cells = [(i, j) for i in range(m) for j in range(i, m)]
+    linking = [[0] * m for _ in range(m)]
+    S = [[0] * m for _ in range(m)]
+    for i, j in cells:
+        halves = draw(st.integers(-7, 7))
+        whole = halves % 2 == 0 and draw(st.booleans())
+        linking[i][j] = linking[j][i] = (halves // 2 if whole
+                                         else Fraction(halves, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.sampled_from(cells))
+        S[i][j] = S[j][i] = S[i][j] + 1
+    return linking, S
+
+
+HALF = Fraction(1, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_linking_and_type())
+@example(([[Fraction(-7, 2)]], [[6]]))
+@example(([[0, HALF], [HALF, 0]], [[2, 1], [1, 0]]))      # a zero cell first
+@example(([[-1, 3], [3, HALF]], [[3, 1], [1, 2]]))
+def test_monomial_is_the_cell_by_cell_fraction_product(case):
+    linking, S = case
+    got = linking_monomial(linking, S)
+    assert type(got) is Fraction
+    assert got == _monomial_by_fractions(linking, S)
 
 
 # == 2. Class sums ===========================================================
@@ -436,6 +493,40 @@ class TestSurgery:
         with pytest.raises(WordValidationError):
             check_recursion(load_corpus_word("hopf-"), 4, HOPF_S, 3)
 
+    def test_inversion_reads_each_lowered_class_sum_once(self, monkeypatch):
+        # s + 1 lowered matrices, each summed once over the smoothed
+        # block and once over the word's own integral.
+        seen = []
+        real = invariants.class_sum
+
+        def spy(value, S):
+            seen.append(S)
+            return real(value, S)
+
+        monkeypatch.setattr(invariants, "class_sum", spy)
+        hopf, trefoil = load_corpus_word("hopf+"), load_corpus_word("trefoil")
+        for word, crossing, S, s in ((hopf, 4, HOPF_S, 1),
+                                     (hopf, 4, ((1, 2), (2, 0)), 2),
+                                     (hopf, 4, ((0, 3), (3, 0)), 3),
+                                     (trefoil, 5, ((2,),), 2),
+                                     (trefoil, 6, ((3,),), 3)):
+            seen.clear()
+            reports = smoothing_inversion_reports(word, crossing, S, 3)
+            assert len(reports) == s + 1
+            assert len(seen) == 2 * (s + 1), (S, len(seen))
+
+    def test_variation_closed_form_is_the_per_term_sum(self):
+        def by_terms(ell, s):
+            return sum((Fraction((-1) ** (i + 1),
+                                 math.factorial(i) * math.factorial(s - i))
+                        * ell ** (s - i) for i in range(1, s + 1)),
+                       Fraction(0))
+
+        for s in range(9):
+            for halves in range(-9, 10):
+                ell = Fraction(halves, 2)
+                assert _variation_weight(ell, s) == by_terms(ell, s), (ell, s)
+
     def test_recursion_is_the_three_identities_in_order(self):
         for name in corpus_names():
             word = load_corpus_word(name)
@@ -473,6 +564,21 @@ class TestFramingPowers:
             [Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)]
         assert all(unknot_degree_value(k, False, 3) == 0 for k in (1, 2, 3))
 
+    def test_arguments_are_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("series built before its cutoff was checked")
+
+        monkeypatch.setattr(invariants, "series_exp", no_work)
+        monkeypatch.setattr(invariants, "integrate", no_work)
+        for cutoff in (2.0, "3", None, -1, True):
+            with pytest.raises(InputError, match="nonnegative int"):
+                kinked_unknot_series(cutoff)
+        with pytest.raises(TruncationUnsupportedError):
+            kinked_unknot_series(5)
+        for framed in ("x", 1, 0, None):
+            with pytest.raises(InputError, match="bool"):
+                unknot_degree_value(1, framed, 3)
+
 
 # == 6. Generated words ======================================================
 
@@ -509,3 +615,45 @@ def test_identities_hold_on_generated_words(text):
         assert degree_sum_identity(word, k, 3).passed, (text, k)
     for S in (S for k in range(2) for S in all_type_matrices(circles, k)):
         assert verify_theorem(word, S, 3).passed, (text, S)
+
+
+# == 7. Pinned report digest =================================================
+
+
+def _identity_reports():
+    """Every identity's reports on the corpus at truncation 3: the theorem
+    on every S of degree <= 3 and the degree sums for k <= 3 per word;
+    per crossing and S, the variation match and the block shifts on the
+    word, and the variation series, smoothing inversions and oracle
+    variation on the word flipped there if needed to make it positive."""
+    for name in corpus_names():
+        word = load_corpus_word(name)
+        matrices = [S for k in range(4)
+                    for S in all_type_matrices(len(linking_matrix(word)), k)]
+        for S in matrices:
+            yield verify_theorem(word, S, 3, name)
+        for k in range(4):
+            yield degree_sum_identity(word, k, 3, name)
+        for traced in trace_word(word).crossings:
+            c = traced.slice
+            positive = (word if traced.event.geometric_sign == 1
+                        else flip_crossing(word, c))
+            for S in matrices:
+                yield variation_match(word, c, S, 3, name)
+                yield from smoothing_shift_reports(word, c, S, 3, name)
+                yield variation_series_report(positive, c, S, 3, name)
+                yield from smoothing_inversion_reports(positive, c, S, 3, name)
+                yield oracle_variation_report(positive, c, S, 3, name)
+
+
+# Taken from the Fraction-by-Fraction sides that the integer sides replaced.
+REPORTS_SHA256 = \
+    "00bb9386ff3ddd9c6c0bcf32c6a9a5e3158672d3df5b3b3801752dfd3bc8b32e"
+
+
+def test_every_identity_report_is_pinned():
+    rows = [report.as_dict() | {"ms": 0} for report in _identity_reports()]
+    assert len(rows) == 4328
+    assert all(row["pass"] for row in rows)
+    text = json.dumps(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
