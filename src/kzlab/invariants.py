@@ -35,10 +35,9 @@ from class sums read once per lowered matrix.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import (
     ChordDiagram, TypeMatrix, _check_perm, connected_sum, enumerate_by_matrix,
@@ -83,12 +82,11 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
     return Fraction(num, den)
 
 
-def _check_degree(k: int, cutoff: int) -> None:
-    """Refuse a degree k over the truncation cutoff."""
+def _check_degree(k: int, cutoff: int, subject: str = "type matrix") -> None:
+    """Refuse a degree k over the truncation cutoff, naming what needs it."""
     if k > cutoff:
         raise TruncationUnsupportedError(
-            f"type matrix needs degree {k} but the "
-            f"series is truncated at {cutoff}")
+            f"{subject} needs degree {k} but the series is truncated at {cutoff}")
 
 
 def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
@@ -116,7 +114,7 @@ def _check_sum_degree(k: int, cutoff: int) -> None:
     """Refuse a degree k that is not an int >= 0, or is over the cutoff."""
     if type(k) is not int or k < 0:
         raise InputError("degree k must be nonnegative and an int")
-    _check_degree(k, cutoff)
+    _check_degree(k, cutoff, f"the degree-{k} sum")
 
 
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
@@ -129,8 +127,7 @@ def degree_class_sum(value: TangleResult, k: int) -> Fraction:
 # -- Reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One exact identity check: both sides, a verdict, and timing."""
 
     word: str

@@ -4,14 +4,15 @@ Each entry pairs a word file with the framed linking matrix of the link
 it presents, computed by hand from the diagram.  The matrices serve as an
 oracle: tests and the self-check compare them against both the crossing
 count and the engine's degree-1 output, so a name always loads the
-bundled word that its matrix describes.  Any other word is read from a
-file, on the command line with --word PATH.
+bundled word that its matrix describes.  The word files sit in the data
+directory beside this module and are read by file path, so the package
+must be installed as files (not run from a zip archive).  Any other word
+is read from a file, on the command line with --word PATH.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from ..errors import CorpusLookupError
@@ -42,7 +43,7 @@ def corpus_path(name: str) -> Path:
         raise CorpusLookupError(
             f"unknown corpus word {name!r}; known: {', '.join(corpus_names())}"
         ) from None
-    path = Path(str(resources.files(__package__) / "data" / filename))
+    path = Path(__file__).parent / "data" / filename
     if not path.is_file():
         raise CorpusLookupError(f"corpus file not found: {path}")
     return path

@@ -51,12 +51,11 @@ reduction) on linear words keyed by their relabeled code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
@@ -296,8 +295,7 @@ def _flatten(terms: Graded, scale: int) -> dict[Code, Fraction]:
     return flat
 
 
-@dataclass(frozen=True)
-class FragmentValue:
+class FragmentValue(NamedTuple):
     """Value of a slice range: per-component chord words, ready to graft.
 
     Components are identified by birth keys; anchors map a component to
@@ -338,7 +336,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     try both).  bare_block = (index, k) replaces the crossing at 0-based
     word index `index` (slice_offset counts here) by a bare k-chord block
     with coefficient 1; an index that is not a crossing slice of this
-    fragment raises WordValidationError.
+    fragment raises WordValidationError.  slice_offset and both entries
+    of bare_block must be ints (not bools), k and the offset >= 0
+    (InputError otherwise).
 
     The running terms are kept per degree, and each kernel builds only
     the products that fit within cutoff, so no term over the truncation
@@ -349,7 +349,10 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     does, standing as a kernel of its own.
     """
     _check_cutoff(slices, cutoff)
-    block_at, block_k = bare_block if bare_block is not None else (None, None)
+    if bare_block is not None and not (type(bare_block) is tuple and tuple(
+            map(type, bare_block)) == (int, int) and bare_block[1] >= 0):
+        raise InputError(f"bare_block {bare_block!r} is not an int pair (index, k >= 0)")
+    block_at, block_k = bare_block or (None, None)
     trace = _trace(slices, initial, slice_offset)
     if block_at is not None:
         trace.crossing(block_at + 1)   # raises unless a crossing slice here
@@ -451,16 +454,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                          coeff))
             terms = _multiply(terms, lifts, _insert_at_points, unit_keeps_keys=True)
 
-    return FragmentValue(
-        cutoff=cutoff,
-        spec_in=trace.spec_in,
-        spec_out=trace.spec_out,
-        leaves=trace.leaves,
-        anchors=trace.anchors,
-        members=trace.members,
-        components=tuple(comps),
-        terms=_flatten(terms, scale),
-    )
+    return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
+                         trace.anchors, trace.members, tuple(comps),
+                         _flatten(terms, scale))
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
@@ -566,33 +562,33 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     rebirth = {node: birth for birth, (walk, _, _) in chains.items()
                for node in walk}
     return FragmentValue(
-        cutoff=cutoff,
-        spec_in=lower.spec_in,
-        spec_out=upper.spec_out,
-        leaves=tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves),
-        anchors={b: chains[b][1] for b in sorted(chains)},
-        members={b: chains[b][2] for b in sorted(chains)},
-        components=tuple(sorted(walks)),
-        terms=_flatten(terms, scale),
-    )
+        cutoff, lower.spec_in, upper.spec_out,
+        tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves),
+        {b: chains[b][1] for b in sorted(chains)},
+        {b: chains[b][2] for b in sorted(chains)},
+        tuple(sorted(walks)), _flatten(terms, scale))
 
 
 # -- Results -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangleResult:
-    """Engine output for a closed word: a diagram series on m circles.
-
-    type_sums(k) groups the degree-k coefficients by type, on first use
-    of each degree; the grouping is kept on the result, and published
-    only once complete, so concurrent readers never see a partial one."""
-
+class _Series(NamedTuple):
     circles: int
     truncation: int
     coefficients: Mapping[ChordDiagram, Fraction]   # read-only
-    _type_sums: dict[int, Mapping[Cells, Fraction]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+
+
+class TangleResult(_Series):
+    """Engine output for a closed word: a diagram series on m circles.
+
+    type_sums(k) groups the degree-k coefficients by type, on first use
+    of each degree.  The groupings are kept in the instance dict, outside
+    the three fields that equality, hashing and repr read, and each is
+    published only once complete, so concurrent readers never see a
+    partial one.  Assigning any attribute raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TangleResult is immutable; cannot set {name!r}")
 
     def coefficient(self, diagram: ChordDiagram) -> Fraction:
         return self.coefficients.get(diagram, Fraction(0))
@@ -611,13 +607,14 @@ class TangleResult:
         k must be an int in 0..truncation (InputError otherwise), so at
         most truncation + 1 groupings are kept."""
         self._check_k(k)
-        sums = self._type_sums.get(k)
+        kept = vars(self).setdefault("_type_sums", {})
+        sums = kept.get(k)
         if sums is None:
             grouped: dict[Cells, Fraction] = {}
             for diagram, coeff in self.coefficients.items():
                 if diagram.degree == k:
                     add_term(grouped, diagram.type_cells, coeff)
-            sums = self._type_sums.setdefault(k, MappingProxyType(grouped))
+            sums = kept.setdefault(k, MappingProxyType(grouped))
         return sums
 
     def reduced(self, k: int) -> dict[ChordDiagram, Fraction]:
@@ -627,7 +624,7 @@ class TangleResult:
         out: dict[ChordDiagram, Fraction] = {}
         for diagram, coeff in self.coefficients.items():
             add_term(out, diagram.relabel_circles(perm), coeff)
-        return TangleResult(self.circles, self.truncation, MappingProxyType(out))
+        return self._replace(coefficients=MappingProxyType(out))
 
 
 def finalize(fragment: FragmentValue) -> TangleResult:

@@ -27,7 +27,6 @@ cache keeps the 1024 most recently used traces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -154,14 +153,12 @@ def _checked_spec(spec: Spec) -> Spec:
 # -- Events ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CupEvent:
+class CupEvent(NamedTuple):
     primed: bool
     component: Birth
 
 
-@dataclass(frozen=True)
-class CapEvent:
+class CapEvent(NamedTuple):
     primed: bool
     ending: Birth        # component whose end point is consumed
     starting: Birth      # component whose start point is consumed
@@ -169,8 +166,7 @@ class CapEvent:
     closes: bool         # True when both points belong to one component
 
 
-@dataclass(frozen=True)
-class CrossEvent:
+class CrossEvent(NamedTuple):
     eps: int                       # +1 for x+, -1 for x-
     left: tuple[Birth, str]        # (component, role) before the slice
     right: tuple[Birth, str]
@@ -183,8 +179,7 @@ class CrossEvent:
         return self.eps * factors[self.left[1]] * factors[self.right[1]]
 
 
-@dataclass(frozen=True)
-class AssocEvent:
+class AssocEvent(NamedTuple):
     sign: int
     blocks: tuple[tuple[tuple[int, Birth, str], ...], ...]
     # Three tuples (X, Y, Z) of (leaf position, component, role).
@@ -403,15 +398,13 @@ class BoundaryState:
         raise fail(f"unknown generator kind {s.kind!r}")
 
 
-@dataclass(frozen=True)
-class TracedCrossing:
+class TracedCrossing(NamedTuple):
     slice: int                        # 1-based slice index
     event: CrossEvent
     circles: tuple[int, int] | None   # final circle labels a <= b; None if open
 
 
-@dataclass(frozen=True)
-class WordTrace:
+class WordTrace(NamedTuple):
     """The structure of a slice range, from a single boundary replay:
     each non-identity slice's (0-based word index, event), the boundary
     and open components at the start, and the final boundary as
@@ -448,7 +441,10 @@ def _trace(slices: Sequence[Slice], initial: Spec | None = None,
            offset: int = 0) -> WordTrace:
     """The trace of slices from the boundary spec initial (empty if None),
     the first slice at word index offset.  The one way into the cache: it
-    passes all three arguments, the spec as checked tuples."""
+    passes all three arguments, the spec as checked tuples and the offset
+    an int >= 0 (InputError otherwise)."""
+    if type(offset) is not int or offset < 0:
+        raise InputError(f"slice offset must be an int >= 0, not {offset!r}")
     if initial is not None:
         initial = _checked_spec(initial)
     return _trace_cached(tuple(slices), initial, offset)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import unknot_series_closed, wheel_coefficients
 from .diagrams import (
@@ -44,8 +43,7 @@ Check = tuple[bool, Callable[[], str]]
 Section = Generator[Check, None, str]
 
 
-@dataclass(frozen=True)
-class SectionResult:
+class SectionResult(NamedTuple):
     name: str
     passed: bool
     checks: int

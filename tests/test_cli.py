@@ -13,7 +13,8 @@ Core claims:
       position too long to convert), bad JSON or a non-integer type
       matrix entry (an empty --S included), 3 for validation failures,
       4 for unsupported
-      truncation, each with one error line and no traceback; a plain
+      truncation (a degree-sum --k over it names the degree-k sum), each
+      with one error line and no traceback; a plain
       ValueError from inside the library is a fault, not exit 3
     - --S and --relabel are parsed before the word is loaded, so a bad
       flag exits 2 even when the word itself is invalid; an empty --S
@@ -49,6 +50,8 @@ Core claims:
       environment holds
     - every kzlab line of the README's "Command line" block exits 0
     - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
+    - importing kzlab and kzlab.cli without site loads neither
+      dataclasses, inspect nor importlib.resources
 """
 
 import argparse
@@ -314,6 +317,9 @@ class TestExitCodes:
             code, out, err = _run(capsys, "verify", "degree-sum", "--corpus",
                                   "hopf+", "--k", k)
             assert code == expected and "error:" in err and not out, k
+        # The refusal names the sum, not a type matrix degree-sum never reads.
+        assert err == ("error: the degree-9 sum needs degree 9 but the series "
+                       "is truncated at 3\n")
 
     def test_out_of_range_arguments_exit_3(self, capsys):
         for argv in (("enumerate", "--circles", "0", "--k", "1"),
@@ -396,6 +402,7 @@ class TestExitCodes:
                 (("enumerate", "--circles", "3", "--k", huge), 3),
                 (("enumerate", "--S", f"[[{huge}]]"), 3),
                 (("enumerate", "--circles", "1", "--k", "40"), 3),
+                (("verify", "degree-sum", "--corpus", "hopf+", "--k", "99"), 4),
                 # Read up to the word-file bound, then refused.
                 (("compute", "--word", "/dev/zero", "--degree", "1"), 2)):
             proc = subprocess.run([sys.executable, "-m", "kzlab.cli", *argv],
@@ -533,6 +540,19 @@ def test_readme_command_lines_exit_0(capsys):
 
 
 # == 7. package surface ======================================================
+
+
+def test_import_leaves_out_unused_stdlib_modules():
+    # Records are NamedTuples and the corpus is read by file path, so
+    # neither dataclasses (and its inspect) nor importlib.resources loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import kzlab, kzlab.cli, sys; print(sorted({'dataclasses', 'inspect', "
+         "'importlib.resources'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_exported_name_resolves():

@@ -47,7 +47,9 @@ Core claims:
       a thread pool over cold caches gives the serial answers, and so
       do class sums from a thread pool on one fresh, shared result;
       a block index that is not a crossing slice of the fragment is an
-      error
+      error, and a bare block or slice offset that is not an int (a bool
+      included), a negative chord count or offset, or a block that is
+      not a pair, is refused with InputError before the word is traced
     - Cached series are read-only: a caller cannot change what a later
       call returns
     - The strand 4T span has the rank of the full relator matrix
@@ -58,6 +60,13 @@ Core claims:
       block inside a run; each run is one multiply, and a run whose
       signs cancel is none
     - Truncation limits: 3 with rebracketings, 4 without
+    - Every record the library returns (the four slice events, traced
+      crossings, word traces, fragment values, results, verification
+      reports and selftest section results) is a tuple that refuses
+      attribute assignment; a result's sums by type are kept outside
+      its fields, so a result that has filled them equals, and has the
+      repr of, one that has not, hashing still fails on its read-only
+      mapping, and a relabeled result starts with none
     - The kernels run in ints: the scale is 12 through truncation 3 and
       120 at 4, the least that makes every arc, crossing-run and
       associator coefficient integral, and every coefficient a kernel
@@ -81,7 +90,6 @@ Core claims:
       call is cached
 """
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -127,6 +135,7 @@ from kzlab.qtangle.engine import (
 from kzlab.qtangle.words import (
     END, START, BoundaryState, Slice, _trace_cached, parse_word, trace_word,
 )
+from kzlab.selftest import SectionResult
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -500,6 +509,21 @@ class TestCrossingBlocks:
                                   slice_offset=4, bare_block=(4, 1))
         assert finalize(graft(lower, upper)).circles == 1
 
+    @pytest.mark.parametrize("kwargs", [
+        {"bare_block": (4, -1)}, {"bare_block": (4, 2.0)},
+        {"bare_block": (4, True)}, {"bare_block": (True, 1)},
+        {"bare_block": (4,)}, {"bare_block": (4, 1, 1)}, {"bare_block": 4},
+        {"bare_block": [4, 1]}, {"slice_offset": "x"}, {"slice_offset": 2.5},
+        {"slice_offset": -3}, {"slice_offset": True}])
+    def test_malformed_block_or_offset_is_refused_before_tracing(self, kwargs):
+        word = load_corpus_word("trefoil")   # 0-based 3-5 cross
+        evaluate_fragment(word, 2, bare_block=(4, 1), slice_offset=0)
+        before = _trace_cached.cache_info()
+        with pytest.raises(InputError):
+            evaluate_fragment(word, 2, **kwargs)
+        after = _trace_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_trefoil_crossing_is_positive(self):
         traced = trace_word(load_corpus_word("trefoil")).crossing(4)
         assert traced.event.geometric_sign == 1
@@ -700,7 +724,52 @@ class TestCrossingRuns:
         assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
 
 
-# == 5. Integer scaling ======================================================
+# == 5. Records ==============================================================
+
+
+def _records():
+    """One of each record the library returns, by name."""
+    word = load_corpus_word("hopf+")
+    trace = trace_word(word)
+    events = {type(event).__name__: event for _, event in trace.events}
+    assert sorted(events) == ["AssocEvent", "CapEvent", "CrossEvent", "CupEvent"]
+    return {**events, "TracedCrossing": trace.crossings[0], "WordTrace": trace,
+            "FragmentValue": evaluate_fragment(word, 1),
+            "TangleResult": integrate(word, 2),
+            "VerificationReport": verify_theorem(word, ((0, 1), (1, 0)), 2),
+            "SectionResult": SectionResult("pentagon", True, 3, 0, "held")}
+
+
+class TestRecords:
+    def test_every_record_refuses_assignment(self):
+        records = _records()
+        assert len(records) == 10
+        for name, record in records.items():
+            assert type(record).__name__ == name and isinstance(record, tuple)
+            for attribute in (record._fields[0], "note", "_type_sums"):
+                with pytest.raises(AttributeError):
+                    setattr(record, attribute, None)
+            assert record._replace() == record
+
+    def test_type_sums_are_kept_outside_equality_repr_and_hash(self):
+        word = load_corpus_word("chain3")
+        filled, fresh = (finalize(evaluate_fragment(word, 3)) for _ in range(2))
+        sums = filled.type_sums(2)
+        assert sums and filled.type_sums(2) is sums
+        assert filled == fresh == integrate(word, 3)
+        assert repr(filled) == repr(fresh)
+        assert repr(filled).startswith("TangleResult(circles=3, truncation=3, "
+                                       "coefficients=mappingproxy({")
+        assert "_type_sums" not in repr(filled)
+        for result in (filled, fresh):
+            with pytest.raises(TypeError):
+                hash(result)
+        # A relabeled result starts with no groupings of its own.
+        moved = filled.relabeled((3, 1, 2))
+        assert type(moved) is engine.TangleResult and vars(moved) == {}
+
+
+# == 6. Integer scaling ======================================================
 
 
 def _primes(n: int) -> list[int]:
@@ -767,17 +836,14 @@ class TestScale:
         # Ladder coefficients by chord count, with sevenths mixed in.
         low = [Fraction(1), Fraction(1, 7), Fraction(3, 8), Fraction(-2, 49)]
         up = [Fraction(2), Fraction(1, 2), Fraction(5, 7), Fraction(1, 343)]
-        lower = dataclasses.replace(lower, terms={
-            _ladder(k): c for k, c in enumerate(low)})
-        upper = dataclasses.replace(upper, terms={
-            _ladder(k): c for k, c in enumerate(up)})
+        lower = lower._replace(terms={_ladder(k): c for k, c in enumerate(low)})
+        upper = upper._replace(terms={_ladder(k): c for k, c in enumerate(up)})
         expected = {_ladder(n): sum(low[j] * up[n - j] for j in range(n + 1))
                     for n in range(4)}
         assert graft(lower, upper).terms == expected
         # A degree-0 coefficient no scale makes integral is refused.
         with pytest.raises(ArithmeticError, match="not an integer"):
-            graft(dataclasses.replace(lower, terms={_ladder(0): Fraction(1, 7)}),
-                  upper)
+            graft(lower._replace(terms={_ladder(0): Fraction(1, 7)}), upper)
 
     def test_no_int_leaves_the_engine(self):
         def fractions(values):
