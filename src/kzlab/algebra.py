@@ -36,7 +36,7 @@ from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .diagrams import ChordDiagram, _relabel, connected_sum
+from .diagrams import ChordDiagram, _check_work, _relabel, connected_sum
 from .errors import InputError, TruncationUnsupportedError
 from .sparse import add_term
 
@@ -194,11 +194,14 @@ def wheel_attachment_sum(sizes: Sequence[int]) -> Mapping[ChordDiagram, Fraction
     sum over a flip per vertex, weighted by the product of the flips; each
     hub edge then ends on two sites, which makes it a chord.  The first
     vertex is pinned to break the rotational symmetry of the circle; the
-    remaining legs range over all linear orders.
+    remaining legs range over all linear orders: (n - 1)! 2**n terms for n
+    legs, refused (InputError) over ENUMERATION_LIMIT, so n <= 7 runs.
     """
     # Checked before the cache, which would answer (2.0,) as (2,).
     if not all(type(size) is int and size >= 1 for size in sizes):
         raise InputError(f"wheel sizes must be ints >= 1, got {sizes!r}")
+    _check_work("the leg orders and flips of these wheels", itertools.chain(
+        range(1, sum(sizes)), itertools.repeat(2, sum(sizes))))
     return _wheel_attachment_sum(tuple(sizes))
 
 
@@ -266,7 +269,6 @@ def unknot_series_closed(cutoff: int) -> Mapping[ChordDiagram, Fraction]:
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None, typed=True)
 def unknot_series_interval(cutoff: int) -> Mapping[Word, Fraction]:
     """The unknot series cut open at the basepoint of each canonical code."""
     out: dict[Word, Fraction] = {}

@@ -12,8 +12,8 @@ is read from a file, on the command line with --word PATH.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from pathlib import Path
 
 from ..errors import CorpusLookupError
 from .words import Slice, parse_word
@@ -35,22 +35,23 @@ def corpus_names() -> tuple[str, ...]:
     return tuple(sorted(_MANIFEST))
 
 
-def corpus_path(name: str) -> Path:
-    """Filesystem path of the bundled word file for name."""
+def corpus_path(name: str) -> str:
+    """Filesystem path of the bundled word file for name, as a str."""
     try:
         filename, _ = _MANIFEST[name]
     except KeyError:
         raise CorpusLookupError(
             f"unknown corpus word {name!r}; known: {', '.join(corpus_names())}"
         ) from None
-    path = Path(__file__).parent / "data" / filename
-    if not path.is_file():
+    path = os.path.join(os.path.dirname(__file__), "data", filename)
+    if not os.path.isfile(path):
         raise CorpusLookupError(f"corpus file not found: {path}")
     return path
 
 
 def load_corpus_word(name: str) -> tuple[Slice, ...]:
-    return parse_word(corpus_path(name).read_text(encoding="utf-8"))
+    with open(corpus_path(name), encoding="utf-8") as handle:
+        return parse_word(handle.read())
 
 
 def corpus_linking(name: str) -> tuple[tuple[Fraction, ...], ...]:

@@ -10,8 +10,12 @@ of its three blocks with a sign per endpoint on an up-directed point.
 Word evaluation tracks, per monomial, one chord-endpoint sequence per
 skeleton component: a term's key is one code, every component's word in
 birth order, open and closed alike, chords renamed by first appearance.
-A cup appends its word, a closing cap leaves it in place, and a merge
-folds the later birth into the earlier one's slot.  The structure comes
+A cup appends an empty word and a closing cap leaves its circle in
+place, and either's arc then ends that word; a merge folds the later
+birth into the earlier one's slot.  A unit that moves no word (of an
+arc, a crossing run, the bare block at k = 0 or the associator) is the
+payload None, which leaves each key as it is; the degree-0 parts of a
+merging cap and of a graft move words and are placed.  The structure comes
 from the words module's cached trace of the slices: its events drive the
 kernels and its boundary data fill the fragment value, so the engine
 never replays a word itself.  evaluate_fragment runs any slice range from
@@ -244,30 +248,27 @@ def _kernel_scale(cutoff: int) -> int:
 
 
 def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
-              place: Callable[[Code, object], Sequence[tuple[int, ...]]], *,
-              unit_keeps_keys: bool = False) -> Graded:
+              place: Callable[[Code, object], Sequence[tuple[int, ...]]]) -> Graded:
     """Multiply graded terms by a graded series, within the truncation.
 
     series[a] lists the (payload, coefficient) pairs of a chords, with
     coefficients scaled like the terms, so products are ints at the
-    product's degree.  place(key, payload) returns the product's words
-    before renaming; they are renamed in one _relabel pass.  With
-    unit_keeps_keys, a payload of no chords moves no word (a cup appends
-    an empty one, and a closing cap moves none), so it leaves a normal
-    key normal and its products are stored unrenamed.  A term of degree
-    d meets only series degrees up to len(terms) - 1 - d, so no product
-    over the truncation is formed.
+    product's degree.  A kernel lists its unit as the payload None with
+    coefficient 1: it moves no word, so each term keeps its key.  For
+    any other payload place(key, payload) returns the product's words,
+    renamed in one _relabel pass.  A term of degree d meets only series
+    degrees up to len(terms) - 1 - d, so no product over the truncation
+    is formed.
     """
     cutoff = len(terms) - 1
     out: Graded = [{} for _ in terms]
     for d, bucket in enumerate(terms):
-        fits = [(out[d + a], payload, c, a > 0 or not unit_keeps_keys)
+        fits = [(out[d + a], payload, c)
                 for a, pairs in enumerate(series[:cutoff - d + 1])
                 for payload, c in pairs]
         for key, coeff in bucket.items():
-            for target, payload, c, rename in fits:
-                words = place(key, payload)
-                product = _relabel(words) if rename else tuple(words)
+            for target, payload, c in fits:
+                product = key if payload is None else _relabel(place(key, payload))
                 value = target.get(product, 0) + coeff * c
                 if value:
                     target[product] = value
@@ -298,14 +299,12 @@ def _flatten(terms: Graded, scale: int) -> dict[Code, Fraction]:
 class FragmentValue(NamedTuple):
     """Value of a slice range: per-component chord words, ready to graft.
 
-    Components are identified by birth keys; anchors map a component to
-    the positions it holds on the fragment's lower interface, and members
-    lists the cup-born keys merged into it (for rebirth after grafting).
-    A grafted open chain is born (0, 0, a) at its least anchor a, or at
-    its least cup member if it has no anchor; a circle closed by the
-    graft is born at its least cup member.  components lists every
-    component by birth, open and closed alike, and each term's key is one
-    code, their words in that order; the open ones are the anchors keys.
+    Components are identified by birth keys; anchors map each open
+    component to the positions it holds on the fragment's lower
+    interface, and span is the range of word indices the fragment
+    covers.  components lists every component by birth, open and closed
+    alike, and each term's key is one code, their words in that order;
+    the open ones are the anchors keys.
     """
 
     cutoff: int
@@ -313,7 +312,7 @@ class FragmentValue(NamedTuple):
     spec_out: tuple
     leaves: tuple[tuple[Birth, str], ...]
     anchors: Mapping[Birth, tuple[int, ...]]
-    members: Mapping[Birth, tuple[Birth, ...]]
+    span: range
     components: tuple[Birth, ...]
     terms: dict[Code, Fraction]
 
@@ -370,6 +369,12 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         arcs[False][a].append((fresh, c))
         arcs[True][a].append((fresh[::-1], c))
 
+    def end_arc(terms, i, primed):
+        # A cup's or closing cap's arc ends word i; its unit moves no word.
+        return _multiply(terms, [[(((i, END, fresh),) if fresh else None, c)
+                                  for fresh, c in bucket] for bucket in arcs[primed]],
+                         _insert_at_points)
+
     def run_key(item):
         # Consecutive crossings on one pair of strand points share a key,
         # except the bare block; any other slice is a group of its own.
@@ -382,17 +387,13 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         run = list(group)
         at, event = run[0]
         if isinstance(event, CupEvent):
+            # The cup's empty word joins every key, and its arc ends it.
             comps.append(event.component)
-            terms = _multiply(terms, arcs[event.primed],
-                              lambda key, fresh: key + (fresh,),
-                              unit_keeps_keys=True)
+            terms = [{key + ((),): c for key, c in bucket.items()} for bucket in terms]
+            terms = end_arc(terms, len(comps) - 1, event.primed)
         elif isinstance(event, CapEvent) and event.closes:
             # The circle keeps its slot; the arc ends its word.
-            i = comps.index(event.merged)
-            series = [[(((i, END, fresh),), c) for fresh, c in bucket]
-                      for bucket in arcs[event.primed]]
-            terms = _multiply(terms, series, _insert_at_points,
-                              unit_keeps_keys=True)
+            terms = end_arc(terms, comps.index(event.merged), event.primed)
         elif isinstance(event, CapEvent):
             # The merge folds the later birth into the earlier one's slot.
             ia = comps.index(event.ending)
@@ -409,8 +410,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             il, ir = comps.index(cl), comps.index(cr)
 
             def rungs(k):
+                # k chords across the two points; the unit (k = 0) is None.
                 tokens = tuple(range(_FRESH, _FRESH + k))
-                return ((il, role_l, tokens), (ir, role_r, tokens))
+                return ((il, role_l, tokens), (ir, role_r, tokens)) if k else None
             # weights[k] holds the k-chord rungs with their coefficient.
             if at == block_at:
                 weights = [[] for _ in range(cutoff + 1)]
@@ -425,8 +427,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 weights = [[(rungs(k), _scaled(Fraction(g ** k, 2 ** k * factorial(k)),
                                                k, scale))]
                            for k in range(cutoff + 1)]
-            terms = _multiply(terms, weights, _insert_at_points,
-                              unit_keeps_keys=True)
+            terms = _multiply(terms, weights, _insert_at_points)
         elif isinstance(event, AssocEvent):
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
@@ -435,7 +436,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                        for block in event.blocks for pos, comp, role in block}
             weight = _scaled(ASSOCIATOR_WEIGHT, 2, scale)
             # The unit term, no degree-1 term, and the 2-chord lifts.
-            lifts: list[list[tuple[tuple, int]]] = [[((), 1)], [], []]
+            lifts: list[list[tuple[tuple | None, int]]] = [[(None, 1)], [], []]
             for first, second, monomial_sign in (
                     ((x_block, y_block), (y_block, z_block), 1),
                     ((y_block, z_block), (x_block, y_block), -1)):
@@ -452,25 +453,27 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                         lifts[2].append((tuple((*leaf_at[pos], tuple(tokens))
                                                for pos, tokens in by_leaf.items()),
                                          coeff))
-            terms = _multiply(terms, lifts, _insert_at_points, unit_keeps_keys=True)
+            terms = _multiply(terms, lifts, _insert_at_points)
 
     return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
-                         trace.anchors, trace.members, tuple(comps),
-                         _flatten(terms, scale))
+                         trace.anchors, range(slice_offset, slice_offset + len(slices)),
+                         tuple(comps), _flatten(terms, scale))
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     """Stitch an upper fragment onto a lower one at a shared interface.
 
     The lower fragment's top boundary must match the upper fragment's
-    initial spec (shape and directions), and no cup birth may be in both
-    (evaluate the upper one at its slice offset).  Components are joined
-    along the interface into walks, each walked once.  A walk that ends
-    where it began is a new circle: its birth is its least cup member,
-    and it reads from its least-birth component.  Any other walk is an
-    open chain, born (0, 0, a) at its least anchor a on the lower
-    boundary, or at its least cup member when it has no anchor.  Keys
-    are read and written in birth order, open and closed words alike.
+    initial spec (shape and directions), and the upper fragment must
+    start at the word index where the lower one stops (evaluate it at
+    its slice offset).  Components are joined along the interface into
+    walks, each walked once.  A joined component takes the least birth
+    among its pieces, as a merge keeps it, skipping the upper fragment's
+    interface anchors, which name boundary points, not births; upper
+    cups are born after lower ones, so this is the birth of evaluating
+    both at once.  A walk that ends where it began is a new circle, read
+    from its birth piece.  Keys are read and written in birth order,
+    open and closed words alike.
 
     The product runs in ints, at the scale _scale finds for the two
     inputs' own coefficients, so any rational coefficients graft exactly
@@ -480,36 +483,34 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         raise InputError("fragments must share a truncation degree")
     if lower.spec_out != upper.spec_in:
         raise WordValidationError("fragment boundaries do not match")
-    low_cups, up_cups = (set(f.components).difference(f.anchors)
-                         .union(*f.members.values()) for f in (lower, upper))
-    if low_cups & up_cups:
-        raise WordValidationError("fragments share a cup birth")
+    if lower.span.stop != upper.span.start:
+        raise WordValidationError(f"upper fragment starts at word {upper.span.start}, "
+                                  f"not where the lower one stops ({lower.span.stop})")
     cutoff = lower.cutoff
 
     anchored_at = {pos: comp for comp, positions in upper.anchors.items()
                    for pos in positions}
 
-    # Follow orientation across each stitch: at an up interface point the
-    # lower component's end feeds the upper component's start; at a down
-    # point the flow is upper to lower.
-    successor: dict[tuple[str, Birth], tuple[str, Birth]] = {}
+    # A node is a (side, birth) piece, side 0 the lower fragment and 1 the
+    # upper one.  Follow orientation across each stitch: at an up interface
+    # point the lower component's end feeds the upper component's start; at
+    # a down point the flow is upper to lower.
+    successor: dict[tuple[int, Birth], tuple[int, Birth]] = {}
     for pos, (lc, role) in enumerate(lower.leaves, start=1):
         uc = anchored_at[pos]
         if role == END:
-            successor[("L", lc)] = ("U", uc)
+            successor[(0, lc)] = (1, uc)
         else:
-            successor[("U", uc)] = ("L", lc)
+            successor[(1, uc)] = (0, lc)
 
     # Chain heads (no predecessor) first, then the rest, which lie on
-    # new circles.
-    nodes = ([("L", b) for b in lower.anchors]
-             + [("U", b) for b in upper.anchors])
+    # new circles.  Every walk, closed or not, is keyed by its birth.
+    nodes = [(0, b) for b in lower.anchors] + [(1, b) for b in upper.anchors]
     has_pred = set(successor.values())
-    chains: dict[Birth, tuple[list, tuple[int, ...], tuple[Birth, ...]]] = {}
-    circles: dict[Birth, list] = {}
-    seen: set[tuple[str, Birth]] = set()
-    for node in ([n for n in nodes if n not in has_pred]
-                 + sorted(n for n in nodes if n in has_pred)):
+    walks: dict[Birth, list[tuple[int, Birth]]] = {}
+    anchors: dict[Birth, tuple[int, ...]] = {}
+    seen: set[tuple[int, Birth]] = set()
+    for node in sorted(nodes, key=has_pred.__contains__):
         if node in seen:
             continue
         walk = [node]
@@ -517,27 +518,21 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         while walk[-1] in successor and successor[walk[-1]] not in seen:
             walk.append(successor[walk[-1]])
             seen.add(walk[-1])
-        anchors: list[int] = []
-        members: list[Birth] = []
-        for side, b in walk:
-            source = lower if side == "L" else upper
-            members.extend(source.members.get(b, ()))
-            if side == "L":
-                anchors.extend(lower.anchors.get(b, ()))
+        birth = min(b for side, b in walk if side == 0 or not upper.anchors[b])
         if walk[-1] in successor:
-            start = walk.index(min(walk, key=lambda n: n[1]))
-            circles[min(members)] = walk[start:] + walk[:start]
+            start = walk.index((0, birth))
+            walk = walk[start:] + walk[:start]
         else:
-            birth = (0, 0, min(anchors)) if anchors else min(members)
-            chains[birth] = (walk, tuple(sorted(anchors)), tuple(sorted(members)))
+            anchors[birth] = tuple(sorted(a for side, b in walk if side == 0
+                                          for a in lower.anchors[b]))
+        walks[birth] = walk
 
     # Each output word, in birth order, as the (side, word index) pieces
-    # it reads: side 0 is the lower key, side 1 the upper one.
-    slot = {(side, b): (k, i)
-            for k, (side, fragment) in enumerate((("L", lower), ("U", upper)))
+    # it reads.
+    rebirth = {node: birth for birth, walk in walks.items() for node in walk}
+    slot = {(side, b): (side, i) for side, fragment in enumerate((lower, upper))
             for i, b in enumerate(fragment.components)}
-    walks = {b: walk for b, (walk, _, _) in chains.items()} | circles
-    for side, fragment in (("L", lower), ("U", upper)):
+    for side, fragment in enumerate((lower, upper)):
         walks.update((b, [(side, b)]) for b in fragment.components
                      if b not in fragment.anchors)
     pieces = [[slot[node] for node in walks[b]] for b in sorted(walks)]
@@ -559,13 +554,11 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
                     for bucket in _graded(upper.terms, cutoff, scale)]
     terms = _multiply(_graded(lower.terms, cutoff, scale), upper_series, stitch)
 
-    rebirth = {node: birth for birth, (walk, _, _) in chains.items()
-               for node in walk}
     return FragmentValue(
         cutoff, lower.spec_in, upper.spec_out,
-        tuple((rebirth[("U", comp)], role) for comp, role in upper.leaves),
-        {b: chains[b][1] for b in sorted(chains)},
-        {b: chains[b][2] for b in sorted(chains)},
+        tuple((rebirth[(1, comp)], role) for comp, role in upper.leaves),
+        {b: anchors[b] for b in sorted(anchors)},
+        range(lower.span.start, upper.span.stop),
         tuple(sorted(walks)), _flatten(terms, scale))
 
 

@@ -56,7 +56,7 @@ class Slice(NamedTuple):
 
     def __str__(self) -> str:
         if self.kind in ("x", "assoc"):
-            tag = self.kind + ("+" if self.sign > 0 else "-")
+            tag = self.kind + ("+" if self.sign == 1 else "-")
         elif self.kind in ("cup", "cap"):
             tag = self.kind + ("'" if self.primed else "")
         else:
@@ -139,9 +139,13 @@ def _is_bracketing(depth: Sequence[int]) -> bool:
 
 
 def _checked_spec(spec: Spec) -> Spec:
-    """spec as two tuples; WordValidationError unless its depths bracket
-    and every role is 'start' or 'end'."""
-    depths, roles = tuple(spec[0]), tuple(spec[1])
+    """spec as two tuples; WordValidationError unless it is a pair of
+    sequences whose depths bracket and whose roles are 'start'/'end'."""
+    try:
+        depths, roles = map(tuple, spec)
+    except (TypeError, ValueError):
+        raise WordValidationError(
+            f"boundary spec {spec!r} is not a (depths, roles) pair") from None
     if len(depths) != max(0, len(roles) - 1) or not _is_bracketing(depths):
         raise WordValidationError(
             f"boundary spec depths are not a bracketing of {len(roles)} leaves")
@@ -274,15 +278,6 @@ class BoundaryState:
         return sorted({self.find(birth) for birth, _ in self.leaves}
                       | {self.find(birth) for birth in self.anchors})
 
-    def cup_members(self, comps: Sequence[Birth]) -> dict[Birth, tuple[Birth, ...]]:
-        """The cup-born keys merged into each of comps, smallest first."""
-        groups: dict[Birth, list[Birth]] = {comp: [] for comp in comps}
-        for birth in sorted(self._parent):
-            root = self.find(birth)
-            if birth[0] == 1 and root in groups:
-                groups[root].append(birth)
-        return {comp: tuple(group) for comp, group in groups.items()}
-
     def leaf_summary(self) -> tuple[tuple[Birth, str], ...]:
         return tuple((self.find(birth), role) for birth, role in self.leaves)
 
@@ -295,6 +290,12 @@ class BoundaryState:
 
         def fail(message: str) -> WordValidationError:
             return WordValidationError(f"slice {index + 1} ({s}): {message}")
+
+        # Checked by value, as the caches compare words; events carry ints.
+        if s.kind in ("x", "assoc") and s.sign not in (1, -1):
+            raise fail(f"sign must be +1 or -1, not {s.sign!r}")
+        if s.kind in ("cup", "cap") and s.primed not in (True, False):
+            raise fail(f"primed flag must be True or False, not {s.primed!r}")
 
         if s.kind == "i":
             if not 1 <= s.pos <= max(1, n):
@@ -366,20 +367,19 @@ class BoundaryState:
             left = (self.find(a[0]), a[1])
             right = (self.find(b[0]), b[1])
             leaves[j], leaves[j + 1] = b, a
-            return CrossEvent(s.sign, left, right)
+            return CrossEvent(int(s.sign), left, right)
 
         if s.kind == "assoc":
             # assoc+ turns ((X,Y),Z) into (X,(Y,Z)); assoc- is the inverse.
             # The address p is the 1-based position of Y's leftmost leaf,
             # so gap g = p - 2 splits X|Y; r is the Y|Z gap, g's parent
             # for assoc+ and the root of g's right subtree for assoc-.
-            g = s.pos - 2
-            r = None
+            g, sign, r = s.pos - 2, int(s.sign), None
             if 0 <= g < n - 1:
                 end = self._run_end(g + 1, 1, depth[g])   # past g's subtree
-                if s.sign > 0 and end < n - 1 and depth[end] == depth[g] - 1:
+                if sign > 0 and end < n - 1 and depth[end] == depth[g] - 1:
                     r = end
-                elif s.sign < 0:
+                elif sign < 0:
                     r = next((k for k in range(g + 1, end)
                               if depth[k] == depth[g] + 1), None)
             if r is None:
@@ -391,9 +391,9 @@ class BoundaryState:
                       for i in range(lo, hi))
                 for lo, hi in ((x0, g + 1), (g + 1, r + 1), (r + 1, z1 + 1)))
             depth[g], depth[r] = depth[r], depth[g]
-            self._shift(x0, g, -s.sign)
-            self._shift(r + 1, z1, s.sign)
-            return AssocEvent(s.sign, blocks)
+            self._shift(x0, g, -sign)
+            self._shift(r + 1, z1, sign)
+            return AssocEvent(sign, blocks)
 
         raise fail(f"unknown generator kind {s.kind!r}")
 
@@ -420,7 +420,6 @@ class WordTrace(NamedTuple):
     spec_out: Spec
     leaves: tuple[tuple[Birth, str], ...]
     anchors: Mapping[Birth, tuple[int, ...]]    # read-only
-    members: Mapping[Birth, tuple[Birth, ...]]  # read-only
 
     def crossing(self, index: int) -> TracedCrossing:
         """The crossing at a 1-based slice index, an int."""
@@ -483,12 +482,11 @@ def _trace_cached(slices: tuple[Slice, ...], initial: Spec | None,
     for (a, b), signs in total.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = Fraction(signs, 2)
     linking = tuple(map(tuple, rows)) if closed else None
-    open_out = state.open_components()
     return WordTrace(
         open_points, tuple(crossings), linking, tuple(events), spec_in, open_in,
         state.spec(), state.leaf_summary(),
-        MappingProxyType({comp: state.anchors.get(comp, ()) for comp in open_out}),
-        MappingProxyType(state.cup_members(open_out)))
+        MappingProxyType({comp: state.anchors.get(comp, ())
+                          for comp in state.open_components()}))
 
 
 def validate_word(slices: Sequence[Slice]) -> WordTrace:

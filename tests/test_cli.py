@@ -50,8 +50,8 @@ Core claims:
       environment holds
     - every kzlab line of the README's "Command line" block exits 0
     - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
-    - importing kzlab and kzlab.cli without site loads neither
-      dataclasses, inspect nor importlib.resources
+    - importing kzlab and kzlab.cli without site loads none of
+      dataclasses, inspect, importlib.resources and pathlib
 """
 
 import argparse
@@ -521,7 +521,7 @@ class TestCorpusLookup:
         (tmp_path / "u0.qtw").write_text("cup@1 ; x-@1 ; cap'@1\n",
                                          encoding="utf-8")
         monkeypatch.setenv("KZLAB_CORPUS_DIR", str(tmp_path))
-        assert corpus_path("u0").parent != tmp_path
+        assert os.path.dirname(corpus_path("u0")) != str(tmp_path)
         code, out, _ = _run(capsys, "compute", "--corpus", "u0",
                             "--degree", "1")
         assert code == 0 and "degree 1 (sum 0):" in out
@@ -543,13 +543,14 @@ def test_readme_command_lines_exit_0(capsys):
 
 
 def test_import_leaves_out_unused_stdlib_modules():
-    # Records are NamedTuples and the corpus is read by file path, so
-    # neither dataclasses (and its inspect) nor importlib.resources loads.
+    # Records are NamedTuples and the corpus is read by a str file path,
+    # so neither dataclasses (and its inspect), importlib.resources nor
+    # pathlib loads.
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import kzlab, kzlab.cli, sys; print(sorted({'dataclasses', 'inspect', "
-         "'importlib.resources'} & set(sys.modules)))"],
+         "'importlib.resources', 'pathlib'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

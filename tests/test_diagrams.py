@@ -55,7 +55,8 @@ Core claims:
     - Both enumerators refuse zero circles; the empty link still passes
       the theorem by lookup
     - Bad caller input to public functions raises InputError, not a plain
-      ValueError, in diagrams, algebra (wheel_coefficients included), graft
+      ValueError, in diagrams, algebra (wheel_coefficients included, and
+      wheel_attachment_sum past the enumeration limit), graft
       and strand_monomials; a circle or gap index and a circle
       permutation (verify_theorem's relabel included) must be ints, so a
       float or a bool equal to a valid one is refused; so are a
@@ -630,6 +631,8 @@ _CLASP = ((0, 1), (1, 0))
     lambda: series_exp({(): 1}, concat_words, (), lambda w: len(w) // 2, 2),
     lambda: interval_sqrt({(): Fraction(2)}, 2),
     lambda: wheel_attachment_sum((2, 0)),
+    # (8 - 1)! * 2**8 leg orders and flips, over the enumeration limit.
+    lambda: wheel_attachment_sum((8,)),
     lambda: graft(_bare(1), _bare(2)),
     lambda: wheel_coefficients(-3),
     lambda: wheel_coefficients(2.0),
@@ -658,7 +661,7 @@ _CLASP = ((0, 1), (1, 0))
     lambda: kzlab.linking_monomial([[0, True], [True, 0]], _CLASP),
     lambda: kzlab.linking_monomial([[0, 0.5], [0.5, 0]], _CLASP),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
-        "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes",
+        "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes", "wheel-work",
         "graft-cutoffs", "wheel-order", "wheel-order-float", "strand-count",
         "strand-count-float", "circle-index-float", "gap-index-float",
         "circle-index-bool", "gap-index-bool", "perm-float", "perm-bool",

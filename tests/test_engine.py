@@ -7,7 +7,8 @@ Core claims:
     - Reversing a strand reads its chords backwards and negates
       odd-endpoint terms
     - Grafting stacks chords in slice order and needs matching directions
-      and cup births that differ between the two fragments
+      and an upper fragment that starts at the word index where the
+      lower one stops: a gap or an overlap is refused
     - The rebracketing value on three down strands is the frozen
       degree-2 commutator with weight 1/24, cabled over block leaves
     - The pentagon holds exactly and the bracketed braid relation holds
@@ -22,7 +23,7 @@ Core claims:
       cup, at truncation 3 and at the word's maximum, and at every
       three-way split in both groupings
     - Grafting word[s:a] and word[a:b] gives the boundary, anchors,
-      members and component orders of evaluating word[s:b] directly, and
+      span and component orders of evaluating word[s:b] directly, and
       its terms too when no new circle closes, from the empty boundary
       and from the anchored boundary mid-word; every fragment key is one
       renamed word per component, open or closed, in birth order
@@ -31,15 +32,17 @@ Core claims:
     - No kernel forms a term over the truncation: on a kinked 6-circle
       unlink at degree 4 every key renamed holds at most 8 endpoints,
       and the count of keys renamed is pinned (products with no new
-      chord, except at a merging cap, are not renamed)
+      chord, except at a merging cap, are not renamed), and no kernel's
+      unit places a word: integrating every corpus word inserts no empty
+      token run
     - Inserting a cancelling assoc+@p;assoc-@p pair (either order) at any
       legal site of a corpus word leaves its value unchanged
     - Words and fragments nesting 600 levels deep evaluate with the
       recursion limit at 120: the boundary needs no recursion
-    - A fragment's anchors and members come from the cached trace: they
-      are read-only, a list spec evaluates as the tuple spec, and a
-      spec whose depths are not integers or whose roles are not
-      'start'/'end' is refused
+    - A fragment's anchors come from the cached trace: they are
+      read-only, a list spec evaluates as the tuple spec, and a spec
+      that is not a (depths, roles) pair, whose depths are not integers
+      or whose roles are not 'start'/'end' is refused
     - Bare-block substitution keeps the skeleton and suppresses only the
       designated crossing's chords; a block over the truncation leaves
       an empty series, allocating nothing for its chords (traced peak
@@ -356,7 +359,7 @@ class TestFragments:
         # graft(word[s:a], word[a:b]) against evaluating word[s:b] at once,
         # from the empty boundary (s = 0) and from the anchored boundary
         # at the middle of the word.
-        fields = ("spec_in", "spec_out", "leaves", "anchors", "members",
+        fields = ("spec_in", "spec_out", "leaves", "anchors", "span",
                   "components")
 
         def circles(value):
@@ -407,6 +410,22 @@ class TestFragments:
         assert len(sizes) == 632
         assert len(result.coefficients) == 254
 
+    def test_a_unit_places_no_word(self, monkeypatch):
+        # A kernel's unit leaves each key as it is, so _insert_at_points
+        # never gets a call whose token runs are all empty.  Unwrapped, so
+        # that a cached value cannot hide the evaluation.
+        runs = []
+        insert = engine._insert_at_points
+
+        def spy(words, inserts):
+            runs.append(tuple(tokens for _, _, tokens in inserts))
+            return insert(words, inserts)
+
+        monkeypatch.setattr(engine, "_insert_at_points", spy)
+        for name in corpus_names():
+            engine._integrate_cached.__wrapped__(load_corpus_word(name), 3)
+        assert runs and [tokens for tokens in runs if not any(tokens)] == []
+
     def test_keys_list_components_in_birth_order(self):
         value = evaluate_fragment(parse_word("cup@1;x+@1;cap'@1;cup@1"), 1)
         assert value.components == ((1, 0, 1), (1, 3, 1))
@@ -452,20 +471,35 @@ class TestFragments:
     def test_graft_rejects_mismatched_boundaries(self):
         lower = evaluate_fragment(parse_word("cup@1"), 2)
         # Wrong directions, and a cup born at slice 0 on both sides (the
-        # upper fragment evaluated without its slice offset).
+        # upper fragment evaluated without its slice offset, so it
+        # overlaps the lower one).
         for upper in (evaluate_fragment([], 2, initial=((0,), ("start", "start"))),
                       evaluate_fragment(parse_word("cup@1"), 2, lower.spec_out)):
             with pytest.raises(WordValidationError):
                 graft(lower, upper)
 
+    def test_graft_needs_the_upper_fragment_where_the_lower_stops(self):
+        lower = evaluate_fragment(parse_word("cup@1"), 2)   # span 0..1
+        gap = evaluate_fragment(parse_word("cup@1;cap@1;cap@1"), 2,
+                                lower.spec_out, slice_offset=6)
+        crossed = evaluate_fragment(parse_word("cup@1;x+@1"), 2)   # span 0..2
+        closing = parse_word("x-@1;cap@1")
+        overlap = evaluate_fragment(closing, 2, crossed.spec_out, slice_offset=1)
+        for low, up in ((lower, gap), (crossed, overlap)):
+            with pytest.raises(WordValidationError, match="stops"):
+                graft(low, up)
+        adjacent = evaluate_fragment(closing, 2, crossed.spec_out, slice_offset=2)
+        assert graft(crossed, adjacent).span == range(0, 4)
+        assert finalize(graft(crossed, adjacent)) == \
+            integrate(parse_word("cup@1;x+@1;x-@1;cap@1"), 2)
+
     def test_boundary_data_is_cached_read_only(self):
         word = parse_word("x+@1 ; cup@1")
         initial = ((0,), (END, START))
         value = evaluate_fragment(word, 2, initial=initial)
-        assert value.anchors and value.members
-        for mapping in (value.anchors, value.members):
-            with pytest.raises(TypeError):
-                mapping[(0, 0, 9)] = ()
+        assert value.anchors
+        with pytest.raises(TypeError):
+            value.anchors[(0, 0, 9)] = ()
         assert evaluate_fragment(word, 2, initial=initial) == value
 
     def test_list_spec_is_the_tuple_spec(self):
@@ -481,6 +515,15 @@ class TestFragments:
             with pytest.raises(WordValidationError, match="roles"):
                 evaluate_fragment(slices, 1, initial=spec)
         with pytest.raises(WordValidationError, match="roles"):
+            BoundaryState.from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        5, (), ((),), ((0,), (END, END), ()), ((0,), 5), (None, (END,))])
+    def test_spec_must_be_a_depths_roles_pair(self, spec):
+        for slices in (parse_word("x+@1"), ()):
+            with pytest.raises(WordValidationError, match="pair"):
+                evaluate_fragment(slices, 1, initial=spec)
+        with pytest.raises(WordValidationError, match="pair"):
             BoundaryState.from_spec(spec)
 
     def test_open_fragment_cannot_finalize(self):

@@ -9,6 +9,10 @@ Core claims:
       non-adjacent leaves, direction-mismatched caps, ambiguous or
       impossible rebracketings, and unclosed words; nesting depth is
       unlimited
+    - The replay refuses hand-built slices outside the word language: a
+      crossing or rebracketing sign other than +1/-1 and a primed flag
+      other than True/False, compared by value, so a word equal to an
+      accepted one is accepted cold
     - Crossing signs combine the slice sign with both strand directions
     - The signed crossing count reproduces every tabulated corpus
       linking matrix, with half-writhe diagonals, and a 1000-circle nest
@@ -24,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+import kzlab
 from kzlab.errors import WordParseError, WordValidationError
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from kzlab.qtangle.words import (
@@ -131,6 +136,32 @@ class TestValidation:
         assert trace.crossing(2).circles is None
         with pytest.raises(WordValidationError, match="not a crossing"):
             trace.crossing(1)
+
+    @pytest.mark.parametrize("word", [
+        (Slice("cup", 1), Slice("x", 1, sign=5), Slice("cap", 1, primed=True)),
+        (Slice("cup", 1), Slice("x", 1, sign=0), Slice("cap", 1, primed=True)),
+        (Slice("cup", 1), Slice("x", 1, sign="+"), Slice("cap", 1, primed=True)),
+        (Slice("cup", 1, primed=2), Slice("cap", 1, primed=True)),
+        (Slice("cup", 1, primed=True), Slice("cap", 1, primed=2)),
+        # The trefoil with assoc-@3 as a rebracketing of sign -2.
+        parse_word("cup@1;cup@3") + (Slice("assoc", 3, sign=-2),)
+        + parse_word("x-@2;x-@2;x-@2;cap@2;cap@1"),
+    ], ids=["sign-5", "sign-0", "sign-str", "cup-primed-2", "cap-primed-2",
+            "assoc-sign-2"])
+    def test_slices_outside_the_language_are_refused(self, word):
+        with pytest.raises(WordValidationError, match="sign|primed"):
+            validate_word(word)
+
+    def test_sign_and_flag_compare_by_value(self):
+        # Equal to the parsed word, so a warm cache answers it: cold, it
+        # must get the same trace and value.
+        word = load_corpus_word("trefoil")   # cups, caps, x and assoc slices
+        same = tuple(s._replace(sign=float(s.sign), primed=int(s.primed))
+                     for s in word)
+        kzlab.clear_caches()
+        cold = validate_word(same), kzlab.integrate(same, 3)
+        kzlab.clear_caches()
+        assert cold == (validate_word(word), kzlab.integrate(word, 3))
 
     def test_deep_nesting_validates(self):
         # 600 levels is past the recursion limit of a recursive tree.
