@@ -56,11 +56,24 @@ def concat_words(left: Sequence[int], right: Sequence[int]) -> Word:
 
 
 # -- Generic series combinators ----------------------------------------------
+#
+# Each takes its cutoff as an int in 0..MAX_TRUNCATION, checked first: the
+# work grows with it, and no caller needs more.
+
+
+def _check_truncation(cutoff: int) -> None:
+    if type(cutoff) is not int or cutoff < 0:
+        raise InputError("truncation degree must be a nonnegative int")
+    if cutoff > MAX_TRUNCATION:
+        raise TruncationUnsupportedError(
+            f"truncation degree {cutoff} exceeds the supported maximum "
+            f"{MAX_TRUNCATION}")
 
 
 def series_product(a: Mapping, b: Mapping, product: Callable,
                    degree: Callable, cutoff: int) -> dict:
     """Bilinear extension of a product on keys, truncated by degree."""
+    _check_truncation(cutoff)
     out: dict = {}
     for ka, ca in a.items():
         if not ca:
@@ -77,6 +90,7 @@ def series_product(a: Mapping, b: Mapping, product: Callable,
 def series_exp(x: Mapping, product: Callable, unit, degree: Callable,
                cutoff: int) -> dict:
     """exp(x) for a series with no constant term, under the given product."""
+    _check_truncation(cutoff)
     if degree(unit) != 0:
         raise InputError("unit key must have degree 0")
     if any(degree(k) == 0 and c for k, c in x.items()):
@@ -107,6 +121,7 @@ def interval_sqrt(series: Mapping[Word, Fraction], cutoff: int) -> dict[Word, Fr
     against the input gives 2 s_d = f_d - sum of the mixed lower products,
     which determines s uniquely over the rationals.
     """
+    _check_truncation(cutoff)
     if series.get((), Fraction(0)) != 1:
         raise InputError("series must have constant term 1")
     graded: dict[int, dict[Word, Fraction]] = {}
@@ -237,15 +252,6 @@ def _wheel_multisets(cutoff: int) -> Iterator[tuple[int, ...]]:
 
 
 # -- The unknot series -------------------------------------------------------
-
-
-def _check_truncation(cutoff: int) -> None:
-    if type(cutoff) is not int or cutoff < 0:
-        raise InputError("truncation degree must be a nonnegative int")
-    if cutoff > MAX_TRUNCATION:
-        raise TruncationUnsupportedError(
-            f"truncation degree {cutoff} exceeds the supported maximum "
-            f"{MAX_TRUNCATION}")
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -16,7 +16,8 @@ Every identity checks S, the word and the truncation once,
 in _instance, before either side is computed (degree_sum_identity, with
 a degree k for S, checks k).  Each checker returns a VerificationReport
 holding both exact rationals, so a failure is inspectable rather than a
-bare assertion.
+bare assertion; its verdict is read off them, and it carries no clock,
+so equal calls return equal reports.
 
 The identity functions: verify_theorem, and degree_sum_identity for its
 degree aggregate; variation_match and smoothing_shift_reports at any
@@ -34,7 +35,6 @@ from class sums read once per lowered matrix.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, NamedTuple, Sequence
@@ -128,17 +128,19 @@ def degree_class_sum(value: TangleResult, k: int) -> Fraction:
 
 
 class VerificationReport(NamedTuple):
-    """One exact identity check: both sides, a verdict, and timing."""
+    """One exact identity check: both sides, and the verdict they give."""
 
     word: str
     S: TypeMatrix | None
     N: int
     lhs: Fraction
     rhs: Fraction
-    passed: bool
-    ms: int
     identity: str = ""
     k: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
     def as_dict(self) -> dict:
         out: dict = {
@@ -148,7 +150,6 @@ class VerificationReport(NamedTuple):
             "lhs": str(self.lhs),
             "rhs": str(self.rhs),
             "pass": self.passed,
-            "ms": self.ms,
         }
         if self.identity:
             out["identity"] = self.identity
@@ -163,14 +164,6 @@ class VerificationReport(NamedTuple):
         verdict = "pass" if self.passed else "FAIL"
         return (f"{self.word} {subject} N={self.N}{tag}: "
                 f"{self.lhs} == {self.rhs} -> {verdict}")
-
-
-def _report(word_id: str, S: TypeMatrix | None, cutoff: int, lhs: Fraction,
-            rhs: Fraction, started: float, identity: str = "",
-            k: int | None = None) -> VerificationReport:
-    ms = int(round((time.perf_counter() - started) * 1000))
-    return VerificationReport(word_id, S, cutoff, lhs, rhs, lhs == rhs, ms,
-                              identity, k)
 
 
 def _instance(word: Sequence[Slice], S: Sequence[Sequence[int]],
@@ -199,7 +192,6 @@ def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
     checked, so S is pulled back onto the word's circles and checked
     against the word's own linking matrix and integral; the report keeps
     the S it was given."""
-    started = time.perf_counter()
     rows, trace = _instance(word, S, cutoff)
     pulled = rows
     if relabel is not None:
@@ -208,7 +200,7 @@ def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
         pulled = TypeMatrix([[rows[p - 1][q - 1] for q in perm] for p in perm])
     lhs = linking_monomial(trace.linking, pulled)
     rhs = class_sum(integrate(word, cutoff), pulled)
-    return _report(word_id, rows, cutoff, lhs, rhs, started)
+    return VerificationReport(word_id, rows, cutoff, lhs, rhs)
 
 
 def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
@@ -217,7 +209,6 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
     degree-k coefficient sum.  By the multinomial theorem the monomials
     over every type matrix of degree k sum to (sum_{i <= j} lk_ij)^k / k!,
     so no type matrix is listed."""
-    started = time.perf_counter()
     oracle = validate_word(word).linking
     _check_cutoff(word, cutoff)
     _check_sum_degree(k, cutoff)
@@ -225,7 +216,7 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
                 Fraction(0))
     lhs = cells ** k / factorial(k)
     rhs = degree_class_sum(integrate(word, cutoff), k)
-    return _report(word_id, None, cutoff, lhs, rhs, started, k=k)
+    return VerificationReport(word_id, None, cutoff, lhs, rhs, k=k)
 
 
 # -- Crossing-change identities ----------------------------------------------
@@ -279,7 +270,6 @@ def variation_series_report(word: Sequence[Slice], crossing: int,
     rows, _, _ = _positive_cell(word, crossing, S, cutoff)
     plus = integrate(word, cutoff)
     minus = integrate(flip_crossing(word, crossing), cutoff)
-    started = time.perf_counter()
     lhs = class_sum(plus, rows) - class_sum(minus, rows)
     rhs = Fraction(0)
     j = 0
@@ -287,8 +277,8 @@ def variation_series_report(word: Sequence[Slice], crossing: int,
         term = class_sum(crossing_term(word, crossing, 2 * j + 1, cutoff), rows)
         rhs += term / (factorial(2 * j + 1) * 4 ** j)
         j += 1
-    return _report(word_id, rows, cutoff, lhs, rhs, started,
-                   identity="variation-series")
+    return VerificationReport(word_id, rows, cutoff, lhs, rhs,
+                              identity="variation-series")
 
 
 def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
@@ -305,7 +295,6 @@ def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
     sums = [class_sum(plus, T) for T in lowered]
     reports = []
     for k, T in enumerate(lowered):
-        started = time.perf_counter()
         lhs = class_sum(smoothed, T)
         # sum_p (-1)^p / (p! 2^p) * sums[k - p] as num / den in ints, over
         # the common weight k! 2^k, which each p! 2^p divides.
@@ -316,9 +305,9 @@ def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
             num = (num * value.denominator + (-1) ** p * den * value.numerator
                    * (weight // (factorial(p) * 2 ** p)))
             den *= value.denominator
-        reports.append(_report(word_id, T, cutoff, lhs,
-                               Fraction(num, den * weight), started,
-                               identity="smoothing-inversion"))
+        reports.append(VerificationReport(word_id, T, cutoff, lhs,
+                                          Fraction(num, den * weight),
+                                          identity="smoothing-inversion"))
     return reports
 
 
@@ -340,14 +329,13 @@ def oracle_variation_report(word: Sequence[Slice], crossing: int,
     binomial closed form."""
     rows, a, b = _positive_cell(word, crossing, S, cutoff)
     s = rows[a - 1][b - 1]
-    started = time.perf_counter()
     lk_plus = linking_matrix(word)
     lk_minus = linking_matrix(flip_crossing(word, crossing))
     lhs = (linking_monomial(lk_plus, rows) - linking_monomial(lk_minus, rows))
     base = linking_monomial(lk_plus, _with_entry(rows, a, b, 0))
     rhs = base * _variation_weight(lk_plus[a - 1][b - 1], s)
-    return _report(word_id, rows, cutoff, lhs, rhs, started,
-                   identity="oracle-variation")
+    return VerificationReport(word_id, rows, cutoff, lhs, rhs,
+                              identity="oracle-variation")
 
 
 def check_recursion(word: Sequence[Slice], crossing: int,
@@ -372,16 +360,14 @@ def smoothing_shift_reports(word: Sequence[Slice], crossing: int,
     zero_block = crossing_term(word, crossing, 0, cutoff)
     reports = []
     for k in range(0, s + 1):
-        started = time.perf_counter()
         lhs = class_sum(crossing_term(word, crossing, k, cutoff), rows)
         rhs = class_sum(zero_block, _with_entry(rows, a, b, s - k))
-        reports.append(_report(word_id, rows, cutoff, lhs, rhs, started,
-                               identity="block-shift", k=k))
+        reports.append(VerificationReport(word_id, rows, cutoff, lhs, rhs,
+                                          identity="block-shift", k=k))
     for k in range(s + 1, rows.degree + 1):
-        started = time.perf_counter()
         lhs = class_sum(crossing_term(word, crossing, k, cutoff), rows)
-        reports.append(_report(word_id, rows, cutoff, lhs, Fraction(0),
-                               started, identity="block-vanishing", k=k))
+        reports.append(VerificationReport(word_id, rows, cutoff, lhs, _ZERO,
+                                          identity="block-vanishing", k=k))
     return reports
 
 
@@ -390,15 +376,14 @@ def variation_match(word: Sequence[Slice], crossing: int,
                     word_id: str = "word") -> VerificationReport:
     """Class-sum variation under a crossing change equals the linking
     monomial variation, both computed from scratch."""
-    started = time.perf_counter()
     rows, trace = _instance(word, S, cutoff)
     flipped = flip_crossing(word, crossing)
     lhs = (class_sum(integrate(word, cutoff), rows)
            - class_sum(integrate(flipped, cutoff), rows))
     rhs = (linking_monomial(trace.linking, rows)
            - linking_monomial(linking_matrix(flipped), rows))
-    return _report(word_id, rows, cutoff, lhs, rhs, started,
-                   identity="variation-match")
+    return VerificationReport(word_id, rows, cutoff, lhs, rhs,
+                              identity="variation-match")
 
 
 # -- Unknot values by two routes ---------------------------------------------

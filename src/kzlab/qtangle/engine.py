@@ -69,7 +69,7 @@ from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
 from .words import (
     AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
-    _trace, parse_word, validate_word,
+    _as_word, _trace, parse_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -347,6 +347,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     identity slices do not break a run, and the bare_block crossing
     does, standing as a kernel of its own.
     """
+    slices = _as_word(slices)   # before max_truncation reads each kind
     _check_cutoff(slices, cutoff)
     if bare_block is not None and not (type(bare_block) is tuple and tuple(
             map(type, bare_block)) == (int, int) and bare_block[1] >= 0):
@@ -393,7 +394,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             terms = end_arc(terms, len(comps) - 1, event.primed)
         elif isinstance(event, CapEvent) and event.closes:
             # The circle keeps its slot; the arc ends its word.
-            terms = end_arc(terms, comps.index(event.merged), event.primed)
+            terms = end_arc(terms, comps.index(event.starting), event.primed)
         elif isinstance(event, CapEvent):
             # The merge folds the later birth into the earlier one's slot.
             ia = comps.index(event.ending)
@@ -642,7 +643,7 @@ def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
 
 def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:
     """The truncated invariant of a closed word, on birth-ordered circles."""
-    return _integrate_cached(tuple(slices), cutoff)
+    return _integrate_cached(_as_word(slices), cutoff)
 
 
 def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
@@ -653,4 +654,4 @@ def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
         raise InputError("crossing must be an int slice index")
     if type(k) is not int or k < 0:
         raise InputError("chord count must be a nonnegative int")
-    return _integrate_cached(tuple(slices), cutoff, (crossing - 1, k))
+    return _integrate_cached(_as_word(slices), cutoff, (crossing - 1, k))

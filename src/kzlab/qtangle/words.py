@@ -91,10 +91,8 @@ def parse_word(text: str) -> tuple[Slice, ...]:
             if pos < 1:
                 raise WordParseError(
                     f"line {lineno}: positions are 1-based, got {token!r}")
-            if tag.startswith("assoc"):
-                slices.append(Slice("assoc", pos, sign=1 if tag[-1] == "+" else -1))
-            elif tag.startswith("x"):
-                slices.append(Slice("x", pos, sign=1 if tag[-1] == "+" else -1))
+            if tag[0] in "ax":   # assoc+, assoc-, x+ or x-
+                slices.append(Slice(tag[:-1], pos, sign=1 if tag[-1] == "+" else -1))
             elif tag[0] == "c":
                 slices.append(Slice(tag.rstrip("'"), pos, primed=tag.endswith("'")))
             else:
@@ -104,6 +102,16 @@ def parse_word(text: str) -> tuple[Slice, ...]:
 
 def render_word(slices: Sequence[Slice]) -> str:
     return " ; ".join(str(s) for s in slices)
+
+
+def _as_word(slices: Sequence[Slice]) -> tuple[Slice, ...]:
+    """slices as the tuple a word cache is keyed by.  A plain tuple equals
+    the Slice of its fields, so anything else is refused before a lookup."""
+    word = tuple(slices)
+    if not set(map(type, word)) <= {Slice}:
+        bad = next(type(s) for s in word if type(s) is not Slice)
+        raise WordValidationError(f"a word's elements must be Slices, not {bad.__name__}")
+    return word
 
 
 # -- Boundary state ----------------------------------------------------------
@@ -166,8 +174,10 @@ class CapEvent(NamedTuple):
     primed: bool
     ending: Birth        # component whose end point is consumed
     starting: Birth      # component whose start point is consumed
-    merged: Birth        # representative after the merge
-    closes: bool         # True when both points belong to one component
+
+    @property
+    def closes(self) -> bool:   # both points on one component, now a circle
+        return self.starting == self.ending
 
 
 class CrossEvent(NamedTuple):
@@ -247,11 +257,6 @@ class BoundaryState:
         for k in range(lo, hi):
             self.depth[k] += by
 
-    def _siblings(self, j: int) -> bool:
-        """Leaves j and j + 1 are siblings: gap j is deeper than both
-        neighbouring gaps."""
-        return self._gap(j - 1) < self.depth[j] > self._gap(j + 1)
-
     # Union-find over birth keys; the smallest key survives a merge.
     def find(self, birth: Birth) -> Birth:
         root = birth
@@ -261,25 +266,19 @@ class BoundaryState:
             self._parent[birth], birth = root, self._parent[birth]
         return root
 
-    def _union(self, a: Birth, b: Birth) -> Birth:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
+    def _union(self, a: Birth, b: Birth) -> None:
+        """Join the components of two distinct roots."""
+        keep, drop = sorted((a, b))
         self._parent[drop] = keep
         combined = tuple(sorted(self.anchors.pop(keep, ())
                                 + self.anchors.pop(drop, ())))
         if combined:
             self.anchors[keep] = combined
-        return keep
 
     def open_components(self) -> list[Birth]:
         """Distinct live components, smallest birth first."""
         return sorted({self.find(birth) for birth, _ in self.leaves}
                       | {self.find(birth) for birth in self.anchors})
-
-    def leaf_summary(self) -> tuple[tuple[Birth, str], ...]:
-        return tuple((self.find(birth), role) for birth, role in self.leaves)
 
     def apply(self, s: Slice, index: int) -> Event | None:
         """Validate and perform one slice; index is its 0-based position.
@@ -296,38 +295,45 @@ class BoundaryState:
             raise fail(f"sign must be +1 or -1, not {s.sign!r}")
         if s.kind in ("cup", "cap") and s.primed not in (True, False):
             raise fail(f"primed flag must be True or False, not {s.primed!r}")
+        try:
+            pos = int(s.pos)
+        except (TypeError, ValueError, OverflowError):
+            pos = None
+        if pos is None or pos != s.pos:
+            raise fail(f"position must be an int, not {s.pos!r}")
+        # An association's address is checked by its shape instead.
+        top = {"i": max(1, n), "cup": n + 1, "cap": n - 1, "x": n - 1}.get(s.kind)
+        if top is not None and not 1 <= pos <= top:
+            raise fail(f"position out of range 1..{max(0, top)}")
 
         if s.kind == "i":
-            if not 1 <= s.pos <= max(1, n):
-                raise fail(f"position out of range 1..{max(1, n)}")
             return None
 
         if s.kind == "cup":
-            if not 1 <= s.pos <= n + 1:
-                raise fail(f"position out of range 1..{n + 1}")
             # The cherry replaces leaf k by (cherry, k), or by (k, cherry)
             # at the right end, one level below k's old depth.
-            k = min(s.pos, n) - 1
+            k = min(pos, n) - 1
             below = max(self._gap(k - 1), self._gap(k)) + 1
             if n == 0:
                 depth.append(0)
-            elif s.pos <= n:
+            elif pos <= n:
                 depth[k:k] = [below + 1, below]
             else:
                 depth.extend((below, below + 1))
-            birth: Birth = (1, index, s.pos)
+            birth: Birth = (1, index, pos)
             self._parent[birth] = birth
             roles = (END, START) if s.primed else (START, END)
-            leaves[s.pos - 1:s.pos - 1] = [(birth, roles[0]), (birth, roles[1])]
+            leaves[pos - 1:pos - 1] = [(birth, roles[0]), (birth, roles[1])]
             return CupEvent(s.primed, birth)
 
-        if s.kind == "cap":
-            if not 1 <= s.pos <= n - 1:
-                raise fail(f"position out of range 1..{max(0, n - 1)}")
-            j = s.pos - 1
+        if s.kind in ("cap", "x"):
+            # Siblings: gap j is deeper than both neighbouring gaps.
+            j = pos - 1
             a, b = leaves[j], leaves[j + 1]
-            if not self._siblings(j):
+            if not self._gap(j - 1) < depth[j] > self._gap(j + 1):
                 raise fail("operand points are not siblings")
+
+        if s.kind == "cap":
             want = (END, START) if s.primed else (START, END)
             got = (a[1], b[1])
             if got != want:
@@ -347,23 +353,15 @@ class BoundaryState:
                 self._shift(start, j - 1, -1)
                 del depth[j - 1:j + 1]
             del leaves[j:j + 2]
-            closes = starting == ending
-            if closes:
-                if self.anchors.get(starting):
-                    raise fail("cannot close an anchored component")
-                merged = starting
-                self.closed.append(merged)
+            if starting != ending:
+                self._union(starting, ending)
+            elif self.anchors.get(starting):
+                raise fail("cannot close an anchored component")
             else:
-                merged = self._union(starting, ending)
-            return CapEvent(s.primed, ending, starting, merged, closes)
+                self.closed.append(starting)
+            return CapEvent(s.primed, ending, starting)
 
         if s.kind == "x":
-            if not 1 <= s.pos <= n - 1:
-                raise fail(f"position out of range 1..{max(0, n - 1)}")
-            j = s.pos - 1
-            a, b = leaves[j], leaves[j + 1]
-            if not self._siblings(j):
-                raise fail("operand points are not siblings")
             left = (self.find(a[0]), a[1])
             right = (self.find(b[0]), b[1])
             leaves[j], leaves[j + 1] = b, a
@@ -374,7 +372,7 @@ class BoundaryState:
             # The address p is the 1-based position of Y's leftmost leaf,
             # so gap g = p - 2 splits X|Y; r is the Y|Z gap, g's parent
             # for assoc+ and the root of g's right subtree for assoc-.
-            g, sign, r = s.pos - 2, int(s.sign), None
+            g, sign, r = pos - 2, int(s.sign), None
             if 0 <= g < n - 1:
                 end = self._run_end(g + 1, 1, depth[g])   # past g's subtree
                 if sign > 0 and end < n - 1 and depth[end] == depth[g] - 1:
@@ -440,13 +438,13 @@ def _trace(slices: Sequence[Slice], initial: Spec | None = None,
            offset: int = 0) -> WordTrace:
     """The trace of slices from the boundary spec initial (empty if None),
     the first slice at word index offset.  The one way into the cache: it
-    passes all three arguments, the spec as checked tuples and the offset
-    an int >= 0 (InputError otherwise)."""
+    passes all three arguments, the word as Slices, the spec as checked
+    tuples and the offset an int >= 0 (InputError otherwise)."""
     if type(offset) is not int or offset < 0:
         raise InputError(f"slice offset must be an int >= 0, not {offset!r}")
     if initial is not None:
         initial = _checked_spec(initial)
-    return _trace_cached(tuple(slices), initial, offset)
+    return _trace_cached(_as_word(slices), initial, offset)
 
 
 @lru_cache(maxsize=1024)
@@ -484,7 +482,7 @@ def _trace_cached(slices: tuple[Slice, ...], initial: Spec | None,
     linking = tuple(map(tuple, rows)) if closed else None
     return WordTrace(
         open_points, tuple(crossings), linking, tuple(events), spec_in, open_in,
-        state.spec(), state.leaf_summary(),
+        state.spec(), tuple((state.find(b), role) for b, role in state.leaves),
         MappingProxyType({comp: state.anchors.get(comp, ())
                           for comp in state.open_components()}))
 

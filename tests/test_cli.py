@@ -8,7 +8,11 @@ Core claims:
       degree-sum passes on a 12-circle nest, which has more type
       matrices of degree 2 than the enumeration limit allows
     - enumerate lists diagrams and ends text output with "count: n"
-    - selftest runs named sections and emits {"pass", "sections"} JSON
+    - selftest runs named sections and emits {"pass", "sections"} JSON;
+      a section's text line ends "(N checks)"
+    - verify theorem and recursion --all-S and selftest --json print no
+      measured field, so a run from cold caches and a warm rerun print
+      the same bytes
     - exit codes: 2 for unreadable input (a file that is not UTF-8, a
       position too long to convert), bad JSON or a non-integer type
       matrix entry (an empty --S included), 3 for validation failures,
@@ -48,7 +52,8 @@ Core claims:
     - a word nested 600 levels deep computes
     - --corpus NAME always loads the bundled word, whatever the
       environment holds
-    - every kzlab line of the README's "Command line" block exits 0
+    - every kzlab line of the README's "Command line" block exits 0 and
+      prints the same bytes from cold caches and warm
     - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
     - importing kzlab and kzlab.cli without site loads none of
       dataclasses, inspect, importlib.resources and pathlib
@@ -134,24 +139,20 @@ class TestVerify:
         assert code == 0
         assert "pass" in out and "3/2" in out
 
-    def test_theorem_sweep_json_deterministic_up_to_ms(self, capsys):
-        argv = ("verify", "theorem", "--corpus", "hopf+", "--all-S",
+    def test_theorem_sweep_json_is_byte_identical(self, capsys):
+        # From cold caches, then warm.
+        argv = ("verify", "theorem", "--corpus", "chain3", "--all-S",
                 "--degree", "2", "--format", "json")
+        kzlab.clear_caches()
         code, first, _ = _run(capsys, *argv)
         code2, second, _ = _run(capsys, *argv)
         assert code == code2 == 0
-
-        def strip(text):
-            reports = json.loads(text)
-            assert all(set(r) == {"word", "S", "N", "lhs", "rhs", "pass", "ms"}
-                       for r in reports)
-            return [{k: v for k, v in r.items() if k != "ms"}
-                    for r in reports]
-
-        assert strip(first) == strip(second)
+        assert first == second
+        reports = json.loads(first)
+        assert all(set(r) == {"word", "S", "N", "lhs", "rhs", "pass"}
+                   for r in reports)
         # The sweep runs up to --degree.
-        degrees = [kzlab.TypeMatrix(report["S"]).degree
-                   for report in json.loads(first)]
+        degrees = [kzlab.TypeMatrix(report["S"]).degree for report in reports]
         assert degrees == sorted(degrees) and set(degrees) == {0, 1, 2}
 
     def test_degree_sum(self, capsys):
@@ -228,7 +229,26 @@ class TestSelftest:
     def test_text_verdict_line(self, capsys):
         code, out, _ = _run(capsys, "selftest", "--section", "enumeration")
         assert code == 0
-        assert out.strip().splitlines()[-1] == "all sections pass"
+        section, verdict = out.strip().splitlines()
+        assert section.startswith("[pass] enumeration: ")
+        assert section.endswith(" (283 checks)")
+        assert verdict == "all sections pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "recursion", "--corpus", "hopf+", "--crossing", "4", "--all-S",
+     "--format", "json"),
+    ("selftest", "--json"),
+], ids=["recursion", "selftest"])
+def test_cold_and_warm_runs_print_the_same_bytes(capsys, argv):
+    # Nothing measured is printed, so a run from cold caches and a warm
+    # rerun agree byte for byte.
+    kzlab.clear_caches()
+    code, cold, _ = _run(capsys, *argv)
+    code2, warm, _ = _run(capsys, *argv)
+    assert code == code2 == 0
+    assert cold == warm
+    assert '"ms"' not in cold
 
 
 # == 4. exit codes ===========================================================
@@ -535,8 +555,13 @@ def test_readme_command_lines_exit_0(capsys):
     commands = [line for line in block.splitlines() if line.startswith("kzlab ")]
     assert commands
     for line in commands:
-        assert main(shlex.split(line)[1:]) == 0, line
-    capsys.readouterr()
+        # Twice, the first time from cold caches: the output is the same
+        # bytes.
+        kzlab.clear_caches()
+        code, cold, _ = _run(capsys, *shlex.split(line)[1:])
+        code2, warm, _ = _run(capsys, *shlex.split(line)[1:])
+        assert code == code2 == 0, line
+        assert cold == warm, line
 
 
 # == 7. package surface ======================================================

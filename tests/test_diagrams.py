@@ -62,7 +62,10 @@ Core claims:
       float or a bool equal to a valid one is refused; so are a
       kinked-unknot cutoff that is not an int, a framed flag that is not a
       bool, and a linking matrix that is not S's size in rows of that
-      length or has an entry read that is not an int or a Fraction
+      length or has an entry read that is not an int or a Fraction; the
+      series combinators take a cutoff that is an int in
+      0..MAX_TRUNCATION, and one over it raises TruncationUnsupportedError
+      before any work
 """
 
 import copy
@@ -78,8 +81,8 @@ from hypothesis import example, given, settings, strategies as st
 import kzlab
 from kzlab import diagrams
 from kzlab.algebra import (
-    concat_words, interval_sqrt, series_exp, wheel_attachment_sum,
-    wheel_coefficients,
+    concat_words, interval_sqrt, series_exp, series_product,
+    wheel_attachment_sum, wheel_coefficients,
 )
 from kzlab.diagrams import (
     ChordDiagram,
@@ -96,7 +99,7 @@ from kzlab.diagrams import (
     quotient_dimension,
     reduce_mod_4t,
 )
-from kzlab.errors import InputError
+from kzlab.errors import InputError, TruncationUnsupportedError
 from kzlab.invariants import unknot_degree_value
 from kzlab.qtangle.engine import evaluate_fragment, graft, strand_monomials
 
@@ -620,6 +623,11 @@ def _bare(cutoff):
 _ONE = ChordDiagram([(1, 1)])
 _TWO = ChordDiagram([(1, 1), ()])
 _CLASP = ((0, 1), (1, 0))
+_SERIES = {(): Fraction(1), (1, 1): Fraction(1, 2)}
+
+
+def _chords(word):
+    return len(word) // 2
 
 
 @pytest.mark.parametrize("call", [
@@ -660,6 +668,13 @@ _CLASP = ((0, 1), (1, 0))
     lambda: kzlab.linking_monomial([[0, "x"], ["x", 0]], _CLASP),
     lambda: kzlab.linking_monomial([[0, True], [True, 0]], _CLASP),
     lambda: kzlab.linking_monomial([[0, 0.5], [0.5, 0]], _CLASP),
+    # A series cutoff is an int in 0..MAX_TRUNCATION.
+    lambda: interval_sqrt({(): 1}, 2.5),
+    lambda: interval_sqrt({(): 1}, True),
+    lambda: kzlab.interval_product(_SERIES, _SERIES, -1),
+    lambda: kzlab.closed_connected_product({_ONE: 1}, {_ONE: 1}, 2.5),
+    lambda: series_product(_SERIES, _SERIES, concat_words, _chords, 2.0),
+    lambda: series_exp({(1, 1): 1}, concat_words, (), _chords, -1),
 ], ids=["chord-labels", "summand-circles", "circle-index", "gap-index",
         "exp-unit", "exp-constant", "sqrt-constant", "wheel-sizes", "wheel-work",
         "graft-cutoffs", "wheel-order", "wheel-order-float", "strand-count",
@@ -667,7 +682,20 @@ _CLASP = ((0, 1), (1, 0))
         "circle-index-bool", "gap-index-bool", "perm-float", "perm-bool",
         "theorem-perm-float", "theorem-perm-bool", "kinked-cutoff-float",
         "framed-str", "linking-ragged", "linking-not-rows", "linking-rows-ints",
-        "linking-none", "linking-str", "linking-bool", "linking-float"])
+        "linking-none", "linking-str", "linking-bool", "linking-float",
+        "sqrt-cutoff-float", "sqrt-cutoff-bool", "product-cutoff-negative",
+        "connected-cutoff-float", "series-cutoff-float", "exp-cutoff-negative"])
 def test_bad_arguments_raise_input_error(call):
     with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interval_sqrt({(): 1}, 3000),
+    lambda: kzlab.interval_product(_SERIES, _SERIES, 5),
+    lambda: kzlab.closed_connected_product({_ONE: 1}, {_ONE: 1}, 10 ** 9),
+    lambda: series_exp({(1, 1): 1}, concat_words, (), _chords, 5),
+], ids=["sqrt", "product", "connected", "exp"])
+def test_series_cutoff_over_the_cap_is_refused_at_once(call):
+    with pytest.raises(TruncationUnsupportedError, match="maximum 4"):
         call()

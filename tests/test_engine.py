@@ -69,7 +69,9 @@ Core claims:
       attribute assignment; a result's sums by type are kept outside
       its fields, so a result that has filled them equals, and has the
       repr of, one that has not, hashing still fails on its read-only
-      mapping, and a relabeled result starts with none
+      mapping, and a relabeled result starts with none; a report's
+      verdict and a cap's closing are properties read off their own
+      fields, and no record holds a clock
     - The kernels run in ints: the scale is 12 through truncation 3 and
       120 at 4, the least that makes every arc, crossing-run and
       associator coefficient integral, and every coefficient a kernel
@@ -780,7 +782,7 @@ def _records():
             "FragmentValue": evaluate_fragment(word, 1),
             "TangleResult": integrate(word, 2),
             "VerificationReport": verify_theorem(word, ((0, 1), (1, 0)), 2),
-            "SectionResult": SectionResult("pentagon", True, 3, 0, "held")}
+            "SectionResult": SectionResult("pentagon", True, 3, "held")}
 
 
 class TestRecords:
@@ -793,6 +795,25 @@ class TestRecords:
                 with pytest.raises(AttributeError):
                     setattr(record, attribute, None)
             assert record._replace() == record
+
+    def test_records_store_no_derived_field(self):
+        # A report's verdict and a cap's closing are read off their own
+        # fields, and no record holds a clock.
+        records = _records()
+        assert records["VerificationReport"]._fields == (
+            "word", "S", "N", "lhs", "rhs", "identity", "k")
+        assert records["SectionResult"]._fields == (
+            "name", "passed", "checks", "detail")
+        assert records["CapEvent"]._fields == ("primed", "ending", "starting")
+        report = records["VerificationReport"]
+        assert report.passed and not report._replace(rhs=report.lhs + 1).passed
+        caps = [event for name in corpus_names()
+                for _, event in trace_word(load_corpus_word(name)).events
+                if type(event).__name__ == "CapEvent"]
+        assert {cap.closes for cap in caps} == {True, False}
+        assert all(cap.closes == (cap.starting == cap.ending) for cap in caps)
+        with pytest.raises(AttributeError):
+            caps[0].closes = False
 
     def test_type_sums_are_kept_outside_equality_repr_and_hash(self):
         word = load_corpus_word("chain3")

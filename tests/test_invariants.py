@@ -51,8 +51,13 @@ Core claims:
       identity holds for k <= 3 at truncation 3, and the theorem for
       every S of degree at most 1
     - The 4,328 reports of every identity on the corpus at truncation 3
-      (as_dict, ms zeroed) hash to a SHA-256 taken before the sides were
-      summed in ints
+      (as_dict, rebuilt in the shape that held "ms": 0 after "pass") hash
+      to a SHA-256 taken before the sides were summed in ints
+    - Equal identity calls return equal reports, from cold caches and
+      warm: no report holds a clock
+    - Mirroring a word (every x+ for x- and back) multiplies each
+      degree-k coefficient by (-1)^k, over the same diagrams, on the
+      corpus and on generated words
 """
 
 import hashlib
@@ -362,11 +367,21 @@ class TestTheorem:
         report = verify_theorem(load_corpus_word("u1"), ((1,),), 2,
                                 word_id="u1")
         data = report.as_dict()
-        assert set(data) == {"word", "S", "N", "lhs", "rhs", "pass", "ms"}
+        assert set(data) == {"word", "S", "N", "lhs", "rhs", "pass"}
         assert data["word"] == "u1" and data["S"] == [[1]]
         assert data["lhs"] == "1/2" and data["pass"] is True
-        assert isinstance(data["ms"], int)
         assert "pass" in report.render()
+
+    def test_equal_calls_return_equal_reports(self):
+        word = load_corpus_word("chain3")
+        S = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        calls = [lambda: verify_theorem(word, S, 3, "chain3"),
+                 lambda: degree_sum_identity(word, 3, 3, "chain3"),
+                 lambda: check_recursion(word, 5, S, 3, "chain3")]
+        for call in calls:
+            kzlab.clear_caches()
+            cold = call()
+            assert call() == cold
 
     def test_negative_degree_sum_is_refused_before_integrating(self):
         info = engine._integrate_cached.cache_info()
@@ -541,8 +556,7 @@ class TestSurgery:
                                  *smoothing_inversion_reports(*args),
                                  oracle_variation_report(*args)]
                         whole = check_recursion(*args)
-                        assert ([r.as_dict() | {"ms": 0} for r in whole]
-                                == [r.as_dict() | {"ms": 0} for r in parts])
+                        assert whole == parts
 
 
 # == 5. Unknot framing powers ================================================
@@ -617,6 +631,28 @@ def test_identities_hold_on_generated_words(text):
         assert verify_theorem(word, S, 3).passed, (text, S)
 
 
+def _mirror(word):
+    return tuple(s._replace(sign=-s.sign) if s.kind == "x" else s for s in word)
+
+
+def _assert_mirror_signs(word):
+    # Each degree-k coefficient times (-1)^k, over the same diagrams.
+    series = integrate(word, 3).coefficients
+    mirrored = integrate(_mirror(word), 3).coefficients
+    assert dict(mirrored) == {d: c * (-1) ** d.degree for d, c in series.items()}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_mirror_negates_the_odd_degrees_on_the_corpus(name):
+    _assert_mirror_signs(load_corpus_word(name))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_generated_words())
+def test_mirror_negates_the_odd_degrees_on_generated_words(text):
+    _assert_mirror_signs(parse_word(text))
+
+
 # == 7. Pinned report digest =================================================
 
 
@@ -651,8 +687,16 @@ REPORTS_SHA256 = \
     "00bb9386ff3ddd9c6c0bcf32c6a9a5e3158672d3df5b3b3801752dfd3bc8b32e"
 
 
+def _with_zero_ms(row):
+    """A report's row in the shape the digest was taken in, which held
+    "ms": 0 right after "pass"."""
+    items = list(row.items())
+    at = [key for key, _ in items].index("pass") + 1
+    return dict(items[:at] + [("ms", 0)] + items[at:])
+
+
 def test_every_identity_report_is_pinned():
-    rows = [report.as_dict() | {"ms": 0} for report in _identity_reports()]
+    rows = [_with_zero_ms(report.as_dict()) for report in _identity_reports()]
     assert len(rows) == 4328
     assert all(row["pass"] for row in rows)
     text = json.dumps(rows)

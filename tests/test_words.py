@@ -12,7 +12,12 @@ Core claims:
     - The replay refuses hand-built slices outside the word language: a
       crossing or rebracketing sign other than +1/-1 and a primed flag
       other than True/False, compared by value, so a word equal to an
-      accepted one is accepted cold
+      accepted one is accepted cold; a position equal to no int ('1',
+      1.5, None, nan, inf) is refused, and one equal to an int (1.0, a
+      Fraction, True) acts as that int, cold or warm
+    - A word whose elements are not Slices (plain tuples equal to them
+      included) is refused before any cache, so it gets the same verdict
+      cold and warm from every entry that reads a word
     - Crossing signs combine the slice sign with both strand directions
     - The signed crossing count reproduces every tabulated corpus
       linking matrix, with half-writhe diagonals, and a 1000-circle nest
@@ -31,8 +36,10 @@ import pytest
 import kzlab
 from kzlab.errors import WordParseError, WordValidationError
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
+from kzlab.qtangle.engine import crossing_term, evaluate_fragment
 from kzlab.qtangle.words import (
     BoundaryState,
+    CapEvent,
     Slice,
     linking_matrix,
     parse_word,
@@ -162,6 +169,62 @@ class TestValidation:
         cold = validate_word(same), kzlab.integrate(same, 3)
         kzlab.clear_caches()
         assert cold == (validate_word(word), kzlab.integrate(word, 3))
+
+    @pytest.mark.parametrize("word", [
+        (Slice("cup", "1"), Slice("cap", 1)),
+        (Slice("cup", 1), Slice("cap", 1.5)),
+        (Slice("cup", 1), Slice("cap", None)),
+        (Slice("cup", 1), Slice("i", "a"), Slice("cap", 1)),
+        (Slice("cup", 1), Slice("x", float("nan"), sign=1),
+         Slice("cap", 1, primed=True)),
+        (Slice("cup", 1), Slice("x", float("inf"), sign=1),
+         Slice("cap", 1, primed=True)),
+        parse_word("cup@1;cup@3") + (Slice("assoc", 3.5, sign=-1),),
+    ], ids=["str", "half", "none", "identity-str", "nan", "inf", "assoc-half"])
+    def test_positions_equal_to_no_int_are_refused(self, word):
+        with pytest.raises(WordValidationError,
+                           match=r"slice \d+ \(.*\): position must be an int"):
+            validate_word(word)
+
+    def test_positions_compare_by_value(self):
+        # A position equal to an int acts as that int, cold or warm.
+        word = load_corpus_word("trefoil")   # cups, caps, x and assoc slices
+        for same in (tuple(s._replace(pos=float(s.pos)) for s in word),
+                     tuple(s._replace(pos=Fraction(s.pos)) for s in word),
+                     tuple(s._replace(pos=True) if s.pos == 1 else s
+                           for s in word)):
+            kzlab.clear_caches()
+            cold = validate_word(same), kzlab.integrate(same, 3)
+            kzlab.clear_caches()
+            assert cold == (validate_word(word), kzlab.integrate(word, 3))
+            assert cold == (validate_word(same), kzlab.integrate(same, 3))
+        kzlab.clear_caches()
+        state = _apply_all("cup@1")
+        assert state.apply(Slice("cap", 1.0), 1) == CapEvent(
+            False, (1, 0, 1), (1, 0, 1))
+
+    @pytest.mark.parametrize("call", [
+        validate_word,
+        trace_word,
+        linking_matrix,
+        lambda word: kzlab.integrate(word, 2),
+        lambda word: crossing_term(word, 4, 1, 2),
+        lambda word: kzlab.verify_theorem(word, ((0, 1), (1, 0)), 2),
+        lambda word: evaluate_fragment(word, 2),
+    ], ids=["validate", "trace", "linking", "integrate", "crossing-term",
+            "theorem", "fragment"])
+    def test_a_word_of_plain_tuples_is_refused_cold_and_warm(self, call):
+        # Equal to hopf+ element by element, so only a type check before
+        # the caches keeps a warm call from answering it.
+        word = load_corpus_word("hopf+")
+        plain = tuple(tuple(s) for s in word)
+        assert plain == word
+        kzlab.clear_caches()
+        with pytest.raises(WordValidationError, match="Slice"):
+            call(plain)
+        call(word)
+        with pytest.raises(WordValidationError, match="Slice"):
+            call(plain)
 
     def test_deep_nesting_validates(self):
         # 600 levels is past the recursion limit of a recursive tree.
