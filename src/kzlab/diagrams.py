@@ -287,6 +287,13 @@ class ChordDiagram:
     def __init__(self, words: Sequence[Sequence[object]]) -> None:
         object.__setattr__(self, "code", canonical_code(words))
 
+    @classmethod
+    def _of_code(cls, code: Code) -> "ChordDiagram":
+        """The diagram with this canonical code, which is trusted."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "code", code)
+        return diagram
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ChordDiagram is immutable")
 

@@ -49,7 +49,7 @@ from .errors import InputError, TruncationUnsupportedError, WordValidationError
 from .qtangle.corpus import load_corpus_word
 from .qtangle.engine import TangleResult, _check_cutoff, crossing_term, integrate
 from .qtangle.words import (
-    Slice, WordTrace, linking_matrix, trace_word, validate_word,
+    Slice, WordTrace, _as_word, linking_matrix, trace_word, validate_word,
 )
 
 _ZERO = Fraction(0)
@@ -228,7 +228,7 @@ def flip_crossing(word: Sequence[Slice], crossing: int) -> tuple[Slice, ...]:
     flipped = list(word)
     s = flipped[crossing - 1]
     flipped[crossing - 1] = Slice(s.kind, s.pos, -s.sign, s.primed)
-    return tuple(flipped)
+    return _as_word(flipped)
 
 
 def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:

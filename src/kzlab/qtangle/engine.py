@@ -26,7 +26,11 @@ Every slice value and every graft is a product of graded series, and
 the running terms are kept per degree (number of chords).  A term of
 degree d is multiplied only by the parts of degree at most N - d, so no
 kernel forms a term over the truncation N: the degree budget is the one
-rule that truncates.
+rule that truncates.  A kernel whose degree-0 part is its unit alone
+updates the running terms in place, highest degree first, so its work is
+the new terms it makes, not every term it passes; a merging cap and a
+graft, whose degree-0 parts move words, fill fresh buckets.  finalize
+canonicalises each key once and builds each diagram once.
 
 The products are exact in plain ints.  One scale D per truncation (12
 through N = 3, 120 at N = 4) is the least that makes c * D**a an integer
@@ -63,7 +67,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
-    Cells, ChordDiagram, Code, _placements, _relabel, _relator_vectors, reduce_mod_4t,
+    Cells, ChordDiagram, Code, _placements, _relabel, _relator_vectors,
+    canonical_code, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
@@ -171,8 +176,9 @@ def associator_sign() -> int:
 
 def max_truncation(slices: Sequence[Slice]) -> int:
     """Highest supported truncation: 3 with association slices, else the
-    unknot series' cap MAX_TRUNCATION (4)."""
-    return 3 if any(s.kind == "assoc" for s in slices) else MAX_TRUNCATION
+    unknot series' cap MAX_TRUNCATION (4).  A word that is no sequence of
+    hashable Slices raises WordValidationError."""
+    return 3 if any(s.kind == "assoc" for s in _as_word(slices)) else MAX_TRUNCATION
 
 
 def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
@@ -259,14 +265,21 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
     renamed in one _relabel pass.  A term of degree d meets only series
     degrees up to len(terms) - 1 - d, so no product over the truncation
     is formed.
+
+    When series[0] is that unit alone, terms is updated in place and
+    returned: each term stays where it is, and only its products of
+    degree a >= 1 are added, into higher buckets.  The degrees run from
+    the highest down, so no product is multiplied again.  Otherwise (a
+    merging cap, a graft) the products fill fresh buckets.
     """
     cutoff = len(terms) - 1
-    out: Graded = [{} for _ in terms]
-    for d, bucket in enumerate(terms):
+    unit = series[0] == [(None, 1)]
+    out: Graded = terms if unit else [{} for _ in terms]
+    for d in range(cutoff, -1, -1):
         fits = [(out[d + a], payload, c)
-                for a, pairs in enumerate(series[:cutoff - d + 1])
+                for a, pairs in enumerate(series[:cutoff - d + 1]) if a or not unit
                 for payload, c in pairs]
-        for key, coeff in bucket.items():
+        for key, coeff in terms[d].items():
             for target, payload, c in fits:
                 product = key if payload is None else _relabel(place(key, payload))
                 value = target.get(product, 0) + coeff * c
@@ -622,12 +635,16 @@ class TangleResult(_Series):
 
 
 def finalize(fragment: FragmentValue) -> TangleResult:
-    """Close a fully evaluated fragment into labeled circles."""
+    """Close a fully evaluated fragment into labeled circles.
+
+    Fragment keys that name one diagram are summed by canonical code, so
+    each key is canonicalised once and each diagram is built once."""
     if fragment.spec_out[1] or fragment.anchors:
         raise WordValidationError("fragment is not a closed link")
-    out: dict[ChordDiagram, Fraction] = {}
+    by_code: dict[Code, Fraction] = {}
     for key, coeff in fragment.terms.items():
-        add_term(out, ChordDiagram(key), coeff)
+        add_term(by_code, canonical_code(key), coeff)
+    out = {ChordDiagram._of_code(code): coeff for code, coeff in by_code.items()}
     return TangleResult(len(fragment.components), fragment.cutoff,
                         MappingProxyType(out))
 

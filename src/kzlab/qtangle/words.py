@@ -97,21 +97,40 @@ def parse_word(text: str) -> tuple[Slice, ...]:
                 slices.append(Slice(tag.rstrip("'"), pos, primed=tag.endswith("'")))
             else:
                 slices.append(Slice("i", pos))
-    return tuple(slices)
+    return _CheckedWord(slices)
 
 
 def render_word(slices: Sequence[Slice]) -> str:
     return " ; ".join(str(s) for s in slices)
 
 
+class _CheckedWord(tuple):
+    """A tuple of Slices with hashable fields, as _as_word returns it.
+    A tuple of NamedTuples never changes, so the check holds for good."""
+
+    __slots__ = ()
+
+
 def _as_word(slices: Sequence[Slice]) -> tuple[Slice, ...]:
     """slices as the tuple a word cache is keyed by.  A plain tuple equals
-    the Slice of its fields, so anything else is refused before a lookup."""
-    word = tuple(slices)
+    the Slice of its fields, so anything else is refused before a lookup,
+    and so is a word that is not iterable or has an unhashable field.  A
+    word this returned (parse_word's too) passes through unscanned."""
+    if type(slices) is _CheckedWord:
+        return slices
+    try:
+        word = tuple(slices)
+    except TypeError:
+        raise WordValidationError(
+            f"a word must be a sequence of Slices, not {type(slices).__name__}") from None
     if not set(map(type, word)) <= {Slice}:
         bad = next(type(s) for s in word if type(s) is not Slice)
         raise WordValidationError(f"a word's elements must be Slices, not {bad.__name__}")
-    return word
+    try:
+        hash(word)
+    except TypeError as exc:
+        raise WordValidationError(f"a word's slices must be hashable: {exc}") from None
+    return _CheckedWord(word)
 
 
 # -- Boundary state ----------------------------------------------------------

@@ -71,7 +71,7 @@ def _corpus_crossings() -> Iterator[tuple[str, int, tuple[Slice, ...],
                     for S in all_type_matrices(m, k)]
         for traced in trace_word(word).crossings:
             crossing = traced.slice
-            positive = (tuple(word) if traced.event.geometric_sign == 1
+            positive = (word if traced.event.geometric_sign == 1
                         else flip_crossing(word, crossing))
             yield name, crossing, positive, matrices
 

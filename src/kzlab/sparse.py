@@ -19,12 +19,20 @@ K = TypeVar("K", bound=Hashable)
 
 
 def add_term(out: dict, key: object, coeff: Fraction | int) -> None:
-    """Add coeff to out[key] as a Fraction, dropping the key at zero."""
-    new = out.get(key, Fraction(0)) + coeff
+    """Add coeff to out[key] as a Fraction, dropping the key at zero.
+
+    A key not yet in out takes coeff itself, made a Fraction only when
+    it is not one, with no addition to zero."""
+    old = out.get(key)
+    if old is None:
+        if coeff:
+            out[key] = coeff if type(coeff) is Fraction else Fraction(coeff)
+        return
+    new = old + coeff
     if new:
         out[key] = new
     else:
-        out.pop(key, None)
+        del out[key]
 
 
 def _eliminate(vec: dict[int, Fraction],

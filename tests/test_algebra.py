@@ -6,6 +6,8 @@ Core claims:
       and closure behave as stated
     - series_exp matches its defining sum for a one-chord exponent
     - interval_sqrt squares back to the input on random unit series
+    - add_term keeps Fraction coefficients, a first one included, and
+      keeps no key at zero
     - Wheel weights are 1/48, -1/5760, 1/362880, -1/19353600, matching
       the Bernoulli-number oracle B_2n / (4n (2n)!)
     - A wheel order over MAX_WHEEL_ORDER (64) is an input error raised
@@ -105,6 +107,15 @@ class TestSeries:
     def test_sqrt_needs_unit_constant(self):
         with pytest.raises(ValueError):
             interval_sqrt({(): Fraction(2)}, 3)
+
+    def test_add_term_stores_fractions_and_drops_zeros(self):
+        out = {}
+        for key, coeff in (("a", 2), ("b", Fraction(1, 3)), ("c", 0),
+                           ("d", Fraction(0)), ("b", Fraction(1, 6)), ("a", -2),
+                           ("e", True)):
+            add_term(out, key, coeff)
+        assert out == {"b": Fraction(1, 2), "e": 1}
+        assert [type(c) for c in out.values()] == [Fraction, Fraction]
 
 
 # == 2. Wheels ===============================================================

@@ -3,7 +3,8 @@ Command-line behaviour: output shapes, determinism, and exit codes.
 
 Core claims:
     - compute emits the schema {"circles", "truncation", "terms"} and is
-      byte-identical across runs
+      byte-identical across runs; its JSON for the nine corpus words at
+      degrees 1-3 is pinned by a SHA-256
     - verify reports carry the schema keys and exit 0 on true identities;
       degree-sum passes on a 12-circle nest, which has more type
       matrices of degree 2 than the enumeration limit allows
@@ -60,6 +61,7 @@ Core claims:
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -73,7 +75,10 @@ import kzlab
 import kzlab.cli
 import kzlab.qtangle
 from kzlab.cli import build_parser, main
-from kzlab.qtangle.corpus import corpus_path
+from kzlab.qtangle.corpus import corpus_names, corpus_path
+
+COMPUTE_SHA256 = \
+    "dff7d14752dbe01652115939d4aa682be38fa5824bd74da2217197cc88c4e64c"
 
 
 def _run(capsys, *argv):
@@ -127,6 +132,20 @@ class TestCompute:
                                "--relabel", "2,1")
         assert code == code2 == 0
         assert json.loads(plain) == json.loads(moved)
+
+    def test_corpus_output_is_pinned(self, capsys):
+        # compute --format json for every corpus word at degrees 1-3, in
+        # corpus order.  The digest was taken before the kernels updated
+        # terms in place and finalize summed by code; an engine change
+        # must print the same bytes.
+        out = []
+        for name in corpus_names():
+            for degree in ("1", "2", "3"):
+                code, text, _ = _run(capsys, "compute", "--corpus", name,
+                                     "--degree", degree, "--format", "json")
+                assert code == 0, (name, degree)
+                out.append(text)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == COMPUTE_SHA256
 
 
 # == 2. verify ===============================================================

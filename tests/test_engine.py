@@ -61,7 +61,8 @@ Core claims:
       on closed 2-braids with mixed signs and identities inside the run,
       on open words with runs at two sibling pairs, and with a bare
       block inside a run; each run is one multiply, and a run whose
-      signs cancel is none
+      signs cancel is none; every multiply but a merging cap's updates
+      the terms in place, and none places a unit payload
     - Truncation limits: 3 with rebracketings, 4 without
     - Every record the library returns (the four slice events, traced
       crossings, word traces, fragment values, results, verification
@@ -88,6 +89,15 @@ Core claims:
     - The whole-word integration and trace caches keep at most 1024
       entries: a loop over more distinct words stays within the bound and
       an evicted word integrates to the same series
+    - finalize gives the diagrams, coefficients and order of summing one
+      ChordDiagram per key from Fraction(0), on every corpus word at
+      every truncation it supports and on nests and closed 2-braids; it
+      canonicalises each key once and calls no ChordDiagram constructor
+    - A product whose degree-0 part is the unit alone updates the
+      caller's buckets in place, any other fills fresh ones, and both
+      agree with multiplying every term into fresh buckets on generated
+      graded inputs, cancellations included; graft leaves its inputs'
+      terms alone, and evaluating a word twice gives equal terms
     - A cached answer does not depend on cache state: a truncation,
       degree, crossing index, circle count, chord count, wheel size,
       wheel order or strand count that is a bool or a float is refused
@@ -96,6 +106,7 @@ Core claims:
 """
 
 import math
+import operator
 import subprocess
 import sys
 import threading
@@ -742,12 +753,20 @@ class TestCrossingRuns:
                 crossing_term(word, block[0] + 1, block[1], cutoff).coefficients
 
     def test_one_multiply_per_run(self, monkeypatch):
+        # Each call records whether it updated the caller's terms in place;
+        # place never sees a unit payload.  The associator sign is fixed
+        # first, so that its hexagon check is not counted.
+        associator_sign()
         calls = []
         multiply = engine._multiply
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return multiply(*args, **kwargs)
+        def spy(terms, series, place):
+            def placed(key, payload):
+                assert payload is not None
+                return place(key, payload)
+            out = multiply(terms, series, placed)
+            calls.append(out is terms)
+            return out
 
         monkeypatch.setattr(engine, "_multiply", spy)
 
@@ -756,15 +775,18 @@ class TestCrossingRuns:
             evaluate_fragment(parse_word(text), cutoff, initial)
             return len(calls)
 
-        # Two cups, the assoc, one run and two caps, however long the run.
+        # Two cups, the assoc, one run and two caps, however long the run;
+        # only the merging cap fills fresh buckets.
         for n in (1, 5, 9):
             assert count(";".join(["cup@1", "cup@3", "assoc-@3"]
                                   + ["x+@2"] * n + ["cap@2", "cap@1"])) == 6, n
+            assert calls == [True] * 4 + [False, True], n
         # Three cups, then one multiply per run with a nonzero sign sum.
         arcs = "cup@1;cup@1;cup@3;"
         assert count(arcs + "x+@1;i@6;x+@1;x-@3;x+@1") == 3 + 3
         assert count(arcs + "x+@1;x+@3;x-@1") == 3 + 3
         assert count(arcs + "x+@1;x-@1;x+@3") == 3 + 1
+        assert all(calls)
         # A run whose signs cancel multiplies nothing.
         assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
 
@@ -1006,3 +1028,153 @@ def test_answers_do_not_depend_on_cache_state(name, on_ints, on_equal):
     on_ints()
     with pytest.raises(InputError):
         on_equal()
+
+
+# == 7. Work that changes no term ============================================
+
+
+def _finalize_by_diagram(fragment):
+    """finalize as first written, the oracle: one ChordDiagram per key,
+    each added to a Fraction(0) default, dropped at zero."""
+    out = {}
+    for key, coeff in fragment.terms.items():
+        diagram = ChordDiagram(key)
+        new = out.get(diagram, Fraction(0)) + coeff
+        if new:
+            out[diagram] = new
+        else:
+            out.pop(diagram, None)
+    return out
+
+
+def _multiply_fresh(terms, series, place):
+    """_multiply as first written, the oracle: every product, the unit's
+    copies included, into fresh buckets, lowest degree first."""
+    cutoff = len(terms) - 1
+    out = [{} for _ in terms]
+    for d, bucket in enumerate(terms):
+        for key, coeff in bucket.items():
+            for a, pairs in enumerate(series[:cutoff - d + 1]):
+                for payload, c in pairs:
+                    product = key if payload is None else _relabel(place(key, payload))
+                    value = out[d + a].get(product, 0) + coeff * c
+                    if value:
+                        out[d + a][product] = value
+                    else:
+                        out[d + a].pop(product, None)
+    return out
+
+
+def _closed_words():
+    """Every corpus word, with the truncations it supports, then nests
+    and closed 2-braids of the benchmark families' shapes."""
+    for name in corpus_names():
+        word = load_corpus_word(name)
+        for cutoff in range(1, max_truncation(word) + 1):
+            yield name, word, cutoff
+    for kinks in ("+", "0+-", "-0+0", "+0-0+", "0-+0-+"):
+        closures = [f"x{sign}@1;cap'@1" if sign in "+-" else "cap@1"
+                    for sign in kinks]
+        text = ";".join(["cup@1"] * len(kinks) + closures)
+        yield text, parse_word(text), 4
+    for signs, closure in (("+-+", "cap@2;cap@1"), ("++-+", "cap'@2;cap@1"),
+                           ("-+--++", "assoc+@3;cap@3;cap@1")):
+        text = ";".join(["cup@1", "cup@3", "assoc-@3"]
+                        + [f"x{sign}@2" for sign in signs] + [closure])
+        yield text, parse_word(text), 3
+
+
+_CLOSED_WORDS = list(_closed_words())
+
+
+# A small key space, so that products land on keys already present and
+# may cancel them; the payloads end one chord on word 0 or across both.
+_KEYS = (((), ()), ((1, 1), ()), ((), (1, 1)), ((1,), (1,)),
+         ((1, 1, 2, 2), ()), ((1, 2, 1, 2), ()), ((1, 2), (1, 2)))
+_CHORDS = (((0, END, (1000,)), (0, END, (1000,))),
+           ((0, START, (1000,)), (1, END, (1000,))),
+           ((1, START, (1000, 1000)),))
+
+
+@st.composite
+def _graded_products(draw):
+    """(terms, series): graded int terms on _KEYS and a series whose
+    degree-0 part is the unit alone, or not."""
+    cutoff = draw(st.integers(1, 4))
+    terms = [{} for _ in range(cutoff + 1)]
+    for key in draw(st.sets(st.sampled_from(_KEYS), min_size=1)):
+        d = sum(map(len, key)) // 2
+        if d <= cutoff:
+            terms[d][key] = draw(st.sampled_from((-3, -1, 1, 2)))
+    zero = draw(st.sampled_from(([(None, 1)], [(None, 2)],
+                                 [(None, 1), (((0, END, ()),), -1)], [])))
+    series = [zero] + [
+        [(draw(st.sampled_from(_CHORDS)), draw(st.sampled_from((-1, 1, 3))))
+         for _ in range(draw(st.integers(0, 2)))]
+        for _ in range(cutoff)]
+    return terms, series
+
+
+class TestWorkSaved:
+    @pytest.mark.parametrize("name, word, cutoff", _CLOSED_WORDS,
+                             ids=[f"{name[:24]}-{n}" for name, _, n in _CLOSED_WORDS])
+    def test_finalize_agrees_with_one_diagram_per_key(self, name, word, cutoff):
+        fragment = evaluate_fragment(word, cutoff)
+        expected = _finalize_by_diagram(fragment)
+        got = finalize(fragment).coefficients
+        # The same diagrams, coefficients and order, all Fractions.
+        assert list(got.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in got.values())
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_graded_products())
+    def test_multiply_in_place_agrees_with_fresh_buckets(self, case):
+        terms, series = case
+        expected = _multiply_fresh(terms, series, engine._insert_at_points)
+        buckets = list(terms)
+        got = engine._multiply(terms, series, engine._insert_at_points)
+        assert got == expected
+        # The unit alone at degree 0 updates the caller's buckets.
+        in_place = series[0] == [(None, 1)]
+        assert (got is terms and all(map(operator.is_, got, buckets))) == in_place
+
+    def test_graft_and_evaluation_leave_their_inputs_alone(self):
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            middle = len(word) // 2
+            for cutoff in (2, 3):
+                first = evaluate_fragment(word, cutoff)
+                assert evaluate_fragment(word, cutoff).terms == first.terms
+                lower = evaluate_fragment(word[:middle], cutoff)
+                upper = evaluate_fragment(word[middle:], cutoff,
+                                          initial=lower.spec_out,
+                                          slice_offset=middle)
+                kept = (dict(lower.terms), dict(upper.terms))
+                graft(lower, upper)
+                assert (lower.terms, upper.terms) == kept, (name, cutoff)
+                assert list(lower.terms.items()) == list(kept[0].items())
+
+    def test_finalize_canonicalises_each_key_once(self, monkeypatch):
+        codes = []
+        inits = []
+        canonical = engine.canonical_code
+        init = ChordDiagram.__init__
+
+        def code_spy(words):
+            codes.append(words)
+            return canonical(words)
+
+        def init_spy(self, words):
+            inits.append(words)
+            init(self, words)
+
+        for name, word, cutoff in _CLOSED_WORDS:
+            fragment = evaluate_fragment(word, cutoff)
+            codes.clear()
+            inits.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "canonical_code", code_spy)
+                patch.setattr(ChordDiagram, "__init__", init_spy)
+                finalize(fragment)
+            assert sorted(codes) == sorted(fragment.terms), name
+            assert inits == [], name

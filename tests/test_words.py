@@ -17,7 +17,11 @@ Core claims:
       Fraction, True) acts as that int, cold or warm
     - A word whose elements are not Slices (plain tuples equal to them
       included) is refused before any cache, so it gets the same verdict
-      cold and warm from every entry that reads a word
+      cold and warm from every entry that reads a word; so is a word that
+      is not iterable (an int, None) or holds a Slice with an unhashable
+      field, from those entries and from max_truncation, with no word
+      cache looked up; a word parse_word or flip_crossing returns, or one
+      checked once, passes the check as it is
     - Crossing signs combine the slice sign with both strand directions
     - The signed crossing count reproduces every tabulated corpus
       linking matrix, with half-writhe diagonals, and a 1000-circle nest
@@ -35,12 +39,16 @@ import pytest
 
 import kzlab
 from kzlab.errors import WordParseError, WordValidationError
+from kzlab.invariants import flip_crossing
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
-from kzlab.qtangle.engine import crossing_term, evaluate_fragment
+from kzlab.qtangle import engine
+from kzlab.qtangle.engine import crossing_term, evaluate_fragment, max_truncation
 from kzlab.qtangle.words import (
     BoundaryState,
     CapEvent,
     Slice,
+    _as_word,
+    _trace_cached,
     linking_matrix,
     parse_word,
     render_word,
@@ -57,6 +65,20 @@ def _apply_all(text: str) -> BoundaryState:
     for index, s in enumerate(parse_word(text)):
         state.apply(s, index)
     return state
+
+
+# Every public entry that reads a word, each called on the word alone.
+_WORD_CALLS = [
+    validate_word,
+    trace_word,
+    linking_matrix,
+    lambda word: kzlab.integrate(word, 2),
+    lambda word: crossing_term(word, 4, 1, 2),
+    lambda word: kzlab.verify_theorem(word, ((0, 1), (1, 0)), 2),
+    lambda word: evaluate_fragment(word, 2),
+]
+_WORD_CALL_IDS = ["validate", "trace", "linking", "integrate", "crossing-term",
+                  "theorem", "fragment"]
 
 
 # == 1. Parsing ==============================================================
@@ -203,16 +225,7 @@ class TestValidation:
         assert state.apply(Slice("cap", 1.0), 1) == CapEvent(
             False, (1, 0, 1), (1, 0, 1))
 
-    @pytest.mark.parametrize("call", [
-        validate_word,
-        trace_word,
-        linking_matrix,
-        lambda word: kzlab.integrate(word, 2),
-        lambda word: crossing_term(word, 4, 1, 2),
-        lambda word: kzlab.verify_theorem(word, ((0, 1), (1, 0)), 2),
-        lambda word: evaluate_fragment(word, 2),
-    ], ids=["validate", "trace", "linking", "integrate", "crossing-term",
-            "theorem", "fragment"])
+    @pytest.mark.parametrize("call", _WORD_CALLS, ids=_WORD_CALL_IDS)
     def test_a_word_of_plain_tuples_is_refused_cold_and_warm(self, call):
         # Equal to hopf+ element by element, so only a type check before
         # the caches keeps a warm call from answering it.
@@ -225,6 +238,32 @@ class TestValidation:
         call(word)
         with pytest.raises(WordValidationError, match="Slice"):
             call(plain)
+
+    @pytest.mark.parametrize("word", [
+        5, None, (Slice(["x"], 1),), (Slice("cup", 1, primed=[1]),),
+    ], ids=["int", "none", "list-kind", "list-primed"])
+    @pytest.mark.parametrize("call", _WORD_CALLS + [max_truncation],
+                             ids=_WORD_CALL_IDS + ["max-truncation"])
+    def test_no_sequence_of_hashable_slices_reaches_a_cache(self, call, word):
+        kzlab.clear_caches()
+        with pytest.raises(WordValidationError, match="Slices|hashable"):
+            call(word)
+        for cache in (engine._integrate_cached, _trace_cached):
+            info = cache.cache_info()
+            assert (info.hits, info.misses) == (0, 0)
+
+    def test_a_checked_word_passes_through_unscanned(self):
+        # parse_word and flip_crossing return words _as_word has checked,
+        # so every later entry takes them as they are; a plain tuple of
+        # Slices is checked once and comes back as such a word.
+        word = load_corpus_word("hopf+")
+        flipped = flip_crossing(word, 4)
+        for checked in (word, parse_word("cup@1;cap@1"), flipped):
+            assert _as_word(checked) is checked
+        plain = tuple(word)
+        assert type(plain) is tuple
+        again = _as_word(plain)
+        assert again == word and _as_word(again) is again
 
     def test_deep_nesting_validates(self):
         # 600 levels is past the recursion limit of a recursive tree.
