@@ -19,9 +19,11 @@ of its labels is on another circle (an own-chord circle), its names
 never come back and no naming is extended.  On a circle holding named
 labels a renamed rotation begins with its first label's name, and a
 label not yet named would get a higher one, so each naming tries only
-the rotation that begins at its least-named label.  One pass over the
-labels checks that each occurs exactly twice and sorts the circles into
-these kinds.
+the rotation that begins at its least-named label.  The search runs on
+words already renamed by first appearance, and reads each circle's kind
+off those names, with no separate pass over the kinds: canonical_code
+checks the labels and renames them, while the engine's keys and the
+enumeration's codes are named already and go to the search directly.
 
 A diagram's type counts its chords by the pair of circles they join.
 Its one definition is ChordDiagram.type_cells, the sparse form: the
@@ -43,8 +45,8 @@ circle or opens a chord towards a circle its type still owes one, named
 by first appearance.  Each such code is a distinct matching of the
 type.  Two necessary conditions of canonical_code prune a circle's word
 before the next circle is written, and a full code is kept if and only
-if it is its own canonical code, so every diagram is made once and no
-set is needed.  Empty circles cost nothing but their () in the code.
+if it is its own least code, so every diagram is made once and no set
+is needed.  Empty circles cost nothing but their () in the code.
 The placements (every spread of the endpoints over the words times
 every pairing) are a separate slot-pairing walk, for the engine's
 strands.  Each enumeration counts its work in closed form before it
@@ -58,6 +60,7 @@ strands in the engine.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -154,38 +157,6 @@ def _relabel(words: Sequence[Sequence[object]]) -> Code:
     return tuple(out)
 
 
-# A circle's kind, as _circle_kinds finds it: none of its labels is on
-# another circle (OWN), some label's first end is on an earlier circle
-# (OLD), or it shares labels with later circles only (FRESH).
-OWN, FRESH, OLD = range(3)
-
-
-def _circle_kinds(words: Sequence[Sequence[object]]) -> list[int]:
-    """Each circle's kind, from one pass over the labels; refuses
-    (InputError) labels that do not occur exactly twice."""
-    home: dict[object, int] = {}   # circle of the first end; -1 paired, -2 over
-    kinds = [OWN] * len(words)
-    ends = 0
-    for c, word in enumerate(words):
-        ends += len(word)
-        for label in word:
-            h = home.get(label)
-            if h is None:
-                home[label] = c
-            elif h < 0:
-                home[label] = -2
-            else:
-                home[label] = -1
-                if h != c:
-                    kinds[c] = OLD
-                    if kinds[h] == OWN:
-                        kinds[h] = FRESH
-    if 2 * len(home) != ends or -2 in home.values():
-        bad = sorted(str(label) for label, h in home.items() if h != -1)
-        raise InputError("chord labels must occur exactly twice: " + ", ".join(bad))
-    return kinds
-
-
 @lru_cache(maxsize=1024)
 def _circle_code(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The least renamed rotation of one circle's word on its own, and
@@ -206,55 +177,87 @@ def _circle_code(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
 def canonical_code(words: Sequence[Sequence[object]]) -> Code:
     """The least relabeled code over all combinations of circle rotations.
 
+    words must be a sequence of words of hashable chord labels, each
+    label occurring exactly twice (InputError otherwise).  The labels are
+    renamed by first appearance (_relabel), and _least_code finds the
+    least code of the named words.
+    """
+    try:
+        words = tuple(words)
+        sum(map(len, words))   # every word sized, so none is read as empty
+        named = _relabel(words)
+    except TypeError:
+        raise InputError("a diagram must be a sequence of words of hashable "
+                         "chord labels") from None
+    # Sorted in pairs, each label's count is even; with twice as many
+    # ends as labels, each count is 2.
+    ends = sorted(itertools.chain.from_iterable(named))
+    if ends[::2] != ends[1::2] or 2 * len(set(ends)) != len(ends):
+        counts = Counter(itertools.chain.from_iterable(words))
+        bad = sorted(str(label) for label, n in counts.items() if n != 2)
+        raise InputError("chord labels must occur exactly twice: " + ", ".join(bad))
+    return _least_code(named)
+
+
+def _least_code(named: Code) -> Code:
+    """The canonical code of a code named by first appearance: labels
+    1..k, each occurring twice, numbered in the order they are first met.
+
     A pruned search, circle by circle.  Each naming still alive (chord id
     to 1, 2, ... for the circles already coded) gives the next circle the
     rotations that can reach the least renamed word, and only the
     (naming, rotation) pairs that reach it survive.  Ties are all kept,
     deduplicated by naming: a symmetric circle such as (1 2 1 2) reaches
     its least word under two namings, and a later circle may tell them
-    apart.  An empty circle codes as () under every naming.  Labels must
-    occur exactly twice (InputError otherwise).
+    apart.  An empty circle codes as () under every naming.
 
-    Two prunings keep the search exact:
+    A circle's kind is read off the names: with `seen` names given before
+    it, a circle holding a label <= seen holds a named one; otherwise its
+    labels are seen + 1 .. max, and it is an own-chord circle (no label
+    on any other circle) when it holds each of them twice.  Two prunings
+    keep the search exact:
 
-    - A circle with no label named yet (every label's first end is on it)
-      codes, under every naming with n names, as n plus the least renamed
-      rotation of the circle alone, which _circle_code computes once per
-      renamed word.  If the circle is an own-chord circle (no label on any
-      other circle) its names never come back, so no naming is extended:
-      a running count gives them out.  Otherwise each naming is extended
-      by each rotation that reaches the least form.
+    - A circle with no label named yet codes, under every naming, as seen
+      plus the least renamed rotation of its local word (each label minus
+      seen, already named by first appearance), which _circle_code
+      computes once per local word.  If the circle is an own-chord circle
+      its names never come back, so no naming is extended: a running
+      count gives them out.  Otherwise each naming is extended by each
+      rotation that reaches the least form.
     - Every renamed rotation starts with the first label's name, and a
       label not named yet gets one more than every named label.  So on a
       circle holding named labels, each naming tries only the rotation
       that begins at its least-named label (named labels occur once here,
       so it is unique): every other rotation starts higher and loses.
     """
-    kinds = _circle_kinds(words)
     code: list[tuple[int, ...]] = []
-    alive: list[dict[object, int]] = [{}]
+    alive: list[dict[int, int]] = [{}]
+    seen = 0    # names given before this circle
     shift = 0   # names given to own-chord circles, kept in no naming
-    for word, kind in zip(words, kinds):
+    for word in named:
         size = len(word)
         if not size:
             code.append(())
             continue
-        if kind != OLD:
-            least, starts = _circle_code(_relabel((word,))[0])
-            n = len(alive[0]) + shift
-            code.append(tuple([n + x for x in least]) if n else least)
-            if kind == OWN:
+        top = max(word)
+        old = min(word) <= seen
+        if not old:
+            least, starts = _circle_code(tuple([x - seen for x in word]) if seen else word)
+            code.append(tuple([seen + x for x in least]) if seen else least)
+            if size == 2 * (top - seen):
                 shift += size // 2
+                seen = top
                 continue
             rotations = [(names, r) for names in alive for r in starts]
         else:
             # Named labels are the same under every naming; find each one's slot.
-            slot = {label: p for p, label in enumerate(word) if label in alive[0]}
+            slot = {label: p for p, label in enumerate(word) if label <= seen}
             rotations = [(names, slot[min(slot, key=names.__getitem__)])
                          for names in alive]
-        doubled = tuple(word) * 2
+        seen = max(seen, top)
+        doubled = word * 2
         best: tuple[int, ...] | None = None
-        kept: dict[tuple, dict[object, int]] = {}
+        kept: dict[tuple, dict[int, int]] = {}
         for names, r in rotations:
             trial = names.copy()
             name = trial.setdefault
@@ -266,7 +269,7 @@ def canonical_code(words: Sequence[Sequence[object]]) -> Code:
             elif renamed != best:
                 continue
             kept.setdefault(tuple(trial), trial)
-        if kind == OLD:
+        if old:
             code.append(best)
         alive = list(kept.values())
     return tuple(code)
@@ -502,7 +505,8 @@ def _by_matrix(m: int, cells: Cells) -> tuple[ChordDiagram, ...]:
                    for word, after, given in _circle_words(c, slots[c], rows.get(c, {}),
                                                            ends, n)]
     codes = (tuple([words.get(c, ()) for c in range(m)]) for words, _, _ in partial)
-    return tuple(sorted(d for code in codes if (d := ChordDiagram(code)).code == code))
+    return tuple(sorted(ChordDiagram._of_code(code) for code in codes
+                        if _least_code(code) == code))
 
 
 enumerate_by_matrix.cache_info = _by_matrix.cache_info

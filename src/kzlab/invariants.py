@@ -49,7 +49,8 @@ from .errors import InputError, TruncationUnsupportedError, WordValidationError
 from .qtangle.corpus import load_corpus_word
 from .qtangle.engine import TangleResult, _check_cutoff, crossing_term, integrate
 from .qtangle.words import (
-    Slice, WordTrace, _as_word, linking_matrix, trace_word, validate_word,
+    Slice, WordTrace, _CheckedWord, _as_word, linking_matrix, trace_word,
+    validate_word,
 )
 
 _ZERO = Fraction(0)
@@ -223,12 +224,14 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
 
 
 def flip_crossing(word: Sequence[Slice], crossing: int) -> tuple[Slice, ...]:
-    """The same word with the designated crossing's sign reversed."""
+    """The same word with the designated crossing's sign reversed.  The
+    word is checked once; the flipped word is returned checked (see
+    _as_word), so no later entry scans it again."""
+    word = _as_word(word)
     trace_word(word).crossing(crossing)   # raises unless a crossing slice
-    flipped = list(word)
-    s = flipped[crossing - 1]
-    flipped[crossing - 1] = Slice(s.kind, s.pos, -s.sign, s.primed)
-    return _as_word(flipped)
+    s = word[crossing - 1]
+    return _CheckedWord(word[:crossing - 1] + (Slice(s.kind, s.pos, -s.sign, s.primed),)
+                        + word[crossing:])
 
 
 def crossing_circles(word: Sequence[Slice], crossing: int) -> tuple[int, int]:

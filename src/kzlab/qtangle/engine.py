@@ -29,15 +29,20 @@ kernel forms a term over the truncation N: the degree budget is the one
 rule that truncates.  A kernel whose degree-0 part is its unit alone
 updates the running terms in place, highest degree first, so its work is
 the new terms it makes, not every term it passes; a merging cap and a
-graft, whose degree-0 parts move words, fill fresh buckets.  finalize
-canonicalises each key once and builds each diagram once.
+graft, whose degree-0 parts move words, fill fresh buckets.  integrate
+closes its graded ints: the engine names every key by first appearance,
+so each goes straight to the canonical-code search, the ints are summed
+by code per degree, and each diagram gets one Fraction.  finalize closes
+a fragment, which may be built by hand, in the same loop through
+canonical_code, which checks each key.
 
 The products are exact in plain ints.  One scale D per truncation (12
 through N = 3, 120 at N = 4) is the least that makes c * D**a an integer
 for every kernel coefficient c of degree a: the arcs, a run's
 g**k / (2**k k!) and the associator's 1/24.  Each kernel stores c * D**a,
 so a running term of degree d is an int over D**d (the unit term is 1),
-and the terms leave the engine as Fractions, one division per key.  A
+and the terms leave the engine as Fractions: one division per key of a
+fragment, one per diagram of an integrated word.  A
 kernel coefficient that D does not make integral raises.  graft scales
 its inputs back to ints by the D of their own coefficients.
 
@@ -67,14 +72,14 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
-    Cells, ChordDiagram, Code, _placements, _relabel, _relator_vectors,
-    canonical_code, reduce_mod_4t,
+    Cells, ChordDiagram, Code, _least_code, _placements, _relabel,
+    _relator_vectors, canonical_code, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
 from .words import (
     AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
-    _as_word, _trace, parse_word, validate_word,
+    WordTrace, _as_word, _trace, parse_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -360,7 +365,20 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     identity slices do not break a run, and the bare_block crossing
     does, standing as a kernel of its own.
     """
-    slices = _as_word(slices)   # before max_truncation reads each kind
+    slices = _as_word(slices)
+    trace, comps, terms, scale = _evaluate(slices, cutoff, initial, slice_offset,
+                                           assoc_sign, bare_block)
+    return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
+                         trace.anchors, range(slice_offset, slice_offset + len(slices)),
+                         tuple(comps), _flatten(terms, scale))
+
+
+def _evaluate(slices: tuple[Slice, ...], cutoff: int, initial: tuple | None,
+              slice_offset: int, assoc_sign: int | None, bare_block: tuple | None,
+              ) -> tuple[WordTrace, list[Birth], Graded, int]:
+    """evaluate_fragment on a checked word (_as_word), before flattening:
+    the trace, every component by birth, the graded int terms and their
+    scale."""
     _check_cutoff(slices, cutoff)
     if bare_block is not None and not (type(bare_block) is tuple and tuple(
             map(type, bare_block)) == (int, int) and bare_block[1] >= 0):
@@ -468,10 +486,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                                for pos, tokens in by_leaf.items()),
                                          coeff))
             terms = _multiply(terms, lifts, _insert_at_points)
-
-    return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
-                         trace.anchors, range(slice_offset, slice_offset + len(slices)),
-                         tuple(comps), _flatten(terms, scale))
+    return trace, comps, terms, scale
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
@@ -634,6 +649,31 @@ class TangleResult(_Series):
         return self._replace(coefficients=MappingProxyType(out))
 
 
+def _close(terms: Sequence[Mapping[Code, Fraction | int]], scale: int,
+           code: Callable[[Code], Code], circles: int, cutoff: int) -> TangleResult:
+    """The result of closed keys: terms[d] is divided by scale ** d.  Each
+    bucket's keys are summed by code(key), and each non-zero sum makes one
+    Fraction and one diagram."""
+    out: dict[ChordDiagram, Fraction] = {}
+    for d, bucket in enumerate(terms):
+        sums: dict[Code, Fraction | int] = {}
+        for key, value in bucket.items():
+            least = code(key)
+            old = sums.get(least)
+            if old is not None:
+                value += old
+            if value:
+                sums[least] = value
+            else:
+                sums.pop(least, None)
+        den = scale ** d
+        for least, value in sums.items():
+            # A Fraction sum (finalize's, over 1) is kept as it is.
+            out[ChordDiagram._of_code(least)] = (
+                value if type(value) is Fraction else Fraction(value, den))
+    return TangleResult(circles, cutoff, MappingProxyType(out))
+
+
 def finalize(fragment: FragmentValue) -> TangleResult:
     """Close a fully evaluated fragment into labeled circles.
 
@@ -641,12 +681,8 @@ def finalize(fragment: FragmentValue) -> TangleResult:
     each key is canonicalised once and each diagram is built once."""
     if fragment.spec_out[1] or fragment.anchors:
         raise WordValidationError("fragment is not a closed link")
-    by_code: dict[Code, Fraction] = {}
-    for key, coeff in fragment.terms.items():
-        add_term(by_code, canonical_code(key), coeff)
-    out = {ChordDiagram._of_code(code): coeff for code, coeff in by_code.items()}
-    return TangleResult(len(fragment.components), fragment.cutoff,
-                        MappingProxyType(out))
+    return _close([fragment.terms], 1, canonical_code, len(fragment.components),
+                  fragment.cutoff)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -655,7 +691,8 @@ def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
     """integrate and crossing_term, cached on the whole word (the 1024
     most recently used words, cutoffs and blocks)."""
     validate_word(slices)
-    return finalize(evaluate_fragment(slices, cutoff, bare_block=bare_block))
+    _, comps, terms, scale = _evaluate(slices, cutoff, None, 0, None, bare_block)
+    return _close(terms, scale, _least_code, len(comps), cutoff)
 
 
 def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:

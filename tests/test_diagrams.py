@@ -11,9 +11,14 @@ Core claims:
       them), on forced symmetries that tie under several namings, with
       own-chord circles among tied ones, and on every placement of
       k <= 4 chords on m <= 3 circles
+    - The search on its own, on codes already named by first appearance,
+      is the exhaustive minimum of every named placement of k <= 3 chords
+      on m <= 3 circles
     - Chord labels must occur exactly twice, and canonical_code refuses
-      labels that do not pair up with ChordDiagram's message; empty
-      circles are fine
+      labels that do not pair up with ChordDiagram's message, and
+      anything but a sequence of words of hashable labels with
+      InputError, not a raw TypeError; the words may come as any
+      iterable; empty circles are fine
     - Type matrices count chords by endpoint circles, symmetrically; a
       TypeMatrix is square, symmetric and natural (int entries only),
       is built once, and knows its sparse cells and its degree, which no
@@ -31,9 +36,9 @@ Core claims:
     - Each type family is the canonicalised placements of its type (a
       brute force by type), for every S with m <= 4, k <= 3 and with
       m <= 2, k <= 5
-    - A cold sweep over m <= 3, k <= 4 makes at most 1,500 canonical
-      codes for its 882 diagrams (canonicalising every matching made
-      6,391)
+    - A cold sweep over m <= 3, k <= 4 runs the canonical-code search at
+      most 1,500 times for its 882 diagrams (canonicalising every
+      matching made 6,391)
     - A 1,100-circle type with one chord from the first circle to the
       last, and the 1,100-circle unit diagonal, each give their one
       diagram, with no recursion per circle or per chord
@@ -87,6 +92,7 @@ from kzlab.algebra import (
 from kzlab.diagrams import (
     ChordDiagram,
     TypeMatrix,
+    _least_code,
     _placements,
     _relabel,
     all_type_matrices,
@@ -113,6 +119,10 @@ def _random_words(rng: random.Random, circles: int, degree: int):
     cuts = sorted(rng.randint(0, 2 * degree) for _ in range(circles - 1))
     bounds = [0] + cuts + [2 * degree]
     return [tuple(labels[bounds[i]:bounds[i + 1]]) for i in range(circles)]
+
+
+_TWICE = "chord labels must occur exactly twice: "
+_NOT_WORDS = "a diagram must be a sequence of words of hashable chord labels"
 
 
 def _rotate(word, by):
@@ -226,20 +236,42 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="exactly twice"):
             ChordDiagram([(1, 2), (1, 2), (2,)])
 
-    @pytest.mark.parametrize("words, message", [
-        ([(1, 1, 2)], "2"),
-        ([(1, 2), (1, 2), (2,)], "2"),
-        ([(1,), (), (2, 2, 3)], "1, 3"),
-        ([("x", "x", "x", "x", "y")], "x, y"),
+    @pytest.mark.parametrize("words, expected", [
+        ([(1, 1, 2)], _TWICE + "2"),
+        ([(1, 2), (1, 2), (2,)], _TWICE + "2"),
+        ([(1,), (), (2, 2, 3)], _TWICE + "1, 3"),
+        ([("x", "x", "x", "x", "y")], _TWICE + "x, y"),
         # Three ends and one end make as many ends as two pairs.
-        ([(1, 1, 1, 2)], "1, 2"),
+        ([(1, 1, 1, 2)], _TWICE + "1, 2"),
+        # Four ends of one label pair up with themselves once sorted.
+        ([(1, 1), (1, 1)], _TWICE + "1"),
+        # No sequence of words, words that are not sequences (a falsy one
+        # included, which is no empty circle), and unhashable labels.
+        (5, _NOT_WORDS),
+        (None, _NOT_WORDS),
+        ([1, 2], _NOT_WORDS),
+        ([(1, 1), 0], _NOT_WORDS),
+        ([(1, 1), None], _NOT_WORDS),
+        ([[[1], [1]]], _NOT_WORDS),
+        ([[{}, {}]], _NOT_WORDS),
     ])
-    def test_canonical_code_refuses_what_the_diagram_refuses(self, words, message):
-        expected = "chord labels must occur exactly twice: " + message
+    def test_canonical_code_refuses_what_the_diagram_refuses(self, words, expected):
         for build in (canonical_code, ChordDiagram):
             with pytest.raises(InputError) as info:
                 build(words)
             assert str(info.value) == expected
+
+    def test_words_may_come_as_any_iterable(self):
+        words = [(1, 2), (2, 1)]
+        assert canonical_code(iter(words)) == canonical_code(words) == ((1, 2), (1, 2))
+        assert canonical_code(["xyxy"]) == ((1, 2, 1, 2),)
+
+    def test_the_search_is_the_exhaustive_minimum_on_named_placements(self):
+        for m in range(1, 4):
+            for k in range(4):
+                for words in _placements(k, m):
+                    named = _relabel(words)
+                    assert _least_code(named) == _exhaustive_code(named), words
 
     def test_empty_circles_allowed(self):
         d = ChordDiagram([(), (1, 1), ()])
@@ -456,10 +488,11 @@ class TestEnumeration:
 
     def test_each_diagram_is_built_about_once(self, monkeypatch):
         # 882 diagrams over m <= 3, k <= 4; building from every matching
-        # took 6,391 canonicalisations.
+        # took 6,391 canonicalisations.  The family writes named codes,
+        # so each code it tries is one call of the search itself.
         calls = []
-        code = diagrams.canonical_code
-        monkeypatch.setattr(diagrams, "canonical_code",
+        code = diagrams._least_code
+        monkeypatch.setattr(diagrams, "_least_code",
                             lambda words: calls.append(1) or code(words))
         kzlab.clear_caches()
         made = sum(len(enumerate_by_degree(m, k)) for m in (1, 2, 3) for k in range(5))

@@ -98,6 +98,13 @@ Core claims:
       agree with multiplying every term into fresh buckets on generated
       graded inputs, cancellations included; graft leaves its inputs'
       terms alone, and evaluating a word twice gives equal terms
+    - Every key evaluate_fragment and graft write is named by first
+      appearance (_relabel leaves it alone): every fragment, every split
+      and its graft, on the corpus at every truncation, on nests up to
+      N = 4 and 2-braids up to N = 3, and on generated nests and braids;
+      so integrate closes its graded ints with no canonical_code and no
+      flat series, one canonical-code search per key and one Fraction
+      per diagram, and gives finalize's diagrams, coefficients and order
     - A cached answer does not depend on cache state: a truncation,
       degree, crossing index, circle count, chord count, wheel size,
       wheel order or strand count that is a bool or a float is refused
@@ -1178,3 +1185,90 @@ class TestWorkSaved:
                 finalize(fragment)
             assert sorted(codes) == sorted(fragment.terms), name
             assert inits == [], name
+
+
+def _fragments(word, cutoff):
+    """The word's fragment, and at every split its two halves and their
+    graft."""
+    yield evaluate_fragment(word, cutoff)
+    for at in range(1, len(word)):
+        lower = evaluate_fragment(word[:at], cutoff)
+        upper = evaluate_fragment(word[at:], cutoff, initial=lower.spec_out,
+                                  slice_offset=at)
+        yield from (lower, upper, graft(lower, upper))
+
+
+class TestClosing:
+    @pytest.mark.parametrize("name, word, cutoff", _CLOSED_WORDS,
+                             ids=[f"{name[:24]}-{n}" for name, _, n in _CLOSED_WORDS])
+    def test_every_engine_key_is_named_by_first_appearance(self, name, word, cutoff):
+        # The property integrate trusts when it hands keys to the search
+        # unchecked; the generated words run at every truncation below
+        # the one they are listed at, too.
+        for n in range(1, cutoff + 1) if name not in corpus_names() else (cutoff,):
+            for fragment in _fragments(word, n):
+                assert all(_relabel(key) == key for key in fragment.terms), (name, n)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(("", "+", "-")), min_size=1, max_size=8).map(
+            lambda kinks: (";".join(["cup@1"] * len(kinks) + [
+                f"x{sign}@1;cap'@1" if sign else "cap@1" for sign in kinks]), 4)),
+        st.lists(st.sampled_from("+-"), min_size=1, max_size=8).map(
+            lambda signs: (";".join(["cup@1", "cup@3", "assoc-@3"]
+                                    + [f"x{sign}@2" for sign in signs]
+                                    + ["cap@2;cap@1" if len(signs) % 2
+                                       else "assoc+@3;cap@3;cap@1"]), 3))))
+    def test_generated_keys_are_named_by_first_appearance(self, case):
+        text, cutoff = case
+        word = parse_word(text)
+        for n in range(1, cutoff + 1):
+            at = len(word) // 2
+            lower = evaluate_fragment(word[:at], n)
+            upper = evaluate_fragment(word[at:], n, initial=lower.spec_out,
+                                      slice_offset=at)
+            for fragment in (evaluate_fragment(word, n), lower, upper,
+                             graft(lower, upper)):
+                assert all(_relabel(key) == key for key in fragment.terms), (text, n)
+
+    @pytest.mark.parametrize("name, word, cutoff", _CLOSED_WORDS,
+                             ids=[f"{name[:24]}-{n}" for name, _, n in _CLOSED_WORDS])
+    def test_integrate_closes_as_finalize_does(self, name, word, cutoff):
+        got = engine._integrate_cached.__wrapped__(word, cutoff).coefficients
+        expected = finalize(evaluate_fragment(word, cutoff)).coefficients
+        # The same diagrams, coefficients and order, all Fractions.
+        assert list(got.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in got.values())
+
+    def test_integrate_closes_its_own_ints(self, monkeypatch):
+        # One search per key, one Fraction per diagram, made in the
+        # closing loop, and neither canonical_code nor the flat series.
+        def refused(*args):
+            raise AssertionError("integrate checked or flattened its own keys")
+
+        searched = []
+        divided = []
+        search = engine._least_code
+
+        def search_spy(key):
+            searched.append(key)
+            return search(key)
+
+        def fraction_spy(*args):
+            divided.append(sys._getframe(1).f_code.co_name)
+            return Fraction(*args)
+
+        for name, word, cutoff in _CLOSED_WORDS:
+            _, _, terms, _ = engine._evaluate(word, cutoff, None, 0, None, None)
+            searched.clear()
+            divided.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "canonical_code", refused)
+                patch.setattr(engine, "_flatten", refused)
+                patch.setattr(engine, "_least_code", search_spy)
+                patch.setattr(engine, "Fraction", fraction_spy)
+                result = engine._integrate_cached.__wrapped__(word, cutoff)
+            assert sorted(searched) == sorted(key for bucket in terms for key in bucket)
+            assert divided.count("_close") == len(result.coefficients), name
+            assert all(type(c) is Fraction for c in result.coefficients.values())
+

@@ -58,6 +58,12 @@ Core claims:
     - Mirroring a word (every x+ for x- and back) multiplies each
       degree-k coefficient by (-1)^k, over the same diagrams, on the
       corpus and on generated words
+    - Split union: on all 16 ordered pairs of hopf+, trefoil, u1 and
+      chain2 stacked into one word, at truncation 3, a diagram with a
+      chord between the two parts has coefficient 0 and any other the
+      product of its two restrictions' coefficients
+    - flip_crossing reads its word once, an iterator included, and
+      returns the flip checked, so later entries never scan it again
 """
 
 import hashlib
@@ -103,8 +109,8 @@ from kzlab.qtangle.engine import (
     integrate, max_truncation,
 )
 from kzlab.qtangle.words import (
-    BoundaryState, Slice, _trace_cached, linking_matrix, parse_word,
-    trace_word,
+    BoundaryState, Slice, _CheckedWord, _as_word, _trace_cached, linking_matrix,
+    parse_word, trace_word,
 )
 
 
@@ -454,6 +460,26 @@ class TestSurgery:
             with pytest.raises(WordValidationError, match="not a crossing"):
                 variation_match(word, crossing, HOPF_S, 2)
 
+    def test_flip_crossing_checks_the_word_once(self, monkeypatch):
+        word = load_corpus_word("trefoil")
+        expected = flip_crossing(list(word), 5)
+        # An iterator is read once, and the flip comes back checked, so
+        # a later entry passes it through unscanned.
+        assert flip_crossing(iter(word), 5) == expected
+        assert type(expected) is _CheckedWord and _as_word(expected) is expected
+        assert str(expected[4]) == "x+@2" and expected[:4] + expected[5:] == word[:4] + word[5:]
+        # Every scan that passes makes a checked word; none is made again.
+        associator_sign()   # parses the hexagon's words once, up front
+        scanned = []
+        monkeypatch.setattr(_CheckedWord, "__new__",
+                            lambda cls, slices: scanned.append(1) or tuple.__new__(cls, slices))
+        flipped = flip_crossing(word, 5)
+        assert len(scanned) == 1
+        integrate(flipped, 3)
+        crossing_term(flipped, 5, 1, 3)
+        linking_matrix(flipped)
+        assert len(scanned) == 1
+
     def test_crossing_index_must_be_an_int(self):
         # The trefoil's crossings are slices 4, 5 and 6; 4.0 == 4 and
         # True == 1 would otherwise be read as those slices.
@@ -651,6 +677,34 @@ def test_mirror_negates_the_odd_degrees_on_the_corpus(name):
 @given(_generated_words())
 def test_mirror_negates_the_odd_degrees_on_generated_words(text):
     _assert_mirror_signs(parse_word(text))
+
+
+_SPLIT_PARTS = ("hopf+", "trefoil", "u1", "chain2")
+
+
+def _disjoint_union(a, b):
+    """The product series of two links side by side: b's circles after
+    a's, its chords renamed past a's, every pair within the truncation."""
+    out = {}
+    for da, ca in a.coefficients.items():
+        for db, cb in b.coefficients.items():
+            if da.degree + db.degree <= a.truncation:
+                words = da.code + tuple(tuple(label + da.degree for label in word)
+                                        for word in db.code)
+                out[ChordDiagram(words)] = ca * cb
+    return out
+
+
+@pytest.mark.parametrize("first, second",
+                         [(a, b) for a in _SPLIT_PARTS for b in _SPLIT_PARTS])
+def test_split_union_is_the_product_of_its_parts(first, second):
+    # A word that closes one link before opening the next: a diagram with
+    # a chord between the parts has coefficient 0, any other the product
+    # of its restrictions' coefficients.
+    a, b = (integrate(load_corpus_word(name), 3) for name in (first, second))
+    union = integrate(load_corpus_word(first) + load_corpus_word(second), 3)
+    assert union.circles == a.circles + b.circles
+    assert dict(union.coefficients) == _disjoint_union(a, b)
 
 
 # == 7. Pinned report digest =================================================
