@@ -32,7 +32,9 @@ from .errors import (
     CorpusLookupError, InputError, TruncationUnsupportedError, WordParseError,
     WordValidationError,
 )
-from .invariants import check_recursion, degree_sum_identity, verify_theorem
+from .invariants import (
+    _CrossingChange, check_recursion, degree_sum_identity, verify_theorem,
+)
 from .qtangle.corpus import corpus_names, load_corpus_word
 from .qtangle.engine import _check_cutoff, integrate
 from .qtangle.words import Slice, linking_matrix, parse_word
@@ -156,10 +158,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    for S in _chosen_matrices(args, given, word)]
     elif args.identity == "degree-sum":
         reports = [degree_sum_identity(word, args.k, args.degree, word_id)]
+    elif not args.all_S:
+        reports = check_recursion(word, args.crossing, given, args.degree, word_id)
     else:
-        reports = [report for S in _chosen_matrices(args, given, word)
-                   for report in check_recursion(word, args.crossing, S,
-                                                 args.degree, word_id)]
+        matrices = _chosen_matrices(args, given, word)
+        change = _CrossingChange(word, args.crossing, args.degree, word_id)
+        reports = [report for S in matrices
+                   for report in change.check_recursion(S)]
     if args.format == "json":
         _emit([r.as_dict() for r in reports])
     else:

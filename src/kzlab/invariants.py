@@ -1,42 +1,30 @@
 """Linking functionals and the identities tying them to engine output.
 
-The two sides of every check are built independently.  The left side is
-a monomial in entries of the linking matrix, which the words module
-computes by counting signed crossings, taken over the type matrix's
-sparse cells: its numerator and denominator are multiplied out as ints
-and divided once.  The linking matrix must be S's size, in rows of that
-length, and each entry read an int (not a bool) or a Fraction; the row
-lengths and the cells' entries are checked, never all m^2 entries.  The
-right side sums engine coefficients over a family of chord diagrams,
-selected by type matrix or by degree.  A class sum of engine output is
-one lookup in the result's sums by type, grouped once per degree; a raw
-mapping, such as a 4T relator, is summed over every diagram of the type,
-which the tests keep as the oracle for the lookup.
-Every identity checks S, the word and the truncation once,
-in _instance, before either side is computed (degree_sum_identity, with
-a degree k for S, checks k).  Each checker returns a VerificationReport
-holding both exact rationals, so a failure is inspectable rather than a
-bare assertion; its verdict is read off them, and it carries no clock,
-so equal calls return equal reports.
+The two sides of every check are built independently: a monomial in the
+linking matrix, which the words module counts from signed crossings, and
+a sum of engine coefficients over the chord diagrams of one type matrix
+or one degree.  An identity checks S, the word, S's size, the cutoff and
+S's degree, in that order (see _instance; degree_sum_identity checks a
+degree k in place of S), then any crossing and its sign, before either
+side is computed.  Each returns VerificationReports holding both exact
+sides and no clock, so equal calls return equal reports.
 
-The identity functions: verify_theorem, and degree_sum_identity for its
-degree aggregate; variation_match and smoothing_shift_reports at any
-designated crossing; variation_series_report, smoothing_inversion_reports
-and oracle_variation_report at a positive one, which check_recursion
-concatenates in that order for `kzlab verify recursion`.  Replacing the
-designated crossing's local series by a bare k-chord block gives the
-terms of a finite expansion of the invariant; the crossing-change
-identities relate those terms across functionals, invert the expansion,
-and match the whole variation against the linking oracle in closed form.
-Those sides are summed in ints, one Fraction each: the oracle's binomial
-closed form over s! q^s for lk = p/q, and each inversion over k! 2^k
-from class sums read once per lowered matrix.
+verify_theorem checks the main identity, degree_sum_identity its degree
+aggregate.  Replacing a designated crossing's local series by a bare
+k-chord block gives the terms of a finite expansion of the invariant.
+variation_match and smoothing_shift_reports hold at any crossing;
+variation_series_report, smoothing_inversion_reports and
+oracle_variation_report, which check_recursion concatenates for `kzlab
+verify recursion`, at a positive one.  They relate the terms across
+functionals, invert the expansion, and match the whole variation
+against the linking oracle in closed form.  Each public function asks a
+_CrossingChange of its own; a sweep over many S asks one per crossing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import (
@@ -97,18 +85,15 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     Accepts either engine output, checked against its truncation and
     circle count and then read off its sums by type in one lookup, or
     any raw diagram-to-coefficient mapping, such as a 4T relator, summed
-    over every diagram of the type.
-    """
+    over every diagram of the type (the tests' oracle for the lookup)."""
     rows = TypeMatrix(S)
     if isinstance(value, TangleResult):
         _check_degree(rows.degree, value.truncation)
         if value.circles != len(rows):
             raise InputError("type matrix size differs from circle count")
         return value.type_sums(rows.degree).get(rows.cells, _ZERO)
-    total = Fraction(0)
-    for diagram in enumerate_by_matrix(rows):
-        total += value.get(diagram, _ZERO)
-    return total
+    return sum((value.get(diagram, _ZERO) for diagram in enumerate_by_matrix(rows)),
+               _ZERO)
 
 
 def _check_sum_degree(k: int, cutoff: int) -> None:
@@ -159,8 +144,7 @@ class VerificationReport(NamedTuple):
         return out
 
     def render(self) -> str:
-        subject = (f"S={[list(r) for r in self.S]}" if self.S is not None
-                   else f"k={self.k}")
+        subject = f"S={[list(r) for r in self.S]}" if self.S is not None else f"k={self.k}"
         tag = f" [{self.identity}]" if self.identity else ""
         verdict = "pass" if self.passed else "FAIL"
         return (f"{self.word} {subject} N={self.N}{tag}: "
@@ -213,8 +197,7 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
     oracle = validate_word(word).linking
     _check_cutoff(word, cutoff)
     _check_sum_degree(k, cutoff)
-    cells = sum((lk for i, row in enumerate(oracle) for lk in row[i:]),
-                Fraction(0))
+    cells = sum((lk for i, row in enumerate(oracle) for lk in row[i:]), _ZERO)
     lhs = cells ** k / factorial(k)
     rhs = degree_class_sum(integrate(word, cutoff), k)
     return VerificationReport(word_id, None, cutoff, lhs, rhs, k=k)
@@ -251,69 +234,6 @@ def _with_entry(S: TypeMatrix, a: int, b: int, value: int) -> TypeMatrix:
     return TypeMatrix._of_cells(len(S), tuple(cells))
 
 
-def _positive_cell(word: Sequence[Slice], crossing: int,
-                   S: Sequence[Sequence[int]], cutoff: int
-                   ) -> tuple[TypeMatrix, int, int]:
-    """The instance checked, then the designated crossing checked to be
-    positive; S and the crossing's circle pair (a, b)."""
-    rows, trace = _instance(word, S, cutoff)
-    traced = trace.crossing(crossing)
-    if traced.event.geometric_sign != 1:
-        raise WordValidationError(
-            f"slice {crossing} must be a positive crossing "
-            f"(geometric sign {traced.event.geometric_sign})")
-    return (rows, *traced.circles)
-
-
-def variation_series_report(word: Sequence[Slice], crossing: int,
-                            S: Sequence[Sequence[int]], cutoff: int,
-                            word_id: str = "word") -> VerificationReport:
-    """The class-sum jump under the crossing change, expressed through
-    the odd bare chord blocks at the crossing."""
-    rows, _, _ = _positive_cell(word, crossing, S, cutoff)
-    plus = integrate(word, cutoff)
-    minus = integrate(flip_crossing(word, crossing), cutoff)
-    lhs = class_sum(plus, rows) - class_sum(minus, rows)
-    rhs = Fraction(0)
-    j = 0
-    while 2 * j + 1 <= rows.degree:
-        term = class_sum(crossing_term(word, crossing, 2 * j + 1, cutoff), rows)
-        rhs += term / (factorial(2 * j + 1) * 4 ** j)
-        j += 1
-    return VerificationReport(word_id, rows, cutoff, lhs, rhs,
-                              identity="variation-series")
-
-
-def smoothing_inversion_reports(word: Sequence[Slice], crossing: int,
-                                S: Sequence[Sequence[int]], cutoff: int,
-                                word_id: str = "word"
-                                ) -> list[VerificationReport]:
-    """Each smoothed value, with the designated entry lowered to k, recovered
-    from the word's own class sums.  The lowered matrices and the word's
-    class sums over them are built once and shared by every report."""
-    rows, a, b = _positive_cell(word, crossing, S, cutoff)
-    plus = integrate(word, cutoff)
-    smoothed = crossing_term(word, crossing, 0, cutoff)
-    lowered = [_with_entry(rows, a, b, k) for k in range(rows[a - 1][b - 1] + 1)]
-    sums = [class_sum(plus, T) for T in lowered]
-    reports = []
-    for k, T in enumerate(lowered):
-        lhs = class_sum(smoothed, T)
-        # sum_p (-1)^p / (p! 2^p) * sums[k - p] as num / den in ints, over
-        # the common weight k! 2^k, which each p! 2^p divides.
-        weight = factorial(k) * 2 ** k
-        num, den = 0, 1
-        for p in range(0, k + 1):
-            value = sums[k - p]
-            num = (num * value.denominator + (-1) ** p * den * value.numerator
-                   * (weight // (factorial(p) * 2 ** p)))
-            den *= value.denominator
-        reports.append(VerificationReport(word_id, T, cutoff, lhs,
-                                          Fraction(num, den * weight),
-                                          identity="smoothing-inversion"))
-    return reports
-
-
 def _variation_weight(ell: Fraction, s: int) -> Fraction:
     """sum_{i=1..s} (-1)^(i+1) ell^(s-i) / (i! (s-i)!), the binomial
     closed form of the variation of lk^s/s! when lk drops by 1, per unit
@@ -325,68 +245,147 @@ def _variation_weight(ell: Fraction, s: int) -> Fraction:
     return Fraction(total, factorial(s) * q ** s)
 
 
-def oracle_variation_report(word: Sequence[Slice], crossing: int,
-                            S: Sequence[Sequence[int]], cutoff: int,
-                            word_id: str = "word") -> VerificationReport:
-    """The linking-side variation under the crossing change against its
-    binomial closed form."""
-    rows, a, b = _positive_cell(word, crossing, S, cutoff)
-    s = rows[a - 1][b - 1]
-    lk_plus = linking_matrix(word)
-    lk_minus = linking_matrix(flip_crossing(word, crossing))
-    lhs = (linking_monomial(lk_plus, rows) - linking_monomial(lk_minus, rows))
-    base = linking_monomial(lk_plus, _with_entry(rows, a, b, 0))
-    rhs = base * _variation_weight(lk_plus[a - 1][b - 1], s)
-    return VerificationReport(word_id, rows, cutoff, lhs, rhs,
-                              identity="oracle-variation")
+class _CrossingChange:
+    """The crossing-change identities at one crossing of a closed word and
+    cutoff, for S given as rows checked against the word.  The word, the
+    cutoff and the crossing are checked once, in that order, and the
+    crossing's circles a <= b and sign read once.  The rest is made on
+    first use and kept: the integral, the flip with its integral and
+    linking matrix, each bare-block term, and what two identities share."""
+
+    def __init__(self, word: Sequence[Slice], crossing: int, cutoff: int,
+                 word_id: str = "word"):
+        self.word, self.word_id = _as_word(word), word_id
+        trace = validate_word(self.word)
+        _check_cutoff(self.word, cutoff)
+        traced = trace.crossing(crossing)
+        self.crossing, self.cutoff, self.linking = crossing, cutoff, trace.linking
+        (self.a, self.b), self.sign = traced.circles, traced.event.geometric_sign
+        self._made: dict = {}
+
+    def _once(self, key, make, *args):
+        """make(*args), made on key's first use and kept."""
+        if key not in self._made:
+            self._made[key] = make(*args)
+        return self._made[key]
+
+    def plus(self) -> TangleResult:
+        return self._once("plus", integrate, self.word, self.cutoff)
+
+    def flipped(self) -> tuple[Slice, ...]:
+        return self._once("flipped", flip_crossing, self.word, self.crossing)
+
+    def minus(self) -> TangleResult:
+        return self._once("minus", integrate, self.flipped(), self.cutoff)
+
+    def minus_linking(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._once("minus_linking", linking_matrix, self.flipped())
+
+    def term(self, k: int) -> TangleResult:
+        return self._once(k, crossing_term, self.word, self.crossing, k, self.cutoff)
+
+    def _lowered(self, rows: TypeMatrix) -> list[tuple[TypeMatrix, Fraction]]:
+        """S lowered at (a, b) to each k <= S_ab, with the zero block's class sum."""
+        a, b = self.a, self.b
+        return self._once(("lowered", rows), lambda: [
+            (T, class_sum(self.term(0), T)) for T in (
+                _with_entry(rows, a, b, k) for k in range(rows[a - 1][b - 1] + 1))])
+
+    def _jump(self, rows: TypeMatrix) -> Fraction:
+        return self._once(("jump", rows), lambda: class_sum(self.plus(), rows)
+                          - class_sum(self.minus(), rows))
+
+    def _drop(self, rows: TypeMatrix) -> Fraction:
+        return self._once(("drop", rows), lambda: linking_monomial(self.linking, rows)
+                          - linking_monomial(self.minus_linking(), rows))
+
+    def _positive(self) -> None:
+        if self.sign != 1:
+            raise WordValidationError(f"slice {self.crossing} must be a positive "
+                                      f"crossing (geometric sign {self.sign})")
+
+    def _report(self, rows: TypeMatrix, lhs: Fraction, rhs: Fraction,
+                identity: str, k: int | None = None) -> VerificationReport:
+        return VerificationReport(self.word_id, rows, self.cutoff, lhs, rhs, identity, k)
+
+    def smoothing_shift_reports(self, rows: TypeMatrix) -> list[VerificationReport]:
+        """Bare-block class sums: shifting the designated entry absorbs the
+        block's chords, and blocks larger than the entry contribute nothing."""
+        lowered = self._lowered(rows)
+        s = len(lowered) - 1
+        return [self._report(rows, class_sum(self.term(k), rows),
+                             lowered[s - k][1] if k <= s else _ZERO,
+                             "block-shift" if k <= s else "block-vanishing", k)
+                for k in range(rows.degree + 1)]
+
+    def smoothing_inversion_reports(self, rows: TypeMatrix) -> list[VerificationReport]:
+        """Each smoothed value, with the designated entry lowered to k,
+        recovered from the word's own class sums, each read once."""
+        self._positive()
+        lowered = self._lowered(rows)
+        sums = [class_sum(self.plus(), T) for T, _ in lowered]
+        reports = []
+        for k, (T, lhs) in enumerate(lowered):
+            # sum_p (-1)^p / (p! 2^p) * sums[k - p] over the common weight
+            # k! 2^k, which each p! 2^p divides, and one common denominator.
+            weight, den = factorial(k) * 2 ** k, prod(v.denominator for v in sums[:k + 1])
+            num = sum((-1) ** p * (weight // (factorial(p) * 2 ** p))
+                      * sums[k - p].numerator * (den // sums[k - p].denominator)
+                      for p in range(k + 1))
+            reports.append(self._report(T, lhs, Fraction(num, den * weight),
+                                        "smoothing-inversion"))
+        return reports
+
+    def variation_match(self, rows: TypeMatrix) -> VerificationReport:
+        """Class-sum variation under a crossing change equals the linking
+        monomial variation, both computed from scratch."""
+        return self._report(rows, self._jump(rows), self._drop(rows), "variation-match")
+
+    def variation_series_report(self, rows: TypeMatrix) -> VerificationReport:
+        """The class-sum jump under the crossing change, expressed through
+        the odd bare chord blocks at the crossing."""
+        self._positive()
+        rhs = sum((class_sum(self.term(2 * j + 1), rows) / (factorial(2 * j + 1) * 4 ** j)
+                   for j in range((rows.degree + 1) // 2)), _ZERO)
+        return self._report(rows, self._jump(rows), rhs, "variation-series")
+
+    def oracle_variation_report(self, rows: TypeMatrix) -> VerificationReport:
+        """The linking-side variation under the crossing change against its
+        binomial closed form."""
+        self._positive()
+        a, b = self.a, self.b
+        base = linking_monomial(self.linking, _with_entry(rows, a, b, 0))
+        rhs = base * _variation_weight(self.linking[a - 1][b - 1], rows[a - 1][b - 1])
+        return self._report(rows, self._drop(rows), rhs, "oracle-variation")
+
+    def check_recursion(self, rows: TypeMatrix) -> list[VerificationReport]:
+        """Verify the crossing-change expansion at one positive crossing: the
+        variation series, the smoothing inversions and the oracle closed
+        form, in that order."""
+        return [self.variation_series_report(rows),
+                *self.smoothing_inversion_reports(rows),
+                self.oracle_variation_report(rows)]
 
 
-def check_recursion(word: Sequence[Slice], crossing: int,
-                    S: Sequence[Sequence[int]], cutoff: int,
-                    word_id: str = "word") -> list[VerificationReport]:
-    """Verify the crossing-change expansion at one positive crossing: the
-    variation series, the smoothing inversions and the oracle closed
-    form, in that order."""
-    return [variation_series_report(word, crossing, S, cutoff, word_id),
-            *smoothing_inversion_reports(word, crossing, S, cutoff, word_id),
-            oracle_variation_report(word, crossing, S, cutoff, word_id)]
+def _one_call(method):
+    """The public form of a context's identity: S is checked as in
+    _instance, then the crossing, on a context made for the one call."""
+    def identity(word: Sequence[Slice], crossing: int, S: Sequence[Sequence[int]],
+                 cutoff: int, word_id: str = "word"):
+        rows, _ = _instance(word, S, cutoff)
+        return method(_CrossingChange(word, crossing, cutoff, word_id), rows)
+
+    identity.__name__ = identity.__qualname__ = method.__name__
+    identity.__doc__ = method.__doc__
+    return identity
 
 
-def smoothing_shift_reports(word: Sequence[Slice], crossing: int,
-                            S: Sequence[Sequence[int]], cutoff: int,
-                            word_id: str = "word") -> list[VerificationReport]:
-    """Bare-block class sums: shifting the designated entry absorbs the
-    block's chords, and blocks larger than the entry contribute nothing."""
-    rows, trace = _instance(word, S, cutoff)
-    a, b = trace.crossing(crossing).circles
-    s = rows[a - 1][b - 1]
-    zero_block = crossing_term(word, crossing, 0, cutoff)
-    reports = []
-    for k in range(0, s + 1):
-        lhs = class_sum(crossing_term(word, crossing, k, cutoff), rows)
-        rhs = class_sum(zero_block, _with_entry(rows, a, b, s - k))
-        reports.append(VerificationReport(word_id, rows, cutoff, lhs, rhs,
-                                          identity="block-shift", k=k))
-    for k in range(s + 1, rows.degree + 1):
-        lhs = class_sum(crossing_term(word, crossing, k, cutoff), rows)
-        reports.append(VerificationReport(word_id, rows, cutoff, lhs, _ZERO,
-                                          identity="block-vanishing", k=k))
-    return reports
-
-
-def variation_match(word: Sequence[Slice], crossing: int,
-                    S: Sequence[Sequence[int]], cutoff: int,
-                    word_id: str = "word") -> VerificationReport:
-    """Class-sum variation under a crossing change equals the linking
-    monomial variation, both computed from scratch."""
-    rows, trace = _instance(word, S, cutoff)
-    flipped = flip_crossing(word, crossing)
-    lhs = (class_sum(integrate(word, cutoff), rows)
-           - class_sum(integrate(flipped, cutoff), rows))
-    rhs = (linking_monomial(trace.linking, rows)
-           - linking_monomial(linking_matrix(flipped), rows))
-    return VerificationReport(word_id, rows, cutoff, lhs, rhs,
-                              identity="variation-match")
+smoothing_shift_reports = _one_call(_CrossingChange.smoothing_shift_reports)
+smoothing_inversion_reports = _one_call(_CrossingChange.smoothing_inversion_reports)
+variation_match = _one_call(_CrossingChange.variation_match)
+variation_series_report = _one_call(_CrossingChange.variation_series_report)
+oracle_variation_report = _one_call(_CrossingChange.oracle_variation_report)
+check_recursion = _one_call(_CrossingChange.check_recursion)
 
 
 # -- Unknot values by two routes ---------------------------------------------

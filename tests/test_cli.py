@@ -6,6 +6,8 @@ Core claims:
       byte-identical across runs; its JSON for the nine corpus words at
       degrees 1-3 is pinned by a SHA-256
     - verify reports carry the schema keys and exit 0 on true identities;
+      verify recursion --all-S --format json at hopf+ crossing 4 and
+      trefoil crossing 5 is pinned by a SHA-256 each;
       degree-sum passes on a 12-circle nest, which has more type
       matrices of degree 2 than the enumeration limit allows
     - enumerate lists diagrams and ends text output with "count: n"
@@ -79,6 +81,11 @@ from kzlab.qtangle.corpus import corpus_names, corpus_path
 
 COMPUTE_SHA256 = \
     "dff7d14752dbe01652115939d4aa682be38fa5824bd74da2217197cc88c4e64c"
+# verify recursion --all-S --format json at one crossing, per word.
+RECURSION_SHA256 = {
+    ("hopf+", "4"): "365a24a790b8c364c29da362164fc05d2efb3e166a9079051b6a8b9c6369ab07",
+    ("trefoil", "5"): "cdf410e92e330217859a34643fe618f08a64182b9f3f9aa54a3c9cba52dfb030",
+}
 
 
 def _run(capsys, *argv):
@@ -185,6 +192,16 @@ class TestVerify:
                             "--S", "[[0,1],[1,0]]", "--degree", "2")
         assert code == 0
         assert "variation-series" in out and "smoothing-inversion" in out
+
+    @pytest.mark.parametrize("name, crossing", sorted(RECURSION_SHA256))
+    def test_recursion_sweep_json_is_pinned(self, capsys, name, crossing):
+        # One crossing-change context serves every S of the sweep; the
+        # bytes are those each S's own check_recursion call printed.
+        code, out, _ = _run(capsys, "verify", "recursion", "--corpus", name,
+                            "--crossing", crossing, "--all-S", "--format", "json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == RECURSION_SHA256[name, crossing]
 
     def test_degree_sum_on_a_twelve_circle_nest(self, capsys, tmp_path):
         # 12 nested circles, four kinked by x+ and two by x-: the diagonal

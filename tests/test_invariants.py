@@ -36,6 +36,11 @@ Core claims:
       reports concatenated; the inversions read 2(s + 1) class sums, each
       lowered matrix's once per side, and the oracle's int closed form is
       the old per-term Fraction sum for s <= 8
+    - One crossing-change context reused over every S of each of the 16
+      corpus crossings gives, in order, the reports of the public
+      functions, each of which makes its own; every public entry point
+      reports an S of the wrong size before a slice that is not a
+      crossing, and that before a crossing that is not positive
     - The degree-k coefficient sum equals the class sums over every type
       matrix of degree k
     - Every structural question about a word is read off one cached
@@ -555,6 +560,53 @@ class TestSurgery:
             reports = smoothing_inversion_reports(word, crossing, S, 3)
             assert len(reports) == s + 1
             assert len(seen) == 2 * (s + 1), (S, len(seen))
+
+    def test_one_context_per_crossing_gives_the_per_call_reports(self):
+        # One context reused over every S of a crossing, S after S, reports
+        # what a fresh context per call reports, in the same order: no value
+        # made for one S is read for another.  On the word as it is, the
+        # two identities that allow a negative crossing; on the word made
+        # positive there, all five.
+        crossings = 0
+        for name in corpus_names():
+            word = load_corpus_word(name)
+            matrices = [S for k in range(4)
+                        for S in all_type_matrices(len(linking_matrix(word)), k)]
+            for traced in trace_word(word).crossings:
+                c, crossings = traced.slice, crossings + 1
+                positive = (word if traced.event.geometric_sign == 1
+                            else flip_crossing(word, c))
+                for w, calls in ((word, ("smoothing_shift_reports",
+                                         "variation_match")),
+                                 (positive, ("smoothing_shift_reports",
+                                             "smoothing_inversion_reports",
+                                             "variation_match",
+                                             "variation_series_report",
+                                             "oracle_variation_report",
+                                             "check_recursion"))):
+                    change = invariants._CrossingChange(w, c, 3, name)
+                    shared = [getattr(change, call)(S)
+                              for S in matrices for call in calls]
+                    fresh = [getattr(invariants, call)(w, c, S, 3, name)
+                             for S in matrices for call in calls]
+                    assert shared == fresh, (name, c)
+        assert crossings == 16
+
+    def test_each_entry_point_reports_s_before_the_crossing(self):
+        # A fault of S's size outranks a slice that is not a crossing,
+        # which outranks the crossing's sign.
+        hopf = load_corpus_word("hopf+")
+        for identity in (smoothing_shift_reports, smoothing_inversion_reports,
+                         variation_match, variation_series_report,
+                         oracle_variation_report, check_recursion):
+            with pytest.raises(InputError, match="circle count"):
+                identity(hopf, 99, ((1,),), 3)
+            with pytest.raises(WordValidationError, match="not a crossing"):
+                identity(hopf, 99, HOPF_S, 3)
+        for identity in (smoothing_inversion_reports, variation_series_report,
+                         oracle_variation_report, check_recursion):
+            with pytest.raises(WordValidationError, match="positive crossing"):
+                identity(load_corpus_word("hopf-"), 4, HOPF_S, 3)
 
     def test_variation_closed_form_is_the_per_term_sum(self):
         def by_terms(ell, s):

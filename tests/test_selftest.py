@@ -4,8 +4,11 @@ The selftest runner: how sections count, stop and share their work.
 Core claims:
     - A failing section stops at its first failing check, counts every
       check made up to and including it, and names the failing instance
-    - The recursion and variation sections compute each crossing-change
-      identity once per (crossing, S) pair and never call check_recursion
+    - The recursion and variation sections make one crossing-change
+      context per corpus crossing, which validates the word once and
+      flips it at most once, and ask it for each identity once per
+      (crossing, S) pair, never for check_recursion; run in two threads
+      at once, the two sections give the serial results
     - The enumeration section checks each degree list (m <= 3, k <= 4)
       against rotation orbits and the placement count, calling neither
       the type-matrix route, canonical_code nor the placements walk, and
@@ -17,16 +20,19 @@ Core claims:
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import kzlab
 import kzlab.diagrams
 import kzlab.invariants
 import kzlab.selftest
 from kzlab.diagrams import ChordDiagram
 from kzlab.selftest import run_selftest
 
-# (crossing, S) pairs over the corpus's positive crossings at degree <= 3.
+# The corpus's crossings, and their (crossing, S) pairs at degree <= 3.
+CORPUS_CROSSINGS = 16
 CROSSING_PAIRS = 512
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -57,27 +63,53 @@ def test_framing_powers_stop_at_the_first_wrong_value(monkeypatch):
 
 
 def test_each_crossing_identity_runs_once_per_pair(monkeypatch):
+    # Each section makes one context per corpus crossing and asks it for
+    # each identity once per S, so the word is validated, and flipped if
+    # an identity needs the flip, once per crossing, never per pair.  The
+    # sweep's own flips make the two negative crossings positive.
     calls = {}
 
-    def spy(module, name):
-        real = getattr(module, name)
-        calls[name] = 0
+    def spy(owner, name, label):
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[label] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("smoothing_shift_reports", "smoothing_inversion_reports",
-                 "variation_match", "variation_series_report",
-                 "oracle_variation_report"):
-        spy(kzlab.selftest, name)
-    spy(kzlab.invariants, "check_recursion")
-    results = run_selftest(["recursion", "variation"])
-    assert all(r.passed for r in results)
-    assert calls.pop("check_recursion") == 0
-    assert calls == dict.fromkeys(calls, CROSSING_PAIRS)
+    context = kzlab.invariants._CrossingChange
+    identities = {
+        "recursion": ("smoothing_shift_reports", "smoothing_inversion_reports"),
+        "variation": ("variation_match", "variation_series_report",
+                      "oracle_variation_report")}
+    for name in (*identities["recursion"], *identities["variation"],
+                 "check_recursion"):
+        spy(context, name, name)
+    spy(kzlab.invariants, "check_recursion", "public check_recursion")
+    spy(kzlab.invariants, "validate_word", "validations")
+    spy(kzlab.invariants, "flip_crossing", "context flips")
+    spy(kzlab.selftest, "flip_crossing", "sweep flips")
+    for section, flips in (("recursion", 0), ("variation", CORPUS_CROSSINGS)):
+        expected = {"check_recursion": 0, "public check_recursion": 0,
+                    "validations": CORPUS_CROSSINGS, "context flips": flips,
+                    "sweep flips": 2}
+        for names in identities.values():
+            expected.update(dict.fromkeys(
+                names, CROSSING_PAIRS if names is identities[section] else 0))
+        calls.update(dict.fromkeys(expected, 0))
+        result, = run_selftest([section])
+        assert result.passed
+        assert calls == expected, section
+
+
+def test_crossing_sections_in_two_threads_give_the_serial_results():
+    serial = run_selftest(["recursion", "variation"])
+    kzlab.clear_caches()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(lambda _: run_selftest(["recursion", "variation"]),
+                             range(2), timeout=60))
+    assert runs == [serial, serial]
 
 
 def _degree_lists():
