@@ -29,22 +29,17 @@ kernel forms a term over the truncation N: the degree budget is the one
 rule that truncates.  A kernel whose degree-0 part is its unit alone
 updates the running terms in place, highest degree first, so its work is
 the new terms it makes, not every term it passes; a merging cap and a
-graft, whose degree-0 parts move words, fill fresh buckets.  integrate
-closes its graded ints: the engine names every key by first appearance,
-so each goes straight to the canonical-code search, the ints are summed
-by code per degree, and each diagram gets one Fraction.  finalize closes
-a fragment, which may be built by hand, in the same loop through
-canonical_code, which checks each key.
+graft, whose degree-0 parts move words, fill fresh buckets.
 
 The products are exact in plain ints.  One scale D per truncation (12
 through N = 3, 120 at N = 4) is the least that makes c * D**a an integer
 for every kernel coefficient c of degree a: the arcs, a run's
-g**k / (2**k k!) and the associator's 1/24.  Each kernel stores c * D**a,
-so a running term of degree d is an int over D**d (the unit term is 1),
-and the terms leave the engine as Fractions: one division per key of a
-fragment, one per diagram of an integrated word.  A
-kernel coefficient that D does not make integral raises.  graft scales
-its inputs back to ints by the D of their own coefficients.
+g**k / (2**k k!) and the associator's 1/24 (a D that leaves one
+fractional raises).  A term of degree d is an int over D**d, and these
+graded ints are the one carrier: a fragment keeps them, graft multiplies
+two at the shared D, and finalize and integrate sum them by code per
+degree, one Fraction per diagram; only finalize checks each key (through
+canonical_code), as integrate's are named by first appearance.
 
 Consecutive crossings on the same two strand points, identity slices
 between them allowed, form a run.  Their rungs sit next to each other
@@ -66,9 +61,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
@@ -79,7 +74,7 @@ from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
 from .words import (
     AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
-    WordTrace, _as_word, _trace, parse_word, validate_word,
+    _as_word, _trace, parse_word, validate_word,
 )
 
 _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
@@ -134,14 +129,16 @@ def _hexagon_words(eps: int) -> tuple[tuple, str, str]:
 def _difference(depths: tuple[int, ...], lhs: str, rhs: str, cutoff: int,
                 sign: int | None) -> dict[Code, Fraction]:
     """Open strand series of lhs minus rhs, both evaluated upwards from
-    the bracketing with these gap depths, every strand directed down."""
+    the bracketing with these gap depths, every strand directed down, as
+    graded ints: a homogeneous part is 0, or in the 4T span, at any scale."""
     initial = (depths, (START,) * (len(depths) + 1))
     diff: dict = {}
     for word, factor in ((lhs, 1), (rhs, -1)):
         value = evaluate_fragment(parse_word(word), cutoff, initial,
                                   assoc_sign=sign)
-        for key, coeff in value.terms.items():
-            add_term(diff, key, factor * coeff)
+        for bucket in value.graded:
+            for key, coeff in bucket.items():
+                add_term(diff, key, factor * coeff)
     return diff
 
 
@@ -215,30 +212,6 @@ def _insert_at_points(words: Code, inserts: Sequence[tuple[int, str, tuple[int, 
 Graded = list[dict[Code, int]]
 
 
-def _scale(pairs: Iterable[tuple[int, int]]) -> int:
-    """The least D with c * D**a an integer for every coefficient c of
-    degree a, given as (a, denominator of c) pairs.
-
-    Per prime p, D holds p ** ceil(v_p(denominator) / a).  Degree 0 adds
-    nothing: D**0 scales nothing, so such a coefficient must be an
-    integer already (_scaled raises otherwise).
-    """
-    need: dict[int, int] = {}
-    for a, den in set(pairs):
-        p = 2
-        while a and den > 1:
-            if p * p > den:
-                p = den
-            v = 0
-            while den % p == 0:
-                den //= p
-                v += 1
-            if v:
-                need[p] = max(need.get(p, 0), -(-v // a))
-            p += 1
-    return prod(p ** e for p, e in need.items())
-
-
 def _scaled(coeff: Fraction | int, degree: int, scale: int) -> int:
     """coeff * scale**degree, raising unless it is an integer."""
     unit, rest = divmod(scale ** degree, coeff.denominator)
@@ -250,12 +223,15 @@ def _scaled(coeff: Fraction | int, degree: int, scale: int) -> int:
 
 @lru_cache(maxsize=None)
 def _kernel_scale(cutoff: int) -> int:
-    """The scale of every kernel at this truncation: the cup and cap arcs,
-    a crossing run's g**k / (2**k k!) and the associator's weight."""
-    return _scale([(len(word) // 2, c.denominator)
-                   for word, c in sqrt_unknot_series(cutoff).items()]
-                  + [(k, 2 ** k * factorial(k)) for k in range(cutoff + 1)]
-                  + [(2, ASSOCIATOR_WEIGHT.denominator)])
+    """The least D making c * D**a an integer for each kernel coefficient
+    c of degree a: the arcs, a run's g**k / (2**k k!) and the associator's
+    weight.  The lcm of their denominators is such a D."""
+    coefficients = [(len(word) // 2, c) for word, c in sqrt_unknot_series(cutoff).items()]
+    coefficients += [(k, Fraction(1, 2 ** k * factorial(k))) for k in range(cutoff + 1)]
+    coefficients.append((2, ASSOCIATOR_WEIGHT))
+    bound = lcm(*(c.denominator for _, c in coefficients))
+    return next(d for d in range(1, bound + 1)
+                if all((c * d ** a).denominator == 1 for a, c in coefficients))
 
 
 def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
@@ -295,25 +271,6 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
     return out
 
 
-def _graded(terms: Mapping[Code, Fraction], cutoff: int, scale: int) -> Graded:
-    """Bucket a flat series by chord count, scaled to ints."""
-    graded: Graded = [{} for _ in range(cutoff + 1)]
-    for key, coeff in terms.items():
-        d = sum(map(len, key)) // 2
-        graded[d][key] = _scaled(coeff, d, scale)
-    return graded
-
-
-def _flatten(terms: Graded, scale: int) -> dict[Code, Fraction]:
-    """The flat series, each term divided once by its scale ** degree."""
-    flat: dict[Code, Fraction] = {}
-    for d, bucket in enumerate(terms):
-        den = scale ** d
-        for key, value in bucket.items():
-            flat[key] = Fraction(value, den)
-    return flat
-
-
 class FragmentValue(NamedTuple):
     """Value of a slice range: per-component chord words, ready to graft.
 
@@ -323,6 +280,9 @@ class FragmentValue(NamedTuple):
     covers.  components lists every component by birth, open and closed
     alike, and each term's key is one code, their words in that order;
     the open ones are the anchors keys.
+
+    graded[d] maps each key with d chords to an int over
+    _kernel_scale(cutoff) ** d; terms is the flat Fraction view of it.
     """
 
     cutoff: int
@@ -332,7 +292,28 @@ class FragmentValue(NamedTuple):
     anchors: Mapping[Birth, tuple[int, ...]]
     span: range
     components: tuple[Birth, ...]
-    terms: dict[Code, Fraction]
+    graded: Graded
+
+    @property
+    def terms(self) -> dict[Code, Fraction]:
+        """The flat series, lowest degree first, each int divided once."""
+        scale = _kernel_scale(self.cutoff)
+        return {key: Fraction(value, scale ** d) for d, bucket in enumerate(self.graded)
+                for key, value in bucket.items()}
+
+
+def _check_graded(*fragments: FragmentValue) -> None:
+    """Refuse fragments, which may be built by hand, unless each graded is
+    cutoff + 1 dicts, bucket d holding keys with 2d chord ends only."""
+    try:
+        if all(isinstance(f.graded, list) and len(f.graded) == f.cutoff + 1
+               and all(isinstance(bucket, dict) and all(
+                   sum(map(len, key)) == 2 * d for key in bucket)
+                   for d, bucket in enumerate(f.graded)) for f in fragments):
+            return
+    except TypeError:
+        pass
+    raise InputError("a fragment's graded must be cutoff + 1 dicts of d-chord keys")
 
 
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
@@ -357,28 +338,11 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     of bare_block must be ints (not bools), k and the offset >= 0
     (InputError otherwise).
 
-    The running terms are kept per degree, and each kernel builds only
-    the products that fit within cutoff, so no term over the truncation
-    is formed; the returned terms are one flat key -> coefficient dict.
-    A run of consecutive crossings on one pair of strand points is one
-    kernel, exp(G/2 * chord) for its summed sign G (none when G = 0);
-    identity slices do not break a run, and the bare_block crossing
-    does, standing as a kernel of its own.
+    The terms, the fragment's graded, are kept per degree, and each kernel
+    (a crossing run is one) builds only the products that fit within
+    cutoff, so no term over the truncation is formed.
     """
     slices = _as_word(slices)
-    trace, comps, terms, scale = _evaluate(slices, cutoff, initial, slice_offset,
-                                           assoc_sign, bare_block)
-    return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
-                         trace.anchors, range(slice_offset, slice_offset + len(slices)),
-                         tuple(comps), _flatten(terms, scale))
-
-
-def _evaluate(slices: tuple[Slice, ...], cutoff: int, initial: tuple | None,
-              slice_offset: int, assoc_sign: int | None, bare_block: tuple | None,
-              ) -> tuple[WordTrace, list[Birth], Graded, int]:
-    """evaluate_fragment on a checked word (_as_word), before flattening:
-    the trace, every component by birth, the graded int terms and their
-    scale."""
     _check_cutoff(slices, cutoff)
     if bare_block is not None and not (type(bare_block) is tuple and tuple(
             map(type, bare_block)) == (int, int) and bare_block[1] >= 0):
@@ -486,7 +450,9 @@ def _evaluate(slices: tuple[Slice, ...], cutoff: int, initial: tuple | None,
                                                for pos, tokens in by_leaf.items()),
                                          coeff))
             terms = _multiply(terms, lifts, _insert_at_points)
-    return trace, comps, terms, scale
+    return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
+                         trace.anchors, range(slice_offset, slice_offset + len(slices)),
+                         tuple(comps), terms)
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
@@ -504,18 +470,17 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     from its birth piece.  Keys are read and written in birth order,
     open and closed words alike.
 
-    The product runs in ints, at the scale _scale finds for the two
-    inputs' own coefficients, so any rational coefficients graft exactly
-    as long as the degree-0 ones are integers.
+    The product multiplies the two inputs' graded ints at their shared
+    scale; an input built by hand must pass _check_graded.
     """
     if lower.cutoff != upper.cutoff:
         raise InputError("fragments must share a truncation degree")
+    _check_graded(lower, upper)
     if lower.spec_out != upper.spec_in:
         raise WordValidationError("fragment boundaries do not match")
     if lower.span.stop != upper.span.start:
         raise WordValidationError(f"upper fragment starts at word {upper.span.start}, "
                                   f"not where the lower one stops ({lower.span.stop})")
-    cutoff = lower.cutoff
 
     anchored_at = {pos: comp for comp, positions in upper.anchors.items()
                    for pos in positions}
@@ -576,19 +541,17 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
             out.append(seq)
         return out
 
-    scale = _scale((sum(map(len, key)) // 2, c.denominator)
-                   for fragment in (lower, upper)
-                   for key, c in fragment.terms.items())
-    upper_series = [list(bucket.items())
-                    for bucket in _graded(upper.terms, cutoff, scale)]
-    terms = _multiply(_graded(lower.terms, cutoff, scale), upper_series, stitch)
+    # The upper keys are placed payloads, none the unit None, so the
+    # products fill fresh buckets and the inputs stay as they are.
+    terms = _multiply(lower.graded, [list(bucket.items()) for bucket in upper.graded],
+                      stitch)
 
     return FragmentValue(
-        cutoff, lower.spec_in, upper.spec_out,
+        lower.cutoff, lower.spec_in, upper.spec_out,
         tuple((rebirth[(1, comp)], role) for comp, role in upper.leaves),
         {b: anchors[b] for b in sorted(anchors)},
         range(lower.span.start, upper.span.stop),
-        tuple(sorted(walks)), _flatten(terms, scale))
+        tuple(sorted(walks)), terms)
 
 
 # -- Results -----------------------------------------------------------------
@@ -649,39 +612,36 @@ class TangleResult(_Series):
         return self._replace(coefficients=MappingProxyType(out))
 
 
-def _close(terms: Sequence[Mapping[Code, Fraction | int]], scale: int,
-           code: Callable[[Code], Code], circles: int, cutoff: int) -> TangleResult:
-    """The result of closed keys: terms[d] is divided by scale ** d.  Each
-    bucket's keys are summed by code(key), and each non-zero sum makes one
-    Fraction and one diagram."""
+def _close(graded: Graded, code: Callable[[Code], Code], circles: int,
+           cutoff: int) -> TangleResult:
+    """The result of closed keys: each bucket's ints are summed by
+    code(key), and each non-zero sum makes one Fraction and one diagram."""
+    scale = _kernel_scale(cutoff)
     out: dict[ChordDiagram, Fraction] = {}
-    for d, bucket in enumerate(terms):
-        sums: dict[Code, Fraction | int] = {}
+    for d, bucket in enumerate(graded):
+        sums: dict[Code, int] = {}
         for key, value in bucket.items():
             least = code(key)
-            old = sums.get(least)
-            if old is not None:
-                value += old
+            value += sums.get(least, 0)
             if value:
                 sums[least] = value
             else:
                 sums.pop(least, None)
         den = scale ** d
         for least, value in sums.items():
-            # A Fraction sum (finalize's, over 1) is kept as it is.
-            out[ChordDiagram._of_code(least)] = (
-                value if type(value) is Fraction else Fraction(value, den))
+            out[ChordDiagram._of_code(least)] = Fraction(value, den)
     return TangleResult(circles, cutoff, MappingProxyType(out))
 
 
 def finalize(fragment: FragmentValue) -> TangleResult:
     """Close a fully evaluated fragment into labeled circles.
 
-    Fragment keys that name one diagram are summed by canonical code, so
-    each key is canonicalised once and each diagram is built once."""
+    Keys naming one diagram are summed by canonical code, which checks
+    each key once, and each diagram is built once."""
     if fragment.spec_out[1] or fragment.anchors:
         raise WordValidationError("fragment is not a closed link")
-    return _close([fragment.terms], 1, canonical_code, len(fragment.components),
+    _check_graded(fragment)
+    return _close(fragment.graded, canonical_code, len(fragment.components),
                   fragment.cutoff)
 
 
@@ -691,8 +651,8 @@ def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
     """integrate and crossing_term, cached on the whole word (the 1024
     most recently used words, cutoffs and blocks)."""
     validate_word(slices)
-    _, comps, terms, scale = _evaluate(slices, cutoff, None, 0, None, bare_block)
-    return _close(terms, scale, _least_code, len(comps), cutoff)
+    value = evaluate_fragment(slices, cutoff, bare_block=bare_block)
+    return _close(value.graded, _least_code, len(value.components), cutoff)
 
 
 def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:

@@ -79,9 +79,11 @@ Core claims:
       multiplies by is an int, with and without rebracketings at every
       truncation; a scale missing any one of its primes makes kernel
       building raise
-    - graft scales its inputs by their own coefficients: a hand-built
-      pair with sevenths grafts to the exact Fraction product, and a
-      degree-0 coefficient that is not an integer is refused
+    - graft multiplies its inputs' graded buckets at the shared scale:
+      hand-built buckets holding c * D**d for a ladder with sevenths graft
+      to the exact Fraction product; graft and finalize refuse with
+      InputError a flat dict in graded's slot, a wrong bucket count, a
+      mis-bucketed key and a key that is no code
     - No int leaves the engine: fragment, graft and integrate values
       are Fractions for every corpus word at every supported truncation
     - kzlab.clear_caches empties every library cache, the per-truncation
@@ -97,14 +99,21 @@ Core claims:
       caller's buckets in place, any other fills fresh ones, and both
       agree with multiplying every term into fresh buckets on generated
       graded inputs, cancellations included; graft leaves its inputs'
-      terms alone, and evaluating a word twice gives equal terms
+      terms and graded buckets alone (the same bucket objects, holding
+      the same items in order), and evaluating a word twice gives equal
+      terms
     - Every key evaluate_fragment and graft write is named by first
       appearance (_relabel leaves it alone): every fragment, every split
       and its graft, on the corpus at every truncation, on nests up to
       N = 4 and 2-braids up to N = 3, and on generated nests and braids;
       so integrate closes its graded ints with no canonical_code and no
       flat series, one canonical-code search per key and one Fraction
-      per diagram, and gives finalize's diagrams, coefficients and order
+      per diagram, and gives finalize's diagrams, coefficients and order;
+      finalize closes a fragment's graded ints with one canonical_code
+      per key, one Fraction per diagram and no Fraction addition
+    - The flat terms of every corpus word's fragment, of its middle-split
+      halves and of their graft, at every supported truncation, are
+      pinned by a SHA-256 taken while fragments stored flat terms
     - A cached answer does not depend on cache state: a truncation,
       degree, crossing index, circle count, chord count, wheel size,
       wheel order or strand count that is a bool or a float is refused
@@ -112,6 +121,7 @@ Core claims:
       call is cached
 """
 
+import hashlib
 import math
 import operator
 import subprocess
@@ -926,17 +936,37 @@ class TestScale:
         lower = evaluate_fragment(word, 3, initial=((0,), (END, END)))
         upper = evaluate_fragment(word, 3, initial=lower.spec_out,
                                   slice_offset=1)
-        # Ladder coefficients by chord count, with sevenths mixed in.
+        # Ladder coefficients by chord count, with sevenths mixed in, each
+        # held in its bucket d as c * D**d.
         low = [Fraction(1), Fraction(1, 7), Fraction(3, 8), Fraction(-2, 49)]
         up = [Fraction(2), Fraction(1, 2), Fraction(5, 7), Fraction(1, 343)]
-        lower = lower._replace(terms={_ladder(k): c for k, c in enumerate(low)})
-        upper = upper._replace(terms={_ladder(k): c for k, c in enumerate(up)})
+        scale = engine._kernel_scale(3)
+        lower = lower._replace(graded=[{_ladder(k): c * scale ** k}
+                                       for k, c in enumerate(low)])
+        upper = upper._replace(graded=[{_ladder(k): c * scale ** k}
+                                       for k, c in enumerate(up)])
         expected = {_ladder(n): sum(low[j] * up[n - j] for j in range(n + 1))
                     for n in range(4)}
         assert graft(lower, upper).terms == expected
-        # A degree-0 coefficient no scale makes integral is refused.
-        with pytest.raises(ArithmeticError, match="not an integer"):
-            graft(lower._replace(terms={_ladder(0): Fraction(1, 7)}), upper)
+
+    def test_hand_built_fragments_must_be_graded_by_chord_count(self):
+        word = parse_word("x+@1")
+        lower = evaluate_fragment(word, 2, initial=((0,), (END, END)))
+        upper = evaluate_fragment(word, 2, initial=lower.spec_out,
+                                  slice_offset=1)
+        closed = evaluate_fragment(load_corpus_word("trefoil"), 2)
+        for fragment, call in ((lower, lambda wrong: graft(wrong, upper)),
+                               (upper, lambda wrong: graft(lower, wrong)),
+                               (closed, finalize)):
+            graded = fragment.graded
+            assert graded[1]
+            for bad in (fragment.terms,                    # flat, not graded
+                        graded[:-1], graded + [{}],        # a bucket short, over
+                        [graded[0], {}, graded[1]],        # degree-1 keys in bucket 2
+                        [graded[0], {**graded[1], **graded[2]}, {}],
+                        [{5: 1}, {}, {}], [graded[0], 7, {}]):
+                with pytest.raises(InputError, match="graded"):
+                    call(fragment._replace(graded=bad))
 
     def test_no_int_leaves_the_engine(self):
         def fractions(values):
@@ -1157,9 +1187,19 @@ class TestWorkSaved:
                                           initial=lower.spec_out,
                                           slice_offset=middle)
                 kept = (dict(lower.terms), dict(upper.terms))
+                # graft multiplies the callers' own buckets: each stays the
+                # same object, with the same items in the same order.
+                buckets = [(fragment.graded, list(fragment.graded),
+                            [list(bucket.items()) for bucket in fragment.graded])
+                           for fragment in (lower, upper)]
                 graft(lower, upper)
                 assert (lower.terms, upper.terms) == kept, (name, cutoff)
                 assert list(lower.terms.items()) == list(kept[0].items())
+                for fragment, (graded, same, items) in zip((lower, upper), buckets):
+                    assert fragment.graded is graded, (name, cutoff)
+                    assert len(graded) == len(same), (name, cutoff)
+                    assert all(map(operator.is_, graded, same)), (name, cutoff)
+                    assert [list(bucket.items()) for bucket in graded] == items
 
     def test_finalize_canonicalises_each_key_once(self, monkeypatch):
         codes = []
@@ -1247,28 +1287,83 @@ class TestClosing:
             raise AssertionError("integrate checked or flattened its own keys")
 
         searched = []
-        divided = []
         search = engine._least_code
 
         def search_spy(key):
             searched.append(key)
             return search(key)
 
-        def fraction_spy(*args):
-            divided.append(sys._getframe(1).f_code.co_name)
-            return Fraction(*args)
-
         for name, word, cutoff in _CLOSED_WORDS:
-            _, _, terms, _ = engine._evaluate(word, cutoff, None, 0, None, None)
+            graded = evaluate_fragment(word, cutoff).graded
             searched.clear()
-            divided.clear()
             with monkeypatch.context() as patch:
+                divided = _spy_on_fractions(patch)
                 patch.setattr(engine, "canonical_code", refused)
-                patch.setattr(engine, "_flatten", refused)
+                patch.setattr(engine.FragmentValue, "terms", property(refused))
                 patch.setattr(engine, "_least_code", search_spy)
-                patch.setattr(engine, "Fraction", fraction_spy)
                 result = engine._integrate_cached.__wrapped__(word, cutoff)
-            assert sorted(searched) == sorted(key for bucket in terms for key in bucket)
+            assert sorted(searched) == sorted(key for bucket in graded for key in bucket)
             assert divided.count("_close") == len(result.coefficients), name
             assert all(type(c) is Fraction for c in result.coefficients.values())
 
+    def test_finalize_closes_the_fragment_ints(self, monkeypatch):
+        # One canonical_code per key, one Fraction per diagram, made in the
+        # closing loop, and no Fraction added to another.
+        def refused(*args):
+            raise AssertionError("finalize added Fractions")
+
+        codes = []
+        canonical = engine.canonical_code
+
+        def code_spy(key):
+            codes.append(key)
+            return canonical(key)
+
+        for name, word, cutoff in _CLOSED_WORDS:
+            fragment = evaluate_fragment(word, cutoff)
+            codes.clear()
+            with monkeypatch.context() as patch:
+                divided = _spy_on_fractions(patch)
+                patch.setattr(engine, "canonical_code", code_spy)
+                patch.setattr(Fraction, "__add__", refused)
+                patch.setattr(Fraction, "__radd__", refused)
+                result = finalize(fragment)
+            assert sorted(codes) == sorted(key for bucket in fragment.graded
+                                           for key in bucket), name
+            assert divided == ["_close"] * len(result.coefficients), name
+            assert all(type(c) is Fraction for c in result.coefficients.values())
+
+
+def _spy_on_fractions(patch):
+    """Record the function that makes each engine Fraction."""
+    made = []
+
+    def fraction_spy(*args):
+        made.append(sys._getframe(1).f_code.co_name)
+        return Fraction(*args)
+
+    patch.setattr(engine, "Fraction", fraction_spy)
+    return made
+
+
+# evaluate_fragment(word, N).terms, then the word's middle-split halves
+# and their graft, for every corpus word at every supported N, as the
+# repr of their items; taken while fragments still stored the flat terms.
+TERMS_SHA256 = \
+    "4f5aef96b8dcc3d9190b85f785506c764188181645281f80e8b64261aa29139d"
+
+
+def test_fragment_terms_are_pinned():
+    out = []
+    for name in corpus_names():
+        word = load_corpus_word(name)
+        middle = len(word) // 2
+        for cutoff in range(max_truncation(word) + 1):
+            lower = evaluate_fragment(word[:middle], cutoff)
+            upper = evaluate_fragment(word[middle:], cutoff, initial=lower.spec_out,
+                                      slice_offset=middle)
+            for fragment in (evaluate_fragment(word, cutoff), lower, upper,
+                             graft(lower, upper)):
+                out.append(repr(list(fragment.terms.items())))
+    text = "\n".join(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == TERMS_SHA256
