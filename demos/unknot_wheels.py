@@ -15,7 +15,7 @@ from kzlab.algebra import (
     unknot_series_closed, wheel_attachment_sum, wheel_coefficients,
 )
 from kzlab.diagrams import reduce_mod_4t
-from kzlab.invariants import class_sum, kinked_unknot_series, unknot_degree_value
+from kzlab.invariants import class_sum, degree_class_sum, kinked_unknot_series
 from kzlab.qtangle.corpus import load_corpus_word
 from kzlab.qtangle.engine import integrate
 
@@ -64,17 +64,18 @@ for cutoff in (3, 4):
 print()
 print("framing powers of the kinked unknot (diagonal cells):")
 kinked = integrate(load_corpus_word("u1"), 3)
+bare = integrate(load_corpus_word("u0"), 3)
 built = kinked_unknot_series(3)
 for k in range(4):
     engine_val = class_sum(kinked, ((k,),))
     series_val = class_sum(built, ((k,),))
-    direct = unknot_degree_value(k, True, 3)
+    direct = degree_class_sum(kinked, k)
     print(f"  k={k}: engine {engine_val}, surgery {series_val}, "
-          f"closed form {direct}")
+          f"degree sum {direct}")
     require(f"k={k} all three routes agree",
             engine_val == series_val == direct)
 require("bare unknot's framing powers vanish",
-        all(unknot_degree_value(k, False, 3) == 0 for k in (1, 2, 3)))
+        all(degree_class_sum(bare, k) == 0 for k in (1, 2, 3)))
 
 print()
 print("unknot wheels:", "all exact" if failures == 0

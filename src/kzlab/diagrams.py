@@ -472,7 +472,9 @@ def _pairings(slot_word: Sequence[int], parts: int) -> Iterator[list[list[int]]]
 def _placements(k: int, parts: int) -> Iterator[list[list[int]]]:
     """Every placement of k chords on `parts` words, as per-word label
     lists: each spread of the 2k endpoints over the words times each
-    pairing of the endpoints, chord t labeling the t-th pair."""
+    pairing of the endpoints, chord t labeling the t-th pair.  Each pair
+    starts at the first slot left, so every placement is a distinct code
+    named by first appearance."""
     for counts in _compositions(2 * k, parts):
         yield from _pairings([w for w, count in enumerate(counts) for _ in range(count)],
                              parts)

@@ -34,7 +34,6 @@ from .algebra import (
     _check_truncation, closed_connected_product, series_exp, unknot_series_closed,
 )
 from .errors import InputError, TruncationUnsupportedError, WordValidationError
-from .qtangle.corpus import load_corpus_word
 from .qtangle.engine import TangleResult, _check_cutoff, crossing_term, integrate
 from .qtangle.words import (
     Slice, WordTrace, _CheckedWord, _as_word, linking_matrix, trace_word,
@@ -402,12 +401,3 @@ def kinked_unknot_series(cutoff: int) -> dict[ChordDiagram, Fraction]:
     twist = series_exp({one_chord: Fraction(1, 2)}, connected_sum, unit,
                        lambda d: d.degree, cutoff)
     return closed_connected_product(unknot_series_closed(cutoff), twist, cutoff)
-
-
-def unknot_degree_value(k: int, framed: bool, cutoff: int) -> Fraction:
-    """Engine-side degree-k coefficient sum for the unframed or the
-    once-kinked unknot word; framed must be a bool."""
-    if type(framed) is not bool:
-        raise InputError(f"framed must be a bool, got {framed!r}")
-    word = load_corpus_word("u1" if framed else "u0")
-    return degree_class_sum(integrate(word, cutoff), k)

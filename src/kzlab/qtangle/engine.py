@@ -36,10 +36,10 @@ through N = 3, 120 at N = 4) is the least that makes c * D**a an integer
 for every kernel coefficient c of degree a: the arcs, a run's
 g**k / (2**k k!) and the associator's 1/24 (a D that leaves one
 fractional raises).  A term of degree d is an int over D**d, and these
-graded ints are the one carrier: a fragment keeps them, graft multiplies
-two at the shared D, and finalize and integrate sum them by code per
-degree, one Fraction per diagram; only finalize checks each key (through
-canonical_code), as integrate's are named by first appearance.
+graded ints are the one carrier: only evaluate_fragment and graft make
+them, in read-only buckets keyed by codes named by first appearance;
+graft multiplies two at the shared D, and finalize (integrate's closing)
+sums them by _least_code per degree, one Fraction per diagram.
 
 Consecutive crossings on the same two strand points, identity slices
 between them allowed, form a run.  Their rungs sit next to each other
@@ -68,7 +68,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
 from ..diagrams import (
     Cells, ChordDiagram, Code, _least_code, _placements, _relabel,
-    _relator_vectors, canonical_code, reduce_mod_4t,
+    _relator_vectors, reduce_mod_4t,
 )
 from ..errors import InputError, TruncationUnsupportedError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
@@ -89,7 +89,7 @@ def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     be an int >= 1 and k an int >= 0 (InputError otherwise)."""
     if not (type(n) is int and type(k) is int and n >= 1 and k >= 0):
         raise InputError("need n >= 1 strands and k >= 0 chords, both ints")
-    return tuple(sorted({_relabel(words) for words in _placements(k, n)}))
+    return tuple(sorted(tuple(map(tuple, words)) for words in _placements(k, n)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -271,6 +271,17 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
     return out
 
 
+class _Graded(tuple):
+    """A fragment's read-only buckets, as evaluate_fragment and graft make them."""
+
+    __slots__ = ()
+
+
+def _check_made(*fragments: FragmentValue) -> None:
+    if any(type(getattr(f, "graded", None)) is not _Graded for f in fragments):
+        raise InputError("fragments must come from evaluate_fragment or graft")
+
+
 class FragmentValue(NamedTuple):
     """Value of a slice range: per-component chord words, ready to graft.
 
@@ -282,7 +293,8 @@ class FragmentValue(NamedTuple):
     the open ones are the anchors keys.
 
     graded[d] maps each key with d chords to an int over
-    _kernel_scale(cutoff) ** d; terms is the flat Fraction view of it.
+    _kernel_scale(cutoff) ** d, read-only; terms is the flat Fraction
+    view of it.
     """
 
     cutoff: int
@@ -292,7 +304,7 @@ class FragmentValue(NamedTuple):
     anchors: Mapping[Birth, tuple[int, ...]]
     span: range
     components: tuple[Birth, ...]
-    graded: Graded
+    graded: _Graded
 
     @property
     def terms(self) -> dict[Code, Fraction]:
@@ -300,20 +312,6 @@ class FragmentValue(NamedTuple):
         scale = _kernel_scale(self.cutoff)
         return {key: Fraction(value, scale ** d) for d, bucket in enumerate(self.graded)
                 for key, value in bucket.items()}
-
-
-def _check_graded(*fragments: FragmentValue) -> None:
-    """Refuse fragments, which may be built by hand, unless each graded is
-    cutoff + 1 dicts, bucket d holding keys with 2d chord ends only."""
-    try:
-        if all(isinstance(f.graded, list) and len(f.graded) == f.cutoff + 1
-               and all(isinstance(bucket, dict) and all(
-                   sum(map(len, key)) == 2 * d for key in bucket)
-                   for d, bucket in enumerate(f.graded)) for f in fragments):
-            return
-    except TypeError:
-        pass
-    raise InputError("a fragment's graded must be cutoff + 1 dicts of d-chord keys")
 
 
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
@@ -452,7 +450,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             terms = _multiply(terms, lifts, _insert_at_points)
     return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
                          trace.anchors, range(slice_offset, slice_offset + len(slices)),
-                         tuple(comps), terms)
+                         tuple(comps), _Graded(map(MappingProxyType, terms)))
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
@@ -471,11 +469,11 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     open and closed words alike.
 
     The product multiplies the two inputs' graded ints at their shared
-    scale; an input built by hand must pass _check_graded.
+    scale; both must come from evaluate_fragment or graft (InputError).
     """
+    _check_made(lower, upper)
     if lower.cutoff != upper.cutoff:
         raise InputError("fragments must share a truncation degree")
-    _check_graded(lower, upper)
     if lower.spec_out != upper.spec_in:
         raise WordValidationError("fragment boundaries do not match")
     if lower.span.stop != upper.span.start:
@@ -551,7 +549,7 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
         tuple((rebirth[(1, comp)], role) for comp, role in upper.leaves),
         {b: anchors[b] for b in sorted(anchors)},
         range(lower.span.start, upper.span.stop),
-        tuple(sorted(walks)), terms)
+        tuple(sorted(walks)), _Graded(map(MappingProxyType, terms)))
 
 
 # -- Results -----------------------------------------------------------------
@@ -612,16 +610,22 @@ class TangleResult(_Series):
         return self._replace(coefficients=MappingProxyType(out))
 
 
-def _close(graded: Graded, code: Callable[[Code], Code], circles: int,
-           cutoff: int) -> TangleResult:
-    """The result of closed keys: each bucket's ints are summed by
-    code(key), and each non-zero sum makes one Fraction and one diagram."""
-    scale = _kernel_scale(cutoff)
+def finalize(fragment: FragmentValue) -> TangleResult:
+    """Close a fully evaluated fragment into labeled circles.
+
+    The fragment must come from evaluate_fragment or graft (InputError),
+    whose keys are named by first appearance: each bucket's ints are
+    summed by _least_code(key), and each non-zero sum makes one Fraction
+    and one diagram."""
+    _check_made(fragment)
+    if fragment.spec_out[1] or fragment.anchors:
+        raise WordValidationError("fragment is not a closed link")
+    scale = _kernel_scale(fragment.cutoff)
     out: dict[ChordDiagram, Fraction] = {}
-    for d, bucket in enumerate(graded):
+    for d, bucket in enumerate(fragment.graded):
         sums: dict[Code, int] = {}
         for key, value in bucket.items():
-            least = code(key)
+            least = _least_code(key)
             value += sums.get(least, 0)
             if value:
                 sums[least] = value
@@ -630,19 +634,8 @@ def _close(graded: Graded, code: Callable[[Code], Code], circles: int,
         den = scale ** d
         for least, value in sums.items():
             out[ChordDiagram._of_code(least)] = Fraction(value, den)
-    return TangleResult(circles, cutoff, MappingProxyType(out))
-
-
-def finalize(fragment: FragmentValue) -> TangleResult:
-    """Close a fully evaluated fragment into labeled circles.
-
-    Keys naming one diagram are summed by canonical code, which checks
-    each key once, and each diagram is built once."""
-    if fragment.spec_out[1] or fragment.anchors:
-        raise WordValidationError("fragment is not a closed link")
-    _check_graded(fragment)
-    return _close(fragment.graded, canonical_code, len(fragment.components),
-                  fragment.cutoff)
+    return TangleResult(len(fragment.components), fragment.cutoff,
+                        MappingProxyType(out))
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -651,8 +644,7 @@ def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
     """integrate and crossing_term, cached on the whole word (the 1024
     most recently used words, cutoffs and blocks)."""
     validate_word(slices)
-    value = evaluate_fragment(slices, cutoff, bare_block=bare_block)
-    return _close(value.graded, _least_code, len(value.components), cutoff)
+    return finalize(evaluate_fragment(slices, cutoff, bare_block=bare_block))
 
 
 def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:

@@ -28,8 +28,8 @@ from .diagrams import (
 )
 from .errors import InputError
 from .invariants import (
-    VerificationReport, _CrossingChange, class_sum, degree_sum_identity,
-    flip_crossing, kinked_unknot_series, unknot_degree_value, verify_theorem,
+    VerificationReport, _CrossingChange, class_sum, degree_class_sum,
+    degree_sum_identity, flip_crossing, kinked_unknot_series, verify_theorem,
 )
 from .qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from .qtangle.engine import (
@@ -131,11 +131,12 @@ def _section_degree_sum() -> Section:
 def _section_framing_powers() -> Section:
     surgery = kinked_unknot_series(SWEEP_DEGREE)
     engine = integrate(load_corpus_word("u1"), SWEEP_DEGREE)
+    bare = integrate(load_corpus_word("u0"), SWEEP_DEGREE)
     for k in range(1, SWEEP_DEGREE + 1):
         expected = Fraction(1, factorial(k) * 2 ** k)
-        plain = unknot_degree_value(k, False, SWEEP_DEGREE)
+        plain = degree_class_sum(bare, k)
         yield plain == 0, lambda: f"degree-{k} sum for the plain unknot is {plain}"
-        framed = unknot_degree_value(k, True, SWEEP_DEGREE)
+        framed = degree_class_sum(engine, k)
         yield framed == expected, lambda: (
             f"engine degree-{k} kinked value {framed} != {expected}")
         by_surgery = sum((c for d, c in surgery.items() if d.degree == k),

@@ -65,9 +65,9 @@ Core claims:
       and strand_monomials; a circle or gap index and a circle
       permutation (verify_theorem's relabel included) must be ints, so a
       float or a bool equal to a valid one is refused; so are a
-      kinked-unknot cutoff that is not an int, a framed flag that is not a
-      bool, and a linking matrix that is not S's size in rows of that
-      length or has an entry read that is not an int or a Fraction; the
+      kinked-unknot cutoff that is not an int, and a linking matrix that
+      is not S's size in rows of that length or has an entry read that
+      is not an int or a Fraction; the
       series combinators take a cutoff that is an int in
       0..MAX_TRUNCATION, and one over it raises TruncationUnsupportedError
       before any work
@@ -106,7 +106,6 @@ from kzlab.diagrams import (
     reduce_mod_4t,
 )
 from kzlab.errors import InputError, TruncationUnsupportedError
-from kzlab.invariants import unknot_degree_value
 from kzlab.qtangle.engine import evaluate_fragment, graft, strand_monomials
 
 
@@ -691,7 +690,6 @@ def _chords(word):
     lambda: kzlab.verify_theorem(kzlab.load_corpus_word("hopf+"),
                                  ((1, 1), (1, 1)), 3, relabel=[True, 2]),
     lambda: kzlab.kinked_unknot_series(2.0),
-    lambda: unknot_degree_value(1, "x", 3),
     # A linking matrix must be S's size in rows of that length, and each
     # entry read an int or a Fraction.
     lambda: kzlab.linking_monomial([[1], [1]], _CLASP),
@@ -714,7 +712,7 @@ def _chords(word):
         "strand-count-float", "circle-index-float", "gap-index-float",
         "circle-index-bool", "gap-index-bool", "perm-float", "perm-bool",
         "theorem-perm-float", "theorem-perm-bool", "kinked-cutoff-float",
-        "framed-str", "linking-ragged", "linking-not-rows", "linking-rows-ints",
+        "linking-ragged", "linking-not-rows", "linking-rows-ints",
         "linking-none", "linking-str", "linking-bool", "linking-float",
         "sqrt-cutoff-float", "sqrt-cutoff-bool", "product-cutoff-negative",
         "connected-cutoff-float", "series-cutoff-float", "exp-cutoff-negative"])

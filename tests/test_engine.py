@@ -15,7 +15,9 @@ Core claims:
       modulo 4T at degrees 2 and 3; the latter pins a unique associator
       sign, the former holds for both
     - Strand monomials count 3 at (2 strands, 1 chord) and linear words
-      at one strand; a degree-0 strand series is its own residual
+      at one strand; a degree-0 strand series is its own residual; the
+      placements of k <= 4 chords on n <= 4 strands are distinct codes
+      named by first appearance, sorted into the strand monomials
     - Integrating the bare unknot word reproduces the closed unknot
       series exactly at truncations 3 and 4
     - Fragment grafting agrees with direct integration at every split
@@ -79,11 +81,12 @@ Core claims:
       multiplies by is an int, with and without rebracketings at every
       truncation; a scale missing any one of its primes makes kernel
       building raise
-    - graft multiplies its inputs' graded buckets at the shared scale:
-      hand-built buckets holding c * D**d for a ladder with sevenths graft
-      to the exact Fraction product; graft and finalize refuse with
-      InputError a flat dict in graded's slot, a wrong bucket count, a
-      mis-bucketed key and a key that is no code
+    - Only evaluate_fragment and graft make a fragment's graded, and its
+      buckets refuse writes: graft and finalize refuse with InputError
+      any other value in its slot (a list of dicts, even a copy of an
+      engine fragment's, a flat dict, a wrong bucket count, a
+      mis-bucketed key, a key that is no code, a string-labelled key)
+      and anything that is no fragment
     - No int leaves the engine: fragment, graft and integrate values
       are Fractions for every corpus word at every supported truncation
     - kzlab.clear_caches empties every library cache, the per-truncation
@@ -106,11 +109,12 @@ Core claims:
       appearance (_relabel leaves it alone): every fragment, every split
       and its graft, on the corpus at every truncation, on nests up to
       N = 4 and 2-braids up to N = 3, and on generated nests and braids;
-      so integrate closes its graded ints with no canonical_code and no
-      flat series, one canonical-code search per key and one Fraction
-      per diagram, and gives finalize's diagrams, coefficients and order;
-      finalize closes a fragment's graded ints with one canonical_code
-      per key, one Fraction per diagram and no Fraction addition
+      so finalize closes a fragment's graded ints with one _least_code
+      per key, one Fraction per diagram, no canonical_code and no
+      Fraction addition, and integrate is finalize of the word's
+      fragment: it reads no flat series, gives finalize's diagrams,
+      coefficients and order, and closes each word it has not cached,
+      crossing_term's bare blocks included, through one finalize call
     - The flat terms of every corpus word's fragment, of its middle-split
       halves and of their graft, at every supported truncation, are
       pinned by a SHA-256 taken while fragments stored flat terms
@@ -135,12 +139,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kzlab
+from kzlab import diagrams
 from kzlab.algebra import (
     sqrt_unknot_series, unknot_series_closed, wheel_attachment_sum,
     wheel_coefficients,
 )
 from kzlab.diagrams import (
-    ChordDiagram, _circle_code, _relabel, all_type_matrices,
+    ChordDiagram, _circle_code, _placements, _relabel, all_type_matrices,
     enumerate_by_degree, four_t_moves, four_t_relators,
 )
 from kzlab.errors import (
@@ -269,6 +274,16 @@ class TestAssociator:
     def test_strand_monomial_counts(self):
         assert len(strand_monomials(2, 1)) == 3
         assert len(strand_monomials(1, 2)) == 3
+
+    def test_placements_are_distinct_codes_named_by_first_appearance(self):
+        # strand_monomials sorts the placements as they come, trusting both.
+        for n in range(1, 5):
+            for k in range(5):
+                codes = [tuple(map(tuple, words)) for words in _placements(k, n)]
+                assert len(set(codes)) == len(codes), (n, k)
+                assert all(_relabel(code) == code for code in codes), (n, k)
+                assert strand_monomials(n, k) == tuple(sorted(codes)) == tuple(
+                    sorted({_relabel(words) for words in _placements(k, n)}))
 
     def test_strand_span_against_sympy_rank(self):
         sympy = pytest.importorskip("sympy")
@@ -931,25 +946,11 @@ class TestScale:
             with pytest.raises(ArithmeticError, match="not an integer"):
                 evaluate_fragment(word, cutoff)
 
-    def test_hand_built_sevenths_graft_exactly(self):
-        word = parse_word("x+@1")
-        lower = evaluate_fragment(word, 3, initial=((0,), (END, END)))
-        upper = evaluate_fragment(word, 3, initial=lower.spec_out,
-                                  slice_offset=1)
-        # Ladder coefficients by chord count, with sevenths mixed in, each
-        # held in its bucket d as c * D**d.
-        low = [Fraction(1), Fraction(1, 7), Fraction(3, 8), Fraction(-2, 49)]
-        up = [Fraction(2), Fraction(1, 2), Fraction(5, 7), Fraction(1, 343)]
-        scale = engine._kernel_scale(3)
-        lower = lower._replace(graded=[{_ladder(k): c * scale ** k}
-                                       for k, c in enumerate(low)])
-        upper = upper._replace(graded=[{_ladder(k): c * scale ** k}
-                                       for k, c in enumerate(up)])
-        expected = {_ladder(n): sum(low[j] * up[n - j] for j in range(n + 1))
-                    for n in range(4)}
-        assert graft(lower, upper).terms == expected
-
     def test_hand_built_fragments_must_be_graded_by_chord_count(self):
+        # Only evaluate_fragment and graft make a fragment's graded: any
+        # other value in its slot, even the list of dicts an engine
+        # fragment's buckets copy into, and anything that is no fragment,
+        # is refused with InputError before a field is read.
         word = parse_word("x+@1")
         lower = evaluate_fragment(word, 2, initial=((0,), (END, END)))
         upper = evaluate_fragment(word, 2, initial=lower.spec_out,
@@ -958,15 +959,26 @@ class TestScale:
         for fragment, call in ((lower, lambda wrong: graft(wrong, upper)),
                                (upper, lambda wrong: graft(lower, wrong)),
                                (closed, finalize)):
-            graded = fragment.graded
+            graded = [dict(bucket) for bucket in fragment.graded]
             assert graded[1]
-            for bad in (fragment.terms,                    # flat, not graded
+            for bad in (graded, fragment.terms,            # a copy, flat
                         graded[:-1], graded + [{}],        # a bucket short, over
                         [graded[0], {}, graded[1]],        # degree-1 keys in bucket 2
                         [graded[0], {**graded[1], **graded[2]}, {}],
                         [{5: 1}, {}, {}], [graded[0], 7, {}]):
-                with pytest.raises(InputError, match="graded"):
+                with pytest.raises(InputError, match="evaluate_fragment or graft"):
                     call(fragment._replace(graded=bad))
+        # A string-labelled key, which graft would add an int to.
+        labelled = upper._replace(graded=[{((), ()): 1}, {(("a",), ("a",)): 12}, {}])
+        for call in (lambda: graft(lower, labelled), lambda: graft(1, 2),
+                     lambda: finalize(None)):
+            with pytest.raises(InputError, match="evaluate_fragment or graft"):
+                call()
+        # The engine's buckets are read-only.
+        for fragment in (lower, upper, graft(lower, upper), closed):
+            for bucket in fragment.graded:
+                with pytest.raises(TypeError):
+                    bucket[((),)] = 1
 
     def test_no_int_leaves_the_engine(self):
         def fractions(values):
@@ -1204,12 +1216,12 @@ class TestWorkSaved:
     def test_finalize_canonicalises_each_key_once(self, monkeypatch):
         codes = []
         inits = []
-        canonical = engine.canonical_code
+        search = engine._least_code
         init = ChordDiagram.__init__
 
         def code_spy(words):
             codes.append(words)
-            return canonical(words)
+            return search(words)
 
         def init_spy(self, words):
             inits.append(words)
@@ -1220,7 +1232,7 @@ class TestWorkSaved:
             codes.clear()
             inits.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(engine, "canonical_code", code_spy)
+                patch.setattr(engine, "_least_code", code_spy)
                 patch.setattr(ChordDiagram, "__init__", init_spy)
                 finalize(fragment)
             assert sorted(codes) == sorted(fragment.terms), name
@@ -1280,8 +1292,30 @@ class TestClosing:
         assert list(got.items()) == list(expected.items())
         assert all(type(c) is Fraction for c in got.values())
 
+    def test_integrate_and_crossing_term_close_through_finalize(self, monkeypatch):
+        # The engine closes in one place: each word integrate or
+        # crossing_term has not cached is one finalize of its fragment.
+        closed = []
+        close = engine.finalize
+
+        def spy(fragment):
+            closed.append(fragment)
+            return close(fragment)
+
+        word = load_corpus_word("trefoil")
+        at = next(i for i, s in enumerate(word) if s.kind == "x")
+        kzlab.clear_caches()
+        monkeypatch.setattr(engine, "finalize", spy)
+        results = [integrate(word, 3), crossing_term(word, at + 1, 1, 3),
+                   integrate(word, 3)]
+        assert [f.terms for f in closed] == [
+            evaluate_fragment(word, 3).terms,
+            evaluate_fragment(word, 3, bare_block=(at, 1)).terms]
+        assert results[0] is results[2]
+        assert results[:2] == [close(fragment) for fragment in closed]
+
     def test_integrate_closes_its_own_ints(self, monkeypatch):
-        # One search per key, one Fraction per diagram, made in the
+        # One search per key, one Fraction per diagram, made in finalize's
         # closing loop, and neither canonical_code nor the flat series.
         def refused(*args):
             raise AssertionError("integrate checked or flattened its own keys")
@@ -1298,39 +1332,40 @@ class TestClosing:
             searched.clear()
             with monkeypatch.context() as patch:
                 divided = _spy_on_fractions(patch)
-                patch.setattr(engine, "canonical_code", refused)
+                patch.setattr(diagrams, "canonical_code", refused)
                 patch.setattr(engine.FragmentValue, "terms", property(refused))
                 patch.setattr(engine, "_least_code", search_spy)
                 result = engine._integrate_cached.__wrapped__(word, cutoff)
             assert sorted(searched) == sorted(key for bucket in graded for key in bucket)
-            assert divided.count("_close") == len(result.coefficients), name
+            assert divided.count("finalize") == len(result.coefficients), name
             assert all(type(c) is Fraction for c in result.coefficients.values())
 
     def test_finalize_closes_the_fragment_ints(self, monkeypatch):
-        # One canonical_code per key, one Fraction per diagram, made in the
-        # closing loop, and no Fraction added to another.
+        # One search per key, one Fraction per diagram, made in the
+        # closing loop, no canonical_code and no Fraction added to another.
         def refused(*args):
-            raise AssertionError("finalize added Fractions")
+            raise AssertionError("finalize checked keys or added Fractions")
 
         codes = []
-        canonical = engine.canonical_code
+        search = engine._least_code
 
         def code_spy(key):
             codes.append(key)
-            return canonical(key)
+            return search(key)
 
         for name, word, cutoff in _CLOSED_WORDS:
             fragment = evaluate_fragment(word, cutoff)
             codes.clear()
             with monkeypatch.context() as patch:
                 divided = _spy_on_fractions(patch)
-                patch.setattr(engine, "canonical_code", code_spy)
+                patch.setattr(engine, "_least_code", code_spy)
+                patch.setattr(diagrams, "canonical_code", refused)
                 patch.setattr(Fraction, "__add__", refused)
                 patch.setattr(Fraction, "__radd__", refused)
                 result = finalize(fragment)
             assert sorted(codes) == sorted(key for bucket in fragment.graded
                                            for key in bucket), name
-            assert divided == ["_close"] * len(result.coefficients), name
+            assert divided == ["finalize"] * len(result.coefficients), name
             assert all(type(c) is Fraction for c in result.coefficients.values())
 
 

@@ -49,8 +49,8 @@ Core claims:
       boundary step per slice
     - The kinked unknot word agrees with the surgery-built series mod 4T
     - Framing powers of the kinked unknot are 1/(k! 2^k); the bare
-      unknot's vanish; a surgery cutoff that is not an int, or a framed
-      flag that is not a bool, is refused before any series is built
+      unknot's vanish; a surgery cutoff that is not an int is refused
+      before any series is built
     - On generated words (kinked nests of up to 12 circles, closed
       2-braids with mixed signs on one or two circles) the degree-sum
       identity holds for k <= 3 at truncation 3, and the theorem for
@@ -102,7 +102,6 @@ from kzlab.invariants import (
     oracle_variation_report,
     smoothing_inversion_reports,
     smoothing_shift_reports,
-    unknot_degree_value,
     variation_match,
     variation_series_report,
     verify_theorem,
@@ -651,10 +650,12 @@ class TestFramingPowers:
             assert lhs == rhs, k
 
     def test_framing_power_values(self):
-        assert unknot_degree_value(0, True, 3) == 1
-        assert [unknot_degree_value(k, True, 3) for k in (1, 2, 3)] == \
+        kinked = integrate(load_corpus_word("u1"), 3)
+        bare = integrate(load_corpus_word("u0"), 3)
+        assert degree_class_sum(kinked, 0) == 1
+        assert [degree_class_sum(kinked, k) for k in (1, 2, 3)] == \
             [Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)]
-        assert all(unknot_degree_value(k, False, 3) == 0 for k in (1, 2, 3))
+        assert all(degree_class_sum(bare, k) == 0 for k in (1, 2, 3))
 
     def test_arguments_are_checked_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -667,9 +668,6 @@ class TestFramingPowers:
                 kinked_unknot_series(cutoff)
         with pytest.raises(TruncationUnsupportedError):
             kinked_unknot_series(5)
-        for framed in ("x", 1, 0, None):
-            with pytest.raises(InputError, match="bool"):
-                unknot_degree_value(1, framed, 3)
 
 
 # == 6. Generated words ======================================================

@@ -54,8 +54,8 @@ def test_misreported_linking_fails_at_the_first_word(monkeypatch):
 
 
 def test_framing_powers_stop_at_the_first_wrong_value(monkeypatch):
-    monkeypatch.setattr(kzlab.selftest, "unknot_degree_value",
-                        lambda k, framed, cutoff: Fraction(1))
+    monkeypatch.setattr(kzlab.selftest, "degree_class_sum",
+                        lambda value, k: Fraction(1))
     result, = run_selftest(["framing-powers"])
     assert not result.passed
     assert result.checks == 1
