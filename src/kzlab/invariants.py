@@ -5,9 +5,10 @@ linking matrix, which the words module counts from signed crossings, and
 a sum of engine coefficients over the chord diagrams of one type matrix
 or one degree.  An identity checks S, the word, S's size, the cutoff and
 S's degree, in that order (see _instance; degree_sum_identity checks a
-degree k in place of S), then any crossing and its sign, before either
-side is computed.  Each returns VerificationReports holding both exact
-sides and no clock, so equal calls return equal reports.
+degree k in place of S), then any crossing and its sign, and reads the
+sums off what it checked without checking again (_class_sum,
+degree_part).  Each returns VerificationReports holding both exact sides
+and no clock, so equal calls return equal reports.
 
 verify_theorem checks the main identity, degree_sum_identity its degree
 aggregate.  Replacing a designated crossing's local series by a bare
@@ -16,8 +17,8 @@ variation_match and smoothing_shift_reports hold at any crossing;
 variation_series_report, smoothing_inversion_reports and
 oracle_variation_report, which check_recursion concatenates for `kzlab
 verify recursion`, at a positive one.  They relate the terms across
-functionals, invert the expansion, and match the whole variation
-against the linking oracle in closed form.  Each public function asks a
+functionals, invert the expansion, and match the whole variation against
+the linking oracle in closed form.  Each public function asks a
 _CrossingChange of its own; a sweep over many S asks one per crossing.
 """
 
@@ -71,10 +72,17 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
 
 
 def _check_degree(k: int, cutoff: int, subject: str = "type matrix") -> None:
-    """Refuse a degree k over the truncation cutoff, naming what needs it."""
+    """Refuse a degree k not an int >= 0, or over the cutoff, naming its subject."""
+    if type(k) is not int or k < 0:
+        raise InputError("degree k must be nonnegative and an int")
     if k > cutoff:
         raise TruncationUnsupportedError(
             f"{subject} needs degree {k} but the series is truncated at {cutoff}")
+
+
+def _class_sum(result: TangleResult, rows: TypeMatrix) -> Fraction:
+    """The class sum of engine output on rows already checked against it."""
+    return result.type_sums(rows.degree).get(rows.cells, _ZERO)
 
 
 def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
@@ -90,23 +98,15 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
         _check_degree(rows.degree, value.truncation)
         if value.circles != len(rows):
             raise InputError("type matrix size differs from circle count")
-        return value.type_sums(rows.degree).get(rows.cells, _ZERO)
+        return _class_sum(value, rows)
     return sum((value.get(diagram, _ZERO) for diagram in enumerate_by_matrix(rows)),
                _ZERO)
 
 
-def _check_sum_degree(k: int, cutoff: int) -> None:
-    """Refuse a degree k that is not an int >= 0, or is over the cutoff."""
-    if type(k) is not int or k < 0:
-        raise InputError("degree k must be nonnegative and an int")
-    _check_degree(k, cutoff, f"the degree-{k} sum")
-
-
 def degree_class_sum(value: TangleResult, k: int) -> Fraction:
-    """Sum of all degree-k coefficients, which is also the sum of the
-    class sums over every type matrix of degree k."""
-    _check_sum_degree(k, value.truncation)
-    return sum(value.degree_part(k).values(), Fraction(0))
+    """Sum of all degree-k coefficients: the sum of every degree-k class sum."""
+    _check_degree(k, value.truncation, f"the degree-{k} sum")
+    return sum(value.degree_part(k).values(), _ZERO)
 
 
 # -- Reports -----------------------------------------------------------------
@@ -183,7 +183,7 @@ def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
         _check_perm(perm, len(rows))
         pulled = TypeMatrix([[rows[p - 1][q - 1] for q in perm] for p in perm])
     lhs = linking_monomial(trace.linking, pulled)
-    rhs = class_sum(integrate(word, cutoff), pulled)
+    rhs = _class_sum(integrate(word, cutoff), pulled)
     return VerificationReport(word_id, rows, cutoff, lhs, rhs)
 
 
@@ -195,10 +195,10 @@ def degree_sum_identity(word: Sequence[Slice], k: int, cutoff: int,
     so no type matrix is listed."""
     oracle = validate_word(word).linking
     _check_cutoff(word, cutoff)
-    _check_sum_degree(k, cutoff)
+    _check_degree(k, cutoff, f"the degree-{k} sum")
     cells = sum((lk for i, row in enumerate(oracle) for lk in row[i:]), _ZERO)
     lhs = cells ** k / factorial(k)
-    rhs = degree_class_sum(integrate(word, cutoff), k)
+    rhs = sum(integrate(word, cutoff).degree_part(k).values(), _ZERO)
     return VerificationReport(word_id, None, cutoff, lhs, rhs, k=k)
 
 
@@ -287,12 +287,12 @@ class _CrossingChange:
         """S lowered at (a, b) to each k <= S_ab, with the zero block's class sum."""
         a, b = self.a, self.b
         return self._once(("lowered", rows), lambda: [
-            (T, class_sum(self.term(0), T)) for T in (
+            (T, _class_sum(self.term(0), T)) for T in (
                 _with_entry(rows, a, b, k) for k in range(rows[a - 1][b - 1] + 1))])
 
     def _jump(self, rows: TypeMatrix) -> Fraction:
-        return self._once(("jump", rows), lambda: class_sum(self.plus(), rows)
-                          - class_sum(self.minus(), rows))
+        return self._once(("jump", rows), lambda: _class_sum(self.plus(), rows)
+                          - _class_sum(self.minus(), rows))
 
     def _drop(self, rows: TypeMatrix) -> Fraction:
         return self._once(("drop", rows), lambda: linking_monomial(self.linking, rows)
@@ -312,7 +312,7 @@ class _CrossingChange:
         block's chords, and blocks larger than the entry contribute nothing."""
         lowered = self._lowered(rows)
         s = len(lowered) - 1
-        return [self._report(rows, class_sum(self.term(k), rows),
+        return [self._report(rows, _class_sum(self.term(k), rows),
                              lowered[s - k][1] if k <= s else _ZERO,
                              "block-shift" if k <= s else "block-vanishing", k)
                 for k in range(rows.degree + 1)]
@@ -322,7 +322,7 @@ class _CrossingChange:
         recovered from the word's own class sums, each read once."""
         self._positive()
         lowered = self._lowered(rows)
-        sums = [class_sum(self.plus(), T) for T, _ in lowered]
+        sums = [_class_sum(self.plus(), T) for T, _ in lowered]
         reports = []
         for k, (T, lhs) in enumerate(lowered):
             # sum_p (-1)^p / (p! 2^p) * sums[k - p] over the common weight
@@ -344,7 +344,7 @@ class _CrossingChange:
         """The class-sum jump under the crossing change, expressed through
         the odd bare chord blocks at the crossing."""
         self._positive()
-        rhs = sum((class_sum(self.term(2 * j + 1), rows) / (factorial(2 * j + 1) * 4 ** j)
+        rhs = sum((_class_sum(self.term(2 * j + 1), rows) / (factorial(2 * j + 1) * 4 ** j)
                    for j in range((rows.degree + 1) // 2)), _ZERO)
         return self._report(rows, self._jump(rows), rhs, "variation-series")
 

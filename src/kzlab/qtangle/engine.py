@@ -272,13 +272,21 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
 
 
 class _Graded(tuple):
-    """A fragment's read-only buckets, as evaluate_fragment and graft make them."""
+    """A fragment's read-only buckets, as evaluate_fragment and graft make
+    them.  made holds the fragment's other fields as they were made with
+    it: fields, not the fragment, so no reference cycle keeps it alive."""
 
-    __slots__ = ()
+
+def _fragment(*fields, terms: Graded) -> FragmentValue:
+    """The engine's fragment of these fields and buckets, vouched for whole."""
+    graded = _Graded(map(MappingProxyType, terms))
+    graded.made = fields
+    return FragmentValue(*fields, graded)
 
 
 def _check_made(*fragments: FragmentValue) -> None:
-    if any(type(getattr(f, "graded", None)) is not _Graded for f in fragments):
+    if any(type(f) is not FragmentValue or type(f.graded) is not _Graded
+           or f.graded.made != f[:-1] for f in fragments):
         raise InputError("fragments must come from evaluate_fragment or graft")
 
 
@@ -294,10 +302,11 @@ class FragmentValue(NamedTuple):
 
     graded[d] maps each key with d chords to an int over
     _kernel_scale(cutoff) ** d, read-only; terms is the flat Fraction
-    view of it.
+    view of it, and the cutoff is read off the buckets.  graft and
+    finalize refuse a fragment any of whose fields differs from what the
+    engine made with its buckets, such as one _replace'd to another value.
     """
 
-    cutoff: int
     spec_in: tuple
     spec_out: tuple
     leaves: tuple[tuple[Birth, str], ...]
@@ -305,6 +314,10 @@ class FragmentValue(NamedTuple):
     span: range
     components: tuple[Birth, ...]
     graded: _Graded
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.graded) - 1
 
     @property
     def terms(self) -> dict[Code, Fraction]:
@@ -448,9 +461,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                                for pos, tokens in by_leaf.items()),
                                          coeff))
             terms = _multiply(terms, lifts, _insert_at_points)
-    return FragmentValue(cutoff, trace.spec_in, trace.spec_out, trace.leaves,
-                         trace.anchors, range(slice_offset, slice_offset + len(slices)),
-                         tuple(comps), _Graded(map(MappingProxyType, terms)))
+    return _fragment(trace.spec_in, trace.spec_out, trace.leaves, trace.anchors,
+                     range(slice_offset, slice_offset + len(slices)), tuple(comps),
+                     terms=terms)
 
 
 def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
@@ -544,12 +557,11 @@ def graft(lower: FragmentValue, upper: FragmentValue) -> FragmentValue:
     terms = _multiply(lower.graded, [list(bucket.items()) for bucket in upper.graded],
                       stitch)
 
-    return FragmentValue(
-        lower.cutoff, lower.spec_in, upper.spec_out,
+    return _fragment(
+        lower.spec_in, upper.spec_out,
         tuple((rebirth[(1, comp)], role) for comp, role in upper.leaves),
-        {b: anchors[b] for b in sorted(anchors)},
-        range(lower.span.start, upper.span.stop),
-        tuple(sorted(walks)), _Graded(map(MappingProxyType, terms)))
+        MappingProxyType({b: anchors[b] for b in sorted(anchors)}),
+        range(lower.span.start, upper.span.stop), tuple(sorted(walks)), terms=terms)
 
 
 # -- Results -----------------------------------------------------------------

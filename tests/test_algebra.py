@@ -23,6 +23,11 @@ Core claims:
     - The closed unknot series has the frozen degree-3 and degree-4
       values (all 18 coefficients), is even,
       and its interval square root closes back onto it exactly
+    - Its gl_N values, each chord the swap, are the h^k coefficients of
+      the quantum dimension sinh(Nh/2) / sinh(h/2) for N = 1..6 in
+      degrees 0-3, and at N = 1 in degree 4; degree 4 at N >= 2 is a
+      strict xfail, 6 times the target (ROADMAP item 1), as the frozen
+      degree-4 table is
     - Truncation degrees above 4 are rejected; a negative one is an
       input error
 """
@@ -56,6 +61,44 @@ def _closed(series):
     out = {}
     for word, coeff in series.items():
         add_term(out, ChordDiagram([word]), coeff)
+    return out
+
+
+def _gl_degree_sums(series, N):
+    """The gl_N weight system on a one-circle series, summed by degree.
+
+    Each chord acts as the swap of two factors of the defining
+    representation, so a diagram is N to the cycles of i -> partner(i) + 1
+    on its 2k points; a bare circle is the trace of 1, N."""
+    sums = {}
+    for diagram, coeff in series.items():
+        word, = diagram.code
+        n = len(word)
+        partner = {i: j for i in range(n) for j in range(n)
+                   if i != j and word[i] == word[j]}
+        seen, cycles = set(), 0 if n else 1
+        for start in range(n):
+            cycles += start not in seen
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = (partner[i] + 1) % n
+        sums[diagram.degree] = sums.get(diagram.degree, 0) + coeff * N ** cycles
+    return sums
+
+
+def _quantum_dimension(N, top):
+    """The h^0..h^top coefficients of sinh(Nh/2) / sinh(h/2), exactly, by
+    dividing the two series sinh(xh/2) / h = sum x^(k+1) h^k / (2^(k+1) (k+1)!)
+    over even k."""
+    def over_h(x):
+        return [Fraction(x ** (k + 1), 2 ** (k + 1) * factorial(k + 1)) if k % 2 == 0
+                else Fraction(0) for k in range(top + 1)]
+
+    num, den = over_h(N), over_h(1)
+    out = []
+    for k in range(top + 1):
+        out.append((num[k] - sum(out[i] * den[k - i] for i in range(k))) / den[0])
     return out
 
 
@@ -221,6 +264,28 @@ class TestUnknotSeries:
             (1, 2, 3, 1, 4, 3, 2, 4): Fraction(1, 720),
             (1, 2, 3, 4, 1, 2, 3, 4): Fraction(1, 576),
         })
+
+    def test_gl_n_values_are_the_quantum_dimension(self):
+        # A second route, through no wheel: the gl_N value of the unknot
+        # is [N] = sinh(Nh/2) / sinh(h/2), degree by degree.  At N = 1
+        # every degree above 0 vanishes, degree 4 included.
+        series = unknot_series_closed(4)
+        for N in range(1, 7):
+            sums, target = _gl_degree_sums(series, N), _quantum_dimension(N, 4)
+            assert target[2] == Fraction(N * (N * N - 1), 24)
+            assert target[4] == Fraction(N * (N * N - 1) * (3 * N * N - 7), 5760)
+            for k in range(5 if N == 1 else 4):
+                assert sums.get(k, 0) == target[k], (N, k)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: unknot_series_closed weights each wheel multiset's "
+        "attachment sum over cyclic leg orders without the 1/(n - 1)! that "
+        "averages it, so its degree-4 part is 6 times too large"))
+    def test_gl_n_degree_four_is_the_quantum_dimension(self):
+        series = unknot_series_closed(4)
+        for N in range(2, 7):
+            sums, target = _gl_degree_sums(series, N), _quantum_dimension(N, 4)
+            assert sums[4] == target[4], (N, sums[4] / target[4])
 
     def test_even_series(self):
         series = unknot_series_closed(4)

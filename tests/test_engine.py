@@ -73,8 +73,8 @@ Core claims:
       its fields, so a result that has filled them equals, and has the
       repr of, one that has not, hashing still fails on its read-only
       mapping, and a relabeled result starts with none; a report's
-      verdict and a cap's closing are properties read off their own
-      fields, and no record holds a clock
+      verdict, a cap's closing and a fragment's cutoff are properties
+      read off their own fields, and no record holds a clock
     - The kernels run in ints: the scale is 12 through truncation 3 and
       120 at 4, the least that makes every arc, crossing-run and
       associator coefficient integral, and every coefficient a kernel
@@ -82,11 +82,14 @@ Core claims:
       truncation; a scale missing any one of its primes makes kernel
       building raise
     - Only evaluate_fragment and graft make a fragment's graded, and its
-      buckets refuse writes: graft and finalize refuse with InputError
+      buckets and anchors refuse writes: graft and finalize refuse with InputError
       any other value in its slot (a list of dicts, even a copy of an
       engine fragment's, a flat dict, a wrong bucket count, a
-      mis-bucketed key, a key that is no code, a string-labelled key)
-      and anything that is no fragment
+      mis-bucketed key, a key that is no code, a string-labelled key),
+      anything that is no fragment, and an engine fragment with another
+      field replaced (no components, another fragment's buckets, its
+      leaves reversed); the cutoff is read off the buckets and is no
+      field, so it cannot be replaced
     - No int leaves the engine: fragment, graft and integrate values
       are Fractions for every corpus word at every supported truncation
     - kzlab.clear_caches empties every library cache, the per-truncation
@@ -859,6 +862,9 @@ class TestRecords:
         assert records["SectionResult"]._fields == (
             "name", "passed", "checks", "detail")
         assert records["CapEvent"]._fields == ("primed", "ending", "starting")
+        fragment = records["FragmentValue"]
+        assert "cutoff" not in fragment._fields
+        assert fragment.cutoff == len(fragment.graded) - 1 == 1
         report = records["VerificationReport"]
         assert report.passed and not report._replace(rhs=report.lhs + 1).passed
         caps = [event for name in corpus_names()
@@ -970,15 +976,35 @@ class TestScale:
                     call(fragment._replace(graded=bad))
         # A string-labelled key, which graft would add an int to.
         labelled = upper._replace(graded=[{((), ()): 1}, {(("a",), ("a",)): 12}, {}])
+        # Engine-made parts put together by hand: a fragment is vouched
+        # for whole, so any field not made with its buckets is refused.
+        u1 = evaluate_fragment(load_corpus_word("u1"), 4)
+        hopf = load_corpus_word("hopf+")
+        middle = len(hopf) // 2
+        below = evaluate_fragment(hopf[:middle], 2)
+        above = evaluate_fragment(hopf[middle:], 2, initial=below.spec_out,
+                                  slice_offset=middle)
+        assert graft(below, above).cutoff == 2
         for call in (lambda: graft(lower, labelled), lambda: graft(1, 2),
-                     lambda: finalize(None)):
+                     lambda: finalize(None),
+                     lambda: finalize(u1._replace(components=())),
+                     lambda: graft(below, above._replace(graded=below.graded)),
+                     lambda: graft(below._replace(leaves=below.leaves[::-1]), above)):
             with pytest.raises(InputError, match="evaluate_fragment or graft"):
                 call()
-        # The engine's buckets are read-only.
-        for fragment in (lower, upper, graft(lower, upper), closed):
+        # The cutoff is read off the buckets, so it cannot be replaced.
+        assert u1.cutoff == len(u1.graded) - 1 == 4
+        with pytest.raises(ValueError, match="cutoff"):
+            u1._replace(cutoff=3)
+        # The engine's buckets and anchors are read-only, so no field
+        # changes in place after the engine made it.
+        for fragment in (lower, upper, graft(lower, upper), closed,
+                         graft(below, above)):
             for bucket in fragment.graded:
                 with pytest.raises(TypeError):
                     bucket[((),)] = 1
+            with pytest.raises(TypeError):
+                fragment.anchors[(0, 0, 9)] = ()
 
     def test_no_int_leaves_the_engine(self):
         def fractions(values):

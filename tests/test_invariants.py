@@ -33,9 +33,9 @@ Core claims:
       the variation series and the inversion identity both close, the
       checker rejects geometrically negative crossings, and
       check_recursion is exactly the series, inversion and oracle
-      reports concatenated; the inversions read 2(s + 1) class sums, each
-      lowered matrix's once per side, and the oracle's int closed form is
-      the old per-term Fraction sum for s <= 8
+      reports concatenated; the inversions read 2(s + 1) class sums off
+      the checked rows, each lowered matrix's once per side, and the
+      oracle's int closed form is the old per-term Fraction sum for s <= 8
     - One crossing-change context reused over every S of each of the 16
       corpus crossings gives, in order, the reports of the public
       functions, each of which makes its own; every public entry point
@@ -55,6 +55,10 @@ Core claims:
       2-braids with mixed signs on one or two circles) the degree-sum
       identity holds for k <= 3 at truncation 3, and the theorem for
       every S of degree at most 1
+    - Truncation independence: the degree <= N part of integrate(w, N')
+      is integrate(w, N) for every N < N' <= max_truncation(w), and an
+      identity slice i@p at every cut and legal p changes nothing, on
+      the corpus and on generated words
     - The 4,328 reports of every identity on the corpus at truncation 3
       (as_dict, rebuilt in the shape that held "ms": 0 after "pass") hash
       to a SHA-256 taken before the sides were summed in ints
@@ -540,15 +544,16 @@ class TestSurgery:
 
     def test_inversion_reads_each_lowered_class_sum_once(self, monkeypatch):
         # s + 1 lowered matrices, each summed once over the smoothed
-        # block and once over the word's own integral.
+        # block and once over the word's own integral, each read straight
+        # off the checked rows.
         seen = []
-        real = invariants.class_sum
+        real = invariants._class_sum
 
         def spy(value, S):
             seen.append(S)
             return real(value, S)
 
-        monkeypatch.setattr(invariants, "class_sum", spy)
+        monkeypatch.setattr(invariants, "_class_sum", spy)
         hopf, trefoil = load_corpus_word("hopf+"), load_corpus_word("trefoil")
         for word, crossing, S, s in ((hopf, 4, HOPF_S, 1),
                                      (hopf, 4, ((1, 2), (2, 0)), 2),
@@ -755,6 +760,42 @@ def test_split_union_is_the_product_of_its_parts(first, second):
     union = integrate(load_corpus_word(first) + load_corpus_word(second), 3)
     assert union.circles == a.circles + b.circles
     assert dict(union.coefficients) == _disjoint_union(a, b)
+
+
+def _assert_truncation_independent(word):
+    # The degree <= N part of integrate(w, N') is integrate(w, N) for
+    # every N < N', across each cutoff's own kernel scale (12, 120 at 4).
+    results = [integrate(word, n) for n in range(max_truncation(word) + 1)]
+    for n, low in enumerate(results):
+        for high in results[n + 1:]:
+            assert high.circles == low.circles
+            assert {d: c for d, c in high.coefficients.items()
+                    if d.degree <= n} == dict(low.coefficients), (n, high.truncation)
+
+
+def _assert_identity_slices_change_nothing(word, cutoff):
+    # i@p at every cut, at every position legal there.
+    value = integrate(word, cutoff)
+    for cut in range(len(word) + 1):
+        for pos in range(1, max(1, trace_word(word[:cut]).open_points) + 1):
+            padded = word[:cut] + (Slice("i", pos),) + word[cut:]
+            assert integrate(padded, cutoff) == value, (cut, pos)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_truncation_and_identity_slices_change_nothing_on_the_corpus(name):
+    word = load_corpus_word(name)
+    _assert_truncation_independent(word)
+    _assert_identity_slices_change_nothing(word, max_truncation(word))
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(_generated_words())
+@example("cup@1;cup@3;assoc-@3;x+@2;x-@2;x+@2;x+@2;assoc+@3;cap@3;cap@1")
+def test_truncation_and_identity_slices_change_nothing_on_generated_words(text):
+    word = parse_word(text)
+    _assert_truncation_independent(word)
+    _assert_identity_slices_change_nothing(word, 2)
 
 
 # == 7. Pinned report digest =================================================

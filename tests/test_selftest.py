@@ -7,8 +7,9 @@ Core claims:
     - The recursion and variation sections make one crossing-change
       context per corpus crossing, which validates the word once and
       flips it at most once, and ask it for each identity once per
-      (crossing, S) pair, never for check_recursion; run in two threads
-      at once, the two sections give the serial results
+      (crossing, S) pair, never for check_recursion, and never call the
+      public class_sum; run in two threads at once, the two sections give
+      the serial results
     - The enumeration section checks each degree list (m <= 3, k <= 4)
       against rotation orbits and the placement count, calling neither
       the type-matrix route, canonical_code nor the placements walk, and
@@ -90,10 +91,14 @@ def test_each_crossing_identity_runs_once_per_pair(monkeypatch):
     spy(kzlab.invariants, "validate_word", "validations")
     spy(kzlab.invariants, "flip_crossing", "context flips")
     spy(kzlab.selftest, "flip_crossing", "sweep flips")
+    # The context reads class sums off rows it checked, never through the
+    # public class_sum, which checks them again.
+    spy(kzlab.invariants, "class_sum", "public class_sum")
+    spy(kzlab.selftest, "class_sum", "sweep class_sum")
     for section, flips in (("recursion", 0), ("variation", CORPUS_CROSSINGS)):
         expected = {"check_recursion": 0, "public check_recursion": 0,
                     "validations": CORPUS_CROSSINGS, "context flips": flips,
-                    "sweep flips": 2}
+                    "sweep flips": 2, "public class_sum": 0, "sweep class_sum": 0}
         for names in identities.values():
             expected.update(dict.fromkeys(
                 names, CROSSING_PAIRS if names is identities[section] else 0))
