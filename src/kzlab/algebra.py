@@ -61,13 +61,24 @@ def concat_words(left: Sequence[int], right: Sequence[int]) -> Word:
 # work grows with it, and no caller needs more.
 
 
-def _check_truncation(cutoff: int) -> None:
+def _check_truncation(cutoff: int, limit: int = MAX_TRUNCATION, scope: str = "") -> None:
+    """Refuse a cutoff that is not an int >= 0 (InputError) or is over
+    limit (TruncationUnsupportedError, its message ending in scope)."""
     if type(cutoff) is not int or cutoff < 0:
         raise InputError("truncation degree must be a nonnegative int")
-    if cutoff > MAX_TRUNCATION:
+    if cutoff > limit:
         raise TruncationUnsupportedError(
-            f"truncation degree {cutoff} exceeds the supported maximum "
-            f"{MAX_TRUNCATION}")
+            f"truncation degree {cutoff} exceeds the supported maximum {limit}{scope}")
+
+
+def _check_degree(k: int, cutoff: int, subject: str) -> None:
+    """Refuse a degree k not an int >= 0 (InputError), or one over a
+    series' cutoff (TruncationUnsupportedError, naming its subject)."""
+    if type(k) is not int or k < 0:
+        raise InputError("degree k must be nonnegative and an int")
+    if k > cutoff:
+        raise TruncationUnsupportedError(
+            f"{subject} needs degree {k} but the series is truncated at {cutoff}")
 
 
 def series_product(a: Mapping, b: Mapping, product: Callable,

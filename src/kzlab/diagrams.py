@@ -47,12 +47,16 @@ type.  Two necessary conditions of canonical_code prune a circle's word
 before the next circle is written, and a full code is kept if and only
 if it is its own least code, so every diagram is made once and no set
 is needed.  Empty circles cost nothing but their () in the code.
-The placements (every spread of the endpoints over the words times
-every pairing) are a separate slot-pairing walk, for the engine's
-strands.  Each enumeration counts its work in closed form before it
-starts, and refuses (InputError) more than ENUMERATION_LIMIT matchings
-or type-matrix entries; a family's matching count also bounds the codes
-it tries.  Chords on open strands share this code: one 4T move,
+A degree list walks its types as sparse cells, each multiset of k
+chords over the cells i <= j once, straight into the type families; the
+dense list all_type_matrices is made from the same walk, for callers
+that show each S.  The placements (every spread of the endpoints over
+the words, a multiset of words, times every pairing) are a separate
+slot-pairing walk, for the engine's strands.  Each enumeration counts
+its work in closed form before it starts, and refuses (InputError) more
+than ENUMERATION_LIMIT matchings, or, for all_type_matrices alone,
+type-matrix entries; a family's matching count also bounds the codes it
+tries.  Chords on open strands share this code: one 4T move,
 relator-vector builder and per-degree quotient serve circles here and
 strands in the engine.
 """
@@ -403,8 +407,9 @@ def connected_sum(a: ChordDiagram, b: ChordDiagram, circle: int = 1,
 # a type, which bound the codes enumerate_by_matrix tries, or the entries
 # all_type_matrices writes.  Degree 4 on 3 circles has 4,725 matchings,
 # degree 5 on 3 circles 62,370 (under a second), and every degree-1 type
-# matrix on 20 circles takes 84,000 entries; degree 7 on one circle
-# (135,135) is refused.
+# matrix on 20 circles takes 84,000 entries, while the degree-1 list on
+# 21 circles has 231 matchings; degree 7 on one circle (135,135) is
+# refused.
 ENUMERATION_LIMIT = 100_000
 
 
@@ -431,13 +436,6 @@ def _check_work(what: str, factors: Iterable[int]) -> None:
     if total > ENUMERATION_LIMIT:
         raise InputError(f"{what} exceeds the enumeration limit "
                          f"of {ENUMERATION_LIMIT:,}")
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every way to write total as an ordered sum of `parts` naturals."""
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        bounds = (-1,) + cuts + (total + parts - 1,)
-        yield tuple(bounds[i + 1] - bounds[i] - 1 for i in range(parts))
 
 
 def _pairings(slot_word: Sequence[int], parts: int) -> Iterator[list[list[int]]]:
@@ -474,10 +472,10 @@ def _placements(k: int, parts: int) -> Iterator[list[list[int]]]:
     lists: each spread of the 2k endpoints over the words times each
     pairing of the endpoints, chord t labeling the t-th pair.  Each pair
     starts at the first slot left, so every placement is a distinct code
-    named by first appearance."""
-    for counts in _compositions(2 * k, parts):
-        yield from _pairings([w for w, count in enumerate(counts) for _ in range(count)],
-                             parts)
+    named by first appearance.  A spread is the nondecreasing list of the
+    words the 2k slots lie on."""
+    for slot_word in itertools.combinations_with_replacement(range(parts), 2 * k):
+        yield from _pairings(slot_word, parts)
 
 
 def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, ...]:
@@ -489,7 +487,7 @@ def enumerate_by_matrix(matrix: Sequence[Sequence[int]]) -> tuple[ChordDiagram, 
     return _by_matrix(len(S), S.cells)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _by_matrix(m: int, cells: Cells) -> tuple[ChordDiagram, ...]:
     # Circle i carries one slot per chord end: two per chord in S[i][i].
     slots = [0] * m
@@ -563,10 +561,19 @@ def _matching_factors(slots: list[int], cells: Cells) -> Iterator[int]:
 
 
 def _check_counts(m: int, k: int) -> None:
-    """Refuse (InputError) a circle count m or a degree k that is not an
-    int (a bool or a float included), or is out of range."""
+    """Refuse (InputError) a circle or strand count m or a degree k that
+    is not an int (a bool or a float included), or is out of range."""
     if not (type(m) is int and type(k) is int and m >= 1 and k >= 0):
         raise InputError("need m >= 1 circles and degree k >= 0, both ints")
+
+
+def _type_cells(m: int, k: int) -> Iterator[Cells]:
+    """Each degree-k type on m circles once, as its sorted cells: each
+    multiset of k chords over the cells i <= j, counted as it runs."""
+    # Degree 0 has the one type (), whatever m; no cell is listed for it.
+    cells = [(i, j) for i in range(m) for j in range(i, m)] if k else []
+    for choice in itertools.combinations_with_replacement(cells, k):
+        yield tuple([(i, j, len(list(run))) for (i, j), run in itertools.groupby(choice)])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -576,25 +583,18 @@ def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     # comb(k + c - 1, k) matrices over the c cells i <= j, m * m entries each.
     _check_work(f"the entry count of the degree-{k} type matrices on {m} circles",
                 [_binomial(k + m * (m + 1) // 2 - 1, k), m * m])
-    cells = [(i, j) for i in range(m) for j in range(i, m)]
-    out = []
-    for values in _compositions(k, len(cells)):
-        nonzero = tuple((i, j, v) for (i, j), v in zip(cells, values) if v)
-        out.append(TypeMatrix._of_cells(m, nonzero))
-    return tuple(sorted(out))
+    return tuple(sorted(TypeMatrix._of_cells(m, cells) for cells in _type_cells(m, k)))
 
 
 @lru_cache(maxsize=None, typed=True)
 def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
     """All degree-k diagrams on m labeled circles, sorted by code."""
     _check_counts(m, k)
-    # comb(2k + m - 1, m - 1) spreads of the 2k ends, (2k - 1)!! pairings each.
+    # comb(2k + m - 1, m - 1) spreads of the 2k ends, (2k - 1)!! pairings
+    # each; the types' families split these matchings among them.
     _check_work(f"the matching count of degree {k} on {m} circles",
                 itertools.chain([_binomial(2 * k + m - 1, m - 1)], range(1, 2 * k, 2)))
-    found: list[ChordDiagram] = []
-    for matrix in all_type_matrices(m, k):
-        found.extend(enumerate_by_matrix(matrix))
-    return tuple(sorted(found))
+    return tuple(sorted(d for cells in _type_cells(m, k) for d in _by_matrix(m, cells)))
 
 
 # -- The four-term relation --------------------------------------------------

@@ -24,15 +24,17 @@ class WordValidationError(KzlabError):
 
 class InputError(KzlabError, ValueError):
     """An argument is out of its documented range: a malformed type
-    matrix, a circle permutation of the wrong size, a negative degree or
-    chord count, a type matrix whose size differs from the circle count,
-    an unknown selftest section.  A plain ValueError is not one: it
+    matrix, a circle permutation of the wrong size, a negative or non-int
+    degree or chord count, a type matrix whose size differs from the
+    circle count, an unknown selftest section.  A plain ValueError is not one: it
     means an internal fault, not bad input.
     """
 
 
 class TruncationUnsupportedError(KzlabError):
-    """The requested truncation degree exceeds what the engine supports."""
+    """The requested truncation degree exceeds what the engine supports,
+    or a degree read from a series (a type sum, a degree part, an
+    identity's S or degree) exceeds the series' truncation."""
 
 
 class CorpusLookupError(KzlabError):

@@ -32,9 +32,10 @@ from .diagrams import (
     ChordDiagram, TypeMatrix, _check_perm, connected_sum, enumerate_by_matrix,
 )
 from .algebra import (
-    _check_truncation, closed_connected_product, series_exp, unknot_series_closed,
+    _check_degree, _check_truncation, closed_connected_product, series_exp,
+    unknot_series_closed,
 )
-from .errors import InputError, TruncationUnsupportedError, WordValidationError
+from .errors import InputError, WordValidationError
 from .qtangle.engine import TangleResult, _check_cutoff, crossing_term, integrate
 from .qtangle.words import (
     Slice, WordTrace, _CheckedWord, _as_word, linking_matrix, trace_word,
@@ -71,15 +72,6 @@ def linking_monomial(linking: Sequence[Sequence[Fraction]],
     return Fraction(num, den)
 
 
-def _check_degree(k: int, cutoff: int, subject: str = "type matrix") -> None:
-    """Refuse a degree k not an int >= 0, or over the cutoff, naming its subject."""
-    if type(k) is not int or k < 0:
-        raise InputError("degree k must be nonnegative and an int")
-    if k > cutoff:
-        raise TruncationUnsupportedError(
-            f"{subject} needs degree {k} but the series is truncated at {cutoff}")
-
-
 def _class_sum(result: TangleResult, rows: TypeMatrix) -> Fraction:
     """The class sum of engine output on rows already checked against it."""
     return result.type_sums(rows.degree).get(rows.cells, _ZERO)
@@ -95,7 +87,7 @@ def class_sum(value: TangleResult | Mapping[ChordDiagram, Fraction],
     over every diagram of the type (the tests' oracle for the lookup)."""
     rows = TypeMatrix(S)
     if isinstance(value, TangleResult):
-        _check_degree(rows.degree, value.truncation)
+        _check_degree(rows.degree, value.truncation, "type matrix")
         if value.circles != len(rows):
             raise InputError("type matrix size differs from circle count")
         return _class_sum(value, rows)
@@ -160,7 +152,7 @@ def _instance(word: Sequence[Slice], S: Sequence[Sequence[int]],
     if len(rows) != len(trace.linking):
         raise InputError("type matrix size differs from circle count")
     _check_cutoff(word, cutoff)
-    _check_degree(rows.degree, cutoff)
+    _check_degree(rows.degree, cutoff, "type matrix")
     return rows, trace
 
 

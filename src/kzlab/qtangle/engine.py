@@ -65,12 +65,12 @@ from math import factorial, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from ..algebra import MAX_TRUNCATION, sqrt_unknot_series
+from ..algebra import MAX_TRUNCATION, _check_degree, _check_truncation, sqrt_unknot_series
 from ..diagrams import (
-    Cells, ChordDiagram, Code, _least_code, _placements, _relabel,
+    Cells, ChordDiagram, Code, _check_counts, _least_code, _placements, _relabel,
     _relator_vectors, reduce_mod_4t,
 )
-from ..errors import InputError, TruncationUnsupportedError, WordValidationError
+from ..errors import InputError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
 from .words import (
     AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
@@ -87,8 +87,7 @@ _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All normalized placements of k chords on n labeled strands; n must
     be an int >= 1 and k an int >= 0 (InputError otherwise)."""
-    if not (type(n) is int and type(k) is int and n >= 1 and k >= 0):
-        raise InputError("need n >= 1 strands and k >= 0 chords, both ints")
+    _check_counts(n, k)
     return tuple(sorted(tuple(map(tuple, words)) for words in _placements(k, n)))
 
 
@@ -184,13 +183,7 @@ def max_truncation(slices: Sequence[Slice]) -> int:
 
 
 def _check_cutoff(slices: Sequence[Slice], cutoff: int) -> None:
-    if type(cutoff) is not int or cutoff < 0:
-        raise InputError("truncation degree must be a nonnegative int")
-    limit = max_truncation(slices)
-    if cutoff > limit:
-        raise TruncationUnsupportedError(
-            f"truncation degree {cutoff} exceeds the supported maximum {limit} "
-            "for this word")
+    _check_truncation(cutoff, max_truncation(slices), " for this word")
 
 
 def _insert_at_points(words: Code, inserts: Sequence[tuple[int, str, tuple[int, ...]]]
@@ -588,20 +581,17 @@ class TangleResult(_Series):
     def coefficient(self, diagram: ChordDiagram) -> Fraction:
         return self.coefficients.get(diagram, Fraction(0))
 
-    def _check_k(self, k: int) -> None:
-        if type(k) is not int or not 0 <= k <= self.truncation:
-            raise InputError(f"degree must be an int in 0..{self.truncation}")
-
     def degree_part(self, k: int) -> dict[ChordDiagram, Fraction]:
-        self._check_k(k)
+        _check_degree(k, self.truncation, "the degree part")
         return {d: c for d, c in self.coefficients.items() if d.degree == k}
 
     def type_sums(self, k: int) -> Mapping[Cells, Fraction]:
         """The degree-k coefficients summed by type, read-only: a type's
         cells map to its class sum, and a type summing to 0 is absent.
-        k must be an int in 0..truncation (InputError otherwise), so at
-        most truncation + 1 groupings are kept."""
-        self._check_k(k)
+        k must be an int >= 0 (InputError otherwise) and at most the
+        truncation (TruncationUnsupportedError), so at most truncation + 1
+        groupings are kept."""
+        _check_degree(k, self.truncation, "a type sum")
         kept = vars(self).setdefault("_type_sums", {})
         sums = kept.get(k)
         if sums is None:

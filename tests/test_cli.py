@@ -50,6 +50,10 @@ Core claims:
       theorem, like recursion, reports an S of the wrong size (exit 3)
       before a truncation the word does not support; a word file longer
       than MAX_WORD_CHARS (/dev/zero) exits 2 after reading that much
+    - a degree list is bounded by its matchings alone: enumerate on 21
+      circles at degree 1 exits 0 with count 231, while verify theorem
+      --all-S at degree 1 on a 21-circle nest, which lists every dense S,
+      exits 3
     - a closed stdout pipe leaves the exit code to the command's verdict
       and writes nothing to stderr
     - a word nested 600 levels deep computes
@@ -466,6 +470,19 @@ class TestExitCodes:
             assert proc.returncode == expected and not proc.stdout, argv
             assert proc.stderr.startswith("error:"), argv
             assert proc.stderr.count("\n") == 1, argv
+
+    def test_degree_lists_past_the_dense_bound_exit_0(self, capsys, tmp_path):
+        # A degree list is bounded by its matchings; --all-S shows every S,
+        # so it stays bounded by their dense entries (231 * 21 ** 2).
+        code, out, err = _run(capsys, "enumerate", "--circles", "21", "--k", "1")
+        assert code == 0 and not err
+        assert out.splitlines()[-1] == "count: 231"
+        path = tmp_path / "nest21.qtw"
+        path.write_text("cup@1\n" * 21 + "cap@1\n" * 21, encoding="utf-8")
+        code, out, err = _run(capsys, "verify", "theorem", "--word", str(path),
+                              "--all-S", "--degree", "1")
+        assert code == 3 and not out
+        assert err.startswith("error: the entry count of the degree-1 type matrices")
 
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

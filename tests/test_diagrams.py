@@ -28,7 +28,15 @@ Core claims:
       it fails
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18, 105 up to
       degree 5 (OEIS A007769)
-    - Type families partition each degree list (m <= 3, k <= 4)
+    - Type families partition each degree list (m <= 3, k <= 4); each
+      degree list is the sorted union of the families of its type
+      matrices, walked as type cells, each type once with its cells
+      sorted (m <= 4, k <= 3)
+    - A degree list is bounded by its matchings alone, not by the
+      entries of dense matrices it never builds: 21 circles at degree 1
+      list 231 diagrams (and a quotient of dimension 231) where the
+      type-matrix list is refused, and degree 0 on 400 or 100,000
+      circles gives its one diagram in well under a second
     - The placements generator yields C(2k+p-1, p-1) (2k-1)!! label
       lists for k chords on p words (p <= 3, k <= 4); each type family
       is of its type, and the families together are exactly the
@@ -78,6 +86,7 @@ import itertools
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +104,7 @@ from kzlab.diagrams import (
     _least_code,
     _placements,
     _relabel,
+    _type_cells,
     all_type_matrices,
     canonical_code,
     connected_sum,
@@ -429,6 +439,29 @@ class TestEnumeration:
                           for S in all_type_matrices(m, k)]
                 assert sum(len(p) for p in pieces) == len(whole)
                 assert set().union(*pieces) == whole
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_degree_lists_walk_their_type_cells(self, m):
+        for k in range(4):
+            types = list(_type_cells(m, k))
+            assert len(set(types)) == len(types)
+            assert all(list(cells) == sorted(cells) for cells in types)
+            matrices = all_type_matrices(m, k)
+            assert sorted(types) == sorted(S.cells for S in matrices)
+            assert enumerate_by_degree(m, k) == tuple(sorted(
+                d for S in matrices for d in enumerate_by_matrix(S)))
+
+    def test_degree_lists_are_bounded_by_their_matchings_alone(self):
+        # 231 types on 21 circles take 101,871 dense entries, over the
+        # limit, but the list reads only their cells.
+        with pytest.raises(InputError, match="entry count"):
+            all_type_matrices(21, 1)
+        assert len(enumerate_by_degree(21, 1)) == quotient_dimension(21, 1) == 231
+        for m in (400, 10 ** 5):
+            start = time.perf_counter()
+            (only,) = enumerate_by_degree.__wrapped__(m, 0)
+            assert time.perf_counter() - start < 1.0
+            assert only.code == ((),) * m
 
     def test_deterministic_order(self):
         family = enumerate_by_degree(2, 2)

@@ -96,7 +96,8 @@ Core claims:
       scale included; the thread-pool check starts from it
     - The whole-word integration and trace caches keep at most 1024
       entries: a loop over more distinct words stays within the bound and
-      an evicted word integrates to the same series
+      an evicted word integrates to the same series; so does the type
+      family cache behind enumerate_by_matrix, over more distinct S
     - finalize gives the diagrams, coefficients and order of summing one
       ChordDiagram per key from Fraction(0), on every corpus word at
       every truncation it supports and on nests and closed 2-braids; it
@@ -149,7 +150,7 @@ from kzlab.algebra import (
 )
 from kzlab.diagrams import (
     ChordDiagram, _circle_code, _placements, _relabel, all_type_matrices,
-    enumerate_by_degree, four_t_moves, four_t_relators,
+    enumerate_by_degree, enumerate_by_matrix, four_t_moves, four_t_relators,
 )
 from kzlab.errors import (
     InputError, TruncationUnsupportedError, WordValidationError,
@@ -1059,6 +1060,18 @@ class TestScale:
         # The first words were evicted, and come back with the same series.
         assert [integrate(word, 1).coefficients for word in words[:3]] == first
         assert engine._integrate_cached.cache_info().currsize == bound
+
+    def test_type_family_cache_keeps_at_most_its_bound(self):
+        # Unit diagonals on up to 50 circles, each with at most one zero:
+        # more distinct S than the word caches' bound.
+        matrices = [[[int(i == j != zero) for j in range(m)] for i in range(m)]
+                    for m in range(1, 51) for zero in range(m + 1)]
+        assert len(matrices) > 1024
+        kzlab.clear_caches()
+        for S in matrices:
+            assert len(enumerate_by_matrix(S)) == 1
+            assert enumerate_by_matrix.cache_info().currsize <= 1024
+        assert enumerate_by_matrix.cache_info().currsize == 1024
 
 
 _HOPF = load_corpus_word("hopf+")

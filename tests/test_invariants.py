@@ -54,7 +54,8 @@ Core claims:
     - On generated words (kinked nests of up to 12 circles, closed
       2-braids with mixed signs on one or two circles) the degree-sum
       identity holds for k <= 3 at truncation 3, and the theorem for
-      every S of degree at most 1
+      every S of degree at most 1, and grafting the two fragments at
+      every cut gives the integral at truncation 2 (and 3 on the braids)
     - Truncation independence: the degree <= N part of integrate(w, N')
       is integrate(w, N) for every N < N' <= max_truncation(w), and an
       identity slice i@p at every cut and legal p changes nothing, on
@@ -114,7 +115,7 @@ from kzlab.qtangle import engine
 from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
 from kzlab.qtangle.engine import (
     TangleResult, associator_sign, crossing_term, evaluate_fragment, finalize,
-    integrate, max_truncation,
+    graft, integrate, max_truncation,
 )
 from kzlab.qtangle.words import (
     BoundaryState, Slice, _CheckedWord, _as_word, _trace_cached, linking_matrix,
@@ -293,15 +294,20 @@ class TestClassSum:
         assert sums[(0, 1, 1), (1, 2, 1)] == class_sum(result, S)
         with pytest.raises(TypeError):
             sums[()] = Fraction(1)
-        for k in (-1, 4, True, 2.0):
+        for k in (-1, True, 2.0):
             with pytest.raises(InputError):
                 result.type_sums(k)
+        with pytest.raises(TruncationUnsupportedError):
+            result.type_sums(4)
 
     def test_degree_parts_refuse_what_type_sums_refuses(self):
         result = integrate(load_corpus_word("trefoil"), 3)
-        for k in (-1, 4, 9, True, 2.0, 2.5):
-            for read in (result.type_sums, result.degree_part, result.reduced):
-                with pytest.raises(InputError, match=r"int in 0\.\.3"):
+        for read in (result.type_sums, result.degree_part, result.reduced):
+            for k in (-1, True, 2.0, 2.5):
+                with pytest.raises(InputError, match="degree k must be nonnegative"):
+                    read(k)
+            for k in (4, 9):
+                with pytest.raises(TruncationUnsupportedError, match="truncated at 3"):
                     read(k)
         assert sum(result.degree_part(2).values()) == Fraction(9, 8)
 
@@ -710,6 +716,20 @@ def test_identities_hold_on_generated_words(text):
         assert degree_sum_identity(word, k, 3).passed, (text, k)
     for S in (S for k in range(2) for S in all_type_matrices(circles, k)):
         assert verify_theorem(word, S, 3).passed, (text, S)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_generated_words())
+def test_graft_at_every_split_is_the_integral_on_generated_words(text):
+    word = parse_word(text)
+    braid = any(s.kind == "assoc" for s in word)
+    for cutoff in (2, 3) if braid else (2,):
+        whole = integrate(word, cutoff).coefficients
+        for cut in range(1, len(word)):
+            lower = evaluate_fragment(word[:cut], cutoff)
+            upper = evaluate_fragment(word[cut:], cutoff, initial=lower.spec_out,
+                                      slice_offset=cut)
+            assert finalize(graft(lower, upper)).coefficients == whole, (text, cut)
 
 
 def _mirror(word):
