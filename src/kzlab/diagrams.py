@@ -67,6 +67,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -368,7 +369,9 @@ class ChordDiagram:
     def __hash__(self) -> int:
         return hash(self.code)
 
-    def __lt__(self, other: "ChordDiagram") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, ChordDiagram):
+            return NotImplemented
         return (self.circles, self.degree, self.code) < (other.circles, other.degree, other.code)
 
     def __repr__(self) -> str:
@@ -505,8 +508,9 @@ def _by_matrix(m: int, cells: Cells) -> tuple[ChordDiagram, ...]:
                    for word, after, given in _circle_words(c, slots[c], rows.get(c, {}),
                                                            ends, n)]
     codes = (tuple([words.get(c, ()) for c in range(m)]) for words, _, _ in partial)
-    return tuple(sorted(ChordDiagram._of_code(code) for code in codes
-                        if _least_code(code) == code))
+    # One circle count and degree throughout, so the codes alone sort them.
+    return tuple(map(ChordDiagram._of_code,
+                     sorted(code for code in codes if _least_code(code) == code)))
 
 
 enumerate_by_matrix.cache_info = _by_matrix.cache_info
@@ -594,7 +598,8 @@ def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
     # each; the types' families split these matchings among them.
     _check_work(f"the matching count of degree {k} on {m} circles",
                 itertools.chain([_binomial(2 * k + m - 1, m - 1)], range(1, 2 * k, 2)))
-    return tuple(sorted(d for cells in _type_cells(m, k) for d in _by_matrix(m, cells)))
+    return tuple(sorted((d for cells in _type_cells(m, k) for d in _by_matrix(m, cells)),
+                        key=attrgetter("code")))
 
 
 # -- The four-term relation --------------------------------------------------

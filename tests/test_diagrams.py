@@ -19,6 +19,8 @@ Core claims:
       anything but a sequence of words of hashable labels with
       InputError, not a raw TypeError; the words may come as any
       iterable; empty circles are fine
+    - Diagrams order by circle count, degree and code; ordering one
+      against anything but a diagram raises TypeError
     - Type matrices count chords by endpoint circles, symmetrically; a
       TypeMatrix is square, symmetric and natural (int entries only),
       is built once, and knows its sparse cells and its degree, which no
@@ -290,6 +292,16 @@ class TestCanonicalForm:
         a = ChordDiagram([(1, 1), ()])
         b = ChordDiagram([(), (1, 1)])
         assert a != b
+
+    def test_ordering_against_a_non_diagram_is_a_type_error(self):
+        d, chord = ChordDiagram([()]), ChordDiagram([(1, 1)])
+        assert d.__lt__(1) is NotImplemented
+        for other in (1, "a", None, ((),)):
+            with pytest.raises(TypeError):
+                d < other
+            with pytest.raises(TypeError):
+                other > d
+        assert sorted([chord, d]) == [d, chord]
 
     def test_cached_diagrams_are_immutable(self):
         cached, = enumerate_by_matrix(((1,),))

@@ -17,13 +17,29 @@ Core claims:
       not its class's least, or a code of another degree or circle count
     - The whole sweep's verdicts, counts and messages hash to the
       selftest digest in bench/reference.json
+    - A sweep over both halves runs one half in a forked worker and gives
+      the serial results, a failing check's count and detail included;
+      a worker's exception is raised in the caller with its type (one
+      that cannot be pickled as a RuntimeError naming it), a worker that
+      exits without results raises, a raise in the caller's own half
+      kills the worker, and no child is left behind in any case
+    - A sweep from a second thread never forks, and `kzlab selftest
+      --json` prints what a serial run prints, with text written before
+      it, unflushed, printed once
+    - Importing kzlab loads neither pickle nor multiprocessing
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import kzlab
 import kzlab.diagrams
@@ -36,6 +52,7 @@ from kzlab.selftest import run_selftest
 CORPUS_CROSSINGS = 16
 CROSSING_PAIRS = 512
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_misreported_linking_fails_at_the_first_word(monkeypatch):
@@ -177,3 +194,159 @@ def test_the_sweep_matches_the_bench_reference_digest():
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     reference = json.loads(REFERENCE.read_text())["digests"]["selftest"]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference
+
+
+# -- The split sweep ---------------------------------------------------------
+
+
+def _matches_reference(results):
+    payload = [[r.name, r.passed, r.checks, r.detail] for r in results]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    reference = json.loads(REFERENCE.read_text())["digests"]["selftest"]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest() == reference
+
+
+@pytest.fixture
+def reaped():
+    """After the test, this process has no child left, running or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch, reaped):
+    """The os.fork calls made, with 2 usable CPUs reported whatever the
+    host has, so a sweep over both halves splits."""
+    calls = []
+    real = os.fork
+
+    def spy():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(kzlab.selftest, "_usable_cpus", lambda: 2)
+    return calls
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(kzlab.selftest, "_usable_cpus", lambda: 1)
+    return run_selftest()
+
+
+def test_split_and_serial_sweeps_give_equal_results(forks, monkeypatch):
+    kzlab.clear_caches()
+    split = run_selftest()
+    assert len(forks) == 1
+    kzlab.clear_caches()
+    assert _serial(monkeypatch) == split
+    assert len(forks) == 1
+    assert _matches_reference(split)
+    # Sections asked for on one side of the split run here, unforked.
+    assert [r.name for r in run_selftest(["pentagon", "theorem"])] == [
+        "theorem", "pentagon"]
+    assert len(forks) == 1
+
+
+def test_a_failing_worker_check_reports_as_in_serial(forks, monkeypatch):
+    monkeypatch.setattr(kzlab.selftest, "_one_per_rotation_class",
+                        lambda m, k, listed: False)
+    split = run_selftest()
+    assert len(forks) == 1
+    assert split == _serial(monkeypatch)
+    failed = [r for r in split if not r.passed]
+    assert failed == [kzlab.selftest.SectionResult(
+        "enumeration", False, 4, "degree list (m=1, k=0) != brute force")]
+
+
+def test_a_worker_exception_is_raised_with_its_type(forks, monkeypatch):
+    def refuse(m, k):
+        raise kzlab.InputError(f"no relators at ({m}, {k})")
+
+    monkeypatch.setattr(kzlab.selftest, "four_t_relators", refuse)
+    with pytest.raises(kzlab.InputError, match=r"no relators at \(1, 2\)"):
+        run_selftest(["relators", "linking"])
+
+    class Local(Exception):
+        pass
+
+    def unpicklable(m, k):
+        raise Local("kept in the worker")
+
+    monkeypatch.setattr(kzlab.selftest, "four_t_relators", unpicklable)
+    with pytest.raises(RuntimeError, match="Local.*kept in the worker"):
+        run_selftest(["relators", "linking"])
+    assert len(forks) == 2
+
+
+def test_a_worker_that_exits_without_results_raises(forks, monkeypatch):
+    monkeypatch.setattr(kzlab.selftest, "four_t_relators",
+                        lambda m, k: os._exit(3))
+    with pytest.raises(RuntimeError, match="status 3"):
+        run_selftest(["relators", "linking"])
+    assert len(forks) == 1
+
+
+def test_a_raise_in_the_callers_half_kills_the_worker(forks, monkeypatch):
+    def refuse(word):
+        raise kzlab.InputError("no crossings counted")
+
+    # The worker would take 30 s; the caller raises at once and kills it.
+    monkeypatch.setattr(kzlab.selftest, "four_t_relators",
+                        lambda m, k: time.sleep(30))
+    monkeypatch.setattr(kzlab.selftest, "linking_matrix", refuse)
+    started = time.monotonic()
+    with pytest.raises(kzlab.InputError, match="no crossings counted"):
+        run_selftest()
+    assert time.monotonic() - started < 10
+    assert len(forks) == 1
+
+
+def test_a_sweep_from_a_second_thread_never_forks(forks):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        results = pool.submit(run_selftest).result(timeout=60)
+    assert forks == []
+    assert _matches_reference(results)
+
+
+def _cli_selftest(cpus):
+    """`kzlab selftest --json` in a fresh process reporting `cpus` usable
+    CPUs, after unflushed text on stdout; each fork is noted on stderr."""
+    script = (
+        "import os, sys\n"
+        "import kzlab.selftest\n"
+        "from kzlab.cli import main\n"
+        f"kzlab.selftest._usable_cpus = lambda: {cpus}\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: sys.stderr.write('fork\\n') and fork()\n"
+        "sys.stdout.write('unflushed\\n')\n"
+        "sys.exit(main(['selftest', '--json']))\n")
+    # Without PYTHONUNBUFFERED, stdout into a pipe holds what is written.
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**env, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def test_cli_json_is_not_doubled_by_the_worker():
+    split, forked = _cli_selftest(2)
+    serial, unforked = _cli_selftest(1)
+    assert (forked, unforked) == ("fork\n", "")
+    assert split == serial
+    assert split.startswith("unflushed\n{") and split.count("unflushed") == 1
+    assert json.loads(split[len("unflushed\n"):])["pass"] is True
+
+
+def test_import_loads_neither_pickle_nor_multiprocessing():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kzlab; print(sorted({'pickle', 'multiprocessing'} "
+         "& set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
