@@ -42,8 +42,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every lru_cache of the library's loaded modules, as at a cold
     start: the diagram and series tables, the word traces, the whole-word
-    integrations and the engine's per-truncation scale.  Cached values
-    depend only on their arguments, so this changes timings, not answers.
+    integrations and crossing terms, and the engine's per-truncation
+    scale.  Cached values depend only on their arguments, so this changes
+    timings, not answers.
     """
     for name, module in list(sys.modules.items()):
         if name == __name__ or name.startswith(__name__ + "."):

@@ -46,7 +46,12 @@ between them allowed, form a run.  Their rungs sit next to each other
 on both strands in slice order, so once renamed the product of their
 series is one exp(G/2 * chord) with G the sum of their geometric signs,
 and a run is multiplied once; a run with G = 0 multiplies nothing.  The
-crossing replaced by a bare block breaks any run.
+crossing replaced by a bare block breaks any run, but its rungs join the
+same two points and commute with the run's others, so crossing_term is
+cached on the run key: the word outside the run, the run's slices
+without their signs, the block's k and the cutoff, and the multiset of
+the run's other signs.  Crossings of one run with equal leftover signs
+share one term, and so does the word flipped at the blocked crossing.
 
 The pentagon and the hexagon are checked on the same fragment values:
 two words over one open boundary of down strands must evaluate equal,
@@ -320,6 +325,16 @@ class FragmentValue(NamedTuple):
                 for key, value in bucket.items()}
 
 
+def _run_key(item: tuple[int, object]) -> object:
+    """A traced (word index, event) pair's run: consecutive crossings on
+    one pair of strand points share a key, and any other slice is a run
+    of its own."""
+    at, event = item
+    if isinstance(event, CrossEvent):
+        return frozenset((event.left, event.right))
+    return at
+
+
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                       initial: tuple | None = None,
                       slice_offset: int = 0, *,
@@ -375,14 +390,9 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                   for fresh, c in bucket] for bucket in arcs[primed]],
                          _insert_at_points)
 
-    def run_key(item):
-        # Consecutive crossings on one pair of strand points share a key,
-        # except the bare block; any other slice is a group of its own.
-        at, event = item
-        if isinstance(event, CrossEvent) and at != block_at:
-            return frozenset((event.left, event.right))
-        return at
-
+    # The bare block is a group of its own.
+    run_key = _run_key if block_at is None else (
+        lambda item: item[0] if item[0] == block_at else _run_key(item))
     for _, group in itertools.groupby(trace.events, key=run_key):
         run = list(group)
         at, event = run[0]
@@ -641,12 +651,11 @@ def finalize(fragment: FragmentValue) -> TangleResult:
 
 
 @lru_cache(maxsize=1024, typed=True)
-def _integrate_cached(slices: tuple[Slice, ...], cutoff: int,
-                      bare_block: tuple[int, int] | None = None) -> TangleResult:
-    """integrate and crossing_term, cached on the whole word (the 1024
-    most recently used words, cutoffs and blocks)."""
+def _integrate_cached(slices: tuple[Slice, ...], cutoff: int) -> TangleResult:
+    """integrate, cached on the whole word (the 1024 most recently used
+    words and cutoffs)."""
     validate_word(slices)
-    return finalize(evaluate_fragment(slices, cutoff, bare_block=bare_block))
+    return finalize(evaluate_fragment(slices, cutoff))
 
 
 def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:
@@ -654,12 +663,42 @@ def integrate(slices: Sequence[Slice], cutoff: int) -> TangleResult:
     return _integrate_cached(_as_word(slices), cutoff)
 
 
+class _RunKey(tuple):
+    """A crossing term's cache key, as crossing_term makes it.  made holds
+    the (word, cutoff, bare block) it was made from, outside the tuple's
+    equality and hash, so a miss evaluates the caller's own word."""
+
+
+@lru_cache(maxsize=1024)
+def _crossing_term_cached(key: _RunKey) -> TangleResult:
+    """crossing_term, cached on its run key (the 1024 most recently used)."""
+    word, cutoff, block = key.made
+    return finalize(evaluate_fragment(word, cutoff, bare_block=block))
+
+
 def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
                   cutoff: int) -> TangleResult:
     """Integrate with one crossing's series replaced by a bare k-chord
-    block with coefficient 1 (k = 0 suppresses the crossing's chords)."""
+    block with coefficient 1 (k = 0 suppresses the crossing's chords).
+
+    Cached on the crossing's run key (see the module docstring), which is
+    read off the word's own trace: no other word is built or traced."""
     if type(crossing) is not int:
         raise InputError("crossing must be an int slice index")
     if type(k) is not int or k < 0:
         raise InputError("chord count must be a nonnegative int")
-    return _integrate_cached(_as_word(slices), cutoff, (crossing - 1, k))
+    word = _as_word(slices)
+    trace = validate_word(word)
+    _check_cutoff(word, cutoff)
+    trace.crossing(crossing)   # raises unless a crossing slice
+    at = crossing - 1
+    for _, group in itertools.groupby(trace.events, key=_run_key):
+        run = [index for index, _ in group]
+        if at in run:
+            break
+    first, last = run[0], run[-1]
+    key = _RunKey((word[:first], tuple((s.kind, s.pos) for s in word[first:last + 1]),
+                   word[last + 1:], cutoff, k,
+                   tuple(sorted(word[i].sign for i in run if i != at))))
+    key.made = (word, cutoff, (at, k))
+    return _crossing_term_cached(key)

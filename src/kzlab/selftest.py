@@ -17,8 +17,8 @@ returns every result in `SECTIONS` order, equal to the serial results.
 It stays serial, in the caller, when the sections asked for fall on one
 side, when `os.fork` is missing, when fewer than 2 CPUs are usable, or
 when the process has another thread.  The worker's caches die with it;
-the caller keeps only its own half's.  A cold full sweep took 65 ms
-split, against 108 ms serial, on a 2-core Xeon host (Python 3.11).
+the caller keeps only its own half's.  A cold full sweep took 56 ms
+split, against 94 ms serial, on a 2-core Xeon host (Python 3.11).
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def _section_enumeration() -> Section:
             seen: set[ChordDiagram] = set()
             for S in all_type_matrices(m, k):
                 family = enumerate_by_matrix(S)
-                mixed = any(d.type_matrix() != S for d in family)
+                mixed = any(d.type_cells != S.cells for d in family)
                 yield not mixed and seen.isdisjoint(family), lambda: (
                     f"family (m={m}, S={S}) mixes types" if mixed
                     else f"families overlap at (m={m}, k={k})")
@@ -327,11 +327,14 @@ def _run_section(name: str, section: Callable[[], Section]) -> SectionResult:
 
 
 # The sections a forked worker takes when a sweep also asks for the
-# others: the degree lists, 4T quotients and hexagon tables they share.
-# The caller keeps the six that share the crossing-change integrals.  On
-# a 2-core host the worker's half took 55-56 ms alone, the caller's 61-68.
-_WORKER_SECTIONS = frozenset({"theorem", "enumeration", "relators", "wheels",
-                              "pentagon"})
+# others.  The caller keeps theorem, recursion and variation, which share
+# the corpus integrals at the sweep degree.  The worker takes the degree
+# lists, 4T quotients and hexagon tables, the sections with few
+# integrals, and degree-sum, which integrates the corpus again but evens
+# out the halves.  On a 2-core host each half took 51 ms alone.
+_WORKER_SECTIONS = frozenset({"linking", "degree-sum", "framing-powers", "wheels",
+                              "relators", "pentagon", "enumeration",
+                              "representation"})
 
 
 def _usable_cpus() -> int:

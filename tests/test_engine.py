@@ -65,6 +65,12 @@ Core claims:
       block inside a run; each run is one multiply, and a run whose
       signs cancel is none; every multiply but a merging cap's updates
       the terms in place, and none places a unit payload
+    - crossing_term is keyed by its crossing's run: at every crossing of
+      the corpus, of closed 2-braids with mixed-sign runs and of two
+      words that differ only in where their run sits, at every
+      k <= N and one k over it, it gives the series of the word's own
+      blocked fragment, closed directly, and crossings of one run with
+      equal leftover signs share one result with the word flipped there
     - Truncation limits: 3 with rebracketings, 4 without
     - Every record the library returns (the four slice events, traced
       crossings, word traces, fragment values, results, verification
@@ -130,6 +136,7 @@ Core claims:
 """
 
 import hashlib
+import itertools
 import math
 import operator
 import subprocess
@@ -155,7 +162,9 @@ from kzlab.diagrams import (
 from kzlab.errors import (
     InputError, TruncationUnsupportedError, WordValidationError,
 )
-from kzlab.invariants import class_sum, degree_sum_identity, verify_theorem
+from kzlab.invariants import (
+    class_sum, degree_sum_identity, flip_crossing, verify_theorem,
+)
 from kzlab.qtangle.corpus import corpus_names, load_corpus_word
 from kzlab.qtangle import engine
 from kzlab.qtangle.engine import (
@@ -825,6 +834,56 @@ class TestCrossingRuns:
         assert all(calls)
         # A run whose signs cancel multiplies nothing.
         assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
+
+
+def _braids():
+    """Closed 2-braids of every sign pattern of one to four crossings,
+    with an identity inside each run of two or more."""
+    for n in range(1, 5):
+        for signs in itertools.product("+-", repeat=n):
+            body = [f"x{sign}@2" for sign in signs]
+            if n > 1:
+                body.insert(1, "i@2")
+            closure = "cap@2;cap@1" if n % 2 else "assoc+@3;cap@3;cap@1"
+            yield parse_word(";".join(["cup@1", "cup@3", "assoc-@3", *body, closure]))
+
+
+def _run_of(word, at):
+    """The crossings of the run holding the crossing word[at], read off
+    the slices: those at its position with only identities between."""
+    run = [at]
+    for step in (-1, 1):
+        i = at + step
+        while 0 <= i < len(word) and (word[i].kind == "i" or (
+                word[i].kind == "x" and word[i].pos == word[at].pos)):
+            if word[i].kind == "x":
+                run.append(i)
+            i += step
+    return tuple(sorted(run))
+
+
+class TestRunKeyedTerms:
+    def test_each_term_is_its_own_blocked_fragment(self):
+        words = [load_corpus_word(name) for name in corpus_names()]
+        words += _braids()
+        # Two words that differ only in where their run sits.
+        words += [parse_word(f"cup@1;cup@1;cup@3;x+@{p};x+@{p};cap@3;cap@1;cap@1")
+                  for p in (1, 3)]
+        kzlab.clear_caches()
+        shared = {}
+        for word in words:
+            for at in (i for i, s in enumerate(word) if s.kind == "x"):
+                run = _run_of(word, at)
+                others = tuple(sorted(word[i].sign for i in run if i != at))
+                flipped = flip_crossing(word, at + 1)
+                for k in range(5):
+                    term = crossing_term(word, at + 1, k, 3)
+                    own = finalize(evaluate_fragment(word, 3, bare_block=(at, k)))
+                    assert term.coefficients == own.coefficients, (word, at, k)
+                    assert shared.setdefault((word, run, others, k), term) is term
+                    assert crossing_term(flipped, at + 1, k, 3) is term
+        # Some crossings found their key held already, so sharing was checked.
+        assert len(shared) < sum(s.kind == "x" for word in words for s in word) * 5
 
 
 # == 5. Records ==============================================================

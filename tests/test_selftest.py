@@ -9,7 +9,9 @@ Core claims:
       flips it at most once, and ask it for each identity once per
       (crossing, S) pair, never for check_recursion, and never call the
       public class_sum; run in two threads at once, the two sections give
-      the serial results
+      the serial results; crossings of one run share their bare-block
+      terms, so from cold caches the two sections evaluate at most 64
+      fragments, and clear_caches empties that cache
     - The enumeration section checks each degree list (m <= 3, k <= 4)
       against rotation orbits and the placement count, calling neither
       the type-matrix route, canonical_code nor the placements walk, and
@@ -19,6 +21,8 @@ Core claims:
       selftest digest in bench/reference.json
     - A sweep over both halves runs one half in a forked worker and gives
       the serial results, a failing check's count and detail included;
+      each test that patches a worker section runs it beside a section
+      checked to be on the caller's side;
       a worker's exception is raised in the caller with its type (one
       that cannot be pickled as a RuntimeError naming it), a worker that
       exits without results raises, a raise in the caller's own half
@@ -46,6 +50,7 @@ import kzlab.diagrams
 import kzlab.invariants
 import kzlab.selftest
 from kzlab.diagrams import ChordDiagram
+from kzlab.qtangle import engine
 from kzlab.selftest import run_selftest
 
 # The corpus's crossings, and their (crossing, S) pairs at degree <= 3.
@@ -123,6 +128,23 @@ def test_each_crossing_identity_runs_once_per_pair(monkeypatch):
         result, = run_selftest([section])
         assert result.passed
         assert calls == expected, section
+
+
+def test_crossing_sections_share_each_runs_terms(monkeypatch):
+    # Crossings of one run with equal leftover signs share their bare-block
+    # terms, so the two crossing sections evaluate at most 64 fragments
+    # from cold caches, and clear_caches empties the crossing-term cache.
+    evaluated = []
+    evaluate = engine.evaluate_fragment
+    monkeypatch.setattr(engine, "evaluate_fragment",
+                        lambda *args, **kwargs: evaluated.append(None)
+                        or evaluate(*args, **kwargs))
+    kzlab.clear_caches()
+    assert all(r.passed for r in run_selftest(["recursion", "variation"]))
+    assert len(evaluated) <= 64
+    assert engine._crossing_term_cached.cache_info().currsize > 0
+    kzlab.clear_caches()
+    assert engine._crossing_term_cached.cache_info().currsize == 0
 
 
 def test_crossing_sections_in_two_threads_give_the_serial_results():
@@ -235,6 +257,15 @@ def _serial(monkeypatch):
     return run_selftest()
 
 
+def _across_the_split(worker_side, caller_side):
+    """Two sections, checked to fall on opposite sides of the split, so a
+    sweep over them forks and what the worker's half is patched to do
+    never runs in this process."""
+    assert worker_side in kzlab.selftest._WORKER_SECTIONS
+    assert caller_side not in kzlab.selftest._WORKER_SECTIONS
+    return [worker_side, caller_side]
+
+
 def test_split_and_serial_sweeps_give_equal_results(forks, monkeypatch):
     kzlab.clear_caches()
     split = run_selftest()
@@ -244,8 +275,9 @@ def test_split_and_serial_sweeps_give_equal_results(forks, monkeypatch):
     assert len(forks) == 1
     assert _matches_reference(split)
     # Sections asked for on one side of the split run here, unforked.
-    assert [r.name for r in run_selftest(["pentagon", "theorem"])] == [
-        "theorem", "pentagon"]
+    assert {"pentagon", "linking"} <= kzlab.selftest._WORKER_SECTIONS
+    assert [r.name for r in run_selftest(["pentagon", "linking"])] == [
+        "linking", "pentagon"]
     assert len(forks) == 1
 
 
@@ -266,7 +298,7 @@ def test_a_worker_exception_is_raised_with_its_type(forks, monkeypatch):
 
     monkeypatch.setattr(kzlab.selftest, "four_t_relators", refuse)
     with pytest.raises(kzlab.InputError, match=r"no relators at \(1, 2\)"):
-        run_selftest(["relators", "linking"])
+        run_selftest(_across_the_split("relators", "theorem"))
 
     class Local(Exception):
         pass
@@ -276,7 +308,7 @@ def test_a_worker_exception_is_raised_with_its_type(forks, monkeypatch):
 
     monkeypatch.setattr(kzlab.selftest, "four_t_relators", unpicklable)
     with pytest.raises(RuntimeError, match="Local.*kept in the worker"):
-        run_selftest(["relators", "linking"])
+        run_selftest(_across_the_split("relators", "theorem"))
     assert len(forks) == 2
 
 
@@ -284,7 +316,7 @@ def test_a_worker_that_exits_without_results_raises(forks, monkeypatch):
     monkeypatch.setattr(kzlab.selftest, "four_t_relators",
                         lambda m, k: os._exit(3))
     with pytest.raises(RuntimeError, match="status 3"):
-        run_selftest(["relators", "linking"])
+        run_selftest(_across_the_split("relators", "theorem"))
     assert len(forks) == 1
 
 
@@ -293,12 +325,13 @@ def test_a_raise_in_the_callers_half_kills_the_worker(forks, monkeypatch):
         raise kzlab.InputError("no crossings counted")
 
     # The worker would take 30 s; the caller raises at once and kills it.
+    sections = _across_the_split("relators", "recursion")
     monkeypatch.setattr(kzlab.selftest, "four_t_relators",
                         lambda m, k: time.sleep(30))
-    monkeypatch.setattr(kzlab.selftest, "linking_matrix", refuse)
+    monkeypatch.setattr(kzlab.selftest, "trace_word", refuse)
     started = time.monotonic()
     with pytest.raises(kzlab.InputError, match="no crossings counted"):
-        run_selftest()
+        run_selftest(sections)
     assert time.monotonic() - started < 10
     assert len(forks) == 1
 
