@@ -45,13 +45,17 @@ Consecutive crossings on the same two strand points, identity slices
 between them allowed, form a run.  Their rungs sit next to each other
 on both strands in slice order, so once renamed the product of their
 series is one exp(G/2 * chord) with G the sum of their geometric signs,
-and a run is multiplied once; a run with G = 0 multiplies nothing.  The
-crossing replaced by a bare block breaks any run, but its rungs join the
-same two points and commute with the run's others, so crossing_term is
-cached on the run key: the word outside the run, the run's slices
-without their signs, the block's k and the cutoff, and the multiset of
-the run's other signs.  Crossings of one run with equal leftover signs
-share one term, and so does the word flipped at the blocked crossing.
+and a run is multiplied once, at its first crossing; a run with G = 0
+multiplies nothing.  The runs are read off the trace, which records
+each one's span of word indices and its G, so no call regroups the
+events.  The crossing replaced by a bare block splits its run in two,
+but its rungs join the same two points and commute with the run's
+others, so crossing_term, which finds its crossing's run in the same
+record, is cached on the run key: the word outside the run, the run's
+slices without their signs, the block's k and the cutoff, and the
+multiset of the run's other signs.  Crossings of one run with equal
+leftover signs share one term, and so does the word flipped at the
+blocked crossing.
 
 The pentagon and the hexagon are checked on the same fragment values:
 two words over one open boundary of down strands must evaluate equal,
@@ -78,7 +82,7 @@ from ..diagrams import (
 from ..errors import InputError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
 from .words import (
-    AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice,
+    AssocEvent, Birth, CapEvent, CrossEvent, CupEvent, END, START, Slice, WordTrace,
     _as_word, _trace, parse_word, validate_word,
 )
 
@@ -325,14 +329,11 @@ class FragmentValue(NamedTuple):
                 for key, value in bucket.items()}
 
 
-def _run_key(item: tuple[int, object]) -> object:
-    """A traced (word index, event) pair's run: consecutive crossings on
-    one pair of strand points share a key, and any other slice is a run
-    of its own."""
-    at, event = item
-    if isinstance(event, CrossEvent):
-        return frozenset((event.left, event.right))
-    return at
+def _run_at(trace: WordTrace, at: int) -> tuple[int, int, int]:
+    """The traced run (first, last, G) holding the crossing at word index
+    at; WordValidationError unless that slice is a crossing of the trace."""
+    trace.crossing(at + 1)
+    return next(run for run in trace.runs if run[0] <= at <= run[1])
 
 
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
@@ -368,8 +369,18 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
         raise InputError(f"bare_block {bare_block!r} is not an int pair (index, k >= 0)")
     block_at, block_k = bare_block or (None, None)
     trace = _trace(slices, initial, slice_offset)
+    # Each run's G by its first crossing.  The bare block splits its run:
+    # the crossings on either side of it sum apart.
+    runs = {first: g for first, _, g in trace.runs}
     if block_at is not None:
-        trace.crossing(block_at + 1)   # raises unless a crossing slice here
+        first, last, _ = _run_at(trace, block_at)
+        del runs[first]
+        sides: dict[bool, tuple[int, int]] = {}
+        for i, event in trace.events:
+            if first <= i <= last and i != block_at:
+                start, g = sides.get(i > block_at, (i, 0))
+                sides[i > block_at] = (start, g + event.geometric_sign)
+        runs.update(sides.values())
     comps: list[Birth] = list(trace.open_in)   # every component, by birth
     scale = _kernel_scale(cutoff)
     terms: Graded = [{} for _ in range(cutoff + 1)]
@@ -390,13 +401,31 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                                   for fresh, c in bucket] for bucket in arcs[primed]],
                          _insert_at_points)
 
-    # The bare block is a group of its own.
-    run_key = _run_key if block_at is None else (
-        lambda item: item[0] if item[0] == block_at else _run_key(item))
-    for _, group in itertools.groupby(trace.events, key=run_key):
-        run = list(group)
-        at, event = run[0]
-        if isinstance(event, CupEvent):
+    for at, event in trace.events:
+        if isinstance(event, CrossEvent):
+            g = runs.get(at)
+            if at != block_at and not g:
+                continue   # inside a run, or a run whose signs cancel
+            (cl, role_l), (cr, role_r) = event.left, event.right
+            il, ir = comps.index(cl), comps.index(cr)
+
+            def rungs(k):
+                # k chords across the two points; the unit (k = 0) is None.
+                tokens = tuple(range(_FRESH, _FRESH + k))
+                return ((il, role_l, tokens), (ir, role_r, tokens)) if k else None
+            # weights[k] holds the k-chord rungs with their coefficient.
+            if at == block_at:
+                weights = [[] for _ in range(cutoff + 1)]
+                if block_k <= cutoff:
+                    weights[block_k].append((rungs(block_k), scale ** block_k))
+            else:
+                # A run's rungs stack on both strands in slice order, so
+                # its value is exp(G/2 * chord), G its summed sign.
+                weights = [[(rungs(k), _scaled(Fraction(g ** k, 2 ** k * factorial(k)),
+                                               k, scale))]
+                           for k in range(cutoff + 1)]
+            terms = _multiply(terms, weights, _insert_at_points)
+        elif isinstance(event, CupEvent):
             # The cup's empty word joins every key, and its arc ends it.
             comps.append(event.component)
             terms = [{key + ((),): c for key, c in bucket.items()} for bucket in terms]
@@ -415,29 +444,6 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 return (key[:lo] + (key[ia] + fresh + key[ib],)
                         + key[lo + 1:hi] + key[hi + 1:])
             terms = _multiply(terms, arcs[event.primed], place)
-        elif isinstance(event, CrossEvent):
-            (cl, role_l), (cr, role_r) = event.left, event.right
-            il, ir = comps.index(cl), comps.index(cr)
-
-            def rungs(k):
-                # k chords across the two points; the unit (k = 0) is None.
-                tokens = tuple(range(_FRESH, _FRESH + k))
-                return ((il, role_l, tokens), (ir, role_r, tokens)) if k else None
-            # weights[k] holds the k-chord rungs with their coefficient.
-            if at == block_at:
-                weights = [[] for _ in range(cutoff + 1)]
-                if block_k <= cutoff:
-                    weights[block_k].append((rungs(block_k), scale ** block_k))
-            else:
-                # A run's rungs stack on both strands in slice order, so
-                # its value is exp(G/2 * chord), G its summed sign.
-                g = sum(e.geometric_sign for _, e in run)
-                if not g:
-                    continue
-                weights = [[(rungs(k), _scaled(Fraction(g ** k, 2 ** k * factorial(k)),
-                                               k, scale))]
-                           for k in range(cutoff + 1)]
-            terms = _multiply(terms, weights, _insert_at_points)
         elif isinstance(event, AssocEvent):
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
@@ -690,15 +696,11 @@ def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
     word = _as_word(slices)
     trace = validate_word(word)
     _check_cutoff(word, cutoff)
-    trace.crossing(crossing)   # raises unless a crossing slice
     at = crossing - 1
-    for _, group in itertools.groupby(trace.events, key=_run_key):
-        run = [index for index, _ in group]
-        if at in run:
-            break
-    first, last = run[0], run[-1]
-    key = _RunKey((word[:first], tuple((s.kind, s.pos) for s in word[first:last + 1]),
-                   word[last + 1:], cutoff, k,
-                   tuple(sorted(word[i].sign for i in run if i != at))))
+    first, last, _ = _run_at(trace, at)
+    run = word[first:last + 1]
+    key = _RunKey((word[:first], tuple((s.kind, s.pos) for s in run), word[last + 1:],
+                   cutoff, k, tuple(sorted(s.sign for i, s in enumerate(run, first)
+                                           if s.kind == "x" and i != at))))
     key.made = (word, cutoff, (at, k))
     return _crossing_term_cached(key)

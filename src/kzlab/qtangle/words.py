@@ -19,9 +19,14 @@ invariant computation.
 
 One cached replay per word and starting boundary, its trace, answers
 every structural question about it: open points, each slice's event,
-crossing circles and the linking matrix of a closed link, and a
-fragment's boundary data.  The series engine reads the same trace.  The
-cache keeps the 1024 most recently used traces.
+its crossing runs, crossing circles and the linking matrix of a closed
+link, and a fragment's boundary data.  The series engine reads the same
+trace.  The cache keeps the 1024 most recently used traces.
+
+The per-slice work is kept small.  parse_word parses each distinct
+token of a word once, however often it repeats, and BoundaryState.apply
+runs only the checks of its slice's kind; the trace records the runs in
+the same pass that lists the crossings.
 """
 
 from __future__ import annotations
@@ -71,33 +76,41 @@ def parse_word(text: str) -> tuple[Slice, ...]:
     """Parse a word from text: slices separated by ';' or newlines.
 
     '#' starts a comment running to end of line; blank entries are skipped.
+    Each distinct token is parsed once per call and its Slice reused; a
+    bad token raises at its first appearance, naming that line.
     """
     slices: list[Slice] = []
+    parsed: dict[str, Slice] = {}
     for lineno, line in enumerate(text.splitlines() or [""], start=1):
         line = line.split("#", 1)[0]
         for chunk in line.split(";"):
             token = chunk.strip()
-            if not token:
-                continue
-            match = _SLICE_RE.match(token)
-            if not match:
-                raise WordParseError(f"line {lineno}: malformed slice {token!r}")
-            tag, pos_text = match.groups()
-            try:
-                pos = int(pos_text)
-            except ValueError:   # more digits than int() converts
-                raise WordParseError(
-                    f"line {lineno}: position too long in {token[:20]!r}...") from None
-            if pos < 1:
-                raise WordParseError(
-                    f"line {lineno}: positions are 1-based, got {token!r}")
-            if tag[0] in "ax":   # assoc+, assoc-, x+ or x-
-                slices.append(Slice(tag[:-1], pos, sign=1 if tag[-1] == "+" else -1))
-            elif tag[0] == "c":
-                slices.append(Slice(tag.rstrip("'"), pos, primed=tag.endswith("'")))
-            else:
-                slices.append(Slice("i", pos))
+            s = parsed.get(token)
+            if s is None:
+                if not token:
+                    continue
+                s = parsed[token] = _parse_token(token, lineno)
+            slices.append(s)
     return _CheckedWord(slices)
+
+
+def _parse_token(token: str, lineno: int) -> Slice:
+    match = _SLICE_RE.match(token)
+    if not match:
+        raise WordParseError(f"line {lineno}: malformed slice {token!r}")
+    tag, pos_text = match.groups()
+    try:
+        pos = int(pos_text)
+    except ValueError:   # more digits than int() converts
+        raise WordParseError(
+            f"line {lineno}: position too long in {token[:20]!r}...") from None
+    if pos < 1:
+        raise WordParseError(f"line {lineno}: positions are 1-based, got {token!r}")
+    if tag[0] in "ax":   # assoc+, assoc-, x+ or x-
+        return Slice(tag[:-1], pos, sign=1 if tag[-1] == "+" else -1)
+    if tag[0] == "c":
+        return Slice(tag.rstrip("'"), pos, primed=tag.endswith("'"))
+    return Slice("i", pos)
 
 
 def render_word(slices: Sequence[Slice]) -> str:
@@ -208,8 +221,10 @@ class CrossEvent(NamedTuple):
     def geometric_sign(self) -> int:
         """Crossing sign by the right-hand rule: eps times both direction
         factors, where an up point counts +1 and a down point -1."""
-        factors = {END: 1, START: -1}
-        return self.eps * factors[self.left[1]] * factors[self.right[1]]
+        return self.eps * _FACTOR[self.left[1]] * _FACTOR[self.right[1]]
+
+
+_FACTOR = {END: 1, START: -1}   # a boundary point's direction factor
 
 
 class AssocEvent(NamedTuple):
@@ -278,11 +293,14 @@ class BoundaryState:
 
     # Union-find over birth keys; the smallest key survives a merge.
     def find(self, birth: Birth) -> Birth:
-        root = birth
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[birth] != root:
-            self._parent[birth], birth = root, self._parent[birth]
+        parent = self._parent
+        root = parent[birth]
+        if root == birth:   # a root, as most points are
+            return root
+        while parent[root] != root:
+            root = parent[root]
+        while parent[birth] != root:
+            parent[birth], birth = root, parent[birth]
         return root
 
     def _union(self, a: Birth, b: Birth) -> None:
@@ -302,64 +320,40 @@ class BoundaryState:
     def apply(self, s: Slice, index: int) -> Event | None:
         """Validate and perform one slice; index is its 0-based position.
 
-        An identity slice changes nothing and has no event (None)."""
+        An identity slice changes nothing and has no event (None).  Each
+        kind runs only its own checks, the cheap ones first."""
+        kind, pos, sign, primed = s
+        # Checked by value, as the caches compare words; events carry ints.
+        if kind == "x" or kind == "assoc":
+            if sign not in (1, -1):
+                raise _refused(s, index, f"sign must be +1 or -1, not {sign!r}")
+            sign = 1 if sign == 1 else -1
+        elif (kind == "cup" or kind == "cap") and primed not in (True, False):
+            raise _refused(s, index, f"primed flag must be True or False, not {primed!r}")
+        if type(pos) is not int:
+            pos = _position(s, index)
         leaves, depth = self.leaves, self.depth
         n = len(leaves)
 
-        def fail(message: str) -> WordValidationError:
-            return WordValidationError(f"slice {index + 1} ({s}): {message}")
-
-        # Checked by value, as the caches compare words; events carry ints.
-        if s.kind in ("x", "assoc") and s.sign not in (1, -1):
-            raise fail(f"sign must be +1 or -1, not {s.sign!r}")
-        if s.kind in ("cup", "cap") and s.primed not in (True, False):
-            raise fail(f"primed flag must be True or False, not {s.primed!r}")
-        try:
-            pos = int(s.pos)
-        except (TypeError, ValueError, OverflowError):
-            pos = None
-        if pos is None or pos != s.pos:
-            raise fail(f"position must be an int, not {s.pos!r}")
-        # An association's address is checked by its shape instead.
-        top = {"i": max(1, n), "cup": n + 1, "cap": n - 1, "x": n - 1}.get(s.kind)
-        if top is not None and not 1 <= pos <= top:
-            raise fail(f"position out of range 1..{max(0, top)}")
-
-        if s.kind == "i":
-            return None
-
-        if s.kind == "cup":
-            # The cherry replaces leaf k by (cherry, k), or by (k, cherry)
-            # at the right end, one level below k's old depth.
-            k = min(pos, n) - 1
-            below = max(self._gap(k - 1), self._gap(k)) + 1
-            if n == 0:
-                depth.append(0)
-            elif pos <= n:
-                depth[k:k] = [below + 1, below]
-            else:
-                depth.extend((below, below + 1))
-            birth: Birth = (1, index, pos)
-            self._parent[birth] = birth
-            roles = (END, START) if s.primed else (START, END)
-            leaves[pos - 1:pos - 1] = [(birth, roles[0]), (birth, roles[1])]
-            return CupEvent(s.primed, birth)
-
-        if s.kind in ("cap", "x"):
+        if kind == "x" or kind == "cap":
+            if not 1 <= pos < n:
+                raise _refused(s, index, f"position out of range 1..{max(0, n - 1)}")
             # Siblings: gap j is deeper than both neighbouring gaps.
             j = pos - 1
-            a, b = leaves[j], leaves[j + 1]
-            if not self._gap(j - 1) < depth[j] > self._gap(j + 1):
-                raise fail("operand points are not siblings")
-
-        if s.kind == "cap":
-            want = (END, START) if s.primed else (START, END)
+            if not (depth[j - 1] if j else -1) < depth[j] > (
+                    depth[pos] if pos < n - 1 else -1):
+                raise _refused(s, index, "operand points are not siblings")
+            a, b = leaves[j], leaves[pos]
+            if kind == "x":
+                leaves[j], leaves[pos] = b, a
+                return CrossEvent(sign, (self.find(a[0]), a[1]), (self.find(b[0]), b[1]))
+            want = (END, START) if primed else (START, END)
             got = (a[1], b[1])
             if got != want:
-                raise fail(f"direction mismatch: needs {want[0]}/{want[1]} "
-                           f"points, found {got[0]}/{got[1]}")
-            starting = self.find((a if not s.primed else b)[0])
-            ending = self.find((b if not s.primed else a)[0])
+                raise _refused(s, index, f"direction mismatch: needs {want[0]}/{want[1]} "
+                                         f"points, found {got[0]}/{got[1]}")
+            starting = self.find((a if not primed else b)[0])
+            ending = self.find((b if not primed else a)[0])
             # The cherry's parent, the deeper neighbouring gap, gives way
             # to the sibling subtree, whose run rises one level.
             parent = depth[j] - 1
@@ -375,23 +369,42 @@ class BoundaryState:
             if starting != ending:
                 self._union(starting, ending)
             elif self.anchors.get(starting):
-                raise fail("cannot close an anchored component")
+                raise _refused(s, index, "cannot close an anchored component")
             else:
                 self.closed.append(starting)
-            return CapEvent(s.primed, ending, starting)
+            return CapEvent(primed, ending, starting)
 
-        if s.kind == "x":
-            left = (self.find(a[0]), a[1])
-            right = (self.find(b[0]), b[1])
-            leaves[j], leaves[j + 1] = b, a
-            return CrossEvent(int(s.sign), left, right)
+        if kind == "i":
+            if not 1 <= pos <= max(1, n):
+                raise _refused(s, index, f"position out of range 1..{max(1, n)}")
+            return None
 
-        if s.kind == "assoc":
+        if kind == "cup":
+            if not 1 <= pos <= n + 1:
+                raise _refused(s, index, f"position out of range 1..{n + 1}")
+            # The cherry replaces leaf k by (cherry, k), or by (k, cherry)
+            # at the right end, one level below k's old depth.
+            k = min(pos, n) - 1
+            below = max(self._gap(k - 1), self._gap(k)) + 1
+            if n == 0:
+                depth.append(0)
+            elif pos <= n:
+                depth[k:k] = [below + 1, below]
+            else:
+                depth.extend((below, below + 1))
+            birth: Birth = (1, index, pos)
+            self._parent[birth] = birth
+            roles = (END, START) if primed else (START, END)
+            leaves[pos - 1:pos - 1] = [(birth, roles[0]), (birth, roles[1])]
+            return CupEvent(primed, birth)
+
+        if kind == "assoc":
+            # An association's address is checked by its shape, not a range.
             # assoc+ turns ((X,Y),Z) into (X,(Y,Z)); assoc- is the inverse.
             # The address p is the 1-based position of Y's leftmost leaf,
             # so gap g = p - 2 splits X|Y; r is the Y|Z gap, g's parent
             # for assoc+ and the root of g's right subtree for assoc-.
-            g, sign, r = pos - 2, int(s.sign), None
+            g, r = pos - 2, None
             if 0 <= g < n - 1:
                 end = self._run_end(g + 1, 1, depth[g])   # past g's subtree
                 if sign > 0 and end < n - 1 and depth[end] == depth[g] - 1:
@@ -400,7 +413,7 @@ class BoundaryState:
                     r = next((k for k in range(g + 1, end)
                               if depth[k] == depth[g] + 1), None)
             if r is None:
-                raise fail("no rebracketable configuration at this position")
+                raise _refused(s, index, "no rebracketable configuration at this position")
             x0 = self._run_end(g - 1, -1, depth[g]) + 1
             z1 = self._run_end(r + 1, 1, depth[r])
             blocks = tuple(
@@ -412,7 +425,22 @@ class BoundaryState:
             self._shift(r + 1, z1, sign)
             return AssocEvent(sign, blocks)
 
-        raise fail(f"unknown generator kind {s.kind!r}")
+        raise _refused(s, index, f"unknown generator kind {kind!r}")
+
+
+def _refused(s: Slice, index: int, message: str) -> WordValidationError:
+    return WordValidationError(f"slice {index + 1} ({s}): {message}")
+
+
+def _position(s: Slice, index: int) -> int:
+    """The int a position that is no int equals; refused if none."""
+    try:
+        pos = int(s.pos)
+    except (TypeError, ValueError, OverflowError):
+        pos = None
+    if pos is None or pos != s.pos:
+        raise _refused(s, index, f"position must be an int, not {s.pos!r}")
+    return pos
 
 
 class TracedCrossing(NamedTuple):
@@ -423,15 +451,23 @@ class TracedCrossing(NamedTuple):
 
 class WordTrace(NamedTuple):
     """The structure of a slice range, from a single boundary replay:
-    each non-identity slice's (0-based word index, event), the boundary
-    and open components at the start, and the final boundary as
-    FragmentValue carries it.  Crossing circles and the linking matrix
-    exist only for a closed link, with no open point and no anchor."""
+    each non-identity slice's (0-based word index, event), its crossing
+    runs, the boundary and open components at the start, and the final
+    boundary as FragmentValue carries it.  Crossing circles and the
+    linking matrix exist only for a closed link, with no open point and
+    no anchor.
+
+    A run is a maximal stretch of consecutive crossings on one pair of
+    strand points, identity slices between them allowed; runs holds one
+    (first, last, G) per run, in slice order: the 0-based word indices
+    of its first and last crossings and the sum G of its crossings'
+    geometric signs.  A crossing with no such neighbour is a run alone."""
 
     open_points: int
     crossings: tuple[TracedCrossing, ...]
     linking: tuple[tuple[Fraction, ...], ...] | None   # None unless closed
     events: tuple[tuple[int, Event], ...]
+    runs: tuple[tuple[int, int, int], ...]
     spec_in: Spec
     open_in: tuple[Birth, ...]
     spec_out: Spec
@@ -485,23 +521,35 @@ def _trace_cached(slices: tuple[Slice, ...], initial: Spec | None,
     labels = {birth: i for i, birth in enumerate(sorted(state.closed))}
     total: dict[tuple[int, int], int] = {}
     crossings = []
+    runs: list[tuple[int, int, int]] = []
+    swapped = None   # the last event's points swapped, while it is a crossing
     for index, event in events:
         if not isinstance(event, CrossEvent):
+            swapped = None
             continue
+        _, left, right = event
+        g = event.geometric_sign
+        # The next crossing on the same two points finds them swapped.
+        if swapped == (left, right):
+            first, _, run_sign = runs[-1]
+            runs[-1] = (first, index, run_sign + g)
+        else:
+            runs.append((index, index, g))
+        swapped = right, left
         circles = None
         if closed:
-            a = labels[state.find(event.left[0])]
-            b = labels[state.find(event.right[0])]
+            a = labels[state.find(left[0])]
+            b = labels[state.find(right[0])]
             circles = (min(a, b) + 1, max(a, b) + 1)
-            total[circles] = total.get(circles, 0) + event.geometric_sign
+            total[circles] = total.get(circles, 0) + g
         crossings.append(TracedCrossing(index + 1, event, circles))
     rows = [[Fraction(0)] * len(labels) for _ in labels]
     for (a, b), signs in total.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = Fraction(signs, 2)
     linking = tuple(map(tuple, rows)) if closed else None
     return WordTrace(
-        open_points, tuple(crossings), linking, tuple(events), spec_in, open_in,
-        state.spec(), tuple((state.find(b), role) for b, role in state.leaves),
+        open_points, tuple(crossings), linking, tuple(events), tuple(runs), spec_in,
+        open_in, state.spec(), tuple((state.find(b), role) for b, role in state.leaves),
         MappingProxyType({comp: state.anchors.get(comp, ())
                           for comp in state.open_components()}))
 

@@ -49,8 +49,10 @@ Core claims:
       designated crossing's chords; a block over the truncation leaves
       an empty series, allocating nothing for its chords (traced peak
       under 1 MiB at k = 10**5), also while another thread integrates;
-      a thread pool over cold caches gives the serial answers, and so
-      do class sums from a thread pool on one fresh, shared result;
+      a thread pool over cold caches gives the serial answers, on the
+      corpus and on long braids parsed inside the pool, traces
+      included, and so do class sums from a thread pool on one fresh,
+      shared result;
       a block index that is not a crossing slice of the fragment is an
       error, and a bare block or slice offset that is not an int (a bool
       included), a negative chord count or offset, or a block that is
@@ -65,6 +67,9 @@ Core claims:
       block inside a run; each run is one multiply, and a run whose
       signs cancel is none; every multiply but a merging cap's updates
       the terms in place, and none places a unit payload
+    - One structural pass per word: tracing a word or a fragment replays
+      each slice once, and integrate, linking_matrix, crossing_term and
+      evaluate_fragment on a word whose trace is cached replay none
     - crossing_term is keyed by its crossing's run: at every crossing of
       the corpus, of closed 2-braids with mixed-sign runs and of two
       words that differ only in where their run sits, at every
@@ -139,6 +144,7 @@ import hashlib
 import itertools
 import math
 import operator
+import random
 import subprocess
 import sys
 import threading
@@ -184,7 +190,8 @@ from kzlab.qtangle.engine import (
     reduce_strands_mod_4t,
 )
 from kzlab.qtangle.words import (
-    END, START, BoundaryState, Slice, _trace_cached, parse_word, trace_word,
+    END, START, BoundaryState, Slice, _trace_cached, linking_matrix, parse_word,
+    trace_word,
 )
 from kzlab.selftest import SectionResult
 
@@ -697,14 +704,20 @@ class TestCrossingBlocks:
             jobs += [(crossing_term, word, i + 1, 1, top)
                      for i, s in enumerate(word) if s.kind == "x"]
         assert len(jobs) == 55
-        serial = [f(*args).coefficients for f, *args in jobs]
+        # Long braids, given as text and parsed inside the pool.
+        for text, crossing in _long_braid_texts():
+            jobs += [(lambda text: trace_word(parse_word(text)), text),
+                     (lambda text: integrate(parse_word(text), 3), text),
+                     (lambda text, c: crossing_term(parse_word(text), c, 1, 3),
+                      text, crossing)]
+        serial = [f(*args) for f, *args in jobs]
         kzlab.clear_caches()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(*job) for job in jobs]
-                pooled = [f.result(timeout=60).coefficients for f in futures]
+                pooled = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert pooled == serial
@@ -727,6 +740,16 @@ class TestCrossingBlocks:
                 sys.setswitchinterval(interval)
             assert pooled == serial[::-1] * 8
             assert shared.type_sums(2) is shared.type_sums(2)
+
+
+def _long_braid_texts():
+    """Closed 2-braids of 60 to 120 mixed-sign crossings, closed as the
+    benchmark's long braids are, each with a crossing inside its run."""
+    rng = random.Random("long braids")
+    for n in (61, 90, 120):
+        body = [f"x{rng.choice('+-')}@2" for _ in range(n)]
+        closure = "cap@2;cap@1" if n % 2 else "assoc+@3;cap@3;cap@1"
+        yield ";".join(["cup@1", "cup@3", "assoc-@3", *body, closure]), 4 + n // 2
 
 
 # == 4. Crossing runs ========================================================
@@ -834,6 +857,41 @@ class TestCrossingRuns:
         assert all(calls)
         # A run whose signs cancel multiplies nothing.
         assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
+
+    def test_each_word_is_replayed_once(self, monkeypatch):
+        replayed = []
+        apply = BoundaryState.apply
+
+        def spy(state, s, index):
+            replayed.append(index)
+            return apply(state, s, index)
+
+        monkeypatch.setattr(BoundaryState, "apply", spy)
+        words = [load_corpus_word(name) for name in corpus_names()]
+        words += [parse_word(text) for text, _ in _long_braid_texts()]
+        kzlab.clear_caches()
+        associator_sign()   # its hexagon check evaluates words of its own
+        for word in words:
+            cut = len(word) // 2
+            _trace_cached.cache_clear()   # corpus words share some halves
+            replayed.clear()
+            lower = evaluate_fragment(word[:cut], 2)
+            assert replayed == list(range(cut))
+            replayed.clear()
+            evaluate_fragment(word[cut:], 2, initial=lower.spec_out, slice_offset=cut)
+            assert replayed == list(range(cut, len(word)))
+            replayed.clear()
+            trace_word(word)
+            assert replayed == list(range(len(word)))
+            # Every later question about the word reads the cached trace.
+            replayed.clear()
+            integrate(word, 2)
+            linking_matrix(word)
+            for at in (i for i, s in enumerate(word) if s.kind == "x"):
+                crossing_term(word, at + 1, 1, 2)
+                evaluate_fragment(word, 2, bare_block=(at, 0))
+            evaluate_fragment(word[cut:], 2, initial=lower.spec_out, slice_offset=cut)
+            assert replayed == []
 
 
 def _braids():

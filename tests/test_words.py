@@ -31,8 +31,19 @@ Core claims:
       slice, and from_spec accepts only depth tuples that bracket
     - A word's trace leaves no open points on every corpus word and lists
       one crossing per crossing slice
+    - Parsing each distinct token once gives the per-token parse on every
+      corpus word and every generated family word, in either layout, and
+      an error names the line where its token first appears
+    - A trace's runs are the groupby of its events by the frozenset of
+      each crossing's two points, span and summed geometric sign alike,
+      on the corpus, on closed 2-braids with identities inside their
+      runs, on kinked nests, on open words with runs at two sibling
+      pairs and on fragments from a boundary mid-word
 """
 
+import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,14 +51,19 @@ import pytest
 import kzlab
 from kzlab.errors import WordParseError, WordValidationError
 from kzlab.invariants import flip_crossing
-from kzlab.qtangle.corpus import corpus_linking, corpus_names, load_corpus_word
+from kzlab.qtangle.corpus import (
+    corpus_linking, corpus_names, corpus_path, load_corpus_word,
+)
 from kzlab.qtangle import engine
 from kzlab.qtangle.engine import crossing_term, evaluate_fragment, max_truncation
 from kzlab.qtangle.words import (
     BoundaryState,
     CapEvent,
+    CrossEvent,
+    CupEvent,
     Slice,
     _as_word,
+    _trace,
     _trace_cached,
     linking_matrix,
     parse_word,
@@ -352,3 +368,154 @@ class TestBoundary:
                 BoundaryState.from_spec((depths, ("start",) * leaves))
         spec = ((2, 1, 0), ("start",) * 4)
         assert BoundaryState.from_spec(spec).spec() == spec
+
+
+# == 5. One parse per token, runs in the trace ================================
+
+
+_TOKEN = re.compile(r"^(i|x[+-]|cup'?|cap'?|assoc[+-])@(\d+)$")
+
+
+def _parse_each_token(text):
+    """parse_word as first written, the oracle: the regex, int() and a new
+    Slice for every token, repeated or not."""
+    slices = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        for chunk in line.split("#", 1)[0].split(";"):
+            token = chunk.strip()
+            if not token:
+                continue
+            match = _TOKEN.match(token)
+            if not match:
+                raise WordParseError(f"line {lineno}: malformed slice {token!r}")
+            tag, pos_text = match.groups()
+            try:
+                pos = int(pos_text)
+            except ValueError:
+                raise WordParseError(
+                    f"line {lineno}: position too long in {token[:20]!r}...") from None
+            if pos < 1:
+                raise WordParseError(
+                    f"line {lineno}: positions are 1-based, got {token!r}")
+            if tag[0] in "ax":
+                slices.append(Slice(tag[:-1], pos, sign=1 if tag[-1] == "+" else -1))
+            elif tag[0] == "c":
+                slices.append(Slice(tag.rstrip("'"), pos, primed=tag.endswith("'")))
+            else:
+                slices.append(Slice("i", pos))
+    return tuple(slices)
+
+
+def _braid_texts(count=30):
+    """Closed 2-braids of mixed signs, up to 40 crossings, with identities
+    inside their runs, closed as the benchmark's long braids are."""
+    rng = random.Random("braids")
+    for _ in range(count):
+        n = rng.randrange(2, 41)
+        body = [f"x{rng.choice('+-')}@2" for _ in range(n)]
+        for _ in range(rng.randrange(1, 4)):
+            body.insert(rng.randrange(1, len(body)), f"i@{rng.randrange(1, 5)}")
+        if n % 2:
+            closure = "cap@2;cap@1"
+        else:
+            closure = rng.choice(("cap'@2;cap@1", "assoc+@3;cap@3;cap@1"))
+        yield ";".join(["cup@1", "cup@3", "assoc-@3", *body, closure])
+
+
+def _nest_texts():
+    """Nested unlinks, closed innermost first, some circles kinked once
+    and some twice, an identity between the two kinks or not."""
+    rng = random.Random("nests")
+    closures = ("cap@1", "x+@1;cap'@1", "x-@1;cap'@1", "x+@1;i@1;x+@1;cap@1",
+                "x-@1;x+@1;cap@1")
+    for m in (1, 3, 8, 20, 60):
+        yield ";".join(["cup@1"] * m + [rng.choice(closures) for _ in range(m)])
+
+
+def _open_texts():
+    """Three open arcs, whose points 1-2 and 3-4 are both sibling pairs,
+    then crossings on either pair, identities, and cups right of both
+    pairs, which end a run without moving its points."""
+    rng = random.Random("open")
+    for _ in range(20):
+        body = [rng.choice(("x+@1", "x-@1", "x+@3", "x-@3", "i@6", "cup@5"))
+                for _ in range(rng.randrange(1, 13))]
+        yield ";".join(["cup@1", "cup@1", "cup@3", *body])
+
+
+def _runs_by_grouping(trace):
+    """The trace's runs as the engine first grouped them, the oracle: its
+    events grouped by the frozenset of each crossing's two points (any
+    other slice a group of its own), each sign by the right-hand rule."""
+    factor = {"end": 1, "start": -1}
+
+    def key(item):
+        at, event = item
+        return frozenset((event.left, event.right)) if isinstance(event, CrossEvent) else at
+
+    runs = []
+    for _, group in itertools.groupby(trace.events, key=key):
+        group = list(group)
+        if isinstance(group[0][1], CrossEvent):
+            runs.append((group[0][0], group[-1][0],
+                         sum(e.eps * factor[e.left[1]] * factor[e.right[1]]
+                             for _, e in group)))
+    return tuple(runs)
+
+
+class TestParseOnce:
+    def test_parse_word_equals_the_per_token_parse(self):
+        texts = []
+        for name in corpus_names():
+            with open(corpus_path(name), encoding="utf-8") as handle:
+                texts.append(handle.read())
+        generated = [*_braid_texts(), *_nest_texts(), *_open_texts()]
+        texts += generated + [text.replace(";", "  # slice\n") for text in generated]
+        for text in texts:
+            word = parse_word(text)
+            assert word == _parse_each_token(text), text[:60]
+            assert all(type(s) is Slice for s in word)
+
+    @pytest.mark.parametrize("text, line", [
+        ("cup@1\nswap@1\ncap@1\ncup@1\nswap@1 ; cap@1", 2),
+        ("cup@1\nswap@1;swap@1\ncap@1", 2),
+        ("cup@1;cap@1\ncup@1;cap@1\ncup@0;cup@1", 3),
+        ("cup@1;cap@1\n\ncup@1;cap@1\ncup@1;x+@" + "1" * 5000, 4),
+    ], ids=["malformed-2-and-5", "malformed-twice-on-2", "zero", "too-long"])
+    def test_an_error_names_its_token_first_line(self, text, line):
+        with pytest.raises(WordParseError, match=f"^line {line}: ") as info:
+            parse_word(text)
+        with pytest.raises(WordParseError) as expected:
+            _parse_each_token(text)
+        assert str(info.value) == str(expected.value)
+
+
+class TestRuns:
+    def test_runs_are_the_grouped_events(self):
+        traces = [validate_word(load_corpus_word(name)) for name in corpus_names()]
+        for text in _braid_texts():
+            word = parse_word(text)
+            traces.append(validate_word(word))
+            # Each half from its own boundary, the upper one mid-word.
+            cut = len(word) // 2
+            lower = _trace(word[:cut])
+            traces += [lower, _trace(word[cut:], lower.spec_out, cut)]
+        traces += [validate_word(parse_word(text)) for text in _nest_texts()]
+        traces += [trace_word(parse_word(text)) for text in _open_texts()]
+        for trace in traces:
+            assert trace.runs == _runs_by_grouping(trace)
+            assert len(trace.runs) <= len(trace.crossings)
+        runs = [run for trace in traces for run in trace.runs]
+        # Long runs, runs whose signs cancel, a run that starts right
+        # after another pair's crossing and one that a cup ends were met.
+        assert max(last - first for first, last, _ in runs) > 30
+        assert any(last > first and not g for first, last, g in runs)
+        assert any(isinstance(before, CrossEvent) and isinstance(event, CrossEvent)
+                   and at in {run[0] for run in trace.runs}
+                   for trace in traces
+                   for (_, before), (at, event) in zip(trace.events, trace.events[1:]))
+        assert any(isinstance(before, CupEvent) and a.left == b.right and a.right == b.left
+                   for trace in traces
+                   for (_, b), (_, before), (_, a) in zip(
+                       trace.events, trace.events[1:], trace.events[2:])
+                   if isinstance(a, CrossEvent) and isinstance(b, CrossEvent))
