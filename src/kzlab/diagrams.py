@@ -81,6 +81,13 @@ Code = tuple[tuple[int, ...], ...]
 Cells = tuple[tuple[int, int, int], ...]
 K = TypeVar("K", bound=Hashable)
 
+# The entries kept by each (m, k)-keyed table cache: the degree lists, the
+# type matrices, the 4T relators and quotients, and the engine's strand
+# tables.  A full selftest sweep reads at most 15 keys of any of them, so
+# it never evicts; a process listing many circle counts keeps only the
+# latest, not every list it ever made.
+TABLE_CACHE_SIZE = 32
+
 
 class TypeMatrix(tuple):
     """A checked chord type matrix: square, symmetric, int entries >= 0
@@ -88,7 +95,12 @@ class TypeMatrix(tuple):
     Built once, it passes through the constructor unchanged; it compares
     and hashes like the plain nested tuple.  It carries its sparse form,
     cells (see Cells), and degree, their sum: both set at construction
-    and read-only."""
+    and read-only.
+
+    The checks run in a fixed order, each refusal with its own message:
+    a sequence of rows, square, int entries, no negative entry, then
+    symmetric.  Past the one type pass over all m² entries, the sign and
+    symmetry tests read only the non-zero cells, which zero rows skip."""
 
     cells: Cells
     degree: int
@@ -103,13 +115,16 @@ class TypeMatrix(tuple):
         m = len(rows)
         if any(len(row) != m for row in rows):
             raise InputError("type matrix must be square")
-        entries = itertools.chain.from_iterable
-        if m and (set(map(type, entries(rows))) != {int} or min(entries(rows)) < 0):
-            raise InputError("type matrix entries must be natural numbers (int >= 0)")
-        # A matrix is symmetric when each non-zero entry is mirrored: an
+        natural = "type matrix entries must be natural numbers (int >= 0)"
+        if m and set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+            raise InputError(natural)
+        # Every entry is an int, so a negative one is a non-zero cell.  A
+        # matrix is symmetric when each non-zero entry is mirrored: an
         # unequal pair has a non-zero side, and that side's test fails.
         nonzero = [(i, j, s) for i, row in enumerate(rows) if any(row)
                    for j, s in enumerate(row) if s]
+        if any(s < 0 for _, _, s in nonzero):
+            raise InputError(natural)
         if any(rows[j][i] != s for i, j, s in nonzero):
             raise InputError("type matrix must be symmetric")
         return cls._build(rows, tuple(cell for cell in nonzero if cell[0] <= cell[1]))
@@ -580,7 +595,7 @@ def _type_cells(m: int, k: int) -> Iterator[Cells]:
         yield tuple([(i, j, len(list(run))) for (i, j), run in itertools.groupby(choice)])
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
 def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     """All m x m type matrices of degree k."""
     _check_counts(m, k)
@@ -590,7 +605,7 @@ def all_type_matrices(m: int, k: int) -> tuple[TypeMatrix, ...]:
     return tuple(sorted(TypeMatrix._of_cells(m, cells) for cells in _type_cells(m, k)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
 def enumerate_by_degree(m: int, k: int) -> tuple[ChordDiagram, ...]:
     """All degree-k diagrams on m labeled circles, sorted by code."""
     _check_counts(m, k)
@@ -667,7 +682,7 @@ def _relator_vectors(k: int, bases: Callable[[int], Iterable[Sequence[Sequence[o
     return tuple(out)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
 def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
     """All distinct non-zero 4T relators among degree-k diagrams on m
     circles, as read-only diagram -> coefficient vectors.
@@ -686,7 +701,7 @@ def four_t_relators(m: int, k: int) -> tuple[Mapping[ChordDiagram, int], ...]:
 # -- Reduction modulo 4T -----------------------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
 def _reducer(m: int, k: int) -> Reducer:
     """The 4T quotient of degree-k diagrams on m circles."""
     return _quotient(enumerate_by_degree(m, k), four_t_relators(m, k))

@@ -12,15 +12,18 @@ skeleton component: a term's key is one code, every component's word in
 birth order, open and closed alike, chords renamed by first appearance.
 A cup appends an empty word and a closing cap leaves its circle in
 place, and either's arc then ends that word; a merge folds the later
-birth into the earlier one's slot.  A unit that moves no word (of an
-arc, a crossing run, the bare block at k = 0 or the associator) is the
-payload None, which leaves each key as it is; the degree-0 parts of a
-merging cap and of a graft move words and are placed.  The structure comes
-from the words module's cached trace of the slices: its events drive the
-kernels and its boundary data fill the fragment value, so the engine
-never replays a word itself.  evaluate_fragment runs any slice range from
-a given boundary; graft stitches two fragment values at a shared
-interface; integrate closes a full word into labeled circles.
+birth into the earlier one's slot.  A map from birth to slot, set at a
+cup and shifted past a merge's dropped slot, finds each component's word
+in O(1), so a wide boundary costs no scan per cup, cap or crossing.  A
+unit that moves no word (of an arc, a crossing run, the bare block at
+k = 0 or the associator) is the payload None, which leaves each key as
+it is; the degree-0 parts of a merging cap and of a graft move words and
+are placed.  The structure comes from the words module's cached trace of
+the slices: its events drive the kernels and its boundary data fill the
+fragment value, so the engine never replays a word itself.
+evaluate_fragment runs any slice range from a given boundary; graft
+stitches two fragment values at a shared interface; integrate closes a
+full word into labeled circles.
 
 Every slice value and every graft is a product of graded series, and
 the running terms are kept per degree (number of chords).  A term of
@@ -29,7 +32,12 @@ kernel forms a term over the truncation N: the degree budget is the one
 rule that truncates.  A kernel whose degree-0 part is its unit alone
 updates the running terms in place, highest degree first, so its work is
 the new terms it makes, not every term it passes; a merging cap and a
-graft, whose degree-0 parts move words, fill fresh buckets.
+graft, whose degree-0 parts move words, fill fresh buckets.  A kernel
+that is its unit alone within the truncation returns the terms at once,
+as every arc does below truncation 2 (its first chords are in degree 2),
+and a degree whose terms no kernel part fits is not walked.  The arc
+kernels are built once per evaluation, with the word's slot a closure
+argument, not a payload, so a cup or a closing cap builds none.
 
 The products are exact in plain ints.  One scale D per truncation (12
 through N = 3, 120 at N = 4) is the least that makes c * D**a an integer
@@ -76,8 +84,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..algebra import MAX_TRUNCATION, _check_degree, _check_truncation, sqrt_unknot_series
 from ..diagrams import (
-    Cells, ChordDiagram, Code, _check_counts, _least_code, _placements, _relabel,
-    _relator_vectors, reduce_mod_4t,
+    TABLE_CACHE_SIZE, Cells, ChordDiagram, Code, _check_counts, _least_code, _placements,
+    _relabel, _relator_vectors, reduce_mod_4t,
 )
 from ..errors import InputError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
@@ -92,7 +100,7 @@ _FRESH = 1000  # inserted tokens start here; keys are renamed before storage
 # -- 4T reduction on parallel strands ----------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
 def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All normalized placements of k chords on n labeled strands; n must
     be an int >= 1 and k an int >= 0 (InputError otherwise)."""
@@ -100,7 +108,7 @@ def strand_monomials(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(sorted(tuple(map(tuple, words)) for words in _placements(k, n)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
 def _strand_reducer(n: int, k: int):
     """The 4T quotient of degree-k strand monomials on n strands.
 
@@ -252,16 +260,22 @@ def _multiply(terms: Graded, series: Sequence[Sequence[tuple[object, int]]],
     When series[0] is that unit alone, terms is updated in place and
     returned: each term stays where it is, and only its products of
     degree a >= 1 are added, into higher buckets.  The degrees run from
-    the highest down, so no product is multiplied again.  Otherwise (a
-    merging cap, a graft) the products fill fresh buckets.
+    the highest down, so no product is multiplied again, and a degree no
+    part fits is skipped; a series with no part of degree 1..cutoff
+    returns terms at once.  Otherwise (a merging cap, a graft) the
+    products fill fresh buckets.
     """
     cutoff = len(terms) - 1
     unit = series[0] == [(None, 1)]
+    if unit and not any(series[1:cutoff + 1]):
+        return terms
     out: Graded = terms if unit else [{} for _ in terms]
     for d in range(cutoff, -1, -1):
         fits = [(out[d + a], payload, c)
                 for a, pairs in enumerate(series[:cutoff - d + 1]) if a or not unit
                 for payload, c in pairs]
+        if not fits:
+            continue
         for key, coeff in terms[d].items():
             for target, payload, c in fits:
                 product = key if payload is None else _relabel(place(key, payload))
@@ -382,24 +396,27 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
                 sides[i > block_at] = (start, g + event.geometric_sign)
         runs.update(sides.values())
     comps: list[Birth] = list(trace.open_in)   # every component, by birth
+    slot = dict(zip(comps, range(len(comps))))  # each component's key index
     scale = _kernel_scale(cutoff)
     terms: Graded = [{} for _ in range(cutoff + 1)]
     terms[0][((),) * len(comps)] = 1
-    # A cup's or cap's arc series on fresh tokens, by primed flag and degree.
+    # A cup's or cap's arc series on fresh tokens, by primed flag and
+    # degree, the empty word as the unit None: it ends a word at a cup or
+    # a closing cap, and a merging cap places the empty word too.
     arcs: dict[bool, list[list]] = {False: [[] for _ in terms],
                                     True: [[] for _ in terms]}
     for word, c in sqrt_unknot_series(cutoff).items():
-        fresh = tuple(_FRESH + t for t in word)
+        fresh = tuple(_FRESH + t for t in word) or None
         a = len(word) // 2
         c = _scaled(c, a, scale)
         arcs[False][a].append((fresh, c))
-        arcs[True][a].append((fresh[::-1], c))
+        arcs[True][a].append((fresh and fresh[::-1], c))
 
     def end_arc(terms, i, primed):
-        # A cup's or closing cap's arc ends word i; its unit moves no word.
-        return _multiply(terms, [[(((i, END, fresh),) if fresh else None, c)
-                                  for fresh, c in bucket] for bucket in arcs[primed]],
-                         _insert_at_points)
+        # A cup's or closing cap's arc ends word i.
+        def place(key, fresh):
+            return key[:i] + (key[i] + fresh,) + key[i + 1:]
+        return _multiply(terms, arcs[primed], place)
 
     for at, event in trace.events:
         if isinstance(event, CrossEvent):
@@ -407,7 +424,7 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             if at != block_at and not g:
                 continue   # inside a run, or a run whose signs cancel
             (cl, role_l), (cr, role_r) = event.left, event.right
-            il, ir = comps.index(cl), comps.index(cr)
+            il, ir = slot[cl], slot[cr]
 
             def rungs(k):
                 # k chords across the two points; the unit (k = 0) is None.
@@ -427,28 +444,32 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
             terms = _multiply(terms, weights, _insert_at_points)
         elif isinstance(event, CupEvent):
             # The cup's empty word joins every key, and its arc ends it.
+            slot[event.component] = len(comps)
             comps.append(event.component)
             terms = [{key + ((),): c for key, c in bucket.items()} for bucket in terms]
             terms = end_arc(terms, len(comps) - 1, event.primed)
         elif isinstance(event, CapEvent) and event.closes:
             # The circle keeps its slot; the arc ends its word.
-            terms = end_arc(terms, comps.index(event.starting), event.primed)
+            terms = end_arc(terms, slot[event.starting], event.primed)
         elif isinstance(event, CapEvent):
             # The merge folds the later birth into the earlier one's slot.
-            ia = comps.index(event.ending)
-            ib = comps.index(event.starting)
+            ia, ib = slot[event.ending], slot[event.starting]
             lo, hi = sorted((ia, ib))
-            del comps[hi]
+            del slot[comps.pop(hi)]
+            for b in comps[hi:]:
+                slot[b] -= 1
 
             def place(key, fresh):
                 return (key[:lo] + (key[ia] + fresh + key[ib],)
                         + key[lo + 1:hi] + key[hi + 1:])
-            terms = _multiply(terms, arcs[event.primed], place)
+            # Its unit moves words, so it is placed as the empty word.
+            terms = _multiply(terms, [[(fresh or (), c) for fresh, c in bucket]
+                                      for bucket in arcs[event.primed]], place)
         elif isinstance(event, AssocEvent):
             sigma = event.sign * (associator_sign() if assoc_sign is None
                                   else assoc_sign)
             x_block, y_block, z_block = event.blocks
-            leaf_at = {pos: (comps.index(comp), role)
+            leaf_at = {pos: (slot[comp], role)
                        for block in event.blocks for pos, comp, role in block}
             weight = _scaled(ASSOCIATOR_WEIGHT, 2, scale)
             # The unit term, no degree-1 term, and the 2-chord lifts.

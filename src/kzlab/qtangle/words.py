@@ -60,8 +60,10 @@ class Slice(NamedTuple):
     primed: bool = False
 
     def __str__(self) -> str:
+        # A sign other than +1 or -1 renders as '?', a tag no word parses,
+        # so a refusal never names a valid slice the word does not hold.
         if self.kind in ("x", "assoc"):
-            tag = self.kind + ("+" if self.sign == 1 else "-")
+            tag = self.kind + ("+" if self.sign == 1 else "-" if self.sign == -1 else "?")
         elif self.kind in ("cup", "cap"):
             tag = self.kind + ("'" if self.primed else "")
         else:
@@ -69,7 +71,9 @@ class Slice(NamedTuple):
         return f"{tag}@{self.pos}"
 
 
-_SLICE_RE = re.compile(r"^(i|x[+-]|cup'?|cap'?|assoc[+-])@(\d+)$")
+# Positions are ASCII digits: \d would take any Unicode decimal digit,
+# and render_word would not give the text back.
+_SLICE_RE = re.compile(r"^(i|x[+-]|cup'?|cap'?|assoc[+-])@([0-9]+)$")
 
 
 def parse_word(text: str) -> tuple[Slice, ...]:

@@ -17,7 +17,7 @@ Core claims:
       measured field, so a run from cold caches and a warm rerun print
       the same bytes
     - exit codes: 2 for unreadable input (a file that is not UTF-8, a
-      position too long to convert), bad JSON or a non-integer type
+      position too long to convert, a position in non-ASCII digits), bad JSON or a non-integer type
       matrix entry (an empty --S included), 3 for validation failures,
       4 for unsupported
       truncation (a degree-sum --k over it names the degree-k sum), each
@@ -320,6 +320,14 @@ class TestExitCodes:
         path.write_bytes(b"cup@1 ; cap@1 # \xe9\xff\n")
         code, _, err = _run(capsys, "compute", "--word", str(path))
         assert code == 2 and err.startswith("error:")
+
+    def test_non_ascii_digit_position(self, capsys, tmp_path):
+        # Arabic-Indic one: a malformed slice, not cup@1;cap@1.
+        path = tmp_path / "indic.qtw"
+        path.write_text("cup@\u0661;cap@\u0661\n", encoding="utf-8")
+        code, out, err = _run(capsys, "compute", "--word", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: line 1: malformed slice")
 
     def test_position_too_long(self, capsys, tmp_path):
         path = tmp_path / "long.qtw"

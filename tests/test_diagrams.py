@@ -27,7 +27,10 @@ Core claims:
       caller can reset; a diagram's matrix is built from its type cells;
       a 150-wide matrix with a float, bool, negative or unmirrored entry
       in its last row is refused with the message of the first check
-      it fails
+      it fails; the one-pass check refuses exactly the hostile dense
+      matrices (bools, 0.0, negatives in otherwise-zero rows, ragged,
+      asymmetric, an entry whose truth value raises) that the two-pass
+      check refused, with the same message
     - Degree lists on one circle have sizes 1, 1, 2, 5, 18, 105 up to
       degree 5 (OEIS A007769)
     - Type families partition each degree list (m <= 3, k <= 4); each
@@ -320,7 +323,87 @@ class TestCanonicalForm:
 # == 2. Type matrices ========================================================
 
 
+class _Explosive:
+    """An entry whose truth value raises."""
+
+    def __bool__(self):
+        raise RuntimeError("no truth value")
+
+
+class _Count(int):
+    """An int subclass: equal to an int, but no int by type."""
+
+
+_HOSTILE = (-1, -3, True, False, 0.0, 2.0, "1", None, Fraction(1), _Count(1),
+            _Explosive(), 5)
+
+
+def _two_pass_check(S):
+    """TypeMatrix's refusal as the two-pass check wrote it, the oracle:
+    its message, or None for a matrix it admits."""
+    try:
+        rows = tuple(map(tuple, S))
+    except TypeError:
+        return "type matrix must be a sequence of rows"
+    m = len(rows)
+    if any(len(row) != m for row in rows):
+        return "type matrix must be square"
+    entries = itertools.chain.from_iterable
+    if m and (set(map(type, entries(rows))) != {int} or min(entries(rows)) < 0):
+        return "type matrix entries must be natural numbers (int >= 0)"
+    nonzero = [(i, j, s) for i, row in enumerate(rows) if any(row)
+               for j, s in enumerate(row) if s]
+    if any(rows[j][i] != s for i, j, s in nonzero):
+        return "type matrix must be symmetric"
+    return None
+
+
+@st.composite
+def _hostile_matrices(draw):
+    """Dense matrices, mostly symmetric natural ones, with hostile entries
+    (mirrored or not), zeroed rows, ragged rows, or no rows at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(((1, 2), 5, None, [[0], 1])))
+    m = draw(st.integers(0, 7))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from((0, 0, 0, 1, 2)))
+    for _ in range(draw(st.integers(0, 2)) if m else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            rows[i] = [0] * m   # otherwise zero, but for the hostile entry
+        rows[i][j] = bad = draw(st.sampled_from(_HOSTILE))
+        if draw(st.booleans()):
+            rows[j][i] = bad
+    if m and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, m - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0]
+    return rows if draw(st.booleans()) else tuple(map(tuple, rows))
+
+
 class TestTypeMatrix:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_hostile_matrices())
+    @example([[0, -1], [0, 0]])
+    @example([[0, 1], [2, 0]])
+    @example([[-1, 1], [2, 0]])
+    @example([[0, _Explosive()], [0, 0]])
+    @example([[True]])
+    @example([[0.0]])
+    @example([[1, 1], [1]])
+    def test_one_pass_refuses_what_two_passes_refused(self, S):
+        message = _two_pass_check(S)
+        if message is None:
+            built = TypeMatrix(S)
+            assert built == tuple(map(tuple, S))
+            assert built.cells == tuple((i, j, s) for i, row in enumerate(built)
+                                        for j, s in enumerate(row) if s and i <= j)
+        else:
+            with pytest.raises(InputError) as info:
+                TypeMatrix(S)
+            assert str(info.value) == message
+
     def test_mixed_degree_three_example(self):
         d = ChordDiagram([(1, 1, 2), (2, 3, 3)])
         assert d.type_matrix() == ((1, 1), (1, 1))

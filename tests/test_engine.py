@@ -132,7 +132,13 @@ Core claims:
       crossing_term's bare blocks included, through one finalize call
     - The flat terms of every corpus word's fragment, of its middle-split
       halves and of their graft, at every supported truncation, are
-      pinned by a SHA-256 taken while fragments stored flat terms
+      pinned by a SHA-256 taken while fragments stored flat terms; so are
+      those of kinked nests of up to 150 circles at N = 1 and 2 and of
+      closed 2-braids with merging caps at N = 1 to 3, and of their
+      upper halves, whose caps merge anchored slots, by one taken while
+      every cup and cap rebuilt its arc kernel
+    - A series that is its unit alone within the truncation returns the
+      caller's buckets at once, unchanged, and places no word
     - A cached answer does not depend on cache state: a truncation,
       degree, crossing index, circle count, chord count, wheel size,
       wheel order or strand count that is a bool or a float is refused
@@ -1331,6 +1337,21 @@ class TestWorkSaved:
         assert list(got.items()) == list(expected.items())
         assert all(type(c) is Fraction for c in got.values())
 
+    def test_a_unit_only_series_returns_the_callers_buckets(self):
+        # Below truncation 2 an arc is its unit alone; so is a run whose
+        # chords the truncation leaves no room for.
+        def place(key, payload):
+            raise AssertionError("a unit places no word")
+
+        terms = [{((), ()): 12}, {((1,), (1,)): -3}, {}]
+        items = [list(bucket.items()) for bucket in terms]
+        buckets = list(terms)
+        for series in ([[(None, 1)]], [[(None, 1)], [], []],
+                       [[(None, 1)], [], [], [((0, END, (1000, 1000)), 5)]]):
+            assert engine._multiply(terms, series, place) is terms
+            assert all(map(operator.is_, terms, buckets))
+            assert [list(bucket.items()) for bucket in terms] == items
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_graded_products())
     def test_multiply_in_place_agrees_with_fresh_buckets(self, case):
@@ -1558,3 +1579,49 @@ def test_fragment_terms_are_pinned():
                 out.append(repr(list(fragment.terms.items())))
     text = "\n".join(out)
     assert hashlib.sha256(text.encode()).hexdigest() == TERMS_SHA256
+
+
+def _generated_words():
+    """Kinked nests of 1 to 150 circles at N = 1 and 2, and closed 2-braids
+    of 1 to 41 crossings with each closure of the benchmark's braids (the
+    odd one merges at cap@2) at N = 1 to 3."""
+    rng = random.Random("wide and narrow words")
+    for m in (1, 2, 7, 30, 90, 150):
+        kinks = [rng.choice("+-") if rng.random() < 0.25 else "0" for _ in range(m)]
+        closures = [f"x{sign}@1;cap'@1" if sign != "0" else "cap@1" for sign in kinks]
+        text = ";".join(["cup@1"] * m + closures)
+        for cutoff in (1, 2):
+            yield text, cutoff
+    for n in (1, 2, 5, 8, 13, 40):
+        for closure in ("cap@2;cap@1", "cap'@2;cap@1", "assoc+@3;cap@3;cap@1"):
+            count = n if n % 2 == (closure == "cap@2;cap@1") else n + 1
+            signs = [rng.choice("+-") for _ in range(count)]
+            text = ";".join(["cup@1", "cup@3", "assoc-@3"]
+                            + [f"x{sign}@2" for sign in signs] + [closure])
+            for cutoff in (1, 2, 3):
+                yield text, cutoff
+
+
+# SHA-256 of "\n".join of repr(list(fragment.terms.items())) for each
+# word of _generated_words() and the upper half of its middle split, taken
+# while every cup and cap rebuilt its arc kernel and components were found
+# by a list scan.  An upper half starts from anchored components, so its
+# caps merge slots with later ones still open.
+GENERATED_TERMS_SHA256 = \
+    "6fb379c2a125d1840676d9b65b3f173cde35a0be578dc2c3af9c6ea16c97d1f0"
+
+
+def test_generated_fragment_terms_are_pinned():
+    out = []
+    for text, cutoff in _generated_words():
+        word = parse_word(text)
+        middle = len(word) // 2
+        lower = evaluate_fragment(word[:middle], cutoff)
+        for fragment in (evaluate_fragment(word, cutoff),
+                         evaluate_fragment(word[middle:], cutoff, initial=lower.spec_out,
+                                           slice_offset=middle)):
+            out.append(repr(list(fragment.terms.items())))
+    assert len(out) == 132
+    text = "\n".join(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TERMS_SHA256
+

@@ -3,7 +3,8 @@ Unit tests for word parsing, boundary tracking, and the linking oracle.
 
 Core claims:
     - The slice grammar parses both one-per-line and semicolon layouts,
-      skips comments, and reports bad tokens with their line number
+      skips comments, and reports bad tokens with their line number;
+      positions are ASCII digits, so a Unicode digit is a malformed slice
     - Parse and render round-trip every corpus word
     - Validation rejects out-of-range positions, caps and crossings on
       non-adjacent leaves, direction-mismatched caps, ambiguous or
@@ -12,7 +13,8 @@ Core claims:
     - The replay refuses hand-built slices outside the word language: a
       crossing or rebracketing sign other than +1/-1 and a primed flag
       other than True/False, compared by value, so a word equal to an
-      accepted one is accepted cold; a position equal to no int ('1',
+      accepted one is accepted cold, and a refused sign renders as '?',
+      never as a valid slice's tag; a position equal to no int ('1',
       1.5, None, nan, inf) is refused, and one equal to an int (1.0, a
       Fraction, True) acts as that int, cold or warm
     - A word whose elements are not Slices (plain tuples equal to them
@@ -132,6 +134,13 @@ class TestParsing:
             word = load_corpus_word(name)
             assert parse_word(render_word(word)) == word
 
+    def test_positions_are_ascii_digits(self):
+        # An Arabic-Indic one is a Unicode decimal digit, but no position:
+        # parsed as 1, the word would not render back to its text.
+        for text in ("cup@\u0661;cap@\u0661", "cup@1;cap@\uff11", "cup@\u00b9;cap@1"):
+            with pytest.raises(WordParseError, match="line 1: malformed slice"):
+                parse_word(text)
+
 
 # == 2. Validation ===========================================================
 
@@ -196,6 +205,19 @@ class TestValidation:
     def test_slices_outside_the_language_are_refused(self, word):
         with pytest.raises(WordValidationError, match="sign|primed"):
             validate_word(word)
+
+    def test_a_refusal_names_the_slice_it_refuses(self):
+        # A sign other than +1 or -1 renders as a tag no word parses, not
+        # as the minus slice the word does not hold.
+        word = (Slice("cup", 1), Slice("x", 1, sign=5), Slice("cap", 1, primed=True))
+        with pytest.raises(WordValidationError) as info:
+            validate_word(word)
+        assert str(info.value) == "slice 2 (x?@1): sign must be +1 or -1, not 5"
+        for kind in ("x", "assoc"):
+            assert [str(Slice(kind, 2, sign=sign)) for sign in (1, -1, 1.0, -1.0, 0, 2)] \
+                == [f"{kind}{tag}@2" for tag in "+-+-??"]
+            with pytest.raises(WordParseError):
+                parse_word(str(Slice(kind, 2, sign=0)))
 
     def test_sign_and_flag_compare_by_value(self):
         # Equal to the parsed word, so a warm cache answers it: cold, it
