@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .diagrams import ChordDiagram, _check_work, _relabel, connected_sum
 from .errors import InputError, TruncationUnsupportedError
@@ -223,12 +223,14 @@ def wheel_attachment_sum(sizes: Sequence[int]) -> Mapping[ChordDiagram, Fraction
     remaining legs range over all linear orders: (n - 1)! 2**n terms for n
     legs, refused (InputError) over ENUMERATION_LIMIT, so n <= 7 runs.
     """
-    # Checked before the cache, which would answer (2.0,) as (2,).
-    if not all(type(size) is int and size >= 1 for size in sizes):
+    # Checked before the cache, which would answer (2.0,) as (2,); read
+    # once, so an iterator's sizes are the ones checked and summed.
+    legs = tuple(sizes) if isinstance(sizes, Iterable) else (None,)
+    if not all(type(size) is int and size >= 1 for size in legs):
         raise InputError(f"wheel sizes must be ints >= 1, got {sizes!r}")
     _check_work("the leg orders and flips of these wheels", itertools.chain(
-        range(1, sum(sizes)), itertools.repeat(2, sum(sizes))))
-    return _wheel_attachment_sum(tuple(sizes))
+        range(1, sum(legs)), itertools.repeat(2, sum(legs))))
+    return _wheel_attachment_sum(legs)
 
 
 @lru_cache(maxsize=None)

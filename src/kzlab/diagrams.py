@@ -152,11 +152,13 @@ class TypeMatrix(tuple):
         raise AttributeError("TypeMatrix is immutable")
 
 
-def _check_perm(perm: Sequence[int], m: int) -> None:
-    """Refuse a circle relabelling that is not a 1-based bijection of 1..m
-    in ints (a bool or a float refused)."""
-    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(1, m + 1)):
+def _check_perm(perm: Sequence[int], m: int) -> tuple[int, ...]:
+    """The circle relabelling perm as a tuple; InputError unless it is an
+    iterable 1-based bijection of 1..m in ints (a bool or a float refused)."""
+    items = tuple(perm) if isinstance(perm, Iterable) else (None,)
+    if any(type(p) is not int for p in items) or sorted(items) != list(range(1, m + 1)):
         raise InputError(f"perm must be a permutation of 1..{m}, got {perm!r}")
+    return items
 
 
 def _relabel(words: Sequence[Sequence[object]]) -> Code:
@@ -362,7 +364,7 @@ class ChordDiagram:
     def relabel_circles(self, perm: Sequence[int]) -> "ChordDiagram":
         """Move circle i to position perm[i-1]; perm is a 1-based bijection."""
         m = self.circles
-        _check_perm(perm, m)
+        perm = _check_perm(perm, m)
         words: list[tuple[int, ...]] = [()] * m
         for old, new in enumerate(perm):
             words[new - 1] = self.code[old]

@@ -171,8 +171,7 @@ def verify_theorem(word: Sequence[Slice], S: Sequence[Sequence[int]],
     rows, trace = _instance(word, S, cutoff)
     pulled = rows
     if relabel is not None:
-        perm = tuple(relabel)
-        _check_perm(perm, len(rows))
+        perm = _check_perm(relabel, len(rows))
         pulled = TypeMatrix([[rows[p - 1][q - 1] for q in perm] for p in perm])
     lhs = linking_monomial(trace.linking, pulled)
     rhs = _class_sum(integrate(word, cutoff), pulled)

@@ -35,14 +35,19 @@ def corpus_names() -> tuple[str, ...]:
     return tuple(sorted(_MANIFEST))
 
 
+def _entry(name: str) -> tuple[str, tuple[tuple[str, ...], ...]]:
+    """The manifest's (file name, linking rows) for name; CorpusLookupError
+    naming the known words unless name is one of them."""
+    entry = _MANIFEST.get(name) if type(name) is str else None
+    if entry is None:
+        raise CorpusLookupError(
+            f"unknown corpus word {name!r}; known: {', '.join(corpus_names())}")
+    return entry
+
+
 def corpus_path(name: str) -> str:
     """Filesystem path of the bundled word file for name, as a str."""
-    try:
-        filename, _ = _MANIFEST[name]
-    except KeyError:
-        raise CorpusLookupError(
-            f"unknown corpus word {name!r}; known: {', '.join(corpus_names())}"
-        ) from None
+    filename, _ = _entry(name)
     path = os.path.join(os.path.dirname(__file__), "data", filename)
     if not os.path.isfile(path):
         raise CorpusLookupError(f"corpus file not found: {path}")
@@ -56,8 +61,5 @@ def load_corpus_word(name: str) -> tuple[Slice, ...]:
 
 def corpus_linking(name: str) -> tuple[tuple[Fraction, ...], ...]:
     """The tabulated framed linking matrix (diagonal holds framing/2)."""
-    if name not in _MANIFEST:
-        raise CorpusLookupError(
-            f"unknown corpus word {name!r}; known: {', '.join(corpus_names())}")
-    _, rows = _MANIFEST[name]
+    _, rows = _entry(name)
     return tuple(tuple(Fraction(x) for x in row) for row in rows)

@@ -56,14 +56,17 @@ series is one exp(G/2 * chord) with G the sum of their geometric signs,
 and a run is multiplied once, at its first crossing; a run with G = 0
 multiplies nothing.  The runs are read off the trace, which records
 each one's span of word indices and its G, so no call regroups the
-events.  The crossing replaced by a bare block splits its run in two,
-but its rungs join the same two points and commute with the run's
-others, so crossing_term, which finds its crossing's run in the same
-record, is cached on the run key: the word outside the run, the run's
-slices without their signs, the block's k and the cutoff, and the
-multiset of the run's other signs.  Crossings of one run with equal
-leftover signs share one term, and so does the word flipped at the
-blocked crossing.
+events.  A bare block of k chords joins the same two points as the
+other rungs of its run and commutes with them, so the blocked run is
+one kernel too: n rungs weigh G'**(n - k) / (2**(n - k) (n - k)!), G'
+the summed sign of the run's other crossings, and a plain run is the
+case k = 0, G' = G.  crossing_term, which finds its crossing's run and
+G' in the same record, is cached on the run key: the word outside the
+run, the run's slices without their signs, the cutoff, the block's k
+and G'.  The outside word and the unsigned slices fix how many other
+crossings there are and their direction factor, so G' fixes their
+signs: crossings of one run with equal leftover signs share one term,
+and so does the word flipped at the blocked crossing.
 
 The pentagon and the hexagon are checked on the same fragment values:
 two words over one open boundary of down strands must evaluate equal,
@@ -84,8 +87,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..algebra import MAX_TRUNCATION, _check_degree, _check_truncation, sqrt_unknot_series
 from ..diagrams import (
-    TABLE_CACHE_SIZE, Cells, ChordDiagram, Code, _check_counts, _least_code, _placements,
-    _relabel, _relator_vectors, reduce_mod_4t,
+    TABLE_CACHE_SIZE, Cells, ChordDiagram, Code, _check_counts, _check_perm, _least_code,
+    _placements, _relabel, _relator_vectors, reduce_mod_4t,
 )
 from ..errors import InputError, WordValidationError
 from ..sparse import _quotient, _residual, add_term
@@ -343,11 +346,13 @@ class FragmentValue(NamedTuple):
                 for key, value in bucket.items()}
 
 
-def _run_at(trace: WordTrace, at: int) -> tuple[int, int, int]:
-    """The traced run (first, last, G) holding the crossing at word index
-    at; WordValidationError unless that slice is a crossing of the trace."""
-    trace.crossing(at + 1)
-    return next(run for run in trace.runs if run[0] <= at <= run[1])
+def _blocked_run(trace: WordTrace, at: int) -> tuple[int, int, int]:
+    """The traced run (first, last, G') holding the crossing at word index
+    at, G' the summed geometric sign of its other crossings;
+    WordValidationError unless that slice is a crossing of the trace."""
+    sign = trace.crossing(at + 1).event.geometric_sign
+    first, last, g = next(run for run in trace.runs if run[0] <= at <= run[1])
+    return first, last, g - sign
 
 
 def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
@@ -381,20 +386,13 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
     if bare_block is not None and not (type(bare_block) is tuple and tuple(
             map(type, bare_block)) == (int, int) and bare_block[1] >= 0):
         raise InputError(f"bare_block {bare_block!r} is not an int pair (index, k >= 0)")
-    block_at, block_k = bare_block or (None, None)
     trace = _trace(slices, initial, slice_offset)
-    # Each run's G by its first crossing.  The bare block splits its run:
-    # the crossings on either side of it sum apart.
-    runs = {first: g for first, _, g in trace.runs}
-    if block_at is not None:
-        first, last, _ = _run_at(trace, block_at)
-        del runs[first]
-        sides: dict[bool, tuple[int, int]] = {}
-        for i, event in trace.events:
-            if first <= i <= last and i != block_at:
-                start, g = sides.get(i > block_at, (i, 0))
-                sides[i > block_at] = (start, g + event.geometric_sign)
-        runs.update(sides.values())
+    # Each run's (G', k) by its first crossing: a plain run keeps its G
+    # and k = 0, the blocked run its other crossings' G' and the block's k.
+    runs = {first: (g, 0) for first, _, g in trace.runs}
+    if bare_block is not None:
+        first, _, g = _blocked_run(trace, bare_block[0])
+        runs[first] = (g, bare_block[1])
     comps: list[Birth] = list(trace.open_in)   # every component, by birth
     slot = dict(zip(comps, range(len(comps))))  # each component's key index
     scale = _kernel_scale(cutoff)
@@ -420,27 +418,22 @@ def evaluate_fragment(slices: Sequence[Slice], cutoff: int,
 
     for at, event in trace.events:
         if isinstance(event, CrossEvent):
-            g = runs.get(at)
-            if at != block_at and not g:
-                continue   # inside a run, or a run whose signs cancel
+            g, k = runs.get(at, (0, 0))
+            if not (g or k):
+                continue   # inside a run, or a plain run whose signs cancel
             (cl, role_l), (cr, role_r) = event.left, event.right
             il, ir = slot[cl], slot[cr]
-
-            def rungs(k):
-                # k chords across the two points; the unit (k = 0) is None.
-                tokens = tuple(range(_FRESH, _FRESH + k))
-                return ((il, role_l, tokens), (ir, role_r, tokens)) if k else None
-            # weights[k] holds the k-chord rungs with their coefficient.
-            if at == block_at:
-                weights = [[] for _ in range(cutoff + 1)]
-                if block_k <= cutoff:
-                    weights[block_k].append((rungs(block_k), scale ** block_k))
-            else:
-                # A run's rungs stack on both strands in slice order, so
-                # its value is exp(G/2 * chord), G its summed sign.
-                weights = [[(rungs(k), _scaled(Fraction(g ** k, 2 ** k * factorial(k)),
-                                               k, scale))]
-                           for k in range(cutoff + 1)]
+            # Every rung joins the run's two points, so the run is one
+            # kernel, exp(G'/2 * chord) times the block's k chords: n
+            # rungs weigh G'**(n - k) / (2**(n - k) (n - k)!), the unit
+            # (n = 0) the payload None.  The parts past the block weigh 0
+            # when G' = 0 and are dropped.
+            weights: list[list] = [[] for _ in terms]
+            for n in range(k, cutoff + 1 if g else min(k, cutoff) + 1):
+                c = Fraction(g ** (n - k), 2 ** (n - k) * factorial(n - k))
+                tokens = tuple(range(_FRESH, _FRESH + n))
+                weights[n].append((((il, role_l, tokens), (ir, role_r, tokens))
+                                   if n else None, _scaled(c, n, scale)))
             terms = _multiply(terms, weights, _insert_at_points)
         elif isinstance(event, CupEvent):
             # The cup's empty word joins every key, and its arc ends it.
@@ -643,6 +636,7 @@ class TangleResult(_Series):
         return reduce_mod_4t(self.degree_part(k))
 
     def relabeled(self, perm: Sequence[int]) -> "TangleResult":
+        perm = _check_perm(perm, self.circles)
         out: dict[ChordDiagram, Fraction] = {}
         for diagram, coeff in self.coefficients.items():
             add_term(out, diagram.relabel_circles(perm), coeff)
@@ -718,10 +712,8 @@ def crossing_term(slices: Sequence[Slice], crossing: int, k: int,
     trace = validate_word(word)
     _check_cutoff(word, cutoff)
     at = crossing - 1
-    first, last, _ = _run_at(trace, at)
-    run = word[first:last + 1]
-    key = _RunKey((word[:first], tuple((s.kind, s.pos) for s in run), word[last + 1:],
-                   cutoff, k, tuple(sorted(s.sign for i, s in enumerate(run, first)
-                                           if s.kind == "x" and i != at))))
+    first, last, g = _blocked_run(trace, at)
+    key = _RunKey((word[:first], tuple((s.kind, s.pos) for s in word[first:last + 1]),
+                   word[last + 1:], cutoff, k, g))
     key.made = (word, cutoff, (at, k))
     return _crossing_term_cached(key)

@@ -419,6 +419,10 @@ def _run_split(pairs: list[Named], forked: list[Named]) -> list[SectionResult]:
 
 
 def run_selftest(sections: Sequence[str] | None = None) -> list[SectionResult]:
+    if sections is not None and (isinstance(sections, str)
+                                 or not isinstance(sections, Iterable)):
+        raise InputError(f"sections must be a sequence of section names, such as "
+                         f"['theorem', 'linking'], not {sections!r}")
     chosen = set(sections) if sections is not None else None
     if chosen is not None:
         unknown = chosen - set(section_names())

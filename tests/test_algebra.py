@@ -13,7 +13,8 @@ Core claims:
     - A wheel order over MAX_WHEEL_ORDER (64) is an input error raised
       before the cache, so 10**9 is refused at once; order 4 keeps its
       weights
-    - Resolving the two-wheel over all leg orders gives 2(1122) - 2(1212)
+    - Resolving the two-wheel over all leg orders gives 2(1122) - 2(1212),
+      also from sizes given as an iterator
     - A wheel size that is not an int >= 1 is an input error, also when
       an equal int tuple is cached
     - The one-wheel and two-wheel attachments of four legs have their
@@ -196,6 +197,8 @@ class TestAttachment:
         total = wheel_attachment_sum((2,))
         assert total == {ChordDiagram([(1, 1, 2, 2)]): Fraction(2),
                          ChordDiagram([(1, 2, 1, 2)]): Fraction(-2)}
+        # Sizes from an iterator are read once, not checked and then lost.
+        assert wheel_attachment_sum(size for size in (2,)) == total
 
     def test_frozen_four_leg_tables(self):
         assert wheel_attachment_sum((4,)) == _table({

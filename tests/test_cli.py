@@ -61,7 +61,12 @@ Core claims:
       environment holds
     - every kzlab line of the README's "Command line" block exits 0 and
       prints the same bytes from cold caches and warm
-    - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves
+    - every name in kzlab.__all__ and kzlab.qtangle.__all__ resolves, and
+      every name in kzlab.__all__ but __version__ appears in a code span
+      of the README
+    - an unknown corpus name (a non-str included) is refused by
+      corpus_path, corpus_linking and load_corpus_word with one
+      CorpusLookupError message naming the known words
     - importing kzlab and kzlab.cli without site loads none of
       dataclasses, inspect, importlib.resources and pathlib
 """
@@ -70,6 +75,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -81,7 +87,7 @@ import kzlab
 import kzlab.cli
 import kzlab.qtangle
 from kzlab.cli import build_parser, main
-from kzlab.qtangle.corpus import corpus_names, corpus_path
+from kzlab.qtangle.corpus import corpus_linking, corpus_names, corpus_path
 
 COMPUTE_SHA256 = \
     "dff7d14752dbe01652115939d4aa682be38fa5824bd74da2217197cc88c4e64c"
@@ -607,6 +613,15 @@ class TestCorpusLookup:
                             "--degree", "1")
         assert code == 0 and "degree 1 (sum 0):" in out
 
+    @pytest.mark.parametrize("name", ["nonesuch", "U0", ["u0"], None])
+    def test_an_unknown_name_is_refused_alike(self, name):
+        message = (f"unknown corpus word {name!r}; known: "
+                   f"{', '.join(corpus_names())}")
+        for lookup in (corpus_path, corpus_linking, kzlab.load_corpus_word):
+            with pytest.raises(kzlab.CorpusLookupError) as refused:
+                lookup(name)
+            assert str(refused.value) == message, lookup
+
 
 def test_readme_command_lines_exit_0(capsys):
     # The kzlab lines of the README's "Command line" code block.
@@ -623,6 +638,16 @@ def test_readme_command_lines_exit_0(capsys):
         code2, warm, _ = _run(capsys, *shlex.split(line)[1:])
         assert code == code2 == 0, line
         assert cold == warm, line
+
+
+def test_readme_names_every_public_name():
+    # Each name in kzlab.__all__ but the version, as a whole word inside
+    # one `code` span of the README.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    spans = " ".join(re.findall(r"`[^`\n]+`", readme.read_text(encoding="utf-8")))
+    missing = [name for name in kzlab.__all__ if name != "__version__"
+               and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", spans)]
+    assert not missing
 
 
 # == 7. package surface ======================================================

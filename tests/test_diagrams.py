@@ -77,7 +77,9 @@ Core claims:
       wheel_attachment_sum past the enumeration limit), graft
       and strand_monomials; a circle or gap index and a circle
       permutation (verify_theorem's relabel included) must be ints, so a
-      float or a bool equal to a valid one is refused; so are a
+      float or a bool equal to a valid one is refused; a circle
+      permutation, wheel sizes and run_selftest's sections must be
+      iterables (an int is refused), and sections no str; so are a
       kinked-unknot cutoff that is not an int, and a linking matrix that
       is not S's size in rows of that length or has an entry read that
       is not an int or a Fraction; the
@@ -818,6 +820,14 @@ def _chords(word):
     lambda: kzlab.verify_theorem(kzlab.load_corpus_word("hopf+"),
                                  ((1, 1), (1, 1)), 3, relabel=[True, 2]),
     lambda: kzlab.kinked_unknot_series(2.0),
+    # A permutation, a list of wheel sizes and a list of section names
+    # must be iterables; a str is not a list of section names.
+    lambda: _TWO.relabel_circles(5),
+    lambda: kzlab.integrate(kzlab.load_corpus_word("hopf+"), 2).relabeled(5),
+    lambda: kzlab.verify_theorem(kzlab.load_corpus_word("hopf+"),
+                                 ((1, 1), (1, 1)), 3, relabel=5),
+    lambda: wheel_attachment_sum(5),
+    lambda: kzlab.run_selftest("theorem"),
     # A linking matrix must be S's size in rows of that length, and each
     # entry read an int or a Fraction.
     lambda: kzlab.linking_monomial([[1], [1]], _CLASP),
@@ -840,6 +850,8 @@ def _chords(word):
         "strand-count-float", "circle-index-float", "gap-index-float",
         "circle-index-bool", "gap-index-bool", "perm-float", "perm-bool",
         "theorem-perm-float", "theorem-perm-bool", "kinked-cutoff-float",
+        "perm-int", "result-perm-int", "theorem-perm-int", "wheel-sizes-int",
+        "sections-str",
         "linking-ragged", "linking-not-rows", "linking-rows-ints",
         "linking-none", "linking-str", "linking-bool", "linking-float",
         "sqrt-cutoff-float", "sqrt-cutoff-bool", "product-cutoff-negative",

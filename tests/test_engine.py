@@ -65,8 +65,11 @@ Core claims:
       on closed 2-braids with mixed signs and identities inside the run,
       on open words with runs at two sibling pairs, and with a bare
       block inside a run; each run is one multiply, and a run whose
-      signs cancel is none; every multiply but a merging cap's updates
-      the terms in place, and none places a unit payload
+      signs cancel is none; the run holding a bare block is one multiply
+      too, none at k = 0 when its other signs cancel, and a block over
+      the truncation leaves no terms; every multiply but a merging cap's
+      and a bare block's updates the terms in place, and none places a
+      unit payload
     - One structural pass per word: tracing a word or a fragment replays
       each slice once, and integrate, linking_matrix, crossing_term and
       evaluate_fragment on a word whose trace is cached replay none
@@ -136,7 +139,9 @@ Core claims:
       those of kinked nests of up to 150 circles at N = 1 and 2 and of
       closed 2-braids with merging caps at N = 1 to 3, and of their
       upper halves, whose caps merge anchored slots, by one taken while
-      every cup and cap rebuilt its arc kernel
+      every cup and cap rebuilt its arc kernel; every corpus crossing
+      term (each crossing, each k up to N + 1, each supported N) is pinned
+      by one taken while a bare block split its run in three
     - A series that is its unit alone within the truncation returns the
       caller's buckets at once, unchanged, and places no word
     - A cached answer does not depend on cache state: a truncation,
@@ -844,9 +849,9 @@ class TestCrossingRuns:
 
         monkeypatch.setattr(engine, "_multiply", spy)
 
-        def count(text, cutoff=3, initial=None):
+        def count(text, cutoff=3, initial=None, bare_block=None):
             calls.clear()
-            evaluate_fragment(parse_word(text), cutoff, initial)
+            evaluate_fragment(parse_word(text), cutoff, initial, bare_block=bare_block)
             return len(calls)
 
         # Two cups, the assoc, one run and two caps, however long the run;
@@ -863,6 +868,15 @@ class TestCrossingRuns:
         assert all(calls)
         # A run whose signs cancel multiplies nothing.
         assert count("x+@1;x-@1", initial=((0,), (END, END))) == 0
+        # The run holding a bare block is one kernel too: one multiply,
+        # none when k = 0 and its other signs cancel, and a block over
+        # the truncation leaves no terms.
+        run = arcs + "x+@1;x+@1;x-@1"
+        assert count(run, bare_block=(4, 1)) == 3 + 1
+        assert calls[-1] is False
+        assert count(run, bare_block=(4, 0)) == 3
+        assert count(run, bare_block=(4, 5)) == 3 + 1
+        assert not evaluate_fragment(parse_word(run), 3, bare_block=(4, 5)).terms
 
     def test_each_word_is_replayed_once(self, monkeypatch):
         replayed = []
@@ -1580,6 +1594,28 @@ def test_fragment_terms_are_pinned():
     text = "\n".join(out)
     assert hashlib.sha256(text.encode()).hexdigest() == TERMS_SHA256
 
+
+# crossing_term(word, c, k, N) for every corpus word, every N it supports,
+# every crossing c and every k <= N + 1, as the repr of its (code,
+# coefficient string) items; taken while the run holding the bare block
+# was split into a left run, the block and a right run.
+CROSSING_TERMS_SHA256 = \
+    "3c79f48f2d9ef7ba9980b522ad459c1a31e4c7e826c8f508efdded0115b8a2bf"
+
+
+def test_crossing_terms_are_pinned():
+    out = []
+    for name in corpus_names():
+        word = load_corpus_word(name)
+        for cutoff in range(max_truncation(word) + 1):
+            for traced in trace_word(word).crossings:
+                for k in range(cutoff + 2):
+                    result = crossing_term(word, traced.slice, k, cutoff)
+                    out.append(repr([(d.code, str(c))
+                                     for d, c in result.coefficients.items()]))
+    assert len(out) == 230
+    text = "\n".join(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == CROSSING_TERMS_SHA256
 
 def _generated_words():
     """Kinked nests of 1 to 150 circles at N = 1 and 2, and closed 2-braids

@@ -31,6 +31,8 @@ Core claims:
       --json` prints what a serial run prints, with text written before
       it, unflushed, printed once
     - Importing kzlab loads neither pickle nor multiprocessing
+    - Sections are asked for as a sequence of names: a str is refused as
+      such, not read letter by letter, and an unknown name is named
 """
 
 import hashlib
@@ -383,3 +385,11 @@ def test_import_loads_neither_pickle_nor_multiprocessing():
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_sections_are_a_sequence_of_names():
+    with pytest.raises(kzlab.InputError,
+                       match=r"a sequence of section names, .* not 'theorem'"):
+        run_selftest("theorem")
+    with pytest.raises(kzlab.InputError, match="unknown sections: nonesuch$"):
+        run_selftest(["nonesuch", "theorem"])
